@@ -8,9 +8,9 @@
 #   5. exporter integration     -- cfg-obs-http socket-level scrape tests
 #   6. probe layer & scope      -- engine probe counters, scope CLI, and
 #                                  the serve->scope->trigger round trip
-#   7. bit-parallel kernel      -- bitset engine tests, the wide-step
-#                                  simd front end, shard pool, and the
-#                                  four-engine agreement property
+#   7. bit-parallel kernel      -- bitset engine tests (dead-run skip
+#                                  included), shard pool, and the
+#                                  three-engine agreement property
 #   8. ingest server            -- cfg-server unit + integration tests
 #                                  (both io-models: thread-per-conn and
 #                                  the epoll reactor), the Engine trait
@@ -27,9 +27,8 @@
 #  12. full workspace tests     -- every crate's suites
 #
 # Then six NON-GATING steps: the observability-overhead bench (engine
-# path, simd included, + traced/audited-server path), the
-# engine-throughput bench (scalar/bit rows plus the per-engine simd
-# row, grouped by bench_diff into independent series), the
+# path + traced/audited-server path), the engine-throughput bench
+# (scalar and bit rows), the
 # ingest-server loop bench (with the stage-attribution table) under
 # both io-models, the false-positive precision experiment, and
 # bench_diff over bench_results/ histories. Timing on shared machines
@@ -68,11 +67,10 @@ cargo test -q -p cfg-cli scope
 echo "==> circuit scope round trip: cargo test -q --test circuit_scope"
 cargo test -q --test circuit_scope
 
-echo "==> bit-parallel kernel: bitset tables/engine, simd front end, shard pool, engine agreement"
+echo "==> bit-parallel kernel: bitset tables/engine, dead-run skip, shard pool, engine agreement"
 cargo test -q -p cfg-tagger bitset
-cargo test -q -p cfg-tagger bitset_wide
 cargo test -q -p cfg-tagger shard
-cargo test -q --test properties bitset_equals_scalar_gate_and_simd
+cargo test -q --test properties bitset_equals_scalar_and_gate
 
 echo "==> ingest server: cfg-server suites, Engine trait, chaos test"
 cargo test -q -p cfg-server

@@ -2,15 +2,16 @@
 //! JSONL history and prints per-metric deltas.
 //!
 //! Histories may interleave several *series* in one file: rows carrying
-//! an `engine` string field (e.g. the per-engine `fast_throughput`
-//! rows) are grouped by that value and each group diffs its own last
-//! two rows, so a simd row never diffs against the combined scalar/bit
-//! row — and legacy rows without the field keep comparing exactly as
-//! before.
+//! an `engine` string field are grouped by that value and each group
+//! diffs its own last two rows, so a per-engine row never diffs against
+//! a combined row — and rows without the field keep comparing exactly
+//! as before.
 //!
 //! Direction matters: `*ns_per_byte` / `*_pct` / `*_us` metrics are
-//! lower-is-better, `*_per_sec` / `*gbps` / `*_mbps` are
-//! higher-is-better; everything else is reported without a verdict. A
+//! lower-is-better, `*_per_sec` / `*gb_per_s` / `*_gbps` / `*_mbps` are
+//! higher-is-better; everything else is reported without a verdict.
+//! `*gb_per_s` is gigabytes per second (software throughput); `*_gbps`
+//! stays for the paper's gigabit bandwidth column. A
 //! regression worse than 10% on any directional metric makes the
 //! process exit non-zero — CI runs it **non-gating** (`|| true`), so
 //! the signal lands in the log without letting timing noise on shared
@@ -46,9 +47,9 @@ fn direction(key: &str) -> Direction {
     // Correctness metrics ride the same verdicts as timing ones:
     // `_precision_pct` up is good (the bare `_pct` gauges stay
     // informational), `_fp_per_mb` is a false-positive density, so
-    // down is good like any latency. The bare `ns_per_byte` / `gbps`
-    // spellings come from per-engine rows (an `engine` field names the
-    // series, so the metric needs no prefix).
+    // down is good like any latency. The bare `ns_per_byte` spelling
+    // comes from per-engine rows (an `engine` field names the series,
+    // so the metric needs no prefix).
     if key.ends_with("_ns_per_byte")
         || key == "ns_per_byte"
         || key.ends_with("_overhead_pct")
@@ -57,8 +58,8 @@ fn direction(key: &str) -> Direction {
     {
         Direction::LowerIsBetter
     } else if key.ends_with("_per_sec")
+        || key.ends_with("gb_per_s")
         || key.ends_with("_gbps")
-        || key == "gbps"
         || key.ends_with("_mbps")
         || key.ends_with("_precision_pct")
     {
@@ -210,7 +211,8 @@ mod tests {
         // Per-engine rows spell the metric bare (the `engine` field
         // names the series); same verdicts as the prefixed forms.
         assert_eq!(direction("ns_per_byte"), Direction::LowerIsBetter);
-        assert_eq!(direction("gbps"), Direction::HigherIsBetter);
+        assert_eq!(direction("gb_per_s"), Direction::HigherIsBetter);
+        assert_eq!(direction("bit_gb_per_s"), Direction::HigherIsBetter);
         assert_eq!(direction("e2e_p50_us"), Direction::LowerIsBetter);
         assert_eq!(direction("queue_wait_p50_us"), Direction::LowerIsBetter);
         assert_eq!(direction("bytes"), Direction::Informational);
@@ -346,27 +348,42 @@ mod tests {
     }
 
     #[test]
+    fn gb_per_s_rows_flag_falling_throughput_and_old_rows_still_compare() {
+        // Falling GB/s is a regression, rising is an improvement.
+        let prev = Json::parse(r#"{"bit_gb_per_s":100.0}"#).unwrap();
+        let cur = Json::parse(r#"{"bit_gb_per_s":80.0}"#).unwrap();
+        assert!(compare_rows(&prev, &cur)[0].regression.unwrap() > THRESHOLD);
+        assert!(compare_rows(&cur, &prev)[0].regression.unwrap() < 0.0);
+        // A row from before the rename carries `bit_gbps`: the new key
+        // has no previous value and is skipped, the shared ones diff.
+        let old = Json::parse(r#"{"bit_ns_per_byte":4.5,"bit_gbps":0.222}"#).unwrap();
+        let new = Json::parse(r#"{"bit_ns_per_byte":4.4,"bit_gb_per_s":0.227}"#).unwrap();
+        let keys: Vec<String> = compare_rows(&old, &new).into_iter().map(|d| d.key).collect();
+        assert_eq!(keys, ["bit_ns_per_byte"]);
+    }
+
+    #[test]
     fn engine_rows_form_their_own_series() {
-        // A fast_throughput-style history: legacy combined rows
-        // interleaved with per-engine simd rows. Each series diffs its
-        // own last two; the simd row never diffs against the combined
-        // row even though it is the file's final line.
+        // Combined rows interleaved with per-engine rows. Each series
+        // diffs its own last two; the per-engine row never diffs
+        // against the combined row even though it is the file's final
+        // line.
         let body = "{\"bit_ns_per_byte\":4.5}\n\
-                    {\"engine\":\"simd\",\"ns_per_byte\":0.9}\n\
+                    {\"engine\":\"scalar\",\"ns_per_byte\":125.0}\n\
                     {\"bit_ns_per_byte\":4.4}\n\
-                    {\"engine\":\"simd\",\"ns_per_byte\":0.8}\n";
+                    {\"engine\":\"scalar\",\"ns_per_byte\":124.0}\n";
         let series = last_two_rows_per_series(body);
         assert_eq!(series.len(), 2);
         assert_eq!(series[0].0, "");
         assert_eq!(series[0].1.get("bit_ns_per_byte").and_then(Json::as_f64), Some(4.5));
         assert_eq!(series[0].2.get("bit_ns_per_byte").and_then(Json::as_f64), Some(4.4));
-        assert_eq!(series[1].0, "simd");
-        assert_eq!(series[1].2.get("ns_per_byte").and_then(Json::as_f64), Some(0.8));
-        // A lone simd row in an otherwise legacy history is tolerated:
-        // the legacy series still compares, simd waits for a second row.
+        assert_eq!(series[1].0, "scalar");
+        assert_eq!(series[1].2.get("ns_per_byte").and_then(Json::as_f64), Some(124.0));
+        // A lone per-engine row is tolerated: the combined series still
+        // compares, the engine series waits for a second row.
         let sparse = "{\"bit_ns_per_byte\":4.5}\n\
                       {\"bit_ns_per_byte\":4.4}\n\
-                      {\"engine\":\"simd\",\"ns_per_byte\":0.9}\n";
+                      {\"engine\":\"scalar\",\"ns_per_byte\":125.0}\n";
         let series = last_two_rows_per_series(sparse);
         assert_eq!(series.len(), 1);
         assert_eq!(series[0].0, "");

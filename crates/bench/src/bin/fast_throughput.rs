@@ -1,10 +1,9 @@
 //! Head-to-head throughput of the software engines: the scalar
-//! reference ([`cfg_tagger::ScalarEngine`]), the bit-parallel kernel
+//! reference ([`cfg_tagger::ScalarEngine`]) and the bit-parallel kernel
 //! ([`cfg_tagger::BitEngine`], the engine behind
-//! `TokenTagger::fast_engine`) and the wide-stepping simd front end
-//! ([`cfg_tagger::SimdEngine`]).
+//! `TokenTagger::fast_engine`).
 //!
-//! All tag the same ~4 MB honest XML-RPC stream (the workload
+//! Both tag the same ~4 MB honest XML-RPC stream (the workload
 //! `obs_overhead` uses, so ns/byte rows are comparable across the two
 //! histories), dark sinks attached — this measures the kernels, not the
 //! observability layer. Each configuration warms up adaptively —
@@ -17,12 +16,13 @@
 //! event counts are cross-checked so a "fast" kernel that drops
 //! matches can never post a number.
 //!
-//! Appends two JSONL rows to `bench_results/fast_throughput.json`: the
-//! historical combined scalar/bit row (unchanged shape, so old
-//! histories keep diffing) and a per-engine simd row carrying
-//! `engine`/`ns_per_byte`/`gbps` fields (`*ns_per_byte`
-//! lower-is-better, `*gbps` higher-is-better — the `bench_diff`
-//! conventions; `bench_diff` groups rows by their `engine` field).
+//! The stream dies inside its first message (no error recovery), so
+//! the bit row mostly measures the dead-run skip, not tagging.
+//!
+//! Appends one JSONL row to `bench_results/fast_throughput.json`.
+//! `bit_gb_per_s` is `1 / bit_ns_per_byte`: gigabytes per second, not
+//! the paper's gigabits (`bench_diff` reads `*ns_per_byte` as
+//! lower-is-better and `*gb_per_s` as higher-is-better).
 //!
 //! Run: `cargo run -p cfg-bench --bin fast_throughput --release`
 
@@ -101,20 +101,10 @@ fn main() {
         n += e.finish().len();
         n
     });
-    let (simd, simd_spread, simd_events) = bench(input.len(), reps, || {
-        let mut e = tagger.simd_engine();
-        let mut events = Vec::new();
-        e.feed_into(&input, &mut events);
-        e.finish_into(&mut events);
-        events.len()
-    });
     assert_eq!(scalar_events, bit_events, "engines disagree on event count");
-    assert_eq!(scalar_events, simd_events, "simd engine disagrees on event count");
 
     let speedup = scalar / bit;
-    let bit_gbps = 1.0 / bit;
-    let simd_speedup = scalar / simd;
-    let simd_gbps = 1.0 / simd;
+    let bit_gb_per_s = 1.0 / bit;
     let spread_pct = scalar_spread.max(bit_spread);
     println!(
         "fast_throughput ({} bytes, {} positions in {} words, median of {reps})",
@@ -123,26 +113,18 @@ fn main() {
         tagger.bit_tables().mask_words()
     );
     println!("  scalar : {scalar:>8.3} ns/byte");
-    println!("  bitset : {bit:>8.3} ns/byte  ({speedup:.1}x, {bit_gbps:.3} GB/s)");
-    println!("  simd   : {simd:>8.3} ns/byte  ({simd_speedup:.1}x, {simd_gbps:.3} GB/s)");
+    println!("  bitset : {bit:>8.3} ns/byte  ({speedup:.1}x, {bit_gb_per_s:.3} GB/s)");
     println!("  events : {bit_events} (identical across engines)");
     println!("  worst rep-to-rep spread: {spread_pct:.1}%");
 
     if std::fs::create_dir_all("bench_results").is_ok() {
         use std::io::Write as _;
-        // Historical combined row (shape unchanged) plus a per-engine
-        // simd row; bench_diff groups by the `engine` field, so the two
-        // series regression-gate independently.
         let row = format!(
             "{{\"bytes\": {}, \"reps\": {reps}, \"events\": {bit_events}, \
              \"scalar_ns_per_byte\": {scalar:.4}, \"bit_ns_per_byte\": {bit:.4}, \
-             \"speedup\": {speedup:.2}, \"bit_gbps\": {bit_gbps:.4}, \
-             \"spread_pct\": {spread_pct:.2}}}\n\
-             {{\"engine\": \"simd\", \"bytes\": {}, \"reps\": {reps}, \
-             \"events\": {simd_events}, \"ns_per_byte\": {simd:.4}, \
-             \"gbps\": {simd_gbps:.4}, \"spread_pct\": {simd_spread:.2}}}\n",
+             \"speedup\": {speedup:.2}, \"bit_gb_per_s\": {bit_gb_per_s:.4}, \
+             \"spread_pct\": {spread_pct:.2}}}\n",
             input.len(),
-            input.len()
         );
         let appended = std::fs::OpenOptions::new()
             .create(true)

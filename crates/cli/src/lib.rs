@@ -17,7 +17,7 @@
 //! cfgtag audit  <host:port> [opts]               live correctness view: precision + divergences
 //! ```
 //!
-//! Options for `tag`: `--engine {bit,scalar,gate,simd}` (which engine
+//! Options for `tag`: `--engine {bit,scalar,gate}` (which engine
 //! tags the stream; `--gate` is the legacy alias for `--engine gate`),
 //! `--always` (scan at every alignment), `--recover` (§5.2
 //! error recovery), `--no-context` (skip token duplication), `--stats`
@@ -120,7 +120,7 @@ impl From<String> for CliOutput {
 /// Parsed `tag` options.
 #[derive(Debug, Default, Clone)]
 pub struct TagFlags {
-    /// Which engine tags the stream (`--engine bit|scalar|gate|simd`;
+    /// Which engine tags the stream (`--engine bit|scalar|gate`;
     /// `--gate` is the legacy alias for `--engine gate`).
     pub engine: EngineKind,
     /// Scan at every byte alignment.
@@ -547,11 +547,25 @@ mod tests {
     fn tag_all_engines_agree() {
         let input = b"if true then go else stop";
         let fast = cmd_tag(ITE, input, &TagFlags::default()).unwrap();
-        for kind in [EngineKind::Scalar, EngineKind::Gate, EngineKind::Simd] {
+        for kind in [EngineKind::Scalar, EngineKind::Gate] {
             let other =
                 cmd_tag(ITE, input, &TagFlags { engine: kind, ..Default::default() }).unwrap();
             assert_eq!(fast.text, other.text, "engine {kind}");
             assert_eq!(other.code, 0, "engine {kind}");
+        }
+        // A sentence, then a long junk tail: the bit engine crosses the
+        // dead tail with its O(1) skip, and every engine must still print
+        // the same events and exit 3 on the dead stream.
+        let mut dead = input.to_vec();
+        dead.extend(std::iter::repeat_n(b'z', 300));
+        let outs: Vec<CliOutput> = EngineKind::ALL
+            .iter()
+            .map(|&engine| cmd_tag(ITE, &dead, &TagFlags { engine, ..Default::default() }).unwrap())
+            .collect();
+        for (kind, out) in EngineKind::ALL.iter().zip(&outs) {
+            assert_eq!(out.text, fast.text, "engine {kind}");
+            assert_eq!(out.code, 3, "engine {kind}");
+            assert!(out.stderr.contains("6 events, 325 bytes"), "engine {kind}: {}", out.stderr);
         }
         assert_eq!(fast.code, 0);
         assert!(fast.stderr.contains("6 events, 25 bytes, 0 resyncs"));
@@ -659,16 +673,18 @@ mod tests {
             (vec!["--engine", "bit"], EngineKind::Bit),
             (vec!["--engine", "scalar"], EngineKind::Scalar),
             (vec!["--engine", "gate"], EngineKind::Gate),
-            (vec!["--engine", "simd"], EngineKind::Simd),
             (vec!["--gate"], EngineKind::Gate),
         ] {
             let (f, _) = TagFlags::parse(&argv(&args)).unwrap();
             assert_eq!(f.engine, want, "{args:?}");
         }
         assert_eq!(TagFlags::parse(&argv(&["--engine"])).unwrap_err().code, 2);
+        // Any other name is a usage error that names the engines that
+        // exist.
         let bad = TagFlags::parse(&argv(&["--engine", "quantum"])).unwrap_err();
         assert_eq!(bad.code, 2);
         assert!(bad.to_string().contains("quantum"));
+        assert!(bad.to_string().contains("bit, scalar, gate"), "{bad}");
     }
 
     #[test]

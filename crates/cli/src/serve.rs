@@ -510,7 +510,7 @@ pub fn main_io(args: &[String]) -> i32 {
             "usage: cfgtag serve <grammar.y> [input] [--port N] [--loop N] [--recover] [--always] \
              [--chunk N] [--max-bytes N] [--shards N] [--flight-out PATH] [--flight-capacity N]\n\
              \x20      cfgtag serve <grammar.y> --listen ADDR [--io-model threads|reactor] \
-             [--engine bit|scalar|gate|simd] [--max-sessions N] [--idle-timeout-ms N] \
+             [--engine bit|scalar|gate] [--max-sessions N] [--idle-timeout-ms N] \
              [--queue-depth N] [--panic-token S] [--trace-sample N] [--slo-ms X] \
              [--sample-hz N] [--audit-sample N]"
         );
@@ -742,7 +742,9 @@ mod tests {
         let (threads, _) = ServeFlags::parse(&argv(&["g.y"])).unwrap();
         assert_eq!(threads.io_model, IoModel::Threads, "threads stays the default");
         assert_eq!(ServeFlags::parse(&argv(&["--listen"])).unwrap_err().code, 2);
-        assert_eq!(ServeFlags::parse(&argv(&["--engine", "quantum"])).unwrap_err().code, 2);
+        let bad = ServeFlags::parse(&argv(&["--engine", "quantum"])).unwrap_err();
+        assert_eq!(bad.code, 2);
+        assert!(bad.to_string().contains("bit, scalar, gate"), "{bad}");
         assert_eq!(ServeFlags::parse(&argv(&["--io-model"])).unwrap_err().code, 2);
         assert_eq!(ServeFlags::parse(&argv(&["--io-model", "fibers"])).unwrap_err().code, 2);
         assert_eq!(ServeFlags::parse(&argv(&["--trace-sample"])).unwrap_err().code, 2);

@@ -101,6 +101,10 @@ pub struct TokenHw {
     pub match_q: NetId,
     /// Combinational match line.
     pub match_raw: NetId,
+    /// Combinational enable wire (Figure 11): high in the cycle whose
+    /// registered decode shows a byte at which a lexeme of this token
+    /// may start.
+    pub enable: NetId,
     /// Encoder code (0 if no encoder).
     pub code: usize,
     /// Pattern positions (= pipeline registers = pattern bytes).
@@ -266,6 +270,7 @@ pub fn generate(g: &Grammar, opts: &GeneratorOptions) -> Result<GeneratedTagger,
             name: tok.name.clone(),
             match_q: sk.nets.match_q,
             match_raw: sk.nets.match_raw,
+            enable: enables[t],
             code: if opts.encoder == EncoderKind::None { 0 } else { slots.codes[t] },
             positions: tok.pattern.pattern_bytes(),
             position_nets: sk.nets.positions.clone(),

@@ -256,7 +256,19 @@ impl Nfa {
     ///
     /// [`Template::reversed`]: crate::template::Template::reversed
     pub fn find_longest_rev(&self, input: &[u8], end: usize) -> Option<usize> {
-        let mut best = if self.nullable { Some(0) } else { None };
+        self.find_longest_rev_where(input, end, |_| true)
+    }
+
+    /// [`Nfa::find_longest_rev`] restricted to matches whose start
+    /// (`end - len`) satisfies `may_start` — for callers that know where
+    /// a lexeme could have begun, e.g. from a circuit's enable wires.
+    pub fn find_longest_rev_where(
+        &self,
+        input: &[u8],
+        end: usize,
+        may_start: impl Fn(usize) -> bool,
+    ) -> Option<usize> {
+        let mut best = if self.nullable && may_start(end) { Some(0) } else { None };
         let mut candidates = self.first_mask.clone();
         let mut fired = vec![0u64; self.blocks];
         for (off, &b) in input[..end].iter().rev().enumerate() {
@@ -269,7 +281,9 @@ impl Nfa {
             if any == 0 {
                 break;
             }
-            if (0..self.blocks).any(|k| fired[k] & self.last_mask[k] != 0) {
+            if (0..self.blocks).any(|k| fired[k] & self.last_mask[k] != 0)
+                && may_start(end - off - 1)
+            {
                 best = Some(off + 1);
             }
             self.advance(&fired, &mut candidates);
@@ -394,6 +408,9 @@ mod tests {
         let rev = Nfa::from_template(&t.reversed());
         assert_eq!(rev.find_longest_rev(b"x-42", 4), Some(3));
         assert_eq!(rev.find_longest_rev(b"x-42", 1), None);
+        // A start the caller rules out falls back to the next-longest.
+        assert_eq!(rev.find_longest_rev_where(b"x-42", 4, |s| s != 1), Some(2));
+        assert_eq!(rev.find_longest_rev_where(b"x-42", 4, |_| false), None);
     }
 
     #[test]

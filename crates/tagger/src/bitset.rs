@@ -21,6 +21,8 @@
 //! !cont_rom[lookahead]`, and `active_any` / `is_dead` are a few word
 //! compares. Only *set bits* are ever iterated (lexeme-start bookkeeping
 //! and event emission), so cost tracks live positions, not table size.
+//! A dead machine with no wake-up source is clock-gated, and a feed
+//! skips the rest of its slice in O(1) once the gate holds.
 //!
 //! Events are byte-identical to [`crate::ScalarEngine`] and the gate
 //! engine (property-tested), and the observability contract is the same:
@@ -37,47 +39,43 @@ use cfg_regex::ByteSet;
 use std::sync::Arc;
 
 /// Shared bit-parallel tables for one compiled grammar.
-///
-/// Fields are `pub(crate)` so the wide-stepping front end
-/// ([`crate::SimdEngine`]) can derive its composed ROMs and run-class
-/// LUTs from the same source of truth instead of duplicating the build.
 #[derive(Debug, Clone)]
 pub struct BitTables {
     /// Words per global position mask (`ceil(positions/64)`).
-    pub(crate) words: usize,
+    words: usize,
     /// Words per token mask (`ceil(tokens/64)`).
-    pub(crate) twords: usize,
+    twords: usize,
     /// Total global positions.
-    pub(crate) positions: usize,
+    positions: usize,
     /// Global bit offset per token (length `tokens + 1`).
-    pub(crate) offset: Vec<usize>,
+    offset: Vec<usize>,
     /// Owning token of each global position.
-    pub(crate) pos_token: Vec<u32>,
+    pos_token: Vec<u32>,
     /// Byte→candidate-positions decode ROM: 256 rows × `words`.
-    pub(crate) class_rom: Vec<u64>,
+    class_rom: Vec<u64>,
     /// Byte→continuation-positions ROM: 256 rows × `words`.
-    pub(crate) cont_rom: Vec<u64>,
+    cont_rom: Vec<u64>,
     /// FOLLOW mask per global position (`positions` rows × `words`).
-    pub(crate) follow: Vec<u64>,
+    follow: Vec<u64>,
     /// Predecessor mask per global position (inverted FOLLOW).
-    pub(crate) pred: Vec<u64>,
+    pred: Vec<u64>,
     /// FIRST-position mask per token (`tokens` rows × `words`).
-    pub(crate) first_masks: Vec<u64>,
+    first_masks: Vec<u64>,
     /// OR of `first_masks` over the start set (the §3.3 start pulse).
-    pub(crate) start_first_mask: Vec<u64>,
+    start_first_mask: Vec<u64>,
     /// LAST positions, globally.
-    pub(crate) last_mask: Vec<u64>,
+    last_mask: Vec<u64>,
     /// Tokens in FIRST(start), as a token bitset.
-    pub(crate) start_tokens: Vec<u64>,
+    start_tokens: Vec<u64>,
     /// FOLLOW(token) as token bitsets (`tokens` rows × `twords`).
-    pub(crate) follower_words: Vec<u64>,
+    follower_words: Vec<u64>,
     /// FOLLOW(token) as ascending index lists — the gated probe/trace
     /// path iterates these so edge attribution matches the scalar engine.
-    pub(crate) follower_lists: Vec<Vec<usize>>,
-    pub(crate) delim: ByteSet,
-    pub(crate) always: bool,
-    pub(crate) longest: bool,
-    pub(crate) error_recovery: bool,
+    follower_lists: Vec<Vec<usize>>,
+    delim: ByteSet,
+    always: bool,
+    longest: bool,
+    error_recovery: bool,
 }
 
 impl BitTables {
@@ -221,9 +219,9 @@ impl BitTables {
 /// [`BitEngine::finish`] to drain the final lookahead byte.
 #[derive(Debug)]
 pub struct BitEngine {
-    pub(crate) tables: Arc<BitTables>,
+    tables: Arc<BitTables>,
     /// Active position bitset (valid after the last committed step).
-    pub(crate) active: Vec<u64>,
+    active: Vec<u64>,
     /// Scratch: next active bitset (double-buffered per byte).
     next: Vec<u64>,
     /// Scratch: first-position enables for this byte.
@@ -231,28 +229,28 @@ pub struct BitEngine {
     /// Scratch: enabled-token bitset for this byte.
     enabled: Vec<u64>,
     /// Lexeme start per global position; valid where `active` is set.
-    pub(crate) starts: Vec<usize>,
+    starts: Vec<usize>,
     next_starts: Vec<usize>,
     /// Token bitset: enables pulsed by matches on the previous byte.
-    pub(crate) set_now: Vec<u64>,
+    set_now: Vec<u64>,
     /// Token bitset: arm registers (enables held across delimiters).
-    pub(crate) arm: Vec<u64>,
+    arm: Vec<u64>,
     /// Scratch: `(token, lexeme start)` per match this byte.
     fired: Vec<(usize, usize)>,
-    /// Cached [`BitEngine::is_dead`] — lets `step` clock-gate a dead
-    /// machine that has no wake-up source (see the top of `step`).
-    pub(crate) dead: bool,
-    pub(crate) prev_was_delim: bool,
-    pub(crate) pending: Option<u8>,
-    pub(crate) cursor: usize,
-    pub(crate) finished: bool,
-    pub(crate) metrics: Metrics,
+    /// Cached [`BitEngine::is_dead`] — lets a dead machine with no
+    /// wake-up source be clock-gated (see `clock_gated`).
+    dead: bool,
+    prev_was_delim: bool,
+    pending: Option<u8>,
+    cursor: usize,
+    finished: bool,
+    metrics: Metrics,
     /// Cached `metrics.is_enabled()` — same contract as the scalar
     /// engine: a dark sink costs nothing per byte.
-    pub(crate) live_stats: bool,
+    live_stats: bool,
     was_dead: bool,
     probes: Option<Arc<TaggerProbes>>,
-    pub(crate) live_probes: bool,
+    live_probes: bool,
 }
 
 impl BitEngine {
@@ -287,27 +285,17 @@ impl BitEngine {
 
     /// Attach an observability handle (builder style).
     pub fn with_metrics(mut self, metrics: Metrics) -> BitEngine {
-        self.set_metrics(metrics);
+        self.live_stats = metrics.is_enabled();
+        self.metrics = metrics;
         self
     }
 
     /// Attach circuit probes (builder style). A disabled bank is cached
     /// as off and the per-byte probe scans are skipped entirely.
     pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> BitEngine {
-        self.set_probes(probes);
-        self
-    }
-
-    /// In-place variant of [`BitEngine::with_metrics`] (for wrappers).
-    pub(crate) fn set_metrics(&mut self, metrics: Metrics) {
-        self.live_stats = metrics.is_enabled();
-        self.metrics = metrics;
-    }
-
-    /// In-place variant of [`BitEngine::with_probes`] (for wrappers).
-    pub(crate) fn set_probes(&mut self, probes: Arc<TaggerProbes>) {
         self.live_probes = probes.bank().is_enabled();
         self.probes = Some(probes);
+        self
     }
 
     /// Reset to the start-of-stream state.
@@ -350,7 +338,17 @@ impl BitEngine {
         if let (Some(prev), Some(&first)) = (self.pending, bytes.first()) {
             self.step(&tables, prev, Some(first), events);
         }
-        for pair in bytes.windows(2) {
+        for (i, pair) in bytes.windows(2).enumerate() {
+            // Dead-run skip: once the clock gate holds it holds for every
+            // remaining byte (a gated step changes nothing it reads), and
+            // each gated step only latches the delimiter flip-flop — so
+            // the rest of the slice collapses to its last paired byte.
+            if self.clock_gated(&tables) {
+                let paired = bytes.len() - 1;
+                self.cursor += paired - i;
+                self.prev_was_delim = tables.delim.contains(bytes[paired - 1]);
+                break;
+            }
             self.step(&tables, pair[0], Some(pair[1]), events);
         }
         if let Some(&last) = bytes.last() {
@@ -393,15 +391,7 @@ impl BitEngine {
     /// Dispatches to a monomorphic kernel for the common word counts so
     /// the compiler unrolls every word loop and keeps the masks in
     /// registers; wider grammars take [`BitEngine::step_dyn`].
-    /// `pub(crate)` so the wide front end ([`crate::SimdEngine`]) can
-    /// delegate candidate bytes to the exact scalar-per-byte kernel.
-    pub(crate) fn step(
-        &mut self,
-        t: &BitTables,
-        byte: u8,
-        next_byte: Option<u8>,
-        events: &mut Vec<TagEvent>,
-    ) {
+    fn step(&mut self, t: &BitTables, byte: u8, next_byte: Option<u8>, events: &mut Vec<TagEvent>) {
         match t.words {
             1 => self.step_w::<1>(t, byte, next_byte, events),
             2 => self.step_w::<2>(t, byte, next_byte, events),
@@ -413,6 +403,17 @@ impl BitEngine {
             8 => self.step_w::<8>(t, byte, next_byte, events),
             _ => self.step_dyn(t, byte, next_byte, events),
         }
+    }
+
+    /// Clock gating: a dead machine with no wake-up source — no
+    /// Always-mode scanning, no §5.2 recovery, no lit probe bank
+    /// sampling decoders — cannot change state or emit an event, so a
+    /// byte only advances the delimiter flip-flop. This is the software
+    /// mirror of the circuit's zero switching activity when every stage
+    /// register holds 0. The one predicate gates each step and lets
+    /// [`BitEngine::feed_into`] skip the rest of a slice in O(1).
+    fn clock_gated(&self, t: &BitTables) -> bool {
+        self.dead && !t.always && !t.error_recovery && !self.live_probes
     }
 
     /// Monomorphic step for a grammar whose position masks are exactly
@@ -433,8 +434,7 @@ impl BitEngine {
         self.cursor += 1;
         let is_delim = t.delim.contains(byte);
 
-        // Clock gating — see `step_dyn` for the circuit reading.
-        if self.dead && !t.always && !t.error_recovery && !self.live_probes {
+        if self.clock_gated(t) {
             self.prev_was_delim = is_delim;
             return;
         }
@@ -590,13 +590,7 @@ impl BitEngine {
         let (w, tw) = (t.words, t.twords);
         let is_delim = t.delim.contains(byte);
 
-        // Clock gating: a dead machine with no wake-up source — no
-        // Always-mode scanning, no §5.2 recovery, no lit probe bank
-        // sampling decoders — cannot change state or emit an event, so
-        // only the delimiter flip-flop advances. This is the software
-        // mirror of the circuit's zero switching activity when every
-        // stage register holds 0.
-        if self.dead && !t.always && !t.error_recovery && !self.live_probes {
+        if self.clock_gated(t) {
             self.prev_was_delim = is_delim;
             return;
         }
@@ -918,18 +912,27 @@ mod tests {
                 .error_recovery(recover)
                 .build();
             let t = TokenTagger::compile(&g, opts).unwrap();
+            let tail = dead_tail(200);
             for input in [
                 &b"if true then go else stop"[..],
                 b"zzz go zzz",
                 b"gogo if  stop",
                 b"",
                 b"then then then",
+                &tail,
             ] {
                 let mut scalar = t.scalar_engine();
                 let mut expect = scalar.feed(input);
                 expect.extend(scalar.finish());
-                let got = t.tag_fast(input);
-                assert_eq!(got, expect, "always={always} recover={recover} input={input:?}");
+                for chunk in [1usize, 3, 64, input.len().max(1)] {
+                    let mut e = t.fast_engine();
+                    let mut got = Vec::new();
+                    for c in input.chunks(chunk) {
+                        e.feed_into(c, &mut got);
+                    }
+                    e.finish_into(&mut got);
+                    assert_eq!(got, expect, "always={always} recover={recover} chunk={chunk}");
+                }
                 assert_eq!(
                     {
                         let mut e = t.fast_engine();
@@ -942,6 +945,104 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A sentence, then a junk tail long enough that every chunk split
+    /// leaves the dead-run skip a mid-slice start and a chunk edge.
+    fn dead_tail(junk: usize) -> Vec<u8> {
+        let mut input = b"if true then go else stop zz".to_vec();
+        input.extend((0..junk).map(|i| if i % 97 == 0 { b' ' } else { b"xtes"[i % 4] }));
+        input.push(b' ');
+        input
+    }
+
+    #[test]
+    fn dead_tail_skip_keeps_scalar_state() {
+        let g = builtin::if_then_else();
+        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
+        let input = dead_tail(1 << 20);
+        let mut scalar = t.scalar_engine();
+        let mut expect = scalar.feed(&input);
+        let mid = (scalar.position(), scalar.is_dead());
+        expect.extend(scalar.finish());
+        assert_eq!(expect.len(), 6);
+        assert!(mid.1, "the junk tail must kill the machine");
+        for chunk in [1usize, 7, 64, 4096] {
+            let mut e = t.fast_engine();
+            let mut got = Vec::new();
+            for c in input.chunks(chunk) {
+                e.feed_into(c, &mut got);
+            }
+            assert_eq!((e.position(), e.is_dead()), mid, "chunk {chunk}");
+            e.finish_into(&mut got);
+            assert_eq!(got, expect, "chunk {chunk}");
+            assert_eq!(e.position(), scalar.position(), "chunk {chunk}");
+        }
+    }
+
+    #[test]
+    fn live_sink_counts_match_scalar_across_the_skip() {
+        use cfg_obs::{Metrics, Stat, StatsSink};
+        use std::sync::Arc;
+        let g = builtin::if_then_else();
+        for recover in [false, true] {
+            let opts = TaggerOptions::builder().error_recovery(recover).build();
+            let t = TokenTagger::compile(&g, opts).unwrap();
+            let mut input = b"if true zz then ".to_vec();
+            input.extend(std::iter::repeat_n(b'j', 300));
+            input.extend_from_slice(b" go else stop");
+
+            let sink_s = Arc::new(StatsSink::new());
+            let mut scalar = t.scalar_engine().with_metrics(Metrics::new(sink_s.clone()));
+            let mut expect = scalar.feed(&input);
+            expect.extend(scalar.finish());
+            for chunk in [7usize, input.len()] {
+                let sink_b = Arc::new(StatsSink::new());
+                let mut bit = t.fast_engine().with_metrics(Metrics::new(sink_b.clone()));
+                let mut got = Vec::new();
+                for c in input.chunks(chunk) {
+                    bit.feed_into(c, &mut got);
+                }
+                bit.finish_into(&mut got);
+                assert_eq!(got, expect, "recover={recover} chunk={chunk}");
+                for stat in [Stat::BytesIn, Stat::Resyncs, Stat::DeadEntries] {
+                    assert_eq!(
+                        sink_b.get(stat),
+                        sink_s.get(stat),
+                        "{stat:?} diverges under a live sink (recover={recover} chunk={chunk})"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lit_probe_bank_disables_the_skip() {
+        use std::sync::Arc;
+        let g = builtin::if_then_else();
+        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
+        // The tail's letters hit the t/e/s decoders, so a skipped byte
+        // would show up as a missing decoder count.
+        let input = dead_tail(300);
+        let counts = |chunk: usize| {
+            let pr = t.probes();
+            let mut e = t.fast_engine().with_probes(Arc::clone(&pr));
+            for c in input.chunks(chunk) {
+                e.feed(c);
+            }
+            e.finish();
+            pr.bank().counts()
+        };
+        let dribble = counts(1);
+        for chunk in [7usize, 64, input.len()] {
+            assert_eq!(counts(chunk), dribble, "chunk {chunk}");
+        }
+        // The scalar engine has no clock gate: it samples every byte.
+        let pr = t.probes();
+        let mut scalar = t.scalar_engine().with_probes(Arc::clone(&pr));
+        scalar.feed(&input);
+        scalar.finish();
+        assert_eq!(pr.bank().counts(), dribble);
     }
 
     #[test]

@@ -1,20 +1,18 @@
 //! The unified streaming-engine API — slice-first.
 //!
-//! Four engines execute the same compiled structure — the bit-parallel
-//! kernel ([`BitEngine`]), its wide-stepping front end
-//! ([`crate::SimdEngine`]), the scalar reference ([`ScalarEngine`]) and
-//! the simulated circuit ([`crate::GateEngine`]) — behind one
-//! object-safe [`Engine`] trait and one constructor,
+//! Three engines execute the same compiled structure — the bit-parallel
+//! production kernel ([`BitEngine`]), the scalar reference
+//! ([`ScalarEngine`]) and the simulated circuit ([`crate::GateEngine`])
+//! — behind one object-safe [`Engine`] trait and one constructor,
 //! [`crate::TokenTagger::engine`], selected by [`EngineKind`].
 //!
 //! The primary entry point is [`Engine::feed_slice`]: callers hand the
-//! engine whole buffers and a reusable output vector, so block-oriented
-//! kernels (the simd engine's 64-byte classifier, the bit engine's
-//! windowed lookahead pairing) see the full slice instead of a per-byte
-//! drip, and the server/shard hot paths stop allocating a `Vec` per
-//! frame. [`Engine::feed_byte`] is the required per-byte primitive;
-//! `feed_slice` has a per-byte default impl that every bundled engine
-//! overrides with its batch path.
+//! engine whole buffers and a reusable output vector, so the bit
+//! engine's windowed lookahead pairing and dead-run skip see the full
+//! slice instead of a per-byte drip, and the server/shard hot paths stop
+//! allocating a `Vec` per frame. [`Engine::feed_byte`] is the required
+//! per-byte primitive; `feed_slice` has a per-byte default impl that
+//! every bundled engine overrides with its batch path.
 //!
 //! ```
 //! use cfg_grammar::builtin;
@@ -35,7 +33,6 @@
 //! the simulator; the software engines always return `Ok`.
 
 use crate::bitset::BitEngine;
-use crate::bitset_wide::SimdEngine;
 use crate::error::Error;
 use crate::event::TagEvent;
 use crate::fast::ScalarEngine;
@@ -50,7 +47,7 @@ use std::sync::Arc;
 ///
 /// Object-safe: [`crate::TokenTagger::engine`] hands out
 /// `Box<dyn Engine>` so callers select the implementation at runtime
-/// (e.g. `cfgtag tag --engine simd`).
+/// (e.g. `cfgtag tag --engine scalar`).
 pub trait Engine: Send {
     /// Feed one byte; completed events are appended to `out`. The
     /// per-byte primitive — prefer [`Engine::feed_slice`], which lets
@@ -113,27 +110,6 @@ impl Engine for BitEngine {
     }
 }
 
-impl Engine for SimdEngine {
-    fn feed_byte(&mut self, byte: u8, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        SimdEngine::feed_into(self, &[byte], out);
-        Ok(())
-    }
-
-    fn feed_slice(&mut self, bytes: &[u8], out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        SimdEngine::feed_into(self, bytes, out);
-        Ok(())
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        SimdEngine::finish_into(self, out);
-        Ok(())
-    }
-
-    fn is_dead(&self) -> bool {
-        SimdEngine::is_dead(self)
-    }
-}
-
 impl Engine for ScalarEngine {
     fn feed_byte(&mut self, byte: u8, out: &mut Vec<TagEvent>) -> Result<(), Error> {
         ScalarEngine::feed_into(self, &[byte], out);
@@ -167,24 +143,18 @@ pub enum EngineKind {
     /// The generated circuit, simulated cycle by cycle and wrapped in
     /// a [`GateStream`] for span recovery and liveness.
     Gate,
-    /// The wide-stepping front end over the bit kernel
-    /// ([`crate::SimdEngine`]): block classification, dead/idle run
-    /// skipping and the fused transition ROM.
-    Simd,
 }
 
 impl EngineKind {
     /// All kinds, for exhaustive cross-engine tests.
-    pub const ALL: [EngineKind; 4] =
-        [EngineKind::Bit, EngineKind::Scalar, EngineKind::Gate, EngineKind::Simd];
+    pub const ALL: [EngineKind; 3] = [EngineKind::Bit, EngineKind::Scalar, EngineKind::Gate];
 
-    /// The stable CLI name (`bit` / `scalar` / `gate` / `simd`).
+    /// The stable CLI name (`bit` / `scalar` / `gate`).
     pub fn name(self) -> &'static str {
         match self {
             EngineKind::Bit => "bit",
             EngineKind::Scalar => "scalar",
             EngineKind::Gate => "gate",
-            EngineKind::Simd => "simd",
         }
     }
 }
@@ -203,8 +173,7 @@ impl FromStr for EngineKind {
             "bit" => Ok(EngineKind::Bit),
             "scalar" => Ok(EngineKind::Scalar),
             "gate" => Ok(EngineKind::Gate),
-            "simd" => Ok(EngineKind::Simd),
-            other => Err(format!("unknown engine {other:?} (expected bit, scalar, gate or simd)")),
+            other => Err(format!("unknown engine {other:?} (expected one of: bit, scalar, gate)")),
         }
     }
 }
@@ -213,13 +182,15 @@ impl FromStr for EngineKind {
 ///
 /// The circuit only asserts match *ends*; spans are recovered in
 /// software by running each token's reversed automaton backwards over
-/// the stream seen so far (§3.4), which is why this wrapper buffers the
-/// input. Liveness (`is_dead`, §5.2 resync counting) is not observable
-/// on the match lines either, so a metrics-dark [`BitEngine`] mirror is
-/// fed in lockstep — the same functional-mirror trick `cfgtag tag
-/// --gate` always used, now packaged behind the trait. At `finish` the
-/// mirror's `resyncs` / `dead_entries` counters are folded into the
-/// engine's metrics handle so observability matches the software path.
+/// the stream seen so far (§3.4), back to a byte where the circuit's
+/// enable wire for the token was high, which is why this wrapper
+/// buffers the input. Liveness (`is_dead`, §5.2 resync counting) is not
+/// observable on the match lines either, so a metrics-dark
+/// [`BitEngine`] mirror is fed in lockstep — the same functional-mirror
+/// trick `cfgtag tag --gate` always used, now packaged behind the trait.
+/// At `finish` the mirror's `resyncs` / `dead_entries` counters are
+/// folded into the engine's metrics handle so observability matches the
+/// software path.
 pub struct GateStream {
     gate: GateEngine,
     mirror: BitEngine,
@@ -252,12 +223,7 @@ impl GateStream {
     }
 
     fn resolve(&self, raw: &[crate::event::RawMatch]) -> Vec<TagEvent> {
-        raw.iter()
-            .filter_map(|m| {
-                let len = self.reverse_nfas[m.token.index()].find_longest_rev(&self.buf, m.end)?;
-                Some(TagEvent { token: m.token, start: m.end - len, end: m.end })
-            })
-            .collect()
+        crate::gate::resolve_spans(&self.reverse_nfas, &self.gate, &self.buf, raw)
     }
 }
 
@@ -316,7 +282,9 @@ mod tests {
             assert_eq!(kind.name().parse::<EngineKind>().unwrap(), kind);
             assert_eq!(kind.to_string(), kind.name());
         }
-        assert!("fpga".parse::<EngineKind>().is_err());
+        // Unknown names are refused with the list of kinds that exist.
+        let err = "fpga".parse::<EngineKind>().unwrap_err();
+        assert!(err.contains("bit, scalar, gate"), "{err}");
     }
 
     #[test]

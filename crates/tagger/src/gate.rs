@@ -4,16 +4,39 @@
 //! cycle of the generated netlist in `cfg-netlist`'s simulator, and
 //! matches are read off the registered per-token match lines exactly as
 //! a back-end module on the FPGA would. Only *end* positions are
-//! observable in hardware; span starts are recovered in software by
-//! [`crate::TokenTagger::resolve_spans`].
+//! observable on the match lines; span starts are recovered in software
+//! by a reverse automaton, restricted to the bytes where the circuit's
+//! own enable wire for the token was high.
 
-use crate::event::RawMatch;
+use crate::event::{RawMatch, TagEvent};
 use crate::probes::TaggerProbes;
 use cfg_grammar::TokenId;
 use cfg_hwgen::GeneratedTagger;
 use cfg_netlist::{NetId, SimError, Simulator};
 use cfg_obs::{Metrics, Stat};
+use cfg_regex::Nfa;
 use std::sync::Arc;
+
+/// Spans for raw match ends (§3.4): each token's reversed automaton
+/// runs backwards over `input` from the end, and the longest match that
+/// starts at a byte where `gate` had the token enabled gives the start.
+/// Without that restriction a token that can contain delimiters would
+/// reach back past a §5.2 resync point to a byte where no lexeme began.
+pub(crate) fn resolve_spans(
+    reverse_nfas: &[Nfa],
+    gate: &GateEngine,
+    input: &[u8],
+    raw: &[RawMatch],
+) -> Vec<TagEvent> {
+    raw.iter()
+        .filter_map(|m| {
+            let may_start = |s| gate.may_start(m.token, s);
+            let len =
+                reverse_nfas[m.token.index()].find_longest_rev_where(input, m.end, may_start)?;
+            Some(TagEvent { token: m.token, start: m.end - len, end: m.end })
+        })
+        .collect()
+}
 
 /// Cycle-accurate engine over the generated netlist.
 #[derive(Debug)]
@@ -21,6 +44,15 @@ pub struct GateEngine {
     sim: Simulator,
     match_nets: Vec<NetId>,
     match_latency: u64,
+    /// Per-token enable wires (Figure 11), read every cycle.
+    enable_nets: Vec<NetId>,
+    /// Words per row of `enable_log`.
+    twords: usize,
+    /// One token bitset per fed byte: bit `t` of row `b` is set when
+    /// token `t` was enabled at byte `b`, so a lexeme of `t` may start
+    /// there. Span recovery rejects reverse matches that begin anywhere
+    /// else.
+    enable_log: Vec<u64>,
     flush: usize,
     flush_byte: u8,
     /// Bytes fed since the last reset (streaming API).
@@ -48,6 +80,9 @@ impl GateEngine {
             sim: Simulator::new(&hw.netlist)?,
             match_nets: hw.tokens.iter().map(|t| t.match_q).collect(),
             match_latency: hw.match_latency,
+            enable_nets: hw.tokens.iter().map(|t| t.enable).collect(),
+            twords: hw.tokens.len().div_ceil(64),
+            enable_log: Vec::new(),
             flush: hw.flush_bytes(),
             flush_byte: hw.flush_byte(),
             fed: 0,
@@ -88,6 +123,7 @@ impl GateEngine {
         self.sim.reset();
         self.fed = 0;
         self.start_pending = true;
+        self.enable_log.clear();
         // reset() clears the simulator's watch counters too.
         self.watch_prev.iter_mut().for_each(|p| *p = 0);
     }
@@ -121,9 +157,25 @@ impl GateEngine {
         self.start_pending = false;
         self.sim.step(&inputs)?;
 
+        // The enable wires gate the first-position registers in the
+        // cycle whose registered decode shows byte `s - (match_latency -
+        // 1)`: one cycle before that byte's position register is
+        // readable. Flush padding is not input, so it is not logged.
+        let s = self.sim.cycle() - 1;
+        if let Some(byte) = s.checked_sub(self.match_latency - 1) {
+            if (byte as usize) < limit {
+                let row = self.enable_log.len();
+                self.enable_log.resize(row + self.twords, 0);
+                for (t, &net) in self.enable_nets.iter().enumerate() {
+                    if self.sim.value(net) & 1 != 0 {
+                        self.enable_log[row + t / 64] |= 1 << (t % 64);
+                    }
+                }
+            }
+        }
+
         // A match line high after step `s` marks a lexeme ending at byte
         // `s - match_latency` (inclusive).
-        let s = self.sim.cycle() - 1;
         if s < self.match_latency {
             return Ok(());
         }
@@ -185,6 +237,14 @@ impl GateEngine {
         let mut raw = self.feed(input)?;
         raw.extend(self.finish()?);
         Ok(raw)
+    }
+
+    /// Was `token`'s enable wire high at byte `at` — could a lexeme of
+    /// it start there? Known for every byte whose matches have been
+    /// reported.
+    pub(crate) fn may_start(&self, token: TokenId, at: usize) -> bool {
+        let t = token.index();
+        self.enable_log.get(at * self.twords + t / 64).is_some_and(|w| w >> (t % 64) & 1 == 1)
     }
 
     /// Number of cycles simulated so far (diagnostics).
@@ -357,5 +417,23 @@ mod tests {
             let gate = t.tag_gate(input).unwrap();
             assert_eq!(fast, gate, "input {:?}", String::from_utf8_lossy(input));
         }
+    }
+
+    #[test]
+    fn spans_start_where_the_circuit_enabled_the_token() {
+        // `!a*` crosses delimiters, so reading backwards from the match
+        // end reaches the `b` at byte 1 — but the token was only enabled
+        // at the §5.2 resync after the space, so the lexeme starts at 3.
+        let g = Grammar::parse("TOK b!a*x\n%%\ns: TOK;\n%%\n").unwrap();
+        let opts = TaggerOptions::builder().error_recovery(true).build();
+        let t = TokenTagger::compile(&g, opts).unwrap();
+        let input = b"zb bx";
+        let fast = t.tag_fast(input);
+        assert_eq!(fast.iter().map(|e| (e.start, e.end)).collect::<Vec<_>>(), [(3, 5)]);
+        assert_eq!(t.tag_gate(input).unwrap(), fast);
+        let mut e = t.engine(crate::EngineKind::Gate).unwrap();
+        let mut streamed = e.feed(input).unwrap();
+        streamed.extend(e.finish().unwrap());
+        assert_eq!(streamed, fast);
     }
 }

@@ -15,14 +15,9 @@
 //! * [`BitEngine`] — the bit-parallel production kernel: all Glushkov
 //!   positions packed into `u64` bitset words and decoded through a
 //!   256-entry byte-class ROM, so one instruction advances 64 circuit
-//!   stages at once.
-//! * [`SimdEngine`] — a wide-stepping front end over the bit kernel:
-//!   64-byte block classification into byte-class bitstreams, bulk
-//!   skipping of dead/idle runs, and a fused FOLLOW∘decode ROM for
-//!   literal chains, falling back to the exact per-byte kernel at
-//!   candidate positions. Property tests assert all four agree
-//!   event-for-event (the repo's substitute for hardware/software
-//!   co-verification).
+//!   stages at once, and a dead machine skips the rest of each slice
+//!   in O(1). Property tests assert all three agree event-for-event
+//!   (the repo's substitute for hardware/software co-verification).
 //!
 //! ```
 //! use cfg_grammar::Grammar;
@@ -46,7 +41,6 @@
 
 pub mod backend;
 pub mod bitset;
-pub mod bitset_wide;
 pub mod engine;
 pub mod error;
 pub mod event;
@@ -60,7 +54,6 @@ pub mod wide;
 
 pub use backend::{Backend, CollectBackend, CountingBackend};
 pub use bitset::{BitEngine, BitTables};
-pub use bitset_wide::{SimdEngine, SimdTables};
 pub use engine::{Engine, EngineKind, GateStream};
 pub use error::Error;
 pub use event::TagEvent;

@@ -37,6 +37,7 @@
 //! assert_eq!(pool.join().messages, 10);
 //! ```
 
+use crate::engine::EngineKind;
 use crate::tagger::TokenTagger;
 use cfg_obs::{
     profile, FlightRecorder, Metrics, MetricsSink, SamplingProfiler, ShardLoadBank, SharedRegistry,
@@ -195,12 +196,15 @@ impl ShardPool {
     /// discarding the events — the throughput-measurement default.
     pub fn new(tagger: &TokenTagger, shards: usize) -> ShardPool {
         ShardPool::with_handler(tagger, shards, |t, msg| {
-            // Slice-first: one reusable sink, no per-message event Vec
-            // churn beyond this local (events are discarded anyway).
-            let mut engine = t.fast_engine();
-            let mut events = Vec::new();
-            engine.feed_into(msg, &mut events);
-            engine.finish_into(&mut events);
+            // The production kind, built through the one constructor the
+            // ingest server uses too; the events are discarded.
+            let tag = || -> Result<(), crate::Error> {
+                let mut engine = t.engine(EngineKind::default())?;
+                let mut events = Vec::new();
+                engine.feed_slice(msg, &mut events)?;
+                engine.finish_into(&mut events)
+            };
+            tag().expect("the software production engine returns no errors");
         })
     }
 

@@ -1,15 +1,14 @@
 //! The [`TokenTagger`]: compile once, tag many streams.
 
 use crate::bitset::{BitEngine, BitTables};
-use crate::bitset_wide::{SimdEngine, SimdTables};
-use crate::event::{RawMatch, TagEvent};
+use crate::event::TagEvent;
 use crate::fast::{FastTables, ScalarEngine};
 use crate::gate::GateEngine;
 use cfg_grammar::{transform, Context, Grammar, TokenId};
 use cfg_hwgen::{generate, GeneratedTagger, GeneratorOptions};
 use cfg_obs::{CompileReport, Metrics, Stat, StatsSink};
 use cfg_regex::Nfa;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Instant;
 
 pub use cfg_hwgen::generate::EncoderKind;
@@ -148,10 +147,6 @@ pub struct TokenTagger {
     hw: GeneratedTagger,
     tables: Arc<FastTables>,
     bit_tables: Arc<BitTables>,
-    /// Wide-stepping tables (LUTs + fused ROM), derived lazily from
-    /// `bit_tables` on the first [`TokenTagger::simd_engine`] call and
-    /// shared by every clone of this tagger afterwards.
-    simd_tables: Arc<OnceLock<Arc<SimdTables>>>,
     /// Reversed-automaton NFAs per token, for span recovery from gate
     /// match ends.
     reverse_nfas: Arc<Vec<Nfa>>,
@@ -229,16 +224,7 @@ impl TokenTagger {
             }
             opts.metrics.time("compile_total", report.total_nanos());
         }
-        Ok(TokenTagger {
-            grammar,
-            hw,
-            tables,
-            bit_tables,
-            simd_tables: Arc::new(OnceLock::new()),
-            reverse_nfas,
-            opts,
-            report,
-        })
+        Ok(TokenTagger { grammar, hw, tables, bit_tables, reverse_nfas, opts, report })
     }
 
     /// Swap the observability handle (builder style): every engine
@@ -307,16 +293,6 @@ impl TokenTagger {
         ScalarEngine::new(Arc::clone(&self.tables)).with_metrics(self.opts.metrics.clone())
     }
 
-    /// A fresh wide-stepping engine ([`SimdEngine`]): the bit kernel
-    /// plus block classification, dead/idle run skipping and the fused
-    /// transition ROM. The derived tables are built on first use and
-    /// shared across clones of this tagger.
-    pub fn simd_engine(&self) -> SimdEngine {
-        let wide = self.simd_tables.get_or_init(|| Arc::new(SimdTables::build(&self.bit_tables)));
-        SimdEngine::new(Arc::clone(&self.bit_tables), Arc::clone(wide))
-            .with_metrics(self.opts.metrics.clone())
-    }
-
     /// The shared bit-parallel tables (decode ROM + packed masks).
     pub fn bit_tables(&self) -> &Arc<BitTables> {
         &self.bit_tables
@@ -332,10 +308,6 @@ impl TokenTagger {
     pub fn with_corrupted_rom_row(&self, byte: u8) -> TokenTagger {
         let mut t = self.clone();
         t.bit_tables = Arc::new(t.bit_tables.with_corrupted_rom_row(byte));
-        // Drop the cached wide tables: they are derived from the decode
-        // ROM, so the fault must reach the simd engine's LUTs/fused ROM
-        // too (the shadow auditor injects through either kind).
-        t.simd_tables = Arc::new(OnceLock::new());
         t
     }
 
@@ -358,7 +330,6 @@ impl TokenTagger {
         Ok(match kind {
             crate::EngineKind::Bit => Box::new(self.fast_engine()),
             crate::EngineKind::Scalar => Box::new(self.scalar_engine()),
-            crate::EngineKind::Simd => Box::new(self.simd_engine()),
             crate::EngineKind::Gate => {
                 let gate = GateEngine::new(&self.hw)?.with_metrics(self.opts.metrics.clone());
                 // The liveness mirror records into a private sink so
@@ -395,7 +366,7 @@ impl TokenTagger {
     pub fn tag_gate(&self, input: &[u8]) -> Result<Vec<TagEvent>, TaggerError> {
         let mut engine = self.gate_engine()?;
         let raw = engine.run(input)?;
-        Ok(self.resolve_spans(input, &raw))
+        Ok(crate::gate::resolve_spans(&self.reverse_nfas, &engine, input, &raw))
     }
 
     /// Tag with both engines and cross-check: returns the fast engine's
@@ -415,17 +386,6 @@ impl TokenTagger {
             });
         }
         Ok(fast)
-    }
-
-    /// Convert raw hardware matches (token + end) into spanned events by
-    /// running each token's reversed automaton backwards from the end.
-    pub fn resolve_spans(&self, input: &[u8], raw: &[RawMatch]) -> Vec<TagEvent> {
-        raw.iter()
-            .filter_map(|m| {
-                let len = self.reverse_nfas[m.token.index()].find_longest_rev(input, m.end)?;
-                Some(TagEvent { token: m.token, start: m.end - len, end: m.end })
-            })
-            .collect()
     }
 
     /// Feed a complete input through the fast engine into a back-end
