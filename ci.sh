@@ -12,10 +12,10 @@
 #                                  included), shard pool, and the
 #                                  three-engine agreement property
 #   8. ingest server            -- cfg-server unit + integration tests
-#                                  (both io-models: thread-per-conn and
-#                                  the epoll reactor), the Engine trait
-#                                  suite, and the fault-injection chaos
-#                                  test
+#                                  (thread-per-connection serving, the
+#                                  slow-reader eviction included), the
+#                                  Engine trait suite, and the
+#                                  fault-injection chaos test
 #   9. span tracing & SLO       -- cfg-obs span/SLO suites, the slo CLI,
 #                                  and the end-to-end span_trace test
 #  10. saturation telemetry     -- utilization time series, sampling
@@ -26,12 +26,11 @@
 #                                  the end-to-end seeded-fault test
 #  12. full workspace tests     -- every crate's suites
 #
-# Then six NON-GATING steps: the observability-overhead bench (engine
+# Then five NON-GATING steps: the observability-overhead bench (engine
 # path + traced/audited-server path), the engine-throughput bench
-# (scalar and bit rows), the
-# ingest-server loop bench (with the stage-attribution table) under
-# both io-models, the false-positive precision experiment, and
-# bench_diff over bench_results/ histories. Timing on shared machines
+# (scalar and bit rows), the ingest-server loop bench (with the
+# stage-attribution table), the false-positive precision experiment,
+# and bench_diff over bench_results/ histories. Timing on shared machines
 # is too noisy to fail CI on, so their verdicts are printed
 # (bench_diff flags >10% regressions, and warns when a row's own
 # rep-to-rep spread exceeds 10%) but never change the exit code.
@@ -77,10 +76,6 @@ cargo test -q -p cfg-server
 cargo test -q -p cfg-tagger engine
 cargo test -q --test chaos_server
 
-echo "==> epoll reactor: event-loop internals, conn state machine, reactor ingest"
-cargo test -q -p cfg-server reactor
-cargo test -q -p cfg-server conn
-
 echo "==> span tracing & SLO: cfg-obs span/slo, slo CLI, end-to-end trace test"
 cargo test -q -p cfg-obs span
 cargo test -q -p cfg-obs slo
@@ -111,9 +106,6 @@ cargo run -q --release -p cfg-bench --bin fast_throughput || true
 
 echo "==> ingest server loop bench (non-gating)"
 cargo run -q --release -p cfg-bench --bin server_loop || true
-
-echo "==> ingest server loop bench, reactor io-model (non-gating)"
-cargo run -q --release -p cfg-bench --bin server_loop -- --io-model reactor || true
 
 echo "==> false-positive precision experiment (non-gating)"
 cargo run -q --release -p cfg-bench --bin false_positives || true

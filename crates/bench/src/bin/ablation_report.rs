@@ -14,6 +14,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin ablation_report --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_fpga::Device;
 use cfg_grammar::transform::duplicate_multi_context_tokens;
 use cfg_hwgen::generate::{generate, EncoderKind, GeneratorOptions};

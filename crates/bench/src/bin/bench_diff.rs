@@ -19,6 +19,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin bench_diff --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_obs::json::Json;
 
 /// Regression threshold (fractional): flag anything >10% worse.
@@ -227,10 +229,8 @@ mod tests {
         // Raw FP counts stay informational — the density rows carry
         // the verdict.
         assert_eq!(direction("naive_fp"), Direction::Informational);
-        // The io-model sweep fields: batch size and session count
-        // describe the load shape, not a win or a loss. (`io_model`
-        // itself is a string, so `as_f64` already skips it.)
-        assert_eq!(direction("ack_batch_p50"), Direction::Informational);
+        // The session count describes the load shape, not a win or a
+        // loss.
         assert_eq!(direction("concurrent_sessions"), Direction::Informational);
         assert_eq!(direction("spread_pct"), Direction::Informational);
     }
@@ -303,6 +303,21 @@ mod tests {
         let traced = compare_rows(&cur, &cur2);
         let e2e = traced.iter().find(|d| d.key == "e2e_p50_us").unwrap();
         assert!(e2e.regression.unwrap() > THRESHOLD);
+    }
+
+    #[test]
+    fn server_loop_rows_with_the_dropped_ack_batch_field_still_compare() {
+        // Older server_loop rows carry a median ack-batch size that
+        // newer rows lack: the shared fields still diff, and nothing is
+        // invented for the dropped one.
+        let old = Json::parse(
+            r#"{"accepted_msgs_per_sec":50000.0,"ack_batch_p50":0.0,"concurrent_sessions":6}"#,
+        )
+        .unwrap();
+        let new =
+            Json::parse(r#"{"accepted_msgs_per_sec":52000.0,"concurrent_sessions":6}"#).unwrap();
+        let keys: Vec<String> = compare_rows(&old, &new).into_iter().map(|d| d.key).collect();
+        assert_eq!(keys, ["accepted_msgs_per_sec", "concurrent_sessions"]);
     }
 
     #[test]

@@ -26,6 +26,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin false_positives --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_baseline::AhoCorasick;
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use cfg_xmlrpc::workload::{WorkloadGenerator, BANK_SERVICES};

@@ -26,6 +26,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin fast_throughput --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use cfg_xmlrpc::workload::{MessageKind, WorkloadGenerator};
 use cfg_xmlrpc::xmlrpc_grammar;

@@ -4,6 +4,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin figure15 --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_bench::{calibrated_devices, row_for, synthesize_all};
 use cfg_fpga::report::{points_to_json, render_figure15, Figure15Point};
 

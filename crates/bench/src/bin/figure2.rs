@@ -13,6 +13,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin figure2 --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_grammar::builtin;
 use cfg_tagger::{PdaParser, TaggerOptions, TokenTagger};
 use rand::prelude::*;

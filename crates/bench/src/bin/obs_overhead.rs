@@ -47,6 +47,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin obs_overhead --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_obs::{Metrics, NoopSink, StatsSink};
 use cfg_server::{
     AuditConfig, Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig,

@@ -19,6 +19,8 @@
 //! Run: `cargo run -p cfg-bench --bin router_loop --release -- \
 //!        [--messages N] [--port N] [--adversarial-pct N] [--linger-ms N] [--shards N]`
 
+#![forbid(unsafe_code)]
+
 use cfg_obs::{Metrics, SharedRegistry, Stat, StatsSink};
 use cfg_obs_http::{Exporter, ServiceState};
 use cfg_tagger::{ShardPool, TaggerOptions, TokenTagger};

@@ -1,3 +1,5 @@
+#![forbid(unsafe_code)]
+
 fn main() {
     let points = cfg_bench::synthesize_all();
     let (v4, _) = cfg_bench::calibrated_devices(&points);

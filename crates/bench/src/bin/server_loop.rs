@@ -25,25 +25,22 @@
 //! (`shard_utilization_pct`, `peak_queue_depth`) — the quantitative
 //! view of how close `--window` pushed the pool to overload.
 //!
-//! The `--io-model threads|reactor` flag selects the serving path, and
 //! `--sessions N` parks an idle fleet of N extra connections for the
-//! whole run — the concurrency sweep that shows where the
-//! thread-per-connection model stops scaling and the epoll reactor
-//! keeps going. Both land in the JSONL row (`io_model`,
-//! `concurrent_sessions`), along with the reactor's median Ack-batch
-//! size (`ack_batch_p50`, frames coalesced per vectored write).
+//! whole run, each holding a parked reader thread — the concurrency
+//! sweep that shows what thread-per-connection costs at thousands of
+//! idle sessions. The row records it as `concurrent_sessions`.
 //!
 //! Run: `cargo run -p cfg-bench --bin server_loop --release -- \
-//!        [--io-model threads|reactor] [--messages N] [--clients N] \
-//!        [--sessions N] [--shards N] [--queue-depth N] [--window N] \
-//!        [--trace-sample N] [--slo-ms X] [--sample-hz N]`
+//!        [--messages N] [--clients N] [--sessions N] [--shards N] \
+//!        [--queue-depth N] [--window N] [--trace-sample N] [--slo-ms X] \
+//!        [--sample-hz N]`
+
+#![forbid(unsafe_code)]
 
 use cfg_obs::json::Json;
 use cfg_obs::{SharedRegistry, SloSnapshot, Stage};
 use cfg_obs_http::{http_get, Exporter, ServiceState};
-use cfg_server::{
-    Client, IngestServer, IoModel, Reply, SaturationConfig, ServerConfig, TraceConfig,
-};
+use cfg_server::{Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use cfg_xmlrpc::workload::WorkloadGenerator;
 use cfg_xmlrpc::xmlrpc_grammar;
@@ -57,11 +54,6 @@ fn arg(name: &str, default: u64) -> u64 {
         .and_then(|i| args.get(i + 1))
         .and_then(|v| v.parse().ok())
         .unwrap_or(default)
-}
-
-fn str_arg(name: &str) -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter().position(|a| a == name).and_then(|i| args.get(i + 1)).cloned()
 }
 
 fn us(ns: u64) -> f64 {
@@ -104,9 +96,6 @@ fn attribution_table(snap: &SloSnapshot) -> String {
 }
 
 fn main() {
-    let io_model: IoModel = str_arg("--io-model")
-        .map(|s| s.parse().unwrap_or_else(|e| panic!("{e}")))
-        .unwrap_or_default();
     let messages = arg("--messages", 8_000) as usize;
     let clients = (arg("--clients", 4) as usize).max(1);
     let mut sessions = arg("--sessions", 0) as usize;
@@ -134,7 +123,6 @@ fn main() {
     let registry = Arc::new(SharedRegistry::new());
     let state = Arc::new(ServiceState::new());
     let config = ServerConfig {
-        io_model,
         shards,
         queue_depth,
         max_sessions: sessions + clients + 2,
@@ -159,15 +147,13 @@ fn main() {
         Exporter::bind("127.0.0.1:0", Arc::clone(&registry), state).expect("bind exporter");
     let metrics_addr = exporter.local_addr().to_string();
     eprintln!(
-        "server_loop: ingest on {addr} ({} io, {shards} shards, queue depth {queue_depth}, \
-         trace 1-in-{trace_sample}, SLO {slo_ms}ms)",
-        io_model.name()
+        "server_loop: ingest on {addr} ({shards} shards, queue depth {queue_depth}, \
+         trace 1-in-{trace_sample}, SLO {slo_ms}ms)"
     );
 
     // The idle fleet: admitted sessions that hold their connection open
-    // across the whole timed run without sending a byte. Under the
-    // threaded model each one pins a parked reader thread; under the
-    // reactor each is one registered fd.
+    // across the whole timed run without sending a byte, each pinning
+    // a parked reader thread.
     let mut idle_fleet = Vec::with_capacity(sessions);
     for i in 0..sessions {
         match std::net::TcpStream::connect(addr) {
@@ -251,11 +237,6 @@ fn main() {
             .unwrap_or(0);
         (utilization, peak_depth)
     });
-    // The reactor's Ack-coalescing factor: frames per vectored write,
-    // median over the run (0 under the threaded model, which writes
-    // each ack on its own).
-    let ack_batch_p50 =
-        registry.snapshot().merged.histogram("ack_batch_frames").map_or(0.0, |h| h.quantile(0.5));
     drop(idle_fleet);
     let report = server.shutdown();
     exporter.stop();
@@ -264,10 +245,8 @@ fn main() {
     let shed_ratio = busys as f64 / (acks + busys).max(1) as f64;
     println!(
         "server_loop: {messages} msgs ({bytes} bytes) from {clients} clients \
-         (+{sessions} idle sessions, {} io) in {secs:.3}s — \
-         {accepted_per_sec:.0} accepted msgs/s, shed ratio {shed_ratio:.3}, \
-         ack batch p50 {ack_batch_p50:.1}",
-        io_model.name()
+         (+{sessions} idle sessions) in {secs:.3}s — \
+         {accepted_per_sec:.0} accepted msgs/s, shed ratio {shed_ratio:.3}"
     );
     println!(
         "  acked={acks} shed={busys} sessions={} pool messages={} restarts={}",
@@ -330,14 +309,12 @@ fn main() {
     if std::fs::create_dir_all("bench_results").is_ok() {
         use std::io::Write as _;
         let row = format!(
-            "{{\"io_model\": \"{}\", \"messages\": {messages}, \"bytes\": {bytes}, \
+            "{{\"messages\": {messages}, \"bytes\": {bytes}, \
              \"clients\": {clients}, \"concurrent_sessions\": {}, \
              \"shards\": {shards}, \"queue_depth\": {queue_depth}, \"window\": {window}, \
              \"secs\": {secs:.4}, \
              \"accepted_msgs_per_sec\": {accepted_per_sec:.1}, \"shed_ratio\": {shed_ratio:.4}, \
-             \"ack_batch_p50\": {ack_batch_p50:.2}, \
              \"acked\": {acks}, \"shed\": {busys}{trace_fields}{saturation_fields}}}\n",
-            io_model.name(),
             sessions + clients,
         );
         let appended = std::fs::OpenOptions::new()

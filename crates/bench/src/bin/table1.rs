@@ -11,6 +11,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin table1 --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_bench::{calibrated_devices, row_for, synthesize_all};
 use cfg_fpga::report::{paper_table1, render_table1, rows_to_json};
 

@@ -9,6 +9,8 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin wide_scaling --release`
 
+#![forbid(unsafe_code)]
+
 use cfg_fpga::Device;
 use cfg_grammar::transform::duplicate_multi_context_tokens;
 use cfg_hwgen::{generate, generate_wide, GeneratorOptions, StartMode};

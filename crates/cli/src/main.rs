@@ -3,6 +3,8 @@
 //! `audit`) that own sockets and the process lifetime and so bypass
 //! the pure dispatcher.
 
+#![forbid(unsafe_code)]
+
 use std::io::Read;
 
 fn main() {

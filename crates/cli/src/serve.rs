@@ -25,7 +25,7 @@ use cfg_obs::{
 };
 use cfg_obs_http::{Exporter, ServiceState};
 use cfg_server::{
-    AuditConfig, IngestServer, IoModel, SaturationConfig, ServerConfig, ServerReport, TraceConfig,
+    AuditConfig, IngestServer, SaturationConfig, ServerConfig, ServerReport, TraceConfig,
 };
 use cfg_tagger::{EngineKind, ShardPool, StartMode, TaggerOptions, TokenTagger};
 use std::io::Read;
@@ -80,9 +80,6 @@ pub struct ServeFlags {
     /// payloads through the reference engine + exact parser behind
     /// `/audit.json` and `/mismatches.jsonl` (listen mode; 0 = off).
     pub audit_sample: u64,
-    /// `--io-model threads|reactor`: how listen mode serves sockets —
-    /// thread-per-connection (default) or the epoll reactor.
-    pub io_model: IoModel,
 }
 
 impl Default for ServeFlags {
@@ -107,7 +104,6 @@ impl Default for ServeFlags {
             slo_ms: 50,
             sample_hz: 0,
             audit_sample: 0,
-            io_model: IoModel::default(),
         }
     }
 }
@@ -162,11 +158,6 @@ impl ServeFlags {
                     let token =
                         it.next().ok_or_else(|| CliError::new("--panic-token needs a value", 2))?;
                     f.panic_token = Some(token.clone());
-                }
-                "--io-model" => {
-                    let name =
-                        it.next().ok_or_else(|| CliError::new("--io-model needs a name", 2))?;
-                    f.io_model = name.parse().map_err(|e: String| CliError::new(e, 2))?;
                 }
                 "--trace-sample" => f.trace_sample = num(&mut it, "--trace-sample")?,
                 "--slo-ms" => f.slo_ms = num(&mut it, "--slo-ms")?.max(1),
@@ -434,7 +425,6 @@ pub fn run_listen(
     let registry = Arc::new(SharedRegistry::new());
     let state = Arc::new(ServiceState::new());
     let config = ServerConfig {
-        io_model: flags.io_model,
         shards: flags.shards,
         queue_depth: flags.queue_depth,
         max_sessions: flags.max_sessions,
@@ -462,9 +452,8 @@ pub fn run_listen(
         Exporter::bind(format!("127.0.0.1:{}", flags.port), registry.clone(), state.clone())
             .map_err(|e| CliError::new(format!("cannot bind exporter: {e}"), 1))?;
     status(&format!(
-        "ingest on {} ({} io, {} shards, {} engine, {} max sessions, {}ms idle timeout)",
+        "ingest on {} ({} shards, {} engine, {} max sessions, {}ms idle timeout)",
         server.local_addr(),
-        flags.io_model.name(),
         flags.shards,
         flags.engine,
         flags.max_sessions,
@@ -509,8 +498,8 @@ pub fn main_io(args: &[String]) -> i32 {
         eprintln!(
             "usage: cfgtag serve <grammar.y> [input] [--port N] [--loop N] [--recover] [--always] \
              [--chunk N] [--max-bytes N] [--shards N] [--flight-out PATH] [--flight-capacity N]\n\
-             \x20      cfgtag serve <grammar.y> --listen ADDR [--io-model threads|reactor] \
-             [--engine bit|scalar|gate] [--max-sessions N] [--idle-timeout-ms N] \
+             \x20      cfgtag serve <grammar.y> --listen ADDR [--engine bit|scalar|gate] \
+             [--max-sessions N] [--idle-timeout-ms N] \
              [--queue-depth N] [--panic-token S] [--trace-sample N] [--slo-ms X] \
              [--sample-hz N] [--audit-sample N]"
         );
@@ -718,12 +707,9 @@ mod tests {
             "199",
             "--audit-sample",
             "8",
-            "--io-model",
-            "reactor",
         ]))
         .unwrap();
         assert_eq!(f.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(f.io_model, IoModel::Reactor);
         assert_eq!(f.engine, EngineKind::Scalar);
         assert_eq!(f.max_sessions, 8);
         assert_eq!(f.idle_timeout_ms, 250);
@@ -739,14 +725,15 @@ mod tests {
         assert_eq!(defaults.slo_ms, 50);
         assert_eq!(defaults.sample_hz, 0);
         assert_eq!(defaults.audit_sample, 0);
-        let (threads, _) = ServeFlags::parse(&argv(&["g.y"])).unwrap();
-        assert_eq!(threads.io_model, IoModel::Threads, "threads stays the default");
         assert_eq!(ServeFlags::parse(&argv(&["--listen"])).unwrap_err().code, 2);
         let bad = ServeFlags::parse(&argv(&["--engine", "quantum"])).unwrap_err();
         assert_eq!(bad.code, 2);
         assert!(bad.to_string().contains("bit, scalar, gate"), "{bad}");
-        assert_eq!(ServeFlags::parse(&argv(&["--io-model"])).unwrap_err().code, 2);
-        assert_eq!(ServeFlags::parse(&argv(&["--io-model", "fibers"])).unwrap_err().code, 2);
+        // There is no serving-model choice to make: the flag is
+        // rejected like any unknown one.
+        let gone = ServeFlags::parse(&argv(&["--io-model", "reactor"])).unwrap_err();
+        assert_eq!(gone.code, 2);
+        assert!(gone.to_string().contains("unknown serve flag --io-model"), "{gone}");
         assert_eq!(ServeFlags::parse(&argv(&["--trace-sample"])).unwrap_err().code, 2);
         assert_eq!(ServeFlags::parse(&argv(&["--sample-hz"])).unwrap_err().code, 2);
     }
@@ -810,48 +797,6 @@ mod tests {
         assert_eq!(live.total, 1, "SLO tracker never saw the acked frame");
         assert_eq!(live.objective_ms, 50.0);
         assert!(live.stages.iter().any(|(n, r)| n == "engine" && r.count == 1));
-
-        stop.store(true, Ordering::SeqCst);
-        let report = handle.join().unwrap().unwrap();
-        assert_eq!(report.sessions_served, 1);
-        assert!(report.shard.messages >= 1);
-    }
-
-    #[test]
-    fn listen_mode_reactor_serves_sessions() {
-        use cfg_server::{Client, Reply};
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::mpsc;
-
-        let flags = ServeFlags {
-            listen: Some("127.0.0.1:0".into()),
-            io_model: IoModel::Reactor,
-            shards: 2,
-            ..Default::default()
-        };
-        let stop = Arc::new(AtomicBool::new(false));
-        let (tx, rx) = mpsc::channel::<String>();
-        let thread_stop = Arc::clone(&stop);
-        let handle = std::thread::spawn(move || {
-            let mut status = move |l: &str| {
-                let _ = tx.send(l.to_string());
-            };
-            run_listen(ITE, &flags, &mut status, &|| thread_stop.load(Ordering::SeqCst))
-        });
-        let first = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(first.contains("reactor io"), "status line names the io model: {first}");
-        let addr = first
-            .strip_prefix("ingest on ")
-            .and_then(|r| r.split_whitespace().next())
-            .unwrap_or_else(|| panic!("unexpected status line: {first}"))
-            .to_string();
-
-        let mut client = Client::connect(&addr).unwrap();
-        match client.request(b"if true then go else stop").unwrap() {
-            Reply::Acked { events, .. } => assert_eq!(events.len(), 6),
-            other => panic!("expected ack, got {other:?}"),
-        }
-        client.close().unwrap();
 
         stop.store(true, Ordering::SeqCst);
         let report = handle.join().unwrap().unwrap();

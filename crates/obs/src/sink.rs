@@ -48,14 +48,11 @@ pub enum Stat {
     /// Close-drain deadlines that fired with frames still pending —
     /// the client got its `Bye` before every ack was written.
     DrainTimeouts,
-    /// Non-empty `epoll_wait` returns taken by the reactor io-model —
-    /// against accepted frames, the batching factor of the event loop.
-    ReactorWakeups,
 }
 
 impl Stat {
     /// Number of variants (sizes the counter array in `StatsSink`).
-    pub const COUNT: usize = 17;
+    pub const COUNT: usize = 16;
 
     /// All variants, in index order.
     pub const ALL: [Stat; Stat::COUNT] = [
@@ -75,7 +72,6 @@ impl Stat {
         Stat::LoadShed,
         Stat::SessionsEvicted,
         Stat::DrainTimeouts,
-        Stat::ReactorWakeups,
     ];
 
     /// Stable snake_case name used in JSON output.
@@ -97,7 +93,6 @@ impl Stat {
             Stat::LoadShed => "load_shed",
             Stat::SessionsEvicted => "sessions_evicted",
             Stat::DrainTimeouts => "drain_timeouts",
-            Stat::ReactorWakeups => "reactor_wakeups",
         }
     }
 }

@@ -184,10 +184,9 @@ impl FrameReader {
     }
 }
 
-/// Serialize one frame to bytes — the building block of the reactor's
-/// vectored-write batches. Refuses oversized payloads like
-/// [`write_frame`].
-pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, Error> {
+/// Serialize one frame to its wire bytes, header and payload together.
+/// A payload over [`MAX_FRAME`] is refused (`Error::Protocol`).
+fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, Error> {
     if payload.len() > MAX_FRAME {
         return Err(Error::Protocol(format!(
             "refusing to send {}-byte frame (max {MAX_FRAME})",
@@ -201,21 +200,11 @@ pub fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, Error> {
     Ok(wire)
 }
 
-/// Write one frame. A payload over [`MAX_FRAME`] is refused locally
-/// (`Error::Protocol`) — we never put a frame on the wire the peer must
-/// reject.
+/// Write one frame as a single `write_all`. A payload over
+/// [`MAX_FRAME`] is refused locally (`Error::Protocol`) — we never put
+/// a frame on the wire the peer must reject.
 pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, payload: &[u8]) -> Result<(), Error> {
-    if payload.len() > MAX_FRAME {
-        return Err(Error::Protocol(format!(
-            "refusing to send {}-byte frame (max {MAX_FRAME})",
-            payload.len()
-        )));
-    }
-    let mut header = [0u8; HEADER_LEN];
-    header[0] = kind.byte();
-    header[1..].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    w.write_all(&header)?;
-    w.write_all(payload)?;
+    w.write_all(&encode_frame(kind, payload)?)?;
     w.flush()?;
     Ok(())
 }
@@ -409,12 +398,25 @@ mod tests {
     }
 
     #[test]
-    fn encode_frame_matches_write_frame() {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, FrameKind::Ack, b"payload").unwrap();
-        assert_eq!(encode_frame(FrameKind::Ack, b"payload").unwrap(), wire);
-        let err = encode_frame(FrameKind::Data, &vec![0u8; MAX_FRAME + 1]).unwrap_err();
-        assert!(matches!(err, Error::Protocol(_)), "{err}");
+    fn frames_leave_in_one_write() {
+        /// Records the buffer of every `write` call.
+        #[derive(Default)]
+        struct Writes(Vec<Vec<u8>>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes::default();
+        write_frame(&mut w, FrameKind::Ack, b"payload").unwrap();
+        let mut expect = vec![FrameKind::Ack.byte()];
+        expect.extend_from_slice(&7u32.to_le_bytes());
+        expect.extend_from_slice(b"payload");
+        assert_eq!(w.0, vec![expect], "header and payload share one write");
     }
 
     mod chunking_borrow_props {

@@ -12,16 +12,12 @@
 //!   incremental zero-copy decoder ([`frame::FrameReader`]).
 //! * [`session`] — the session table: ids, affinity, idle eviction,
 //!   max-sessions cap.
-//! * [`server`] — the acceptor, per-session readers, supervised
-//!   workers, janitor, and drain-style shutdown; [`IoModel`] selects
-//!   thread-per-connection or the epoll reactor.
+//! * [`server`] — the acceptor, one reader thread per session,
+//!   supervised workers that write each ack straight to its session's
+//!   socket, the idle janitor, and drain-style shutdown.
 //! * [`client`] — the reference client.
 //! * [`fault`] — the seeded fault-injection harness driving the chaos
 //!   integration test.
-//!
-//! The private `reactor` module holds the readiness-driven event loop
-//! (and the workspace's only `unsafe`: raw epoll FFI); `conn` holds
-//! its per-connection state machine and vectored-write out-queue.
 //!
 //! ```no_run
 //! use cfg_grammar::builtin;
@@ -39,16 +35,12 @@
 //! server.shutdown();
 //! ```
 
-// `deny` rather than `forbid`: the reactor's `sys` module carries the
-// one scoped `#[allow(unsafe_code)]` for its raw epoll FFI.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod client;
-mod conn;
 pub mod fault;
 pub mod frame;
-mod reactor;
 pub mod server;
 pub mod session;
 
@@ -56,6 +48,6 @@ pub use client::{Client, Reply};
 pub use fault::{ClientOutcome, FaultPlan};
 pub use frame::{Frame, FrameKind, MAX_FRAME};
 pub use server::{
-    AuditConfig, IngestServer, IoModel, SaturationConfig, ServerConfig, ServerReport, TraceConfig,
+    AuditConfig, IngestServer, SaturationConfig, ServerConfig, ServerReport, TraceConfig,
 };
 pub use session::SessionTable;

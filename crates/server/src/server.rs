@@ -1,18 +1,9 @@
 //! The supervised multi-session ingest server.
 //!
-//! Two io-models serve the same protocol ([`IoModel`], selected by
-//! [`ServerConfig::io_model`]):
-//!
-//! * **`threads`** (default): one acceptor thread takes TCP
-//!   connections; each connection becomes a session (with affinity to
-//!   one shard of a [`ShardPool`]) served by its own reader thread
-//!   speaking the [`crate::frame`] protocol.
-//! * **`reactor`**: a single epoll-driven thread
-//!   ([`crate::reactor`]) owns every connection as a nonblocking
-//!   state machine, decodes frames zero-copy, and coalesces replies
-//!   into vectored write batches — the high-concurrency path.
-//!
-//! The moving parts common to both:
+//! One acceptor thread takes TCP connections; each connection becomes
+//! a session (with affinity to one shard of a [`ShardPool`]) served by
+//! its own reader thread speaking the [`crate::frame`] protocol. The
+//! moving parts:
 //!
 //! * **Backpressure**: shard queues are bounded; a full queue answers
 //!   `Busy` with the shed frame's sequence number instead of blocking
@@ -23,9 +14,15 @@
 //!   under [`Stat::WorkerRestarts`], dumped via the attached
 //!   [`FlightRecorder`], answered with an `Err` frame naming the poison
 //!   frame's sequence, and the worker resumes after exponential backoff.
-//! * **Sessions**: an idle-timeout janitor sweeps silent connections in
-//!   least-recently-active order ([`Stat::SessionsEvicted`]); a
-//!   `max_sessions` cap refuses new connections with `Busy`.
+//! * **Sessions**: an idle-timeout janitor sweeps connections that are
+//!   silent with no frame in flight, in least-recently-active order
+//!   ([`Stat::SessionsEvicted`]); a `max_sessions` cap refuses new
+//!   connections with `Busy`.
+//! * **Slow readers**: the idle timeout is also every session socket's
+//!   write timeout. A peer that stops reading its acks fails the write
+//!   that fills its socket; the session is then shut down and counted
+//!   as evicted, so it cannot hold its shard worker, or any other
+//!   session on that shard, hostage.
 //! * **Acks are completions**: `Ack` is written only after the shard
 //!   worker fully tagged the message, and carries the events — a client
 //!   that received an `Ack` can never lose that work, and `Close` drains
@@ -41,7 +38,6 @@
 //!   it — the fast path never blocks on the audit lane.
 
 use crate::frame::{self, Frame, FrameKind};
-use crate::reactor::{self, Completion, CompletionQueue, Poller};
 use crate::session::SessionTable;
 use cfg_obs::{
     profile, AuditBank, AuditEvent, FlightRecorder, MetricsSink, Mismatch, MismatchRing,
@@ -61,40 +57,6 @@ use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which serving architecture [`IngestServer`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoModel {
-    /// One reader thread per connection. The default until reactor
-    /// chaos parity has soaked.
-    #[default]
-    Threads,
-    /// Single-threaded epoll reactor: nonblocking sockets, zero-copy
-    /// decode, batched vectored Acks, `EPOLLOUT` backpressure.
-    Reactor,
-}
-
-impl IoModel {
-    /// The flag spelling (`threads` / `reactor`).
-    pub fn name(self) -> &'static str {
-        match self {
-            IoModel::Threads => "threads",
-            IoModel::Reactor => "reactor",
-        }
-    }
-}
-
-impl std::str::FromStr for IoModel {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoModel, String> {
-        match s {
-            "threads" => Ok(IoModel::Threads),
-            "reactor" => Ok(IoModel::Reactor),
-            other => Err(format!("unknown io model `{other}` (expected `threads` or `reactor`)")),
-        }
-    }
-}
 
 /// Frame tracing + SLO configuration for [`ServerConfig::trace`].
 ///
@@ -126,9 +88,9 @@ impl Default for TraceConfig {
 
 /// The tracing side-car the server threads through its stages.
 #[derive(Clone)]
-pub(crate) struct Tracing {
-    pub(crate) recorder: Arc<SpanRecorder>,
-    pub(crate) slo: Arc<SloTracker>,
+struct Tracing {
+    recorder: Arc<SpanRecorder>,
+    slo: Arc<SloTracker>,
 }
 
 /// Saturation telemetry configuration for [`ServerConfig::saturation`].
@@ -214,11 +176,11 @@ struct AuditJob {
 
 /// The audit side-car: counters, divergence evidence, and the bounded
 /// queue feeding the replay workers.
-pub(crate) struct Auditor {
-    pub(crate) bank: Arc<AuditBank>,
+struct Auditor {
+    bank: Arc<AuditBank>,
     ring: Arc<MismatchRing>,
-    pub(crate) sample_every: u64,
-    pub(crate) max_bytes: usize,
+    sample_every: u64,
+    max_bytes: usize,
     /// `SyncSender` is `Send` but not `Sync`; the mutex makes the lane
     /// shareable across session readers. `try_send` under the lock is
     /// two atomic ops — never a block.
@@ -229,7 +191,7 @@ impl Auditor {
     /// Hand one finished session's mirrored payloads to the replay
     /// lane. `try_send` on the bounded queue: a busy lane sheds the
     /// audit (counted), never the serving path.
-    pub(crate) fn finish_session(&self, session: u64, frames: Vec<Vec<u8>>) {
+    fn finish_session(&self, session: u64, frames: Vec<Vec<u8>>) {
         if frames.is_empty() {
             // Nothing tagged, nothing to check — trivially audited.
             self.bank.session_audited();
@@ -247,16 +209,16 @@ impl Auditor {
 /// override fields.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Serving architecture: thread-per-connection or the epoll
-    /// reactor.
-    pub io_model: IoModel,
     /// Worker shards in the pool.
     pub shards: usize,
     /// Bounded queue depth per shard; a full queue sheds with `Busy`.
     pub queue_depth: usize,
     /// Hard cap on concurrent sessions; beyond it, connects get `Busy`.
     pub max_sessions: usize,
-    /// A session silent for longer than this is evicted by the janitor.
+    /// A session silent for longer than this, with no frame in flight,
+    /// is evicted by the janitor. It is also each session socket's
+    /// write timeout: a reply the peer leaves unread this long evicts
+    /// the session.
     pub idle_timeout: Duration,
     /// Which engine the workers tag with.
     pub engine: EngineKind,
@@ -292,7 +254,6 @@ pub struct ServerConfig {
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
         ServerConfig {
-            io_model: IoModel::default(),
             shards: 2,
             queue_depth: 64,
             max_sessions: 64,
@@ -315,7 +276,6 @@ impl Default for ServerConfig {
 impl std::fmt::Debug for ServerConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ServerConfig")
-            .field("io_model", &self.io_model)
             .field("shards", &self.shards)
             .field("queue_depth", &self.queue_depth)
             .field("max_sessions", &self.max_sessions)
@@ -336,7 +296,8 @@ impl std::fmt::Debug for ServerConfig {
 pub struct ServerReport {
     /// Sessions admitted (cap refusals not counted).
     pub sessions_served: u64,
-    /// Sessions evicted by the idle janitor.
+    /// Sessions evicted: idle past the timeout, or a reply write
+    /// failed.
     pub evicted: u64,
     /// Data frames shed with `Busy` because a shard queue was full.
     pub shed: u64,
@@ -344,28 +305,20 @@ pub struct ServerReport {
     pub shard: ShardReport,
 }
 
-/// Everything the acceptor/reactor, janitor, reader and worker
-/// threads share.
-pub(crate) struct Shared {
-    pub(crate) pool: ShardPool,
+/// Everything the acceptor, janitor, reader and worker threads share.
+struct Shared {
+    pool: ShardPool,
     table: Arc<SessionTable<TcpStream>>,
-    pub(crate) stop: AtomicBool,
-    pub(crate) server_sink: Arc<StatsSink>,
-    pub(crate) state: Option<Arc<ServiceState>>,
-    pub(crate) flight: Option<Arc<FlightRecorder>>,
+    stop: AtomicBool,
+    server_sink: Arc<StatsSink>,
+    state: Option<Arc<ServiceState>>,
+    flight: Option<Arc<FlightRecorder>>,
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
-    pub(crate) sessions_served: AtomicU64,
-    pub(crate) idle_timeout: Duration,
-    pub(crate) drain_deadline: Duration,
-    pub(crate) tracing: Option<Tracing>,
-    pub(crate) audit: Option<Auditor>,
-    io_model: IoModel,
-    /// Session cap, enforced by the table (threads) or the reactor's
-    /// connection map (reactor).
-    pub(crate) max_sessions: usize,
-    /// Live-connection gauge maintained by the reactor thread (the
-    /// threaded path reads the session table instead).
-    pub(crate) reactor_sessions: AtomicU64,
+    sessions_served: AtomicU64,
+    idle_timeout: Duration,
+    drain_deadline: Duration,
+    tracing: Option<Tracing>,
+    audit: Option<Auditor>,
 }
 
 /// A running ingest server; shut it down with
@@ -379,14 +332,10 @@ pub struct IngestServer {
     sampler_handle: Option<SamplerHandle>,
     profiler_handle: Option<ProfilerHandle>,
     audit_handles: Vec<JoinHandle<()>>,
-    /// Reactor mode: the completion queue doubles as the shutdown
-    /// nudge (threads mode unblocks the acceptor with a throwaway
-    /// connection instead).
-    wake: Option<Arc<CompletionQueue>>,
 }
 
 /// Pool-message layout: `[session u64 LE][seq u32 LE][payload…]`.
-pub(crate) fn build_msg(session: u64, seq: u32, payload: &[u8]) -> Vec<u8> {
+fn build_msg(session: u64, seq: u32, payload: &[u8]) -> Vec<u8> {
     let mut msg = Vec::with_capacity(12 + payload.len());
     msg.extend_from_slice(&session.to_le_bytes());
     msg.extend_from_slice(&seq.to_le_bytes());
@@ -407,12 +356,41 @@ fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
 }
 
-/// Write a frame to a session's shared writer, ignoring transport
-/// failures — the peer may already be gone, which the reader thread
-/// notices on its own.
-fn reply(writer: &Mutex<TcpStream>, kind: FrameKind, payload: &[u8]) {
+/// Write one reply frame to session `id`. A write that fails — the
+/// peer is gone, or it left the socket full for the write timeout —
+/// shuts the socket down, so the session's reader sees EOF and every
+/// later write fails at once. Whichever eviction takes `id` out of the
+/// table counts it under [`Stat::SessionsEvicted`].
+fn reply(
+    table: &SessionTable<TcpStream>,
+    sink: &StatsSink,
+    id: u64,
+    writer: &Mutex<TcpStream>,
+    kind: FrameKind,
+    payload: &[u8],
+) {
     let mut w = writer.lock().expect("session writer lock");
-    let _ = frame::write_frame(&mut *w, kind, payload);
+    if frame::write_frame(&mut *w, kind, payload).is_err() {
+        // Leave the table before the shutdown wakes the reader, whose
+        // own close would otherwise win and skip the count.
+        if table.close(id) {
+            sink.add(Stat::SessionsEvicted, 1);
+        }
+        let _ = w.shutdown(Shutdown::Both);
+    }
+}
+
+/// [`reply`] to a session by id; a no-op once it has left the table.
+fn reply_to(
+    table: &SessionTable<TcpStream>,
+    sink: &StatsSink,
+    id: u64,
+    kind: FrameKind,
+    payload: &[u8],
+) {
+    if let Some(writer) = table.writer(id) {
+        reply(table, sink, id, &writer, kind, payload);
+    }
 }
 
 impl IngestServer {
@@ -426,16 +404,7 @@ impl IngestServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let table: Arc<SessionTable<TcpStream>> = Arc::new(SessionTable::new(config.max_sessions));
-
-        // Reactor plumbing is created up-front so epoll/pipe failures
-        // surface from `start` instead of killing a detached thread.
-        let reactor_io = match config.io_model {
-            IoModel::Threads => None,
-            IoModel::Reactor => {
-                listener.set_nonblocking(true)?;
-                Some((Poller::new()?, Arc::new(CompletionQueue::new()?)))
-            }
-        };
+        let server_sink = Arc::new(StatsSink::new().with_trace_capacity(0));
 
         // The tracing side-car: a span recorder + SLO tracker pair,
         // also attached to the service state so the HTTP exporter can
@@ -508,142 +477,63 @@ impl IngestServer {
         }
 
         // The worker handler: tag the payload with a fresh engine, then
-        // ack with the events. The ack is produced *by the worker*,
-        // after processing — that ordering is the no-lost-acks
-        // guarantee. The io-models differ only in delivery: the
-        // threaded handler writes to the session's shared socket; the
-        // reactor handler serializes the reply and hands it to the
-        // completion queue (the reactor owns the socket and stamps
-        // `AckWrite` when the batch actually flushes).
-        type Handler = Box<dyn Fn(&TokenTagger, &[u8], Option<&mut Span>) + Send + Sync>;
-        type PanicHook = Arc<dyn Fn(usize, &str, &[u8]) + Send + Sync>;
+        // ack with the events, written straight to the session's
+        // socket. The ack is produced *by the worker*, after
+        // processing — that ordering is the no-lost-acks guarantee.
         let panic_token = config.panic_token.clone();
         let engine_kind = config.engine;
-        let run_engine = move |t: &TokenTagger, payload: &[u8]| -> Result<Vec<TagEvent>, Error> {
-            let mut engine = t.engine(engine_kind)?;
-            let mut events = Vec::new();
-            engine.feed_slice(payload, &mut events)?;
-            engine.finish_into(&mut events)?;
-            Ok(events)
+        let handler_table = Arc::clone(&table);
+        let handler_sink = Arc::clone(&server_sink);
+        let handler_tracing = tracing.clone();
+        let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
+            profile::enter(Stage::Parse);
+            let Some((session, seq, payload)) = split_msg(msg) else { return };
+            if let Some(token) = &panic_token {
+                if contains(payload, token) {
+                    panic!("injected poison frame (session {session} seq {seq})");
+                }
+            }
+            profile::enter(Stage::Engine);
+            let tagged = tag_payload(t, engine_kind, payload);
+            if let Some(span) = span.as_deref_mut() {
+                span.stamp(Stage::Engine);
+            }
+            profile::enter(Stage::AckWrite);
+            let (kind, body) = match tagged {
+                Ok(events) => {
+                    let mut ack = seq.to_le_bytes().to_vec();
+                    ack.extend_from_slice(&frame::encode_events(&events));
+                    (FrameKind::Ack, ack)
+                }
+                Err(e) => (FrameKind::Err, format!("seq {seq}: {e}").into_bytes()),
+            };
+            // An ack too large for one frame still owes the client a
+            // reply.
+            let (kind, body) = if body.len() > frame::MAX_FRAME {
+                (FrameKind::Err, format!("seq {seq}: reply too large").into_bytes())
+            } else {
+                (kind, body)
+            };
+            reply_to(&handler_table, &handler_sink, session, kind, &body);
+            // The span ends when the reply hit the socket: fold it into
+            // the SLO histograms and (maybe) the /spans.jsonl ring.
+            if let (Some(tracing), Some(span)) = (&handler_tracing, span.as_deref_mut()) {
+                span.stamp(Stage::AckWrite);
+                tracing.slo.observe(span);
+                tracing.recorder.record(span);
+            }
+            handler_table.answered(session);
         };
-        let (handler, on_panic): (Handler, PanicHook) = match &reactor_io {
-            None => {
-                let handler_table = Arc::clone(&table);
-                let handler_tracing = tracing.clone();
-                let panic_token = panic_token.clone();
-                let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
-                    profile::enter(Stage::Parse);
-                    let Some((session, seq, payload)) = split_msg(msg) else { return };
-                    if let Some(token) = &panic_token {
-                        if contains(payload, token) {
-                            panic!("injected poison frame (session {session} seq {seq})");
-                        }
-                    }
-                    profile::enter(Stage::Engine);
-                    let tagged = run_engine(t, payload);
-                    if let Some(span) = span.as_deref_mut() {
-                        span.stamp(Stage::Engine);
-                    }
-                    profile::enter(Stage::AckWrite);
-                    if let Some(writer) = handler_table.writer(session) {
-                        match tagged {
-                            Ok(events) => {
-                                let mut ack = seq.to_le_bytes().to_vec();
-                                ack.extend_from_slice(&frame::encode_events(&events));
-                                reply(&writer, FrameKind::Ack, &ack);
-                            }
-                            Err(e) => {
-                                reply(
-                                    &writer,
-                                    FrameKind::Err,
-                                    format!("seq {seq}: {e}").as_bytes(),
-                                );
-                            }
-                        }
-                    }
-                    // The span ends when the reply hit the socket: fold
-                    // it into the SLO histograms and (maybe) the
-                    // /spans.jsonl ring.
-                    if let (Some(tracing), Some(span)) = (&handler_tracing, span.as_deref_mut()) {
-                        span.stamp(Stage::AckWrite);
-                        tracing.slo.observe(span);
-                        tracing.recorder.record(span);
-                    }
-                    if let Some(pending) = handler_table.pending(session) {
-                        pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                };
-                // After a caught panic the poison frame was *not*
-                // processed: tell the client with an `Err` frame and
-                // release its drain counter so `Close` does not wait on
-                // it forever.
-                let hook_table = Arc::clone(&table);
-                let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
-                    let Some((session, seq, _)) = split_msg(msg) else { return };
-                    if let Some(writer) = hook_table.writer(session) {
-                        reply(
-                            &writer,
-                            FrameKind::Err,
-                            format!("seq {seq}: worker panic: {text}").as_bytes(),
-                        );
-                    }
-                    if let Some(pending) = hook_table.pending(session) {
-                        pending.fetch_sub(1, Ordering::AcqRel);
-                    }
-                };
-                (Box::new(handler), Arc::new(on_panic))
-            }
-            Some((_, completions)) => {
-                let done = Arc::clone(completions);
-                let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
-                    profile::enter(Stage::Parse);
-                    let Some((session, seq, payload)) = split_msg(msg) else { return };
-                    if let Some(token) = &panic_token {
-                        if contains(payload, token) {
-                            panic!("injected poison frame (session {session} seq {seq})");
-                        }
-                    }
-                    profile::enter(Stage::Engine);
-                    let tagged = run_engine(t, payload);
-                    if let Some(span) = span.as_deref_mut() {
-                        span.stamp(Stage::Engine);
-                    }
-                    profile::enter(Stage::AckWrite);
-                    let wire = match tagged {
-                        Ok(events) => {
-                            let mut ack = seq.to_le_bytes().to_vec();
-                            ack.extend_from_slice(&frame::encode_events(&events));
-                            frame::encode_frame(FrameKind::Ack, &ack)
-                        }
-                        Err(e) => frame::encode_frame(
-                            FrameKind::Err,
-                            format!("seq {seq}: {e}").as_bytes(),
-                        ),
-                    };
-                    // An oversized ack still owes the client a reply
-                    // (and the reactor a pending-count decrement).
-                    let wire = wire
-                        .or_else(|_| {
-                            frame::encode_frame(
-                                FrameKind::Err,
-                                format!("seq {seq}: reply too large").as_bytes(),
-                            )
-                        })
-                        .expect("short Err frame is always encodable");
-                    done.push(Completion { session, wire, span: span.map(|s| s.clone()) });
-                };
-                let hook_done = Arc::clone(completions);
-                let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
-                    let Some((session, seq, _)) = split_msg(msg) else { return };
-                    if let Ok(wire) = frame::encode_frame(
-                        FrameKind::Err,
-                        format!("seq {seq}: worker panic: {text}").as_bytes(),
-                    ) {
-                        hook_done.push(Completion { session, wire, span: None });
-                    }
-                };
-                (Box::new(handler), Arc::new(on_panic))
-            }
+        // After a caught panic the poison frame was *not* processed:
+        // tell the client with an `Err` frame and release its drain
+        // counter so `Close` does not wait on it forever.
+        let hook_table = Arc::clone(&table);
+        let hook_sink = Arc::clone(&server_sink);
+        let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
+            let Some((session, seq, _)) = split_msg(msg) else { return };
+            let reason = format!("seq {seq}: worker panic: {text}");
+            reply_to(&hook_table, &hook_sink, session, FrameKind::Err, reason.as_bytes());
+            hook_table.answered(session);
         };
 
         let pool_opts = PoolOptions {
@@ -651,14 +541,13 @@ impl IngestServer {
             backoff_base_ms: config.backoff_base_ms,
             backoff_max_ms: config.backoff_max_ms,
             flight: config.flight.clone(),
-            on_panic: Some(on_panic),
+            on_panic: Some(Arc::new(on_panic)),
             load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
             profiler: saturation.as_ref().map(|s| Arc::clone(&s.profiler)),
             profile_label: config.engine.name().to_owned(),
         };
         let pool = ShardPool::with_span_handler(tagger, config.shards, pool_opts, handler);
 
-        let server_sink = Arc::new(StatsSink::new().with_trace_capacity(0));
         if let Some(registry) = &config.registry {
             pool.register(registry, "shard");
             registry.register("server".to_owned(), Arc::clone(&server_sink));
@@ -680,39 +569,18 @@ impl IngestServer {
             drain_deadline: config.drain_deadline,
             tracing,
             audit,
-            io_model: config.io_model,
-            max_sessions: config.max_sessions,
-            reactor_sessions: AtomicU64::new(0),
         });
 
-        let (accept_handle, janitor_handle, wake) = match reactor_io {
-            None => {
-                let accept_shared = Arc::clone(&shared);
-                let accept_handle = std::thread::Builder::new()
-                    .name("cfgserve-accept".into())
-                    .spawn(move || accept_loop(listener, accept_shared))
-                    .expect("spawn acceptor");
-                let janitor_shared = Arc::clone(&shared);
-                let janitor_handle = std::thread::Builder::new()
-                    .name("cfgserve-janitor".into())
-                    .spawn(move || janitor_loop(janitor_shared))
-                    .expect("spawn janitor");
-                (accept_handle, Some(janitor_handle), None)
-            }
-            Some((poller, completions)) => {
-                // One thread does it all — accept, read, submit, flush;
-                // idle sweeping rides the poll tick, so no janitor.
-                let reactor_shared = Arc::clone(&shared);
-                let reactor_completions = Arc::clone(&completions);
-                let handle = std::thread::Builder::new()
-                    .name("cfgserve-reactor".into())
-                    .spawn(move || {
-                        reactor::run_reactor(listener, poller, reactor_completions, reactor_shared)
-                    })
-                    .expect("spawn reactor");
-                (handle, None, Some(completions))
-            }
-        };
+        let accept_shared = Arc::clone(&shared);
+        let accept_handle = std::thread::Builder::new()
+            .name("cfgserve-accept".into())
+            .spawn(move || accept_loop(listener, accept_shared))
+            .expect("spawn acceptor");
+        let janitor_shared = Arc::clone(&shared);
+        let janitor_handle = std::thread::Builder::new()
+            .name("cfgserve-janitor".into())
+            .spawn(move || janitor_loop(janitor_shared))
+            .expect("spawn janitor");
 
         let sampler_handle = saturation.as_ref().map(|s| s.series.start_sampler());
         let profiler_handle = match (&saturation, &config.saturation) {
@@ -724,12 +592,11 @@ impl IngestServer {
             addr,
             shared,
             accept_handle: Some(accept_handle),
-            janitor_handle,
+            janitor_handle: Some(janitor_handle),
             saturation,
             sampler_handle,
             profiler_handle,
             audit_handles,
-            wake,
         })
     }
 
@@ -740,10 +607,7 @@ impl IngestServer {
 
     /// Live session count right now.
     pub fn sessions(&self) -> usize {
-        match self.shared.io_model {
-            IoModel::Threads => self.shared.table.len(),
-            IoModel::Reactor => self.shared.reactor_sessions.load(Ordering::SeqCst) as usize,
-        }
+        self.shared.table.len()
     }
 
     /// The span recorder, when tracing is configured — the source
@@ -801,14 +665,8 @@ impl IngestServer {
             h.stop();
         }
         self.shared.stop.store(true, Ordering::SeqCst);
-        // Unblock the serving thread: nudge the reactor's wake pipe, or
-        // hand the blocking acceptor one throwaway connection.
-        match &self.wake {
-            Some(completions) => completions.wake(),
-            None => {
-                let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
-            }
-        }
+        // Unblock the acceptor with one throwaway connection.
+        let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
@@ -840,7 +698,6 @@ impl std::fmt::Debug for IngestServer {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("IngestServer")
             .field("addr", &self.addr)
-            .field("io_model", &self.shared.io_model)
             .field("sessions", &self.sessions())
             .finish_non_exhaustive()
     }
@@ -851,7 +708,7 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(stream) = conn else { continue };
+        let Ok(mut stream) = conn else { continue };
         let Ok(writer_stream) = stream.try_clone() else { continue };
         match shared.table.open(writer_stream) {
             Some((id, writer)) => {
@@ -866,9 +723,8 @@ fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
             None => {
                 // At the cap: answer Busy and hang up. No session state
                 // is created, so nothing to clean.
-                let writer = Mutex::new(stream);
-                reply(&writer, FrameKind::Busy, b"max sessions");
-                let _ = writer.into_inner().expect("writer lock").shutdown(Shutdown::Both);
+                let _ = frame::write_frame(&mut stream, FrameKind::Busy, b"max sessions");
+                let _ = stream.shutdown(Shutdown::Both);
             }
         }
     }
@@ -881,10 +737,12 @@ fn janitor_loop(shared: Arc<Shared>) {
         std::thread::sleep(tick);
         for (id, writer) in shared.table.evict_idle(shared.idle_timeout) {
             shared.server_sink.add(Stat::SessionsEvicted, 1);
-            reply(&writer, FrameKind::Err, format!("session {id} idle timeout").as_bytes());
-            // Shut the transport down; the session's reader thread sees
-            // EOF and exits.
-            let _ = writer.lock().expect("session writer lock").shutdown(Shutdown::Both);
+            // Say why, then shut the transport down; the session's
+            // reader thread sees EOF and exits.
+            let mut w = writer.lock().expect("session writer lock");
+            let reason = format!("session {id} idle timeout");
+            let _ = frame::write_frame(&mut *w, FrameKind::Err, reason.as_bytes());
+            let _ = w.shutdown(Shutdown::Both);
         }
     }
 }
@@ -899,9 +757,8 @@ enum Poll {
 /// An incremental frame parser that survives read timeouts mid-frame —
 /// a slow-loris client dribbling one byte per second must cost the
 /// server only buffered bytes, never a blocked thread or lost partial
-/// frame. Decoding itself is delegated to the shared
-/// [`frame::FrameReader`] (the same one the reactor drives zero-copy);
-/// this wrapper adds the blocking-read pump and the span-lead clock.
+/// frame. Decoding itself is delegated to [`frame::FrameReader`]; this
+/// wrapper adds the blocking-read pump and the span-lead clock.
 #[derive(Default)]
 struct FrameReader {
     inner: frame::FrameReader,
@@ -965,12 +822,19 @@ impl FrameReader {
 fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<Mutex<TcpStream>>) {
     // Short read timeout: the reader doubles as the stop-flag poller.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    // Acks are written as two small writes (header, payload); without
-    // this, Nagle holds the payload until the client's delayed ACK
-    // (~40 ms) arrives, flooring every synchronous round-trip. The
-    // span waterfall is what exposed it: `ack_write` measures in
-    // microseconds while the client-observed round-trip sat at ~40 ms.
+    // The write timeout (shared with the writer clone: it is one
+    // socket) bounds how long a peer that stops reading can block the
+    // shard worker writing its ack; see `reply`.
+    let _ = stream.set_write_timeout(Some(shared.idle_timeout));
+    // Each reply leaves in one write, but Nagle holds a small write
+    // while an earlier one is unacknowledged, and the client's delayed
+    // ACK (~40 ms) then floors every pipelined round-trip. The span
+    // waterfall is what exposed it: `ack_write` measured microseconds
+    // while the client-observed round-trip sat at ~40 ms.
     let _ = stream.set_nodelay(true);
+    let send = |kind: FrameKind, payload: &[u8]| {
+        reply(&shared.table, &shared.server_sink, id, &writer, kind, payload);
+    };
     let mut reader = FrameReader::default();
     let mut seq: u32 = 0;
     // Shadow-audit sampling, decided once per session: with auditing
@@ -985,7 +849,7 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
     let mut mirrored: Option<(Vec<Vec<u8>>, usize)> = audit.map(|_| (Vec::new(), 0));
     loop {
         if shared.stop.load(Ordering::SeqCst) {
-            reply(&writer, FrameKind::Bye, b"");
+            send(FrameKind::Bye, b"");
             break;
         }
         match reader.poll(&mut stream) {
@@ -1047,13 +911,13 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
                             if let Some(state) = &shared.state {
                                 state.set_overloaded(true);
                             }
-                            reply(&writer, FrameKind::Busy, &seq.to_le_bytes());
+                            send(FrameKind::Busy, &seq.to_le_bytes());
                         }
                         SubmitOutcome::Closed => {
                             if let Some(pending) = &pending {
                                 pending.fetch_sub(1, Ordering::AcqRel);
                             }
-                            reply(&writer, FrameKind::Err, b"server shutting down");
+                            send(FrameKind::Err, b"server shutting down");
                             break;
                         }
                     }
@@ -1061,23 +925,19 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
                 }
                 FrameKind::Close => {
                     drain_session(&shared, id);
-                    reply(&writer, FrameKind::Bye, b"");
+                    send(FrameKind::Bye, b"");
                     break;
                 }
                 other => {
                     shared.server_sink.add(Stat::MalformedRejected, 1);
-                    reply(
-                        &writer,
-                        FrameKind::Err,
-                        format!("unexpected client frame {other:?}").as_bytes(),
-                    );
+                    send(FrameKind::Err, format!("unexpected client frame {other:?}").as_bytes());
                     break;
                 }
             },
             Err(e) => {
                 if matches!(e, Error::Protocol(_)) {
                     shared.server_sink.add(Stat::MalformedRejected, 1);
-                    reply(&writer, FrameKind::Err, e.to_string().as_bytes());
+                    send(FrameKind::Err, e.to_string().as_bytes());
                 }
                 break;
             }
@@ -1152,7 +1012,7 @@ fn audit_frame(
     payload: &[u8],
 ) {
     bank.frame_audited(payload.len() as u64);
-    let Ok(fast) = replay_events(tagger, kind, payload) else {
+    let Ok(fast) = tag_payload(tagger, kind, payload) else {
         // The production engine kind failed where the fast path (by
         // construction, same kind, same payload) also failed — the
         // client already saw the Err frame; nothing to cross-check.
@@ -1185,9 +1045,9 @@ fn audit_frame(
     bank.fires(fast.len() as u64, confirmed_fires);
 }
 
-/// Run `payload` through a fresh engine of the production kind — the
-/// exact sequence the shard handler uses.
-fn replay_events(
+/// Tag `payload` with a fresh engine of `kind`: what the shard handler
+/// runs on every frame, and so what the audit replays.
+fn tag_payload(
     tagger: &TokenTagger,
     kind: EngineKind,
     payload: &[u8],

@@ -6,7 +6,9 @@
 //! so one session's messages always land on one shard in order. The
 //! table enforces the `max_sessions` cap at open, timestamps every
 //! frame ([`SessionTable::touch`]), and lets a janitor sweep idle
-//! sessions in deterministic least-recently-active order.
+//! sessions in deterministic least-recently-active order. A session
+//! with a frame still in flight is waiting on the server, not idle, so
+//! the sweep passes it over.
 //!
 //! The table is generic over the reply-writer type: the server stores
 //! a `TcpStream` clone, the unit tests a plain marker — eviction
@@ -15,7 +17,7 @@
 //! `Instant`.
 
 use std::collections::HashMap;
-use std::sync::atomic::AtomicU64;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -88,11 +90,25 @@ impl<W> SessionTable<W> {
 
     /// Record activity on `id` at `now`, refreshing its idle clock.
     pub fn touch_at(&self, id: u64, now: Instant) {
+        self.touch_entry(id, now, false);
+    }
+
+    /// One in-flight frame of `id` was answered: release it from the
+    /// drain count and refresh the idle clock, since a session that
+    /// just got a reply has not gone quiet.
+    pub fn answered(&self, id: u64) {
+        self.touch_entry(id, Instant::now(), true);
+    }
+
+    fn touch_entry(&self, id: u64, now: Instant, answered: bool) {
         let mut inner = self.inner.lock().expect("session table lock");
         let seq = inner.next_seq;
         if let Some(entry) = inner.sessions.get_mut(&id) {
             entry.last_active = now;
             entry.touch_seq = seq;
+            if answered {
+                entry.pending.fetch_sub(1, Ordering::AcqRel);
+            }
             inner.next_seq += 1;
         }
     }
@@ -108,8 +124,8 @@ impl<W> SessionTable<W> {
     }
 
     /// The in-flight (accepted, not yet acked) counter for a live
-    /// session — incremented by the reader on accept, decremented by
-    /// the shard worker after the ack (or err) is written.
+    /// session — incremented by the reader on accept, released by
+    /// [`SessionTable::answered`] after the ack (or err) is written.
     pub fn pending(&self, id: u64) -> Option<Arc<AtomicU64>> {
         self.inner
             .lock()
@@ -142,15 +158,18 @@ impl<W> SessionTable<W> {
     }
 
     /// Remove every session whose last activity is more than `idle`
-    /// before `now`, returning them **least-recently-active first** (by
-    /// touch order) so the janitor reclaims the stalest session even if
-    /// it stops after the first eviction.
+    /// before `now` and that has no frame in flight, returning them
+    /// **least-recently-active first** (by touch order) so the janitor
+    /// reclaims the stalest session even if it stops after the first
+    /// eviction.
     pub fn evict_idle_at(&self, idle: Duration, now: Instant) -> Vec<(u64, Arc<Mutex<W>>)> {
         let mut inner = self.inner.lock().expect("session table lock");
         let mut expired: Vec<(u64, u64)> = inner
             .sessions
             .iter()
-            .filter(|(_, e)| now.duration_since(e.last_active) > idle)
+            .filter(|(_, e)| {
+                now.duration_since(e.last_active) > idle && e.pending.load(Ordering::Acquire) == 0
+            })
             .map(|(id, e)| (e.touch_seq, *id))
             .collect();
         expired.sort_unstable();
@@ -222,5 +241,30 @@ mod tests {
         assert_eq!(table.len(), 1);
         assert!(table.writer(b).is_some());
         assert!(table.writer(a).is_none());
+    }
+
+    #[test]
+    fn frames_in_flight_keep_a_session_out_of_the_sweep() {
+        let table: SessionTable<u32> = SessionTable::new(8);
+        let base = Instant::now();
+        let (a, _) = table.open_at(1, base).unwrap();
+        let pending = table.pending(a).unwrap();
+        pending.fetch_add(1, Ordering::AcqRel);
+        let late = base + Duration::from_secs(10);
+        assert!(table.evict_idle_at(Duration::from_secs(1), late).is_empty());
+        pending.fetch_sub(1, Ordering::AcqRel);
+        let evicted = table.evict_idle_at(Duration::from_secs(1), late);
+        assert_eq!(evicted.len(), 1, "acked and still silent: now it is idle");
+    }
+
+    #[test]
+    fn an_answer_releases_the_frame_and_restarts_the_idle_clock() {
+        let table: SessionTable<u32> = SessionTable::new(8);
+        let (a, _) = table.open_at(1, Instant::now() - Duration::from_secs(10)).unwrap();
+        let pending = table.pending(a).unwrap();
+        pending.fetch_add(1, Ordering::AcqRel);
+        table.answered(a);
+        assert_eq!(pending.load(Ordering::Acquire), 0);
+        assert!(table.evict_idle(Duration::from_secs(1)).is_empty(), "just answered: not idle");
     }
 }

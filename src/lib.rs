@@ -45,6 +45,8 @@
 //! assert_eq!(names, ["if", "true", "then", "go", "else", "stop"]);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use cfg_baseline as baseline;
 pub use cfg_fpga as fpga;
 pub use cfg_grammar as grammar;

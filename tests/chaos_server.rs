@@ -19,7 +19,7 @@ use cfg_obs::json::Json;
 use cfg_obs::SharedRegistry;
 use cfg_obs_http::{http_get, Exporter, ServiceState};
 use cfg_server::frame::encode_events;
-use cfg_server::{Client, FaultPlan, IngestServer, IoModel, Reply, ServerConfig, TraceConfig};
+use cfg_server::{Client, FaultPlan, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use std::sync::Arc;
 use std::time::Duration;
@@ -244,104 +244,6 @@ fn server_survives_chaos_without_losing_acked_events() {
     // Queued poison frames may still panic between the scrape and the
     // shutdown, so the final report can only be >= the scraped value.
     assert!(report.shard.restarts >= restarts, "report lost restarts vs /metrics");
-}
-
-/// Run the seeded hostile fleet plus one clean retrying client against
-/// a fresh server under `io`, verify every ack byte-identical to the
-/// unfaulted local run, and return the clean client's acked event
-/// streams (wire encoding, in send order).
-fn run_fleet(io: IoModel) -> Vec<Vec<u8>> {
-    let tagger = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
-    let config = ServerConfig {
-        io_model: io,
-        shards: 2,
-        queue_depth: 2,
-        max_sessions: 32,
-        idle_timeout: Duration::from_secs(5),
-        panic_token: Some(PANIC_TOKEN.to_vec()),
-        backoff_base_ms: 50,
-        backoff_max_ms: 200,
-        ..ServerConfig::default()
-    };
-    let server = IngestServer::start(&tagger, "127.0.0.1:0", config).unwrap();
-    let addr = server.local_addr();
-    let expect = |payload: &[u8]| encode_events(&tagger.tag_fast(payload));
-
-    let corpus = corpus();
-    let messages: Vec<Vec<u8>> = (0..24).map(|i| corpus[i % corpus.len()].clone()).collect();
-
-    let mut handles = Vec::new();
-    for client_index in 0..8u64 {
-        let plan = if client_index < 6 { FaultPlan::hostile(SEED) } else { FaultPlan::calm(SEED) };
-        let msgs = messages.clone();
-        handles.push(std::thread::spawn(move || {
-            cfg_server::fault::run_client(addr, &plan, client_index, &msgs)
-        }));
-    }
-    let clean_msgs = messages.clone();
-    let clean = std::thread::spawn(move || {
-        let mut client = Client::connect(addr).unwrap();
-        let mut acked: Vec<(Vec<u8>, Vec<cfg_tagger::TagEvent>)> = Vec::new();
-        for m in &clean_msgs {
-            let mut attempts = 0;
-            loop {
-                match client.request(m).unwrap() {
-                    Reply::Acked { events, .. } => {
-                        acked.push((m.clone(), events));
-                        break;
-                    }
-                    Reply::Busy { .. } => {
-                        attempts += 1;
-                        assert!(attempts < 500, "server shed the same frame 500 times");
-                        std::thread::sleep(Duration::from_millis(10));
-                    }
-                    other => panic!("clean client got {other:?}"),
-                }
-            }
-        }
-        client.close().unwrap();
-        acked
-    });
-
-    for handle in handles {
-        let outcome = handle.join().unwrap().expect("faulty client transport");
-        for (seq, events) in &outcome.acked {
-            let (_, payload) = outcome
-                .sent
-                .iter()
-                .find(|(s, _)| s == seq)
-                .expect("ack for a frame that was never sent");
-            assert_eq!(
-                encode_events(events),
-                expect(payload),
-                "[{io:?}] acked events diverged from the unfaulted run (seq {seq})"
-            );
-        }
-    }
-
-    let clean_acked = clean.join().unwrap();
-    assert_eq!(
-        clean_acked.len(),
-        messages.len(),
-        "[{io:?}] clean client must get every message acked"
-    );
-    server.shutdown();
-    clean_acked.into_iter().map(|(_, events)| encode_events(&events)).collect()
-}
-
-#[test]
-fn chaos_acked_stream_identical_under_reactor() {
-    // The same seeded hostile fleet, served twice: once by the threaded
-    // io-model, once by the epoll reactor. Both runs verify every ack
-    // against the offline `tag_fast` ground truth inside `run_fleet`,
-    // and the clean client's acked event streams must come back
-    // byte-for-byte identical — the io-model is invisible in the data.
-    let threaded = run_fleet(IoModel::Threads);
-    let reactor = run_fleet(IoModel::Reactor);
-    assert_eq!(
-        threaded, reactor,
-        "reactor acked stream diverged from the threaded run under the same seed"
-    );
 }
 
 #[test]

@@ -30,7 +30,15 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
     const WINDOW: u32 = 64;
     let payload = b"if true then go else stop ".repeat(512); // ~13 KB
 
-    let t = tagger();
+    // §5.2 error recovery keeps every sentence of the payload live.
+    // Without it the stream dies after the first sentence, the
+    // dead-run skip tags each frame in microseconds, and the profiler
+    // has no engine time to sample.
+    let t = TokenTagger::compile(
+        &builtin::if_then_else(),
+        TaggerOptions::builder().error_recovery(true).build(),
+    )
+    .unwrap();
     let registry = Arc::new(SharedRegistry::new());
     let state = Arc::new(ServiceState::new());
     let config = ServerConfig {
