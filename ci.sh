@@ -6,25 +6,34 @@
 #   3. dead-code hygiene        -- no #[allow(dead_code)] in the obs crates
 #   4. tier-1 verify            -- release build + root-package tests
 #   5. exporter integration     -- cfg-obs-http socket-level scrape tests
-#   6. probe layer & scope      -- engine probe counters, scope CLI, and
-#                                  the serve->scope->trigger round trip
-#   7. bit-parallel kernel      -- bitset engine tests (dead-run skip
+#   6. ring & viewer            -- the EventRing under every telemetry
+#                                  ring, and the `cfgtag watch` loop
+#                                  (flags, retries, every view's frame)
+#   7. probe layer & scope      -- engine probe counters, trigger hub,
+#                                  the scope view, and the
+#                                  serve->scope->trigger round trip
+#   8. bit-parallel kernel      -- bitset engine tests (dead-run skip
 #                                  included), shard pool, and the
 #                                  three-engine agreement property
-#   8. ingest server            -- cfg-server unit + integration tests
+#   9. ingest server            -- cfg-server unit + integration tests
 #                                  (thread-per-connection serving, the
 #                                  slow-reader eviction included), the
 #                                  Engine trait suite, and the
 #                                  fault-injection chaos test
-#   9. span tracing & SLO       -- cfg-obs span/SLO suites, the slo CLI,
+#  10. span tracing & SLO       -- cfg-obs span/SLO suites, the slo view,
 #                                  and the end-to-end span_trace test
-#  10. saturation telemetry     -- utilization time series, sampling
-#                                  profiler, shards CLI, and the
+#  11. saturation telemetry     -- utilization time series, sampling
+#                                  profiler, shards view, and the
 #                                  end-to-end Little's-law test
-#  11. shadow audit             -- audit bank/ring suites, frame-codec
-#                                  chunking properties, audit CLI, and
-#                                  the end-to-end seeded-fault test
-#  12. full workspace tests     -- every crate's suites
+#  12. shadow audit             -- audit bank and evidence-window
+#                                  suites, frame-codec chunking
+#                                  properties, audit view, and the
+#                                  end-to-end seeded-fault test
+#  13. full workspace tests     -- every crate's suites
+#
+# Every step that filters tests by name runs through `filtered`, which
+# fails the step when the filter matched no test: a filter left behind
+# by a rename would otherwise pass silently.
 #
 # Then five NON-GATING steps: the observability-overhead bench (engine
 # path + traced/audited-server path), the engine-throughput bench
@@ -37,6 +46,23 @@
 
 set -euo pipefail
 cd "$(dirname "$0")"
+
+# `filtered ARGS...`: run `cargo test -q ARGS...` and fail unless the
+# summed "N passed" over its test binaries is above zero.
+filtered() {
+    local out passed
+    if ! out=$(cargo test -q "$@" 2>&1); then
+        echo "$out"
+        return 1
+    fi
+    echo "$out"
+    passed=$(echo "$out" | sed -n 's/^test result: ok\. \([0-9]*\) passed.*/\1/p' |
+        awk '{ n += $1 } END { print n + 0 }')
+    if [ "$passed" -eq 0 ]; then
+        echo "ci.sh: 'cargo test -q $*' ran no tests -- its filter matches nothing" >&2
+        return 1
+    fi
+}
 
 echo "==> cargo fmt --check"
 cargo fmt --check
@@ -57,42 +83,47 @@ cargo test -q
 echo "==> exporter integration: cargo test -q -p cfg-obs-http"
 cargo test -q -p cfg-obs-http
 
-echo "==> probe layer: cfg-obs probe/trigger, cfg-tagger probes, scope CLI"
-cargo test -q -p cfg-obs probe
-cargo test -q -p cfg-obs trigger
-cargo test -q -p cfg-tagger probes
-cargo test -q -p cfg-cli scope
+echo "==> ring & viewer: cfg-obs EventRing, cfgtag watch loop and poller"
+filtered -p cfg-obs ring
+filtered -p cfg-cli watch
+filtered -p cfg-cli poll
+
+echo "==> probe layer: cfg-obs probe/trigger, cfg-tagger probes, scope view"
+filtered -p cfg-obs probe
+filtered -p cfg-obs trigger
+filtered -p cfg-tagger probes
+filtered -p cfg-cli scope
 
 echo "==> circuit scope round trip: cargo test -q --test circuit_scope"
 cargo test -q --test circuit_scope
 
 echo "==> bit-parallel kernel: bitset tables/engine, dead-run skip, shard pool, engine agreement"
-cargo test -q -p cfg-tagger bitset
-cargo test -q -p cfg-tagger shard
-cargo test -q --test properties bitset_equals_scalar_and_gate
+filtered -p cfg-tagger bitset
+filtered -p cfg-tagger shard
+filtered --test properties bitset_equals_scalar_and_gate
 
 echo "==> ingest server: cfg-server suites, Engine trait, chaos test"
 cargo test -q -p cfg-server
-cargo test -q -p cfg-tagger engine
+filtered -p cfg-tagger engine
 cargo test -q --test chaos_server
 
-echo "==> span tracing & SLO: cfg-obs span/slo, slo CLI, end-to-end trace test"
-cargo test -q -p cfg-obs span
-cargo test -q -p cfg-obs slo
-cargo test -q -p cfg-cli slo
+echo "==> span tracing & SLO: cfg-obs span/slo, slo view, end-to-end trace test"
+filtered -p cfg-obs span
+filtered -p cfg-obs slo
+filtered -p cfg-cli slo
 cargo test -q --test span_trace
 
-echo "==> saturation telemetry: time series, profiler, shards CLI, end-to-end test"
-cargo test -q -p cfg-obs timeseries
-cargo test -q -p cfg-obs profile
-cargo test -q -p cfg-cli shards
+echo "==> saturation telemetry: time series, profiler, shards view, end-to-end test"
+filtered -p cfg-obs timeseries
+filtered -p cfg-obs profile
+filtered -p cfg-cli shards
 cargo test -q --test saturation
 
-echo "==> shadow audit: audit bank/ring, chunking properties, audit CLI, end-to-end test"
-cargo test -q -p cfg-obs audit
-cargo test -q -p cfg-server audit
-cargo test -q -p cfg-server chunking
-cargo test -q -p cfg-cli audit
+echo "==> shadow audit: audit bank and evidence window, chunking properties, audit view, end-to-end test"
+filtered -p cfg-obs audit
+filtered -p cfg-server audit
+filtered -p cfg-server chunking
+filtered -p cfg-cli audit
 cargo test -q --test shadow_audit
 
 echo "==> full workspace tests"

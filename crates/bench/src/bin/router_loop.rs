@@ -44,7 +44,7 @@ fn main() {
     let port = arg("--port", 0) as u16;
     let adversarial_pct = arg("--adversarial-pct", 10).min(100);
     // How long to keep serving /metrics after the workload finishes —
-    // lets a human (or `cfgtag top`) look at the final state.
+    // lets a human (or `cfgtag watch top`) look at the final state.
     let linger_ms = arg("--linger-ms", 0);
     let shards = arg("--shards", 4).max(1) as usize;
 

@@ -209,7 +209,7 @@ fn main() {
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
 
     // Scrape the SLO view while the server is still up — the same
-    // numbers an operator's `cfgtag slo` poll would see — and
+    // numbers an operator's `cfgtag watch slo` poll would see — and
     // cross-check against the tracker the server holds directly.
     let traced = server.slo_tracker().map(|tracker| {
         let live = http_get(&metrics_addr, "/slo.json").expect("scrape /slo.json");

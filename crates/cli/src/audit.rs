@@ -1,74 +1,15 @@
-//! `cfgtag audit` — a live correctness view over a shadow-auditing
+//! `cfgtag watch audit` — a correctness view over a shadow-auditing
 //! ingest server.
 //!
-//! Polls `/audit.json` on a `cfgtag serve --listen --audit-sample N`
-//! exporter and renders the audit lane's verdicts: live precision
-//! (fires the exact PDA parser confirmed), the per-token false
-//! positive table with rates per audited megabyte, the cross-engine
-//! divergence count, and the audit-queue shed ratio. The decode
-//! ([`parse_audit`]) and render ([`render`]) steps are pure; only
-//! [`main_io`] touches sockets.
+//! Decodes `/audit.json` from a `cfgtag serve --listen --audit-sample
+//! N` exporter ([`parse_audit`]) and renders the audit lane's verdicts
+//! ([`render`]): live precision (fires the exact PDA parser confirmed),
+//! the per-token false positive table with rates per audited megabyte,
+//! the cross-engine divergence count, and the audit-queue shed ratio.
 
-use crate::poll::{Fetch, Poller};
 use crate::CliError;
 use cfg_obs::json::Json;
 use std::fmt::Write as _;
-
-/// Parsed `audit` options.
-#[derive(Debug, Clone)]
-pub struct AuditFlags {
-    /// Poll interval in milliseconds.
-    pub interval_ms: u64,
-    /// Stop after this many polls (`None` = until interrupted).
-    pub iterations: Option<u64>,
-    /// Consecutive fetch failures tolerated (with backoff) before
-    /// giving up.
-    pub retries: u32,
-}
-
-impl Default for AuditFlags {
-    fn default() -> AuditFlags {
-        AuditFlags { interval_ms: 1000, iterations: None, retries: 3 }
-    }
-}
-
-impl AuditFlags {
-    /// Parse the `audit` argument tail: one `host:port` positional plus
-    /// flags in any position.
-    pub fn parse(args: &[String]) -> Result<(String, AuditFlags), CliError> {
-        let mut f = AuditFlags::default();
-        let mut addr: Option<String> = None;
-        let mut it = args.iter();
-        let num = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<u64, CliError> {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CliError::new(format!("{flag} needs a number"), 2))
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--interval-ms" => f.interval_ms = num(&mut it, "--interval-ms")?.max(1),
-                "--iterations" => f.iterations = Some(num(&mut it, "--iterations")?),
-                "--once" => f.iterations = Some(1),
-                "--retries" => f.retries = num(&mut it, "--retries")? as u32,
-                other if other.starts_with("--") => {
-                    return Err(CliError::new(format!("unknown audit flag {other}"), 2));
-                }
-                a => {
-                    if addr.replace(a.to_owned()).is_some() {
-                        return Err(CliError::new("audit takes exactly one host:port", 2));
-                    }
-                }
-            }
-        }
-        let addr = addr.ok_or_else(|| {
-            CliError::new(
-                "usage: cfgtag audit <host:port> [--interval-ms N] [--iterations N] [--once] [--retries N]",
-                2,
-            )
-        })?;
-        Ok((addr, f))
-    }
-}
 
 /// One decoded `/audit.json` sample.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -177,50 +118,9 @@ pub fn render(cur: &AuditSample) -> String {
     out
 }
 
-/// Process-level `cfgtag audit`: poll, clear screen, redraw, sleep.
-pub fn main_io(args: &[String]) -> i32 {
-    let (addr, flags) = match AuditFlags::parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cfgtag audit: {e}");
-            return e.code;
-        }
-    };
-    let mut polls = 0u64;
-    let mut poller = Poller::new("audit", &addr, flags.retries);
-    loop {
-        match poller.fetch("/audit.json") {
-            Fetch::Body(body) => match parse_audit(&body) {
-                Ok(cur) => {
-                    print!("\x1b[2J\x1b[H{}", render(&cur));
-                    use std::io::Write as _;
-                    let _ = std::io::stdout().flush();
-                }
-                Err(e) => {
-                    eprintln!("cfgtag audit: {e}");
-                    return e.code;
-                }
-            },
-            Fetch::Retrying => continue,
-            Fetch::GaveUp(code) => return code,
-        }
-        polls += 1;
-        if let Some(n) = flags.iterations {
-            if polls >= n {
-                return 0;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(flags.interval_ms));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
 
     /// An `/audit.json` body in the exact shape the bank renders.
     fn body(fires: u64, confirmed: u64, divergences: u64) -> String {
@@ -236,21 +136,6 @@ mod tests {
                 "null".into()
             },
         )
-    }
-
-    #[test]
-    fn flags_parse() {
-        let (addr, f) =
-            AuditFlags::parse(&argv(&["127.0.0.1:9100", "--interval-ms", "250", "--once"]))
-                .unwrap();
-        assert_eq!(addr, "127.0.0.1:9100");
-        assert_eq!(f.interval_ms, 250);
-        assert_eq!(f.iterations, Some(1));
-        assert_eq!(f.retries, 3);
-        assert_eq!(AuditFlags::parse(&argv(&[])).unwrap_err().code, 2);
-        assert_eq!(AuditFlags::parse(&argv(&["a", "b"])).unwrap_err().code, 2);
-        assert_eq!(AuditFlags::parse(&argv(&["a", "--retries"])).unwrap_err().code, 2);
-        assert_eq!(AuditFlags::parse(&argv(&["a", "--bogus"])).unwrap_err().code, 2);
     }
 
     #[test]

@@ -10,20 +10,21 @@
 //! cfgtag dot    <grammar.y>                      emit the circuit as Graphviz
 //! cfgtag report <grammar.y> [--scale N] [--json] LUT/timing report on both devices
 //! cfgtag serve  <grammar.y> [input] [opts]       long-running tagging + /metrics exporter
-//! cfgtag top    <host:port> [opts]               live terminal view over an exporter
-//! cfgtag scope  <host:port> [opts]               circuit-level probe view + triggered capture
-//! cfgtag slo    <host:port> [opts]               latency-objective dashboard + stage waterfall
-//! cfgtag shards <host:port> [opts]               pool-saturation view: utilization + queue depth
-//! cfgtag audit  <host:port> [opts]               live correctness view: precision + divergences
+//! cfgtag watch  <view> <host:port> [opts]        live terminal view over an exporter
 //! ```
+//!
+//! `watch` draws one of five views ([`watch`]): `top` (engine counters
+//! and hot tokens), `slo` (latency objective + stage waterfall),
+//! `shards` (pool saturation), `audit` (live precision + divergences)
+//! and `scope` (circuit probes, heat map, triggered capture).
 //!
 //! Options for `tag`: `--engine {bit,scalar,gate}` (which engine
 //! tags the stream; `--gate` is the legacy alias for `--engine gate`),
 //! `--always` (scan at every alignment), `--recover` (§5.2
 //! error recovery), `--no-context` (skip token duplication), `--stats`
 //! (counter/timing report after the events), `--trace-out PATH` (write
-//! the structured event trace as JSON lines), `--flight-out PATH`
-//! (post-mortem flight-recorder dump when the stream dies).
+//! the last 4096 trace events as JSON lines), `--flight-out PATH` (the
+//! same flight-ring dump, written only when the stream dies).
 //!
 //! `tag` always ends with a one-line summary (`N events, M bytes, R
 //! resyncs`) on **stderr** — stdout carries only the event stream, so
@@ -31,10 +32,11 @@
 //! with the machine dead and error recovery off: scriptable
 //! non-conformance detection.
 //!
-//! All commands except [`serve`], [`top`], [`scope`], [`slo`],
-//! [`shards`] and [`audit`] (which own sockets and wall clocks by
-//! nature) are plain functions over in-memory inputs so they are
-//! unit-testable without process spawning.
+//! All commands except [`serve`] and [`watch`] (which own sockets and
+//! wall clocks by nature) are plain functions over in-memory inputs so
+//! they are unit-testable without process spawning; `watch` writes to
+//! the writers it is given, so its loop is tested against in-process
+//! servers.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -46,6 +48,7 @@ pub mod serve;
 pub mod shards;
 pub mod slo;
 pub mod top;
+pub mod watch;
 
 use cfg_fpga::Device;
 use cfg_grammar::Grammar;
@@ -131,10 +134,10 @@ pub struct TagFlags {
     pub no_context: bool,
     /// Append the counter/timing report after the events.
     pub stats: bool,
-    /// Write the structured event trace (JSON lines) to this path.
+    /// Write the flight ring (JSON lines) to this path.
     pub trace_out: Option<String>,
-    /// Write a flight-recorder dump (JSON lines) to this path when the
-    /// stream ends dead.
+    /// Write the flight ring (JSON lines) to this path when the stream
+    /// ends dead.
     pub flight_out: Option<String>,
 }
 
@@ -223,17 +226,18 @@ pub fn cmd_check(grammar_text: &str) -> Result<String, CliError> {
 /// Always attaches a [`StatsSink`] (process startup dwarfs its cost) so
 /// the trailing summary line — `N events, M bytes, R resyncs`, emitted
 /// on stderr so stdout stays pipeable — is available on every run.
-/// `--stats` renders the full counter/fire/compile report;
-/// `--trace-out PATH` returns the JSONL trace via [`CliOutput::files`];
-/// `--flight-out PATH` additionally records into a [`FlightRecorder`]
-/// and returns its post-mortem dump when the stream ends dead. When the
-/// stream ends with the machine dead and error recovery off, the exit
-/// code is 3.
+/// `--stats` renders the full counter/fire/compile report. Either of
+/// `--trace-out PATH` and `--flight-out PATH` records trace events into
+/// one [`FlightRecorder`] (the last [`cfg_obs::DEFAULT_FLIGHT_CAPACITY`]
+/// events); `--trace-out` returns its dump via [`CliOutput::files`],
+/// `--flight-out` only when the stream ends dead. When the stream ends
+/// with the machine dead and error recovery off, the exit code is 3.
 pub fn cmd_tag(grammar_text: &str, input: &[u8], flags: &TagFlags) -> Result<CliOutput, CliError> {
     let g = load_grammar(grammar_text)?;
     let tagger = TokenTagger::compile(&g, flags.options()).map_err(CliError::from)?;
     let sink = Arc::new(StatsSink::with_tokens(tagger.grammar().tokens().len()));
-    let flight = flags.flight_out.as_ref().map(|_| Arc::new(FlightRecorder::default()));
+    let traced = flags.trace_out.is_some() || flags.flight_out.is_some();
+    let flight = traced.then(|| Arc::new(FlightRecorder::default()));
     let metrics = match &flight {
         Some(fr) => Metrics::new(Arc::new(TeeSink::new(vec![
             sink.clone() as Arc<dyn MetricsSink>,
@@ -284,12 +288,8 @@ pub fn cmd_tag(grammar_text: &str, input: &[u8], flags: &TagFlags) -> Result<Cli
         let _ = write!(out, "{}", tagger.report());
     }
     let mut files = Vec::new();
-    if let Some(path) = &flags.trace_out {
-        let mut jsonl = sink.trace_jsonl();
-        if !jsonl.is_empty() && !jsonl.ends_with('\n') {
-            jsonl.push('\n');
-        }
-        files.push((path.clone(), jsonl));
+    if let (Some(fr), Some(path)) = (&flight, &flags.trace_out) {
+        files.push((path.clone(), fr.dump_jsonl()));
     }
     let mut stderr = String::new();
     let _ = writeln!(
@@ -443,35 +443,22 @@ pub fn run(
     args: &[String],
     read_input: impl Fn(&str) -> Result<Vec<u8>, std::io::Error>,
 ) -> Result<CliOutput, CliError> {
-    let usage =
-        "usage: cfgtag <check|tag|parse|vhdl|dot|report|serve|top|scope|slo|shards|audit> <grammar-file> [args]\n\
+    let usage = "usage: cfgtag <check|tag|parse|vhdl|dot|report|serve> <grammar-file> [args]\n\
+                 \x20      cfgtag watch <top|slo|shards|audit|scope> <host:port> [args]\n\
                  see crate docs for per-command options";
     let cmd = args.first().ok_or_else(|| CliError::new(usage, 2))?;
-    // `serve`, `top`, `scope`, `slo`, `shards` and `audit` own sockets,
-    // clocks and process lifetime, so they live outside this pure
-    // dispatcher; the binary intercepts them before calling `run` (see
-    // the `main_io` in `serve`, `top`, `scope`, `slo`, `shards`,
-    // `audit`).
-    if cmd == "serve"
-        || cmd == "top"
-        || cmd == "scope"
-        || cmd == "slo"
-        || cmd == "shards"
-        || cmd == "audit"
-    {
-        return Err(CliError::new(
-            format!("{cmd} is handled by the cfgtag binary, not cfg_cli::run"),
-            2,
-        ));
-    }
-    let grammar_path = args.get(1).ok_or_else(|| CliError::new(usage, 2))?;
-    let grammar_text = read_input(grammar_path)
-        .map_err(|e| CliError::new(format!("cannot read {grammar_path}: {e}"), 1))?;
-    let grammar_text = String::from_utf8_lossy(&grammar_text).into_owned();
-
+    // Each command reads its grammar file itself, so an unknown command
+    // is refused before its argument is read as one.
+    let grammar = || -> Result<String, CliError> {
+        let path = args.get(1).ok_or_else(|| CliError::new(usage, 2))?;
+        let text =
+            read_input(path).map_err(|e| CliError::new(format!("cannot read {path}: {e}"), 1))?;
+        Ok(String::from_utf8_lossy(&text).into_owned())
+    };
     match cmd.as_str() {
-        "check" => cmd_check(&grammar_text).map(CliOutput::from),
+        "check" => cmd_check(&grammar()?).map(CliOutput::from),
         "tag" => {
+            let grammar_text = grammar()?;
             let (flags, input_path) = TagFlags::parse(&args[2..])?;
             let input = match input_path.as_deref() {
                 Some(path) => read_input(path)
@@ -482,6 +469,7 @@ pub fn run(
             cmd_tag(&grammar_text, &input, &flags)
         }
         "parse" => {
+            let grammar_text = grammar()?;
             let input = match args.get(2) {
                 Some(path) => read_input(path)
                     .map_err(|e| CliError::new(format!("cannot read {path}: {e}"), 1))?,
@@ -490,10 +478,11 @@ pub fn run(
             };
             cmd_parse(&grammar_text, &input).map(CliOutput::from)
         }
-        "vhdl" => cmd_vhdl(&grammar_text, args.get(2).map(String::as_str).unwrap_or("tagger"))
+        "vhdl" => cmd_vhdl(&grammar()?, args.get(2).map(String::as_str).unwrap_or("tagger"))
             .map(CliOutput::from),
-        "dot" => cmd_dot(&grammar_text).map(CliOutput::from),
+        "dot" => cmd_dot(&grammar()?).map(CliOutput::from),
         "report" => {
+            let grammar_text = grammar()?;
             let mut scale = 1usize;
             let mut json = false;
             let mut it = args[2..].iter();
@@ -513,6 +502,14 @@ pub fn run(
             }
             cmd_report(&grammar_text, scale, json).map(CliOutput::from)
         }
+        // `serve` and `watch` own sockets, clocks and process lifetime,
+        // so they live outside this pure dispatcher; the binary
+        // intercepts them before calling `run` (see `serve::main_io`
+        // and `watch::run`).
+        "serve" | "watch" => Err(CliError::new(
+            format!("{cmd} is handled by the cfgtag binary, not cfg_cli::run"),
+            2,
+        )),
         other => Err(CliError::new(format!("unknown command {other}\n{usage}"), 2)),
     }
 }
@@ -611,7 +608,21 @@ mod tests {
         .unwrap();
         assert_eq!(out.files.len(), 1);
         assert_eq!(out.files[0].0, "t.jsonl");
-        assert!(out.files[0].1.contains("\"kind\":\"token_fire\""));
+        assert!(out.files[0].1.starts_with("{\"seq\":0,\"kind\":\"token_fire\""));
+        // The trace keeps the flight ring's depth: the newest 4096
+        // events, in the same lines `--flight-out` writes.
+        let long = "go ".repeat(5000);
+        let flags = TagFlags {
+            recover: true,
+            trace_out: Some("t.jsonl".into()),
+            flight_out: Some("f.jsonl".into()),
+            ..Default::default()
+        };
+        let out = cmd_tag("%%\ns: \"go\";\n%%\n", long.as_bytes(), &flags).unwrap();
+        let trace = &out.files[0].1;
+        assert_eq!(trace.lines().count(), cfg_obs::DEFAULT_FLIGHT_CAPACITY);
+        assert!(trace.ends_with('\n'));
+        assert!(!trace.starts_with("{\"seq\":0,"), "oldest events are evicted");
     }
 
     #[test]
@@ -758,14 +769,20 @@ mod tests {
         assert_eq!(traced.files.len(), 1);
 
         assert_eq!(run(&argv(&[]), read).unwrap_err().code, 2);
-        assert_eq!(run(&argv(&["bogus", "g"]), read).unwrap_err().code, 2);
-        // serve/top/scope/slo are binary-level commands; the pure
-        // dispatcher refuses them with a pointer rather than "unknown
-        // command".
-        for cmd in ["serve", "top", "scope", "slo", "shards", "audit"] {
+        // serve and watch are binary-level commands; the pure dispatcher
+        // refuses them with a pointer rather than "unknown command".
+        for cmd in ["serve", "watch"] {
             let e = run(&argv(&[cmd, "g"]), read).unwrap_err();
             assert_eq!(e.code, 2);
             assert!(e.to_string().contains("cfgtag binary"));
+        }
+        // An unknown command (the retired live views included) is a
+        // usage error before its argument is read as a grammar file.
+        for cmd in ["bogus", "top", "slo", "shards", "audit", "scope"] {
+            let e = run(&argv(&[cmd, "127.0.0.1:9123"]), read).unwrap_err();
+            assert_eq!(e.code, 2, "{cmd}");
+            assert!(e.to_string().contains(&format!("unknown command {cmd}")), "{e}");
+            assert!(e.to_string().contains("cfgtag watch <top|slo|shards|audit|scope>"), "{e}");
         }
         assert_eq!(run(&argv(&["check", "missing"]), read).unwrap_err().code, 1);
         assert_eq!(run(&argv(&["tag", "g", "--frobnicate"]), read).unwrap_err().code, 2);

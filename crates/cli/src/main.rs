@@ -1,7 +1,6 @@
 //! `cfgtag` binary entry point: thin shell over [`cfg_cli::run`], plus
-//! the long-running modes (`serve`, `top`, `scope`, `slo`, `shards`,
-//! `audit`) that own sockets and the process lifetime and so bypass
-//! the pure dispatcher.
+//! the long-running modes (`serve` and `watch`) that own sockets and
+//! the process lifetime and so bypass the pure dispatcher.
 
 #![forbid(unsafe_code)]
 
@@ -11,11 +10,11 @@ fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
         Some("serve") => std::process::exit(cfg_cli::serve::main_io(&args[1..])),
-        Some("top") => std::process::exit(cfg_cli::top::main_io(&args[1..])),
-        Some("scope") => std::process::exit(cfg_cli::scope::main_io(&args[1..])),
-        Some("slo") => std::process::exit(cfg_cli::slo::main_io(&args[1..])),
-        Some("shards") => std::process::exit(cfg_cli::shards::main_io(&args[1..])),
-        Some("audit") => std::process::exit(cfg_cli::audit::main_io(&args[1..])),
+        Some("watch") => std::process::exit(cfg_cli::watch::run(
+            &args[1..],
+            &mut std::io::stdout(),
+            &mut std::io::stderr(),
+        )),
         _ => {}
     }
     let read_input = |path: &str| -> Result<Vec<u8>, std::io::Error> {

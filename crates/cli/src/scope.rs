@@ -1,109 +1,23 @@
-//! `cfgtag scope` — circuit-level introspection over a running exporter.
+//! `cfgtag watch scope` — circuit-level introspection over a running
+//! exporter.
 //!
-//! Where `cfgtag top` watches engine-level counters, `scope` watches the
-//! *circuit*: it fetches the named topology once (`/circuit.json`),
-//! polls live per-element activity (`/probes.json`), and renders the
-//! top-K hot elements plus FOLLOW-edge activity — a terminal logic
-//! analyzer over the synthesized tagger. `--dot-out` additionally
-//! writes a heat-annotated Graphviz graph of the grammar circuit
-//! (token pipelines as nodes, FOLLOW enables as edges, activity as a
-//! white→red ramp), and `--trigger` arms an ILA-style capture on the
-//! serve side and dumps the pre/post trace window as JSON lines when it
-//! fires.
-//!
-//! Decode ([`parse_circuit`], [`parse_probes`]) and render
-//! ([`render_scope`], [`render_heat_dot`]) are pure; only [`main_io`]
-//! touches sockets and clocks.
+//! Where `watch top` shows engine-level counters, `scope` shows the
+//! *circuit*: the named topology fetched once (`/circuit.json`,
+//! [`parse_circuit`]) and live per-element activity (`/probes.json`,
+//! [`parse_probes`]), rendered as the top-K hot elements plus
+//! FOLLOW-edge activity ([`render_scope`]) — a terminal logic analyzer
+//! over the synthesized tagger. `--dot-out` additionally writes a
+//! heat-annotated Graphviz graph of the grammar circuit
+//! ([`render_heat_dot`]: token pipelines as nodes, FOLLOW enables as
+//! edges, activity as a white→red ramp), and `--trigger` arms an
+//! ILA-style capture on the serve side ([`arm`]) and dumps the pre/post
+//! trace window as JSON lines when it fires ([`capture`]).
 
-use crate::poll::backoff_ms;
+use crate::poll::{Miss, Poller};
 use crate::CliError;
 use cfg_netlist::heat_color;
 use cfg_obs::json::Json;
 use std::fmt::Write as _;
-
-/// Parsed `scope` options.
-#[derive(Debug, Clone)]
-pub struct ScopeFlags {
-    /// Poll interval in milliseconds.
-    pub interval_ms: u64,
-    /// Stop after this many polls (`None` = until interrupted).
-    pub iterations: Option<u64>,
-    /// How many hot-element rows to show.
-    pub top_k: usize,
-    /// Write the heat-annotated DOT graph here on every poll.
-    pub dot_out: Option<String>,
-    /// Arm this trigger condition before polling
-    /// (`token:<name>`, `edge:<from>-><to>`, `dead`).
-    pub trigger: Option<String>,
-    /// Trigger pre-window (trace events before the trigger).
-    pub pre: usize,
-    /// Trigger post-window (trace events after the trigger).
-    pub post: usize,
-    /// Consecutive fetch failures tolerated (with backoff).
-    pub retries: u32,
-}
-
-impl Default for ScopeFlags {
-    fn default() -> ScopeFlags {
-        ScopeFlags {
-            interval_ms: 1000,
-            iterations: None,
-            top_k: 10,
-            dot_out: None,
-            trigger: None,
-            pre: 32,
-            post: 32,
-            retries: 3,
-        }
-    }
-}
-
-impl ScopeFlags {
-    /// Parse the `scope` argument tail: one `host:port` positional plus
-    /// flags in any position.
-    pub fn parse(args: &[String]) -> Result<(String, ScopeFlags), CliError> {
-        let mut f = ScopeFlags::default();
-        let mut addr: Option<String> = None;
-        let mut it = args.iter();
-        let num = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<u64, CliError> {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CliError::new(format!("{flag} needs a number"), 2))
-        };
-        let text = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<String, CliError> {
-            it.next().cloned().ok_or_else(|| CliError::new(format!("{flag} needs a value"), 2))
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--interval-ms" => f.interval_ms = num(&mut it, "--interval-ms")?.max(1),
-                "--iterations" => f.iterations = Some(num(&mut it, "--iterations")?),
-                "--once" => f.iterations = Some(1),
-                "--top" => f.top_k = num(&mut it, "--top")? as usize,
-                "--dot-out" => f.dot_out = Some(text(&mut it, "--dot-out")?),
-                "--trigger" => f.trigger = Some(text(&mut it, "--trigger")?),
-                "--pre" => f.pre = num(&mut it, "--pre")? as usize,
-                "--post" => f.post = num(&mut it, "--post")? as usize,
-                "--retries" => f.retries = num(&mut it, "--retries")? as u32,
-                other if other.starts_with("--") => {
-                    return Err(CliError::new(format!("unknown scope flag {other}"), 2));
-                }
-                a => {
-                    if addr.replace(a.to_owned()).is_some() {
-                        return Err(CliError::new("scope takes exactly one host:port", 2));
-                    }
-                }
-            }
-        }
-        let addr = addr.ok_or_else(|| {
-            CliError::new(
-                "usage: cfgtag scope <host:port> [--once] [--interval-ms N] [--iterations N] \
-                 [--top K] [--dot-out PATH] [--trigger COND] [--pre N] [--post N] [--retries N]",
-                2,
-            )
-        })?;
-        Ok((addr, f))
-    }
-}
 
 /// One decoded `/circuit.json` topology, client side.
 #[derive(Debug, Clone, Default)]
@@ -184,7 +98,9 @@ fn count_of(probes: &[(String, u64)], id: &str) -> u64 {
 }
 
 /// Render one `scope` frame: topology summary, top-K hot elements with
-/// rates (vs `prev` over `dt_secs`), and active FOLLOW edges.
+/// rates (vs `prev` over `dt_secs`), and active FOLLOW edges — plus a
+/// warning when the probes no longer match the circuit (serve
+/// restarted with another grammar).
 pub fn render_scope(
     circuit: &CircuitView,
     probes: &[(String, u64)],
@@ -238,6 +154,12 @@ pub fn render_scope(
     if !edge_rows.is_empty() {
         let _ = writeln!(out, "{:<32} {:>14} {:>14}", "FOLLOW edge", "pulses", "rate/s");
         out.push_str(&edge_rows);
+    }
+    if !probes.iter().map(|(id, _)| id).eq(circuit.probe_ids().iter()) {
+        let _ = writeln!(
+            out,
+            "warning: /probes.json ids diverge from /circuit.json (serve restarted?)"
+        );
     }
     out
 }
@@ -319,181 +241,27 @@ fn query_encode(s: &str) -> String {
     out
 }
 
-/// Process-level `cfgtag scope`: arm, poll, render, dump.
-pub fn main_io(args: &[String]) -> i32 {
-    let (addr, flags) = match ScopeFlags::parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cfgtag scope: {e}");
-            return e.code;
-        }
-    };
-    let fetch = |path: &str| cfg_obs_http::http_get_status(&addr, path);
-    // Retry the first circuit fetch with backoff: scope is often
-    // started in the same breath as serve.
-    let mut circuit: Option<CircuitView> = None;
-    let mut failures = 0u32;
-    while circuit.is_none() {
-        match fetch("/circuit.json") {
-            Ok((200, body)) => match parse_circuit(&body) {
-                Ok(c) => circuit = Some(c),
-                Err(e) => {
-                    eprintln!("cfgtag scope: {e}");
-                    return e.code;
-                }
-            },
-            Ok((status, body)) => {
-                eprintln!("cfgtag scope: /circuit.json answered {status}: {}", body.trim());
-                return 1;
-            }
-            Err(e) => {
-                failures += 1;
-                if failures > flags.retries {
-                    eprintln!("cfgtag scope: cannot fetch http://{addr}/circuit.json: {e}");
-                    eprintln!(
-                        "cfgtag scope: giving up after {failures} attempts — is `cfgtag serve` running on {addr}?"
-                    );
-                    return 1;
-                }
-                let wait = backoff_ms(failures);
-                eprintln!(
-                    "cfgtag scope: {addr} not responding ({e}); retry {failures}/{} in {wait} ms",
-                    flags.retries
-                );
-                std::thread::sleep(std::time::Duration::from_millis(wait));
-            }
-        }
-    }
-    let circuit = circuit.expect("loop exits with a circuit");
+/// Arm a trigger on the serve side (`cond` is `token:<name>`,
+/// `edge:<from>-><to>` or `dead`) and return a note naming the window
+/// the server armed, which it clamps to its flight ring.
+pub fn arm(poller: &mut Poller, cond: &str, pre: usize, post: usize) -> Result<String, Miss> {
+    let reply =
+        poller.get(&format!("/trigger?cond={}&pre={pre}&post={post}", query_encode(cond)))?;
+    let v = Json::parse(&reply).map_err(|e| CliError::new(format!("bad trigger reply: {e}"), 1))?;
+    let side = |key: &str| v.get(key).and_then(Json::as_u64).unwrap_or(0);
+    Ok(format!("armed trigger {cond} (pre={}, post={})", side("pre"), side("post")))
+}
 
-    if let Some(cond) = &flags.trigger {
-        let path =
-            format!("/trigger?cond={}&pre={}&post={}", query_encode(cond), flags.pre, flags.post);
-        match fetch(&path) {
-            Ok((200, _)) => {
-                eprintln!(
-                    "cfgtag scope: armed trigger {cond} (pre={}, post={})",
-                    flags.pre, flags.post
-                );
-            }
-            Ok((status, body)) => {
-                eprintln!("cfgtag scope: cannot arm trigger ({status}): {}", body.trim());
-                return 1;
-            }
-            Err(e) => {
-                eprintln!("cfgtag scope: cannot arm trigger: {e}");
-                return 1;
-            }
-        }
-    }
-
-    let mut prev: Option<Vec<(String, u64)>> = None;
-    let mut polls = 0u64;
-    let dt = flags.interval_ms as f64 / 1000.0;
-    failures = 0;
-    loop {
-        match fetch("/probes.json") {
-            Ok((200, body)) => {
-                let probes = match parse_probes(&body) {
-                    Ok(p) => p,
-                    Err(e) => {
-                        eprintln!("cfgtag scope: {e}");
-                        return e.code;
-                    }
-                };
-                failures = 0;
-                let ids: Vec<String> = probes.iter().map(|(id, _)| id.clone()).collect();
-                if ids != circuit.probe_ids() {
-                    eprintln!(
-                        "cfgtag scope: warning: /probes.json ids diverge from /circuit.json (serve restarted?)"
-                    );
-                }
-                // With a trigger armed, stdout is reserved for the
-                // capture JSONL (so `> window.jsonl` stays clean) and
-                // the live frames go to stderr instead.
-                let frame = format!(
-                    "\x1b[2J\x1b[H{}",
-                    render_scope(&circuit, &probes, prev.as_deref(), dt, flags.top_k)
-                );
-                use std::io::Write as _;
-                if flags.trigger.is_some() {
-                    eprint!("{frame}");
-                    let _ = std::io::stderr().flush();
-                } else {
-                    print!("{frame}");
-                    let _ = std::io::stdout().flush();
-                }
-                if let Some(path) = &flags.dot_out {
-                    if let Err(e) = std::fs::write(path, render_heat_dot(&circuit, &probes)) {
-                        eprintln!("cfgtag scope: cannot write {path}: {e}");
-                        return 1;
-                    }
-                }
-                prev = Some(probes);
-            }
-            Ok((status, body)) => {
-                eprintln!("cfgtag scope: /probes.json answered {status}: {}", body.trim());
-                return 1;
-            }
-            Err(e) => {
-                failures += 1;
-                if failures > flags.retries {
-                    eprintln!("cfgtag scope: cannot fetch http://{addr}/probes.json: {e}");
-                    eprintln!(
-                        "cfgtag scope: giving up after {failures} attempts — is `cfgtag serve` still running on {addr}?"
-                    );
-                    return 1;
-                }
-                let wait = backoff_ms(failures);
-                eprintln!(
-                    "cfgtag scope: {addr} not responding ({e}); retry {failures}/{} in {wait} ms",
-                    flags.retries
-                );
-                std::thread::sleep(std::time::Duration::from_millis(wait));
-                continue;
-            }
-        }
-
-        // A fired trigger dumps its window to stdout and ends the
-        // session — the capture is the deliverable.
-        if flags.trigger.is_some() {
-            if let Ok((200, jsonl)) = fetch("/capture.jsonl") {
-                eprintln!("cfgtag scope: trigger fired; {} events captured", jsonl.lines().count());
-                print!("{jsonl}");
-                return 0;
-            }
-        }
-
-        polls += 1;
-        if let Some(n) = flags.iterations {
-            if polls >= n {
-                // Out of polls with the trigger still pending: force the
-                // partial window out rather than discarding it.
-                if flags.trigger.is_some() {
-                    if let Ok((200, jsonl)) = fetch("/capture.jsonl?flush=1") {
-                        eprintln!(
-                            "cfgtag scope: flushing partial capture ({} events)",
-                            jsonl.lines().count()
-                        );
-                        print!("{jsonl}");
-                    } else {
-                        eprintln!("cfgtag scope: trigger never fired");
-                    }
-                }
-                return 0;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(flags.interval_ms));
-    }
+/// The armed trigger's capture as JSON lines once it has fired and
+/// filled its post window; `flush` forces out a partial post window.
+/// `None` while the trigger has not fired.
+pub fn capture(poller: &Poller, flush: bool) -> Option<String> {
+    poller.get_if_ok(if flush { "/capture.jsonl?flush=1" } else { "/capture.jsonl" })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
 
     const CIRCUIT: &str = concat!(
         "{\"decoders\":[{\"probe\":\"dec/i\",\"class\":\"i\",\"net\":3}],",
@@ -515,37 +283,6 @@ mod tests {
             ("tok/go/stage1".into(), 5),
             ("follow/if->go".into(), edge),
         ]
-    }
-
-    #[test]
-    fn flags_parse() {
-        let (addr, f) = ScopeFlags::parse(&argv(&[
-            "127.0.0.1:9100",
-            "--once",
-            "--top",
-            "5",
-            "--dot-out",
-            "heat.dot",
-            "--trigger",
-            "token:go",
-            "--pre",
-            "8",
-            "--post",
-            "4",
-            "--retries",
-            "2",
-        ]))
-        .unwrap();
-        assert_eq!(addr, "127.0.0.1:9100");
-        assert_eq!(f.iterations, Some(1));
-        assert_eq!(f.top_k, 5);
-        assert_eq!(f.dot_out.as_deref(), Some("heat.dot"));
-        assert_eq!(f.trigger.as_deref(), Some("token:go"));
-        assert_eq!((f.pre, f.post, f.retries), (8, 4, 2));
-        assert_eq!(ScopeFlags::parse(&argv(&[])).unwrap_err().code, 2);
-        assert_eq!(ScopeFlags::parse(&argv(&["a", "b"])).unwrap_err().code, 2);
-        assert_eq!(ScopeFlags::parse(&argv(&["a", "--trigger"])).unwrap_err().code, 2);
-        assert_eq!(ScopeFlags::parse(&argv(&["a", "--bogus"])).unwrap_err().code, 2);
     }
 
     #[test]
@@ -584,6 +321,10 @@ mod tests {
         // First frame: no prev, rates fall back to totals/dt.
         let first = render_scope(&c, &t0, None, 1.0, 8);
         assert!(first.contains("if -> go"));
+        assert!(!first.contains("warning"), "{first}");
+        // Probes from another circuit (serve restarted) are flagged.
+        let stale = render_scope(&c, &t0[1..], None, 1.0, 8);
+        assert!(stale.contains("warning: /probes.json ids diverge"), "{stale}");
     }
 
     #[test]

@@ -3,15 +3,15 @@
 //! Compiles a grammar, then feeds an input stream through the fast
 //! engine in chunks while a `cfg-obs-http` [`Exporter`] serves
 //! `/metrics`, `/healthz`, `/readyz` and `/report.json` from a shared
-//! [`SharedRegistry`] snapshot — scrapeable mid-stream, no pauses. A
-//! [`FlightRecorder`] can ride along (`--flight-out`) and is dumped
-//! post-mortem when the stream dies or ends.
+//! [`SharedRegistry`] snapshot — scrapeable mid-stream, no pauses.
 //!
 //! The probe layer rides along too: the compiled tagger's
 //! [`cfg_tagger::TaggerProbes`] bank backs `/circuit.json` and
 //! `/probes.json`, and a [`TriggerHub`] teed into the engine's metrics
-//! handle backs `/trigger` + `/capture.jsonl` — `cfgtag scope` is the
-//! terminal client for all four.
+//! handle backs `/trigger` + `/capture.jsonl` — `cfgtag watch scope` is
+//! the terminal client for all four. The hub records every trace event
+//! into one [`FlightRecorder`] ring, the same ring `--flight-out` dumps
+//! when the stream dies or ends.
 //!
 //! The streaming core ([`run_serve`]) takes any `Read` plus a status
 //! callback, so tests drive it with in-memory readers and capture the
@@ -21,7 +21,6 @@
 use crate::{load_grammar, CliError};
 use cfg_obs::{
     FlightRecorder, Metrics, MetricsSink, SharedRegistry, Stat, StatsSink, TeeSink, TriggerHub,
-    DEFAULT_FLIGHT_CAPACITY,
 };
 use cfg_obs_http::{Exporter, ServiceState};
 use cfg_server::{
@@ -45,8 +44,6 @@ pub struct ServeFlags {
     pub loops: u64,
     /// Write the flight-recorder dump here when the stream dies/ends.
     pub flight_out: Option<String>,
-    /// Flight-recorder ring capacity in events.
-    pub flight_capacity: usize,
     /// Feed chunk size in bytes.
     pub chunk: usize,
     /// Stop after roughly this many bytes (benchmarks and tests).
@@ -90,7 +87,6 @@ impl Default for ServeFlags {
             always: false,
             loops: 1,
             flight_out: None,
-            flight_capacity: DEFAULT_FLIGHT_CAPACITY,
             chunk: 64 * 1024,
             max_bytes: None,
             shards: 1,
@@ -130,9 +126,6 @@ impl ServeFlags {
                     let path =
                         it.next().ok_or_else(|| CliError::new("--flight-out needs a path", 2))?;
                     f.flight_out = Some(path.clone());
-                }
-                "--flight-capacity" => {
-                    f.flight_capacity = num(&mut it, "--flight-capacity")? as usize;
                 }
                 "--chunk" => f.chunk = (num(&mut it, "--chunk")? as usize).max(1),
                 "--max-bytes" => f.max_bytes = Some(num(&mut it, "--max-bytes")?),
@@ -259,18 +252,16 @@ pub fn run_serve(
     let token_names: Vec<String> =
         tagger.grammar().tokens().iter().map(|t| t.name.clone()).collect();
     let sink = Arc::new(StatsSink::with_tokens(tagger.grammar().tokens().len()));
-    let flight =
-        flags.flight_out.as_ref().map(|_| Arc::new(FlightRecorder::new(flags.flight_capacity)));
-    // The trigger hub listens on the same trace stream as the stats
-    // sink, so an armed `/trigger` sees every token_fire / follow_edge
-    // / dead_entry event the engine emits.
-    let hub = Arc::new(TriggerHub::new(token_names.clone()));
-    let mut sinks: Vec<Arc<dyn MetricsSink>> =
-        vec![sink.clone(), hub.clone() as Arc<dyn MetricsSink>];
-    if let Some(fr) = &flight {
-        sinks.push(fr.clone());
-    }
-    let metrics = Metrics::new(Arc::new(TeeSink::new(sinks)));
+    // Each trace event is kept once: the trigger hub records it into the
+    // flight ring, so an armed `/trigger` sees every token_fire /
+    // follow_edge / dead_entry event the engine emits and `--flight-out`
+    // dumps the same ring.
+    let flight = Arc::new(FlightRecorder::default());
+    let hub = Arc::new(TriggerHub::new(token_names.clone(), Arc::clone(&flight)));
+    let metrics = Metrics::new(Arc::new(TeeSink::new(vec![
+        sink.clone() as Arc<dyn MetricsSink>,
+        hub.clone() as Arc<dyn MetricsSink>,
+    ])));
     let probes = tagger.probes();
 
     let registry = Arc::new(SharedRegistry::new());
@@ -305,7 +296,7 @@ pub fn run_serve(
     // Sharded mode: treat the stream as line-delimited messages and fan
     // them out over a worker pool, each shard tagging with its own
     // engine and sink (merged by the registry, so `/metrics` and
-    // `cfgtag top` see the fused totals). The flight recorder, probe
+    // `cfgtag watch top` see the fused totals). The flight recorder, probe
     // bank and trigger hub stay idle here — they instrument the single
     // shared engine, which sharded mode never runs.
     if flags.shards > 1 {
@@ -392,13 +383,10 @@ pub fn run_serve(
     }
     let resyncs = sink.get(Stat::Resyncs);
     status(&format!("{events} events, {bytes} bytes, {resyncs} resyncs"));
-    let flight_dump = match (&flight, &flags.flight_out) {
-        (Some(fr), Some(path)) => {
-            status(&format!("flight recorder: {} events -> {path}", fr.len()));
-            Some((path.clone(), fr.dump_jsonl()))
-        }
-        _ => None,
-    };
+    let flight_dump = flags.flight_out.as_ref().map(|path| {
+        status(&format!("flight recorder: {} events -> {path}", flight.len()));
+        (path.clone(), flight.dump_jsonl())
+    });
     exporter.stop();
     Ok(ServeOutcome { code, bytes, events, resyncs, flight_dump })
 }
@@ -497,7 +485,7 @@ pub fn main_io(args: &[String]) -> i32 {
     let Some(grammar_path) = positional.first() else {
         eprintln!(
             "usage: cfgtag serve <grammar.y> [input] [--port N] [--loop N] [--recover] [--always] \
-             [--chunk N] [--max-bytes N] [--shards N] [--flight-out PATH] [--flight-capacity N]\n\
+             [--chunk N] [--max-bytes N] [--shards N] [--flight-out PATH]\n\
              \x20      cfgtag serve <grammar.y> --listen ADDR [--engine bit|scalar|gate] \
              [--max-sessions N] [--idle-timeout-ms N] \
              [--queue-depth N] [--panic-token S] [--trace-sample N] [--slo-ms X] \
@@ -594,8 +582,6 @@ mod tests {
             "4096",
             "--flight-out",
             "f.jsonl",
-            "--flight-capacity",
-            "512",
             "--max-bytes",
             "1000000",
             "--shards",
@@ -608,11 +594,14 @@ mod tests {
         assert!(f.recover);
         assert_eq!(f.chunk, 4096);
         assert_eq!(f.flight_out.as_deref(), Some("f.jsonl"));
-        assert_eq!(f.flight_capacity, 512);
         assert_eq!(f.max_bytes, Some(1_000_000));
         assert_eq!(f.shards, 4);
         assert_eq!(ServeFlags::parse(&argv(&["--port"])).unwrap_err().code, 2);
         assert_eq!(ServeFlags::parse(&argv(&["--bogus"])).unwrap_err().code, 2);
+        // The flight ring has one fixed depth; sizing it is not an option.
+        let gone = ServeFlags::parse(&argv(&["--flight-capacity", "512"])).unwrap_err();
+        assert_eq!(gone.code, 2);
+        assert!(gone.to_string().contains("unknown serve flag --flight-capacity"), "{gone}");
         assert_eq!(ServeFlags::parse(&argv(&["a", "b", "c"])).unwrap_err().code, 2);
     }
 
@@ -784,7 +773,7 @@ mod tests {
         client.close().unwrap();
 
         // The SLO pipeline is live mid-run: /slo.json decodes through
-        // the `cfgtag slo` parser and has folded in the acked frame.
+        // the `watch slo` parser and has folded in the acked frame.
         let mut live = crate::slo::SloSample::default();
         for _ in 0..200 {
             let body = cfg_obs_http::http_get(&metrics_addr, "/slo.json").unwrap();

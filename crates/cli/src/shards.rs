@@ -1,78 +1,21 @@
-//! `cfgtag shards` — a live pool-saturation view over a running
+//! `cfgtag watch shards` — a pool-saturation view over a running
 //! ingest server.
 //!
-//! Polls `/shards.json` (current per-shard gauges) and
-//! `/timeseries.json` (the snapshot ring, for queue-depth sparklines)
-//! on a `cfgtag serve --listen --sample-hz N` exporter and renders
-//! utilization, queue depth, arrival/completion rates and the
-//! Little's-law predicted queue wait per shard. When the server also
-//! traces (`--trace-sample`), the footer compares the prediction to
-//! the *measured* `queue_wait` p50 from `/slo.json` — agreement means
-//! the queue model holds; divergence means burstiness or a stall. The
-//! decode ([`parse_shards`], [`parse_depth_history`]) and render
-//! ([`render`]) steps are pure; only [`main_io`] touches sockets.
+//! Decodes `/shards.json` (current per-shard gauges, [`parse_shards`])
+//! and `/timeseries.json` (the snapshot ring, for queue-depth
+//! sparklines, [`parse_depth_history`]) from a `cfgtag serve --listen
+//! --sample-hz N` exporter and renders utilization, queue depth,
+//! arrival/completion rates and the Little's-law predicted queue wait
+//! per shard ([`render`]). When the server also traces
+//! (`--trace-sample`), the footer compares the prediction to the
+//! *measured* `queue_wait` p50 from `/slo.json`
+//! ([`measured_queue_wait`]) — agreement means the queue model holds;
+//! divergence means burstiness or a stall.
 
-use crate::poll::Poller;
 use crate::slo::fmt_ns;
 use crate::CliError;
 use cfg_obs::json::Json;
 use std::fmt::Write as _;
-
-/// Parsed `shards` options.
-#[derive(Debug, Clone)]
-pub struct ShardsFlags {
-    /// Poll interval in milliseconds.
-    pub interval_ms: u64,
-    /// Stop after this many polls (`None` = until interrupted).
-    pub iterations: Option<u64>,
-    /// Consecutive fetch failures tolerated (with backoff) before
-    /// giving up.
-    pub retries: u32,
-}
-
-impl Default for ShardsFlags {
-    fn default() -> ShardsFlags {
-        ShardsFlags { interval_ms: 1000, iterations: None, retries: 3 }
-    }
-}
-
-impl ShardsFlags {
-    /// Parse the `shards` argument tail: one `host:port` positional
-    /// plus flags in any position.
-    pub fn parse(args: &[String]) -> Result<(String, ShardsFlags), CliError> {
-        let mut f = ShardsFlags::default();
-        let mut addr: Option<String> = None;
-        let mut it = args.iter();
-        let num = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<u64, CliError> {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CliError::new(format!("{flag} needs a number"), 2))
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--interval-ms" => f.interval_ms = num(&mut it, "--interval-ms")?.max(1),
-                "--iterations" => f.iterations = Some(num(&mut it, "--iterations")?),
-                "--once" => f.iterations = Some(1),
-                "--retries" => f.retries = num(&mut it, "--retries")? as u32,
-                other if other.starts_with("--") => {
-                    return Err(CliError::new(format!("unknown shards flag {other}"), 2));
-                }
-                a => {
-                    if addr.replace(a.to_owned()).is_some() {
-                        return Err(CliError::new("shards takes exactly one host:port", 2));
-                    }
-                }
-            }
-        }
-        let addr = addr.ok_or_else(|| {
-            CliError::new(
-                "usage: cfgtag shards <host:port> [--interval-ms N] [--iterations N] [--once] [--retries N]",
-                2,
-            )
-        })?;
-        Ok((addr, f))
-    }
-}
 
 /// One decoded per-shard gauge row from `/shards.json`.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -241,71 +184,15 @@ pub fn render(
     out
 }
 
-/// Fetch the measured `queue_wait` p50 from `/slo.json`, tolerating
-/// servers that do not trace (404 → `None`).
-fn fetch_measured_queue_wait(addr: &str) -> Option<u64> {
-    let (status, body) = cfg_obs_http::http_get_status(addr, "/slo.json").ok()?;
-    if status != 200 {
-        return None;
-    }
-    let slo = crate::slo::parse_slo(&body).ok()?;
+/// The measured `queue_wait` p50 in an `/slo.json` body, if it has one.
+pub fn measured_queue_wait(slo_body: &str) -> Option<u64> {
+    let slo = crate::slo::parse_slo(slo_body).ok()?;
     slo.stages.iter().find(|(name, _)| name == "queue_wait").map(|(_, row)| row.p50)
-}
-
-/// Process-level `cfgtag shards`: poll, clear screen, redraw, sleep.
-pub fn main_io(args: &[String]) -> i32 {
-    let (addr, flags) = match ShardsFlags::parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cfgtag shards: {e}");
-            return e.code;
-        }
-    };
-    let mut polls = 0u64;
-    let mut poller = Poller::new("shards", &addr, flags.retries);
-    loop {
-        let fetched = cfg_obs_http::http_get(&addr, "/shards.json")
-            .and_then(|gauges| {
-                cfg_obs_http::http_get(&addr, "/timeseries.json").map(|ring| (gauges, ring))
-            })
-            .map_err(|e| e.to_string());
-        match fetched {
-            Ok((gauges, ring)) => {
-                let (cur, history) = match (parse_shards(&gauges), parse_depth_history(&ring)) {
-                    (Ok(c), Ok(h)) => (c, h),
-                    (Err(e), _) | (_, Err(e)) => {
-                        eprintln!("cfgtag shards: {e}");
-                        return e.code;
-                    }
-                };
-                poller.succeeded();
-                let measured = fetch_measured_queue_wait(&addr);
-                print!("\x1b[2J\x1b[H{}", render(&cur, &history, measured));
-                use std::io::Write as _;
-                let _ = std::io::stdout().flush();
-            }
-            Err(e) => match poller.failed("/shards.json", &e) {
-                Some(code) => return code,
-                None => continue,
-            },
-        }
-        polls += 1;
-        if let Some(n) = flags.iterations {
-            if polls >= n {
-                return 0;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(flags.interval_ms));
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
 
     /// A `/shards.json` body in the exact shape the timeseries renders.
     fn shards_body() -> &'static str {
@@ -321,21 +208,6 @@ mod tests {
          {\"t_ms\":0,\"shards\":[{\"queue_depth\":1},{\"queue_depth\":0}]},\
          {\"t_ms\":50,\"shards\":[{\"queue_depth\":3},{\"queue_depth\":0}]},\
          {\"t_ms\":100,\"shards\":[{\"queue_depth\":8},{\"queue_depth\":0}]}]}"
-    }
-
-    #[test]
-    fn flags_parse() {
-        let (addr, f) =
-            ShardsFlags::parse(&argv(&["127.0.0.1:9100", "--interval-ms", "250", "--once"]))
-                .unwrap();
-        assert_eq!(addr, "127.0.0.1:9100");
-        assert_eq!(f.interval_ms, 250);
-        assert_eq!(f.iterations, Some(1));
-        assert_eq!(f.retries, 3);
-        assert_eq!(ShardsFlags::parse(&argv(&[])).unwrap_err().code, 2);
-        assert_eq!(ShardsFlags::parse(&argv(&["a", "b"])).unwrap_err().code, 2);
-        assert_eq!(ShardsFlags::parse(&argv(&["a", "--interval-ms"])).unwrap_err().code, 2);
-        assert_eq!(ShardsFlags::parse(&argv(&["a", "--bogus"])).unwrap_err().code, 2);
     }
 
     #[test]
@@ -372,6 +244,14 @@ mod tests {
         let empty = parse_depth_history("{\"interval_ms\":0,\"samples\":[]}").unwrap();
         assert!(empty.is_empty());
         assert!(parse_depth_history("{}").is_err());
+    }
+
+    #[test]
+    fn measured_queue_wait_reads_the_slo_stage_p50() {
+        let slo = "{\"e2e\":{\"p50_ns\":9000},\"stages\":{\"queue_wait\":{\"p50_ns\":4200}}}";
+        assert_eq!(measured_queue_wait(slo), Some(4200));
+        assert_eq!(measured_queue_wait("{\"e2e\":{},\"stages\":{}}"), None);
+        assert_eq!(measured_queue_wait("not json"), None);
     }
 
     #[test]

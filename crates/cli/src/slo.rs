@@ -1,74 +1,16 @@
-//! `cfgtag slo` — a live SLO dashboard over a traced ingest server.
+//! `cfgtag watch slo` — an SLO dashboard over a traced ingest server.
 //!
-//! Polls `/slo.json` on a `cfgtag serve --listen --trace-sample` (or
-//! `server_loop`) exporter and renders the latency objective, error
-//! budget, and a per-stage waterfall: p50/p90/p99/p99.9 per serving
-//! stage plus each stage's share of the end-to-end p50, so queue-wait
-//! vs. engine vs. ack-write attribution is readable at a glance. Burn
-//! rate comes from diffing two consecutive polls, so everything except
-//! the socket-and-sleep loop in [`main_io`] is pure and unit-testable
-//! ([`parse_slo`], [`render`]).
+//! Decodes `/slo.json` from a `cfgtag serve --listen --trace-sample`
+//! (or `server_loop`) exporter ([`parse_slo`]) and renders the latency
+//! objective, error budget, and a per-stage waterfall ([`render`]):
+//! p50/p90/p99/p99.9 per serving stage plus each stage's share of the
+//! end-to-end p50, so queue-wait vs. engine vs. ack-write attribution is
+//! readable at a glance. Burn rate comes from diffing two consecutive
+//! polls.
 
-use crate::poll::Poller;
 use crate::CliError;
 use cfg_obs::json::Json;
 use std::fmt::Write as _;
-
-/// Parsed `slo` options.
-#[derive(Debug, Clone)]
-pub struct SloFlags {
-    /// Poll interval in milliseconds.
-    pub interval_ms: u64,
-    /// Stop after this many polls (`None` = until interrupted).
-    pub iterations: Option<u64>,
-    /// Consecutive fetch failures tolerated (with backoff) before
-    /// giving up.
-    pub retries: u32,
-}
-
-impl Default for SloFlags {
-    fn default() -> SloFlags {
-        SloFlags { interval_ms: 1000, iterations: None, retries: 3 }
-    }
-}
-
-impl SloFlags {
-    /// Parse the `slo` argument tail: one `host:port` positional plus
-    /// flags in any position.
-    pub fn parse(args: &[String]) -> Result<(String, SloFlags), CliError> {
-        let mut f = SloFlags::default();
-        let mut addr: Option<String> = None;
-        let mut it = args.iter();
-        let num = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<u64, CliError> {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CliError::new(format!("{flag} needs a number"), 2))
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--interval-ms" => f.interval_ms = num(&mut it, "--interval-ms")?.max(1),
-                "--iterations" => f.iterations = Some(num(&mut it, "--iterations")?),
-                "--once" => f.iterations = Some(1),
-                "--retries" => f.retries = num(&mut it, "--retries")? as u32,
-                other if other.starts_with("--") => {
-                    return Err(CliError::new(format!("unknown slo flag {other}"), 2));
-                }
-                a => {
-                    if addr.replace(a.to_owned()).is_some() {
-                        return Err(CliError::new("slo takes exactly one host:port", 2));
-                    }
-                }
-            }
-        }
-        let addr = addr.ok_or_else(|| {
-            CliError::new(
-                "usage: cfgtag slo <host:port> [--interval-ms N] [--iterations N] [--once] [--retries N]",
-                2,
-            )
-        })?;
-        Ok((addr, f))
-    }
-}
 
 /// Latency quantiles for one stage (or end-to-end), in nanoseconds.
 #[derive(Debug, Clone, Default)]
@@ -208,66 +150,9 @@ pub fn render(prev: Option<&SloSample>, cur: &SloSample, dt_secs: f64) -> String
     out
 }
 
-/// Process-level `cfgtag slo`: poll, clear screen, redraw, sleep.
-pub fn main_io(args: &[String]) -> i32 {
-    let (addr, flags) = match SloFlags::parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cfgtag slo: {e}");
-            return e.code;
-        }
-    };
-    let mut prev: Option<SloSample> = None;
-    let mut polls = 0u64;
-    let mut poller = Poller::new("slo", &addr, flags.retries);
-    let dt = flags.interval_ms as f64 / 1000.0;
-    loop {
-        match cfg_obs_http::http_get_status(&addr, "/slo.json").map_err(|e| e.to_string()) {
-            Ok((404, _)) => {
-                eprintln!(
-                    "cfgtag slo: {addr} has no SLO tracker — serve with --trace-sample N (tracing is off)"
-                );
-                return 1;
-            }
-            Ok((status, _)) if status != 200 => {
-                eprintln!("cfgtag slo: /slo.json returned HTTP {status}");
-                return 1;
-            }
-            Ok((_, body)) => match parse_slo(&body) {
-                Ok(cur) => {
-                    poller.succeeded();
-                    print!("\x1b[2J\x1b[H{}", render(prev.as_ref(), &cur, dt));
-                    use std::io::Write as _;
-                    let _ = std::io::stdout().flush();
-                    prev = Some(cur);
-                }
-                Err(e) => {
-                    eprintln!("cfgtag slo: {e}");
-                    return e.code;
-                }
-            },
-            Err(e) => match poller.failed("/slo.json", &e) {
-                Some(code) => return code,
-                None => continue,
-            },
-        }
-        polls += 1;
-        if let Some(n) = flags.iterations {
-            if polls >= n {
-                return 0;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(flags.interval_ms));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
 
     /// An `/slo.json` body in the exact shape the tracker renders.
     fn body(total: u64, breaches: u64) -> String {
@@ -292,22 +177,6 @@ mod tests {
             row(30_000, total),
             row(5_000, total),
         )
-    }
-
-    #[test]
-    fn flags_parse() {
-        let (addr, f) =
-            SloFlags::parse(&argv(&["127.0.0.1:9100", "--interval-ms", "250", "--once"])).unwrap();
-        assert_eq!(addr, "127.0.0.1:9100");
-        assert_eq!(f.interval_ms, 250);
-        assert_eq!(f.iterations, Some(1));
-        assert_eq!(f.retries, 3);
-        let (_, f) = SloFlags::parse(&argv(&["x:1", "--retries", "9"])).unwrap();
-        assert_eq!(f.retries, 9);
-        assert_eq!(SloFlags::parse(&argv(&[])).unwrap_err().code, 2);
-        assert_eq!(SloFlags::parse(&argv(&["a", "b"])).unwrap_err().code, 2);
-        assert_eq!(SloFlags::parse(&argv(&["a", "--interval-ms"])).unwrap_err().code, 2);
-        assert_eq!(SloFlags::parse(&argv(&["a", "--frobnicate"])).unwrap_err().code, 2);
     }
 
     #[test]

@@ -1,72 +1,15 @@
-//! `cfgtag top` — a live terminal view over a running exporter.
+//! `cfgtag watch top` — engine counters over a running exporter.
 //!
-//! Polls `/report.json` on a `cfgtag serve` (or `router_loop`) exporter
-//! and renders counters with per-second rates, histogram quantiles and
-//! the hottest tokens, `top`-style: clear screen, redraw, sleep. The
-//! decode ([`parse_report`]) and render ([`render`]) steps are pure —
-//! rates come from diffing two consecutive samples against the poll
-//! interval — so everything except the socket-and-sleep loop in
-//! [`main_io`] is unit-testable.
+//! Decodes `/report.json` from a `cfgtag serve` (or `router_loop`)
+//! exporter ([`parse_report`]) and renders counters with per-second
+//! rates, histogram quantiles and the hottest tokens ([`render`]).
+//! Rates come from diffing two consecutive samples against the poll
+//! interval; the polling itself is [`crate::watch`]'s.
 
-use crate::poll::{Fetch, Poller};
 use crate::CliError;
 use cfg_obs::json::Json;
 use cfg_obs::HistogramSnapshot;
 use std::fmt::Write as _;
-
-/// Parsed `top` options.
-#[derive(Debug, Clone)]
-pub struct TopFlags {
-    /// Poll interval in milliseconds.
-    pub interval_ms: u64,
-    /// Stop after this many polls (`None` = until interrupted).
-    pub iterations: Option<u64>,
-    /// How many token rows to show.
-    pub top_k: usize,
-    /// Consecutive fetch failures tolerated (with backoff) before
-    /// giving up.
-    pub retries: u32,
-}
-
-impl Default for TopFlags {
-    fn default() -> TopFlags {
-        TopFlags { interval_ms: 1000, iterations: None, top_k: 8, retries: 3 }
-    }
-}
-
-impl TopFlags {
-    /// Parse the `top` argument tail: one `host:port` positional plus
-    /// flags in any position.
-    pub fn parse(args: &[String]) -> Result<(String, TopFlags), CliError> {
-        let mut f = TopFlags::default();
-        let mut addr: Option<String> = None;
-        let mut it = args.iter();
-        let num = |it: &mut std::slice::Iter<String>, flag: &str| -> Result<u64, CliError> {
-            it.next()
-                .and_then(|s| s.parse().ok())
-                .ok_or_else(|| CliError::new(format!("{flag} needs a number"), 2))
-        };
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--interval-ms" => f.interval_ms = num(&mut it, "--interval-ms")?.max(1),
-                "--iterations" => f.iterations = Some(num(&mut it, "--iterations")?),
-                "--once" => f.iterations = Some(1),
-                "--top" => f.top_k = num(&mut it, "--top")? as usize,
-                "--retries" => f.retries = num(&mut it, "--retries")? as u32,
-                other if other.starts_with("--") => {
-                    return Err(CliError::new(format!("unknown top flag {other}"), 2));
-                }
-                a => {
-                    if addr.replace(a.to_owned()).is_some() {
-                        return Err(CliError::new("top takes exactly one host:port", 2));
-                    }
-                }
-            }
-        }
-        let addr = addr.ok_or_else(|| CliError::new("usage: cfgtag top <host:port> [--interval-ms N] [--iterations N] [--once] [--top K] [--retries N]", 2))?;
-        Ok((addr, f))
-    }
-}
 
 /// One decoded `/report.json` sample.
 #[derive(Debug, Clone, Default)]
@@ -205,54 +148,9 @@ pub fn render(prev: Option<&Sample>, cur: &Sample, dt_secs: f64, top_k: usize) -
     out
 }
 
-/// Process-level `cfgtag top`: poll, clear screen, redraw, sleep.
-pub fn main_io(args: &[String]) -> i32 {
-    let (addr, flags) = match TopFlags::parse(args) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("cfgtag top: {e}");
-            return e.code;
-        }
-    };
-    let mut prev: Option<Sample> = None;
-    let mut polls = 0u64;
-    let mut poller = Poller::new("top", &addr, flags.retries);
-    let dt = flags.interval_ms as f64 / 1000.0;
-    loop {
-        match poller.fetch("/report.json") {
-            Fetch::Body(body) => match parse_report(&body) {
-                Ok(cur) => {
-                    // ANSI clear-screen + home, then the frame.
-                    print!("\x1b[2J\x1b[H{}", render(prev.as_ref(), &cur, dt, flags.top_k));
-                    use std::io::Write as _;
-                    let _ = std::io::stdout().flush();
-                    prev = Some(cur);
-                }
-                Err(e) => {
-                    eprintln!("cfgtag top: {e}");
-                    return e.code;
-                }
-            },
-            Fetch::Retrying => continue,
-            Fetch::GaveUp(code) => return code,
-        }
-        polls += 1;
-        if let Some(n) = flags.iterations {
-            if polls >= n {
-                return 0;
-            }
-        }
-        std::thread::sleep(std::time::Duration::from_millis(flags.interval_ms));
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn argv(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
 
     /// A report body in the exact shape the exporter renders.
     fn report(bytes: u64, fires: [u64; 2], lat_bucket4: u64) -> String {
@@ -265,7 +163,7 @@ mod tests {
                 "\"token_fires\":[{},{}],",
                 "\"histograms\":{{\"decision_latency_ns\":{{\"count\":{},\"sum\":100,",
                 "\"max\":30,\"mean\":25.0,\"buckets\":{{\"<32\":{}}}}}}},",
-                "\"timings\":[],\"trace_dropped\":0}},\"sinks\":{{}}}}}}"
+                "\"timings\":[]}},\"sinks\":{{}}}}}}"
             ),
             bytes,
             fires[0] + fires[1],
@@ -274,22 +172,6 @@ mod tests {
             lat_bucket4,
             lat_bucket4,
         )
-    }
-
-    #[test]
-    fn flags_parse() {
-        let (addr, f) =
-            TopFlags::parse(&argv(&["127.0.0.1:9100", "--interval-ms", "250", "--once"])).unwrap();
-        assert_eq!(addr, "127.0.0.1:9100");
-        assert_eq!(f.interval_ms, 250);
-        assert_eq!(f.iterations, Some(1));
-        assert_eq!(f.retries, 3);
-        let (_, f) = TopFlags::parse(&argv(&["x:1", "--retries", "0"])).unwrap();
-        assert_eq!(f.retries, 0);
-        assert_eq!(TopFlags::parse(&argv(&[])).unwrap_err().code, 2);
-        assert_eq!(TopFlags::parse(&argv(&["a", "b"])).unwrap_err().code, 2);
-        assert_eq!(TopFlags::parse(&argv(&["a", "--top"])).unwrap_err().code, 2);
-        assert_eq!(TopFlags::parse(&argv(&["a", "--retries"])).unwrap_err().code, 2);
     }
 
     #[test]

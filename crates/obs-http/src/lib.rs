@@ -2,7 +2,8 @@
 //!
 //! A dependency-free, blocking, single-threaded HTTP exporter over a
 //! [`SharedRegistry`]: point a Prometheus scraper (or `curl`, or
-//! `cfgtag top`) at a long-running tagger and watch it work. Endpoints:
+//! `cfgtag watch`) at a long-running tagger and watch it work.
+//! Endpoints:
 //!
 //! * `GET /metrics` — Prometheus text exposition format: every
 //!   [`Stat`] counter per registered sink, per-token fire counters,
@@ -24,7 +25,8 @@
 //!   [`cfg_obs::ProbeBank`]; probe order matches `/circuit.json` 1:1.
 //! * `GET /trigger?cond=token:go&pre=32&post=32` — arm an ILA-style
 //!   capture ([`cfg_obs::TriggerHub`]); conditions are `token:<name>`,
-//!   `edge:<from>-><to>`, or `dead`.
+//!   `edge:<from>-><to>`, or `dead`. The window is clamped to the
+//!   flight ring's capacity and the reply echoes what was armed.
 //! * `GET /capture.jsonl` — the captured pre/post trace window as
 //!   JSON lines once the trigger has fired (`503` while pending,
 //!   `404` with no trigger armed; `?flush=1` force-completes a
@@ -50,10 +52,10 @@
 //!   shed, fires confirmed by the exact parser, precision %, per-token
 //!   false positives, and cross-engine divergences. Answers `200` with
 //!   `{"enabled":false}` when auditing is off.
-//! * `GET /mismatches.jsonl` — the divergence evidence ring from the
-//!   attached [`cfg_obs::MismatchRing`], one JSON object per
-//!   divergence (byte window, offsets, both engines' event streams);
-//!   empty body when auditing is off.
+//! * `GET /mismatches.jsonl` — the attached ring of divergence
+//!   evidence ([`cfg_obs::Mismatch`]), one JSON object per divergence
+//!   (byte window, offsets, both engines' event streams); empty body
+//!   when auditing is off.
 //!
 //! The exporter runs on one `std::net::TcpListener` accept loop —
 //! serving a scrape costs a snapshot of lock-free counters, so the
@@ -64,8 +66,8 @@
 #![warn(missing_docs)]
 
 use cfg_obs::{
-    json, AuditBank, MismatchRing, ProbeBank, RegistrySnapshot, SamplingProfiler, SharedRegistry,
-    SloTracker, SpanRecorder, Stat, TimeSeries, TriggerHub,
+    json, AuditBank, EventRing, Mismatch, ProbeBank, RegistrySnapshot, SamplingProfiler,
+    SharedRegistry, SloTracker, SpanRecorder, Stat, TimeSeries, TriggerHub,
 };
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -91,7 +93,7 @@ pub struct ServiceState {
     timeseries: Mutex<Option<Arc<TimeSeries>>>,
     profiler: Mutex<Option<Arc<SamplingProfiler>>>,
     audit_bank: Mutex<Option<Arc<AuditBank>>>,
-    mismatch_ring: Mutex<Option<Arc<MismatchRing>>>,
+    mismatch_ring: Mutex<Option<Arc<EventRing<Mismatch>>>>,
 }
 
 impl ServiceState {
@@ -203,7 +205,7 @@ impl ServiceState {
 
     /// Attach the divergence evidence ring served at
     /// `/mismatches.jsonl`.
-    pub fn set_mismatch_ring(&self, ring: Arc<MismatchRing>) {
+    pub fn set_mismatch_ring(&self, ring: Arc<EventRing<Mismatch>>) {
         *self.mismatch_ring.lock().unwrap() = Some(ring);
     }
 
@@ -235,7 +237,7 @@ impl ServiceState {
         self.audit_bank.lock().unwrap().clone()
     }
 
-    fn mismatch_ring(&self) -> Option<Arc<MismatchRing>> {
+    fn mismatch_ring(&self) -> Option<Arc<EventRing<Mismatch>>> {
         self.mismatch_ring.lock().unwrap().clone()
     }
 
@@ -384,17 +386,6 @@ pub fn render_prometheus(snap: &RegistrySnapshot, state: &ServiceState) -> Strin
         }
     }
 
-    // Trace-ring drops.
-    let _ = writeln!(out, "# TYPE cfgtag_trace_dropped_total counter");
-    for (sink, part) in &snap.parts {
-        let _ = writeln!(
-            out,
-            "cfgtag_trace_dropped_total{{sink=\"{}\"}} {}",
-            label_escape(sink),
-            part.trace_dropped
-        );
-    }
-
     // Histograms: merged across sinks, power-of-two buckets rendered as
     // cumulative `le` series, plus p50/p90/p99 estimate gauges.
     for (hname, hist) in &snap.merged.histograms {
@@ -509,7 +500,8 @@ fn respond_trigger(query: &str, state: &ServiceState) -> Response {
     let pre = query_param(query, "pre").and_then(|v| v.parse().ok()).unwrap_or(32usize);
     let post = query_param(query, "post").and_then(|v| v.parse().ok()).unwrap_or(32usize);
     match hub.arm(&cond, pre, post) {
-        Ok(_) => {
+        Ok(trigger) => {
+            let (pre, post) = trigger.window();
             let mut body = String::from("{\"armed\":");
             json::push_str(&mut body, &cond);
             body.push_str(&format!(",\"pre\":{pre},\"post\":{post}}}\n"));
@@ -615,7 +607,7 @@ pub fn respond(path: &str, registry: &SharedRegistry, state: &ServiceState) -> R
             None => Response {
                 status: 404,
                 content_type: "text/plain",
-                body: "no SLO tracker attached (serve with tracing enabled)\n".into(),
+                body: "no SLO tracker attached (serve --listen with --trace-sample N)\n".into(),
             },
         },
         // The three saturation endpoints answer 200 with empty data
@@ -671,7 +663,7 @@ pub fn respond(path: &str, registry: &SharedRegistry, state: &ServiceState) -> R
             None => Response {
                 status: 404,
                 content_type: "text/plain",
-                body: "no span recorder attached (serve with tracing enabled)\n".into(),
+                body: "no span recorder attached (serve --listen with --trace-sample N)\n".into(),
             },
         },
         "/" => {
@@ -795,7 +787,7 @@ impl Drop for Exporter {
 
 /// Blocking HTTP GET against `addr` (e.g. `"127.0.0.1:9100"`),
 /// returning the response body. The client half of the exporter,
-/// shared by `cfgtag top` and the integration tests; speaks just
+/// shared by `cfgtag watch` and the integration tests; speaks just
 /// enough HTTP/1.1 for our own server and any reasonable peer.
 pub fn http_get(addr: &str, path: &str) -> std::io::Result<String> {
     http_get_status(addr, path).map(|(_, body)| body)
@@ -1065,7 +1057,6 @@ mod tests {
 
     #[test]
     fn audit_endpoints_answer_200_attached_or_not() {
-        use cfg_obs::{Mismatch, MismatchRing};
         let reg = SharedRegistry::new();
         let state = ServiceState::new();
 
@@ -1091,8 +1082,8 @@ mod tests {
         bank.divergence();
         state.set_audit_bank(Arc::clone(&bank));
         state.set_token_names(vec!["num".into(), "str".into()]);
-        let ring = Arc::new(MismatchRing::new(4));
-        ring.record(Mismatch {
+        let ring = Arc::new(EventRing::new(4));
+        ring.push(Mismatch {
             session: 7,
             frame: 0,
             window_start: 0,
@@ -1125,19 +1116,28 @@ mod tests {
 
     #[test]
     fn trigger_arm_and_capture_flow() {
-        use cfg_obs::TraceEvent;
+        use cfg_obs::{FlightRecorder, TraceEvent};
         let reg = SharedRegistry::new();
         let state = ServiceState::new();
         assert_eq!(respond("/trigger?cond=dead", &reg, &state).status, 404);
         assert_eq!(respond("/capture.jsonl", &reg, &state).status, 404);
 
-        let hub = Arc::new(TriggerHub::new(vec!["if".into(), "go".into()]));
+        let flight = Arc::new(FlightRecorder::new(64));
+        let hub = Arc::new(TriggerHub::new(vec!["if".into(), "go".into()], flight));
         state.set_trigger_hub(Arc::clone(&hub));
         assert_eq!(respond("/capture.jsonl", &reg, &state).status, 404);
         assert_eq!(respond("/trigger", &reg, &state).status, 400);
         let bad = respond("/trigger?cond=token:nope", &reg, &state);
         assert_eq!(bad.status, 400);
         assert!(bad.body.contains("nope"));
+        // A hostile window is clamped to the ring, and the reply says so.
+        let huge = respond(
+            "/trigger?cond=token:go&pre=18446744073709551615&post=18446744073709551615",
+            &reg,
+            &state,
+        );
+        assert_eq!(huge.status, 200);
+        assert!(huge.body.contains("\"pre\":64,\"post\":64"), "{}", huge.body);
 
         let armed = respond("/trigger?cond=token:go&pre=1&post=1", &reg, &state);
         assert_eq!(armed.status, 200);

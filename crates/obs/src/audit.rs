@@ -1,14 +1,14 @@
-//! Shadow-audit telemetry: live correctness counters and a mismatch
-//! flight recorder.
+//! Shadow-audit telemetry: live correctness counters and the evidence
+//! kept for each divergence.
 //!
 //! The ingest server samples live sessions and replays them through the
 //! reference engines off the fast path (see `cfg-server`). What that
 //! audit lane *learns* lands here: an [`AuditBank`] of relaxed counters
 //! (sessions sampled/audited/shed, fires confirmed by the exact parser,
-//! per-token false positives, cross-engine divergences) and a
-//! [`MismatchRing`] holding the evidence for each divergence — the byte
-//! window, its offset, and both engines' event streams — dumpable as
-//! JSON lines for post-mortem diffing.
+//! per-token false positives, cross-engine divergences) and one
+//! [`Mismatch`] per divergence — the byte window, its offset, and both
+//! engines' event streams — kept in an [`crate::EventRing`] and dumped
+//! as JSON lines for post-mortem diffing.
 //!
 //! The same zero-overhead-when-off discipline as the rest of the crate
 //! applies: the bank caches its enable flag, and a server that was not
@@ -16,13 +16,8 @@
 //! path stays metrics-dark.
 
 use crate::json;
-use std::collections::VecDeque;
+use crate::ring::{push_seq_open, JsonLine};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
-
-/// Default [`MismatchRing`] capacity — divergences should be rare, so a
-/// small ring keeps every one a debugging session could want.
-pub const DEFAULT_MISMATCH_CAPACITY: usize = 64;
 
 /// One tag event as the audit lane stores it. `cfg-obs` sits below the
 /// tagger, so this is a plain `(token, start, end)` triple; the server
@@ -253,102 +248,35 @@ pub struct Mismatch {
     pub reference: Vec<AuditEvent>,
 }
 
-/// A fixed-size ring of recent [`Mismatch`]es, oldest evicted first —
-/// the flight recorder of the audit lane. Dumpable as JSON lines via
-/// [`MismatchRing::dump_jsonl`] (the `/mismatches.jsonl` endpoint).
-#[derive(Debug)]
-pub struct MismatchRing {
-    capacity: usize,
-    seq: AtomicU64,
-    ring: Mutex<VecDeque<(u64, Mismatch)>>,
-}
-
-impl Default for MismatchRing {
-    fn default() -> Self {
-        MismatchRing::new(DEFAULT_MISMATCH_CAPACITY)
-    }
-}
-
-impl MismatchRing {
-    /// A ring holding up to `capacity` mismatches (0 disables it).
-    pub fn new(capacity: usize) -> MismatchRing {
-        MismatchRing { capacity, seq: AtomicU64::new(0), ring: Mutex::new(VecDeque::new()) }
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been recorded (or capacity is 0).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total mismatches ever recorded (including evicted ones).
-    pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    /// Record one mismatch; returns the sequence number it was stamped
-    /// with.
-    pub fn record(&self, m: Mismatch) -> u64 {
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        if self.capacity == 0 {
-            return seq;
-        }
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back((seq, m));
-        seq
-    }
-
-    /// Copy out the ring, oldest first, each entry with its sequence
-    /// number.
-    pub fn entries(&self) -> Vec<(u64, Mismatch)> {
-        self.ring.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Dump the ring as JSON lines, oldest first — one object per
-    /// mismatch with the window (UTF-8, lossy) and both event streams.
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, m) in self.entries() {
-            out.push_str("{\"seq\":");
-            out.push_str(&seq.to_string());
-            out.push_str(",\"session\":");
-            out.push_str(&m.session.to_string());
-            out.push_str(",\"frame\":");
-            out.push_str(&m.frame.to_string());
-            out.push_str(",\"window_start\":");
-            out.push_str(&m.window_start.to_string());
-            out.push_str(",\"window\":");
-            json::push_str(&mut out, &String::from_utf8_lossy(&m.window));
-            for (key, events) in [("fast", &m.fast), ("reference", &m.reference)] {
-                out.push_str(",\"");
-                out.push_str(key);
-                out.push_str("\":[");
-                for (i, e) in events.iter().enumerate() {
-                    if i > 0 {
-                        out.push(',');
-                    }
-                    out.push_str(&format!(
-                        "{{\"token\":{},\"start\":{},\"end\":{}}}",
-                        e.token, e.start, e.end
-                    ));
+/// A `/mismatches.jsonl` line: the window (UTF-8, lossy) and both
+/// event streams.
+impl JsonLine for Mismatch {
+    fn push_json_line(&self, seq: u64, out: &mut String) {
+        push_seq_open(out, seq);
+        out.push_str("\"session\":");
+        out.push_str(&self.session.to_string());
+        out.push_str(",\"frame\":");
+        out.push_str(&self.frame.to_string());
+        out.push_str(",\"window_start\":");
+        out.push_str(&self.window_start.to_string());
+        out.push_str(",\"window\":");
+        json::push_str(out, &String::from_utf8_lossy(&self.window));
+        for (key, events) in [("fast", &self.fast), ("reference", &self.reference)] {
+            out.push_str(",\"");
+            out.push_str(key);
+            out.push_str("\":[");
+            for (i, e) in events.iter().enumerate() {
+                if i > 0 {
+                    out.push(',');
                 }
-                out.push(']');
+                out.push_str(&format!(
+                    "{{\"token\":{},\"start\":{},\"end\":{}}}",
+                    e.token, e.start, e.end
+                ));
             }
-            out.push_str("}\n");
+            out.push(']');
         }
-        out
+        out.push_str("}\n");
     }
 }
 
@@ -356,6 +284,7 @@ impl MismatchRing {
 mod tests {
     use super::*;
     use crate::json::Json;
+    use crate::ring::EventRing;
 
     #[test]
     fn audit_bank_counts_and_renders_json() {
@@ -425,19 +354,11 @@ mod tests {
     }
 
     #[test]
-    fn mismatch_ring_evicts_oldest_and_dumps_jsonl() {
-        let ring = MismatchRing::new(2);
-        assert!(ring.is_empty());
+    fn mismatch_lines_carry_the_window_and_both_event_streams() {
+        let ring = EventRing::new(2);
         for s in 0..3 {
-            ring.record(mismatch(s));
+            ring.push(mismatch(s));
         }
-        assert_eq!(ring.len(), 2);
-        assert_eq!(ring.recorded(), 3);
-        let entries = ring.entries();
-        assert_eq!(entries[0].0, 1, "oldest surviving seq");
-        assert_eq!(entries[0].1.session, 1);
-        assert_eq!(entries[1].1.session, 2);
-
         let dump = ring.dump_jsonl();
         assert_eq!(dump.lines().count(), 2);
         let first = Json::parse(dump.lines().next().unwrap()).unwrap();
@@ -450,14 +371,5 @@ mod tests {
         let reference = first.get("reference").and_then(Json::as_array).unwrap();
         assert_eq!(reference.len(), 2);
         assert_eq!(reference[1].get("start").and_then(Json::as_u64), Some(3));
-    }
-
-    #[test]
-    fn zero_capacity_ring_counts_but_keeps_nothing() {
-        let ring = MismatchRing::new(0);
-        ring.record(mismatch(0));
-        assert_eq!(ring.recorded(), 1);
-        assert!(ring.is_empty());
-        assert_eq!(ring.dump_jsonl(), "");
     }
 }

@@ -4,123 +4,29 @@
 //! exit-code-3 run). This captures the events *leading up to* a failure
 //! without paying for always-on trace persistence.
 
-use crate::json;
+use crate::ring::EventRing;
 use crate::sink::MetricsSink;
-use crate::trace::{TraceEvent, Value};
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use crate::trace::TraceEvent;
 
-/// Default ring capacity — comfortably above the 256 events a
-/// post-mortem needs to reconstruct the approach to a dead state.
-pub const DEFAULT_FLIGHT_CAPACITY: usize = 1024;
+/// Default ring capacity: the trace depth `cfgtag tag --trace-out` has
+/// always kept, and far above the 256 events a post-mortem needs to
+/// reconstruct the approach to a dead state.
+pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
 /// A bounded in-memory recorder of recent trace events and span
-/// timings.
+/// timings: an [`EventRing`] of [`TraceEvent`]s, dumped as
+/// `{"seq":N,"kind":...}` JSON lines.
 ///
 /// Implements [`MetricsSink`], so it can be attached directly or fanned
-/// into alongside a [`crate::StatsSink`] via [`crate::TeeSink`].
-/// Counter and histogram updates are ignored (those live in the stats
-/// sink); trace events and span timings are stamped with a global
-/// sequence number and kept in one ring, oldest evicted first.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    seq: AtomicU64,
-    ring: Mutex<VecDeque<(u64, TraceEvent)>>,
-}
+/// into alongside a [`crate::StatsSink`] via [`TeeSink`]. Counter and
+/// histogram updates are ignored (those live in the stats sink); trace
+/// events and span timings go into the ring.
+pub type FlightRecorder = EventRing<TraceEvent>;
 
 impl Default for FlightRecorder {
     fn default() -> Self {
-        FlightRecorder::new(DEFAULT_FLIGHT_CAPACITY)
+        EventRing::new(DEFAULT_FLIGHT_CAPACITY)
     }
-}
-
-impl FlightRecorder {
-    /// A recorder holding up to `capacity` entries (0 disables it).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder { capacity, seq: AtomicU64::new(0), ring: Mutex::new(VecDeque::new()) }
-    }
-
-    /// Ring capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
-    /// Entries currently held (≤ capacity).
-    pub fn len(&self) -> usize {
-        self.ring.lock().unwrap().len()
-    }
-
-    /// Whether nothing has been recorded (or capacity is 0).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Total entries ever recorded (including evicted ones) — the
-    /// sequence number the next entry will carry.
-    pub fn recorded(&self) -> u64 {
-        self.seq.load(Ordering::Relaxed)
-    }
-
-    fn push(&self, event: TraceEvent) -> u64 {
-        if self.capacity == 0 {
-            return 0;
-        }
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let mut ring = self.ring.lock().unwrap();
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back((seq, event));
-        seq
-    }
-
-    /// Record an event directly (outside the [`MetricsSink`] path) and
-    /// return the sequence number it was stamped with. The trigger
-    /// engine uses this to correlate a fired condition with its place
-    /// in the ring.
-    pub fn record(&self, event: TraceEvent) -> u64 {
-        self.push(event)
-    }
-
-    /// Copy out the ring, oldest first, each entry with its sequence
-    /// number.
-    pub fn events(&self) -> Vec<(u64, TraceEvent)> {
-        self.ring.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Dump the ring as JSON lines — one `{"seq":N,...event}` object
-    /// per line, oldest first, trailing newline after the last (ready
-    /// to write to a `--flight-out` file).
-    pub fn dump_jsonl(&self) -> String {
-        let mut out = String::new();
-        for (seq, event) in self.events() {
-            push_seq_line(&mut out, seq, &event);
-        }
-        out
-    }
-}
-
-/// Append one `{"seq":N,...event}\n` line — the shared line shape for
-/// flight dumps and trigger captures.
-pub(crate) fn push_seq_line(out: &mut String, seq: u64, event: &TraceEvent) {
-    out.push_str("{\"seq\":");
-    out.push_str(&seq.to_string());
-    out.push_str(",\"kind\":");
-    json::push_str(out, event.kind);
-    for (k, v) in &event.fields {
-        out.push(',');
-        json::push_str(out, k);
-        out.push(':');
-        match v {
-            Value::U(x) => out.push_str(&x.to_string()),
-            Value::I(x) => out.push_str(&x.to_string()),
-            Value::F(x) => json::push_f64(out, *x),
-            Value::S(x) => json::push_str(out, x),
-        }
-    }
-    out.push_str("}\n");
 }
 
 impl MetricsSink for FlightRecorder {
@@ -179,15 +85,8 @@ impl MetricsSink for TeeSink {
     }
 
     fn trace(&self, event: TraceEvent) {
-        match self.sinks.len() {
-            0 => {}
-            1 => self.sinks[0].trace(event),
-            _ => {
-                for s in &self.sinks[..self.sinks.len() - 1] {
-                    s.trace(event.clone());
-                }
-                self.sinks[self.sinks.len() - 1].trace(event);
-            }
+        for s in self.sinks.iter().filter(|s| s.wants_trace()) {
+            s.trace(event.clone());
         }
     }
 
@@ -208,19 +107,6 @@ mod tests {
     use std::sync::Arc;
 
     #[test]
-    fn ring_keeps_the_most_recent_entries() {
-        let fr = FlightRecorder::new(3);
-        for i in 0..5u64 {
-            fr.trace(TraceEvent::new("e").field("i", i));
-        }
-        assert_eq!(fr.len(), 3);
-        assert_eq!(fr.recorded(), 5);
-        let events = fr.events();
-        assert_eq!(events[0].0, 2, "oldest surviving entry is seq 2");
-        assert_eq!(events[2].0, 4);
-    }
-
-    #[test]
     fn dump_is_jsonl_with_sequence_numbers() {
         let fr = FlightRecorder::new(8);
         fr.trace(TraceEvent::new("token_fire").field("token", 3u32));
@@ -233,19 +119,10 @@ mod tests {
     }
 
     #[test]
-    fn zero_capacity_records_nothing() {
-        let fr = FlightRecorder::new(0);
-        fr.trace(TraceEvent::new("e"));
-        assert!(fr.is_empty());
-        assert_eq!(fr.recorded(), 0);
-        assert_eq!(fr.dump_jsonl(), "");
-    }
-
-    #[test]
     fn default_capacity_covers_a_256_event_post_mortem() {
         let fr = FlightRecorder::default();
         assert!(fr.capacity() >= 256);
-        for i in 0..2000u64 {
+        for i in 0..5000u64 {
             fr.trace(TraceEvent::new("e").field("i", i));
         }
         assert_eq!(fr.len(), DEFAULT_FLIGHT_CAPACITY);
@@ -264,7 +141,6 @@ mod tests {
         tee.trace(TraceEvent::new("e"));
         assert_eq!(stats.get(Stat::BytesIn), 9);
         assert_eq!(stats.token_fires(1), 2);
-        assert_eq!(stats.trace_events().len(), 1);
         // The flight recorder keeps the span and the trace event only.
         assert_eq!(flight.len(), 2);
         assert!(tee.is_enabled());

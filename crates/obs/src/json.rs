@@ -54,7 +54,7 @@ pub fn object_u64(pairs: &[(&str, u64)]) -> String {
 /// A parsed JSON value.
 ///
 /// The decoding half of the crate's zero-dependency JSON story: the
-/// live-telemetry clients (`cfgtag top`, the bench regression differ)
+/// live-telemetry clients (`cfgtag watch`, the bench regression differ)
 /// consume `/report.json` and `bench_results/*.json` rows through this
 /// instead of a JSON crate. Numbers are held as `f64` — integral
 /// counters survive exactly up to 2^53, far beyond any rate window.

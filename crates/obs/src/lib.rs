@@ -14,12 +14,17 @@
 //!   that the instrumented code path is behaviourally identical to the
 //!   un-instrumented one (see the overhead bench in `cfg-bench`).
 //! * [`StatsSink`] — lock-free counters (atomics), per-token fire
-//!   counters, power-of-two-bucket histograms, stage timings, and a
-//!   bounded trace ring buffer with a JSON-lines exporter.
-//! * [`FlightRecorder`] — a fixed-size ring of recent trace events and
-//!   span timings, dumped post-mortem when a stream dies.
+//!   counters, power-of-two-bucket histograms and stage timings.
+//! * [`FlightRecorder`] — the one ring of recent trace events and span
+//!   timings, dumped as JSON lines (`--trace-out`, post-mortem when a
+//!   stream dies, and the window a triggered capture cuts out).
 //! * [`TeeSink`] — fans one [`Metrics`] handle out to several sinks
 //!   (typically a [`StatsSink`] plus a [`FlightRecorder`]).
+//!
+//! Every bounded buffer — the flight recorder, the span ring, the
+//! saturation time series and the audit mismatch evidence — is one
+//! generic [`EventRing`]: fixed capacity, oldest evicted first, a
+//! sequence number per offered entry, and a JSON-lines dump.
 //!
 //! For *live* observability, [`SharedRegistry`] names the process's
 //! [`StatsSink`]s and produces merged point-in-time [`RegistrySnapshot`]s
@@ -32,15 +37,15 @@
 //! (decoder, tokenizer stage, FOLLOW edge), addressed by the stable
 //! probe ids minted in `circuit.json`, and a [`TriggerHub`] arms
 //! ILA-style captures ([`TriggerCondition`]) that freeze a pre/post
-//! window of trace events around a token fire, a FOLLOW-edge
+//! window of the flight ring around a token fire, a FOLLOW-edge
 //! traversal, or a dead stream.
 //!
 //! The *correctness* view rides the same rails: an [`AuditBank`] holds
 //! the shadow-audit lane's counters (sessions sampled, fires confirmed
 //! by the exact parser, per-token false positives, cross-engine
-//! divergences) and a [`MismatchRing`] keeps flight-recorder evidence
-//! for each divergence, both metrics-dark unless a server was asked to
-//! audit.
+//! divergences) and an [`EventRing`] of [`Mismatch`]es keeps the
+//! evidence for each divergence, both metrics-dark unless a server was
+//! asked to audit.
 //!
 //! All JSON is hand-rolled, both directions ([`json`]); the crate has
 //! zero dependencies.
@@ -56,6 +61,7 @@ mod probe;
 pub mod profile;
 mod registry;
 mod report;
+mod ring;
 mod sink;
 mod slo;
 mod span;
@@ -64,7 +70,7 @@ mod timeseries;
 mod trace;
 mod trigger;
 
-pub use audit::{AuditBank, AuditEvent, Mismatch, MismatchRing, DEFAULT_MISMATCH_CAPACITY};
+pub use audit::{AuditBank, AuditEvent, Mismatch};
 pub use flight::{FlightRecorder, TeeSink, DEFAULT_FLIGHT_CAPACITY};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Metrics, SpanGuard};
@@ -72,6 +78,7 @@ pub use probe::ProbeBank;
 pub use profile::{ProfilerHandle, SamplingProfiler, WorkerSlot};
 pub use registry::{RegistrySnapshot, SharedRegistry};
 pub use report::{CompileReport, StageTiming};
+pub use ring::{EventRing, JsonLine};
 pub use sink::{MetricsSink, NoopSink, Stat};
 pub use slo::{FineHistogram, FineSnapshot, QuantileSummary, SloSnapshot, SloTracker};
 pub use span::{Span, SpanRecorder, Stage};

@@ -160,13 +160,11 @@ mod tests {
         assert!(m.is_enabled());
         m.add(Stat::BytesIn, 5);
         m.token_fire(1, 2);
-        m.trace(|| TraceEvent::new("e"));
         {
             let _g = m.span("work");
         }
         assert_eq!(sink.get(Stat::BytesIn), 5);
         assert_eq!(sink.token_fires(1), 2);
-        assert_eq!(sink.trace_events().len(), 1);
         let snap = sink.snapshot();
         assert_eq!(snap.timings.len(), 1);
         assert_eq!(snap.timings[0].0, "work");
@@ -174,15 +172,16 @@ mod tests {
 
     #[test]
     fn traceless_sink_skips_the_build_closure() {
-        let sink = Arc::new(StatsSink::new().with_trace_capacity(0));
-        let m = Metrics::new(sink.clone());
+        let m = Metrics::new(Arc::new(StatsSink::new()));
         let mut built = false;
         m.trace(|| {
             built = true;
             TraceEvent::new("never")
         });
-        assert!(!built, "zero-capacity ring must not build trace events");
-        assert_eq!(sink.snapshot().trace_dropped, 0, "nothing offered, nothing dropped");
+        assert!(!built, "a sink that keeps no traces must not build trace events");
+        let flight = Arc::new(crate::FlightRecorder::new(4));
+        Metrics::new(flight.clone()).trace(|| TraceEvent::new("kept"));
+        assert_eq!(flight.len(), 1);
     }
 
     #[test]

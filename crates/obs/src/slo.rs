@@ -12,7 +12,7 @@
 //! [`Stage`] plus end-to-end, and a latency objective (e.g. "99% of
 //! frames under 50 ms") with breach counting. Its snapshot reports
 //! p50/p90/p99/p99.9 per stage and how much of the error budget is
-//! burnt — `cfgtag slo` turns two consecutive snapshots into a burn
+//! burnt — `cfgtag watch slo` turns two consecutive snapshots into a burn
 //! rate.
 
 use crate::json;

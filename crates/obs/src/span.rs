@@ -9,7 +9,7 @@
 //! telescope back to the final stamp. There is no way to record a span
 //! whose stages disagree with its total.
 //!
-//! The [`SpanRecorder`] keeps a fixed-size ring of recent spans for
+//! The [`SpanRecorder`] keeps an [`EventRing`] of recent spans for
 //! `/spans.jsonl`. Retention is head-sampled — the sampling decision is
 //! made at [`SpanRecorder::begin`], deterministically, from a counter —
 //! with one escape hatch: a span whose end-to-end latency breaches the
@@ -22,9 +22,8 @@
 //! no allocation, nothing but a never-taken branch per frame.
 
 use crate::json;
-use std::collections::VecDeque;
+use crate::ring::{EventRing, JsonLine};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
 use std::time::Instant;
 
 /// The serving stages a frame passes through, in pipeline order.
@@ -205,11 +204,14 @@ impl Span {
         }
         true
     }
+}
 
-    /// One JSONL line: ids, the total, and every stamped stage's
-    /// attributed duration.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"id\":");
+/// A `/spans.jsonl` line: ids, the total, and every stamped stage's
+/// attributed duration. A span carries its own begin-order `id` (its
+/// `seq` is the frame's), so the ring's sequence number is not repeated.
+impl JsonLine for Span {
+    fn push_json_line(&self, _ring_seq: u64, out: &mut String) {
+        out.push_str("{\"id\":");
         out.push_str(&self.id.to_string());
         out.push_str(",\"session\":");
         out.push_str(&self.session.to_string());
@@ -227,13 +229,12 @@ impl Span {
                     out.push(',');
                 }
                 first = false;
-                json::push_str(&mut out, stage.name());
+                json::push_str(out, stage.name());
                 out.push(':');
                 out.push_str(&ns.to_string());
             }
         }
-        out.push_str("}}");
-        out
+        out.push_str("}}\n");
     }
 }
 
@@ -244,15 +245,14 @@ impl Span {
 /// rule at [`SpanRecorder::record`]: head-sampled spans always, plus
 /// any span at or over the slow threshold (`slow_ns`, 0 disables the
 /// escape hatch).
+#[derive(Debug)]
 pub struct SpanRecorder {
     sample_every: u64,
     slow_ns: u64,
-    capacity: usize,
     counter: AtomicU64,
     recorded: AtomicU64,
-    retained: AtomicU64,
     slow_extras: AtomicU64,
-    ring: Mutex<VecDeque<Span>>,
+    ring: EventRing<Span>,
 }
 
 impl SpanRecorder {
@@ -262,12 +262,10 @@ impl SpanRecorder {
         SpanRecorder {
             sample_every: sample_every.max(1),
             slow_ns,
-            capacity,
             counter: AtomicU64::new(0),
             recorded: AtomicU64::new(0),
-            retained: AtomicU64::new(0),
             slow_extras: AtomicU64::new(0),
-            ring: Mutex::new(VecDeque::new()),
+            ring: EventRing::new(capacity),
         }
     }
 
@@ -294,18 +292,10 @@ impl SpanRecorder {
         if !span.sampled && !slow {
             return false;
         }
-        self.retained.fetch_add(1, Ordering::Relaxed);
         if !span.sampled {
             self.slow_extras.fetch_add(1, Ordering::Relaxed);
         }
-        if self.capacity == 0 {
-            return true;
-        }
-        let mut ring = self.ring.lock().expect("span ring lock");
-        if ring.len() >= self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(span.clone());
+        self.ring.push(span.clone());
         true
     }
 
@@ -319,9 +309,9 @@ impl SpanRecorder {
         self.recorded.load(Ordering::Relaxed)
     }
 
-    /// Spans retained (head-sampled or slow).
+    /// Spans retained (head-sampled or slow), evicted ones included.
     pub fn retained(&self) -> u64 {
-        self.retained.load(Ordering::Relaxed)
+        self.ring.recorded()
     }
 
     /// Retained spans that were *not* head-sampled — kept only because
@@ -332,25 +322,7 @@ impl SpanRecorder {
 
     /// The retained spans as JSON lines, oldest first.
     pub fn spans_jsonl(&self) -> String {
-        let ring = self.ring.lock().expect("span ring lock");
-        let mut out = String::new();
-        for span in ring.iter() {
-            out.push_str(&span.to_json());
-            out.push('\n');
-        }
-        out
-    }
-}
-
-impl std::fmt::Debug for SpanRecorder {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SpanRecorder")
-            .field("capacity", &self.capacity)
-            .field("sample_every", &self.sample_every)
-            .field("slow_ns", &self.slow_ns)
-            .field("started", &self.started())
-            .field("retained", &self.retained())
-            .finish()
+        self.ring.dump_jsonl()
     }
 }
 
@@ -481,7 +453,8 @@ mod tests {
         span.set_ids(42, 7);
         span.stamp_at(Stage::FrameRead, 100);
         span.stamp_at(Stage::Engine, 300);
-        let v = Json::parse(&span.to_json()).unwrap();
+        recorder.record(&span);
+        let v = Json::parse(recorder.spans_jsonl().trim_end()).unwrap();
         assert_eq!(v.get("session").unwrap().as_u64(), Some(42));
         assert_eq!(v.get("seq").unwrap().as_u64(), Some(7));
         assert_eq!(v.get("sampled").unwrap().as_bool(), Some(true));

@@ -1,31 +1,24 @@
-//! The recording sink: counters, token fires, histograms, timings, and
-//! a bounded trace ring buffer.
+//! The recording sink: counters, token fires, histograms and timings.
+//! Trace events belong to the flight ring ([`crate::FlightRecorder`]),
+//! so this sink keeps none.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
 use crate::json;
 use crate::sink::{MetricsSink, Stat};
-use crate::trace::{to_jsonl, TraceEvent};
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-/// Default capacity of the trace ring buffer.
-const DEFAULT_TRACE_CAPACITY: usize = 4096;
 
 /// A sink that actually records.
 ///
 /// Counters and token fires are plain relaxed atomics (lock-free);
-/// histograms, timings, and the trace ring buffer take a `Mutex` but
-/// sit on per-message or per-stage paths, never per-byte ones.
+/// histograms and timings take a `Mutex` but sit on per-message or
+/// per-stage paths, never per-byte ones.
 #[derive(Debug)]
 pub struct StatsSink {
     counters: [AtomicU64; Stat::COUNT],
     token_fires: Vec<AtomicU64>,
     histograms: Mutex<Vec<(&'static str, Histogram)>>,
     timings: Mutex<Vec<(&'static str, u64)>>,
-    trace: Mutex<VecDeque<TraceEvent>>,
-    trace_capacity: usize,
-    trace_dropped: AtomicU64,
 }
 
 impl Default for StatsSink {
@@ -35,7 +28,7 @@ impl Default for StatsSink {
 }
 
 impl StatsSink {
-    /// A sink with no per-token counters and the default trace capacity.
+    /// A sink with no per-token counters.
     pub fn new() -> StatsSink {
         StatsSink::with_tokens(0)
     }
@@ -49,16 +42,7 @@ impl StatsSink {
             token_fires: (0..tokens).map(|_| AtomicU64::new(0)).collect(),
             histograms: Mutex::new(Vec::new()),
             timings: Mutex::new(Vec::new()),
-            trace: Mutex::new(VecDeque::new()),
-            trace_capacity: DEFAULT_TRACE_CAPACITY,
-            trace_dropped: AtomicU64::new(0),
         }
-    }
-
-    /// Override the trace ring-buffer capacity (0 disables tracing).
-    pub fn with_trace_capacity(mut self, capacity: usize) -> StatsSink {
-        self.trace_capacity = capacity;
-        self
     }
 
     /// Current value of one counter.
@@ -69,16 +53,6 @@ impl StatsSink {
     /// Current fire count of one token (0 if untracked).
     pub fn token_fires(&self, index: u32) -> u64 {
         self.token_fires.get(index as usize).map(|c| c.load(Ordering::Relaxed)).unwrap_or(0)
-    }
-
-    /// Copy out the trace buffer (oldest first).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.trace.lock().unwrap().iter().cloned().collect()
-    }
-
-    /// Encode the trace buffer as JSON lines.
-    pub fn trace_jsonl(&self) -> String {
-        to_jsonl(&self.trace_events())
     }
 
     /// Take a plain-data snapshot of everything recorded so far.
@@ -94,7 +68,6 @@ impl StatsSink {
                 .map(|(name, h)| (*name, h.snapshot()))
                 .collect(),
             timings: self.timings.lock().unwrap().clone(),
-            trace_dropped: self.trace_dropped.load(Ordering::Relaxed),
         }
     }
 }
@@ -127,20 +100,7 @@ impl MetricsSink for StatsSink {
     }
 
     fn wants_trace(&self) -> bool {
-        self.trace_capacity > 0
-    }
-
-    fn trace(&self, event: TraceEvent) {
-        if self.trace_capacity == 0 {
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let mut buf = self.trace.lock().unwrap();
-        if buf.len() >= self.trace_capacity {
-            buf.pop_front();
-            self.trace_dropped.fetch_add(1, Ordering::Relaxed);
-        }
-        buf.push_back(event);
+        false
     }
 }
 
@@ -155,8 +115,6 @@ pub struct StatsSnapshot {
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
     /// Recorded span timings `(name, nanos)`, in recording order.
     pub timings: Vec<(&'static str, u64)>,
-    /// Events evicted from (or refused by) the trace ring buffer.
-    pub trace_dropped: u64,
 }
 
 impl StatsSnapshot {
@@ -168,7 +126,6 @@ impl StatsSnapshot {
             token_fires: Vec::new(),
             histograms: Vec::new(),
             timings: Vec::new(),
-            trace_dropped: 0,
         }
     }
 
@@ -184,9 +141,9 @@ impl StatsSnapshot {
 
     /// Fold another snapshot into this one: counters and per-token
     /// fires add element-wise (the fire vector grows to the longer of
-    /// the two), histograms merge by name, timings concatenate, and
-    /// `trace_dropped` accumulates. Point-in-time merged views over
-    /// many sinks are built by folding from [`StatsSnapshot::empty`].
+    /// the two), histograms merge by name, and timings concatenate.
+    /// Point-in-time merged views over many sinks are built by folding
+    /// from [`StatsSnapshot::empty`].
     pub fn merge(&mut self, other: &StatsSnapshot) {
         for (name, v) in &other.counters {
             if let Some((_, mine)) = self.counters.iter_mut().find(|(n, _)| n == name) {
@@ -209,7 +166,6 @@ impl StatsSnapshot {
             }
         }
         self.timings.extend_from_slice(&other.timings);
-        self.trace_dropped += other.trace_dropped;
     }
 
     /// The change since an `earlier` snapshot of the same sink(s):
@@ -217,7 +173,7 @@ impl StatsSnapshot {
     /// sink restart shows as zero rather than wrapping), and only span
     /// timings recorded after the earlier snapshot are kept. Feeding
     /// the result's counters and an elapsed wall-clock interval into a
-    /// divide is how `cfgtag top` turns two scrapes into live rates.
+    /// divide is how `cfgtag watch top` turns two scrapes into live rates.
     pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
         let at = |name: &str, set: &[(&'static str, u64)]| {
             set.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).unwrap_or(0)
@@ -258,7 +214,6 @@ impl StatsSnapshot {
                 })
                 .collect(),
             timings: self.timings.get(earlier.timings.len()..).unwrap_or(&[]).to_vec(),
-            trace_dropped: self.trace_dropped.saturating_sub(earlier.trace_dropped),
         }
     }
 
@@ -293,7 +248,7 @@ impl StatsSnapshot {
             json::push_str(&mut out, name);
             out.push_str(&format!(",\"nanos\":{nanos}}}"));
         }
-        out.push_str(&format!("],\"trace_dropped\":{}}}", self.trace_dropped));
+        out.push_str("]}");
         out
     }
 }
@@ -323,20 +278,6 @@ mod tests {
         assert_eq!(s.token_fires(3), 1);
         assert_eq!(s.token_fires(99), 0);
         assert_eq!(s.get(Stat::EventsOut), 8);
-    }
-
-    #[test]
-    fn trace_ring_buffer_evicts_oldest() {
-        let s = StatsSink::new().with_trace_capacity(2);
-        s.trace(TraceEvent::new("a"));
-        s.trace(TraceEvent::new("b"));
-        s.trace(TraceEvent::new("c"));
-        let events = s.trace_events();
-        assert_eq!(events.len(), 2);
-        assert_eq!(events[0].kind, "b");
-        assert_eq!(events[1].kind, "c");
-        assert_eq!(s.snapshot().trace_dropped, 1);
-        assert_eq!(s.trace_jsonl().lines().count(), 2);
     }
 
     #[test]

@@ -11,19 +11,19 @@
 //! message and no `Instant::now()` calls).
 //!
 //! A [`TimeSeries`] snapshots the bank on a configurable interval into
-//! a bounded ring of [`TickSnapshot`]s — the raw dump behind
+//! an [`EventRing`] of [`TickSnapshot`]s — the raw dump behind
 //! `/timeseries.json` — and derives per-shard [`ShardGauge`]s over the
 //! ring's window: utilization %, arrival/service rates, and a
 //! Little's-law predicted queue wait (`W_q = L̄_q / λ`) that
-//! `cfgtag shards` puts next to the *measured* `queue_wait` p50 from
+//! `cfgtag watch shards` puts next to the *measured* `queue_wait` p50 from
 //! `/slo.json`. When the two agree, queueing theory explains the
 //! latency; when they diverge, something other than steady-state
 //! saturation (bursts, a stalled worker) is going on.
 
 use crate::json;
-use std::collections::VecDeque;
+use crate::ring::EventRing;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -237,9 +237,8 @@ pub fn derive_gauges(window: &[TickSnapshot]) -> Vec<ShardGauge> {
 #[derive(Debug)]
 pub struct TimeSeries {
     bank: Arc<ShardLoadBank>,
-    capacity: usize,
     interval: Duration,
-    ring: Mutex<VecDeque<TickSnapshot>>,
+    ring: EventRing<TickSnapshot>,
 }
 
 impl TimeSeries {
@@ -247,8 +246,7 @@ impl TimeSeries {
     /// two — gauges need a window), sampled every `interval` by
     /// [`TimeSeries::start_sampler`].
     pub fn new(bank: Arc<ShardLoadBank>, capacity: usize, interval: Duration) -> TimeSeries {
-        let capacity = capacity.max(2);
-        TimeSeries { bank, capacity, interval, ring: Mutex::new(VecDeque::with_capacity(capacity)) }
+        TimeSeries { bank, interval, ring: EventRing::new(capacity.max(2)) }
     }
 
     /// The bank this series samples.
@@ -263,12 +261,12 @@ impl TimeSeries {
 
     /// Snapshots currently held.
     pub fn len(&self) -> usize {
-        self.ring.lock().expect("timeseries ring lock").len()
+        self.ring.len()
     }
 
     /// Whether the ring holds no snapshots yet.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.ring.is_empty()
     }
 
     /// Take one snapshot of the bank now and push it, evicting the
@@ -280,16 +278,12 @@ impl TimeSeries {
     /// Push an explicit snapshot — the deterministic entry point unit
     /// tests use in place of the wall clock.
     pub fn push(&self, tick: TickSnapshot) {
-        let mut ring = self.ring.lock().expect("timeseries ring lock");
-        if ring.len() == self.capacity {
-            ring.pop_front();
-        }
-        ring.push_back(tick);
+        self.ring.push(tick);
     }
 
     /// The retained snapshots, oldest first.
     pub fn ticks(&self) -> Vec<TickSnapshot> {
-        self.ring.lock().expect("timeseries ring lock").iter().cloned().collect()
+        self.ring.entries().into_iter().map(|(_, tick)| tick).collect()
     }
 
     /// Derived per-shard gauges over the retained window. With fewer

@@ -1,7 +1,7 @@
 //! Structured trace events and their JSON-lines encoding.
 
 use crate::json;
-use std::fmt;
+use crate::ring::{push_seq_open, JsonLine};
 
 /// A field value in a trace event.
 #[derive(Debug, Clone, PartialEq)]
@@ -72,7 +72,7 @@ impl From<String> for Value {
 /// One structured event: a kind tag plus ordered key/value fields.
 ///
 /// Events are cheap to build (`&'static str` keys, no map) and encode
-/// to one JSON object per line via [`TraceEvent::to_json`].
+/// to one `{"seq":N,"kind":...}` JSON line via [`JsonLine`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceEvent {
     /// Event kind, e.g. `"token_fire"`, `"resync"`, `"route"`.
@@ -92,45 +92,34 @@ impl TraceEvent {
         self.fields.push((key, value.into()));
         self
     }
+}
 
-    /// Encode as a single-line JSON object: `{"kind":...,...fields}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + 16 * self.fields.len());
-        out.push_str("{\"kind\":");
-        json::push_str(&mut out, self.kind);
+/// The flight-recorder and trigger-capture line:
+/// `{"seq":N,"kind":...,...fields}`.
+impl JsonLine for TraceEvent {
+    fn push_json_line(&self, seq: u64, out: &mut String) {
+        push_seq_open(out, seq);
+        out.push_str("\"kind\":");
+        json::push_str(out, self.kind);
         for (k, v) in &self.fields {
             out.push(',');
-            json::push_str(&mut out, k);
+            json::push_str(out, k);
             out.push(':');
-            v.write_json(&mut out);
+            v.write_json(out);
         }
-        out.push('}');
-        out
+        out.push_str("}\n");
     }
-}
-
-impl fmt::Display for TraceEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(&self.to_json())
-    }
-}
-
-/// Encode a slice of events as JSON lines (one object per line, no
-/// trailing newline after the last).
-pub fn to_jsonl(events: &[TraceEvent]) -> String {
-    let mut out = String::new();
-    for (i, e) in events.iter().enumerate() {
-        if i > 0 {
-            out.push('\n');
-        }
-        out.push_str(&e.to_json());
-    }
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn line(e: &TraceEvent) -> String {
+        let mut out = String::new();
+        e.push_json_line(7, &mut out);
+        out
+    }
 
     #[test]
     fn event_json_shape() {
@@ -140,25 +129,17 @@ mod tests {
             .field("end", 14u64)
             .field("name", "methodName");
         assert_eq!(
-            e.to_json(),
-            "{\"kind\":\"token_fire\",\"token\":3,\"start\":10,\"end\":14,\"name\":\"methodName\"}"
+            line(&e),
+            "{\"seq\":7,\"kind\":\"token_fire\",\"token\":3,\"start\":10,\"end\":14,\"name\":\"methodName\"}\n"
         );
     }
 
     #[test]
     fn value_escaping_and_floats() {
         let e = TraceEvent::new("x").field("s", "a\"b\\c\nd").field("f", 1.5f64).field("i", -2i64);
-        let json = e.to_json();
+        let json = line(&e);
         assert!(json.contains("\"a\\\"b\\\\c\\nd\""));
         assert!(json.contains("\"f\":1.5"));
         assert!(json.contains("\"i\":-2"));
-    }
-
-    #[test]
-    fn jsonl_lines() {
-        let events = vec![TraceEvent::new("a"), TraceEvent::new("b")];
-        let text = to_jsonl(&events);
-        assert_eq!(text.lines().count(), 2);
-        assert!(text.lines().all(|l| l.starts_with('{') && l.ends_with('}')));
     }
 }

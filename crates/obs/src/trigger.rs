@@ -4,13 +4,14 @@
 //! On an FPGA this is ChipScope: a probe watches a signal, and when the
 //! trigger condition is met the surrounding samples are frozen and read
 //! out. Here the "signal" is the trace-event stream: a [`TriggerHub`]
-//! sits on the metrics tee, mirrors every event into its own
+//! sits on the metrics tee, records every event into the process's one
 //! [`FlightRecorder`] ring, and when the armed [`TriggerCondition`]
 //! matches it snapshots the ring (the *pre* window, which already ends
 //! with the triggering event) and keeps collecting until the *post*
 //! window is full.
 
-use crate::flight::{push_seq_line, FlightRecorder};
+use crate::flight::FlightRecorder;
+use crate::ring::JsonLine;
 use crate::sink::MetricsSink;
 use crate::trace::{TraceEvent, Value};
 use std::sync::{Arc, Mutex};
@@ -130,6 +131,11 @@ impl Trigger {
         &self.cond
     }
 
+    /// The `(pre, post)` window this trigger captures, after clamping.
+    pub fn window(&self) -> (usize, usize) {
+        (self.pre, self.post)
+    }
+
     /// Whether the condition has fired (capture may still be filling).
     pub fn fired(&self) -> bool {
         !matches!(*self.state.lock().unwrap(), CaptureState::Armed)
@@ -150,10 +156,11 @@ impl Trigger {
                 if !self.cond.matches(event) {
                     return;
                 }
-                let mut events = ring.events();
+                let mut events = ring.entries();
                 // Keep `pre` events of history plus the trigger itself.
-                if events.len() > self.pre + 1 {
-                    events.drain(..events.len() - (self.pre + 1));
+                let keep = self.pre.saturating_add(1);
+                if events.len() > keep {
+                    events.drain(..events.len() - keep);
                 }
                 *state = if self.post == 0 {
                     CaptureState::Complete(events)
@@ -191,7 +198,7 @@ impl Trigger {
             CaptureState::Complete(events) => {
                 let mut out = String::new();
                 for (seq, event) in events {
-                    push_seq_line(&mut out, *seq, event);
+                    event.push_json_line(*seq, &mut out);
                 }
                 Some(out)
             }
@@ -200,22 +207,25 @@ impl Trigger {
     }
 }
 
-/// The trigger hub: a [`MetricsSink`] that mirrors the trace stream
-/// into its own ring and drives at most one armed [`Trigger`].
+/// The trigger hub: a [`MetricsSink`] that records the trace stream
+/// into a flight ring and drives at most one armed [`Trigger`] over it.
 ///
-/// Tee it in next to the stats sink; arming and reading out happen from
-/// the exporter thread while the engine keeps streaming.
+/// Tee it in next to the stats sink, in place of the flight recorder it
+/// writes; arming and reading out happen from the exporter thread while
+/// the engine keeps streaming.
 #[derive(Debug)]
 pub struct TriggerHub {
     token_names: Vec<String>,
-    ring: FlightRecorder,
+    flight: Arc<FlightRecorder>,
     active: Mutex<Option<Arc<Trigger>>>,
 }
 
 impl TriggerHub {
-    /// A hub resolving condition strings against these token names.
-    pub fn new(token_names: Vec<String>) -> TriggerHub {
-        TriggerHub { token_names, ring: FlightRecorder::default(), active: Mutex::new(None) }
+    /// A hub resolving condition strings against these token names and
+    /// recording every trace event into `flight`, the ring its captures
+    /// are cut from.
+    pub fn new(token_names: Vec<String>, flight: Arc<FlightRecorder>) -> TriggerHub {
+        TriggerHub { token_names, flight, active: Mutex::new(None) }
     }
 
     /// The token names conditions are resolved against.
@@ -224,10 +234,14 @@ impl TriggerHub {
     }
 
     /// Arm a capture (replacing any previous one): `spec` is a
-    /// [`TriggerCondition`] string, `pre`/`post` size the window.
+    /// [`TriggerCondition`] string, `pre`/`post` size the window. Both
+    /// sides arrive from untrusted input (`/trigger?pre=&post=`), so each
+    /// is clamped to the flight ring's capacity; [`Trigger::window`]
+    /// reports what was armed.
     pub fn arm(&self, spec: &str, pre: usize, post: usize) -> Result<Arc<Trigger>, String> {
         let cond = TriggerCondition::parse(spec, &self.token_names)?;
-        let trigger = Arc::new(Trigger::new(cond, pre, post));
+        let cap = self.flight.capacity();
+        let trigger = Arc::new(Trigger::new(cond, pre.min(cap), post.min(cap)));
         *self.active.lock().unwrap() = Some(Arc::clone(&trigger));
         Ok(trigger)
     }
@@ -257,9 +271,14 @@ impl MetricsSink for TriggerHub {
     }
 
     fn trace(&self, event: TraceEvent) {
-        let seq = self.ring.record(event.clone());
-        if let Some(trigger) = self.active() {
-            trigger.offer(seq, &event, &self.ring);
+        match self.active() {
+            Some(trigger) => {
+                let seq = self.flight.push(event.clone());
+                trigger.offer(seq, &event, &self.flight);
+            }
+            None => {
+                self.flight.push(event);
+            }
         }
     }
 }
@@ -270,6 +289,10 @@ mod tests {
 
     fn names() -> Vec<String> {
         ["if", "true", "then", "go"].iter().map(|s| s.to_string()).collect()
+    }
+
+    fn hub() -> TriggerHub {
+        TriggerHub::new(names(), Arc::new(FlightRecorder::default()))
     }
 
     #[test]
@@ -301,7 +324,7 @@ mod tests {
 
     #[test]
     fn capture_window_contains_the_trigger() {
-        let hub = TriggerHub::new(names());
+        let hub = hub();
         let trigger = hub.arm("token:go", 2, 1).unwrap();
         for i in 0..5u32 {
             hub.trace(TraceEvent::new("token_fire").field("token", 0u32).field("i", i));
@@ -323,7 +346,7 @@ mod tests {
 
     #[test]
     fn zero_post_completes_immediately_and_rearming_replaces() {
-        let hub = TriggerHub::new(names());
+        let hub = hub();
         let t1 = hub.arm("token:if", 8, 0).unwrap();
         hub.trace(TraceEvent::new("token_fire").field("token", 0u32));
         assert!(t1.complete());
@@ -341,7 +364,7 @@ mod tests {
 
     #[test]
     fn edge_condition_fires_on_follow_edge_events() {
-        let hub = TriggerHub::new(names());
+        let hub = hub();
         let trigger = hub.arm("edge:if->true", 0, 0).unwrap();
         hub.trace(TraceEvent::new("follow_edge").field("from", 0u32).field("to", 2u32));
         assert!(!trigger.fired());
@@ -351,7 +374,7 @@ mod tests {
 
     #[test]
     fn flush_makes_a_partial_post_window_readable() {
-        let hub = TriggerHub::new(names());
+        let hub = hub();
         let trigger = hub.arm("token:go", 0, 100).unwrap();
         hub.flush(); // still armed: no-op
         assert!(!trigger.fired());
@@ -360,5 +383,32 @@ mod tests {
         hub.flush();
         assert!(trigger.complete());
         assert_eq!(hub.capture_jsonl().unwrap().lines().count(), 1);
+    }
+
+    #[test]
+    fn hostile_windows_clamp_to_the_ring_capacity() {
+        let flight = Arc::new(FlightRecorder::new(8));
+        let hub = TriggerHub::new(names(), Arc::clone(&flight));
+        // A huge post window still completes once the ring's worth of
+        // events has followed the trigger.
+        let trigger = hub.arm("token:go", usize::MAX, usize::MAX).unwrap();
+        assert_eq!(trigger.window(), (8, 8));
+        for i in 0..3u32 {
+            hub.trace(TraceEvent::new("token_fire").field("token", 0u32).field("i", i));
+        }
+        hub.trace(TraceEvent::new("token_fire").field("token", 3u32));
+        for i in 0..7u32 {
+            hub.trace(TraceEvent::new("span").field("i", i));
+        }
+        assert!(!trigger.complete());
+        hub.trace(TraceEvent::new("span").field("i", 7u32));
+        assert!(trigger.complete());
+        // A huge pre window keeps all the history the ring held, with
+        // the triggering event in it.
+        let dump = hub.capture_jsonl().unwrap();
+        let lines: Vec<&str> = dump.lines().collect();
+        assert_eq!(lines.len(), 4 + 8);
+        assert!(lines[3].contains("\"token\":3"), "{lines:?}");
+        assert_eq!(flight.recorded(), 12, "each event is recorded once, in the shared ring");
     }
 }

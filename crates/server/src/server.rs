@@ -31,8 +31,8 @@
 //!   sessions have their accepted payloads mirrored into a bounded
 //!   audit queue; workers behind the shard pool replay each frame
 //!   through the production engine, the scalar reference engine
-//!   (divergence ⇒ correctness bug, evidence kept in a
-//!   [`MismatchRing`]) and the exact [`PdaParser`] (unconfirmed fires ⇒
+//!   (divergence ⇒ correctness bug, a [`Mismatch`] kept as evidence in
+//!   an [`EventRing`]) and the exact [`PdaParser`] (unconfirmed fires ⇒
 //!   live §3.5 false positives, counted per token in an
 //!   [`AuditBank`]). A full audit queue sheds the session and counts
 //!   it — the fast path never blocks on the audit lane.
@@ -40,7 +40,7 @@
 use crate::frame::{self, Frame, FrameKind};
 use crate::session::SessionTable;
 use cfg_obs::{
-    profile, AuditBank, AuditEvent, FlightRecorder, MetricsSink, Mismatch, MismatchRing,
+    profile, AuditBank, AuditEvent, EventRing, FlightRecorder, MetricsSink, Mismatch,
     ProfilerHandle, SamplerHandle, SamplingProfiler, ShardLoadBank, SharedRegistry, SloTracker,
     Span, SpanRecorder, Stage, Stat, StatsSink, TimeSeries, TraceEvent,
 };
@@ -136,9 +136,9 @@ struct Saturation {
 /// shard pool replay each frame through the production engine, the
 /// scalar reference engine and the exact PDA parser, filling an
 /// [`AuditBank`] (behind `/audit.json` and `cfgtag_audit_*` metrics)
-/// and a [`MismatchRing`] (behind `/mismatches.jsonl`). When `None`
-/// (the default) none of this exists and a session costs one relaxed
-/// atomic load at open.
+/// and a small ring of recent divergences (behind `/mismatches.jsonl`).
+/// When `None` (the default) none of this exists and a session costs
+/// one relaxed atomic load at open.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// Audit 1 in N sessions (1 = every session). Clamped to `>= 1`.
@@ -151,22 +151,18 @@ pub struct AuditConfig {
     /// Per-session mirrored-byte cap; frames beyond it are not
     /// mirrored (the prefix is still audited).
     pub max_bytes: usize,
-    /// Mismatch ring capacity, in divergences, behind
-    /// `/mismatches.jsonl`.
-    pub ring: usize,
 }
 
 impl Default for AuditConfig {
     fn default() -> AuditConfig {
-        AuditConfig {
-            sample_every: 1,
-            queue_depth: 64,
-            workers: 1,
-            max_bytes: 4 << 20,
-            ring: cfg_obs::DEFAULT_MISMATCH_CAPACITY,
-        }
+        AuditConfig { sample_every: 1, queue_depth: 64, workers: 1, max_bytes: 4 << 20 }
     }
 }
+
+/// Divergences kept as evidence behind `/mismatches.jsonl`. A
+/// divergence is a correctness bug, so they should be rare: a small
+/// ring keeps every one a debugging session could want.
+const MISMATCH_CAPACITY: usize = 64;
 
 /// One sampled session's mirrored payloads, queued for replay.
 struct AuditJob {
@@ -178,7 +174,7 @@ struct AuditJob {
 /// queue feeding the replay workers.
 struct Auditor {
     bank: Arc<AuditBank>,
-    ring: Arc<MismatchRing>,
+    ring: Arc<EventRing<Mismatch>>,
     sample_every: u64,
     max_bytes: usize,
     /// `SyncSender` is `Send` but not `Sync`; the mutex makes the lane
@@ -404,7 +400,7 @@ impl IngestServer {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let table: Arc<SessionTable<TcpStream>> = Arc::new(SessionTable::new(config.max_sessions));
-        let server_sink = Arc::new(StatsSink::new().with_trace_capacity(0));
+        let server_sink = Arc::new(StatsSink::new());
 
         // The tracing side-car: a span recorder + SLO tracker pair,
         // also attached to the service state so the HTTP exporter can
@@ -447,7 +443,7 @@ impl IngestServer {
         let mut audit_handles = Vec::new();
         let audit = config.audit.as_ref().map(|a| {
             let bank = Arc::new(AuditBank::new(tagger.grammar().tokens().len()));
-            let ring = Arc::new(MismatchRing::new(a.ring));
+            let ring = Arc::new(EventRing::new(MISMATCH_CAPACITY));
             let (tx, rx) = mpsc::sync_channel::<AuditJob>(a.queue_depth.max(1));
             let rx = Arc::new(Mutex::new(rx));
             let kind = config.engine;
@@ -649,7 +645,7 @@ impl IngestServer {
 
     /// The divergence evidence ring, when auditing is configured — the
     /// source behind `/mismatches.jsonl`.
-    pub fn mismatch_ring(&self) -> Option<Arc<MismatchRing>> {
+    pub fn mismatch_ring(&self) -> Option<Arc<EventRing<Mismatch>>> {
         self.shared.audit.as_ref().map(|a| Arc::clone(&a.ring))
     }
 
@@ -867,7 +863,7 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
                         span
                     });
                     if let Some(flight) = &shared.flight {
-                        flight.record(
+                        flight.push(
                             TraceEvent::new("ingest_frame")
                                 .field("session", id)
                                 .field("seq", seq)
@@ -977,7 +973,7 @@ fn audit_loop(
     kind: EngineKind,
     rx: Arc<Mutex<Receiver<AuditJob>>>,
     bank: Arc<AuditBank>,
-    ring: Arc<MismatchRing>,
+    ring: Arc<EventRing<Mismatch>>,
 ) {
     // The exact parser is the ground truth for §3.5 false positives:
     // build it once per worker, reuse across every frame.
@@ -1006,7 +1002,7 @@ fn audit_frame(
     kind: EngineKind,
     pda: &PdaParser,
     bank: &AuditBank,
-    ring: &MismatchRing,
+    ring: &EventRing<Mismatch>,
     session: u64,
     frame: u64,
     payload: &[u8],
@@ -1024,7 +1020,7 @@ fn audit_frame(
     scalar.finish_into(&mut reference);
     if fast != reference {
         bank.divergence();
-        ring.record(build_mismatch(session, frame, payload, &fast, &reference));
+        ring.push(build_mismatch(session, frame, payload, &fast, &reference));
     }
     // §3.5: the streaming tagger may fire tokens the exact parser does
     // not confirm. Count confirmations against the PDA's derivation.
@@ -1111,6 +1107,22 @@ mod tests {
         assert_eq!(seq, 7);
         assert_eq!(payload, b"payload");
         assert!(split_msg(&msg[..11]).is_none());
+    }
+
+    #[test]
+    fn audit_evidence_windows_the_first_divergence() {
+        let ev = |token, start, end| TagEvent { token: cfg_grammar::TokenId(token), start, end };
+        let payload = vec![b'x'; 1000];
+        let fast = [ev(0, 10, 12), ev(1, 500, 504)];
+        let reference = [ev(0, 10, 12), ev(2, 500, 506), ev(3, 900, 901)];
+        let m = build_mismatch(7, 3, &payload, &fast, &reference);
+        // 64 bytes of lead-in before the first differing event, 256 in all.
+        assert_eq!((m.session, m.frame, m.window_start, m.window.len()), (7, 3, 436, 256));
+        assert_eq!((m.fast.len(), m.reference.len()), (2, 3));
+        // A stream that only runs longer anchors on its first extra
+        // event, and the window stops at the end of the payload.
+        let m = build_mismatch(7, 3, &payload, &reference[..2], &reference);
+        assert_eq!((m.window_start, m.window.len()), (836, 164));
     }
 
     #[test]

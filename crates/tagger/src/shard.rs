@@ -7,7 +7,7 @@
 //! shared `Arc`s, so a shard costs only an engine's worth of mutable
 //! state. Messages are dispatched round-robin (or by session affinity
 //! via [`ShardPool::submit_to`]), and per-shard statistics merge through
-//! [`SharedRegistry`] exactly like any other sink — `cfgtag top` and the
+//! [`SharedRegistry`] exactly like any other sink — `cfgtag watch top` and the
 //! `/metrics` exporter see one fused view.
 //!
 //! Two production behaviours distinguish this pool from a plain channel
@@ -251,12 +251,12 @@ impl ShardPool {
         let mut handles = Vec::with_capacity(shards);
         let mut sinks = Vec::with_capacity(shards);
         for i in 0..shards {
-            // Shard sinks keep counters and per-token fires but no trace
-            // ring: shard mode is the throughput path, and event-level
-            // introspection (flight recorder, triggered capture) is
-            // documented as idle there. Engines see `wants_trace()` =
-            // false and skip building trace events entirely.
-            let sink = Arc::new(StatsSink::with_tokens(tokens).with_trace_capacity(0));
+            // Shard sinks keep counters and per-token fires; like every
+            // stats sink they keep no trace events, so engines see
+            // `wants_trace()` = false and skip building them. Event-level
+            // introspection (flight recorder, triggered capture) is idle
+            // in shard mode.
+            let sink = Arc::new(StatsSink::with_tokens(tokens));
             let shard_tagger = tagger.clone().with_metrics(Metrics::new(sink.clone()));
             let (tx, rx) = sync_channel::<ShardMsg>(opts.queue_depth.max(1));
             let run = Arc::clone(&handler);

@@ -335,7 +335,7 @@ impl TokenTagger {
                 // The liveness mirror records into a private sink so
                 // bytes/events are not double-counted; GateStream folds
                 // only the liveness counters back at finish().
-                let mirror_sink = Arc::new(StatsSink::new().with_trace_capacity(0));
+                let mirror_sink = Arc::new(StatsSink::new());
                 let mirror = BitEngine::new(Arc::clone(&self.bit_tables))
                     .with_metrics(Metrics::new(mirror_sink.clone()));
                 Box::new(crate::engine::GateStream::new(
