@@ -7,8 +7,10 @@
 #   4. tier-1 verify            -- release build + root-package tests
 #   5. exporter integration     -- cfg-obs-http socket-level scrape tests
 #   6. ring & viewer            -- the EventRing under every telemetry
-#                                  ring, and the `cfgtag watch` loop
-#                                  (flags, retries, every view's frame)
+#                                  ring, the JSON parser every view
+#                                  decodes with (nesting depth capped),
+#                                  and the `cfgtag watch` loop (flags,
+#                                  retries, every view's frame)
 #   7. probe layer & scope      -- engine probe counters, trigger hub,
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
@@ -22,9 +24,9 @@
 #                                  fault-injection chaos test
 #  10. span tracing & SLO       -- cfg-obs span/SLO suites, the slo view,
 #                                  and the end-to-end span_trace test
-#  11. saturation telemetry     -- utilization time series, sampling
-#                                  profiler, shards view, and the
-#                                  end-to-end Little's-law test
+#  11. saturation telemetry     -- utilization time series, shards
+#                                  view, and the end-to-end
+#                                  Little's-law test
 #  12. shadow audit             -- audit bank and evidence-window
 #                                  suites, frame-codec chunking
 #                                  properties, audit view, and the
@@ -83,8 +85,9 @@ cargo test -q
 echo "==> exporter integration: cargo test -q -p cfg-obs-http"
 cargo test -q -p cfg-obs-http
 
-echo "==> ring & viewer: cfg-obs EventRing, cfgtag watch loop and poller"
+echo "==> ring & viewer: cfg-obs EventRing and JSON parser, cfgtag watch loop and poller"
 filtered -p cfg-obs ring
+filtered -p cfg-obs json
 filtered -p cfg-cli watch
 filtered -p cfg-cli poll
 
@@ -113,9 +116,8 @@ filtered -p cfg-obs slo
 filtered -p cfg-cli slo
 cargo test -q --test span_trace
 
-echo "==> saturation telemetry: time series, profiler, shards view, end-to-end test"
+echo "==> saturation telemetry: time series, shards view, end-to-end test"
 filtered -p cfg-obs timeseries
-filtered -p cfg-obs profile
 filtered -p cfg-cli shards
 cargo test -q --test saturation
 

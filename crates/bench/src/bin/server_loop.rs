@@ -19,11 +19,12 @@
 //! to `bench_results/server_loop.json` — non-gating, like every timing
 //! bench here.
 //!
-//! Saturation telemetry rides along (`--sample-hz`, default 97; 0 =
-//! off): the run records the pool's peak sampled queue depth and the
-//! busiest shard's utilization into the JSONL row
-//! (`shard_utilization_pct`, `peak_queue_depth`) — the quantitative
-//! view of how close `--window` pushed the pool to overload.
+//! Saturation telemetry rides along (`--sample-hz N`, snapshots every
+//! `1000 / N` ms, default 200; 0 = off): the run records the pool's
+//! peak sampled queue depth and the busiest shard's utilization into
+//! the JSONL row (`shard_utilization_pct`, `peak_queue_depth`) — the
+//! quantitative view of how close `--window` pushed the pool to
+//! overload.
 //!
 //! `--sessions N` parks an idle fleet of N extra connections for the
 //! whole run, each holding a parked reader thread — the concurrency
@@ -104,7 +105,7 @@ fn main() {
     let window = (arg("--window", 8) as usize).max(1);
     let trace_sample = arg("--trace-sample", 1);
     let slo_ms = arg("--slo-ms", 50).max(1);
-    let sample_hz = arg("--sample-hz", 97) as u32;
+    let sample_hz = arg("--sample-hz", 200).min(1000);
     // The idle fleet burns one fd per side of each connection; keep a
     // comfortable margin under the typical nofile soft limit and say
     // so when the request had to shrink — never clamp silently.
@@ -133,12 +134,10 @@ fn main() {
             slo_ms,
             ..TraceConfig::default()
         }),
-        saturation: (sample_hz > 0).then_some(SaturationConfig {
-            sample_hz,
-            // A tight interval so even short benches see a real window.
-            interval_ms: 5,
-            history: 4096,
-        }),
+        // The default 5 ms interval is tight so even short benches see
+        // a real window.
+        saturation: (sample_hz > 0)
+            .then(|| SaturationConfig { interval_ms: 1000 / sample_hz, history: 4096 }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&tagger, "127.0.0.1:0", config).expect("bind ingest server");

@@ -70,8 +70,8 @@ pub struct ServeFlags {
     /// `--slo-ms X`: end-to-end latency objective for `/slo.json`.
     pub slo_ms: u64,
     /// `--sample-hz N`: saturation telemetry — per-shard utilization
-    /// time series plus a stage sampling profiler at N Hz (listen
-    /// mode; 0 = telemetry off).
+    /// snapshots taken N times a second, N clamped to `1..=1000`
+    /// (listen mode; 0 = telemetry off).
     pub sample_hz: u32,
     /// `--audit-sample N`: shadow-audit 1-in-N sessions — replay their
     /// payloads through the reference engine + exact parser behind
@@ -427,7 +427,7 @@ pub fn run_listen(
             ..TraceConfig::default()
         }),
         saturation: (flags.sample_hz > 0).then(|| SaturationConfig {
-            sample_hz: flags.sample_hz,
+            interval_ms: 1000 / u64::from(flags.sample_hz.clamp(1, 1000)),
             ..SaturationConfig::default()
         }),
         audit: (flags.audit_sample > 0)
@@ -449,7 +449,7 @@ pub fn run_listen(
     ));
     let trace_endpoints = if flags.trace_sample > 0 { " /slo.json /spans.jsonl" } else { "" };
     let saturation_endpoints =
-        if flags.sample_hz > 0 { " /shards.json /timeseries.json /profile.folded" } else { "" };
+        if flags.sample_hz > 0 { " /shards.json /timeseries.json" } else { "" };
     let audit_endpoints =
         if flags.audit_sample > 0 { " /audit.json /mismatches.jsonl" } else { "" };
     status(&format!(

@@ -44,9 +44,6 @@
 //! * `GET /timeseries.json` — the saturation snapshot ring dump
 //!   (oldest first); an empty ring is `200` with an empty `samples`
 //!   array, never an error.
-//! * `GET /profile.folded` — folded-stack samples
-//!   (`stage;engine_kind count` lines) from the attached
-//!   [`cfg_obs::SamplingProfiler`], ready for flamegraph tooling.
 //! * `GET /audit.json` — live shadow-audit correctness counters from
 //!   the attached [`cfg_obs::AuditBank`]: sessions sampled/audited/
 //!   shed, fires confirmed by the exact parser, precision %, per-token
@@ -66,14 +63,14 @@
 #![warn(missing_docs)]
 
 use cfg_obs::{
-    json, AuditBank, EventRing, Mismatch, ProbeBank, RegistrySnapshot, SamplingProfiler,
-    SharedRegistry, SloTracker, SpanRecorder, Stat, TimeSeries, TriggerHub,
+    json, AuditBank, EventRing, Mismatch, ProbeBank, RegistrySnapshot, SharedRegistry, SloTracker,
+    SpanRecorder, Stat, TimeSeries, TriggerHub,
 };
-use std::io::{Read, Write};
+use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Shared service-level state the endpoints report: readiness, the
 /// dead-stream flag, and pre-encoded metadata (compile report, token
@@ -91,7 +88,6 @@ pub struct ServiceState {
     slo_tracker: Mutex<Option<Arc<SloTracker>>>,
     span_recorder: Mutex<Option<Arc<SpanRecorder>>>,
     timeseries: Mutex<Option<Arc<TimeSeries>>>,
-    profiler: Mutex<Option<Arc<SamplingProfiler>>>,
     audit_bank: Mutex<Option<Arc<AuditBank>>>,
     mismatch_ring: Mutex<Option<Arc<EventRing<Mismatch>>>>,
 }
@@ -190,11 +186,6 @@ impl ServiceState {
         *self.timeseries.lock().unwrap() = Some(series);
     }
 
-    /// Attach the sampling profiler served at `/profile.folded`.
-    pub fn set_profiler(&self, profiler: Arc<SamplingProfiler>) {
-        *self.profiler.lock().unwrap() = Some(profiler);
-    }
-
     /// Attach the shadow-audit counters served at `/audit.json` and as
     /// `cfgtag_audit_*` rows in `/metrics` (the ingest server does this
     /// when auditing is configured). Unattached, `/audit.json` answers
@@ -223,10 +214,6 @@ impl ServiceState {
 
     fn timeseries(&self) -> Option<Arc<TimeSeries>> {
         self.timeseries.lock().unwrap().clone()
-    }
-
-    fn profiler(&self) -> Option<Arc<SamplingProfiler>> {
-        self.profiler.lock().unwrap().clone()
     }
 
     fn probe_bank(&self) -> Option<Arc<ProbeBank>> {
@@ -335,8 +322,8 @@ pub fn render_prometheus(snap: &RegistrySnapshot, state: &ServiceState) -> Strin
     }
 
     // Shadow-audit counters, present only while an audit bank is
-    // attached *and* enabled — `/metrics` is audit-dark otherwise.
-    if let Some(bank) = state.audit_bank().filter(|b| b.is_enabled()) {
+    // attached — `/metrics` is audit-dark otherwise.
+    if let Some(bank) = state.audit_bank() {
         let _ =
             writeln!(out, "# HELP cfgtag_audit_sessions_total Sessions seen by the audit lane.");
         let _ = writeln!(out, "# TYPE cfgtag_audit_sessions_total counter");
@@ -610,7 +597,7 @@ pub fn respond(path: &str, registry: &SharedRegistry, state: &ServiceState) -> R
                 body: "no SLO tracker attached (serve --listen with --trace-sample N)\n".into(),
             },
         },
-        // The three saturation endpoints answer 200 with empty data
+        // The two saturation endpoints answer 200 with empty data
         // when nothing is attached: sampling being off is a normal
         // serving configuration, not an error a poller should retry.
         "/shards.json" => Response {
@@ -628,11 +615,6 @@ pub fn respond(path: &str, registry: &SharedRegistry, state: &ServiceState) -> R
                 Some(series) => series.to_json(),
                 None => "{\"interval_ms\":0,\"samples\":[]}\n".into(),
             },
-        },
-        "/profile.folded" => Response {
-            status: 200,
-            content_type: "text/plain",
-            body: state.profiler().map(|p| p.folded()).unwrap_or_default(),
         },
         // The audit endpoints answer 200 whether or not a server is
         // auditing: like saturation, auditing being off is a normal
@@ -667,7 +649,7 @@ pub fn respond(path: &str, registry: &SharedRegistry, state: &ServiceState) -> R
             },
         },
         "/" => {
-            let mut body = String::from("{\"endpoints\":[\"/metrics\",\"/healthz\",\"/readyz\",\"/report.json\",\"/circuit.json\",\"/probes.json\",\"/trigger\",\"/capture.jsonl\",\"/slo.json\",\"/spans.jsonl\",\"/shards.json\",\"/timeseries.json\",\"/profile.folded\",\"/audit.json\",\"/mismatches.jsonl\"],\"sinks\":[");
+            let mut body = String::from("{\"endpoints\":[\"/metrics\",\"/healthz\",\"/readyz\",\"/report.json\",\"/circuit.json\",\"/probes.json\",\"/trigger\",\"/capture.jsonl\",\"/slo.json\",\"/spans.jsonl\",\"/shards.json\",\"/timeseries.json\",\"/audit.json\",\"/mismatches.jsonl\"],\"sinks\":[");
             for (i, name) in registry.names().iter().enumerate() {
                 if i > 0 {
                     body.push(',');
@@ -688,6 +670,34 @@ fn status_text(status: u16) -> &'static str {
         503 => "Service Unavailable",
         _ => "Error",
     }
+}
+
+/// How long one reply may take to write. The exporter has one thread,
+/// so a peer that stops reading a reply larger than the socket buffers
+/// must not hold it longer than this.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// `write_all` against one deadline for the whole buffer. A socket
+/// write timeout bounds each `write` call, and a call that moved some
+/// bytes before it blocked returns them, so `write_all` restarts the
+/// clock: a silent peer on Linux loopback took 3.9 MB in a first 2 s
+/// call and 0.3 MB in a second, holding a 2 s-timeout `write_all` for
+/// 6 s.
+fn write_before(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
+    while !bytes.is_empty() {
+        let left = deadline
+            .checked_duration_since(Instant::now())
+            .filter(|left| !left.is_zero())
+            .ok_or(io::ErrorKind::TimedOut)?;
+        stream.set_write_timeout(Some(left))?;
+        match stream.write(bytes) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
 fn serve_connection(stream: &mut TcpStream, registry: &SharedRegistry, state: &ServiceState) {
@@ -716,9 +726,9 @@ fn serve_connection(stream: &mut TcpStream, registry: &SharedRegistry, state: &S
         response.content_type,
         response.body.len()
     );
-    let _ = stream.write_all(head.as_bytes());
-    let _ = stream.write_all(response.body.as_bytes());
-    let _ = stream.flush();
+    let deadline = Instant::now() + WRITE_TIMEOUT;
+    let _ = write_before(stream, head.as_bytes(), deadline)
+        .and_then(|()| write_before(stream, response.body.as_bytes(), deadline));
 }
 
 /// A running exporter: one background thread accepting connections
@@ -903,6 +913,19 @@ mod tests {
     }
 
     #[test]
+    fn every_indexed_endpoint_is_routed() {
+        let reg = SharedRegistry::new();
+        let state = ServiceState::new();
+        let unknown = respond("/no-such-route", &reg, &state);
+        let v = json::Json::parse(&respond("/", &reg, &state).body).unwrap();
+        for path in v.get("endpoints").unwrap().as_array().unwrap() {
+            let path = path.as_str().expect("endpoint paths are strings");
+            let r = respond(path, &reg, &state);
+            assert_ne!(r.body, unknown.body, "the index lists {path}, which nothing routes");
+        }
+    }
+
+    #[test]
     fn label_escaping() {
         assert_eq!(label_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
         assert_eq!(metric_chunk("route-latency.bytes"), "route_latency_bytes");
@@ -997,7 +1020,7 @@ mod tests {
 
     #[test]
     fn saturation_endpoints_answer_200_attached_or_not() {
-        use cfg_obs::{ShardLoadBank, Stage, TickSnapshot};
+        use cfg_obs::{ShardLoadBank, TickSnapshot};
         let reg = SharedRegistry::new();
         let state = ServiceState::new();
 
@@ -1011,9 +1034,6 @@ mod tests {
         assert_eq!(series.status, 200);
         let v = json::Json::parse(&series.body).unwrap();
         assert_eq!(v.get("samples").unwrap().as_array().unwrap().len(), 0);
-        let folded = respond("/profile.folded", &reg, &state);
-        assert_eq!((folded.status, folded.content_type), (200, "text/plain"));
-        assert_eq!(folded.body, "");
 
         // Attached with an empty ring: still 200 with an empty samples
         // array, never a 404/503.
@@ -1042,17 +1062,8 @@ mod tests {
         assert_eq!(v.get("samples").unwrap().as_array().unwrap().len(), 2);
         assert_eq!(v.get("interval_ms").unwrap().as_u64(), Some(50));
 
-        let profiler = Arc::new(SamplingProfiler::new());
-        let slot = profiler.register("bit");
-        slot.enter(Stage::Engine);
-        profiler.sample_once();
-        state.set_profiler(Arc::clone(&profiler));
-        let folded = respond("/profile.folded", &reg, &state);
-        assert_eq!(folded.status, 200);
-        assert!(folded.body.contains("engine;bit 1"), "{}", folded.body);
-
         let index = respond("/", &reg, &state).body;
-        assert!(index.contains("/shards.json") && index.contains("/profile.folded"));
+        assert!(index.contains("/shards.json") && index.contains("/timeseries.json"));
     }
 
     #[test]
@@ -1105,10 +1116,6 @@ mod tests {
         let dump = respond("/mismatches.jsonl", &reg, &state);
         let line = json::Json::parse(dump.body.lines().next().unwrap()).unwrap();
         assert_eq!(line.get("session").unwrap().as_u64(), Some(7));
-
-        // Disabled bank: /metrics goes audit-dark again.
-        bank.set_enabled(false);
-        assert!(!respond("/metrics", &reg, &state).body.contains("cfgtag_audit_"));
 
         let index = respond("/", &reg, &state).body;
         assert!(index.contains("/audit.json") && index.contains("/mismatches.jsonl"));

@@ -121,3 +121,43 @@ fn exporter_serves_wellformed_monotonic_metrics() {
     // A stopped exporter refuses connections (the port is released).
     assert!(http_get(&addr, "/healthz").is_err());
 }
+
+#[test]
+fn silent_scraper_cannot_wedge_the_exporter() {
+    use std::io::Write as _;
+    use std::net::TcpStream;
+    use std::time::{Duration, Instant};
+
+    // 100 000 live tokens make a /metrics body of about 5.6 MB, larger
+    // than loopback's socket buffers hold for a peer that never reads.
+    let registry = Arc::new(SharedRegistry::new());
+    let sink = Arc::new(StatsSink::with_tokens(100_000));
+    for token in 0..100_000 {
+        sink.token_fire(token, 1);
+    }
+    registry.register("engine", sink);
+    let exporter =
+        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::new(ServiceState::new()))
+            .unwrap();
+    let addr = exporter.local_addr().to_string();
+
+    // Ask for the body and never read it.
+    let mut silent = TcpStream::connect(&addr).unwrap();
+    silent.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n").unwrap();
+
+    // The exporter gives up on the silent peer and serves the next
+    // scrape within http_get's 5 s read timeout.
+    let asked = Instant::now();
+    assert_eq!(http_get(&addr, "/healthz").unwrap(), "ok\n");
+    assert!(asked.elapsed() < Duration::from_secs(5), "healthz took {:?}", asked.elapsed());
+
+    // And stop() returns while the silent peer is still connected.
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let stopper = std::thread::spawn(move || {
+        exporter.stop();
+        done_tx.send(()).unwrap();
+    });
+    assert!(done_rx.recv_timeout(Duration::from_secs(10)).is_ok(), "Exporter::stop hung");
+    stopper.join().unwrap();
+    drop(silent);
+}

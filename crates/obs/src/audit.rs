@@ -11,13 +11,12 @@
 //! as JSON lines for post-mortem diffing.
 //!
 //! The same zero-overhead-when-off discipline as the rest of the crate
-//! applies: the bank caches its enable flag, and a server that was not
-//! asked to audit never constructs either structure, so the serving
-//! path stays metrics-dark.
+//! applies: a server that was not asked to audit never constructs
+//! either structure, so the serving path stays metrics-dark.
 
 use crate::json;
 use crate::ring::{push_seq_open, JsonLine};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One tag event as the audit lane stores it. `cfg-obs` sits below the
 /// tagger, so this is a plain `(token, start, end)` triple; the server
@@ -36,11 +35,9 @@ pub struct AuditEvent {
 ///
 /// All increments are `Relaxed` atomics — audit workers on several
 /// threads bump them concurrently and scrapes tolerate being a hair
-/// stale. The enable flag is cached by the server at session-accept
-/// time, so a disabled bank costs the fast path nothing.
+/// stale.
 #[derive(Debug)]
 pub struct AuditBank {
-    enabled: AtomicBool,
     sessions_sampled: AtomicU64,
     sessions_audited: AtomicU64,
     sessions_shed: AtomicU64,
@@ -54,10 +51,9 @@ pub struct AuditBank {
 }
 
 impl AuditBank {
-    /// A bank with one false-positive counter per token, enabled.
+    /// A bank with one false-positive counter per token.
     pub fn new(token_count: usize) -> AuditBank {
         AuditBank {
-            enabled: AtomicBool::new(true),
             sessions_sampled: AtomicU64::new(0),
             sessions_audited: AtomicU64::new(0),
             sessions_shed: AtomicU64::new(0),
@@ -68,17 +64,6 @@ impl AuditBank {
             divergences: AtomicU64::new(0),
             false_positives: (0..token_count).map(|_| AtomicU64::new(0)).collect(),
         }
-    }
-
-    /// Turn auditing on or off. The server reads this once per
-    /// accepted session, so flipping it is cheap and slightly lazy.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
-    }
-
-    /// Is the audit lane live?
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
     }
 
     /// A session matched the 1-in-N sample and its bytes are being
@@ -183,10 +168,10 @@ impl AuditBank {
 
     /// Render the bank as the `/audit.json` object. `names` supplies
     /// token labels (token index used when a name is missing); only
-    /// tokens with nonzero false positives get a row.
+    /// tokens with nonzero false positives get a row. An attached bank
+    /// is a live lane, so `enabled` is always `true`.
     pub fn to_json(&self, names: &[String]) -> String {
-        let mut out = String::from("{\"enabled\":");
-        out.push_str(if self.is_enabled() { "true" } else { "false" });
+        let mut out = String::from("{\"enabled\":true");
         for (key, v) in [
             ("sessions_sampled", self.sessions_sampled()),
             ("sessions_audited", self.sessions_audited()),
@@ -289,7 +274,6 @@ mod tests {
     #[test]
     fn audit_bank_counts_and_renders_json() {
         let bank = AuditBank::new(3);
-        assert!(bank.is_enabled());
         assert_eq!(bank.precision_pct(), None);
         bank.session_sampled();
         bank.session_sampled();
@@ -331,10 +315,8 @@ mod tests {
     #[test]
     fn empty_bank_precision_is_null_json() {
         let bank = AuditBank::new(1);
-        bank.set_enabled(false);
         let body = bank.to_json(&[]);
         let v = Json::parse(&body).unwrap();
-        assert_eq!(v.get("enabled").and_then(Json::as_bool), Some(false));
         assert!(v.get("precision_pct").unwrap().as_f64().is_none(), "{body}");
         assert_eq!(v.get("false_positives").and_then(Json::as_array).map(|a| a.len()), Some(0));
     }

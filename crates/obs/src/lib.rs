@@ -58,7 +58,6 @@ mod histogram;
 pub mod json;
 mod metrics;
 mod probe;
-pub mod profile;
 mod registry;
 mod report;
 mod ring;
@@ -75,7 +74,6 @@ pub use flight::{FlightRecorder, TeeSink, DEFAULT_FLIGHT_CAPACITY};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Metrics, SpanGuard};
 pub use probe::ProbeBank;
-pub use profile::{ProfilerHandle, SamplingProfiler, WorkerSlot};
 pub use registry::{RegistrySnapshot, SharedRegistry};
 pub use report::{CompileReport, StageTiming};
 pub use ring::{EventRing, JsonLine};

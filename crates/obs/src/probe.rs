@@ -8,13 +8,12 @@
 //! `u32`s so the hot path is a bounds check plus one relaxed
 //! `fetch_add`.
 //!
-//! Like the sink layer, the bank is zero-overhead-when-off: engines
-//! cache [`ProbeBank::is_enabled`] at attach time and skip every probe
-//! update when the bank is disabled.
+//! Like the sink layer, the bank is zero-overhead-when-off: an engine
+//! with no bank attached skips every probe update on its `None` branch.
 
 use crate::json;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fixed set of named activity counters over a synthesized circuit.
 ///
@@ -26,11 +25,10 @@ pub struct ProbeBank {
     ids: Vec<String>,
     index: HashMap<String, u32>,
     counts: Vec<AtomicU64>,
-    enabled: AtomicBool,
 }
 
 impl ProbeBank {
-    /// A bank over the given probe ids, enabled by default. Duplicate
+    /// A bank over the given probe ids. Duplicate
     /// ids keep the first index (later duplicates still get a counter,
     /// but [`ProbeBank::probe`] resolves to the first).
     pub fn new(ids: Vec<String>) -> ProbeBank {
@@ -39,18 +37,7 @@ impl ProbeBank {
             index.entry(id.clone()).or_insert(i as u32);
         }
         let counts = ids.iter().map(|_| AtomicU64::new(0)).collect();
-        ProbeBank { ids, index, counts, enabled: AtomicBool::new(true) }
-    }
-
-    /// Whether probes should be recorded. Engines read this once at
-    /// attach time and cache the answer next to their hot loop.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Enable or disable recording. Disabling does not clear counts.
-    pub fn set_enabled(&self, on: bool) {
-        self.enabled.store(on, Ordering::Relaxed);
+        ProbeBank { ids, index, counts }
     }
 
     /// Resolve a probe id to its dense index (build-time lookup only —
@@ -100,12 +87,11 @@ impl ProbeBank {
     }
 
     /// Encode as one JSON object:
-    /// `{"enabled":true,"probes":[{"id":"...","count":N},...]}`.
+    /// `{"enabled":true,"probes":[{"id":"...","count":N},...]}`. A bank
+    /// is live whenever it is attached, so `enabled` is always `true`.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(32 + 32 * self.ids.len());
-        out.push_str("{\"enabled\":");
-        out.push_str(if self.is_enabled() { "true" } else { "false" });
-        out.push_str(",\"probes\":[");
+        out.push_str("{\"enabled\":true,\"probes\":[");
         for (i, id) in self.ids.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -140,19 +126,6 @@ mod tests {
         assert_eq!(bank.count(1), 4);
         assert_eq!(bank.count(99), 0);
         assert_eq!(bank.counts(), vec![0, 4, 0]);
-    }
-
-    #[test]
-    fn enable_flag_is_advisory_and_sticky() {
-        let bank = ProbeBank::new(vec!["p".into()]);
-        assert!(bank.is_enabled());
-        bank.hit(0, 2);
-        bank.set_enabled(false);
-        assert!(!bank.is_enabled());
-        // Counts survive a disable (the flag gates recorders, not data).
-        assert_eq!(bank.count(0), 2);
-        bank.set_enabled(true);
-        assert!(bank.is_enabled());
     }
 
     #[test]

@@ -23,9 +23,6 @@ pub enum Stat {
     DeadEntries,
     /// Clock cycles simulated by the gate-level engine.
     GateCycles,
-    /// Positions where the gate-level and table-driven engines were
-    /// compared and disagreed (should stay 0).
-    GateFastDivergence,
     /// Parser runs that accepted their input.
     ParseAccepts,
     /// Parser runs that rejected their input.
@@ -52,7 +49,7 @@ pub enum Stat {
 
 impl Stat {
     /// Number of variants (sizes the counter array in `StatsSink`).
-    pub const COUNT: usize = 16;
+    pub const COUNT: usize = 15;
 
     /// All variants, in index order.
     pub const ALL: [Stat; Stat::COUNT] = [
@@ -61,7 +58,6 @@ impl Stat {
         Stat::Resyncs,
         Stat::DeadEntries,
         Stat::GateCycles,
-        Stat::GateFastDivergence,
         Stat::ParseAccepts,
         Stat::ParseRejects,
         Stat::RouteBank,
@@ -82,7 +78,6 @@ impl Stat {
             Stat::Resyncs => "resyncs",
             Stat::DeadEntries => "dead_entries",
             Stat::GateCycles => "gate_cycles",
-            Stat::GateFastDivergence => "gate_fast_divergence",
             Stat::ParseAccepts => "parse_accepts",
             Stat::ParseRejects => "parse_rejects",
             Stat::RouteBank => "route_bank",

@@ -6,9 +6,9 @@
 //! their time while the queue filled. A [`ShardLoadBank`] holds one
 //! [`ShardLoad`] per shard: monotonic arrival/dequeue/completion
 //! counters and cumulative busy nanoseconds, all relaxed atomics the
-//! submit path and worker loop bump only when the bank is enabled (the
-//! cached-flag idiom — a disabled bank costs one atomic load per
-//! message and no `Instant::now()` calls).
+//! submit path and worker loop bump only when a bank is attached (an
+//! unattached pool takes a `None` branch per message and reads no
+//! clock).
 //!
 //! A [`TimeSeries`] snapshots the bank on a configurable interval into
 //! an [`EventRing`] of [`TickSnapshot`]s — the raw dump behind
@@ -80,20 +80,18 @@ impl ShardSample {
     }
 }
 
-/// The per-shard load counters behind a [`crate::StatsSink`]-style
-/// enable flag, plus the epoch every snapshot timestamp is relative to.
+/// The per-shard load counters, plus the epoch every snapshot
+/// timestamp is relative to.
 #[derive(Debug)]
 pub struct ShardLoadBank {
-    enabled: AtomicBool,
     shards: Vec<ShardLoad>,
     epoch: Instant,
 }
 
 impl ShardLoadBank {
-    /// A bank for `shards` shards (clamped to at least one), enabled.
+    /// A bank for `shards` shards (clamped to at least one).
     pub fn new(shards: usize) -> ShardLoadBank {
         ShardLoadBank {
-            enabled: AtomicBool::new(true),
             shards: (0..shards.max(1)).map(|_| ShardLoad::default()).collect(),
             epoch: Instant::now(),
         }
@@ -102,20 +100,6 @@ impl ShardLoadBank {
     /// Number of shards tracked.
     pub fn shards(&self) -> usize {
         self.shards.len()
-    }
-
-    /// Whether recording is on. Writers check this once per message and
-    /// skip all counter work (and clock reads) when it is off.
-    pub fn enabled(&self) -> bool {
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// Flip recording. Turning a live bank off can strand a queue-depth
-    /// delta (an arrival whose dequeue lands while disabled); that skew
-    /// is bounded by the in-flight count and only the overhead bench
-    /// toggles a bank mid-run.
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// A message was accepted onto shard `i`'s queue.
@@ -569,11 +553,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_bank_reports_but_sampler_still_runs() {
+    fn sampler_thread_snapshots_an_idle_bank() {
         let bank = Arc::new(ShardLoadBank::new(1));
-        bank.set_enabled(false);
-        assert!(!bank.enabled());
-        // Callers gate on enabled(); the bank itself never refuses.
         let ts = Arc::new(TimeSeries::new(Arc::clone(&bank), 4, Duration::from_millis(1)));
         let sampler = ts.start_sampler();
         for _ in 0..200 {

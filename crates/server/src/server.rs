@@ -40,9 +40,9 @@
 use crate::frame::{self, Frame, FrameKind};
 use crate::session::SessionTable;
 use cfg_obs::{
-    profile, AuditBank, AuditEvent, EventRing, FlightRecorder, MetricsSink, Mismatch,
-    ProfilerHandle, SamplerHandle, SamplingProfiler, ShardLoadBank, SharedRegistry, SloTracker,
-    Span, SpanRecorder, Stage, Stat, StatsSink, TimeSeries, TraceEvent,
+    AuditBank, AuditEvent, EventRing, FlightRecorder, MetricsSink, Mismatch, SamplerHandle,
+    ShardLoadBank, SharedRegistry, SloTracker, Span, SpanRecorder, Stage, Stat, StatsSink,
+    TimeSeries, TraceEvent,
 };
 use cfg_obs_http::ServiceState;
 use cfg_tagger::{
@@ -96,17 +96,12 @@ struct Tracing {
 /// Saturation telemetry configuration for [`ServerConfig::saturation`].
 ///
 /// When set, the shard pool counts arrivals/dequeues/busy-time into a
-/// [`ShardLoadBank`], a sampler thread snapshots it into a
+/// [`ShardLoadBank`] and a sampler thread snapshots it into a
 /// [`TimeSeries`] ring every `interval_ms` (behind `/shards.json` and
-/// `/timeseries.json`), and a [`SamplingProfiler`] reads each worker's
-/// published stage `sample_hz` times per second (behind
-/// `/profile.folded`). When `None` (the default) none of these exist
-/// and the serving path pays one relaxed atomic load per frame.
+/// `/timeseries.json`). When `None` (the default) neither exists and
+/// the serving path takes one `None` branch per frame.
 #[derive(Debug, Clone)]
 pub struct SaturationConfig {
-    /// Profiler sampling frequency in Hz (clamped to `1..=1000`). A
-    /// prime default avoids beating against periodic work.
-    pub sample_hz: u32,
     /// Utilization snapshot period in milliseconds.
     pub interval_ms: u64,
     /// Snapshot ring capacity — `history * interval_ms` is the window
@@ -116,17 +111,15 @@ pub struct SaturationConfig {
 
 impl Default for SaturationConfig {
     fn default() -> SaturationConfig {
-        SaturationConfig { sample_hz: 97, interval_ms: 50, history: 256 }
+        SaturationConfig { interval_ms: 50, history: 256 }
     }
 }
 
-/// The saturation side-car: load counters, their snapshot ring, and
-/// the stage sampler.
+/// The saturation side-car: load counters and their snapshot ring.
 #[derive(Clone)]
 struct Saturation {
     bank: Arc<ShardLoadBank>,
     series: Arc<TimeSeries>,
-    profiler: Arc<SamplingProfiler>,
 }
 
 /// Shadow-audit configuration for [`ServerConfig::audit`].
@@ -137,8 +130,8 @@ struct Saturation {
 /// scalar reference engine and the exact PDA parser, filling an
 /// [`AuditBank`] (behind `/audit.json` and `cfgtag_audit_*` metrics)
 /// and a small ring of recent divergences (behind `/mismatches.jsonl`).
-/// When `None` (the default) none of this exists and a session costs
-/// one relaxed atomic load at open.
+/// When `None` (the default) none of this exists and a session takes
+/// one `None` branch at open.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// Audit 1 in N sessions (1 = every session). Clamped to `>= 1`.
@@ -239,8 +232,8 @@ pub struct ServerConfig {
     pub drain_deadline: Duration,
     /// Frame tracing + SLO pipeline; `None` (default) serves untraced.
     pub trace: Option<TraceConfig>,
-    /// Saturation telemetry (per-shard utilization time series + stage
-    /// sampling profiler); `None` (default) serves metrics-dark.
+    /// Saturation telemetry (per-shard utilization time series);
+    /// `None` (default) serves metrics-dark.
     pub saturation: Option<SaturationConfig>,
     /// Shadow-audit lane (sampled-session replay through the reference
     /// engine + exact parser); `None` (default) serves unaudited.
@@ -326,7 +319,6 @@ pub struct IngestServer {
     janitor_handle: Option<JoinHandle<()>>,
     saturation: Option<Saturation>,
     sampler_handle: Option<SamplerHandle>,
-    profiler_handle: Option<ProfilerHandle>,
     audit_handles: Vec<JoinHandle<()>>,
 }
 
@@ -418,10 +410,9 @@ impl IngestServer {
             state.set_slo_tracker(Arc::clone(&tracing.slo));
         }
 
-        // The saturation side-car: per-shard load counters, their
-        // snapshot ring, and the stage sampler, attached to the service
-        // state so /shards.json, /timeseries.json and /profile.folded
-        // serve live data.
+        // The saturation side-car: per-shard load counters and their
+        // snapshot ring, attached to the service state so /shards.json
+        // and /timeseries.json serve live data.
         let saturation = config.saturation.as_ref().map(|s| {
             let bank = Arc::new(ShardLoadBank::new(config.shards));
             let series = Arc::new(TimeSeries::new(
@@ -429,11 +420,10 @@ impl IngestServer {
                 s.history,
                 Duration::from_millis(s.interval_ms.max(1)),
             ));
-            Saturation { bank, series, profiler: Arc::new(SamplingProfiler::new()) }
+            Saturation { bank, series }
         });
         if let (Some(sat), Some(state)) = (&saturation, &config.state) {
             state.set_timeseries(Arc::clone(&sat.series));
-            state.set_profiler(Arc::clone(&sat.profiler));
         }
 
         // The shadow-audit side-car: correctness counters, divergence
@@ -482,19 +472,16 @@ impl IngestServer {
         let handler_sink = Arc::clone(&server_sink);
         let handler_tracing = tracing.clone();
         let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
-            profile::enter(Stage::Parse);
             let Some((session, seq, payload)) = split_msg(msg) else { return };
             if let Some(token) = &panic_token {
                 if contains(payload, token) {
                     panic!("injected poison frame (session {session} seq {seq})");
                 }
             }
-            profile::enter(Stage::Engine);
             let tagged = tag_payload(t, engine_kind, payload);
             if let Some(span) = span.as_deref_mut() {
                 span.stamp(Stage::Engine);
             }
-            profile::enter(Stage::AckWrite);
             let (kind, body) = match tagged {
                 Ok(events) => {
                     let mut ack = seq.to_le_bytes().to_vec();
@@ -539,8 +526,6 @@ impl IngestServer {
             flight: config.flight.clone(),
             on_panic: Some(Arc::new(on_panic)),
             load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
-            profiler: saturation.as_ref().map(|s| Arc::clone(&s.profiler)),
-            profile_label: config.engine.name().to_owned(),
         };
         let pool = ShardPool::with_span_handler(tagger, config.shards, pool_opts, handler);
 
@@ -579,10 +564,6 @@ impl IngestServer {
             .expect("spawn janitor");
 
         let sampler_handle = saturation.as_ref().map(|s| s.series.start_sampler());
-        let profiler_handle = match (&saturation, &config.saturation) {
-            (Some(sat), Some(cfg)) => Some(sat.profiler.start(cfg.sample_hz)),
-            _ => None,
-        };
 
         Ok(IngestServer {
             addr,
@@ -591,7 +572,6 @@ impl IngestServer {
             janitor_handle: Some(janitor_handle),
             saturation,
             sampler_handle,
-            profiler_handle,
             audit_handles,
         })
     }
@@ -625,12 +605,6 @@ impl IngestServer {
         self.saturation.as_ref().map(|s| Arc::clone(&s.series))
     }
 
-    /// The stage sampling profiler, when saturation telemetry is
-    /// configured — the source behind `/profile.folded`.
-    pub fn profiler(&self) -> Option<Arc<SamplingProfiler>> {
-        self.saturation.as_ref().map(|s| Arc::clone(&s.profiler))
-    }
-
     /// The per-shard load counters, when saturation telemetry is
     /// configured.
     pub fn shard_loads(&self) -> Option<Arc<ShardLoadBank>> {
@@ -652,12 +626,9 @@ impl IngestServer {
     /// Drain-style graceful shutdown: stop accepting, tell every
     /// session goodbye, drain the shard queues, and report.
     pub fn shutdown(mut self) -> ServerReport {
-        // Stop the telemetry threads first; they only read atomics, but
+        // Stop the telemetry sampler first; it only reads atomics, but
         // a deterministic stop keeps the final snapshots stable.
         if let Some(h) = self.sampler_handle.take() {
-            h.stop();
-        }
-        if let Some(h) = self.profiler_handle.take() {
             h.stop();
         }
         self.shared.stop.store(true, Ordering::SeqCst);
@@ -834,12 +805,12 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
     let mut reader = FrameReader::default();
     let mut seq: u32 = 0;
     // Shadow-audit sampling, decided once per session: with auditing
-    // configured and enabled, 1-in-N sessions mirror their accepted
-    // payloads for replay. Unsampled sessions pay exactly this check.
+    // configured, 1-in-N sessions mirror their accepted payloads for
+    // replay. Unsampled sessions pay exactly this check.
     let audit = shared
         .audit
         .as_ref()
-        .filter(|a| a.bank.is_enabled() && id.is_multiple_of(a.sample_every))
+        .filter(|a| id.is_multiple_of(a.sample_every))
         .inspect(|a| a.bank.session_sampled());
     // Mirrored frames plus their running byte total (for the cap).
     let mut mirrored: Option<(Vec<Vec<u8>>, usize)> = audit.map(|_| (Vec::new(), 0));

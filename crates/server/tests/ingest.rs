@@ -280,7 +280,7 @@ fn slow_reader_cannot_wedge_its_shard() {
         idle_timeout,
         registry: Some(Arc::clone(&registry)),
         // Only for the arrival counter below.
-        saturation: Some(SaturationConfig { sample_hz: 1, interval_ms: 1_000, history: 2 }),
+        saturation: Some(SaturationConfig { interval_ms: 1_000, history: 2 }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();

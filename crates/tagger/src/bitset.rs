@@ -250,7 +250,6 @@ pub struct BitEngine {
     live_stats: bool,
     was_dead: bool,
     probes: Option<Arc<TaggerProbes>>,
-    live_probes: bool,
 }
 
 impl BitEngine {
@@ -276,7 +275,6 @@ impl BitEngine {
             live_stats: false,
             was_dead: false,
             probes: None,
-            live_probes: false,
             tables,
         };
         e.reset();
@@ -290,10 +288,9 @@ impl BitEngine {
         self
     }
 
-    /// Attach circuit probes (builder style). A disabled bank is cached
-    /// as off and the per-byte probe scans are skipped entirely.
+    /// Attach circuit probes (builder style). Without them the per-byte
+    /// probe scans are skipped entirely.
     pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> BitEngine {
-        self.live_probes = probes.bank().is_enabled();
         self.probes = Some(probes);
         self
     }
@@ -413,7 +410,7 @@ impl BitEngine {
     /// register holds 0. The one predicate gates each step and lets
     /// [`BitEngine::feed_into`] skip the rest of a slice in O(1).
     fn clock_gated(&self, t: &BitTables) -> bool {
-        self.dead && !t.always && !t.error_recovery && !self.live_probes
+        self.dead && !t.always && !t.error_recovery && self.probes.is_none()
     }
 
     /// Monomorphic step for a grammar whose position masks are exactly
@@ -439,8 +436,8 @@ impl BitEngine {
             return;
         }
 
-        if self.live_probes {
-            self.decoder_probes(byte);
+        if let Some(pr) = &self.probes {
+            decoder_probes(pr, byte);
         }
 
         let mut active = [0u64; W];
@@ -523,8 +520,8 @@ impl BitEngine {
                     self.next_starts[q] = s;
                 }
             }
-            if self.live_probes {
-                self.stage_probes(t, &next);
+            if let Some(pr) = &self.probes {
+                stage_probes(pr, t, &next);
             }
 
             // Match detection: LAST positions whose continuation class
@@ -596,8 +593,8 @@ impl BitEngine {
         }
 
         // Decoder-hit probes (gated; mirrors the Figure 4/5 decode wires).
-        if self.live_probes {
-            self.decoder_probes(byte);
+        if let Some(pr) = &self.probes {
+            decoder_probes(pr, byte);
         }
 
         let active_any = self.active.iter().any(|&x| x != 0);
@@ -683,8 +680,8 @@ impl BitEngine {
             }
             // Stage-activity probes (gated): one hit per position register
             // going active this byte.
-            if self.live_probes {
-                self.stage_probes(t, &self.next);
+            if let Some(pr) = &self.probes {
+                stage_probes(pr, t, &self.next);
             }
 
             // Match detection: LAST positions whose continuation class
@@ -735,34 +732,6 @@ impl BitEngine {
         }
     }
 
-    /// Decoder-hit probes (gated behind `live_probes` by the callers).
-    fn decoder_probes(&self, byte: u8) {
-        if let Some(pr) = &self.probes {
-            for (set, idx) in &pr.decoders {
-                if set.contains(byte) {
-                    pr.bank().hit(*idx, 1);
-                }
-            }
-        }
-    }
-
-    /// Stage-activity probes: one hit per position register in `next`.
-    fn stage_probes(&self, t: &BitTables, next: &[u64]) {
-        if let Some(pr) = &self.probes {
-            for (k, &nw) in next.iter().enumerate() {
-                let mut word = nw;
-                while word != 0 {
-                    let q = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let tok = t.pos_token[q] as usize;
-                    if let Some(&idx) = pr.stages[tok].get(q - t.offset[tok]) {
-                        pr.bank().hit(idx, 1);
-                    }
-                }
-            }
-        }
-    }
-
     /// Enabled tokens, word-wide; returns whether any token is enabled.
     fn compute_enabled(&mut self, t: &BitTables, start_enabled: bool) -> bool {
         let mut any = 0u64;
@@ -787,10 +756,8 @@ impl BitEngine {
                         .field("end", i + 1)
                 });
             }
-            if self.live_probes {
-                if let Some(pr) = &self.probes {
-                    pr.bank().hit(pr.fire[tok], 1);
-                }
+            if let Some(pr) = &self.probes {
+                pr.bank().hit(pr.fire[tok], 1);
             }
         }
     }
@@ -801,7 +768,7 @@ impl BitEngine {
     fn rebuild_enables(&mut self, t: &BitTables, is_delim: bool) -> (u64, u64) {
         let tw = t.twords;
         self.set_now.iter_mut().for_each(|x| *x = 0);
-        let gated = self.live_probes || self.live_stats;
+        let gated = self.probes.is_some() || self.live_stats;
         for mi in 0..self.fired.len() {
             let u = self.fired[mi].0;
             if gated {
@@ -809,11 +776,9 @@ impl BitEngine {
                 // probe/trace attribution) to the scalar engine.
                 for (k, &f) in t.follower_lists[u].iter().enumerate() {
                     self.set_now[f >> 6] |= 1u64 << (f & 63);
-                    if self.live_probes {
-                        if let Some(pr) = &self.probes {
-                            if let Some(&idx) = pr.edges[u].get(k) {
-                                pr.bank().hit(idx, 1);
-                            }
+                    if let Some(pr) = &self.probes {
+                        if let Some(&idx) = pr.edges[u].get(k) {
+                            pr.bank().hit(idx, 1);
                         }
                     }
                     if self.live_stats {
@@ -854,6 +819,31 @@ impl BitEngine {
             self.metrics.trace(|| TraceEvent::new("dead_entry").field("at", i));
         }
         self.was_dead = !alive;
+    }
+}
+
+/// Decoder-hit probes: the registered decoder for every class holding
+/// `byte` asserts (mirrors the Figure 4/5 decode wires).
+fn decoder_probes(pr: &TaggerProbes, byte: u8) {
+    for (set, idx) in &pr.decoders {
+        if set.contains(byte) {
+            pr.bank().hit(*idx, 1);
+        }
+    }
+}
+
+/// Stage-activity probes: one hit per position register in `next`.
+fn stage_probes(pr: &TaggerProbes, t: &BitTables, next: &[u64]) {
+    for (k, &nw) in next.iter().enumerate() {
+        let mut word = nw;
+        while word != 0 {
+            let q = (k << 6) + word.trailing_zeros() as usize;
+            word &= word - 1;
+            let tok = t.pos_token[q] as usize;
+            if let Some(&idx) = pr.stages[tok].get(q - t.offset[tok]) {
+                pr.bank().hit(idx, 1);
+            }
+        }
     }
 }
 

@@ -345,6 +345,7 @@ mod tests {
         assert_eq!(sink.get(Stat::DeadEntries), 1);
         // Bytes are counted once (by the gate engine, not the mirror).
         assert_eq!(sink.get(Stat::BytesIn), 6);
+        assert!(sink.get(Stat::GateCycles) > 0, "gate engine cycles recorded");
     }
 
     #[test]

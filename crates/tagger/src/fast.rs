@@ -141,9 +141,6 @@ pub struct ScalarEngine {
     was_dead: bool,
     /// Circuit probes (decoder/stage/fire/edge counters), if attached.
     probes: Option<Arc<TaggerProbes>>,
-    /// Cached `probes.bank().is_enabled()` at attach time — same
-    /// contract as `live_stats`: a disabled bank costs nothing per byte.
-    live_probes: bool,
 }
 
 impl ScalarEngine {
@@ -168,7 +165,6 @@ impl ScalarEngine {
             live_stats: false,
             was_dead: false,
             probes: None,
-            live_probes: false,
             tables,
         };
         e.reset();
@@ -182,10 +178,9 @@ impl ScalarEngine {
         self
     }
 
-    /// Attach circuit probes (builder style). A disabled bank is cached
-    /// as off and the per-byte probe scans are skipped entirely.
+    /// Attach circuit probes (builder style). Without them the per-byte
+    /// probe scans are skipped entirely.
     pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> ScalarEngine {
-        self.live_probes = probes.bank().is_enabled();
         self.probes = Some(probes);
         self
     }
@@ -279,13 +274,11 @@ impl ScalarEngine {
 
         // Decoder-hit probes: the registered decoder for every class
         // containing this byte asserts — the software mirror of the
-        // Figure 4/5 decode wires. Gated like all probe work.
-        if self.live_probes {
-            if let Some(pr) = &self.probes {
-                for (set, idx) in &pr.decoders {
-                    if set.contains(byte) {
-                        pr.bank().hit(*idx, 1);
-                    }
+        // Figure 4/5 decode wires.
+        if let Some(pr) = &self.probes {
+            for (set, idx) in &pr.decoders {
+                if set.contains(byte) {
+                    pr.bank().hit(*idx, 1);
                 }
             }
         }
@@ -353,7 +346,7 @@ impl ScalarEngine {
             self.next_any[t] = any_fired;
             // Stage-activity probes: one hit per position register that
             // goes active this byte (the pipeline heat of Figure 6).
-            if self.live_probes && any_fired {
+            if any_fired {
                 if let Some(pr) = &self.probes {
                     for (p, &on) in next_active.iter().enumerate() {
                         if on {
@@ -379,10 +372,8 @@ impl ScalarEngine {
                             .field("end", i + 1)
                     });
                 }
-                if self.live_probes {
-                    if let Some(pr) = &self.probes {
-                        pr.bank().hit(pr.fire[t], 1);
-                    }
+                if let Some(pr) = &self.probes {
+                    pr.bank().hit(pr.fire[t], 1);
                 }
             }
 
@@ -402,11 +393,9 @@ impl ScalarEngine {
                 self.set_now[f] = true;
                 // A fire propagating an enable pulse down a FOLLOW wire
                 // is the edge activation the probes and triggers watch.
-                if self.live_probes {
-                    if let Some(pr) = &self.probes {
-                        if let Some(&idx) = pr.edges[u].get(k) {
-                            pr.bank().hit(idx, 1);
-                        }
+                if let Some(pr) = &self.probes {
+                    if let Some(&idx) = pr.edges[u].get(k) {
+                        pr.bank().hit(idx, 1);
                     }
                 }
                 if self.live_stats {

@@ -65,8 +65,6 @@ pub struct GateEngine {
     /// from simulator watches on the real nets; fires and FOLLOW edges
     /// are counted at the match-line read.
     probes: Option<Arc<TaggerProbes>>,
-    /// Cached `probes.bank().is_enabled()` at attach time.
-    live_probes: bool,
     /// Probe index per registered simulator watch.
     watch_probe: Vec<u32>,
     /// Watch counts already drained into the bank.
@@ -89,7 +87,6 @@ impl GateEngine {
             start_pending: true,
             metrics: Metrics::off(),
             probes: None,
-            live_probes: false,
             watch_probe: Vec::new(),
             watch_prev: Vec::new(),
         })
@@ -103,17 +100,14 @@ impl GateEngine {
 
     /// Attach circuit probes (builder style): registers a simulator
     /// watch on every decoder output and tokenizer position register —
-    /// the embedded-logic-analyzer taps — unless the bank is disabled,
-    /// in which case the simulator runs untapped.
+    /// the embedded-logic-analyzer taps. Without probes the simulator
+    /// runs untapped.
     pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> GateEngine {
-        self.live_probes = probes.bank().is_enabled();
-        if self.live_probes {
-            for (net, probe) in probes.watch_nets() {
-                self.sim.watch(net);
-                self.watch_probe.push(probe);
-            }
-            self.watch_prev = vec![0; self.watch_probe.len()];
+        for (net, probe) in probes.watch_nets() {
+            self.sim.watch(net);
+            self.watch_probe.push(probe);
         }
+        self.watch_prev = vec![0; self.watch_probe.len()];
         self.probes = Some(probes);
         self
     }
@@ -131,9 +125,6 @@ impl GateEngine {
     /// Move any new watch activity into the probe bank (batched off the
     /// per-cycle loop, like the stat counters).
     fn drain_watches(&mut self) {
-        if !self.live_probes {
-            return;
-        }
         if let Some(pr) = &self.probes {
             for (i, &probe) in self.watch_probe.iter().enumerate() {
                 let now = self.sim.watch_count(i);
@@ -187,15 +178,13 @@ impl GateEngine {
             if self.sim.value(net) & 1 != 0 {
                 raw.push(RawMatch { token: TokenId(t as u32), end });
                 self.metrics.token_fire(t as u32, 1);
-                if self.live_probes {
-                    if let Some(pr) = &self.probes {
-                        pr.bank().hit(pr.fire[t], 1);
-                        // The match line drives every FOLLOW enable
-                        // wire out of this token: one edge activation
-                        // each (same semantics as the fast engine).
-                        for &e in &pr.edges[t] {
-                            pr.bank().hit(e, 1);
-                        }
+                if let Some(pr) = &self.probes {
+                    pr.bank().hit(pr.fire[t], 1);
+                    // The match line drives every FOLLOW enable wire out
+                    // of this token: one edge activation each (same
+                    // semantics as the fast engine).
+                    for &e in &pr.edges[t] {
+                        pr.bank().hit(e, 1);
                     }
                 }
             }

@@ -63,7 +63,6 @@ pub struct PdaParser {
     nullable: Vec<bool>,
     metrics: Metrics,
     probes: Option<Arc<TaggerProbes>>,
-    live_probes: bool,
 }
 
 impl PdaParser {
@@ -75,7 +74,6 @@ impl PdaParser {
             nfas: g.tokens().iter().map(|t| t.pattern.nfa().clone()).collect(),
             metrics: Metrics::off(),
             probes: None,
-            live_probes: false,
         }
     }
 
@@ -89,7 +87,6 @@ impl PdaParser {
     /// token fires for the accepted derivation — a software reference
     /// trace to hold against the circuit's own fire counts.
     pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> PdaParser {
-        self.live_probes = probes.bank().is_enabled();
         self.probes = Some(probes);
         self
     }
@@ -254,11 +251,9 @@ impl PdaParser {
         let mut events = Vec::new();
         self.collect_events(&chart, item, pos as u32, &mut events);
         events.sort_by_key(|e| (e.start, e.end));
-        if self.live_probes {
-            if let Some(pr) = &self.probes {
-                for e in &events {
-                    pr.bank().hit(pr.fire[e.token.index()], 1);
-                }
+        if let Some(pr) = &self.probes {
+            for e in &events {
+                pr.bank().hit(pr.fire[e.token.index()], 1);
             }
         }
         PdaResult { accepted: true, events }

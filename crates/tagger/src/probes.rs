@@ -10,9 +10,8 @@
 //! when a fire propagates an enable pulse down a FOLLOW edge.
 //!
 //! Every engine takes the same `Arc<TaggerProbes>` (builder-style
-//! `with_probes`), and like the metrics layer the attach point caches
-//! [`ProbeBank::is_enabled`] — a disabled bank costs the engines
-//! nothing per byte.
+//! `with_probes`); an engine with none attached skips every probe
+//! update on its `None` branch.
 
 use cfg_grammar::Grammar;
 use cfg_hwgen::{CircuitTopology, GeneratedTagger};
@@ -39,8 +38,6 @@ pub struct TaggerProbes {
 
 impl TaggerProbes {
     /// Build the topology and its probe bank for a generated tagger.
-    /// The bank starts enabled; call `bank().set_enabled(false)` before
-    /// attaching to engines to measure the off cost.
     pub fn build(g: &Grammar, hw: &GeneratedTagger) -> TaggerProbes {
         let topology = CircuitTopology::build(g, hw);
         let bank = Arc::new(ProbeBank::new(topology.probe_ids()));
@@ -191,17 +188,5 @@ mod tests {
         // watches; at least the delimiter decoder must have counted.
         let dec_total: u64 = gate_pr.decoders.iter().map(|(_, p)| gate_pr.bank().count(*p)).sum();
         assert!(dec_total > 0, "decoder watches never fired");
-    }
-
-    #[test]
-    fn disabled_bank_keeps_engines_silent() {
-        let g = builtin::if_then_else();
-        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let pr = t.probes();
-        pr.bank().set_enabled(false);
-        let mut fast = t.fast_engine().with_probes(std::sync::Arc::clone(&pr));
-        fast.feed(b"if true then go else stop");
-        fast.finish();
-        assert!(pr.bank().counts().iter().all(|&c| c == 0));
     }
 }

@@ -40,8 +40,8 @@
 use crate::engine::EngineKind;
 use crate::tagger::TokenTagger;
 use cfg_obs::{
-    profile, FlightRecorder, Metrics, MetricsSink, SamplingProfiler, ShardLoadBank, SharedRegistry,
-    Span, Stage, Stat, StatsSink,
+    FlightRecorder, Metrics, MetricsSink, ShardLoadBank, SharedRegistry, Span, Stage, Stat,
+    StatsSink,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -122,21 +122,12 @@ pub struct PoolOptions {
     /// backoff sleep. The ingest server uses this to NAK the client that
     /// sent the poison frame.
     pub on_panic: Option<PanicHook>,
-    /// Saturation accounting: when attached (and
-    /// [`ShardLoadBank::enabled`]), submit paths count arrivals and
-    /// workers count dequeues, completions and busy nanoseconds —
-    /// the raw data behind `/shards.json` and `/timeseries.json`.
-    /// `None` (the default) records nothing and times nothing.
+    /// Saturation accounting: when attached, submit paths count
+    /// arrivals and workers count dequeues, completions and busy
+    /// nanoseconds — the raw data behind `/shards.json` and
+    /// `/timeseries.json`. `None` (the default) records nothing and
+    /// times nothing.
     pub load: Option<Arc<ShardLoadBank>>,
-    /// Sampling profiler: when attached, each worker registers a
-    /// current-stage slot (labelled [`PoolOptions::profile_label`])
-    /// and publishes engine/idle transitions into it; handlers may
-    /// refine the stage via [`cfg_obs::profile::enter`]. `None` (the
-    /// default) publishes nothing.
-    pub profiler: Option<Arc<SamplingProfiler>>,
-    /// Fold label for this pool's profiler samples — the engine kind
-    /// in the ingest server, `"worker"` by default.
-    pub profile_label: String,
 }
 
 impl Default for PoolOptions {
@@ -148,8 +139,6 @@ impl Default for PoolOptions {
             flight: None,
             on_panic: None,
             load: None,
-            profiler: None,
-            profile_label: "worker".to_owned(),
         }
     }
 }
@@ -163,8 +152,6 @@ impl std::fmt::Debug for PoolOptions {
             .field("flight", &self.flight.is_some())
             .field("on_panic", &self.on_panic.is_some())
             .field("load", &self.load.is_some())
-            .field("profiler", &self.profiler.is_some())
-            .field("profile_label", &self.profile_label)
             .finish()
     }
 }
@@ -264,17 +251,10 @@ impl ShardPool {
             let flight = opts.flight.clone();
             let on_panic = opts.on_panic.clone();
             let load = opts.load.clone();
-            let slot = opts.profiler.as_ref().map(|p| p.register(&opts.profile_label));
             let (base_ms, max_ms) = (opts.backoff_base_ms.max(1), opts.backoff_max_ms.max(1));
             let handle = std::thread::Builder::new()
                 .name(format!("cfgtag-shard{i}"))
                 .spawn(move || {
-                    // Make the slot reachable from inside the handler
-                    // (the server refines parse / engine / ack-write
-                    // boundaries through `profile::enter`).
-                    if let Some(slot) = &slot {
-                        profile::set_current_slot(Arc::clone(slot));
-                    }
                     let mut count = 0u64;
                     let mut restarts = 0u64;
                     let mut backoff_ms = base_ms;
@@ -286,23 +266,15 @@ impl ShardPool {
                         }
                         // Saturation accounting: close the queue-depth
                         // window and start the busy clock — only when a
-                        // bank is attached and enabled (metrics-dark
-                        // otherwise: no counters, no clock reads).
-                        let busy_from = load.as_ref().filter(|b| b.enabled()).map(|b| {
+                        // bank is attached (metrics-dark otherwise: no
+                        // counters, no clock reads).
+                        let busy_from = load.as_ref().map(|b| {
                             b.dequeue(i);
                             Instant::now()
                         });
-                        if let Some(slot) = &slot {
-                            // Coarse default; span-aware handlers
-                            // overwrite it with finer stages.
-                            slot.enter(Stage::Engine);
-                        }
                         let outcome = catch_unwind(AssertUnwindSafe(|| {
                             run(&shard_tagger, &msg.payload, msg.span.as_mut())
                         }));
-                        if let Some(slot) = &slot {
-                            slot.idle();
-                        }
                         if let (Some(bank), Some(t0)) = (&load, busy_from) {
                             let busy = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
                             bank.record_work(i, busy, outcome.is_ok());
@@ -426,9 +398,9 @@ impl ShardPool {
     }
 
     /// Count an accepted message on shard `i`'s load counters, when a
-    /// bank is attached and enabled.
+    /// bank is attached.
     fn count_arrival(&self, i: usize) {
-        if let Some(bank) = self.load.as_ref().filter(|b| b.enabled()) {
+        if let Some(bank) = &self.load {
             bank.arrive(i);
         }
     }
@@ -677,22 +649,15 @@ mod tests {
     }
 
     #[test]
-    fn load_bank_and_profiler_account_worker_time() {
-        use cfg_obs::{SamplingProfiler, ShardLoadBank};
+    fn load_bank_accounts_worker_time() {
+        use cfg_obs::ShardLoadBank;
         let t = tagger();
         let bank = Arc::new(ShardLoadBank::new(2));
-        let profiler = Arc::new(SamplingProfiler::new());
-        let opts = PoolOptions {
-            load: Some(Arc::clone(&bank)),
-            profiler: Some(Arc::clone(&profiler)),
-            profile_label: "bit".to_owned(),
-            ..PoolOptions::default()
-        };
+        let opts = PoolOptions { load: Some(Arc::clone(&bank)), ..PoolOptions::default() };
         let pool = ShardPool::with_options(&t, 2, opts, |t, msg| {
             let _ = t.tag_fast(msg);
             std::thread::sleep(Duration::from_millis(1));
         });
-        assert_eq!(profiler.workers(), 2, "one slot per shard worker");
         for _ in 0..6 {
             assert_eq!(pool.submit(b"if true then go else stop".to_vec()), SubmitOutcome::Accepted);
         }
@@ -703,21 +668,6 @@ mod tests {
         assert_eq!(merged.completions, 6);
         assert_eq!(merged.queue_depth, 0, "drained pool leaves no depth");
         assert!(merged.busy_ns >= 6 * 1_000_000, "slept ≥1ms per message: {merged:?}");
-    }
-
-    #[test]
-    fn disabled_bank_records_nothing() {
-        use cfg_obs::ShardLoadBank;
-        let t = tagger();
-        let bank = Arc::new(ShardLoadBank::new(1));
-        bank.set_enabled(false);
-        let opts = PoolOptions { load: Some(Arc::clone(&bank)), ..PoolOptions::default() };
-        let pool = ShardPool::with_options(&t, 1, opts, |_, _| {});
-        for _ in 0..4 {
-            assert_eq!(pool.submit(b"go".to_vec()), SubmitOutcome::Accepted);
-        }
-        assert_eq!(pool.join().messages, 4);
-        assert_eq!(bank.sample()[0], cfg_obs::ShardSample::default());
     }
 
     #[test]

@@ -6,7 +6,7 @@ use crate::fast::{FastTables, ScalarEngine};
 use crate::gate::GateEngine;
 use cfg_grammar::{transform, Context, Grammar, TokenId};
 use cfg_hwgen::{generate, GeneratedTagger, GeneratorOptions};
-use cfg_obs::{CompileReport, Metrics, Stat, StatsSink};
+use cfg_obs::{CompileReport, Metrics, StatsSink};
 use cfg_regex::Nfa;
 use std::sync::Arc;
 use std::time::Instant;
@@ -369,25 +369,6 @@ impl TokenTagger {
         Ok(crate::gate::resolve_spans(&self.reverse_nfas, &engine, input, &raw))
     }
 
-    /// Tag with both engines and cross-check: returns the fast engine's
-    /// events and bumps [`Stat::GateFastDivergence`] (plus a trace
-    /// event) whenever the gate-level engine disagrees — the online
-    /// version of the property the test suite pins.
-    pub fn tag_verified(&self, input: &[u8]) -> Result<Vec<TagEvent>, TaggerError> {
-        let fast = self.tag_fast(input);
-        let gate = self.tag_gate(input)?;
-        if fast != gate {
-            self.opts.metrics.add(Stat::GateFastDivergence, 1);
-            self.opts.metrics.trace(|| {
-                cfg_obs::TraceEvent::new("gate_fast_divergence")
-                    .field("bytes", input.len())
-                    .field("fast_events", fast.len())
-                    .field("gate_events", gate.len())
-            });
-        }
-        Ok(fast)
-    }
-
     /// Feed a complete input through the fast engine into a back-end
     /// processor (§3.5).
     pub fn process<B: crate::backend::Backend>(&self, input: &[u8], backend: &mut B) {
@@ -578,19 +559,6 @@ mod tests {
         e.feed(b"if true then go else stop");
         let _ = e.finish();
         assert!(!e.is_dead());
-    }
-
-    #[test]
-    fn tag_verified_agrees_and_counts_nothing() {
-        use cfg_obs::{Metrics, Stat, StatsSink};
-        let g = builtin::if_then_else();
-        let sink = std::sync::Arc::new(StatsSink::new());
-        let opts = TaggerOptions::builder().metrics(Metrics::new(sink.clone())).build();
-        let t = TokenTagger::compile(&g, opts).unwrap();
-        let events = t.tag_verified(b"if true then go else stop").unwrap();
-        assert_eq!(events.len(), 6);
-        assert_eq!(sink.get(Stat::GateFastDivergence), 0);
-        assert!(sink.get(Stat::GateCycles) > 0, "gate engine cycles recorded");
     }
 
     #[test]

@@ -24,7 +24,6 @@ pub struct WideTagger {
     reverse_nfas: Vec<Nfa>,
     metrics: Metrics,
     probes: Option<Arc<TaggerProbes>>,
-    live_probes: bool,
 }
 
 impl WideTagger {
@@ -47,14 +46,7 @@ impl WideTagger {
             .iter()
             .map(|t| Nfa::from_template(&t.pattern.template().reversed()))
             .collect();
-        Ok(WideTagger {
-            grammar,
-            hw,
-            reverse_nfas,
-            metrics: opts.metrics,
-            probes: None,
-            live_probes: false,
-        })
+        Ok(WideTagger { grammar, hw, reverse_nfas, metrics: opts.metrics, probes: None })
     }
 
     /// Attach a probe layer (builder style). Token ids line up as long
@@ -64,7 +56,6 @@ impl WideTagger {
     /// FOLLOW-edge probes apply unchanged (the per-stage probes stay
     /// idle; the wide pipeline has no per-lane position taps).
     pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> WideTagger {
-        self.live_probes = probes.bank().is_enabled();
         self.probes = Some(probes);
         self
     }
@@ -132,14 +123,12 @@ impl WideTagger {
         for m in &raw {
             self.metrics.token_fire(m.token.0, 1);
         }
-        if self.live_probes {
-            if let Some(pr) = &self.probes {
-                for m in &raw {
-                    let t = m.token.index();
-                    pr.bank().hit(pr.fire[t], 1);
-                    for &e in &pr.edges[t] {
-                        pr.bank().hit(e, 1);
-                    }
+        if let Some(pr) = &self.probes {
+            for m in &raw {
+                let t = m.token.index();
+                pr.bank().hit(pr.fire[t], 1);
+                for &e in &pr.edges[t] {
+                    pr.bank().hit(e, 1);
                 }
             }
         }
