@@ -14,9 +14,15 @@
 #   7. probe layer & scope      -- engine probe counters, trigger hub,
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
-#   8. bit-parallel kernel      -- bitset engine tests (dead-run skip
-#                                  included), shard pool, and the
-#                                  three-engine agreement property
+#   8. production engine        -- the DFA table walk and its bit-step
+#                                  cold path (dead-run skip, table
+#                                  budget and register caps, probe and
+#                                  trace detail), shard pool, the
+#                                  three-engine agreement property, the
+#                                  random-grammar generator, and the
+#                                  five-run property on generated
+#                                  multi-token grammars (table, zero and
+#                                  small budgets, scalar, gate)
 #   9. ingest server            -- cfg-server unit + integration tests
 #                                  (thread-per-connection serving, the
 #                                  slow-reader eviction included), the
@@ -100,10 +106,12 @@ filtered -p cfg-cli scope
 echo "==> circuit scope round trip: cargo test -q --test circuit_scope"
 cargo test -q --test circuit_scope
 
-echo "==> bit-parallel kernel: bitset tables/engine, dead-run skip, shard pool, engine agreement"
+echo "==> production engine: DFA table and bit step, shard pool, engine agreement, random grammars"
 filtered -p cfg-tagger bitset
 filtered -p cfg-tagger shard
 filtered --test properties bitset_equals_scalar_and_gate
+filtered -p cfg-grammar random
+filtered --test properties random_grammars
 
 echo "==> ingest server: cfg-server suites, Engine trait, chaos test"
 cargo test -q -p cfg-server

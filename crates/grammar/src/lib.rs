@@ -14,7 +14,9 @@
 //!   unique grammatical context,
 //! * the grammar **replication** used by the paper's scalability study
 //!   (§4.3, Table 1 / Figure 15) ([`scale`]),
-//! * the example grammars from the paper's figures ([`builtin`]).
+//! * the example grammars from the paper's figures ([`builtin`]),
+//! * seeded random grammars, sentences and mutants for property tests
+//!   ([`random`]).
 //!
 //! ```
 //! use cfg_grammar::Grammar;
@@ -38,6 +40,7 @@ pub mod ast;
 pub mod builtin;
 pub mod lint;
 pub mod parse;
+pub mod random;
 pub mod scale;
 pub mod transform;
 

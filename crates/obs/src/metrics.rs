@@ -51,6 +51,15 @@ impl Metrics {
         }
     }
 
+    /// Whether [`Metrics::trace`] events would be kept: `false` when off
+    /// and for sinks that keep no traces, such as [`crate::StatsSink`].
+    /// Engines check it once to decide whether they owe per-byte trace
+    /// lines.
+    #[inline]
+    pub fn wants_trace(&self) -> bool {
+        self.sink.as_ref().is_some_and(|s| s.wants_trace())
+    }
+
     /// Bump a counter.
     #[inline]
     pub fn add(&self, stat: Stat, n: u64) {
@@ -179,8 +188,12 @@ mod tests {
             TraceEvent::new("never")
         });
         assert!(!built, "a sink that keeps no traces must not build trace events");
+        assert!(!m.wants_trace());
+        assert!(!Metrics::off().wants_trace());
         let flight = Arc::new(crate::FlightRecorder::new(4));
-        Metrics::new(flight.clone()).trace(|| TraceEvent::new("kept"));
+        let kept = Metrics::new(flight.clone());
+        assert!(kept.wants_trace());
+        kept.trace(|| TraceEvent::new("kept"));
         assert_eq!(flight.len(), 1);
     }
 

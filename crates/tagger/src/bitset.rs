@@ -1,5 +1,5 @@
-//! The bit-parallel tagging kernel — every Glushkov position of every
-//! token packed into dense `u64` bitset words.
+//! The production tagging kernel: a lazily built tagged DFA over the
+//! bit-parallel tables, with the bit-parallel step as its cold path.
 //!
 //! [`BitTables`] lays all tokens' positions out in one global position
 //! space (token `t` owns the contiguous bit span `offset[t]..offset[t+1]`)
@@ -15,19 +15,38 @@
 //!   global LAST mask,
 //! * token-level bitsets for enables, arms and the FOLLOW relation.
 //!
-//! [`BitEngine`] then replaces the scalar per-position inner loop with
-//! word-wide ops: `next = (follow_union(active) | first_of(enabled)) &
-//! class_rom[byte]`, match detection is `next & last_mask &
-//! !cont_rom[lookahead]`, and `active_any` / `is_dead` are a few word
-//! compares. Only *set bits* are ever iterated (lexeme-start bookkeeping
-//! and event emission), so cost tracks live positions, not table size.
-//! A dead machine with no wake-up source is clock-gated, and a feed
-//! skips the rest of its slice in O(1) once the gate holds.
+//! Figure 2 drops the stack, so the tagger is a finite-state machine and
+//! the circuit is its one-hot encoding. The **hot path** walks that
+//! machine as a table, one lookup per byte: state × byte class →
+//! (next state, action). A byte class is the bytes that share a
+//! decode-ROM row, a continuation-ROM row and the delimiter bit. A state
+//! is the machine after one byte's decode-ROM gate, before the next byte
+//! picks the fires: the live positions, each position's lexeme-start
+//! register *rank*, the arm registers, the §5.2 delimiter latch (with
+//! recovery on) and, for the start state only, the start pulse. An
+//! action lists the fires of the previous byte as (token, register), the
+//! register moves, and the resync/dead-entry flags — Laurikari's tagged
+//! DFA, with the absolute lexeme starts kept in a handful of engine
+//! registers. Most transitions carry no action. The table lives in
+//! [`BitTables`], so every engine over one compiled tagger (every clone,
+//! every shard worker) fills and reads the same cells; it is built
+//! lazily, a transition at a time on a miss under a lock, so neither
+//! compile nor engine construction pays for it.
+//!
+//! The **cold path** is the bit-parallel step: one function, split into
+//! a fire half and a gate half over one concrete state, both builds the
+//! table's transitions (register ranks stand in for starts) and runs the
+//! engine (absolute starts) when the table cannot: past its byte budget
+//! ([`TABLE_BUDGET`]), past [`MAX_REGS`] live lexeme starts, or when
+//! probes or a trace-keeping sink want per-byte detail. Its word-wide
+//! ops are `next = (follow_union(active) | first_of(enabled)) &
+//! class_rom[byte]` and `fires = next & last_mask & !cont_rom[lookahead]`.
+//!
+//! A dead machine with no wake-up source absorbs every byte, on either
+//! path, and a feed skips the rest of its slice in O(1).
 //!
 //! Events are byte-identical to [`crate::ScalarEngine`] and the gate
-//! engine (property-tested), and the observability contract is the same:
-//! metrics/probe recording hides behind cached `live_*` flags so the
-//! dark path pays nothing.
+//! engine (property-tested), and so are the counters a stats sink sees.
 
 use crate::event::TagEvent;
 use crate::probes::TaggerProbes;
@@ -36,7 +55,29 @@ use cfg_grammar::{Grammar, TokenId};
 use cfg_hwgen::StartMode;
 use cfg_obs::{Metrics, Stat, TraceEvent};
 use cfg_regex::ByteSet;
-use std::sync::Arc;
+use std::collections::HashMap;
+use std::fmt;
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+/// Bytes one compiled tagger's table may hold — transition cells, state
+/// keys and actions. A grammar whose machine outgrows it keeps the
+/// cells it has and tags the rest on the bit step.
+pub const TABLE_BUDGET: usize = 1 << 20;
+
+/// Most lexeme-start registers a table state may hold; a byte that
+/// would keep more lexemes alive at distinct starts leaves the table.
+pub const MAX_REGS: usize = 8;
+
+/// A cell is `next row | action << ROW_BITS`: the next state's row
+/// offset into the cells, and the action id (0: none).
+const ROW_BITS: u32 = 20;
+const ROW_MASK: u32 = (1 << ROW_BITS) - 1;
+/// The action id of a cell not built yet.
+const MISS: u32 = u32::MAX >> ROW_BITS;
+
+/// The start a new lexeme gets while a transition is built: above every
+/// register rank, below "no start" (`usize::MAX`).
+const NEW: usize = usize::MAX - 1;
 
 /// Shared bit-parallel tables for one compiled grammar.
 #[derive(Debug, Clone)]
@@ -69,17 +110,20 @@ pub struct BitTables {
     start_tokens: Vec<u64>,
     /// FOLLOW(token) as token bitsets (`tokens` rows × `twords`).
     follower_words: Vec<u64>,
-    /// FOLLOW(token) as ascending index lists — the gated probe/trace
-    /// path iterates these so edge attribution matches the scalar engine.
+    /// FOLLOW(token) as ascending index lists — the probe/trace path
+    /// iterates these so edge attribution matches the scalar engine.
     follower_lists: Vec<Vec<usize>>,
     delim: ByteSet,
     always: bool,
     longest: bool,
     error_recovery: bool,
+    /// The lazily built tagged DFA every engine over these tables shares.
+    table: Table,
 }
 
 impl BitTables {
-    /// Build the packed tables from a compiled grammar.
+    /// Build the packed tables from a compiled grammar. The DFA table
+    /// starts empty.
     pub fn build(g: &Grammar, opts: &TaggerOptions) -> BitTables {
         let analysis = g.analyze();
         let token_count = g.tokens().len();
@@ -181,6 +225,7 @@ impl BitTables {
             always: opts.start_mode == StartMode::Always,
             longest: !opts.disable_longest_match,
             error_recovery: opts.error_recovery,
+            table: Table::new(TABLE_BUDGET),
         }
     }
 
@@ -199,12 +244,25 @@ impl BitTables {
         self.words
     }
 
+    /// How much of the DFA table the engines have built so far.
+    pub fn table_stats(&self) -> TableStats {
+        let dfa = self.table.read();
+        TableStats {
+            states: dfa.keys.len(),
+            transitions: dfa.transitions,
+            classes: dfa.reps.len(),
+            bytes: dfa.bytes,
+            budget: dfa.budget,
+        }
+    }
+
     /// Fault-injection hook for the shadow-audit tests: a copy of the
     /// tables with the decode-ROM row for `byte` cleared, as if that
     /// one character decoder were stuck at zero. Clearing (rather than
     /// setting) guarantees an observable divergence — `next` is ANDed
-    /// with the row, so every candidacy through `byte` dies. Never used
-    /// on a production path.
+    /// with the row, so every candidacy through `byte` dies. The copy
+    /// gets a fresh, empty DFA table, built from the corrupted row.
+    /// Never used on a production path.
     #[doc(hidden)]
     pub fn with_corrupted_rom_row(&self, byte: u8) -> BitTables {
         let mut t = self.clone();
@@ -212,109 +270,710 @@ impl BitTables {
         t.class_rom[row..row + t.words].fill(0);
         t
     }
+
+    /// Test hook: a copy of the tables with a fresh, empty DFA table
+    /// capped at `bytes` (0 runs every engine on the bit step from its
+    /// first byte). Never used on a production path.
+    #[doc(hidden)]
+    pub fn with_table_budget(&self, bytes: usize) -> BitTables {
+        let mut t = self.clone();
+        t.table = Table::new(bytes);
+        t
+    }
 }
 
-/// Streaming bit-parallel engine. Create via
+/// The size of a [`BitTables`]' DFA table (see [`BitTables::table_stats`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TableStats {
+    /// States built.
+    pub states: usize,
+    /// Transitions built.
+    pub transitions: usize,
+    /// Byte classes (columns per state); 0 before the first build.
+    pub classes: usize,
+    /// Bytes held: cells, state keys and actions.
+    pub bytes: usize,
+    /// The byte cap the table fills up to.
+    pub budget: usize,
+}
+
+/// The shared table: a [`Dfa`] behind a lock. Engines read it under a
+/// shared guard for a whole slice and take the write guard only to build
+/// a missing transition. A clone starts empty — the table caches what the
+/// ROMs imply, so a copy whose ROMs may change must build its own.
+struct Table {
+    dfa: RwLock<Dfa>,
+}
+
+impl Table {
+    fn new(budget: usize) -> Table {
+        Table { dfa: RwLock::new(Dfa::new(budget)) }
+    }
+
+    // A panic under the lock cannot leave a half-built transition: a
+    // cell is written last, after its state and action are in place.
+    fn read(&self) -> RwLockReadGuard<'_, Dfa> {
+        self.dfa.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn write(&self) -> RwLockWriteGuard<'_, Dfa> {
+        self.dfa.write().unwrap_or_else(PoisonError::into_inner)
+    }
+}
+
+impl Clone for Table {
+    fn clone(&self) -> Table {
+        Table::new(self.read().budget)
+    }
+}
+
+impl fmt::Debug for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let dfa = self.read();
+        f.debug_struct("Table")
+            .field("states", &dfa.keys.len())
+            .field("transitions", &dfa.transitions)
+            .field("bytes", &dfa.bytes)
+            .field("budget", &dfa.budget)
+            .finish()
+    }
+}
+
+/// The tagged DFA. State 0 is the start state.
+struct Dfa {
+    /// Byte → class.
+    class_of: [u8; 256],
+    /// One byte per class, in class order (its length is the class count).
+    reps: Vec<u8>,
+    /// `cells[state * classes + class]`: `next state * classes | action
+    /// << ROW_BITS`, with action [`MISS`] until built. The hot loop
+    /// then adds a class to a cell's low bits to find the next cell.
+    cells: Vec<u32>,
+    /// Per state: its key (see [`Machine::key`]), to rebuild it on a miss.
+    keys: Vec<Box<[u64]>>,
+    ids: HashMap<Box<[u64]>, usize>,
+    /// Per state: what `is_dead()` reads after a transition leaving it.
+    dead: Vec<bool>,
+    /// Per state: it absorbs every byte (see [`Machine::absorbing`]).
+    absorbing: Vec<bool>,
+    /// Actions by id; id 0 is the empty action.
+    actions: Vec<Action>,
+    action_ids: HashMap<Action, u32>,
+    transitions: usize,
+    bytes: usize,
+    budget: usize,
+}
+
+/// What a transition does besides moving: the fires of the byte before
+/// it, the register moves, and the step's liveness flags.
+#[derive(Debug, Default, Clone, PartialEq, Eq, Hash)]
+struct Action {
+    /// `(token, register)` per fire, in ascending token order.
+    fires: Box<[(u32, u8)]>,
+    /// Register moves: `regs[j] = [regs, this byte's index][moves[j]]`,
+    /// a fixed-width map so applying it takes no data-dependent loop;
+    /// `None` leaves every register in place.
+    moves: Option<[u8; MAX_REGS]>,
+    flags: Flags,
+    /// The target absorbs every byte: the feed skips the rest of its slice.
+    absorb: bool,
+}
+
+/// One step's §5.2 liveness outcome.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
+struct Flags {
+    resync: bool,
+    dead_entry: bool,
+}
+
+impl Dfa {
+    fn new(budget: usize) -> Dfa {
+        let mut dfa = Dfa {
+            class_of: [0; 256],
+            reps: Vec::new(),
+            cells: Vec::new(),
+            keys: Vec::new(),
+            ids: HashMap::new(),
+            dead: Vec::new(),
+            absorbing: Vec::new(),
+            actions: vec![Action::default()],
+            action_ids: HashMap::new(),
+            transitions: 0,
+            bytes: 0,
+            budget,
+        };
+        dfa.action_ids.insert(Action::default(), 0);
+        dfa
+    }
+
+    /// Set up the byte classes and the start state on first use; false
+    /// when the budget cannot hold the start state.
+    fn init(&mut self, t: &BitTables) -> bool {
+        if self.reps.is_empty() {
+            self.classify(t);
+        }
+        !self.keys.is_empty() || self.state(t, &Machine::start(t)).is_some()
+    }
+
+    /// Group the bytes into classes: same decode-ROM row, same
+    /// continuation-ROM row (with longest match on), same delimiter bit.
+    fn classify(&mut self, t: &BitTables) {
+        let w = t.words;
+        let mut classes: HashMap<Vec<u64>, u8> = HashMap::new();
+        for b in 0..=255u8 {
+            let mut row = t.class_rom[b as usize * w..][..w].to_vec();
+            if t.longest {
+                row.extend_from_slice(&t.cont_rom[b as usize * w..][..w]);
+            }
+            row.push(t.delim.contains(b) as u64);
+            let next = classes.len() as u8;
+            let class = *classes.entry(row).or_insert(next);
+            if class == next {
+                self.reps.push(b);
+            }
+            self.class_of[b as usize] = class;
+        }
+    }
+
+    /// The id of `m`'s state, added if new; `None` past the budget or the
+    /// id space.
+    fn state(&mut self, t: &BitTables, m: &Machine) -> Option<usize> {
+        let key = m.key(t);
+        if let Some(&id) = self.ids.get(&key) {
+            return Some(id);
+        }
+        // The key is held twice (list and map), plus the row and flags.
+        let classes = self.reps.len();
+        let cost = classes * 4 + 2 * key.len() * 8 + 2;
+        if self.cells.len() + classes > ROW_MASK as usize || self.bytes + cost > self.budget {
+            return None;
+        }
+        self.bytes += cost;
+        let id = self.keys.len();
+        self.cells.resize(self.cells.len() + classes, MISS << ROW_BITS);
+        self.dead.push(m.is_dead(t));
+        self.absorbing.push(m.absorbing(t));
+        self.ids.insert(key.clone(), id);
+        self.keys.push(key);
+        Some(id)
+    }
+
+    /// Build the transition from `state` on `byte`'s class (a no-op if
+    /// another engine built it first); false when the table cannot hold
+    /// it.
+    fn build(&mut self, t: &BitTables, state: usize, byte: u8) -> bool {
+        if !self.init(t) {
+            return false;
+        }
+        let classes = self.reps.len();
+        let cell = state * classes + self.class_of[byte as usize] as usize;
+        if self.cells[cell] >> ROW_BITS != MISS {
+            return true;
+        }
+        let mut m = Machine::from_key(t, &self.keys[state]);
+        let mut fired = Vec::new();
+        m.fire(t, byte, 0, None, &mut fired);
+        let flags = m.gate(t, byte, NEW, None);
+        let Some(moves) = m.rank_starts() else { return false };
+        let Some(next) = self.state(t, &m) else { return false };
+        let action = Action {
+            fires: fired.iter().map(|e| (e.token.0, e.start as u8)).collect(),
+            moves,
+            flags,
+            absorb: self.absorbing[next],
+        };
+        let id = match self.action_ids.get(&action) {
+            Some(&id) => id,
+            None => {
+                // Held twice too (list and dedup map).
+                let cost = 2 * (std::mem::size_of::<Action>() + 8 * action.fires.len());
+                let id = self.actions.len() as u32;
+                if id == MISS || self.bytes + cost > self.budget {
+                    return false;
+                }
+                self.bytes += cost;
+                self.action_ids.insert(action.clone(), id);
+                self.actions.push(action);
+                id
+            }
+        };
+        self.cells[cell] = (next * classes) as u32 | id << ROW_BITS;
+        self.transitions += 1;
+        true
+    }
+}
+
+/// Ascending indices of the set bits of a bitset.
+fn bits(words: &[u64]) -> impl Iterator<Item = usize> + '_ {
+    words.iter().enumerate().flat_map(|(k, &w)| {
+        let mut word = w;
+        std::iter::from_fn(move || {
+            (word != 0).then(|| {
+                let bit = (k << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                bit
+            })
+        })
+    })
+}
+
+fn any(words: &[u64]) -> bool {
+    words.iter().any(|&w| w != 0)
+}
+
+/// One concrete machine state plus the bit step's scratch. A state is
+/// the machine after a byte's decode-ROM gate and before the next byte
+/// picks the fires. `starts` holds absolute lexeme starts when the
+/// machine runs the engine, and register ranks when it builds a table
+/// transition.
+#[derive(Debug)]
+struct Machine {
+    /// Live positions.
+    live: Vec<u64>,
+    /// Lexeme start per position; valid where `live` is set.
+    starts: Vec<usize>,
+    /// Token bitset: the arm registers (enables held across delimiters).
+    arm: Vec<u64>,
+    /// The last gated byte was a delimiter (§5.2 resync latch).
+    latch: bool,
+    /// The start state: FIRST(start) is enabled for the first byte.
+    pulse: bool,
+    /// Dead and past the start state (the clock gate's reading).
+    dead: bool,
+    /// Liveness flags of the last gate, recorded after the next fires
+    /// so a trace keeps the scalar engine's line order.
+    owed: Flags,
+    owed_at: usize,
+    /// Scratch: enables the fires pulse for the next byte.
+    set_now: Vec<u64>,
+    /// Scratch: the gated byte's enabled tokens.
+    enabled: Vec<u64>,
+    next: Vec<u64>,
+    first_en: Vec<u64>,
+    next_starts: Vec<usize>,
+}
+
+impl Machine {
+    /// The start-of-stream state.
+    fn start(t: &BitTables) -> Machine {
+        let (w, tw, p) = (t.words, t.twords, t.positions);
+        Machine {
+            live: vec![0; w],
+            starts: vec![0; p],
+            arm: vec![0; tw],
+            latch: false,
+            pulse: true,
+            dead: false,
+            owed: Flags::default(),
+            owed_at: 0,
+            set_now: vec![0; tw],
+            enabled: vec![0; tw],
+            next: vec![0; w],
+            first_en: vec![0; w],
+            next_starts: vec![0; p],
+        }
+    }
+
+    /// The table key of this state; `starts` must hold register ranks.
+    /// Layout: live words, arm words, a flags word (latch, pulse), then
+    /// one rank byte per live position in ascending position order.
+    fn key(&self, t: &BitTables) -> Box<[u64]> {
+        let mut key = Vec::with_capacity(t.words + t.twords + 2);
+        key.extend_from_slice(&self.live);
+        key.extend_from_slice(&self.arm);
+        key.push((self.latch && t.error_recovery) as u64 | (self.pulse as u64) << 1);
+        for (n, q) in bits(&self.live).enumerate() {
+            if n % 8 == 0 {
+                key.push(0);
+            }
+            *key.last_mut().unwrap() |= (self.starts[q] as u64) << (8 * (n % 8));
+        }
+        key.into()
+    }
+
+    /// The state a key names, with register ranks as starts.
+    fn from_key(t: &BitTables, key: &[u64]) -> Machine {
+        let (w, tw) = (t.words, t.twords);
+        let mut m = Machine::start(t);
+        m.live.copy_from_slice(&key[..w]);
+        m.arm.copy_from_slice(&key[w..w + tw]);
+        m.latch = key[w + tw] & 1 == 1;
+        m.pulse = key[w + tw] & 2 == 2;
+        let ranks = &key[w + tw + 1..];
+        for (n, q) in bits(&key[..w]).enumerate() {
+            m.starts[q] = (ranks[n / 8] >> (8 * (n % 8)) & 0xFF) as usize;
+        }
+        m.dead = !m.pulse && !any(&m.live) && !any(&m.arm);
+        m
+    }
+
+    /// What `is_dead()` reads after a transition leaving this state: no
+    /// live position, no armed enable, no enable pulsed for the next
+    /// byte. (A fire needs a live position, so only the start pulse can
+    /// enable a byte from a state with none; the start state has no live
+    /// position or arm.)
+    fn is_dead(&self, t: &BitTables) -> bool {
+        if self.pulse {
+            !any(&t.start_tokens)
+        } else {
+            self.dead
+        }
+    }
+
+    /// A dead state with no wake-up source — no Always-mode scanning, no
+    /// §5.2 recovery, not the start state — absorbs every byte without
+    /// an event: the software mirror of the circuit's zero switching
+    /// activity when every stage register holds 0.
+    fn absorbing(&self, t: &BitTables) -> bool {
+        self.dead && !t.always && !t.error_recovery
+    }
+
+    /// The fire half: the last gated byte's matches against the
+    /// lookahead `byte` (Figure 7), pushed as events ending at `end` in
+    /// ascending token order, then the enables they pulse for the next
+    /// byte.
+    fn fire(
+        &mut self,
+        t: &BitTables,
+        byte: u8,
+        end: usize,
+        taps: Option<&Taps>,
+        out: &mut Vec<TagEvent>,
+    ) {
+        let w = t.words;
+        let from = out.len();
+        let cont = t.longest.then(|| &t.cont_rom[byte as usize * w..][..w]);
+        let mut cur: Option<(usize, usize)> = None;
+        let emit = |out: &mut Vec<TagEvent>, tok: usize, start: usize| {
+            out.push(TagEvent { token: TokenId(tok as u32), start, end });
+        };
+        for k in 0..w {
+            let mut word = self.live[k] & t.last_mask[k];
+            if let Some(c) = cont {
+                word &= !c[k];
+            }
+            while word != 0 {
+                let q = (k << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                // Positions of one token are contiguous, so ascending
+                // bit order visits tokens in index order — the same
+                // event order the scalar engine produces.
+                let (tok, start) = (t.pos_token[q] as usize, self.starts[q]);
+                cur = match cur {
+                    Some((ct, cs)) if ct == tok => Some((ct, cs.min(start))),
+                    Some((ct, cs)) => {
+                        emit(out, ct, cs);
+                        Some((tok, start))
+                    }
+                    None => Some((tok, start)),
+                };
+            }
+        }
+        if let Some((ct, cs)) = cur {
+            emit(out, ct, cs);
+        }
+        if let Some(taps) = taps {
+            for e in &out[from..] {
+                taps.fire(e.token.index(), e.start, end);
+            }
+        }
+
+        // Masks in place of branches keep these loops from turning into
+        // memset/memcpy calls, which cost more than a few words of work.
+        let tw = t.twords;
+        let pulse = if self.pulse { !0 } else { 0 };
+        for (s, &st) in self.set_now.iter_mut().zip(&t.start_tokens) {
+            *s = st & pulse;
+        }
+        let detailed = taps.filter(|x| x.detailed());
+        for e in &out[from..] {
+            let u = e.token.index();
+            if let Some(taps) = detailed {
+                // List path: the scalar engine's iteration order, so
+                // probe and trace attribution match it edge for edge.
+                for (k, &f) in t.follower_lists[u].iter().enumerate() {
+                    self.set_now[f >> 6] |= 1u64 << (f & 63);
+                    taps.edge(u, k, f);
+                }
+            } else {
+                for (s, &r) in self.set_now.iter_mut().zip(&t.follower_words[u * tw..][..tw]) {
+                    *s |= r;
+                }
+            }
+        }
+    }
+
+    /// The gate half: `byte`'s enabled tokens and decode-ROM row, with
+    /// new lexemes starting at `at`. Returns the step's liveness flags.
+    fn gate(&mut self, t: &BitTables, byte: u8, at: usize, taps: Option<&Taps>) -> Flags {
+        let w = t.words;
+        if let Some(pr) = taps.and_then(|x| x.probes.as_deref()) {
+            decoder_probes(pr, byte);
+        }
+        let idle = !any(&self.live) && !any(&self.arm);
+        // Step 0 is entered from the start pulse, which counts as live.
+        let was_dead = idle && !self.pulse;
+        // §5.2 error recovery: a dead machine at a token boundary
+        // re-enables the start tokens.
+        let recover = t.error_recovery && self.latch && idle;
+        let start_enabled = t.always || recover;
+        let start = if start_enabled { !0 } else { 0 };
+        let mut enabled_any = false;
+        for (k, e) in self.enabled.iter_mut().enumerate() {
+            *e = self.set_now[k] | self.arm[k] | t.start_tokens[k] & start;
+            enabled_any |= *e != 0;
+        }
+
+        // The start set's FIRST positions are precomputed; pulsed and
+        // armed tokens outside it are folded in below. `next` starts
+        // clean in the same pass. (Masks rather than branches: see
+        // `fire`.)
+        for ((n, f), &m) in
+            self.next.iter_mut().zip(self.first_en.iter_mut()).zip(&t.start_first_mask)
+        {
+            *n = 0;
+            *f = m & start;
+        }
+
+        // next = follow_union(live): OR the FOLLOW row of every live
+        // position.
+        for (k, &lw) in self.live.iter().enumerate() {
+            let mut word = lw;
+            while word != 0 {
+                let p = (k << 6) + word.trailing_zeros() as usize;
+                word &= word - 1;
+                for (n, &r) in self.next.iter_mut().zip(&t.follow[p * w..][..w]) {
+                    *n |= r;
+                }
+            }
+        }
+
+        // First-position enables for this byte's other enabled tokens.
+        if enabled_any {
+            for (k, &e) in self.enabled.iter().enumerate() {
+                let mut word = e & !(t.start_tokens[k] & start);
+                while word != 0 {
+                    let tok = (k << 6) + word.trailing_zeros() as usize;
+                    word &= word - 1;
+                    for (f, &r) in self.first_en.iter_mut().zip(&t.first_masks[tok * w..][..w]) {
+                        *f |= r;
+                    }
+                }
+            }
+        }
+
+        // Gate both through this byte's decode-ROM row.
+        let rom = &t.class_rom[byte as usize * w..][..w];
+        for ((f, n), &r) in self.first_en.iter_mut().zip(self.next.iter_mut()).zip(rom) {
+            *f &= r;
+            *n = (*n & r) | *f;
+        }
+
+        // Lexeme starts for every newly live position: min over its
+        // live predecessors, or `at` for a FIRST enable.
+        for (kq, (&nw, &fw)) in self.next.iter().zip(&self.first_en).enumerate() {
+            let mut word = nw;
+            while word != 0 {
+                let bit = word.trailing_zeros() as usize;
+                word &= word - 1;
+                let q = (kq << 6) + bit;
+                let mut s = if fw >> bit & 1 == 1 { at } else { usize::MAX };
+                let prow = &t.pred[q * w..][..w];
+                for (k, (&pm, &lm)) in prow.iter().zip(&self.live).enumerate() {
+                    let mut pw = pm & lm;
+                    while pw != 0 {
+                        let p = (k << 6) + pw.trailing_zeros() as usize;
+                        pw &= pw - 1;
+                        s = s.min(self.starts[p]);
+                    }
+                }
+                self.next_starts[q] = s;
+            }
+        }
+        if let Some(pr) = taps.and_then(|x| x.probes.as_deref()) {
+            stage_probes(pr, t, &self.next);
+        }
+
+        // Commit: positions, then arm registers hold this byte's enables
+        // across a delimiter.
+        std::mem::swap(&mut self.live, &mut self.next);
+        std::mem::swap(&mut self.starts, &mut self.next_starts);
+        let is_delim = t.delim.contains(byte);
+        let hold = if is_delim { !0 } else { 0 };
+        for (a, &e) in self.arm.iter_mut().zip(&self.enabled) {
+            *a = e & hold;
+        }
+        self.latch = is_delim;
+        self.pulse = false;
+        self.dead = !any(&self.live) && !any(&self.arm);
+        Flags { resync: recover && !self.dead, dead_entry: self.dead && !was_dead }
+    }
+
+    /// Turn the build-time starts (source register ranks, or `NEW`) into
+    /// the target state's ranks. Returns the register moves (see
+    /// [`Action::moves`]): the surviving source registers in order, then
+    /// this byte's start if a lexeme begins here. `None` past
+    /// [`MAX_REGS`].
+    fn rank_starts(&mut self) -> Option<Option<[u8; MAX_REGS]>> {
+        // Bit r: source rank r is still referenced; bit MAX_REGS: NEW.
+        let mut used = 0u32;
+        for q in bits(&self.live) {
+            let s = self.starts[q];
+            used |= 1 << if s == NEW { MAX_REGS } else { s };
+        }
+        if used.count_ones() as usize > MAX_REGS {
+            return None;
+        }
+        let mut moves = [0u8; MAX_REGS];
+        let mut kept = 0;
+        for r in 0..=MAX_REGS {
+            if used >> r & 1 == 1 {
+                moves[kept] = r as u8;
+                kept += 1;
+            }
+        }
+        for q in bits(&self.live) {
+            let s = self.starts[q];
+            self.starts[q] = (used & ((1 << s.min(MAX_REGS)) - 1)).count_ones() as usize;
+        }
+        let moved = moves[..kept].iter().enumerate().any(|(j, &r)| j != r as usize);
+        Some(moved.then_some(moves))
+    }
+}
+
+/// What the bit step records into: the engine's sink and probes.
+#[derive(Debug, Default)]
+struct Taps {
+    metrics: Metrics,
+    /// Cached `metrics.is_enabled()` — a dark sink costs nothing per
+    /// byte.
+    live_stats: bool,
+    /// Cached `metrics.wants_trace()`.
+    traced: bool,
+    probes: Option<Arc<TaggerProbes>>,
+}
+
+impl Taps {
+    /// Probes or a trace-keeping sink want the bit step's per-byte
+    /// detail, which a table transition does not carry.
+    fn detailed(&self) -> bool {
+        self.probes.is_some() || self.traced
+    }
+
+    fn fire(&self, tok: usize, start: usize, end: usize) {
+        if self.live_stats {
+            self.metrics.token_fire(tok as u32, 1);
+            self.metrics.trace(|| {
+                TraceEvent::new("token_fire")
+                    .field("token", tok as u32)
+                    .field("start", start)
+                    .field("end", end)
+            });
+        }
+        if let Some(pr) = &self.probes {
+            pr.bank().hit(pr.fire[tok], 1);
+        }
+    }
+
+    /// The `k`-th FOLLOW edge of token `u` (to `f`) carried a pulse.
+    fn edge(&self, u: usize, k: usize, f: usize) {
+        if let Some(pr) = &self.probes {
+            if let Some(&idx) = pr.edges[u].get(k) {
+                pr.bank().hit(idx, 1);
+            }
+        }
+        if self.live_stats {
+            self.metrics.trace(|| TraceEvent::new("follow_edge").field("from", u).field("to", f));
+        }
+    }
+
+    /// Liveness accounting (§5.2) for the step that gated byte `at`.
+    fn liveness(&self, flags: Flags, at: usize) {
+        if !self.live_stats {
+            return;
+        }
+        if flags.resync {
+            self.metrics.add(Stat::Resyncs, 1);
+            self.metrics.trace(|| TraceEvent::new("resync").field("at", at));
+        }
+        if flags.dead_entry {
+            self.metrics.add(Stat::DeadEntries, 1);
+            self.metrics.trace(|| TraceEvent::new("dead_entry").field("at", at));
+        }
+    }
+}
+
+/// Streaming tagging engine. Create via
 /// [`crate::TokenTagger::fast_engine`]; feed byte slices, then call
 /// [`BitEngine::finish`] to drain the final lookahead byte.
 #[derive(Debug)]
 pub struct BitEngine {
     tables: Arc<BitTables>,
-    /// Active position bitset (valid after the last committed step).
-    active: Vec<u64>,
-    /// Scratch: next active bitset (double-buffered per byte).
-    next: Vec<u64>,
-    /// Scratch: first-position enables for this byte.
-    first_en: Vec<u64>,
-    /// Scratch: enabled-token bitset for this byte.
-    enabled: Vec<u64>,
-    /// Lexeme start per global position; valid where `active` is set.
-    starts: Vec<usize>,
-    next_starts: Vec<usize>,
-    /// Token bitset: enables pulsed by matches on the previous byte.
-    set_now: Vec<u64>,
-    /// Token bitset: arm registers (enables held across delimiters).
-    arm: Vec<u64>,
-    /// Scratch: `(token, lexeme start)` per match this byte.
-    fired: Vec<(usize, usize)>,
-    /// Cached [`BitEngine::is_dead`] — lets a dead machine with no
-    /// wake-up source be clock-gated (see `clock_gated`).
-    dead: bool,
-    prev_was_delim: bool,
-    pending: Option<u8>,
-    cursor: usize,
+    /// Table state after the last byte's gate (0: the start state).
+    state: usize,
+    /// The table state's lexeme-start registers, by rank.
+    regs: [usize; MAX_REGS],
+    /// The bit step's machine, once the engine has left the table.
+    cold: Option<Box<Machine>>,
+    /// [`BitEngine::is_dead`]: the reading of the last transition's
+    /// source state.
+    src_dead: bool,
+    /// Bytes fed so far.
+    fed: usize,
     finished: bool,
-    metrics: Metrics,
-    /// Cached `metrics.is_enabled()` — same contract as the scalar
-    /// engine: a dark sink costs nothing per byte.
-    live_stats: bool,
-    was_dead: bool,
-    probes: Option<Arc<TaggerProbes>>,
+    taps: Taps,
 }
 
 impl BitEngine {
-    /// New engine over shared tables.
+    /// New engine over shared tables. Allocates nothing: the table walk
+    /// needs only the registers, and the bit step's scratch is made on
+    /// fallback.
     pub fn new(tables: Arc<BitTables>) -> BitEngine {
-        let (w, tw, p) = (tables.words, tables.twords, tables.positions);
         let mut e = BitEngine {
-            active: vec![0; w],
-            next: vec![0; w],
-            first_en: vec![0; w],
-            enabled: vec![0; tw],
-            starts: vec![0; p],
-            next_starts: vec![0; p],
-            set_now: vec![0; tw],
-            arm: vec![0; tw],
-            fired: Vec::new(),
-            dead: false,
-            prev_was_delim: false,
-            pending: None,
-            cursor: 0,
+            state: 0,
+            regs: [0; MAX_REGS],
+            cold: None,
+            src_dead: false,
+            fed: 0,
             finished: false,
-            metrics: Metrics::off(),
-            live_stats: false,
-            was_dead: false,
-            probes: None,
+            taps: Taps::default(),
             tables,
         };
         e.reset();
         e
     }
 
-    /// Attach an observability handle (builder style).
+    /// Attach an observability handle (builder style). A sink that keeps
+    /// trace events moves the engine onto the bit step, which writes
+    /// them.
     pub fn with_metrics(mut self, metrics: Metrics) -> BitEngine {
-        self.live_stats = metrics.is_enabled();
-        self.metrics = metrics;
+        self.taps.live_stats = metrics.is_enabled();
+        self.taps.traced = metrics.wants_trace();
+        self.taps.metrics = metrics;
         self
     }
 
-    /// Attach circuit probes (builder style). Without them the per-byte
-    /// probe scans are skipped entirely.
+    /// Attach circuit probes (builder style); the engine then runs the
+    /// bit step, which samples them every byte. Without probes every
+    /// per-byte probe scan is skipped.
     pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> BitEngine {
-        self.probes = Some(probes);
+        self.taps.probes = Some(probes);
         self
     }
 
     /// Reset to the start-of-stream state.
     pub fn reset(&mut self) {
-        self.active.iter_mut().for_each(|x| *x = 0);
-        self.arm.iter_mut().for_each(|x| *x = 0);
-        // The start pulse: FIRST(start) tokens are enabled for byte 0.
-        self.set_now.copy_from_slice(&self.tables.start_tokens);
-        self.prev_was_delim = false;
-        self.pending = None;
-        self.cursor = 0;
+        self.state = 0;
+        self.cold = None;
+        self.fed = 0;
         self.finished = false;
-        self.was_dead = false;
-        self.dead = self.is_dead();
+        self.src_dead = !any(&self.tables.start_tokens);
     }
 
     /// Is the machine dead — no live positions, no armed enables, and no
     /// enables set for the next byte?
     pub fn is_dead(&self) -> bool {
-        self.active.iter().all(|&x| x == 0)
-            && self.arm.iter().all(|&x| x == 0)
-            && self.set_now.iter().all(|&x| x == 0)
+        self.src_dead
     }
 
     /// Feed bytes; returns the events completed so far (an event is only
@@ -329,29 +988,20 @@ impl BitEngine {
     /// allocating a fresh vector per call.
     pub fn feed_into(&mut self, bytes: &[u8], events: &mut Vec<TagEvent>) {
         assert!(!self.finished, "feed after finish; call reset first");
-        // One refcount bump per feed() call, not per byte; the window
-        // walk keeps the lookahead pairing out of the per-byte path.
+        // One refcount bump per feed() call, not per byte.
         let tables = Arc::clone(&self.tables);
-        if let (Some(prev), Some(&first)) = (self.pending, bytes.first()) {
-            self.step(&tables, prev, Some(first), events);
+        if self.cold.is_none() && self.taps.detailed() {
+            self.leave_table(&tables);
         }
-        for (i, pair) in bytes.windows(2).enumerate() {
-            // Dead-run skip: once the clock gate holds it holds for every
-            // remaining byte (a gated step changes nothing it reads), and
-            // each gated step only latches the delimiter flip-flop — so
-            // the rest of the slice collapses to its last paired byte.
-            if self.clock_gated(&tables) {
-                let paired = bytes.len() - 1;
-                self.cursor += paired - i;
-                self.prev_was_delim = tables.delim.contains(bytes[paired - 1]);
-                break;
-            }
-            self.step(&tables, pair[0], Some(pair[1]), events);
+        let mut done = 0;
+        if self.cold.is_none() {
+            done = self.walk(&tables, bytes, events);
         }
-        if let Some(&last) = bytes.last() {
-            self.pending = Some(last);
+        if done < bytes.len() {
+            self.step_cold(&tables, &bytes[done..], self.fed + done, events);
         }
-        self.metrics.add(Stat::BytesIn, bytes.len() as u64);
+        self.fed += bytes.len();
+        self.taps.metrics.add(Stat::BytesIn, bytes.len() as u64);
     }
 
     /// Drain the final byte against a delimiter flush, exactly like the
@@ -366,459 +1016,176 @@ impl BitEngine {
     /// events to `events`.
     pub fn finish_into(&mut self, events: &mut Vec<TagEvent>) {
         let tables = Arc::clone(&self.tables);
-        if let Some(prev) = self.pending.take() {
+        if self.fed > 0 && !self.finished {
             let flush = tables.delim.iter().next().unwrap_or(b' ');
-            self.step(&tables, prev, Some(flush), events);
+            if self.cold.is_none() {
+                self.flush_table(&tables, flush, events);
+            }
+            if let Some(m) = self.cold.as_deref_mut() {
+                m.fire(&tables, flush, self.fed, Some(&self.taps), events);
+                self.taps.liveness(std::mem::take(&mut m.owed), m.owed_at);
+                self.src_dead = m.is_dead(&tables);
+            }
         }
         self.finished = true;
     }
 
     /// Bytes processed so far (excluding the pending lookahead byte).
     pub fn position(&self) -> usize {
-        self.cursor
-    }
-
-    /// Number of currently live Glushkov positions (one popcount pass —
-    /// the software reading of the circuit's stage-register activity).
-    pub fn active_positions(&self) -> usize {
-        self.active.iter().map(|w| w.count_ones() as usize).sum()
-    }
-
-    /// Process one byte with its lookahead; `self.cursor` indexes it.
-    /// Dispatches to a monomorphic kernel for the common word counts so
-    /// the compiler unrolls every word loop and keeps the masks in
-    /// registers; wider grammars take [`BitEngine::step_dyn`].
-    fn step(&mut self, t: &BitTables, byte: u8, next_byte: Option<u8>, events: &mut Vec<TagEvent>) {
-        match t.words {
-            1 => self.step_w::<1>(t, byte, next_byte, events),
-            2 => self.step_w::<2>(t, byte, next_byte, events),
-            3 => self.step_w::<3>(t, byte, next_byte, events),
-            4 => self.step_w::<4>(t, byte, next_byte, events),
-            5 => self.step_w::<5>(t, byte, next_byte, events),
-            6 => self.step_w::<6>(t, byte, next_byte, events),
-            7 => self.step_w::<7>(t, byte, next_byte, events),
-            8 => self.step_w::<8>(t, byte, next_byte, events),
-            _ => self.step_dyn(t, byte, next_byte, events),
+        if self.finished {
+            self.fed
+        } else {
+            self.fed.saturating_sub(1)
         }
     }
 
-    /// Clock gating: a dead machine with no wake-up source — no
-    /// Always-mode scanning, no §5.2 recovery, no lit probe bank
-    /// sampling decoders — cannot change state or emit an event, so a
-    /// byte only advances the delimiter flip-flop. This is the software
-    /// mirror of the circuit's zero switching activity when every stage
-    /// register holds 0. The one predicate gates each step and lets
-    /// [`BitEngine::feed_into`] skip the rest of a slice in O(1).
-    fn clock_gated(&self, t: &BitTables) -> bool {
-        self.dead && !t.always && !t.error_recovery && self.probes.is_none()
-    }
-
-    /// Monomorphic step for a grammar whose position masks are exactly
-    /// `W` words (≤ `64 * W` positions): the per-byte bitsets live in
-    /// stack arrays, so nothing round-trips through the heap scratch
-    /// vectors and every word loop unrolls. Must stay semantically
-    /// identical to [`BitEngine::step_dyn`] — the wide-grammar test and
-    /// the three-engine property tests hold both to one event stream.
-    fn step_w<const W: usize>(
-        &mut self,
-        t: &BitTables,
-        byte: u8,
-        next_byte: Option<u8>,
-        events: &mut Vec<TagEvent>,
-    ) {
-        debug_assert_eq!(t.words, W);
-        let i = self.cursor;
-        self.cursor += 1;
-        let is_delim = t.delim.contains(byte);
-
-        if self.clock_gated(t) {
-            self.prev_was_delim = is_delim;
-            return;
-        }
-
-        if let Some(pr) = &self.probes {
-            decoder_probes(pr, byte);
-        }
-
-        let mut active = [0u64; W];
-        active.copy_from_slice(&self.active[..W]);
-        let active_any = active.iter().any(|&x| x != 0);
-        // §5.2 error recovery: dead machine at a token boundary
-        // re-enables the start tokens.
-        let recover = t.error_recovery
-            && self.prev_was_delim
-            && !active_any
-            && self.arm.iter().all(|&x| x == 0);
-        let start_enabled = t.always || recover;
-        let enabled_any = self.compute_enabled(t, start_enabled);
-
-        // next = follow_union(active): OR the FOLLOW row of every live
-        // position (cost tracks live positions, not table size).
-        let mut next = [0u64; W];
-        if active_any {
-            for (k, &aw) in active.iter().enumerate() {
-                let mut word = aw;
-                while word != 0 {
-                    let p = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let row = &t.follow[p * W..][..W];
-                    for j in 0..W {
-                        next[j] |= row[j];
-                    }
-                }
+    /// Walk the table over `bytes`, building missing transitions. Returns
+    /// the bytes consumed: all of them, unless the table could not hold
+    /// a transition and the engine left it for the bit step.
+    fn walk(&mut self, t: &BitTables, bytes: &[u8], events: &mut Vec<TagEvent>) -> usize {
+        let mut done = 0;
+        loop {
+            done += self.run(&t.table.read(), &bytes[done..], self.fed + done, events);
+            if done == bytes.len() {
+                return done;
             }
-        }
-
-        // First-position enables for this byte's enabled tokens.
-        let mut first_en = [0u64; W];
-        if start_enabled {
-            first_en.copy_from_slice(&t.start_first_mask[..W]);
-        }
-        if enabled_any {
-            for k in 0..t.twords {
-                let mut word =
-                    self.enabled[k] & if start_enabled { !t.start_tokens[k] } else { !0u64 };
-                while word != 0 {
-                    let tok = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let row = &t.first_masks[tok * W..][..W];
-                    for j in 0..W {
-                        first_en[j] |= row[j];
-                    }
-                }
-            }
-        }
-
-        // Gate both through this byte's decode-ROM row.
-        let rom = &t.class_rom[byte as usize * W..][..W];
-        let mut new_any = 0u64;
-        for k in 0..W {
-            first_en[k] &= rom[k];
-            next[k] = (next[k] & rom[k]) | first_en[k];
-            new_any |= next[k];
-        }
-
-        self.fired.clear();
-        if new_any != 0 {
-            // Lexeme starts for every newly live position: min over its
-            // active predecessors, or this byte for a FIRST enable.
-            for (k, &nw) in next.iter().enumerate() {
-                let mut word = nw;
-                while word != 0 {
-                    let q = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let mut s = if first_en[q >> 6] >> (q & 63) & 1 == 1 { i } else { usize::MAX };
-                    let prow = &t.pred[q * W..][..W];
-                    for k2 in 0..W {
-                        let mut pw = prow[k2] & active[k2];
-                        while pw != 0 {
-                            let p = (k2 << 6) + pw.trailing_zeros() as usize;
-                            pw &= pw - 1;
-                            s = s.min(self.starts[p]);
-                        }
-                    }
-                    self.next_starts[q] = s;
-                }
-            }
-            if let Some(pr) = &self.probes {
-                stage_probes(pr, t, &next);
-            }
-
-            // Match detection: LAST positions whose continuation class
-            // does not contain the lookahead byte (Figure 7).
-            let cont =
-                next_byte.filter(|_| t.longest).map(|nb| &t.cont_rom[nb as usize * W..][..W]);
-            let mut cur_token = usize::MAX;
-            let mut cur_start = usize::MAX;
-            for k in 0..W {
-                let mut word = next[k] & t.last_mask[k];
-                if let Some(c) = cont {
-                    word &= !c[k];
-                }
-                while word != 0 {
-                    let q = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    // Positions of one token are contiguous, so ascending
-                    // bit order visits tokens in index order — the same
-                    // event order the scalar engine produces.
-                    let tok = t.pos_token[q] as usize;
-                    if tok != cur_token {
-                        if cur_token != usize::MAX {
-                            self.fired.push((cur_token, cur_start));
-                        }
-                        cur_token = tok;
-                        cur_start = self.next_starts[q];
-                    } else {
-                        cur_start = cur_start.min(self.next_starts[q]);
-                    }
-                }
-            }
-            if cur_token != usize::MAX {
-                self.fired.push((cur_token, cur_start));
-            }
-            self.emit_fired(i, events);
-        }
-
-        // Commit position state.
-        self.active[..W].copy_from_slice(&next);
-        std::mem::swap(&mut self.starts, &mut self.next_starts);
-
-        let (set_any, arm_any) = self.rebuild_enables(t, is_delim);
-        self.prev_was_delim = is_delim;
-        // Liveness without rescanning: dead iff no position survived the
-        // ROM gate and no enable carries into the next byte.
-        self.dead = new_any == 0 && set_any == 0 && arm_any == 0;
-
-        if self.live_stats {
-            self.liveness_stats(recover, i);
-        }
-    }
-
-    /// General-width step — any number of position words, heap scratch.
-    fn step_dyn(
-        &mut self,
-        t: &BitTables,
-        byte: u8,
-        next_byte: Option<u8>,
-        events: &mut Vec<TagEvent>,
-    ) {
-        let i = self.cursor;
-        self.cursor += 1;
-        let (w, tw) = (t.words, t.twords);
-        let is_delim = t.delim.contains(byte);
-
-        if self.clock_gated(t) {
-            self.prev_was_delim = is_delim;
-            return;
-        }
-
-        // Decoder-hit probes (gated; mirrors the Figure 4/5 decode wires).
-        if let Some(pr) = &self.probes {
-            decoder_probes(pr, byte);
-        }
-
-        let active_any = self.active.iter().any(|&x| x != 0);
-        // §5.2 error recovery: dead machine at a token boundary re-enables
-        // the start tokens.
-        let recover = t.error_recovery
-            && self.prev_was_delim
-            && !active_any
-            && self.arm.iter().all(|&x| x == 0);
-        let start_enabled = t.always || recover;
-        let enabled_any = self.compute_enabled(t, start_enabled);
-
-        // next = follow_union(active): OR the FOLLOW row of every live
-        // position (cost tracks live positions, not table size).
-        self.next.iter_mut().for_each(|x| *x = 0);
-        if active_any {
-            for k in 0..w {
-                let mut word = self.active[k];
-                while word != 0 {
-                    let p = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let row = &t.follow[p * w..][..w];
-                    for (n, &r) in self.next.iter_mut().zip(row) {
-                        *n |= r;
-                    }
-                }
-            }
-        }
-
-        // First-position enables for this byte's enabled tokens. The
-        // start set's OR is precomputed; only match-pulsed/armed tokens
-        // outside it are folded in bit by bit.
-        self.first_en.iter_mut().for_each(|x| *x = 0);
-        if start_enabled {
-            self.first_en.copy_from_slice(&t.start_first_mask);
-        }
-        if enabled_any {
-            for k in 0..tw {
-                let mut word =
-                    self.enabled[k] & if start_enabled { !t.start_tokens[k] } else { !0u64 };
-                while word != 0 {
-                    let tok = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let row = &t.first_masks[tok * w..][..w];
-                    for (f, &r) in self.first_en.iter_mut().zip(row) {
-                        *f |= r;
-                    }
-                }
-            }
-        }
-
-        // Gate both through this byte's decode-ROM row.
-        let rom = &t.class_rom[byte as usize * w..][..w];
-        let mut new_any = 0u64;
-        for ((f, n), &r) in self.first_en.iter_mut().zip(self.next.iter_mut()).zip(rom) {
-            *f &= r;
-            *n = (*n & r) | *f;
-            new_any |= *n;
-        }
-
-        self.fired.clear();
-        if new_any != 0 {
-            // Lexeme starts for every newly live position: min over its
-            // active predecessors, or this byte for a FIRST enable.
-            for k in 0..w {
-                let mut word = self.next[k];
-                while word != 0 {
-                    let q = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    let mut s =
-                        if self.first_en[q >> 6] >> (q & 63) & 1 == 1 { i } else { usize::MAX };
-                    let prow = &t.pred[q * w..][..w];
-                    for (k2, (&pm, &am)) in prow.iter().zip(&self.active).enumerate() {
-                        let mut pw = pm & am;
-                        while pw != 0 {
-                            let p = (k2 << 6) + pw.trailing_zeros() as usize;
-                            pw &= pw - 1;
-                            s = s.min(self.starts[p]);
-                        }
-                    }
-                    self.next_starts[q] = s;
-                }
-            }
-            // Stage-activity probes (gated): one hit per position register
-            // going active this byte.
-            if let Some(pr) = &self.probes {
-                stage_probes(pr, t, &self.next);
-            }
-
-            // Match detection: LAST positions whose continuation class
-            // does not contain the lookahead byte (Figure 7).
-            let cont =
-                next_byte.filter(|_| t.longest).map(|nb| &t.cont_rom[nb as usize * w..][..w]);
-            let mut cur_token = usize::MAX;
-            let mut cur_start = usize::MAX;
-            for k in 0..w {
-                let mut word = self.next[k] & t.last_mask[k];
-                if let Some(c) = cont {
-                    word &= !c[k];
-                }
-                while word != 0 {
-                    let q = (k << 6) + word.trailing_zeros() as usize;
-                    word &= word - 1;
-                    // Positions of one token are contiguous, so ascending
-                    // bit order visits tokens in index order — the same
-                    // event order the scalar engine produces.
-                    let tok = t.pos_token[q] as usize;
-                    if tok != cur_token {
-                        if cur_token != usize::MAX {
-                            self.fired.push((cur_token, cur_start));
-                        }
-                        cur_token = tok;
-                        cur_start = self.next_starts[q];
-                    } else {
-                        cur_start = cur_start.min(self.next_starts[q]);
-                    }
-                }
-            }
-            if cur_token != usize::MAX {
-                self.fired.push((cur_token, cur_start));
-            }
-            self.emit_fired(i, events);
-        }
-
-        // Commit position state.
-        std::mem::swap(&mut self.active, &mut self.next);
-        std::mem::swap(&mut self.starts, &mut self.next_starts);
-
-        let (set_any, arm_any) = self.rebuild_enables(t, is_delim);
-        self.prev_was_delim = is_delim;
-        self.dead = new_any == 0 && set_any == 0 && arm_any == 0;
-
-        if self.live_stats {
-            self.liveness_stats(recover, i);
-        }
-    }
-
-    /// Enabled tokens, word-wide; returns whether any token is enabled.
-    fn compute_enabled(&mut self, t: &BitTables, start_enabled: bool) -> bool {
-        let mut any = 0u64;
-        for k in 0..t.twords {
-            self.enabled[k] =
-                self.set_now[k] | self.arm[k] | if start_enabled { t.start_tokens[k] } else { 0 };
-            any |= self.enabled[k];
-        }
-        any != 0
-    }
-
-    /// Push this byte's matches as events, with gated metrics/probes.
-    fn emit_fired(&self, i: usize, events: &mut Vec<TagEvent>) {
-        for &(tok, start) in &self.fired {
-            events.push(TagEvent { token: TokenId(tok as u32), start, end: i + 1 });
-            if self.live_stats {
-                self.metrics.token_fire(tok as u32, 1);
-                self.metrics.trace(|| {
-                    TraceEvent::new("token_fire")
-                        .field("token", tok as u32)
-                        .field("start", start)
-                        .field("end", i + 1)
-                });
-            }
-            if let Some(pr) = &self.probes {
-                pr.bank().hit(pr.fire[tok], 1);
+            let built = t.table.write().build(t, self.state, bytes[done]);
+            if !built {
+                self.leave_table(t);
+                return done;
             }
         }
     }
 
-    /// Rebuild the next byte's enables from this byte's matches and hold
-    /// this byte's enables across delimiters in the arm registers.
-    /// Returns the OR over `set_now` and over `arm` (for the dead test).
-    fn rebuild_enables(&mut self, t: &BitTables, is_delim: bool) -> (u64, u64) {
-        let tw = t.twords;
-        self.set_now.iter_mut().for_each(|x| *x = 0);
-        let gated = self.probes.is_some() || self.live_stats;
-        for mi in 0..self.fired.len() {
-            let u = self.fired[mi].0;
-            if gated {
-                // List path: identical iteration order (and so identical
-                // probe/trace attribution) to the scalar engine.
-                for (k, &f) in t.follower_lists[u].iter().enumerate() {
-                    self.set_now[f >> 6] |= 1u64 << (f & 63);
-                    if let Some(pr) = &self.probes {
-                        if let Some(&idx) = pr.edges[u].get(k) {
-                            pr.bank().hit(idx, 1);
-                        }
-                    }
-                    if self.live_stats {
-                        self.metrics.trace(|| {
-                            TraceEvent::new("follow_edge").field("from", u).field("to", f)
-                        });
-                    }
+    /// The hot loop: one cell per byte, an action only where one is
+    /// attached. Stops at the first missing cell; `base` is the stream
+    /// index of `bytes[0]`.
+    fn run(&mut self, dfa: &Dfa, bytes: &[u8], base: usize, events: &mut Vec<TagEvent>) -> usize {
+        if dfa.keys.is_empty() {
+            return 0;
+        }
+        let classes = dfa.reps.len();
+        if dfa.absorbing[self.state] {
+            self.src_dead |= !bytes.is_empty();
+            return bytes.len();
+        }
+        // Rows, not state ids: the next cell is one add away.
+        let (mut row, mut prev) = (self.state * classes, usize::MAX);
+        let mut done = bytes.len();
+        for (k, &b) in bytes.iter().enumerate() {
+            let cell = dfa.cells[row + dfa.class_of[b as usize] as usize];
+            let a = cell >> ROW_BITS;
+            if a != 0 {
+                if a == MISS {
+                    done = k;
+                    break;
                 }
-            } else {
-                let row = &t.follower_words[u * tw..][..tw];
-                for (s, &r) in self.set_now.iter_mut().zip(row) {
-                    *s |= r;
+                let act = &dfa.actions[a as usize];
+                self.apply(act, base + k, events);
+                if act.absorb {
+                    // Dead-run skip: the target loops on every byte.
+                    prev = row;
+                    row = (cell & ROW_MASK) as usize;
+                    if k + 1 < bytes.len() {
+                        prev = row;
+                    }
+                    break;
                 }
             }
+            prev = row;
+            row = (cell & ROW_MASK) as usize;
         }
-        let mut set_any = 0u64;
-        for &s in &self.set_now {
-            set_any |= s;
+        self.state = row / classes;
+        if prev != usize::MAX {
+            self.src_dead = dfa.dead[prev / classes];
         }
-        let mut arm_any = 0u64;
-        for k in 0..tw {
-            self.arm[k] = if is_delim { self.enabled[k] } else { 0 };
-            arm_any |= self.arm[k];
-        }
-        (set_any, arm_any)
+        done
     }
 
-    /// Liveness accounting (§5.2), only under an enabled sink; reads the
-    /// freshly committed `self.dead`.
-    fn liveness_stats(&mut self, recover: bool, i: usize) {
-        let alive = !self.dead;
-        if recover && alive {
-            self.metrics.add(Stat::Resyncs, 1);
-            self.metrics.trace(|| TraceEvent::new("resync").field("at", i));
+    /// Push a transition's fires as events ending at `end`.
+    #[inline]
+    fn emit(&self, fires: &[(u32, u8)], end: usize, events: &mut Vec<TagEvent>) {
+        for &(tok, r) in fires {
+            events.push(TagEvent { token: TokenId(tok), start: self.regs[r as usize], end });
+            if self.taps.live_stats {
+                self.taps.metrics.token_fire(tok, 1);
+            }
         }
-        if !alive && !self.was_dead {
-            self.metrics.add(Stat::DeadEntries, 1);
-            self.metrics.trace(|| TraceEvent::new("dead_entry").field("at", i));
+    }
+
+    /// Apply a transition's action for the byte at stream index `at`.
+    #[inline]
+    fn apply(&mut self, act: &Action, at: usize, events: &mut Vec<TagEvent>) {
+        self.emit(&act.fires, at, events);
+        if let Some(moves) = &act.moves {
+            let mut from = [at; MAX_REGS + 1];
+            from[..MAX_REGS].copy_from_slice(&self.regs);
+            for (r, &m) in self.regs.iter_mut().zip(moves) {
+                *r = from[m as usize];
+            }
         }
-        self.was_dead = !alive;
+        self.taps.liveness(act.flags, at);
+    }
+
+    /// `finish` on the table: the flush byte's transition, events only —
+    /// its flags would be a step the stream never takes.
+    fn flush_table(&mut self, t: &BitTables, flush: u8, events: &mut Vec<TagEvent>) {
+        loop {
+            {
+                let dfa = t.table.read();
+                if dfa.absorbing.get(self.state) == Some(&true) {
+                    self.src_dead = true;
+                    return;
+                }
+                let cell = dfa.class_of[flush as usize] as usize + self.state * dfa.reps.len();
+                let action = dfa.cells.get(cell).map_or(MISS, |c| c >> ROW_BITS);
+                if action != MISS {
+                    self.emit(&dfa.actions[action as usize].fires, self.fed, events);
+                    self.src_dead = dfa.dead[self.state];
+                    return;
+                }
+            }
+            if !t.table.write().build(t, self.state, flush) {
+                self.leave_table(t);
+                return;
+            }
+        }
+    }
+
+    /// Continue on the bit step from the current table state: positions,
+    /// registers as absolute starts, arm and latch carry over. The last
+    /// transition's flags are already recorded, so nothing is owed.
+    fn leave_table(&mut self, t: &BitTables) {
+        let dfa = t.table.read();
+        let mut m = match dfa.keys.get(self.state) {
+            Some(key) => Machine::from_key(t, key),
+            None => Machine::start(t),
+        };
+        for q in bits(&m.live) {
+            m.starts[q] = self.regs[m.starts[q]];
+        }
+        self.cold = Some(Box::new(m));
+    }
+
+    /// The bit step over `bytes` (stream index `base` onwards): per byte,
+    /// the previous byte's fires, its owed liveness flags, then this
+    /// byte's gate.
+    fn step_cold(&mut self, t: &BitTables, bytes: &[u8], base: usize, events: &mut Vec<TagEvent>) {
+        let m = self.cold.as_deref_mut().expect("the bit step runs on a machine");
+        for (k, &b) in bytes.iter().enumerate() {
+            // Dead-run skip, unless lit probes sample every decoder.
+            if self.taps.probes.is_none() && m.absorbing(t) {
+                self.taps.liveness(std::mem::take(&mut m.owed), m.owed_at);
+                self.src_dead = true;
+                return;
+            }
+            let at = base + k;
+            m.fire(t, b, at, Some(&self.taps), events);
+            self.taps.liveness(std::mem::take(&mut m.owed), m.owed_at);
+            self.src_dead = m.is_dead(t);
+            m.owed = m.gate(t, b, at, Some(&self.taps));
+            m.owed_at = at;
+        }
     }
 }
 
@@ -834,23 +1201,69 @@ fn decoder_probes(pr: &TaggerProbes, byte: u8) {
 
 /// Stage-activity probes: one hit per position register in `next`.
 fn stage_probes(pr: &TaggerProbes, t: &BitTables, next: &[u64]) {
-    for (k, &nw) in next.iter().enumerate() {
-        let mut word = nw;
-        while word != 0 {
-            let q = (k << 6) + word.trailing_zeros() as usize;
-            word &= word - 1;
-            let tok = t.pos_token[q] as usize;
-            if let Some(&idx) = pr.stages[tok].get(q - t.offset[tok]) {
-                pr.bank().hit(idx, 1);
-            }
+    for q in bits(next) {
+        let tok = t.pos_token[q] as usize;
+        if let Some(&idx) = pr.stages[tok].get(q - t.offset[tok]) {
+            pr.bank().hit(idx, 1);
         }
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use super::{MAX_REGS, TABLE_BUDGET};
+    use crate::event::TagEvent;
     use crate::tagger::{StartMode, TaggerOptions, TokenTagger};
     use cfg_grammar::{builtin, Grammar};
+    use cfg_obs::{FlightRecorder, Metrics, Stat, StatsSink};
+    use std::sync::Arc;
+
+    /// Every start mode × recovery combination, as `(always, recover)`.
+    const MODES: [(bool, bool); 4] = [(false, false), (true, false), (false, true), (true, true)];
+
+    fn compile(g: &Grammar, always: bool, recover: bool) -> TokenTagger {
+        let opts = TaggerOptions::builder()
+            .start_mode(if always { StartMode::Always } else { StartMode::AtStart })
+            .error_recovery(recover)
+            .build();
+        TokenTagger::compile(g, opts).unwrap()
+    }
+
+    /// What one engine run shows: events, `is_dead()` after finish, and
+    /// the stats sink's four engine counters.
+    #[derive(Debug, PartialEq)]
+    struct Run {
+        events: Vec<TagEvent>,
+        dead: bool,
+        counters: [u64; 4],
+    }
+
+    const COUNTERS: [Stat; 4] = [Stat::BytesIn, Stat::EventsOut, Stat::Resyncs, Stat::DeadEntries];
+
+    fn counters(sink: &StatsSink) -> [u64; 4] {
+        COUNTERS.map(|s| sink.get(s))
+    }
+
+    /// A fresh bit engine over `t` under a fresh stats sink, fed in
+    /// `chunk`-byte slices.
+    fn bit_run(t: &TokenTagger, input: &[u8], chunk: usize) -> Run {
+        let sink = Arc::new(StatsSink::new());
+        let mut e = t.fast_engine().with_metrics(Metrics::new(sink.clone()));
+        let mut events = Vec::new();
+        for c in input.chunks(chunk.max(1)) {
+            e.feed_into(c, &mut events);
+        }
+        e.finish_into(&mut events);
+        Run { events, dead: e.is_dead(), counters: counters(&sink) }
+    }
+
+    fn scalar_run(t: &TokenTagger, input: &[u8]) -> Run {
+        let sink = Arc::new(StatsSink::new());
+        let mut e = t.scalar_engine().with_metrics(Metrics::new(sink.clone()));
+        let mut events = e.feed(input);
+        events.extend(e.finish());
+        Run { events, dead: e.is_dead(), counters: counters(&sink) }
+    }
 
     #[test]
     fn rom_rows_match_position_classes() {
@@ -896,12 +1309,8 @@ mod tests {
     #[test]
     fn agrees_with_scalar_on_modes_and_junk() {
         let g = builtin::if_then_else();
-        for (always, recover) in [(false, false), (true, false), (false, true), (true, true)] {
-            let opts = TaggerOptions::builder()
-                .start_mode(if always { StartMode::Always } else { StartMode::AtStart })
-                .error_recovery(recover)
-                .build();
-            let t = TokenTagger::compile(&g, opts).unwrap();
+        for (always, recover) in MODES {
+            let t = compile(&g, always, recover);
             let tail = dead_tail(200);
             for input in [
                 &b"if true then go else stop"[..],
@@ -922,17 +1331,8 @@ mod tests {
                     }
                     e.finish_into(&mut got);
                     assert_eq!(got, expect, "always={always} recover={recover} chunk={chunk}");
+                    assert_eq!(e.is_dead(), scalar.is_dead(), "dead state diverges on {input:?}");
                 }
-                assert_eq!(
-                    {
-                        let mut e = t.fast_engine();
-                        e.feed(input);
-                        let _ = e.finish();
-                        e.is_dead()
-                    },
-                    scalar.is_dead(),
-                    "dead state diverges on {input:?}"
-                );
             }
         }
     }
@@ -970,45 +1370,36 @@ mod tests {
         }
     }
 
+    /// A stats-only sink stays on the table, which must count what the
+    /// scalar engine counts: every mode, a junk run the dead-run skip
+    /// crosses, and a multi-token grammar whose fires carry registers.
     #[test]
     fn live_sink_counts_match_scalar_across_the_skip() {
-        use cfg_obs::{Metrics, Stat, StatsSink};
-        use std::sync::Arc;
-        let g = builtin::if_then_else();
-        for recover in [false, true] {
-            let opts = TaggerOptions::builder().error_recovery(recover).build();
-            let t = TokenTagger::compile(&g, opts).unwrap();
-            let mut input = b"if true zz then ".to_vec();
-            input.extend(std::iter::repeat_n(b'j', 300));
-            input.extend_from_slice(b" go else stop");
-
-            let sink_s = Arc::new(StatsSink::new());
-            let mut scalar = t.scalar_engine().with_metrics(Metrics::new(sink_s.clone()));
-            let mut expect = scalar.feed(&input);
-            expect.extend(scalar.finish());
-            for chunk in [7usize, input.len()] {
-                let sink_b = Arc::new(StatsSink::new());
-                let mut bit = t.fast_engine().with_metrics(Metrics::new(sink_b.clone()));
-                let mut got = Vec::new();
-                for c in input.chunks(chunk) {
-                    bit.feed_into(c, &mut got);
-                }
-                bit.finish_into(&mut got);
-                assert_eq!(got, expect, "recover={recover} chunk={chunk}");
-                for stat in [Stat::BytesIn, Stat::Resyncs, Stat::DeadEntries] {
+        let mut ite = b"if true zz then ".to_vec();
+        ite.extend(std::iter::repeat_n(b'j', 300));
+        ite.extend_from_slice(b" go else stop");
+        let mut json = br#"{"a": [1, 2.5, true], "b": {"c": null}} "#.to_vec();
+        json.extend(std::iter::repeat_n(b'#', 300));
+        json.extend_from_slice(br#" {"d": "e", "f": [false]}"#);
+        for (g, input) in [(builtin::if_then_else(), ite), (builtin::json(), json)] {
+            for (always, recover) in MODES {
+                let t = compile(&g, always, recover);
+                let expect = scalar_run(&t, &input);
+                assert!(!expect.events.is_empty());
+                for chunk in [1usize, 7, input.len()] {
                     assert_eq!(
-                        sink_b.get(stat),
-                        sink_s.get(stat),
-                        "{stat:?} diverges under a live sink (recover={recover} chunk={chunk})"
+                        bit_run(&t, &input, chunk),
+                        expect,
+                        "always={always} recover={recover} chunk={chunk}"
                     );
                 }
+                assert!(t.bit_tables().table_stats().states > 0, "a stats sink walks the table");
             }
         }
     }
 
     #[test]
     fn lit_probe_bank_disables_the_skip() {
-        use std::sync::Arc;
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         // The tail's letters hit the t/e/s decoders, so a skipped byte
@@ -1033,6 +1424,169 @@ mod tests {
         scalar.feed(&input);
         scalar.finish();
         assert_eq!(pr.bank().counts(), dribble);
+    }
+
+    /// Probes and trace-keeping sinks take the bit step, which writes the
+    /// scalar engine's per-byte trace lines, in its order, and its probe
+    /// counts. The table is never consulted.
+    #[test]
+    fn trace_and_probes_get_the_bit_steps_detail() {
+        let g = builtin::if_then_else();
+        let input = b"if true then go else stop zz go  if false then stop else go";
+        for (always, recover) in MODES {
+            let t = compile(&g, always, recover);
+            let trace = |engine: &dyn Fn(Metrics) -> Vec<TagEvent>| {
+                let flight = Arc::new(FlightRecorder::new(4096));
+                let events = engine(Metrics::new(flight.clone()));
+                (events, flight.dump_jsonl())
+            };
+            let (expect, lines) = trace(&|m| {
+                let mut e = t.scalar_engine().with_metrics(m);
+                let mut ev = e.feed(input);
+                ev.extend(e.finish());
+                ev
+            });
+            assert!(lines.contains("token_fire") && lines.contains("follow_edge"));
+            for chunk in [1usize, 5, input.len()] {
+                let got = trace(&|m| {
+                    let mut e = t.fast_engine().with_metrics(m);
+                    let mut ev = Vec::new();
+                    for c in input.chunks(chunk) {
+                        ev.extend(e.feed(c));
+                    }
+                    ev.extend(e.finish());
+                    ev
+                });
+                assert_eq!(got, (expect.clone(), lines.clone()), "always={always} chunk={chunk}");
+
+                let (pb, ps) = (t.probes(), t.probes());
+                let mut bit = t.fast_engine().with_probes(Arc::clone(&pb));
+                for c in input.chunks(chunk) {
+                    bit.feed(c);
+                }
+                bit.finish();
+                let mut scalar = t.scalar_engine().with_probes(Arc::clone(&ps));
+                scalar.feed(input);
+                scalar.finish();
+                assert_eq!(pb.bank().counts(), ps.bank().counts(), "probes, chunk {chunk}");
+            }
+            assert_eq!(t.bit_tables().table_stats().states, 0, "detail never fills the table");
+        }
+    }
+
+    /// The table caches what the ROMs imply: a tagger with a corrupted
+    /// decode-ROM row builds its own table, which diverges from the
+    /// scalar engine, while the original's warm table still agrees.
+    #[test]
+    fn table_follows_the_rom() {
+        let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
+        let input = b"if true then go else stop";
+        let expect = scalar_run(&t, input).events;
+        assert_eq!(t.tag_fast(input), expect);
+        let warm = t.bit_tables().table_stats();
+        assert!(warm.transitions > 0);
+
+        let bad = t.with_corrupted_rom_row(b'i');
+        assert_eq!(bad.bit_tables().table_stats().states, 0, "a fresh, empty table");
+        assert_ne!(bad.tag_fast(input), expect, "the corrupted row must show");
+        assert_eq!(t.tag_fast(input), expect);
+        assert_eq!(t.bit_tables().table_stats(), warm, "the corrupted run built no cell here");
+        assert!(!Arc::ptr_eq(t.bit_tables(), bad.bit_tables()));
+    }
+
+    /// One table per compiled tagger, shared by its clones and engines,
+    /// and neither compile nor engine construction builds any of it.
+    #[test]
+    fn table_is_built_lazily_and_shared() {
+        let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
+        let _idle = t.fast_engine();
+        assert_eq!(t.bit_tables().table_stats().states, 0);
+        let input = b"if true then go else stop";
+        t.clone().tag_fast(input);
+        let warm = t.bit_tables().table_stats();
+        assert!(warm.states > 1 && warm.classes > 1);
+        assert!(warm.bytes <= warm.budget);
+        assert_eq!(warm.budget, TABLE_BUDGET);
+        // A second engine walks the cells the first one built.
+        t.tag_fast(input);
+        assert_eq!(t.bit_tables().table_stats(), warm);
+    }
+
+    /// Zero and small caps: the engine starts on the bit step, or leaves
+    /// the table mid-stream, and still equals the scalar engine in
+    /// events, `is_dead()` and counters.
+    #[test]
+    fn capped_tables_fall_back_to_the_bit_step() {
+        let mut input = b"if true then go else stop zz go if false then stop else go".to_vec();
+        input.extend(std::iter::repeat_n(b'k', 100));
+        for g in [builtin::if_then_else(), builtin::json()] {
+            for (always, recover) in MODES {
+                let t = compile(&g, always, recover);
+                let expect = scalar_run(&t, &input);
+                for budget in [0usize, 300, 2000] {
+                    for chunk in [1usize, 3, input.len()] {
+                        let capped = t.with_table_budget(budget);
+                        // The second engine meets the table the first
+                        // one filled up to its cap.
+                        for run in 0..2 {
+                            let got = bit_run(&capped, &input, chunk);
+                            assert_eq!(
+                                got, expect,
+                                "budget {budget} chunk {chunk} always={always} run {run}"
+                            );
+                        }
+                        let s = capped.bit_tables().table_stats();
+                        assert!(s.bytes <= budget, "{s:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// A grammar whose machine has ~2^17 states fills the table to its
+    /// budget, then tags on with the bit step.
+    #[test]
+    fn hostile_grammar_stays_within_the_table_budget() {
+        let g = Grammar::parse("TOK [ab]*a[ab]{16}\n%%\ns: TOK;\n%%\n").unwrap();
+        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let input: Vec<u8> = (0..60_000)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                if x & 1 == 0 {
+                    b'a'
+                } else {
+                    b'b'
+                }
+            })
+            .collect();
+        let expect = scalar_run(&t, &input);
+        assert!(!expect.events.is_empty());
+        assert_eq!(bit_run(&t, &input, input.len()), expect);
+        let s = t.bit_tables().table_stats();
+        assert!(s.bytes <= TABLE_BUDGET, "{s:?}");
+        assert!(s.bytes > TABLE_BUDGET / 2, "the input must fill the table: {s:?}");
+        // Engines that start later walk the full table, then fall back.
+        assert_eq!(bit_run(&t, &input, 4096), expect);
+        assert_eq!(t.bit_tables().table_stats(), s);
+    }
+
+    /// More live lexemes at distinct starts than [`MAX_REGS`] leave the
+    /// table for the bit step.
+    #[test]
+    fn many_live_starts_leave_the_table() {
+        let lit = "a".repeat(MAX_REGS + 4);
+        let g = Grammar::parse(&format!("TOK {lit}\n%%\ns: TOK;\n%%\n")).unwrap();
+        let t = compile(&g, true, false);
+        let input = "a".repeat(40);
+        let expect = scalar_run(&t, input.as_bytes());
+        assert!(expect.events.len() > 1, "{expect:?}");
+        for chunk in [1usize, 7, input.len()] {
+            assert_eq!(bit_run(&t, input.as_bytes(), chunk), expect, "chunk {chunk}");
+        }
+        assert!(t.bit_tables().table_stats().states <= MAX_REGS + 2);
     }
 
     #[test]
@@ -1061,30 +1615,22 @@ mod tests {
     }
 
     #[test]
-    fn wide_grammar_takes_the_dynamic_path() {
-        // More than 8 * 64 positions forces the general (`step_dyn`)
-        // kernel; it must produce the scalar engine's exact event stream
-        // just like the monomorphic kernels do.
+    fn wide_grammar_agrees_with_scalar() {
+        // More than 8 * 64 positions: many mask words per state key and
+        // per bit-step row, on both paths.
         let lit: String = (0..600).map(|i| (b'a' + (i % 26) as u8) as char).collect();
         let text = format!("LONG {lit}\nGO go\n%%\ns: LONG GO;\n%%\n");
         let g = Grammar::parse(&text).unwrap();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        assert!(t.bit_tables().mask_words() > 8, "grammar too narrow to hit step_dyn");
+        assert!(t.bit_tables().mask_words() > 8, "grammar too narrow");
 
         let input = format!("{lit} go");
-        let mut scalar = t.scalar_engine();
-        let mut expect = scalar.feed(input.as_bytes());
-        expect.extend(scalar.finish());
-        assert_eq!(expect.len(), 2, "LONG then GO");
-        assert_eq!(t.tag_fast(input.as_bytes()), expect);
-        for chunk in [1usize, 13] {
-            let mut e = t.fast_engine();
-            let mut events = Vec::new();
-            for c in input.as_bytes().chunks(chunk) {
-                events.extend(e.feed(c));
-            }
-            events.extend(e.finish());
-            assert_eq!(events, expect, "chunk size {chunk}");
+        let expect = scalar_run(&t, input.as_bytes());
+        assert_eq!(expect.events.len(), 2, "LONG then GO");
+        for chunk in [1usize, 13, input.len()] {
+            assert_eq!(bit_run(&t, input.as_bytes(), chunk), expect, "chunk size {chunk}");
+            let zero = t.with_table_budget(0);
+            assert_eq!(bit_run(&zero, input.as_bytes(), chunk), expect, "bit step, chunk {chunk}");
         }
     }
 

@@ -1,16 +1,17 @@
 //! The unified streaming-engine API — slice-first.
 //!
-//! Three engines execute the same compiled structure — the bit-parallel
-//! production kernel ([`BitEngine`]), the scalar reference
-//! ([`ScalarEngine`]) and the simulated circuit ([`crate::GateEngine`])
-//! — behind one object-safe [`Engine`] trait and one constructor,
-//! [`crate::TokenTagger::engine`], selected by [`EngineKind`].
+//! Three engines execute the same compiled structure — the production
+//! engine ([`BitEngine`], a table walk over the bit-parallel tables),
+//! the scalar reference ([`ScalarEngine`]) and the simulated circuit
+//! ([`crate::GateEngine`]) — behind one object-safe [`Engine`] trait and
+//! one constructor, [`crate::TokenTagger::engine`], selected by
+//! [`EngineKind`].
 //!
 //! The primary entry point is [`Engine::feed_slice`]: callers hand the
 //! engine whole buffers and a reusable output vector, so the bit
-//! engine's windowed lookahead pairing and dead-run skip see the full
-//! slice instead of a per-byte drip, and the server/shard hot paths stop
-//! allocating a `Vec` per frame. [`Engine::feed_byte`] is the required
+//! engine's table walk and dead-run skip see the full slice instead of
+//! a per-byte drip, and the server/shard hot paths stop allocating a
+//! `Vec` per frame. [`Engine::feed_byte`] is the required
 //! per-byte primitive; `feed_slice` has a per-byte default impl that
 //! every bundled engine overrides with its batch path.
 //!
@@ -134,8 +135,8 @@ impl Engine for ScalarEngine {
 /// Which engine [`crate::TokenTagger::engine`] should construct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
-    /// The bit-parallel production kernel ([`BitEngine`]) — the
-    /// default.
+    /// The production engine ([`BitEngine`]): a lazily built table over
+    /// the bit-parallel step — the default.
     #[default]
     Bit,
     /// The scalar reference mirror ([`ScalarEngine`]).
@@ -185,8 +186,8 @@ impl FromStr for EngineKind {
 /// the stream seen so far (§3.4), back to a byte where the circuit's
 /// enable wire for the token was high, which is why this wrapper
 /// buffers the input. Liveness (`is_dead`, §5.2 resync counting) is not
-/// observable on the match lines either, so a metrics-dark
-/// [`BitEngine`] mirror is fed in lockstep — the same functional-mirror
+/// observable on the match lines either, so a [`BitEngine`] mirror with
+/// a private stats sink is fed in lockstep — the same functional-mirror
 /// trick `cfgtag tag --gate` always used, now packaged behind the trait.
 /// At `finish` the mirror's `resyncs` / `dead_entries` counters are
 /// folded into the engine's metrics handle so observability matches the
@@ -346,6 +347,43 @@ mod tests {
         // Bytes are counted once (by the gate engine, not the mirror).
         assert_eq!(sink.get(Stat::BytesIn), 6);
         assert!(sink.get(Stat::GateCycles) > 0, "gate engine cycles recorded");
+    }
+
+    /// With an empty FIRST(start) the machine is dead from its first
+    /// byte. Every kind counts that dead entry as the scalar reference
+    /// does, in every start mode × recovery combination.
+    #[test]
+    fn empty_first_set_counts_its_dead_entry() {
+        use cfg_grammar::Grammar;
+        use cfg_obs::{Metrics, Stat, StatsSink};
+        use std::sync::Arc;
+        let g = Grammar::parse("A a\nB b\n%%\ns: s A s;\n%%\n").unwrap();
+        for (always, recover) in [(false, false), (true, false), (false, true), (true, true)] {
+            let opts = TaggerOptions::builder()
+                .start_mode(if always {
+                    crate::StartMode::Always
+                } else {
+                    crate::StartMode::AtStart
+                })
+                .error_recovery(recover)
+                .build();
+            let t = TokenTagger::compile(&g, opts).unwrap();
+            let run = |kind: EngineKind| {
+                let sink = Arc::new(StatsSink::new());
+                let mut e =
+                    t.clone().with_metrics(Metrics::new(sink.clone())).engine(kind).unwrap();
+                e.feed(b"ab ab").unwrap();
+                e.finish().unwrap();
+                (sink.get(Stat::DeadEntries), sink.get(Stat::Resyncs), e.is_dead())
+            };
+            let expect = run(EngineKind::Scalar);
+            if (always, recover) == (false, false) {
+                assert_eq!(expect, (1, 0, true));
+            }
+            for kind in [EngineKind::Bit, EngineKind::Gate] {
+                assert_eq!(run(kind), expect, "{kind} always={always} recover={recover}");
+            }
+        }
     }
 
     #[test]

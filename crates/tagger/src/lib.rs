@@ -12,12 +12,16 @@
 //! * [`ScalarEngine`] — a functional mirror of that circuit at
 //!   token/position granularity, hundreds of times faster; the readable
 //!   reference the other software engines are checked against.
-//! * [`BitEngine`] — the bit-parallel production kernel: all Glushkov
-//!   positions packed into `u64` bitset words and decoded through a
-//!   256-entry byte-class ROM, so one instruction advances 64 circuit
-//!   stages at once, and a dead machine skips the rest of each slice
-//!   in O(1). Property tests assert all three agree event-for-event
-//!   (the repo's substitute for hardware/software co-verification).
+//! * [`BitEngine`] — the production engine: the circuit's finite-state
+//!   machine as a lazily built tagged DFA, one table lookup per byte,
+//!   with lexeme starts in a few registers. Its cold path is the
+//!   bit-parallel step (all Glushkov positions in `u64` words, decoded
+//!   through a 256-row byte-class ROM), which builds the table's
+//!   transitions and runs the engine when probes, a trace-keeping sink
+//!   or a grammar past the table's budget need it. A dead machine skips
+//!   the rest of each slice in O(1). Property tests assert all three
+//!   engines agree event-for-event (the repo's substitute for
+//!   hardware/software co-verification).
 //!
 //! ```
 //! use cfg_grammar::Grammar;
@@ -53,7 +57,7 @@ pub mod tagger;
 pub mod wide;
 
 pub use backend::{Backend, CollectBackend, CountingBackend};
-pub use bitset::{BitEngine, BitTables};
+pub use bitset::{BitEngine, BitTables, TableStats};
 pub use engine::{Engine, EngineKind, GateStream};
 pub use error::Error;
 pub use event::TagEvent;
@@ -63,8 +67,8 @@ pub use shard::{PoolOptions, ShardMsg, ShardPool, ShardReport, SubmitOutcome};
 
 /// The default streaming engine behind [`TokenTagger::fast_engine`].
 ///
-/// Historically this was the scalar functional mirror; the bit-parallel
-/// kernel now owns the name so downstream code keeps compiling while
+/// Historically this was the scalar functional mirror; the production
+/// engine now owns the name so downstream code keeps compiling while
 /// getting the fast path. Use [`ScalarEngine`] explicitly when you want
 /// the readable reference implementation.
 pub type FastEngine = BitEngine;

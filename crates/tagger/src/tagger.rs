@@ -281,8 +281,10 @@ impl TokenTagger {
         cfg_hwgen::CircuitTopology::build(&self.grammar, &self.hw).to_json()
     }
 
-    /// A fresh streaming functional engine — the bit-parallel kernel —
-    /// instrumented with the compile options' metrics handle.
+    /// A fresh production engine — the table walk over the bit-parallel
+    /// tables — instrumented with the compile options' metrics handle.
+    /// Allocates nothing; the table it walks is shared by every engine
+    /// and clone of this tagger.
     pub fn fast_engine(&self) -> BitEngine {
         BitEngine::new(Arc::clone(&self.bit_tables)).with_metrics(self.opts.metrics.clone())
     }
@@ -293,7 +295,8 @@ impl TokenTagger {
         ScalarEngine::new(Arc::clone(&self.tables)).with_metrics(self.opts.metrics.clone())
     }
 
-    /// The shared bit-parallel tables (decode ROM + packed masks).
+    /// The shared bit-parallel tables (decode ROM + packed masks) and
+    /// the DFA table built over them.
     pub fn bit_tables(&self) -> &Arc<BitTables> {
         &self.bit_tables
     }
@@ -308,6 +311,17 @@ impl TokenTagger {
     pub fn with_corrupted_rom_row(&self, byte: u8) -> TokenTagger {
         let mut t = self.clone();
         t.bit_tables = Arc::new(t.bit_tables.with_corrupted_rom_row(byte));
+        t
+    }
+
+    /// Test hook: a clone of this tagger whose bit engines share a
+    /// fresh DFA table capped at `bytes` (see
+    /// `BitTables::with_table_budget`; 0 keeps every engine on the bit
+    /// step). Never used on a production path.
+    #[doc(hidden)]
+    pub fn with_table_budget(&self, bytes: usize) -> TokenTagger {
+        let mut t = self.clone();
+        t.bit_tables = Arc::new(t.bit_tables.with_table_budget(bytes));
         t
     }
 

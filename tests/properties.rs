@@ -249,6 +249,106 @@ proptest! {
     }
 }
 
+// ------------------------------------- random multi-token grammars
+
+/// One engine run over a generated grammar: events, `is_dead()` after
+/// finish, and the stats sink's byte, event, resync and dead-entry
+/// counters.
+type Run = (Vec<cfg_token_tagger::tagger::TagEvent>, bool, [u64; 4]);
+
+fn engine_run(
+    tagger: &TokenTagger,
+    kind: cfg_token_tagger::tagger::EngineKind,
+    input: &[u8],
+    chunk: usize,
+) -> Run {
+    use cfg_token_tagger::obs::{Metrics, Stat, StatsSink};
+    use std::sync::Arc;
+
+    let sink = Arc::new(StatsSink::new());
+    let mut e = tagger.clone().with_metrics(Metrics::new(sink.clone())).engine(kind).unwrap();
+    let mut events = Vec::new();
+    for c in input.chunks(chunk.max(1)) {
+        e.feed_slice(c, &mut events).unwrap();
+    }
+    e.finish_into(&mut events).unwrap();
+    let counters =
+        [Stat::BytesIn, Stat::EventsOut, Stat::Resyncs, Stat::DeadEntries].map(|s| sink.get(s));
+    (events, e.is_dead(), counters)
+}
+
+/// Table budget of a few states: engines leave the table mid-stream.
+const FEW_STATES: usize = 512;
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// On generated multi-token grammars (FOLLOW wiring, arm registers,
+    /// context duplication, tokens that fire together, longest match
+    /// across token boundaries) five runs agree: the bit engine on its
+    /// table, on a zero-budget table (the bit step throughout) and on a
+    /// table of a few states (leaving it mid-stream), the scalar
+    /// reference, and the simulated circuit. They agree on events, on
+    /// `is_dead()` after finish, and on the four engine counters, for
+    /// every start mode × recovery and every chunk split. The input is
+    /// three rounds of a conforming sentence, a one-word mutant of it,
+    /// and junk.
+    #[test]
+    fn random_grammars_agree_across_engines(seed in any::<u64>()) {
+        use cfg_token_tagger::grammar::random::{join, mutate, RandomGrammar, Rng};
+        use cfg_token_tagger::tagger::EngineKind;
+
+        let rg = RandomGrammar::generate(seed);
+        let mut rng = Rng::new(seed);
+        let mut input = Vec::new();
+        for _ in 0..3 {
+            let words = rg.sentence(&mut rng);
+            input.extend(join(&words, &mut rng));
+            input.extend(join(&mutate(&words, &mut rng), &mut rng));
+            input.extend_from_slice(b"?? ");
+        }
+
+        for (always, recover) in [(false, false), (true, false), (false, true), (true, true)] {
+            let opts = TaggerOptions {
+                start_mode: if always { StartMode::Always } else { StartMode::AtStart },
+                error_recovery: recover,
+                ..Default::default()
+            };
+            let Ok(tagger) = TokenTagger::compile(&rg.grammar, opts) else { continue };
+            let mode = format!("always={always} recover={recover}\n{}input {:?}",
+                rg.text, String::from_utf8_lossy(&input));
+
+            let expect = engine_run(&tagger, EngineKind::Scalar, &input, input.len());
+            let gate = engine_run(&tagger, EngineKind::Gate, &input, input.len());
+            prop_assert_eq!(&gate, &expect, "gate: {}", mode);
+            for chunk in [1usize, 2, 3, 7, input.len()] {
+                let table = engine_run(&tagger, EngineKind::Bit, &input, chunk);
+                prop_assert_eq!(&table, &expect, "bit, chunk {}: {}", chunk, mode);
+                for budget in [0, FEW_STATES] {
+                    let capped = tagger.with_table_budget(budget);
+                    let got = engine_run(&capped, EngineKind::Bit, &input, chunk);
+                    prop_assert_eq!(&got, &expect, "bit, budget {} chunk {}: {}", budget, chunk, mode);
+                }
+            }
+        }
+    }
+}
+
+/// Most generated grammars compile in every mode, so the property above
+/// cannot pass by skipping them.
+#[test]
+fn random_grammars_mostly_compile() {
+    use cfg_token_tagger::grammar::random::RandomGrammar;
+    let n = 200;
+    let compiled = (0..n)
+        .filter(|&seed| {
+            let rg = RandomGrammar::generate(seed);
+            TokenTagger::compile(&rg.grammar, TaggerOptions::default()).is_ok()
+        })
+        .count();
+    assert!(compiled * 10 >= n as usize * 9, "only {compiled} of {n} generated grammars compile");
+}
+
 // -------------------------------------------------- tagger vs LL(1)
 
 proptest! {
