@@ -3,18 +3,23 @@
 #
 #   1. cargo fmt --check        -- repo is rustfmt-clean (see rustfmt.toml)
 #   2. cargo clippy -D warnings -- all targets, all crates (vendored stubs too)
-#   3. dead-code hygiene        -- no #[allow(dead_code)] in the obs crates
-#   4. tier-1 verify            -- release build + root-package tests
-#   5. exporter integration     -- cfg-obs-http socket-level scrape tests
-#   6. ring & viewer            -- the EventRing under every telemetry
+#   3. rustdoc -D warnings      -- every workspace crate's docs build with
+#                                  no warning, so a doc link to a deleted
+#                                  name fails here; the vendored stubs
+#                                  (proptest, rand, criterion) are
+#                                  excluded, as they fail the link lints
+#   4. dead-code hygiene        -- no #[allow(dead_code)] in the obs crates
+#   5. tier-1 verify            -- release build + root-package tests
+#   6. exporter integration     -- cfg-obs-http socket-level scrape tests
+#   7. ring & viewer            -- the EventRing under every telemetry
 #                                  ring, the JSON parser every view
 #                                  decodes with (nesting depth capped),
 #                                  and the `cfgtag watch` loop (flags,
 #                                  retries, every view's frame)
-#   7. probe layer & scope      -- engine probe counters, trigger hub,
+#   8. probe layer & scope      -- engine probe counters, trigger hub,
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
-#   8. production engine        -- the DFA table walk and its bit-step
+#   9. production engine        -- the DFA table walk and its bit-step
 #                                  cold path (dead-run skip, table
 #                                  budget and register caps, probe and
 #                                  trace detail), shard pool, the
@@ -23,21 +28,21 @@
 #                                  five-run property on generated
 #                                  multi-token grammars (table, zero and
 #                                  small budgets, scalar, gate)
-#   9. ingest server            -- cfg-server unit + integration tests
+#  10. ingest server            -- cfg-server unit + integration tests
 #                                  (thread-per-connection serving, the
 #                                  slow-reader eviction included), the
 #                                  Engine trait suite, and the
 #                                  fault-injection chaos test
-#  10. span tracing & SLO       -- cfg-obs span/SLO suites, the slo view,
+#  11. span tracing & SLO       -- cfg-obs span/SLO suites, the slo view,
 #                                  and the end-to-end span_trace test
-#  11. saturation telemetry     -- utilization time series, shards
+#  12. saturation telemetry     -- utilization time series, shards
 #                                  view, and the end-to-end
 #                                  Little's-law test
-#  12. shadow audit             -- audit bank and evidence-window
+#  13. shadow audit             -- audit bank and evidence-window
 #                                  suites, frame-codec chunking
 #                                  properties, audit view, and the
 #                                  end-to-end seeded-fault test
-#  13. full workspace tests     -- every crate's suites
+#  14. full workspace tests     -- every crate's suites
 #
 # Every step that filters tests by name runs through `filtered`, which
 # fails the step when the filter matched no test: a filter left behind
@@ -77,6 +82,10 @@ cargo fmt --check
 
 echo "==> cargo clippy --workspace --all-targets -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
+
+echo "==> rustdoc: cargo doc -D warnings (vendored stubs excluded)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace \
+    --exclude proptest --exclude rand --exclude criterion
 
 echo "==> no allow(dead_code) in crates/obs or crates/obs-http"
 if grep -rn "allow(dead_code)" crates/obs crates/obs-http --include='*.rs'; then

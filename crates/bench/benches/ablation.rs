@@ -34,7 +34,7 @@ fn bench_ablation(c: &mut Criterion) {
             b.iter(|| {
                 let mut n = 0usize;
                 for m in &msgs {
-                    n += tagger.tag_fast(black_box(m)).len();
+                    n += tagger.tag(black_box(m)).len();
                 }
                 black_box(n)
             })

@@ -44,7 +44,7 @@ fn bench_throughput(c: &mut Criterion) {
         b.iter(|| {
             let mut events = 0usize;
             for m in &msgs {
-                events += tagger.tag_fast(black_box(m)).len();
+                events += tagger.tag(black_box(m)).len();
             }
             black_box(events)
         })
@@ -101,7 +101,7 @@ fn bench_throughput(c: &mut Criterion) {
     group.throughput(Throughput::Bytes(one.len() as u64));
     group.sample_size(10);
     group.bench_function("tagger_gate_engine_one_message", |b| {
-        let mut engine = tagger.gate_engine().unwrap();
+        let mut engine = cfg_tagger::GateEngine::new(tagger.hardware()).unwrap();
         b.iter(|| black_box(engine.run(black_box(one)).unwrap().len()))
     });
     group.bench_function("pda_exact_parse_one_message", |b| {

@@ -60,7 +60,7 @@ fn main() {
             TaggerOptions { disable_longest_match: disable, ..Default::default() },
         )
         .expect("compiles");
-        let events = t.tag_fast(&msg.bytes);
+        let events = t.tag(&msg.bytes);
         println!("{:<26}{:>6} events on one {}-byte message", name, events.len(), msg.bytes.len());
     }
 

@@ -1,7 +1,6 @@
 //! Head-to-head throughput of the software engines: the scalar
-//! reference ([`cfg_tagger::ScalarEngine`]) and the bit-parallel kernel
-//! ([`cfg_tagger::BitEngine`], the engine behind
-//! `TokenTagger::fast_engine`).
+//! reference ([`cfg_tagger::ScalarEngine`]) and the production engine
+//! ([`cfg_tagger::BitEngine`], the default `EngineKind`).
 //!
 //! Both tag the same ~4 MB honest XML-RPC stream (the workload
 //! `obs_overhead` uses, so ns/byte rows are comparable across the two
@@ -28,7 +27,7 @@
 
 #![forbid(unsafe_code)]
 
-use cfg_tagger::{TaggerOptions, TokenTagger};
+use cfg_tagger::{EngineKind, TaggerOptions, TokenTagger};
 use cfg_xmlrpc::workload::{MessageKind, WorkloadGenerator};
 use cfg_xmlrpc::xmlrpc_grammar;
 use std::time::Instant;
@@ -91,18 +90,18 @@ fn main() {
         input.push(b'\n');
     }
 
-    let (scalar, scalar_spread, scalar_events) = bench(input.len(), reps, || {
-        let mut e = tagger.scalar_engine();
-        let mut n = e.feed(&input).len();
-        n += e.finish().len();
-        n
-    });
-    let (bit, bit_spread, bit_events) = bench(input.len(), reps, || {
-        let mut e = tagger.fast_engine();
-        let mut n = e.feed(&input).len();
-        n += e.finish().len();
-        n
-    });
+    // Events from one fresh engine of `kind` over the whole stream.
+    let count = |kind: EngineKind| {
+        let mut e = tagger.engine(kind).expect("the software engines build");
+        let mut events = Vec::new();
+        e.feed_slice(&input, &mut events)
+            .and_then(|()| e.finish_into(&mut events))
+            .expect("the software engines return no errors");
+        events.len()
+    };
+    let (scalar, scalar_spread, scalar_events) =
+        bench(input.len(), reps, || count(EngineKind::Scalar));
+    let (bit, bit_spread, bit_events) = bench(input.len(), reps, || count(EngineKind::Bit));
     assert_eq!(scalar_events, bit_events, "engines disagree on event count");
 
     let speedup = scalar / bit;

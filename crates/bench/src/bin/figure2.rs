@@ -41,7 +41,7 @@ fn main() {
                     continue;
                 }
                 trials += 1;
-                if tagger.tag_fast(mutant.as_bytes()).len() == toks.len() {
+                if tagger.tag(mutant.as_bytes()).len() == toks.len() {
                     tagger_full += 1;
                 }
                 if pda.accepts(mutant.as_bytes()) {

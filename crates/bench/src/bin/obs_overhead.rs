@@ -5,7 +5,7 @@
 //! server's tracing, saturation and audit side-cars are each an
 //! `Option` that stays `None` until a caller attaches one, so the
 //! un-instrumented path pays one never-taken branch. This bin times
-//! the production engine's `feed_into` over a multi-megabyte XML-RPC
+//! the production engine's `feed_slice` over a multi-megabyte XML-RPC
 //! stream, compiled with §5.2 error recovery so the machine stays live
 //! on ~99.5% of its bytes (without recovery it dies inside the first
 //! message, and the dead-run skip leaves nothing per byte for metrics
@@ -43,7 +43,7 @@ use cfg_obs::{Metrics, NoopSink, StatsSink};
 use cfg_server::{
     AuditConfig, Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig,
 };
-use cfg_tagger::{TaggerOptions, TokenTagger};
+use cfg_tagger::{EngineKind, TaggerOptions, TaggerProbes, TokenTagger};
 use cfg_xmlrpc::workload::{MessageKind, WorkloadGenerator};
 use cfg_xmlrpc::xmlrpc_grammar;
 use std::sync::Arc;
@@ -59,18 +59,19 @@ fn bench_feed(
     tagger: &TokenTagger,
     input: &[u8],
     metrics: &Metrics,
-    probes: Option<&std::sync::Arc<cfg_tagger::TaggerProbes>>,
+    probes: Option<&Arc<TaggerProbes>>,
     reps: usize,
 ) -> (f64, f64) {
     let mut samples = Vec::with_capacity(reps);
     for rep in 0..reps + 1 {
-        let mut engine = tagger.fast_engine().with_metrics(metrics.clone());
+        let mut handle = tagger.clone().with_metrics(metrics.clone());
         if let Some(p) = probes {
-            engine = engine.with_probes(p.clone());
+            handle = handle.with_probes(Arc::clone(p));
         }
+        let mut engine = handle.engine(EngineKind::Bit).expect("the bit engine builds");
         let mut events = Vec::new();
         let t0 = Instant::now();
-        engine.feed_into(input, &mut events);
+        engine.feed_slice(input, &mut events).expect("the bit engine returns no errors");
         let dt = t0.elapsed().as_nanos() as f64;
         // Keep the events alive past the clock stop so the compiler
         // cannot discard the work.

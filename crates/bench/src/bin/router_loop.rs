@@ -23,7 +23,7 @@
 
 use cfg_obs::{Metrics, SharedRegistry, Stat, StatsSink};
 use cfg_obs_http::{Exporter, ServiceState};
-use cfg_tagger::{ShardPool, TaggerOptions, TokenTagger};
+use cfg_tagger::{PoolOptions, ShardPool, TaggerOptions, TokenTagger};
 use cfg_xmlrpc::router::{Router, RouterTables};
 use cfg_xmlrpc::workload::WorkloadGenerator;
 use cfg_xmlrpc::xmlrpc_grammar;
@@ -98,7 +98,7 @@ fn main() {
     // Second pass: the same batch through a shard pool, per-shard sinks
     // alongside the single-stream sink in the same registry.
     let pool_tables = tables.clone();
-    let pool = ShardPool::with_handler(&tagger, shards, move |t, msg| {
+    let pool = ShardPool::new(&tagger, shards, PoolOptions::default(), move |t, msg, _| {
         Router::route(t, &pool_tables, msg);
     });
     pool.register(&registry, "shard");

@@ -19,8 +19,7 @@
 //! and `scope` (circuit probes, heat map, triggered capture).
 //!
 //! Options for `tag`: `--engine {bit,scalar,gate}` (which engine
-//! tags the stream; `--gate` is the legacy alias for `--engine gate`),
-//! `--always` (scan at every alignment), `--recover` (§5.2
+//! tags the stream), `--always` (scan at every alignment), `--recover` (§5.2
 //! error recovery), `--no-context` (skip token duplication), `--stats`
 //! (counter/timing report after the events), `--trace-out PATH` (write
 //! the last 4096 trace events as JSON lines), `--flight-out PATH` (the
@@ -123,8 +122,7 @@ impl From<String> for CliOutput {
 /// Parsed `tag` options.
 #[derive(Debug, Default, Clone)]
 pub struct TagFlags {
-    /// Which engine tags the stream (`--engine bit|scalar|gate`;
-    /// `--gate` is the legacy alias for `--engine gate`).
+    /// Which engine tags the stream (`--engine bit|scalar|gate`).
     pub engine: EngineKind,
     /// Scan at every byte alignment.
     pub always: bool,
@@ -155,7 +153,6 @@ impl TagFlags {
                         it.next().ok_or_else(|| CliError::new("--engine needs a name", 2))?;
                     f.engine = name.parse().map_err(|e: String| CliError::new(e, 2))?;
                 }
-                "--gate" => f.engine = EngineKind::Gate,
                 "--always" => f.always = true,
                 "--recover" => f.recover = true,
                 "--no-context" => f.no_context = true,
@@ -245,7 +242,7 @@ pub fn cmd_tag(grammar_text: &str, input: &[u8], flags: &TagFlags) -> Result<Cli
         ]))),
         None => Metrics::new(sink.clone()),
     };
-    // One construction path for all four engines: the trait object
+    // One construction path for every engine kind: the trait object
     // from [`TokenTagger::engine`], driven through the slice-first API.
     // The gate kind arrives pre-wrapped in a `GateStream` (span
     // recovery + functional liveness mirror).
@@ -684,12 +681,13 @@ mod tests {
             (vec!["--engine", "bit"], EngineKind::Bit),
             (vec!["--engine", "scalar"], EngineKind::Scalar),
             (vec!["--engine", "gate"], EngineKind::Gate),
-            (vec!["--gate"], EngineKind::Gate),
         ] {
             let (f, _) = TagFlags::parse(&argv(&args)).unwrap();
             assert_eq!(f.engine, want, "{args:?}");
         }
         assert_eq!(TagFlags::parse(&argv(&["--engine"])).unwrap_err().code, 2);
+        // The retired `--gate` alias is an unknown flag.
+        assert_eq!(TagFlags::parse(&argv(&["--gate"])).unwrap_err().code, 2);
         // Any other name is a usage error that names the engines that
         // exist.
         let bad = TagFlags::parse(&argv(&["--engine", "quantum"])).unwrap_err();

@@ -26,7 +26,7 @@ use cfg_obs_http::{Exporter, ServiceState};
 use cfg_server::{
     AuditConfig, IngestServer, SaturationConfig, ServerConfig, ServerReport, TraceConfig,
 };
-use cfg_tagger::{EngineKind, ShardPool, StartMode, TaggerOptions, TokenTagger};
+use cfg_tagger::{EngineKind, PoolOptions, ShardPool, StartMode, TaggerOptions, TokenTagger};
 use std::io::Read;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -279,7 +279,7 @@ pub fn run_serve(
         "{{\"compile\":{},\"tokens\":{tokens}}}",
         tagger.report().to_json()
     ));
-    state.set_circuit_json(tagger.circuit_json());
+    state.set_circuit_json(probes.circuit_json());
     state.set_probe_bank(probes.bank_arc());
     state.set_trigger_hub(hub);
     state.set_token_names(token_names);
@@ -304,7 +304,9 @@ pub fn run_serve(
             "sharded: {} workers, line-delimited fan-out (flight/probes/trigger idle)",
             flags.shards
         ));
-        let pool = ShardPool::new(&tagger, flags.shards);
+        let pool = ShardPool::new(&tagger, flags.shards, PoolOptions::default(), |t, msg, _| {
+            t.tag(msg);
+        });
         pool.register(&registry, "shard");
         let mut buf = vec![0u8; flags.chunk];
         let mut carry: Vec<u8> = Vec::new();
@@ -348,7 +350,11 @@ pub fn run_serve(
         return Ok(ServeOutcome { code: 0, bytes, events, resyncs, flight_dump: None });
     }
 
-    let mut engine = tagger.fast_engine().with_metrics(metrics).with_probes(probes);
+    let mut engine = tagger
+        .with_metrics(metrics)
+        .with_probes(probes)
+        .engine(EngineKind::Bit)
+        .map_err(CliError::from)?;
     let mut buf = vec![0u8; flags.chunk];
     let mut bytes = 0u64;
     let mut events = 0u64;
@@ -360,18 +366,18 @@ pub fn run_serve(
             None => buf.len(),
         };
         if want == 0 {
-            events += engine.finish().len() as u64;
+            events += engine.finish().map_err(CliError::from)?.len() as u64;
             break;
         }
         let n = reader
             .read(&mut buf[..want])
             .map_err(|e| CliError::new(format!("read error: {e}"), 1))?;
         if n == 0 {
-            events += engine.finish().len() as u64;
+            events += engine.finish().map_err(CliError::from)?.len() as u64;
             break;
         }
         let t0 = Instant::now();
-        events += engine.feed(&buf[..n]).len() as u64;
+        events += engine.feed(&buf[..n]).map_err(CliError::from)?.len() as u64;
         sink.observe("decision_latency_ns", t0.elapsed().as_nanos() as u64);
         bytes += n as u64;
         if engine.is_dead() && !flags.recover {

@@ -373,8 +373,9 @@ mod tests {
         let tagger = TokenTagger::compile(&grammar, TaggerOptions::default()).unwrap();
         let registry = Arc::new(SharedRegistry::new());
         let state = Arc::new(ServiceState::new());
-        state.set_circuit_json(tagger.circuit_json());
-        state.set_probe_bank(tagger.probes().bank_arc());
+        let probes = tagger.probes();
+        state.set_circuit_json(probes.circuit_json());
+        state.set_probe_bank(probes.bank_arc());
         let config = ServerConfig {
             registry: Some(Arc::clone(&registry)),
             state: Some(Arc::clone(&state)),

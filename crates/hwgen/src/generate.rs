@@ -489,12 +489,8 @@ mod tests {
 
     #[test]
     fn empty_grammar_rejected() {
-        // Grammar::parse refuses empty rule sections, so build the error
-        // path via a grammar whose tokens are all unused after
-        // duplication — simplest is direct: no tokens can't be built via
-        // parse, so just assert NoTokens via a crafted grammar.
-        let g = Grammar::parse("%%\ns: \"a\";\n%%\n").unwrap();
-        // sanity: this one generates fine.
-        assert!(generate(&g, &GeneratorOptions::default()).is_ok());
+        // An empty rule uses no token: nothing to generate.
+        let g = Grammar::parse("%%\ns: ;\n%%\n").unwrap();
+        assert_eq!(generate(&g, &GeneratorOptions::default()).unwrap_err(), GenError::NoTokens);
     }
 }

@@ -6,7 +6,7 @@
 //! is `None` and every recording method is a single branch on a local
 //! `Option` — no allocation, no atomics, no virtual dispatch. Hot loops
 //! that would otherwise pay even that branch per byte check
-//! [`Metrics::enabled`] once per buffer and batch their updates.
+//! [`Metrics::is_enabled`] once per buffer and batch their updates.
 //!
 //! Four sinks ship with the crate:
 //!

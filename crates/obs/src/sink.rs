@@ -11,12 +11,13 @@ use crate::trace::TraceEvent;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Stat {
-    /// Bytes consumed by a streaming engine (`FastEngine`,
-    /// `GateEngine`, `WideTagger`).
+    /// Bytes consumed by a streaming engine (`BitEngine`,
+    /// `ScalarEngine`, `GateEngine`, `WideTagger`).
     BytesIn,
     /// Tag events emitted (token fires), across all tokens.
     EventsOut,
-    /// §5.2 error-recovery resynchronisations taken by `FastEngine`.
+    /// §5.2 error-recovery resynchronisations taken by a streaming
+    /// engine.
     Resyncs,
     /// Transitions from "some state live" to "no state live" while
     /// recovery is off (the stream is stuck until a new delimiter).

@@ -527,7 +527,7 @@ impl IngestServer {
             on_panic: Some(Arc::new(on_panic)),
             load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
         };
-        let pool = ShardPool::with_span_handler(tagger, config.shards, pool_opts, handler);
+        let pool = ShardPool::new(tagger, config.shards, pool_opts, handler);
 
         if let Some(registry) = &config.registry {
             pool.register(registry, "shard");
@@ -985,10 +985,10 @@ fn audit_frame(
         // client already saw the Err frame; nothing to cross-check.
         return;
     };
-    let mut scalar = tagger.scalar_engine();
-    let mut reference = Vec::new();
-    scalar.feed_into(payload, &mut reference);
-    scalar.finish_into(&mut reference);
+    let Ok(reference) = tag_payload(tagger, EngineKind::Scalar, payload) else {
+        // The scalar reference returns no errors.
+        return;
+    };
     if fast != reference {
         bank.divergence();
         ring.push(build_mismatch(session, frame, payload, &fast, &reference));

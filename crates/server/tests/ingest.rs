@@ -20,7 +20,7 @@ fn acks_carry_the_events_and_close_drains() {
     let addr = server.local_addr();
 
     let mut client = Client::connect(addr).unwrap();
-    let expected = t.tag_fast(b"if true then go else stop");
+    let expected = t.tag(b"if true then go else stop");
     match client.request(b"if true then go else stop").unwrap() {
         Reply::Acked { seq, events } => {
             assert_eq!(seq, 0);
@@ -158,7 +158,7 @@ fn worker_panics_answer_err_and_bump_restart_counter() {
     match client.request(b"stop").unwrap() {
         Reply::Acked { seq, events } => {
             assert_eq!(seq, 1);
-            assert_eq!(events, t.tag_fast(b"stop"));
+            assert_eq!(events, t.tag(b"stop"));
         }
         other => panic!("expected ack, got {other:?}"),
     }
@@ -246,7 +246,7 @@ fn interleaves_many_sessions() {
     // 32 clients live at once, each doing its own request/ack round
     // trips, interleaved over two shard workers.
     let mut clients: Vec<Client> = (0..32).map(|_| Client::connect(&addr).unwrap()).collect();
-    let expected = t.tag_fast(b"if true then go else stop");
+    let expected = t.tag(b"if true then go else stop");
     for round in 0u32..3 {
         for (i, c) in clients.iter_mut().enumerate() {
             match c.request(b"if true then go else stop").unwrap() {
@@ -308,7 +308,7 @@ fn slow_reader_cannot_wedge_its_shard() {
         }
     };
     match reply {
-        Reply::Acked { events, .. } => assert_eq!(events, t.tag_fast(b"go")),
+        Reply::Acked { events, .. } => assert_eq!(events, t.tag(b"go")),
         other => panic!("co-sharded client got {other:?}"),
     }
     other.close().unwrap();

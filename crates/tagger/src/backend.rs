@@ -5,11 +5,10 @@
 //! implementations receive each [`TagEvent`] together with the tagger
 //! (for names/contexts) and the input buffer (for lexemes). The XML-RPC
 //! content-based router of §4 lives in `cfg-xmlrpc` and implements this
-//! trait.
+//! trait; [`crate::TokenTagger::process`] drives one over an input.
 
 use crate::event::TagEvent;
 use crate::tagger::TokenTagger;
-use std::collections::HashMap;
 
 /// A streaming consumer of tag events.
 pub trait Backend {
@@ -17,94 +16,4 @@ pub trait Backend {
     fn on_event(&mut self, event: TagEvent, tagger: &TokenTagger, input: &[u8]);
     /// Called once after the stream ends.
     fn on_end(&mut self, _tagger: &TokenTagger) {}
-}
-
-/// Counts events per token name.
-#[derive(Debug, Default)]
-pub struct CountingBackend {
-    counts: HashMap<String, usize>,
-    total: usize,
-}
-
-impl CountingBackend {
-    /// New empty counter.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Count for one token name.
-    pub fn count(&self, name: &str) -> usize {
-        self.counts.get(name).copied().unwrap_or(0)
-    }
-
-    /// Total events seen.
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// All counts.
-    pub fn counts(&self) -> &HashMap<String, usize> {
-        &self.counts
-    }
-}
-
-impl Backend for CountingBackend {
-    fn on_event(&mut self, event: TagEvent, tagger: &TokenTagger, _input: &[u8]) {
-        *self.counts.entry(tagger.token_name(event.token).to_owned()).or_default() += 1;
-        self.total += 1;
-    }
-}
-
-/// Collects events (and lexemes) verbatim.
-#[derive(Debug, Default)]
-pub struct CollectBackend {
-    /// The events, in stream order.
-    pub events: Vec<TagEvent>,
-    /// The lexemes, in stream order.
-    pub lexemes: Vec<Vec<u8>>,
-}
-
-impl CollectBackend {
-    /// New empty collector.
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl Backend for CollectBackend {
-    fn on_event(&mut self, event: TagEvent, _tagger: &TokenTagger, input: &[u8]) {
-        self.events.push(event);
-        self.lexemes.push(event.lexeme(input).to_vec());
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::tagger::TaggerOptions;
-    use cfg_grammar::builtin;
-
-    #[test]
-    fn counting_backend() {
-        let g = builtin::if_then_else();
-        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut c = CountingBackend::new();
-        t.process(b"if true then go else go", &mut c);
-        assert_eq!(c.count("go"), 2);
-        assert_eq!(c.count("if"), 1);
-        assert_eq!(c.count("stop"), 0);
-        assert_eq!(c.total(), 6);
-        assert_eq!(c.counts().len(), 5);
-    }
-
-    #[test]
-    fn collect_backend_lexemes() {
-        let g = builtin::if_then_else();
-        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut c = CollectBackend::new();
-        t.process(b"if true then go else stop", &mut c);
-        assert_eq!(c.lexemes.len(), 6);
-        assert_eq!(c.lexemes[3], b"go");
-        assert_eq!(c.events[3].start, 13);
-    }
 }

@@ -48,6 +48,8 @@
 //! Events are byte-identical to [`crate::ScalarEngine`] and the gate
 //! engine (property-tested), and so are the counters a stats sink sees.
 
+use crate::engine::Engine;
+use crate::error::Error;
 use crate::event::TagEvent;
 use crate::probes::TaggerProbes;
 use crate::tagger::TaggerOptions;
@@ -903,9 +905,9 @@ impl Taps {
     }
 }
 
-/// Streaming tagging engine. Create via
-/// [`crate::TokenTagger::fast_engine`]; feed byte slices, then call
-/// [`BitEngine::finish`] to drain the final lookahead byte.
+/// The production streaming engine. Create via
+/// [`crate::TokenTagger::engine`]; drive it through the [`Engine`]
+/// trait.
 #[derive(Debug)]
 pub struct BitEngine {
     tables: Arc<BitTables>,
@@ -915,8 +917,8 @@ pub struct BitEngine {
     regs: [usize; MAX_REGS],
     /// The bit step's machine, once the engine has left the table.
     cold: Option<Box<Machine>>,
-    /// [`BitEngine::is_dead`]: the reading of the last transition's
-    /// source state.
+    /// [`Engine::is_dead`]: the reading of the last transition's source
+    /// state.
     src_dead: bool,
     /// Bytes fed so far.
     fed: usize,
@@ -928,115 +930,35 @@ impl BitEngine {
     /// New engine over shared tables. Allocates nothing: the table walk
     /// needs only the registers, and the bit step's scratch is made on
     /// fallback.
-    pub fn new(tables: Arc<BitTables>) -> BitEngine {
-        let mut e = BitEngine {
+    pub(crate) fn new(tables: Arc<BitTables>) -> BitEngine {
+        BitEngine {
             state: 0,
             regs: [0; MAX_REGS],
             cold: None,
-            src_dead: false,
+            src_dead: !any(&tables.start_tokens),
             fed: 0,
             finished: false,
             taps: Taps::default(),
             tables,
-        };
-        e.reset();
-        e
+        }
     }
 
     /// Attach an observability handle (builder style). A sink that keeps
     /// trace events moves the engine onto the bit step, which writes
     /// them.
-    pub fn with_metrics(mut self, metrics: Metrics) -> BitEngine {
+    pub(crate) fn with_metrics(mut self, metrics: Metrics) -> BitEngine {
         self.taps.live_stats = metrics.is_enabled();
         self.taps.traced = metrics.wants_trace();
         self.taps.metrics = metrics;
         self
     }
 
-    /// Attach circuit probes (builder style); the engine then runs the
-    /// bit step, which samples them every byte. Without probes every
-    /// per-byte probe scan is skipped.
-    pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> BitEngine {
-        self.taps.probes = Some(probes);
+    /// Attach circuit probes, if any (builder style); the engine then
+    /// runs the bit step, which samples them every byte. Without probes
+    /// every per-byte probe scan is skipped.
+    pub(crate) fn with_probes(mut self, probes: Option<Arc<TaggerProbes>>) -> BitEngine {
+        self.taps.probes = probes;
         self
-    }
-
-    /// Reset to the start-of-stream state.
-    pub fn reset(&mut self) {
-        self.state = 0;
-        self.cold = None;
-        self.fed = 0;
-        self.finished = false;
-        self.src_dead = !any(&self.tables.start_tokens);
-    }
-
-    /// Is the machine dead — no live positions, no armed enables, and no
-    /// enables set for the next byte?
-    pub fn is_dead(&self) -> bool {
-        self.src_dead
-    }
-
-    /// Feed bytes; returns the events completed so far (an event is only
-    /// emitted once its lookahead byte has been seen).
-    pub fn feed(&mut self, bytes: &[u8]) -> Vec<TagEvent> {
-        let mut events = Vec::new();
-        self.feed_into(bytes, &mut events);
-        events
-    }
-
-    /// Slice-first feed: append completed events to `events` without
-    /// allocating a fresh vector per call.
-    pub fn feed_into(&mut self, bytes: &[u8], events: &mut Vec<TagEvent>) {
-        assert!(!self.finished, "feed after finish; call reset first");
-        // One refcount bump per feed() call, not per byte.
-        let tables = Arc::clone(&self.tables);
-        if self.cold.is_none() && self.taps.detailed() {
-            self.leave_table(&tables);
-        }
-        let mut done = 0;
-        if self.cold.is_none() {
-            done = self.walk(&tables, bytes, events);
-        }
-        if done < bytes.len() {
-            self.step_cold(&tables, &bytes[done..], self.fed + done, events);
-        }
-        self.fed += bytes.len();
-        self.taps.metrics.add(Stat::BytesIn, bytes.len() as u64);
-    }
-
-    /// Drain the final byte against a delimiter flush, exactly like the
-    /// scalar engine (see [`crate::ScalarEngine::finish`]).
-    pub fn finish(&mut self) -> Vec<TagEvent> {
-        let mut events = Vec::new();
-        self.finish_into(&mut events);
-        events
-    }
-
-    /// Slice-first variant of [`BitEngine::finish`]: append the drained
-    /// events to `events`.
-    pub fn finish_into(&mut self, events: &mut Vec<TagEvent>) {
-        let tables = Arc::clone(&self.tables);
-        if self.fed > 0 && !self.finished {
-            let flush = tables.delim.iter().next().unwrap_or(b' ');
-            if self.cold.is_none() {
-                self.flush_table(&tables, flush, events);
-            }
-            if let Some(m) = self.cold.as_deref_mut() {
-                m.fire(&tables, flush, self.fed, Some(&self.taps), events);
-                self.taps.liveness(std::mem::take(&mut m.owed), m.owed_at);
-                self.src_dead = m.is_dead(&tables);
-            }
-        }
-        self.finished = true;
-    }
-
-    /// Bytes processed so far (excluding the pending lookahead byte).
-    pub fn position(&self) -> usize {
-        if self.finished {
-            self.fed
-        } else {
-            self.fed.saturating_sub(1)
-        }
     }
 
     /// Walk the table over `bytes`, building missing transitions. Returns
@@ -1189,6 +1111,52 @@ impl BitEngine {
     }
 }
 
+impl Engine for BitEngine {
+    fn feed_slice(&mut self, bytes: &[u8], events: &mut Vec<TagEvent>) -> Result<(), Error> {
+        assert!(!self.finished, "feed after finish");
+        // One refcount bump per feed, not per byte.
+        let tables = Arc::clone(&self.tables);
+        if self.cold.is_none() && self.taps.detailed() {
+            self.leave_table(&tables);
+        }
+        let mut done = 0;
+        if self.cold.is_none() {
+            done = self.walk(&tables, bytes, events);
+        }
+        if done < bytes.len() {
+            self.step_cold(&tables, &bytes[done..], self.fed + done, events);
+        }
+        self.fed += bytes.len();
+        self.taps.metrics.add(Stat::BytesIn, bytes.len() as u64);
+        Ok(())
+    }
+
+    /// Drain the final byte against a delimiter flush, exactly like the
+    /// scalar engine.
+    fn finish_into(&mut self, events: &mut Vec<TagEvent>) -> Result<(), Error> {
+        let tables = Arc::clone(&self.tables);
+        if self.fed > 0 && !self.finished {
+            let flush = tables.delim.iter().next().unwrap_or(b' ');
+            if self.cold.is_none() {
+                self.flush_table(&tables, flush, events);
+            }
+            if let Some(m) = self.cold.as_deref_mut() {
+                m.fire(&tables, flush, self.fed, Some(&self.taps), events);
+                self.taps.liveness(std::mem::take(&mut m.owed), m.owed_at);
+                self.src_dead = m.is_dead(&tables);
+            }
+        }
+        self.finished = true;
+        Ok(())
+    }
+
+    /// No live positions, no armed enables, and no enables set for the
+    /// next byte.
+    fn is_dead(&self) -> bool {
+        self.src_dead
+    }
+}
+
 /// Decoder-hit probes: the registered decoder for every class holding
 /// `byte` asserts (mirrors the Figure 4/5 decode wires).
 fn decoder_probes(pr: &TaggerProbes, byte: u8) {
@@ -1212,6 +1180,7 @@ fn stage_probes(pr: &TaggerProbes, t: &BitTables, next: &[u64]) {
 #[cfg(test)]
 mod tests {
     use super::{MAX_REGS, TABLE_BUDGET};
+    use crate::engine::EngineKind;
     use crate::event::TagEvent;
     use crate::tagger::{StartMode, TaggerOptions, TokenTagger};
     use cfg_grammar::{builtin, Grammar};
@@ -1244,25 +1213,25 @@ mod tests {
         COUNTERS.map(|s| sink.get(s))
     }
 
-    /// A fresh bit engine over `t` under a fresh stats sink, fed in
-    /// `chunk`-byte slices.
-    fn bit_run(t: &TokenTagger, input: &[u8], chunk: usize) -> Run {
+    /// A fresh engine of `kind` over `t` under a fresh stats sink, fed
+    /// in `chunk`-byte slices.
+    fn run(t: &TokenTagger, kind: EngineKind, input: &[u8], chunk: usize) -> Run {
         let sink = Arc::new(StatsSink::new());
-        let mut e = t.fast_engine().with_metrics(Metrics::new(sink.clone()));
+        let mut e = t.clone().with_metrics(Metrics::new(sink.clone())).engine(kind).unwrap();
         let mut events = Vec::new();
         for c in input.chunks(chunk.max(1)) {
-            e.feed_into(c, &mut events);
+            e.feed_slice(c, &mut events).unwrap();
         }
-        e.finish_into(&mut events);
+        e.finish_into(&mut events).unwrap();
         Run { events, dead: e.is_dead(), counters: counters(&sink) }
     }
 
+    fn bit_run(t: &TokenTagger, input: &[u8], chunk: usize) -> Run {
+        run(t, EngineKind::Bit, input, chunk)
+    }
+
     fn scalar_run(t: &TokenTagger, input: &[u8]) -> Run {
-        let sink = Arc::new(StatsSink::new());
-        let mut e = t.scalar_engine().with_metrics(Metrics::new(sink.clone()));
-        let mut events = e.feed(input);
-        events.extend(e.finish());
-        Run { events, dead: e.is_dead(), counters: counters(&sink) }
+        run(t, EngineKind::Scalar, input, input.len())
     }
 
     #[test]
@@ -1289,20 +1258,10 @@ mod tests {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"if true then go else stop";
-        let batch = t.tag_fast(input);
-        let mut scalar = t.scalar_engine();
-        let mut expect = scalar.feed(input);
-        expect.extend(scalar.finish());
-        assert_eq!(batch, expect);
-
+        let batch = t.tag(input);
+        assert_eq!(batch, scalar_run(&t, input).events);
         for chunk in [1usize, 2, 3, 7] {
-            let mut e = t.fast_engine();
-            let mut events = Vec::new();
-            for c in input.chunks(chunk) {
-                events.extend(e.feed(c));
-            }
-            events.extend(e.finish());
-            assert_eq!(events, batch, "chunk size {chunk}");
+            assert_eq!(bit_run(&t, input, chunk).events, batch, "chunk size {chunk}");
         }
     }
 
@@ -1320,18 +1279,14 @@ mod tests {
                 b"then then then",
                 &tail,
             ] {
-                let mut scalar = t.scalar_engine();
-                let mut expect = scalar.feed(input);
-                expect.extend(scalar.finish());
+                let expect = scalar_run(&t, input);
                 for chunk in [1usize, 3, 64, input.len().max(1)] {
-                    let mut e = t.fast_engine();
-                    let mut got = Vec::new();
-                    for c in input.chunks(chunk) {
-                        e.feed_into(c, &mut got);
-                    }
-                    e.finish_into(&mut got);
-                    assert_eq!(got, expect, "always={always} recover={recover} chunk={chunk}");
-                    assert_eq!(e.is_dead(), scalar.is_dead(), "dead state diverges on {input:?}");
+                    let got = bit_run(&t, input, chunk);
+                    assert_eq!(
+                        got.events, expect.events,
+                        "always={always} recover={recover} chunk={chunk}"
+                    );
+                    assert_eq!(got.dead, expect.dead, "dead state diverges on {input:?}");
                 }
             }
         }
@@ -1351,22 +1306,20 @@ mod tests {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = dead_tail(1 << 20);
-        let mut scalar = t.scalar_engine();
-        let mut expect = scalar.feed(&input);
-        let mid = (scalar.position(), scalar.is_dead());
-        expect.extend(scalar.finish());
+        let mut scalar = t.engine(EngineKind::Scalar).unwrap();
+        let mut expect = scalar.feed(&input).unwrap();
+        assert!(scalar.is_dead(), "the junk tail must kill the machine");
+        expect.extend(scalar.finish().unwrap());
         assert_eq!(expect.len(), 6);
-        assert!(mid.1, "the junk tail must kill the machine");
         for chunk in [1usize, 7, 64, 4096] {
-            let mut e = t.fast_engine();
+            let mut e = t.engine(EngineKind::Bit).unwrap();
             let mut got = Vec::new();
             for c in input.chunks(chunk) {
-                e.feed_into(c, &mut got);
+                e.feed_slice(c, &mut got).unwrap();
             }
-            assert_eq!((e.position(), e.is_dead()), mid, "chunk {chunk}");
-            e.finish_into(&mut got);
+            assert!(e.is_dead(), "chunk {chunk}");
+            e.finish_into(&mut got).unwrap();
             assert_eq!(got, expect, "chunk {chunk}");
-            assert_eq!(e.position(), scalar.position(), "chunk {chunk}");
         }
     }
 
@@ -1405,25 +1358,17 @@ mod tests {
         // The tail's letters hit the t/e/s decoders, so a skipped byte
         // would show up as a missing decoder count.
         let input = dead_tail(300);
-        let counts = |chunk: usize| {
+        let counts = |kind: EngineKind, chunk: usize| {
             let pr = t.probes();
-            let mut e = t.fast_engine().with_probes(Arc::clone(&pr));
-            for c in input.chunks(chunk) {
-                e.feed(c);
-            }
-            e.finish();
+            run(&t.clone().with_probes(Arc::clone(&pr)), kind, &input, chunk);
             pr.bank().counts()
         };
-        let dribble = counts(1);
+        let dribble = counts(EngineKind::Bit, 1);
         for chunk in [7usize, 64, input.len()] {
-            assert_eq!(counts(chunk), dribble, "chunk {chunk}");
+            assert_eq!(counts(EngineKind::Bit, chunk), dribble, "chunk {chunk}");
         }
         // The scalar engine has no clock gate: it samples every byte.
-        let pr = t.probes();
-        let mut scalar = t.scalar_engine().with_probes(Arc::clone(&pr));
-        scalar.feed(&input);
-        scalar.finish();
-        assert_eq!(pr.bank().counts(), dribble);
+        assert_eq!(counts(EngineKind::Scalar, input.len()), dribble);
     }
 
     /// Probes and trace-keeping sinks take the bit step, which writes the
@@ -1435,39 +1380,26 @@ mod tests {
         let input = b"if true then go else stop zz go  if false then stop else go";
         for (always, recover) in MODES {
             let t = compile(&g, always, recover);
-            let trace = |engine: &dyn Fn(Metrics) -> Vec<TagEvent>| {
+            let trace = |kind: EngineKind, chunk: usize| {
                 let flight = Arc::new(FlightRecorder::new(4096));
-                let events = engine(Metrics::new(flight.clone()));
+                let mut e =
+                    t.clone().with_metrics(Metrics::new(flight.clone())).engine(kind).unwrap();
+                let mut events: Vec<TagEvent> = Vec::new();
+                for c in input.chunks(chunk) {
+                    e.feed_slice(c, &mut events).unwrap();
+                }
+                e.finish_into(&mut events).unwrap();
                 (events, flight.dump_jsonl())
             };
-            let (expect, lines) = trace(&|m| {
-                let mut e = t.scalar_engine().with_metrics(m);
-                let mut ev = e.feed(input);
-                ev.extend(e.finish());
-                ev
-            });
+            let (expect, lines) = trace(EngineKind::Scalar, input.len());
             assert!(lines.contains("token_fire") && lines.contains("follow_edge"));
             for chunk in [1usize, 5, input.len()] {
-                let got = trace(&|m| {
-                    let mut e = t.fast_engine().with_metrics(m);
-                    let mut ev = Vec::new();
-                    for c in input.chunks(chunk) {
-                        ev.extend(e.feed(c));
-                    }
-                    ev.extend(e.finish());
-                    ev
-                });
+                let got = trace(EngineKind::Bit, chunk);
                 assert_eq!(got, (expect.clone(), lines.clone()), "always={always} chunk={chunk}");
 
                 let (pb, ps) = (t.probes(), t.probes());
-                let mut bit = t.fast_engine().with_probes(Arc::clone(&pb));
-                for c in input.chunks(chunk) {
-                    bit.feed(c);
-                }
-                bit.finish();
-                let mut scalar = t.scalar_engine().with_probes(Arc::clone(&ps));
-                scalar.feed(input);
-                scalar.finish();
+                run(&t.clone().with_probes(Arc::clone(&pb)), EngineKind::Bit, input, chunk);
+                run(&t.clone().with_probes(Arc::clone(&ps)), EngineKind::Scalar, input, chunk);
                 assert_eq!(pb.bank().counts(), ps.bank().counts(), "probes, chunk {chunk}");
             }
             assert_eq!(t.bit_tables().table_stats().states, 0, "detail never fills the table");
@@ -1482,14 +1414,14 @@ mod tests {
         let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
         let input = b"if true then go else stop";
         let expect = scalar_run(&t, input).events;
-        assert_eq!(t.tag_fast(input), expect);
+        assert_eq!(t.tag(input), expect);
         let warm = t.bit_tables().table_stats();
         assert!(warm.transitions > 0);
 
         let bad = t.with_corrupted_rom_row(b'i');
         assert_eq!(bad.bit_tables().table_stats().states, 0, "a fresh, empty table");
-        assert_ne!(bad.tag_fast(input), expect, "the corrupted row must show");
-        assert_eq!(t.tag_fast(input), expect);
+        assert_ne!(bad.tag(input), expect, "the corrupted row must show");
+        assert_eq!(t.tag(input), expect);
         assert_eq!(t.bit_tables().table_stats(), warm, "the corrupted run built no cell here");
         assert!(!Arc::ptr_eq(t.bit_tables(), bad.bit_tables()));
     }
@@ -1499,16 +1431,16 @@ mod tests {
     #[test]
     fn table_is_built_lazily_and_shared() {
         let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
-        let _idle = t.fast_engine();
+        let _idle = t.engine(EngineKind::Bit).unwrap();
         assert_eq!(t.bit_tables().table_stats().states, 0);
         let input = b"if true then go else stop";
-        t.clone().tag_fast(input);
+        t.clone().tag(input);
         let warm = t.bit_tables().table_stats();
         assert!(warm.states > 1 && warm.classes > 1);
         assert!(warm.bytes <= warm.budget);
         assert_eq!(warm.budget, TABLE_BUDGET);
         // A second engine walks the cells the first one built.
-        t.tag_fast(input);
+        t.tag(input);
         assert_eq!(t.bit_tables().table_stats(), warm);
     }
 
@@ -1590,7 +1522,7 @@ mod tests {
     }
 
     #[test]
-    fn repeated_list_items_and_reset() {
+    fn repeated_list_items() {
         let g = Grammar::parse(
             r#"
             %%
@@ -1602,16 +1534,8 @@ mod tests {
         .unwrap();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"<l><i></i><i></i></l>";
-        let names: Vec<&str> = t.tag_fast(input).iter().map(|e| t.token_name(e.token)).collect();
+        let names: Vec<&str> = t.tag(input).iter().map(|e| t.token_name(e.token)).collect();
         assert_eq!(names, ["<l>", "<i>", "</i>", "<i>", "</i>", "</l>"]);
-
-        let mut e = t.fast_engine();
-        let mut ev1 = e.feed(input);
-        ev1.extend(e.finish());
-        e.reset();
-        let mut ev2 = e.feed(input);
-        ev2.extend(e.finish());
-        assert_eq!(ev1, ev2);
     }
 
     #[test]
@@ -1639,7 +1563,7 @@ mod tests {
     fn feed_after_finish_panics() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut e = t.fast_engine();
+        let mut e = t.engine(EngineKind::Bit).unwrap();
         let _ = e.finish();
         let _ = e.feed(b"go");
     }

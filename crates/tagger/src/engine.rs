@@ -1,19 +1,18 @@
-//! The unified streaming-engine API — slice-first.
+//! The streaming-engine API — one trait, one constructor.
 //!
 //! Three engines execute the same compiled structure — the production
 //! engine ([`BitEngine`], a table walk over the bit-parallel tables),
-//! the scalar reference ([`ScalarEngine`]) and the simulated circuit
-//! ([`crate::GateEngine`]) — behind one object-safe [`Engine`] trait and
-//! one constructor, [`crate::TokenTagger::engine`], selected by
-//! [`EngineKind`].
+//! the scalar reference ([`crate::ScalarEngine`]) and the simulated circuit
+//! ([`crate::GateEngine`], wrapped in a [`GateStream`]) — behind one
+//! object-safe [`Engine`] trait and one constructor,
+//! [`crate::TokenTagger::engine`], selected by [`EngineKind`].
 //!
-//! The primary entry point is [`Engine::feed_slice`]: callers hand the
-//! engine whole buffers and a reusable output vector, so the bit
+//! The trait is slice-first: callers hand the engine whole buffers and
+//! a reusable output vector ([`Engine::feed_slice`]), so the bit
 //! engine's table walk and dead-run skip see the full slice instead of
 //! a per-byte drip, and the server/shard hot paths stop allocating a
-//! `Vec` per frame. [`Engine::feed_byte`] is the required
-//! per-byte primitive; `feed_slice` has a per-byte default impl that
-//! every bundled engine overrides with its batch path.
+//! `Vec` per frame. An engine tags one stream; build a fresh one per
+//! stream — a bit engine allocates nothing.
 //!
 //! ```
 //! use cfg_grammar::builtin;
@@ -33,10 +32,9 @@
 //! Methods return `Result` because the gate-level engine can fail in
 //! the simulator; the software engines always return `Ok`.
 
-use crate::bitset::BitEngine;
+use crate::bitset::{BitEngine, BitTables};
 use crate::error::Error;
 use crate::event::TagEvent;
-use crate::fast::ScalarEngine;
 use crate::gate::GateEngine;
 use cfg_obs::{Metrics, Stat, StatsSink};
 use cfg_regex::Nfa;
@@ -50,25 +48,14 @@ use std::sync::Arc;
 /// `Box<dyn Engine>` so callers select the implementation at runtime
 /// (e.g. `cfgtag tag --engine scalar`).
 pub trait Engine: Send {
-    /// Feed one byte; completed events are appended to `out`. The
-    /// per-byte primitive — prefer [`Engine::feed_slice`], which lets
-    /// batch-oriented engines amortize across the buffer.
-    fn feed_byte(&mut self, byte: u8, out: &mut Vec<TagEvent>) -> Result<(), Error>;
-
-    /// Feed a whole buffer; completed events are appended to `out`.
-    ///
-    /// The primary entry point. The default impl drips bytes through
-    /// [`Engine::feed_byte`]; implementations override it with their
-    /// batch kernel (all bundled engines do).
-    fn feed_slice(&mut self, bytes: &[u8], out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        for &b in bytes {
-            self.feed_byte(b, out)?;
-        }
-        Ok(())
-    }
+    /// Feed a whole buffer; completed events are appended to `out` (an
+    /// event is only emitted once its lookahead byte has been seen).
+    /// Panics if the engine has finished.
+    fn feed_slice(&mut self, bytes: &[u8], out: &mut Vec<TagEvent>) -> Result<(), Error>;
 
     /// End the stream (flush lookahead / pipeline), appending the final
-    /// events to `out`. The engine is exhausted afterwards.
+    /// events to `out`. The engine is exhausted afterwards: a second
+    /// call appends nothing and records nothing.
     fn finish_into(&mut self, out: &mut Vec<TagEvent>) -> Result<(), Error>;
 
     /// Is the machine dead — no live state, so no further events can
@@ -90,48 +77,6 @@ pub trait Engine: Send {
     }
 }
 
-impl Engine for BitEngine {
-    fn feed_byte(&mut self, byte: u8, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        BitEngine::feed_into(self, &[byte], out);
-        Ok(())
-    }
-
-    fn feed_slice(&mut self, bytes: &[u8], out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        BitEngine::feed_into(self, bytes, out);
-        Ok(())
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        BitEngine::finish_into(self, out);
-        Ok(())
-    }
-
-    fn is_dead(&self) -> bool {
-        BitEngine::is_dead(self)
-    }
-}
-
-impl Engine for ScalarEngine {
-    fn feed_byte(&mut self, byte: u8, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        ScalarEngine::feed_into(self, &[byte], out);
-        Ok(())
-    }
-
-    fn feed_slice(&mut self, bytes: &[u8], out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        ScalarEngine::feed_into(self, bytes, out);
-        Ok(())
-    }
-
-    fn finish_into(&mut self, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        ScalarEngine::finish_into(self, out);
-        Ok(())
-    }
-
-    fn is_dead(&self) -> bool {
-        ScalarEngine::is_dead(self)
-    }
-}
-
 /// Which engine [`crate::TokenTagger::engine`] should construct.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum EngineKind {
@@ -139,7 +84,7 @@ pub enum EngineKind {
     /// the bit-parallel step — the default.
     #[default]
     Bit,
-    /// The scalar reference mirror ([`ScalarEngine`]).
+    /// The scalar reference mirror ([`crate::ScalarEngine`]).
     Scalar,
     /// The generated circuit, simulated cycle by cycle and wrapped in
     /// a [`GateStream`] for span recovery and liveness.
@@ -187,11 +132,9 @@ impl FromStr for EngineKind {
 /// enable wire for the token was high, which is why this wrapper
 /// buffers the input. Liveness (`is_dead`, §5.2 resync counting) is not
 /// observable on the match lines either, so a [`BitEngine`] mirror with
-/// a private stats sink is fed in lockstep — the same functional-mirror
-/// trick `cfgtag tag --gate` always used, now packaged behind the trait.
-/// At `finish` the mirror's `resyncs` / `dead_entries` counters are
-/// folded into the engine's metrics handle so observability matches the
-/// software path.
+/// a private stats sink is fed in lockstep. At `finish` the mirror's
+/// `resyncs` / `dead_entries` counters are folded into the engine's
+/// metrics handle so observability matches the software path.
 pub struct GateStream {
     gate: GateEngine,
     mirror: BitEngine,
@@ -202,16 +145,20 @@ pub struct GateStream {
     /// Reused sink for the mirror's (discarded) events, so the trait's
     /// slice path does not allocate a vector per frame.
     mirror_out: Vec<TagEvent>,
+    finished: bool,
 }
 
 impl GateStream {
+    /// Wrap `gate`, with a liveness mirror over `tables` that records
+    /// into a private sink so bytes and events are not counted twice.
     pub(crate) fn new(
         gate: GateEngine,
-        mirror: BitEngine,
-        mirror_sink: Arc<StatsSink>,
+        tables: Arc<BitTables>,
         reverse_nfas: Arc<Vec<Nfa>>,
         metrics: Metrics,
     ) -> GateStream {
+        let mirror_sink = Arc::new(StatsSink::new());
+        let mirror = BitEngine::new(tables).with_metrics(Metrics::new(mirror_sink.clone()));
         GateStream {
             gate,
             mirror,
@@ -220,6 +167,7 @@ impl GateStream {
             buf: Vec::new(),
             metrics,
             mirror_out: Vec::new(),
+            finished: false,
         }
     }
 
@@ -235,23 +183,21 @@ impl fmt::Debug for GateStream {
 }
 
 impl Engine for GateStream {
-    fn feed_byte(&mut self, byte: u8, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        self.feed_slice(&[byte], out)
-    }
-
     fn feed_slice(&mut self, bytes: &[u8], out: &mut Vec<TagEvent>) -> Result<(), Error> {
+        assert!(!self.finished, "feed after finish");
         self.buf.extend_from_slice(bytes);
         self.mirror_out.clear();
-        let mut mirror_out = std::mem::take(&mut self.mirror_out);
-        self.mirror.feed_into(bytes, &mut mirror_out);
-        self.mirror_out = mirror_out;
+        self.mirror.feed_slice(bytes, &mut self.mirror_out)?;
         let raw = self.gate.feed(bytes)?;
         out.extend(self.resolve(&raw));
         Ok(())
     }
 
     fn finish_into(&mut self, out: &mut Vec<TagEvent>) -> Result<(), Error> {
-        let _ = self.mirror.finish();
+        if std::mem::replace(&mut self.finished, true) {
+            return Ok(());
+        }
+        self.mirror.finish_into(&mut self.mirror_out)?;
         let raw = self.gate.finish()?;
         // Liveness counters come from the functional mirror; fold them
         // in without double-counting bytes or events (the mirror's sink
@@ -292,7 +238,7 @@ mod tests {
     fn all_kinds_agree_through_the_trait() {
         let t = tagger(TaggerOptions::default());
         let input = b"if true then go else stop";
-        let expect = t.tag_fast(input);
+        let expect = t.tag(input);
         assert_eq!(expect.len(), 6);
         for kind in EngineKind::ALL {
             let mut e = t.engine(kind).unwrap();
@@ -306,7 +252,7 @@ mod tests {
     fn chunked_feeds_match_batch_for_every_kind() {
         let t = tagger(TaggerOptions::default());
         let input = b"if false then stop else go";
-        let expect = t.tag_fast(&input[..]);
+        let expect = t.tag(&input[..]);
         for kind in EngineKind::ALL {
             for chunk in [1usize, 3, 5] {
                 let mut e = t.engine(kind).unwrap();
@@ -386,17 +332,32 @@ mod tests {
         }
     }
 
+    /// A second `finish` is a no-op for every kind: it appends no event
+    /// and moves no counter, so the gate kind neither folds its mirror's
+    /// liveness counters nor clocks its flush twice.
     #[test]
-    fn deprecated_wrappers_equal_trait_path() {
-        let t = tagger(TaggerOptions::default());
-        let input = b"if true then go else stop";
-        let mut via_kind = t.engine(EngineKind::Bit).unwrap();
-        let mut events = via_kind.feed(input).unwrap();
-        events.extend(via_kind.finish().unwrap());
-        assert_eq!(events, t.tag_fast(input));
-        let mut gate = t.engine(EngineKind::Gate).unwrap();
-        let mut gevents = gate.feed(input).unwrap();
-        gevents.extend(gate.finish().unwrap());
-        assert_eq!(gevents, t.tag_gate(input).unwrap());
+    fn second_finish_changes_nothing() {
+        use cfg_obs::{Metrics, Stat, StatsSink};
+        use std::sync::Arc;
+        let input = b"zz go zz if true then go else stop";
+        for recover in [false, true] {
+            let t = tagger(TaggerOptions::builder().error_recovery(recover).build());
+            for kind in EngineKind::ALL {
+                let sink = Arc::new(StatsSink::new());
+                let mut e =
+                    t.clone().with_metrics(Metrics::new(sink.clone())).engine(kind).unwrap();
+                e.feed(input).unwrap();
+                e.finish().unwrap();
+                let counters = Stat::ALL.map(|s| sink.get(s));
+                let expect = if recover { (2, 2) } else { (1, 0) };
+                assert_eq!(
+                    (sink.get(Stat::DeadEntries), sink.get(Stat::Resyncs)),
+                    expect,
+                    "{kind} recover={recover}"
+                );
+                assert_eq!(e.finish().unwrap(), [], "{kind} recover={recover}");
+                assert_eq!(Stat::ALL.map(|s| sink.get(s)), counters, "{kind} recover={recover}");
+            }
+        }
     }
 }

@@ -5,12 +5,13 @@
 //! flip-flop, the FOLLOW wiring as follower lists instead of OR gates,
 //! and the arm registers as booleans. It produces *identical events* to
 //! the gate-level engine (property-tested) while running orders of
-//! magnitude faster. Since the bit-parallel kernel landed
-//! ([`crate::BitEngine`], the engine applications use via
-//! [`crate::TokenTagger::fast_engine`]), this scalar walk is the
-//! *readable reference* between the gate level and the bitset level:
-//! the three are property-tested to agree event-for-event.
+//! magnitude faster. Next to the production engine
+//! ([`crate::BitEngine`]), this scalar walk is the *readable reference*
+//! between the gate level and the bitset level: the three are
+//! property-tested to agree event-for-event.
 
+use crate::engine::Engine;
+use crate::error::Error;
 use crate::event::TagEvent;
 use crate::probes::TaggerProbes;
 use crate::tagger::TaggerOptions;
@@ -100,8 +101,8 @@ impl FastTables {
 }
 
 /// Streaming scalar engine. Create via
-/// [`crate::TokenTagger::scalar_engine`]; feed byte slices, then call
-/// [`ScalarEngine::finish`] to drain the final lookahead byte.
+/// [`crate::TokenTagger::engine`] with [`crate::EngineKind::Scalar`];
+/// drive it through the [`Engine`] trait.
 #[derive(Debug)]
 pub struct ScalarEngine {
     tables: Arc<FastTables>,
@@ -144,18 +145,19 @@ pub struct ScalarEngine {
 }
 
 impl ScalarEngine {
-    /// New engine over shared tables.
-    pub fn new(tables: Arc<FastTables>) -> ScalarEngine {
+    /// New engine over shared tables: the start pulse enables the
+    /// FIRST(start) tokens for byte 0.
+    pub(crate) fn new(tables: Arc<FastTables>) -> ScalarEngine {
         let shapes: Vec<usize> = tables.tokens.iter().map(|t| t.classes.len()).collect();
         let n = tables.token_count();
-        let mut e = ScalarEngine {
+        ScalarEngine {
             active: shapes.iter().map(|&k| vec![false; k]).collect(),
             starts: shapes.iter().map(|&k| vec![0; k]).collect(),
             active_any: vec![false; n],
             next_active: shapes.iter().map(|&k| vec![false; k]).collect(),
             next_starts: shapes.iter().map(|&k| vec![0; k]).collect(),
             next_any: vec![false; n],
-            set_now: vec![false; n],
+            set_now: tables.start_tokens.clone(),
             arm: vec![false; n],
             prev_was_delim: false,
             pending: None,
@@ -166,97 +168,21 @@ impl ScalarEngine {
             was_dead: false,
             probes: None,
             tables,
-        };
-        e.reset();
-        e
+        }
     }
 
     /// Attach an observability handle (builder style).
-    pub fn with_metrics(mut self, metrics: Metrics) -> ScalarEngine {
+    pub(crate) fn with_metrics(mut self, metrics: Metrics) -> ScalarEngine {
         self.live_stats = metrics.is_enabled();
         self.metrics = metrics;
         self
     }
 
-    /// Attach circuit probes (builder style). Without them the per-byte
-    /// probe scans are skipped entirely.
-    pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> ScalarEngine {
-        self.probes = Some(probes);
+    /// Attach circuit probes, if any (builder style). Without them the
+    /// per-byte probe scans are skipped entirely.
+    pub(crate) fn with_probes(mut self, probes: Option<Arc<TaggerProbes>>) -> ScalarEngine {
+        self.probes = probes;
         self
-    }
-
-    /// Reset to the start-of-stream state.
-    pub fn reset(&mut self) {
-        for a in &mut self.active {
-            a.iter_mut().for_each(|x| *x = false);
-        }
-        self.active_any.iter_mut().for_each(|x| *x = false);
-        self.arm.iter_mut().for_each(|x| *x = false);
-        // The start pulse: FIRST(start) tokens are enabled for byte 0.
-        for (t, s) in self.set_now.iter_mut().enumerate() {
-            *s = self.tables.start_tokens[t];
-        }
-        self.prev_was_delim = false;
-        self.pending = None;
-        self.cursor = 0;
-        self.finished = false;
-        self.was_dead = false;
-    }
-
-    /// Is the machine dead — no live positions, no armed enables, and no
-    /// enables set for the next byte? A dead machine emits no further
-    /// events until a §5.2 resync (or never, with recovery off).
-    pub fn is_dead(&self) -> bool {
-        !self.active_any.iter().any(|&a| a)
-            && !self.arm.iter().any(|&a| a)
-            && !self.set_now.iter().any(|&s| s)
-    }
-
-    /// Feed bytes; returns the events completed so far (an event is only
-    /// emitted once its lookahead byte has been seen).
-    pub fn feed(&mut self, bytes: &[u8]) -> Vec<TagEvent> {
-        let mut events = Vec::new();
-        self.feed_into(bytes, &mut events);
-        events
-    }
-
-    /// Slice-first feed: append completed events to `events` without
-    /// allocating a fresh vector per call.
-    pub fn feed_into(&mut self, bytes: &[u8], events: &mut Vec<TagEvent>) {
-        assert!(!self.finished, "feed after finish; call reset first");
-        // One refcount bump per feed() call — not one per input byte.
-        let tables = Arc::clone(&self.tables);
-        for &b in bytes {
-            if let Some(prev) = self.pending.replace(b) {
-                self.step(&tables, prev, Some(b), events);
-            }
-        }
-        // Batched off the per-byte loop: one branch per feed() call.
-        self.metrics.add(Stat::BytesIn, bytes.len() as u64);
-    }
-
-    /// Drain the final byte. Mirrors the hardware exactly: the circuit
-    /// never sees "end of input" — the driver flushes the pipeline with
-    /// delimiter bytes, so the final byte's lookahead (Figure 7) is
-    /// evaluated against a **delimiter**, not against nothing. A token
-    /// whose continuation class contains the delimiter therefore keeps
-    /// matching into the flush and reports no in-bounds event, just as
-    /// the gate-level engine observes.
-    pub fn finish(&mut self) -> Vec<TagEvent> {
-        let mut events = Vec::new();
-        self.finish_into(&mut events);
-        events
-    }
-
-    /// Slice-first variant of [`ScalarEngine::finish`]: append the
-    /// drained events to `events`.
-    pub fn finish_into(&mut self, events: &mut Vec<TagEvent>) {
-        let tables = Arc::clone(&self.tables);
-        if let Some(prev) = self.pending.take() {
-            let flush = tables.delim.iter().next().unwrap_or(b' ');
-            self.step(&tables, prev, Some(flush), events);
-        }
-        self.finished = true;
     }
 
     /// Process one byte with its lookahead; `self.cursor` indexes it.
@@ -422,51 +348,74 @@ impl ScalarEngine {
             self.was_dead = !alive;
         }
     }
+}
 
-    /// Bytes processed so far (excluding the pending lookahead byte).
-    pub fn position(&self) -> usize {
-        self.cursor
+impl Engine for ScalarEngine {
+    fn feed_slice(&mut self, bytes: &[u8], events: &mut Vec<TagEvent>) -> Result<(), Error> {
+        assert!(!self.finished, "feed after finish");
+        // One refcount bump per feed — not one per input byte.
+        let tables = Arc::clone(&self.tables);
+        for &b in bytes {
+            if let Some(prev) = self.pending.replace(b) {
+                self.step(&tables, prev, Some(b), events);
+            }
+        }
+        // Batched off the per-byte loop: one branch per feed.
+        self.metrics.add(Stat::BytesIn, bytes.len() as u64);
+        Ok(())
+    }
+
+    /// Drain the final byte. Mirrors the hardware exactly: the circuit
+    /// never sees "end of input" — the driver flushes the pipeline with
+    /// delimiter bytes, so the final byte's lookahead (Figure 7) is
+    /// evaluated against a **delimiter**, not against nothing. A token
+    /// whose continuation class contains the delimiter therefore keeps
+    /// matching into the flush and reports no in-bounds event, just as
+    /// the gate-level engine observes.
+    fn finish_into(&mut self, events: &mut Vec<TagEvent>) -> Result<(), Error> {
+        let tables = Arc::clone(&self.tables);
+        if let Some(prev) = self.pending.take() {
+            let flush = tables.delim.iter().next().unwrap_or(b' ');
+            self.step(&tables, prev, Some(flush), events);
+        }
+        self.finished = true;
+        Ok(())
+    }
+
+    /// No live positions, no armed enables, and no enables set for the
+    /// next byte: a dead machine emits no further events until a §5.2
+    /// resync (or never, with recovery off).
+    fn is_dead(&self) -> bool {
+        !self.active_any.iter().any(|&a| a)
+            && !self.arm.iter().any(|&a| a)
+            && !self.set_now.iter().any(|&s| s)
     }
 }
 
 #[cfg(test)]
 mod tests {
-
+    use crate::engine::EngineKind;
     use crate::tagger::{TaggerOptions, TokenTagger};
-    use cfg_grammar::builtin;
+    use cfg_grammar::{builtin, Grammar};
 
     #[test]
     fn streaming_matches_batch() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"if true then go else stop";
-        let batch = t.tag_fast(input);
+        let batch = t.tag(input);
 
         // Feed in awkward chunk sizes — scalar streaming must equal the
-        // bit-parallel batch (`tag_fast` runs the bitset kernel).
+        // production engine's batch.
         for chunk in [1usize, 2, 3, 7] {
-            let mut e = t.scalar_engine();
+            let mut e = t.engine(EngineKind::Scalar).unwrap();
             let mut events = Vec::new();
             for c in input.chunks(chunk) {
-                events.extend(e.feed(c));
+                events.extend(e.feed(c).unwrap());
             }
-            events.extend(e.finish());
+            events.extend(e.finish().unwrap());
             assert_eq!(events, batch, "chunk size {chunk}");
         }
-    }
-
-    #[test]
-    fn reset_allows_reuse() {
-        let g = builtin::if_then_else();
-        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut e = t.scalar_engine();
-        let mut ev1 = e.feed(b"go");
-        ev1.extend(e.finish());
-        e.reset();
-        let mut ev2 = e.feed(b"go");
-        ev2.extend(e.finish());
-        assert_eq!(ev1, ev2);
-        assert_eq!(ev1.len(), 1);
     }
 
     #[test]
@@ -474,7 +423,7 @@ mod tests {
     fn feed_after_finish_panics() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut e = t.scalar_engine();
+        let mut e = t.engine(EngineKind::Scalar).unwrap();
         let _ = e.finish();
         let _ = e.feed(b"go");
     }
@@ -492,10 +441,10 @@ mod tests {
         .unwrap();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"<l><i></i><i></i><i></i></l>";
-        let events = t.tag_fast(input);
+        let mut e = t.engine(EngineKind::Scalar).unwrap();
+        let mut events = e.feed(input).unwrap();
+        events.extend(e.finish().unwrap());
         let names: Vec<&str> = events.iter().map(|e| t.token_name(e.token)).collect();
         assert_eq!(names, ["<l>", "<i>", "</i>", "<i>", "</i>", "<i>", "</i>", "</l>"]);
     }
-
-    use cfg_grammar::Grammar;
 }

@@ -7,6 +7,10 @@
 //! observable on the match lines; span starts are recovered in software
 //! by a reverse automaton, restricted to the bytes where the circuit's
 //! own enable wire for the token was high.
+//!
+//! [`GateEngine::new`] reads the circuit's raw match lines directly;
+//! [`crate::TokenTagger::engine`] wraps one in a [`crate::GateStream`]
+//! for spans, liveness and the tagger's metrics and probes.
 
 use crate::event::{RawMatch, TagEvent};
 use crate::probes::TaggerProbes;
@@ -93,16 +97,17 @@ impl GateEngine {
     }
 
     /// Attach an observability handle (builder style).
-    pub fn with_metrics(mut self, metrics: Metrics) -> GateEngine {
+    pub(crate) fn with_metrics(mut self, metrics: Metrics) -> GateEngine {
         self.metrics = metrics;
         self
     }
 
-    /// Attach circuit probes (builder style): registers a simulator
-    /// watch on every decoder output and tokenizer position register —
-    /// the embedded-logic-analyzer taps. Without probes the simulator
-    /// runs untapped.
-    pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> GateEngine {
+    /// Attach circuit probes, if any (builder style): registers a
+    /// simulator watch on every decoder output and tokenizer position
+    /// register — the embedded-logic-analyzer taps. Without probes the
+    /// simulator runs untapped.
+    pub(crate) fn with_probes(mut self, probes: Option<Arc<TaggerProbes>>) -> GateEngine {
+        let Some(probes) = probes else { return self };
         for (net, probe) in probes.watch_nets() {
             self.sim.watch(net);
             self.watch_probe.push(probe);
@@ -113,7 +118,7 @@ impl GateEngine {
     }
 
     /// Reset for a fresh stream.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.sim.reset();
         self.fed = 0;
         self.start_pending = true;
@@ -208,7 +213,7 @@ impl GateEngine {
     }
 
     /// Streaming: flush the pipeline with delimiter bytes and return the
-    /// remaining matches. The engine is then ready for [`Self::reset`].
+    /// remaining matches.
     pub fn finish(&mut self) -> Result<Vec<RawMatch>, SimError> {
         let mut raw = Vec::new();
         for _ in 0..self.flush {
@@ -244,14 +249,26 @@ impl GateEngine {
 
 #[cfg(test)]
 mod tests {
+    use super::GateEngine;
+    use crate::engine::EngineKind;
+    use crate::event::TagEvent;
     use crate::tagger::{TaggerOptions, TokenTagger};
     use cfg_grammar::{builtin, Grammar};
+
+    /// Tag `input` through the gate kind: the simulated circuit plus
+    /// span recovery.
+    fn gate_tag(t: &TokenTagger, input: &[u8]) -> Vec<TagEvent> {
+        let mut e = t.engine(EngineKind::Gate).unwrap();
+        let mut events = e.feed(input).unwrap();
+        events.extend(e.finish().unwrap());
+        events
+    }
 
     #[test]
     fn raw_matches_have_correct_ends() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut e = t.gate_engine().unwrap();
+        let mut e = GateEngine::new(t.hardware()).unwrap();
         let raw = e.run(b"if true then go else stop").unwrap();
         let ends: Vec<usize> = raw.iter().map(|m| m.end).collect();
         assert_eq!(ends, [2, 7, 12, 15, 20, 25]);
@@ -262,7 +279,7 @@ mod tests {
     fn engine_reusable_across_runs() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut e = t.gate_engine().unwrap();
+        let mut e = GateEngine::new(t.hardware()).unwrap();
         let a = e.run(b"go").unwrap();
         let b = e.run(b"stop").unwrap();
         let c = e.run(b"go").unwrap();
@@ -296,8 +313,8 @@ mod tests {
         for _ in 0..20 {
             let mut s = String::new();
             sentence(&mut rng, 3, &mut s);
-            let fast = t.tag_fast(s.as_bytes());
-            let gate = t.tag_gate(s.as_bytes()).unwrap();
+            let fast = t.tag(s.as_bytes());
+            let gate = gate_tag(&t, s.as_bytes());
             assert_eq!(fast, gate, "sentence {s}");
             assert!(!fast.is_empty());
         }
@@ -316,9 +333,9 @@ mod tests {
         .unwrap();
         assert!(remedied.hardware().match_latency > plain.hardware().match_latency);
         for input in [&b"go"[..], b"if true then go else stop", b"then bogus"] {
-            let a = plain.tag_gate(input).unwrap();
-            let b2 = remedied.tag_gate(input).unwrap();
-            let f = remedied.tag_fast(input);
+            let a = gate_tag(&plain, input);
+            let b2 = gate_tag(&remedied, input);
+            let f = remedied.tag(input);
             assert_eq!(a, b2, "input {:?}", String::from_utf8_lossy(input));
             assert_eq!(a, f);
         }
@@ -329,11 +346,10 @@ mod tests {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"if true then go else stop";
-        let mut e = t.gate_engine().unwrap();
+        let mut e = GateEngine::new(t.hardware()).unwrap();
         let batch = e.run(input).unwrap();
         for chunk in [1usize, 3, 7, 100] {
-            let mut e = t.gate_engine().unwrap();
-            e.reset();
+            let mut e = GateEngine::new(t.hardware()).unwrap();
             let mut raw = Vec::new();
             for c in input.chunks(chunk) {
                 raw.extend(e.feed(c).unwrap());
@@ -356,15 +372,15 @@ mod tests {
 
         let input = b"go ##garbage## stop";
         // Without recovery the machine stays dead after the error.
-        let names = |t: &TokenTagger, evs: &[crate::TagEvent]| -> Vec<String> {
+        let names = |t: &TokenTagger, evs: &[TagEvent]| -> Vec<String> {
             evs.iter().map(|e| t.token_name(e.token).to_owned()).collect()
         };
-        assert_eq!(names(&plain, &plain.tag_fast(input)), ["go"]);
+        assert_eq!(names(&plain, &plain.tag(input)), ["go"]);
         // With recovery, 'stop' (a start token) is tagged after resync.
-        let fast = recovering.tag_fast(input);
+        let fast = recovering.tag(input);
         assert_eq!(names(&recovering, &fast), ["go", "stop"]);
         // And the circuit implements the same semantics.
-        let gate = recovering.tag_gate(input).unwrap();
+        let gate = gate_tag(&recovering, input);
         assert_eq!(fast, gate);
     }
 
@@ -381,8 +397,8 @@ mod tests {
             let input: String = (0..len)
                 .map(|_| *[" ", "go", "stop", "if", "true", "#", "x"].choose(&mut rng).unwrap())
                 .collect();
-            let fast = t.tag_fast(input.as_bytes());
-            let gate = t.tag_gate(input.as_bytes()).unwrap();
+            let fast = t.tag(input.as_bytes());
+            let gate = gate_tag(&t, input.as_bytes());
             assert_eq!(fast, gate, "input {:?}", input);
         }
     }
@@ -402,8 +418,8 @@ mod tests {
         .unwrap();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         for input in [&b"x = 42"[..], b"speed = 9000 ; limit = 55", b"a=1;b=2;c=3"] {
-            let fast = t.tag_fast(input);
-            let gate = t.tag_gate(input).unwrap();
+            let fast = t.tag(input);
+            let gate = gate_tag(&t, input);
             assert_eq!(fast, gate, "input {:?}", String::from_utf8_lossy(input));
         }
     }
@@ -417,12 +433,8 @@ mod tests {
         let opts = TaggerOptions::builder().error_recovery(true).build();
         let t = TokenTagger::compile(&g, opts).unwrap();
         let input = b"zb bx";
-        let fast = t.tag_fast(input);
+        let fast = t.tag(input);
         assert_eq!(fast.iter().map(|e| (e.start, e.end)).collect::<Vec<_>>(), [(3, 5)]);
-        assert_eq!(t.tag_gate(input).unwrap(), fast);
-        let mut e = t.engine(crate::EngineKind::Gate).unwrap();
-        let mut streamed = e.feed(input).unwrap();
-        streamed.extend(e.finish().unwrap());
-        assert_eq!(streamed, fast);
+        assert_eq!(gate_tag(&t, input), fast);
     }
 }

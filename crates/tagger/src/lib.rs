@@ -4,7 +4,12 @@
 //! grammar into a streaming engine that tags each token occurrence with
 //! its **grammatical context** at wire speed.
 //!
-//! Three engines execute the *same* generated structure:
+//! [`TokenTagger::compile`] builds one compiled core — grammar, circuit
+//! and tables — that every clone of the tagger shares.
+//! [`TokenTagger::engine`] is the one way to build an engine over it,
+//! driven through the [`Engine`] trait, and [`TokenTagger::tag`] tags a
+//! whole input with the production engine. Three engines execute the
+//! *same* generated structure:
 //!
 //! * [`GateEngine`] — drives the generated gate-level netlist cycle by
 //!   cycle through `cfg-netlist`'s simulator: the circuit itself decides
@@ -25,7 +30,7 @@
 //!
 //! ```
 //! use cfg_grammar::Grammar;
-//! use cfg_tagger::{TokenTagger, TaggerOptions};
+//! use cfg_tagger::{EngineKind, TaggerOptions, TokenTagger};
 //!
 //! let g = Grammar::parse(r#"
 //!     %%
@@ -34,10 +39,18 @@
 //!     %%
 //! "#).unwrap();
 //! let tagger = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-//! let events = tagger.tag_fast(b"if true then go else stop");
+//! let input = b"if true then go else stop";
+//! let events = tagger.tag(input);
 //! assert_eq!(events.len(), 6);
 //! assert_eq!(tagger.token_name(events[0].token), "if");
-//! assert_eq!(&b"if true then go else stop"[events[3].start..events[3].end], b"go");
+//! assert_eq!(&input[events[3].start..events[3].end], b"go");
+//!
+//! // The same events from the simulated circuit, streamed in two slices.
+//! let mut gate = tagger.engine(EngineKind::Gate).unwrap();
+//! let mut streamed = gate.feed(&input[..9]).unwrap();
+//! streamed.extend(gate.feed(&input[9..]).unwrap());
+//! streamed.extend(gate.finish().unwrap());
+//! assert_eq!(streamed, events);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -56,25 +69,15 @@ pub mod shard;
 pub mod tagger;
 pub mod wide;
 
-pub use backend::{Backend, CollectBackend, CountingBackend};
+pub use backend::Backend;
 pub use bitset::{BitEngine, BitTables, TableStats};
 pub use engine::{Engine, EngineKind, GateStream};
 pub use error::Error;
 pub use event::TagEvent;
 pub use fast::ScalarEngine;
 pub use gate::GateEngine;
-pub use shard::{PoolOptions, ShardMsg, ShardPool, ShardReport, SubmitOutcome};
-
-/// The default streaming engine behind [`TokenTagger::fast_engine`].
-///
-/// Historically this was the scalar functional mirror; the production
-/// engine now owns the name so downstream code keeps compiling while
-/// getting the fast path. Use [`ScalarEngine`] explicitly when you want
-/// the readable reference implementation.
-pub type FastEngine = BitEngine;
 pub use pda::{PdaParser, PdaResult};
 pub use probes::TaggerProbes;
-pub use tagger::{
-    EncoderKind, StartMode, TaggerError, TaggerOptions, TaggerOptionsBuilder, TokenTagger,
-};
+pub use shard::{PoolOptions, ShardMsg, ShardPool, ShardReport, SubmitOutcome};
+pub use tagger::{EncoderKind, StartMode, TaggerOptions, TaggerOptionsBuilder, TokenTagger};
 pub use wide::WideTagger;

@@ -322,7 +322,7 @@ mod tests {
         ] {
             let r = pda.parse(input);
             assert!(r.accepted);
-            let tagged = tagger.tag_fast(input);
+            let tagged = tagger.tag(input);
             let pda_spans: Vec<(usize, usize)> =
                 r.events.iter().map(|e| (e.start, e.end)).collect();
             let tag_spans: Vec<(usize, usize)> = tagged.iter().map(|e| (e.start, e.end)).collect();

@@ -9,9 +9,10 @@
 //! class, when a tokenizer stage goes active, when a token fires, and
 //! when a fire propagates an enable pulse down a FOLLOW edge.
 //!
-//! Every engine takes the same `Arc<TaggerProbes>` (builder-style
-//! `with_probes`); an engine with none attached skips every probe
-//! update on its `None` branch.
+//! [`crate::TokenTagger::with_probes`] attaches one `Arc<TaggerProbes>`
+//! to a tagger handle, and every engine built from that handle counts
+//! into it, whatever its kind; an engine with none attached skips every
+//! probe update on its `None` branch.
 
 use cfg_grammar::Grammar;
 use cfg_hwgen::{CircuitTopology, GeneratedTagger};
@@ -146,40 +147,44 @@ mod tests {
         assert_eq!(pr.net_heat().len(), pr.watch_nets().len() + pr.fire.len());
     }
 
+    /// Probes attached through the tagger count identically on every
+    /// kind: fires and FOLLOW edges everywhere, and the software
+    /// engines' decoder and stage counts too.
     #[test]
-    fn fast_and_gate_agree_on_fire_and_edge_counts() {
+    fn every_kind_agrees_on_fire_and_edge_counts() {
+        use crate::engine::EngineKind;
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"if true then go else stop if false then stop else go";
 
-        let fast_pr = t.probes();
-        let mut fast = t.fast_engine().with_probes(std::sync::Arc::clone(&fast_pr));
-        fast.feed(input);
-        fast.finish();
-
-        let gate_pr = t.probes();
-        let mut gate = t.gate_engine().unwrap().with_probes(std::sync::Arc::clone(&gate_pr));
-        gate.feed(input).unwrap();
-        gate.finish().unwrap();
+        let banks = EngineKind::ALL.map(|kind| {
+            let pr = t.probes();
+            let mut e = t.clone().with_probes(std::sync::Arc::clone(&pr)).engine(kind).unwrap();
+            e.feed(input).unwrap();
+            e.finish().unwrap();
+            pr
+        });
+        let [bit_pr, scalar_pr, gate_pr] = &banks;
+        assert_eq!(bit_pr.bank().counts(), scalar_pr.bank().counts());
 
         let mut fired = 0u64;
         let mut edges = 0u64;
-        for (t_idx, &probe) in fast_pr.fire.iter().enumerate() {
+        for (t_idx, &probe) in bit_pr.fire.iter().enumerate() {
             assert_eq!(
-                fast_pr.bank().count(probe),
+                bit_pr.bank().count(probe),
                 gate_pr.bank().count(gate_pr.fire[t_idx]),
                 "fire counts diverge for token {t_idx}"
             );
-            fired += fast_pr.bank().count(probe);
+            fired += bit_pr.bank().count(probe);
         }
-        for (t_idx, token_edges) in fast_pr.edges.iter().enumerate() {
+        for (t_idx, token_edges) in bit_pr.edges.iter().enumerate() {
             for (k, &probe) in token_edges.iter().enumerate() {
                 assert_eq!(
-                    fast_pr.bank().count(probe),
+                    bit_pr.bank().count(probe),
                     gate_pr.bank().count(gate_pr.edges[t_idx][k]),
                     "edge counts diverge for token {t_idx} edge {k}"
                 );
-                edges += fast_pr.bank().count(probe);
+                edges += bit_pr.bank().count(probe);
             }
         }
         assert!(fired > 0, "expected some token fires");

@@ -3,12 +3,13 @@
 //! plus its own [`StatsSink`], fed over bounded channels.
 //!
 //! This is the software analogue of replicating the paper's tagger
-//! circuit: the compiled tables ([`crate::BitTables`], netlist, …) are
-//! shared `Arc`s, so a shard costs only an engine's worth of mutable
-//! state. Messages are dispatched round-robin (or by session affinity
-//! via [`ShardPool::submit_to`]), and per-shard statistics merge through
-//! [`SharedRegistry`] exactly like any other sink — `cfgtag watch top` and the
-//! `/metrics` exporter see one fused view.
+//! circuit: every shard's tagger clone shares one compiled core
+//! (grammar, netlist, [`crate::BitTables`], …), so a shard costs only
+//! an engine's worth of mutable state. Messages are dispatched
+//! round-robin (or by session affinity via [`ShardPool::submit_to`]),
+//! and per-shard statistics merge through [`SharedRegistry`] exactly
+//! like any other sink — `cfgtag watch top` and the `/metrics` exporter
+//! see one fused view.
 //!
 //! Two production behaviours distinguish this pool from a plain channel
 //! fan-out:
@@ -27,17 +28,19 @@
 //!
 //! ```
 //! use cfg_grammar::builtin;
-//! use cfg_tagger::{ShardPool, SubmitOutcome, TaggerOptions, TokenTagger};
+//! use cfg_tagger::{PoolOptions, ShardPool, SubmitOutcome, TaggerOptions, TokenTagger};
 //!
 //! let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
-//! let pool = ShardPool::new(&t, 2);
+//! // Each worker tags with its shard's clone, so its sink counts the events.
+//! let pool = ShardPool::new(&t, 2, PoolOptions::default(), |t, msg, _span| {
+//!     t.tag(msg);
+//! });
 //! for _ in 0..10 {
 //!     assert_eq!(pool.submit(b"if true then go else stop".to_vec()), SubmitOutcome::Accepted);
 //! }
 //! assert_eq!(pool.join().messages, 10);
 //! ```
 
-use crate::engine::EngineKind;
 use crate::tagger::TokenTagger;
 use cfg_obs::{
     FlightRecorder, Metrics, MetricsSink, ShardLoadBank, SharedRegistry, Span, Stage, Stat,
@@ -52,8 +55,7 @@ use std::time::{Duration, Instant};
 
 /// The per-message handler shared by every worker in a pool. The third
 /// argument is the message's tracing span, if the submitter attached
-/// one — plain handlers installed via [`ShardPool::with_handler`] or
-/// [`ShardPool::with_options`] never see it.
+/// one.
 type ShardHandler = Arc<dyn Fn(&TokenTagger, &[u8], Option<&mut Span>) + Send + Sync>;
 
 /// A unit of work offered to the pool: the payload bytes plus an
@@ -105,7 +107,7 @@ pub enum SubmitOutcome {
     Closed,
 }
 
-/// Tuning knobs for [`ShardPool::with_options`].
+/// Tuning knobs for [`ShardPool::new`].
 #[derive(Clone)]
 pub struct PoolOptions {
     /// In-flight messages a shard's channel buffers before submissions
@@ -178,56 +180,14 @@ pub struct ShardPool {
 }
 
 impl ShardPool {
-    /// Spawn `shards` workers (clamped to at least one), each tagging
-    /// submitted messages end-to-end with a fresh streaming engine and
-    /// discarding the events — the throughput-measurement default.
-    pub fn new(tagger: &TokenTagger, shards: usize) -> ShardPool {
-        ShardPool::with_handler(tagger, shards, |t, msg| {
-            // The production kind, built through the one constructor the
-            // ingest server uses too; the events are discarded.
-            let tag = || -> Result<(), crate::Error> {
-                let mut engine = t.engine(EngineKind::default())?;
-                let mut events = Vec::new();
-                engine.feed_slice(msg, &mut events)?;
-                engine.finish_into(&mut events)
-            };
-            tag().expect("the software production engine returns no errors");
-        })
-    }
-
-    /// Spawn `shards` workers running a custom per-message handler with
-    /// default [`PoolOptions`]. The handler's tagger clone carries a
+    /// Spawn `shards` workers (clamped to at least one), each running
+    /// `handler` on its messages. The handler's tagger clone carries a
     /// shard-private [`StatsSink`], so anything it records (including
-    /// via engines created from it) lands in that shard's statistics.
-    pub fn with_handler<F>(tagger: &TokenTagger, shards: usize, handler: F) -> ShardPool
-    where
-        F: Fn(&TokenTagger, &[u8]) + Send + Sync + 'static,
-    {
-        ShardPool::with_options(tagger, shards, PoolOptions::default(), handler)
-    }
-
-    /// Spawn `shards` workers with explicit [`PoolOptions`].
-    pub fn with_options<F>(
-        tagger: &TokenTagger,
-        shards: usize,
-        opts: PoolOptions,
-        handler: F,
-    ) -> ShardPool
-    where
-        F: Fn(&TokenTagger, &[u8]) + Send + Sync + 'static,
-    {
-        ShardPool::with_span_handler(tagger, shards, opts, move |t, msg, _span| handler(t, msg))
-    }
-
-    /// Spawn `shards` workers whose handler also receives the message's
-    /// tracing span (if one was attached at submit time) — the ingest
-    /// server uses this to stamp engine and ack-write stages.
-    pub fn with_span_handler<F>(
-        tagger: &TokenTagger,
-        shards: usize,
-        opts: PoolOptions,
-        handler: F,
-    ) -> ShardPool
+    /// via engines created from it) lands in that shard's statistics;
+    /// its third argument is the message's tracing span, if one was
+    /// attached at submit time — the ingest server uses it to stamp
+    /// engine and ack-write stages.
+    pub fn new<F>(tagger: &TokenTagger, shards: usize, opts: PoolOptions, handler: F) -> ShardPool
     where
         F: Fn(&TokenTagger, &[u8], Option<&mut Span>) + Send + Sync + 'static,
     {
@@ -482,9 +442,16 @@ mod tests {
         TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap()
     }
 
+    /// A pool whose workers tag each message and discard the events.
+    fn tagging_pool(t: &TokenTagger, shards: usize) -> ShardPool {
+        ShardPool::new(t, shards, PoolOptions::default(), |t, msg, _| {
+            t.tag(msg);
+        })
+    }
+
     #[test]
     fn round_robin_spreads_and_counts() {
-        let pool = ShardPool::new(&tagger(), 3);
+        let pool = tagging_pool(&tagger(), 3);
         assert_eq!(pool.shards(), 3);
         for _ in 0..9 {
             assert_eq!(pool.submit(b"if true then go else stop".to_vec()), SubmitOutcome::Accepted);
@@ -499,7 +466,7 @@ mod tests {
     fn per_shard_sinks_merge_through_registry() {
         let t = tagger();
         let msg = b"if true then go else stop";
-        let pool = ShardPool::new(&t, 2);
+        let pool = tagging_pool(&t, 2);
         let registry = SharedRegistry::new();
         pool.register(&registry, "shard");
         assert_eq!(registry.names(), vec!["shard0".to_owned(), "shard1".to_owned()]);
@@ -517,7 +484,7 @@ mod tests {
 
     #[test]
     fn session_affinity_pins_a_stream() {
-        let pool = ShardPool::new(&tagger(), 4);
+        let pool = tagging_pool(&tagger(), 4);
         for _ in 0..8 {
             assert_eq!(pool.submit_to(7, b"go".to_vec()), SubmitOutcome::Accepted);
         }
@@ -529,9 +496,9 @@ mod tests {
     #[test]
     fn custom_handler_sees_shard_local_tagger() {
         let t = tagger();
-        let pool = ShardPool::with_handler(&t, 2, |t, msg| {
+        let pool = ShardPool::new(&t, 2, PoolOptions::default(), |t, msg, _| {
             // Tag through the shard tagger so its sink records fires.
-            let _ = t.tag_fast(msg);
+            t.tag(msg);
         });
         pool.submit(b"if true then go else stop".to_vec());
         pool.submit(b"stop".to_vec());
@@ -549,7 +516,7 @@ mod tests {
         let (gate_tx, gate_rx) = channel::<()>();
         let gate: Mutex<Receiver<()>> = Mutex::new(gate_rx);
         let opts = PoolOptions { queue_depth: depth, ..PoolOptions::default() };
-        let pool = ShardPool::with_options(t, 1, opts, move |_, _| {
+        let pool = ShardPool::new(t, 1, opts, move |_, _, _| {
             let _ = gate.lock().unwrap().recv();
         });
         (pool, gate_tx)
@@ -577,7 +544,7 @@ mod tests {
 
     #[test]
     fn closed_pool_refuses_without_panicking() {
-        let pool = ShardPool::new(&tagger(), 2);
+        let pool = tagging_pool(&tagger(), 2);
         pool.close();
         assert_eq!(pool.submit(b"go".to_vec()), SubmitOutcome::Closed);
         assert_eq!(pool.submit_to(1, b"go".to_vec()), SubmitOutcome::Closed);
@@ -602,7 +569,7 @@ mod tests {
             })),
             ..PoolOptions::default()
         };
-        let pool = ShardPool::with_options(&t, 1, opts, |_, msg| {
+        let pool = ShardPool::new(&t, 1, opts, |_, msg, _| {
             if msg == b"boom" {
                 panic!("poison message");
             }
@@ -623,14 +590,13 @@ mod tests {
         let t = tagger();
         let recorder = Arc::new(SpanRecorder::new(8, 1, 0));
         let worker_recorder = Arc::clone(&recorder);
-        let pool =
-            ShardPool::with_span_handler(&t, 1, PoolOptions::default(), move |t, msg, span| {
-                let _ = t.tag_fast(msg);
-                if let Some(span) = span {
-                    span.stamp(Stage::Engine);
-                    worker_recorder.record(span);
-                }
-            });
+        let pool = ShardPool::new(&t, 1, PoolOptions::default(), move |t, msg, span| {
+            t.tag(msg);
+            if let Some(span) = span {
+                span.stamp(Stage::Engine);
+                worker_recorder.record(span);
+            }
+        });
         let span = recorder.begin();
         let msg = ShardMsg::new(b"if true then go".to_vec()).with_span(Some(span));
         assert_eq!(pool.submit_wait(msg), SubmitOutcome::Accepted);
@@ -654,8 +620,8 @@ mod tests {
         let t = tagger();
         let bank = Arc::new(ShardLoadBank::new(2));
         let opts = PoolOptions { load: Some(Arc::clone(&bank)), ..PoolOptions::default() };
-        let pool = ShardPool::with_options(&t, 2, opts, |t, msg| {
-            let _ = t.tag_fast(msg);
+        let pool = ShardPool::new(&t, 2, opts, |t, msg, _| {
+            t.tag(msg);
             std::thread::sleep(Duration::from_millis(1));
         });
         for _ in 0..6 {

@@ -1,12 +1,15 @@
 //! The [`TokenTagger`]: compile once, tag many streams.
 
 use crate::bitset::{BitEngine, BitTables};
+use crate::engine::{Engine, EngineKind, GateStream};
+use crate::error::Error;
 use crate::event::TagEvent;
 use crate::fast::{FastTables, ScalarEngine};
 use crate::gate::GateEngine;
+use crate::probes::TaggerProbes;
 use cfg_grammar::{transform, Context, Grammar, TokenId};
 use cfg_hwgen::{generate, GeneratedTagger, GeneratorOptions};
-use cfg_obs::{CompileReport, Metrics, StatsSink};
+use cfg_obs::{CompileReport, Metrics};
 use cfg_regex::Nfa;
 use std::sync::Arc;
 use std::time::Instant;
@@ -128,30 +131,34 @@ impl TaggerOptionsBuilder {
     }
 }
 
-/// The historical name of [`crate::Error`].
-///
-/// **Deprecated name** — kept as a thin alias so existing call sites
-/// keep compiling; new code should spell it [`crate::Error`]. The
-/// unified enum carries the same `Generate` / `Sim` variants this type
-/// always had, plus the streaming/serving failure modes.
-pub type TaggerError = crate::error::Error;
-
-/// A compiled streaming token tagger.
-///
-/// Holds the compiled grammar (with context-duplicated tokens), the
-/// generated gate-level circuit, and the functional tables both engines
-/// share.
+/// The compiled state every handle of one tagger shares: built once by
+/// [`TokenTagger::compile`] and never changed, so a clone of the tagger
+/// only bumps a reference count.
 #[derive(Debug, Clone)]
-pub struct TokenTagger {
+struct Core {
+    /// The compiled grammar (post-duplication).
     grammar: Grammar,
     hw: GeneratedTagger,
+    report: CompileReport,
     tables: Arc<FastTables>,
     bit_tables: Arc<BitTables>,
     /// Reversed-automaton NFAs per token, for span recovery from gate
     /// match ends.
     reverse_nfas: Arc<Vec<Nfa>>,
+}
+
+/// A compiled streaming token tagger.
+///
+/// A handle on one shared compiled core — the grammar (with
+/// context-duplicated tokens), the generated gate-level circuit and the
+/// tables every engine walks — plus per-handle options and probes.
+/// [`TokenTagger::engine`] builds an engine of any kind over the core;
+/// [`TokenTagger::tag`] tags a whole input with the production engine.
+#[derive(Debug, Clone)]
+pub struct TokenTagger {
+    core: Arc<Core>,
     opts: TaggerOptions,
-    report: CompileReport,
+    probes: Option<Arc<TaggerProbes>>,
 }
 
 impl TokenTagger {
@@ -161,7 +168,7 @@ impl TokenTagger {
     /// [`CompileReport`] available via [`TokenTagger::report`]; when the
     /// options carry live metrics, the same timings are forwarded to the
     /// sink as `compile/<stage>` spans.
-    pub fn compile(g: &Grammar, opts: TaggerOptions) -> Result<TokenTagger, TaggerError> {
+    pub fn compile(g: &Grammar, opts: TaggerOptions) -> Result<TokenTagger, Error> {
         let mut report = CompileReport::default();
         let mut mark = Instant::now();
         let stage = |report: &mut CompileReport, mark: &mut Instant, name: &str| {
@@ -224,31 +231,41 @@ impl TokenTagger {
             }
             opts.metrics.time("compile_total", report.total_nanos());
         }
-        Ok(TokenTagger { grammar, hw, tables, bit_tables, reverse_nfas, opts, report })
+        let core = Core { grammar, hw, report, tables, bit_tables, reverse_nfas };
+        Ok(TokenTagger { core: Arc::new(core), opts, probes: None })
     }
 
     /// Swap the observability handle (builder style): every engine
     /// subsequently created from this tagger records into `metrics`.
-    /// Cheap — the compiled tables stay shared — so per-shard clones of
+    /// Cheap — the compiled core stays shared — so per-shard clones of
     /// one tagger each carry their own sink (see [`crate::ShardPool`]).
     pub fn with_metrics(mut self, metrics: Metrics) -> TokenTagger {
         self.opts.metrics = metrics;
         self
     }
 
+    /// Attach circuit probes (builder style): every engine subsequently
+    /// created from this tagger counts into `probes`, whatever its kind.
+    /// Build the bank with [`TokenTagger::probes`].
+    pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> TokenTagger {
+        self.probes = Some(probes);
+        self
+    }
+
     /// The structured compile-pipeline report (stage timings + counts).
     pub fn report(&self) -> &CompileReport {
-        &self.report
+        &self.core.report
     }
 
     /// The compiled grammar (post-duplication).
     pub fn grammar(&self) -> &Grammar {
-        &self.grammar
+        &self.core.grammar
     }
 
-    /// The generated circuit and its metadata.
+    /// The generated circuit and its metadata. Its raw match lines are
+    /// read through [`GateEngine::new`].
     pub fn hardware(&self) -> &GeneratedTagger {
-        &self.hw
+        &self.core.hw
     }
 
     /// Compilation options used.
@@ -258,135 +275,104 @@ impl TokenTagger {
 
     /// Name of a token in the compiled grammar.
     pub fn token_name(&self, t: TokenId) -> &str {
-        self.grammar.token_name(t)
+        self.core.grammar.token_name(t)
     }
 
     /// Grammatical context of a token (productions/position), if the
     /// duplication transform ran.
     pub fn context(&self, t: TokenId) -> Option<&Context> {
-        self.grammar.tokens()[t.index()].context.as_ref()
+        self.core.grammar.tokens()[t.index()].context.as_ref()
     }
 
     /// Build a fresh probe layer for this tagger: the named circuit
-    /// topology plus a live [`crate::probes::TaggerProbes`] bank whose
-    /// dense indices mirror the topology's probe ids. Share the returned
-    /// `Arc` between engines (via their `with_probes` builders) and any
+    /// topology (its `/circuit.json`) plus a live [`TaggerProbes`] bank
+    /// whose dense indices mirror the topology's probe ids. Attach it
+    /// with [`TokenTagger::with_probes`] and share the `Arc` with any
     /// exporter that serves `/probes.json`.
-    pub fn probes(&self) -> Arc<crate::probes::TaggerProbes> {
-        Arc::new(crate::probes::TaggerProbes::build(&self.grammar, &self.hw))
-    }
-
-    /// The `/circuit.json` topology payload for the generated circuit.
-    pub fn circuit_json(&self) -> String {
-        cfg_hwgen::CircuitTopology::build(&self.grammar, &self.hw).to_json()
-    }
-
-    /// A fresh production engine — the table walk over the bit-parallel
-    /// tables — instrumented with the compile options' metrics handle.
-    /// Allocates nothing; the table it walks is shared by every engine
-    /// and clone of this tagger.
-    pub fn fast_engine(&self) -> BitEngine {
-        BitEngine::new(Arc::clone(&self.bit_tables)).with_metrics(self.opts.metrics.clone())
-    }
-
-    /// A fresh scalar reference engine (one boolean per position; the
-    /// readable mirror the bitset kernel is property-tested against).
-    pub fn scalar_engine(&self) -> ScalarEngine {
-        ScalarEngine::new(Arc::clone(&self.tables)).with_metrics(self.opts.metrics.clone())
+    pub fn probes(&self) -> Arc<TaggerProbes> {
+        Arc::new(TaggerProbes::build(&self.core.grammar, &self.core.hw))
     }
 
     /// The shared bit-parallel tables (decode ROM + packed masks) and
     /// the DFA table built over them.
     pub fn bit_tables(&self) -> &Arc<BitTables> {
-        &self.bit_tables
+        &self.core.bit_tables
     }
 
-    /// Fault-injection hook for the shadow-audit tests: a clone of this
-    /// tagger whose bit-parallel decode ROM has the row for `byte`
-    /// cleared (see `BitTables::with_corrupted_rom_row`). The scalar
-    /// tables are untouched, so the bit and scalar engines of the
-    /// returned tagger genuinely diverge — the seeded bug a shadow
-    /// auditor must catch. Never used on a production path.
+    /// Fault-injection hook for the shadow-audit tests: a tagger whose
+    /// bit-parallel decode ROM has the row for `byte` cleared (see
+    /// `BitTables::with_corrupted_rom_row`). The scalar tables are
+    /// untouched, so the bit and scalar engines of the returned tagger
+    /// genuinely diverge — the seeded bug a shadow auditor must catch.
+    /// Never used on a production path.
     #[doc(hidden)]
     pub fn with_corrupted_rom_row(&self, byte: u8) -> TokenTagger {
-        let mut t = self.clone();
-        t.bit_tables = Arc::new(t.bit_tables.with_corrupted_rom_row(byte));
-        t
+        self.with_bit_tables(self.core.bit_tables.with_corrupted_rom_row(byte))
     }
 
-    /// Test hook: a clone of this tagger whose bit engines share a
-    /// fresh DFA table capped at `bytes` (see
-    /// `BitTables::with_table_budget`; 0 keeps every engine on the bit
-    /// step). Never used on a production path.
+    /// Test hook: a tagger whose bit engines share a fresh DFA table
+    /// capped at `bytes` (see `BitTables::with_table_budget`; 0 keeps
+    /// every engine on the bit step). Never used on a production path.
     #[doc(hidden)]
     pub fn with_table_budget(&self, bytes: usize) -> TokenTagger {
-        let mut t = self.clone();
-        t.bit_tables = Arc::new(t.bit_tables.with_table_budget(bytes));
-        t
+        self.with_bit_tables(self.core.bit_tables.with_table_budget(bytes))
     }
 
-    /// A fresh cycle-accurate gate-level engine (instrumented with the
-    /// compile options' metrics handle).
-    pub fn gate_engine(&self) -> Result<GateEngine, TaggerError> {
-        Ok(GateEngine::new(&self.hw)?.with_metrics(self.opts.metrics.clone()))
+    /// A handle on a copy of the core with `bit_tables` swapped in.
+    fn with_bit_tables(&self, bit_tables: BitTables) -> TokenTagger {
+        let core = Core { bit_tables: Arc::new(bit_tables), ..Core::clone(&self.core) };
+        TokenTagger { core: Arc::new(core), ..self.clone() }
+    }
+
+    /// A fresh production engine with this handle's metrics and probes.
+    fn bit_engine(&self) -> BitEngine {
+        BitEngine::new(Arc::clone(&self.core.bit_tables))
+            .with_metrics(self.opts.metrics.clone())
+            .with_probes(self.probes.clone())
     }
 
     /// A fresh streaming engine of the requested kind, behind the
-    /// unified [`crate::Engine`] trait — the one constructor the CLI,
-    /// the shard pool and the ingest server all use. Every engine is
-    /// instrumented with the compile options' metrics handle; the gate
-    /// kind is wrapped in a [`crate::GateStream`] for span recovery and
-    /// liveness.
-    pub fn engine(
-        &self,
-        kind: crate::EngineKind,
-    ) -> Result<Box<dyn crate::Engine>, crate::error::Error> {
+    /// [`Engine`] trait — the one way to build an engine. Every kind
+    /// records into this handle's metrics and probes; the gate kind is a
+    /// [`crate::GateStream`], which adds span recovery and liveness.
+    pub fn engine(&self, kind: EngineKind) -> Result<Box<dyn Engine>, Error> {
+        let (core, metrics) = (&self.core, &self.opts.metrics);
         Ok(match kind {
-            crate::EngineKind::Bit => Box::new(self.fast_engine()),
-            crate::EngineKind::Scalar => Box::new(self.scalar_engine()),
-            crate::EngineKind::Gate => {
-                let gate = GateEngine::new(&self.hw)?.with_metrics(self.opts.metrics.clone());
-                // The liveness mirror records into a private sink so
-                // bytes/events are not double-counted; GateStream folds
-                // only the liveness counters back at finish().
-                let mirror_sink = Arc::new(StatsSink::new());
-                let mirror = BitEngine::new(Arc::clone(&self.bit_tables))
-                    .with_metrics(Metrics::new(mirror_sink.clone()));
-                Box::new(crate::engine::GateStream::new(
+            EngineKind::Bit => Box::new(self.bit_engine()),
+            EngineKind::Scalar => Box::new(
+                ScalarEngine::new(Arc::clone(&core.tables))
+                    .with_metrics(metrics.clone())
+                    .with_probes(self.probes.clone()),
+            ),
+            EngineKind::Gate => {
+                let gate = GateEngine::new(&core.hw)?
+                    .with_metrics(metrics.clone())
+                    .with_probes(self.probes.clone());
+                Box::new(GateStream::new(
                     gate,
-                    mirror,
-                    mirror_sink,
-                    Arc::clone(&self.reverse_nfas),
-                    self.opts.metrics.clone(),
+                    Arc::clone(&core.bit_tables),
+                    Arc::clone(&core.reverse_nfas),
+                    metrics.clone(),
                 ))
             }
         })
     }
 
-    /// Tag a complete input with the functional engine.
-    ///
-    /// **Deprecated-style convenience** — a thin wrapper over the
-    /// [`crate::Engine`] path (`engine(EngineKind::Bit)`); prefer that
-    /// for new code, which also gives you streaming and `is_dead`.
-    pub fn tag_fast(&self, input: &[u8]) -> Vec<TagEvent> {
-        let mut engine = self.fast_engine();
-        let mut events = engine.feed(input);
-        events.extend(engine.finish());
+    /// Tag a complete input with the production engine.
+    pub fn tag(&self, input: &[u8]) -> Vec<TagEvent> {
+        let mut engine = self.bit_engine();
+        let mut events = Vec::new();
+        engine
+            .feed_slice(input, &mut events)
+            .and_then(|()| engine.finish_into(&mut events))
+            .expect("the bit engine returns no errors");
         events
     }
 
-    /// Tag a complete input by simulating the generated circuit, then
-    /// recover spans in software (§3.4). Events are sorted by end.
-    pub fn tag_gate(&self, input: &[u8]) -> Result<Vec<TagEvent>, TaggerError> {
-        let mut engine = self.gate_engine()?;
-        let raw = engine.run(input)?;
-        Ok(crate::gate::resolve_spans(&self.reverse_nfas, &engine, input, &raw))
-    }
-
-    /// Feed a complete input through the fast engine into a back-end
-    /// processor (§3.5).
+    /// Feed a complete input through the production engine into a
+    /// back-end processor (§3.5).
     pub fn process<B: crate::backend::Backend>(&self, input: &[u8], backend: &mut B) {
-        for ev in self.tag_fast(input) {
+        for ev in self.tag(input) {
             backend.on_event(ev, self, input);
         }
         backend.on_end(self);
@@ -407,7 +393,7 @@ mod tests {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"if false then stop else go";
-        let events = t.tag_fast(input);
+        let events = t.tag(input);
         assert_eq!(names(&t, &events), ["if", "false", "then", "stop", "else", "go"]);
         // Spans slice back to the exact lexemes.
         let lexemes: Vec<&[u8]> = events.iter().map(|e| e.lexeme(input)).collect();
@@ -424,9 +410,58 @@ mod tests {
             b"if false then if true then go else stop else go",
             b"stop",
         ] {
-            let fast = t.tag_fast(input);
-            let gate = t.tag_gate(input).unwrap();
-            assert_eq!(fast, gate, "input {:?}", String::from_utf8_lossy(input));
+            let mut gate = t.engine(EngineKind::Gate).unwrap();
+            let mut events = gate.feed(input).unwrap();
+            events.extend(gate.finish().unwrap());
+            assert_eq!(t.tag(input), events, "input {:?}", String::from_utf8_lossy(input));
+        }
+    }
+
+    /// Clones and builder handles share one compiled core: the same
+    /// grammar and circuit objects, not copies.
+    #[test]
+    fn handles_share_the_compiled_core() {
+        let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
+        let sink = std::sync::Arc::new(cfg_obs::StatsSink::new());
+        for handle in [
+            t.clone(),
+            t.clone().with_metrics(Metrics::new(sink)),
+            t.clone().with_probes(t.probes()),
+        ] {
+            assert!(std::ptr::eq(handle.grammar(), t.grammar()));
+            assert!(std::ptr::eq(handle.hardware(), t.hardware()));
+            assert!(std::ptr::eq(handle.report(), t.report()));
+            assert!(Arc::ptr_eq(handle.bit_tables(), t.bit_tables()));
+        }
+    }
+
+    /// Every compile error surfaces from `compile` itself, whatever the
+    /// start mode and recovery setting: variant and message both.
+    #[test]
+    fn compile_errors_are_pinned() {
+        use cfg_hwgen::GenError;
+        let no_tokens = Grammar::parse("%%\ns: ;\n%%\n").unwrap();
+        let spacey = Grammar::parse("SPACEY [ a]+\n%%\ns: SPACEY;\n%%\n").unwrap();
+        for (mode, recover) in [
+            (StartMode::AtStart, false),
+            (StartMode::Always, false),
+            (StartMode::AtStart, true),
+            (StartMode::Always, true),
+        ] {
+            let opts = TaggerOptions::builder().start_mode(mode).error_recovery(recover).build();
+            let err = TokenTagger::compile(&no_tokens, opts.clone()).unwrap_err();
+            assert!(matches!(err, Error::Generate(GenError::NoTokens)), "{err:?}");
+            assert_eq!(err.to_string(), "hardware generation failed: grammar has no usable tokens");
+            let err = TokenTagger::compile(&spacey, opts).unwrap_err();
+            assert!(
+                matches!(&err, Error::Generate(GenError::DelimiterOverlap { token }) if token == "SPACEY"),
+                "{err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "hardware generation failed: token SPACEY can start with a delimiter byte; \
+                 adjust %delim or the token pattern"
+            );
         }
     }
 
@@ -443,7 +478,7 @@ mod tests {
         .unwrap();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let input = b"<m>abc</m><n>def</n>";
-        let events = t.tag_fast(input);
+        let events = t.tag(input);
         assert_eq!(events.len(), 6);
         let ctx1 = t.context(events[1].token).unwrap();
         let ctx4 = t.context(events[4].token).unwrap();
@@ -469,9 +504,9 @@ mod tests {
     fn non_conforming_input_yields_no_events() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        assert!(t.tag_fast(b"hello world").is_empty());
-        assert!(t.tag_fast(b"then go").is_empty());
-        assert!(t.tag_fast(b"").is_empty());
+        assert!(t.tag(b"hello world").is_empty());
+        assert!(t.tag(b"then go").is_empty());
+        assert!(t.tag(b"").is_empty());
     }
 
     #[test]
@@ -522,7 +557,7 @@ mod tests {
         let opts = TaggerOptions::builder().metrics(Metrics::new(sink.clone())).build();
         let t = TokenTagger::compile(&g, opts).unwrap();
         let input = b"if false then stop else go";
-        let events = t.tag_fast(input);
+        let events = t.tag(input);
         assert_eq!(events.len(), 6);
         assert_eq!(sink.get(Stat::EventsOut), 6);
         assert_eq!(sink.get(Stat::BytesIn), input.len() as u64);
@@ -543,7 +578,7 @@ mod tests {
         let sink = std::sync::Arc::new(StatsSink::new());
         let opts = TaggerOptions::builder().metrics(Metrics::new(sink.clone())).build();
         let t = TokenTagger::compile(&g, opts).unwrap();
-        assert!(t.tag_fast(b"zzz zzz go").is_empty());
+        assert!(t.tag(b"zzz zzz go").is_empty());
         assert_eq!(sink.get(Stat::DeadEntries), 1);
         assert_eq!(sink.get(Stat::Resyncs), 0);
 
@@ -554,7 +589,7 @@ mod tests {
             .metrics(Metrics::new(sink.clone()))
             .build();
         let t = TokenTagger::compile(&g, opts).unwrap();
-        let events = t.tag_fast(b"zzz go");
+        let events = t.tag(b"zzz go");
         assert_eq!(events.len(), 1);
         assert!(sink.get(Stat::Resyncs) >= 1);
     }
@@ -563,15 +598,15 @@ mod tests {
     fn engine_reports_dead_state() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let mut e = t.fast_engine();
+        let mut e = t.engine(EngineKind::Bit).unwrap();
         assert!(!e.is_dead(), "start tokens are enabled at stream start");
-        e.feed(b"zzzz ");
-        let _ = e.finish();
+        e.feed(b"zzzz ").unwrap();
+        e.finish().unwrap();
         assert!(e.is_dead());
 
-        let mut e = t.fast_engine();
-        e.feed(b"if true then go else stop");
-        let _ = e.finish();
+        let mut e = t.engine(EngineKind::Bit).unwrap();
+        e.feed(b"if true then go else stop").unwrap();
+        e.finish().unwrap();
         assert!(!e.is_dead());
     }
 
@@ -583,7 +618,7 @@ mod tests {
             TaggerOptions { start_mode: StartMode::Always, ..Default::default() },
         )
         .unwrap();
-        let events = t.tag_fast(b"zzz go zzz");
+        let events = t.tag(b"zzz go zzz");
         assert_eq!(names(&t, &events), ["go"]);
     }
 }

@@ -6,9 +6,10 @@
 //! — the property the tests pin — because the wide design is a
 //! retiming of the same logic, not a semantic change.
 
+use crate::error::Error;
 use crate::event::{RawMatch, TagEvent};
 use crate::probes::TaggerProbes;
-use crate::tagger::{TaggerError, TaggerOptions};
+use crate::tagger::TaggerOptions;
 use cfg_grammar::{transform, Grammar, TokenId};
 use cfg_hwgen::{generate_wide, GeneratedWideTagger};
 use cfg_netlist::{NetId, Simulator};
@@ -30,11 +31,7 @@ impl WideTagger {
     /// Compile a grammar into a W-lane circuit. Honours
     /// `duplicate_contexts` and `start_mode` from the options (the other
     /// options concern the byte-serial generator).
-    pub fn compile(
-        g: &Grammar,
-        lanes: usize,
-        opts: TaggerOptions,
-    ) -> Result<WideTagger, TaggerError> {
+    pub fn compile(g: &Grammar, lanes: usize, opts: TaggerOptions) -> Result<WideTagger, Error> {
         let grammar = if opts.duplicate_contexts {
             transform::duplicate_multi_context_tokens(g)
         } else {
@@ -77,7 +74,7 @@ impl WideTagger {
 
     /// Run a complete input through the wide circuit; returns raw
     /// matches ordered by end position.
-    pub fn run_raw(&self, input: &[u8]) -> Result<Vec<RawMatch>, TaggerError> {
+    pub fn run_raw(&self, input: &[u8]) -> Result<Vec<RawMatch>, Error> {
         let w = self.hw.lanes;
         let mut sim = Simulator::new(&self.hw.netlist)?;
         let cycles = input.len().div_ceil(w) + self.hw.flush_cycles();
@@ -137,7 +134,7 @@ impl WideTagger {
 
     /// Tag a complete input: run the wide circuit and recover spans in
     /// software (§3.4), exactly like the byte-serial gate path.
-    pub fn tag(&self, input: &[u8]) -> Result<Vec<TagEvent>, TaggerError> {
+    pub fn tag(&self, input: &[u8]) -> Result<Vec<TagEvent>, Error> {
         let raw = self.run_raw(input)?;
         Ok(raw
             .iter()
@@ -160,7 +157,7 @@ mod tests {
         let byte_tagger = TokenTagger::compile(g, TaggerOptions::default()).unwrap();
         let wide = WideTagger::compile(g, lanes, TaggerOptions::default()).unwrap();
         for &input in inputs {
-            let fast = byte_tagger.tag_fast(input);
+            let fast = byte_tagger.tag(input);
             let w = wide.tag(input).unwrap();
             assert_eq!(fast, w, "W={lanes} input {:?}", String::from_utf8_lossy(input));
         }
@@ -214,7 +211,7 @@ mod tests {
                     input.push_str(words.choose(&mut rng).unwrap());
                     input.push(' ');
                 }
-                let fast = byte_tagger.tag_fast(input.as_bytes());
+                let fast = byte_tagger.tag(input.as_bytes());
                 let w = wide.tag(input.as_bytes()).unwrap();
                 assert_eq!(fast, w, "W={lanes} input {:?}", input);
             }
@@ -244,7 +241,7 @@ mod tests {
         )
         .unwrap();
         for input in [&b"xx go yy"[..], b"zzz stop"] {
-            assert_eq!(byte_tagger.tag_fast(input), wide.tag(input).unwrap());
+            assert_eq!(byte_tagger.tag(input), wide.tag(input).unwrap());
         }
     }
 }

@@ -37,7 +37,7 @@ fn main() {
 
     // The context-aware rule: block if the PATH lexeme contains /admin.
     let is_blocked = |input: &[u8]| -> bool {
-        tagger.tag_fast(input).iter().any(|ev| {
+        tagger.tag(input).iter().any(|ev| {
             tagger.token_name(ev.token).starts_with("PATH")
                 && ev.lexeme(input).windows(6).any(|w| w == b"/admin")
         })
@@ -57,7 +57,7 @@ fn main() {
 
     println!("{:<50} {:>14} {:>14}", "request", "tagger-block?", "naive-block?");
     for req in requests {
-        let events = tagger.tag_fast(req);
+        let events = tagger.tag(req);
         let blocked = is_blocked(req);
         let naive_blocked = naive.contains_any(req);
         println!(

@@ -19,7 +19,7 @@
 //! Run: `cargo run --example json_tagger`
 
 use cfg_token_tagger::grammar::builtin;
-use cfg_token_tagger::tagger::{TaggerOptions, TokenTagger};
+use cfg_token_tagger::tagger::{EngineKind, TaggerOptions, TokenTagger};
 
 fn main() {
     let grammar = builtin::json();
@@ -28,7 +28,7 @@ fn main() {
     let doc = br#"{ "name": "widget", "price": 9.99, "tags": ["a", "b"], "stock": { "count": 42, "sold out": false } }"#;
     println!("document:\n  {}\n", String::from_utf8_lossy(doc));
 
-    let events = tagger.tag_fast(doc);
+    let events = tagger.tag(doc);
     println!("{:<10} {:<22} lexeme", "kind", "context");
     for ev in &events {
         let name = tagger.token_name(ev.token);
@@ -84,7 +84,9 @@ fn main() {
     );
 
     // And the circuit agrees with the functional engine.
-    let gate = tagger.tag_gate(doc).expect("simulation runs");
+    let mut engine = tagger.engine(EngineKind::Gate).expect("the netlist simulates");
+    let mut gate = engine.feed(doc).expect("simulation runs");
+    gate.extend(engine.finish().expect("simulation runs"));
     assert_eq!(gate, events);
     println!("gate-level simulation agrees ({} events)", gate.len());
 }

@@ -38,7 +38,7 @@ fn main() {
         b"the book surprises a reader",
     ] {
         println!("{}", String::from_utf8_lossy(sentence));
-        for ev in tagger.tag_fast(sentence) {
+        for ev in tagger.tag(sentence) {
             let name = tagger.token_name(ev.token);
             let ctx = tagger.context(ev.token).expect("contexts on");
             let pos = if name.starts_with("WORD") {

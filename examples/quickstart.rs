@@ -8,7 +8,7 @@
 
 use cfg_token_tagger::grammar::Grammar;
 use cfg_token_tagger::hwgen::control::wiring_edges;
-use cfg_token_tagger::tagger::{TaggerOptions, TokenTagger};
+use cfg_token_tagger::tagger::{EngineKind, TaggerOptions, TokenTagger};
 
 fn main() {
     // Figure 9: the grammar text, in the Lex/Yacc-flavoured format the
@@ -52,7 +52,7 @@ fn main() {
     println!("input: {}", String::from_utf8_lossy(input));
     println!();
 
-    let fast = tagger.tag_fast(input);
+    let fast = tagger.tag(input);
     println!("{:<8} {:>5}..{:<5} context", "token", "start", "end");
     for ev in &fast {
         println!(
@@ -66,7 +66,9 @@ fn main() {
 
     // The gate-level engine executes the generated netlist cycle by
     // cycle and must agree event-for-event.
-    let gate = tagger.tag_gate(input).expect("gate simulation runs");
+    let mut engine = tagger.engine(EngineKind::Gate).expect("the netlist simulates");
+    let mut gate = engine.feed(input).expect("gate simulation runs");
+    gate.extend(engine.finish().expect("gate simulation runs"));
     assert_eq!(fast, gate);
     println!();
     println!(

@@ -16,7 +16,7 @@ fn main() {
     let input = b"if true then if false then go else stop else go";
 
     let byte_tagger = TokenTagger::compile(&grammar, TaggerOptions::default()).expect("compiles");
-    let reference = byte_tagger.tag_fast(input);
+    let reference = byte_tagger.tag(input);
     println!(
         "reference (byte-serial): {} events on {:?}",
         reference.len(),

@@ -13,7 +13,9 @@
 //! * [`regex`] — token patterns, Glushkov templates, reference matcher.
 //! * [`netlist`] — gate-level IR, cycle-accurate simulator, 4-LUT mapper.
 //! * [`hwgen`] — the paper's generator: grammar → circuit (+ VHDL).
-//! * [`tagger`] — the streaming [`tagger::TokenTagger`] API.
+//! * [`tagger`] — the streaming [`tagger::TokenTagger`] API: one
+//!   compiled core, [`tagger::TokenTagger::engine`] to build an engine of
+//!   any kind, [`tagger::TokenTagger::tag`] to tag a whole input.
 //! * [`fpga`] — VirtexE/Virtex-4 device models and static timing.
 //! * [`baseline`] — naive DPI matcher, Aho–Corasick, software lexer, LL(1).
 //! * [`xmlrpc`] — the XML-RPC grammar, workload generator and router.
@@ -40,7 +42,7 @@
 //!     "#,
 //! ).unwrap();
 //! let tagger = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-//! let events = tagger.tag_fast(b"if true then go else stop");
+//! let events = tagger.tag(b"if true then go else stop");
 //! let names: Vec<&str> = events.iter().map(|e| tagger.token_name(e.token)).collect();
 //! assert_eq!(names, ["if", "true", "then", "go", "else", "stop"]);
 //! ```

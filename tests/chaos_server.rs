@@ -75,7 +75,7 @@ fn server_survives_chaos_without_losing_acked_events() {
     // computed locally. Poisoned payloads are never acked, so the
     // expectation only needs unmodified corpus entries plus whatever a
     // faulty client actually sent (its outcome carries the payloads).
-    let expect = |payload: &[u8]| encode_events(&tagger.tag_fast(payload));
+    let expect = |payload: &[u8]| encode_events(&tagger.tag(payload));
 
     let corpus = corpus();
     let messages: Vec<Vec<u8>> = (0..24).map(|i| corpus[i % corpus.len()].clone()).collect();
@@ -230,7 +230,7 @@ fn server_survives_chaos_without_losing_acked_events() {
     let mut after = Client::connect(addr).unwrap();
     match after.request(b"if true then go else stop").unwrap() {
         Reply::Acked { events, .. } => {
-            assert_eq!(events, tagger.tag_fast(b"if true then go else stop"));
+            assert_eq!(events, tagger.tag(b"if true then go else stop"));
         }
         other => panic!("post-chaos request failed: {other:?}"),
     }

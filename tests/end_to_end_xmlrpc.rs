@@ -3,9 +3,17 @@
 //! the LL(1) ground truth.
 
 use cfg_token_tagger::baseline::Ll1Parser;
-use cfg_token_tagger::tagger::{TaggerOptions, TokenTagger};
+use cfg_token_tagger::tagger::{EngineKind, TagEvent, TaggerOptions, TokenTagger};
 use cfg_token_tagger::xmlrpc::workload::{MessageKind, WorkloadGenerator};
 use cfg_token_tagger::xmlrpc::{xmlrpc_grammar, Router, RouterTables};
+
+/// Tag `input` on the simulated circuit: the gate engine kind.
+fn gate_tag(tagger: &TokenTagger, input: &[u8]) -> Vec<TagEvent> {
+    let mut gate = tagger.engine(EngineKind::Gate).unwrap();
+    let mut events = gate.feed(input).unwrap();
+    events.extend(gate.finish().unwrap());
+    events
+}
 
 #[test]
 fn gate_and_fast_agree_on_xmlrpc_messages() {
@@ -13,8 +21,8 @@ fn gate_and_fast_agree_on_xmlrpc_messages() {
     let mut gen = WorkloadGenerator::new(501);
     for _ in 0..5 {
         let m = gen.message(MessageKind::Honest);
-        let fast = tagger.tag_fast(&m.bytes);
-        let gate = tagger.tag_gate(&m.bytes).unwrap();
+        let fast = tagger.tag(&m.bytes);
+        let gate = gate_tag(&tagger, &m.bytes);
         assert_eq!(fast, gate, "message {:?}", String::from_utf8_lossy(&m.bytes));
         assert!(!fast.is_empty());
     }
@@ -26,8 +34,8 @@ fn gate_and_fast_agree_on_adversarial_and_full_value_messages() {
     let mut gen = WorkloadGenerator::new(502).with_full_values();
     for kind in [MessageKind::Honest, MessageKind::Adversarial] {
         let m = gen.message(kind);
-        let fast = tagger.tag_fast(&m.bytes);
-        let gate = tagger.tag_gate(&m.bytes).unwrap();
+        let fast = tagger.tag(&m.bytes);
+        let gate = gate_tag(&tagger, &m.bytes);
         assert_eq!(fast, gate, "{kind:?} {:?}", String::from_utf8_lossy(&m.bytes));
     }
 }
@@ -58,7 +66,7 @@ fn tagger_token_sequence_matches_ll1_on_lexable_messages() {
     for msg in lexable {
         let msg: Vec<u8> = msg.iter().copied().filter(|b| !b.is_ascii_whitespace()).collect();
         let truth = ll1.parse(&msg).expect("lexable message conforms");
-        let tagged = tagger.tag_fast(&msg);
+        let tagged = tagger.tag(&msg);
         let truth_spans: Vec<(usize, usize)> = truth.iter().map(|t| (t.start, t.end)).collect();
         let tagged_spans: Vec<(usize, usize)> = tagged.iter().map(|e| (e.start, e.end)).collect();
         assert_eq!(tagged_spans, truth_spans, "{}", String::from_utf8_lossy(&msg));
@@ -71,7 +79,7 @@ fn tagger_token_sequence_matches_ll1_on_lexable_messages() {
 <param><i4>123</i4></param></params></methodCall>";
     assert!(ll1.parse(numeric).is_err(), "lexical ambiguity should break the classical pipeline");
     // …which the context-driven tagger tags completely.
-    let events = tagger.tag_fast(numeric);
+    let events = tagger.tag(numeric);
     assert!(events.iter().any(|e| tagger.token_name(e.token).starts_with("INT")));
 }
 
@@ -87,7 +95,7 @@ fn router_decisions_survive_the_gate_level_path() {
         let fast_port = Router::route(&tagger, &tables, &m.bytes);
 
         // Gate path: raw matches -> spans -> router events.
-        let events = tagger.tag_gate(&m.bytes).unwrap();
+        let events = gate_tag(&tagger, &m.bytes);
         let gate_port = events
             .iter()
             .find(|e| e.token == tables.method_string_token())
@@ -104,8 +112,8 @@ fn whitespace_between_tags_is_tolerated() {
     // registers (§3.2).
     let tagger = TokenTagger::compile(&xmlrpc_grammar(), TaggerOptions::default()).unwrap();
     let msg = b"<methodCall>\n  <methodName>withdraw</methodName>\n  <params>\n    <param>\n      <i4>250</i4>\n    </param>\n  </params>\n</methodCall>";
-    let fast = tagger.tag_fast(msg);
-    let gate = tagger.tag_gate(msg).unwrap();
+    let fast = tagger.tag(msg);
+    let gate = gate_tag(&tagger, msg);
     assert_eq!(fast, gate);
     let names: Vec<&str> = fast.iter().map(|e| tagger.token_name(e.token)).collect();
     assert!(names.iter().any(|n| n.starts_with("STRING")));
@@ -138,7 +146,7 @@ fn error_recovery_enables_multi_message_streams() {
     assert_eq!(ports, vec![Router::port_for(&m1.method), Router::port_for(&m2.method)]);
 
     // The gate-level engine sees the same two methodName events.
-    let gate = tagger.tag_gate(&stream).unwrap();
+    let gate = gate_tag(&tagger, &stream);
     let method_events: Vec<_> =
         gate.iter().filter(|e| e.token == tables.method_string_token()).collect();
     assert_eq!(method_events.len(), 2);
@@ -170,7 +178,7 @@ fn stack_augmented_parser_handles_what_the_lexer_pipeline_cannot() {
         assert!(r.accepted, "{}", String::from_utf8_lossy(&m.bytes));
         let pda_spans: Vec<(usize, usize)> = r.events.iter().map(|e| (e.start, e.end)).collect();
         let tag_spans: Vec<(usize, usize)> =
-            tagger.tag_fast(&m.bytes).iter().map(|e| (e.start, e.end)).collect();
+            tagger.tag(&m.bytes).iter().map(|e| (e.start, e.end)).collect();
         assert_eq!(pda_spans, tag_spans, "{}", String::from_utf8_lossy(&m.bytes));
     }
 
@@ -178,5 +186,5 @@ fn stack_augmented_parser_handles_what_the_lexer_pipeline_cannot() {
     // stackless tagger still partially tags.
     let broken = b"<methodCall><methodName>buy</methodName></methodCall>"; // missing params
     assert!(!pda.accepts(broken));
-    assert!(!tagger.tag_fast(broken).is_empty());
+    assert!(!tagger.tag(broken).is_empty());
 }

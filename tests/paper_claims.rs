@@ -106,12 +106,12 @@ fn superset_acceptance_vs_true_parser() {
 
     let unbalanced = b"( 0 ) )";
     assert!(!parser.accepts(unbalanced));
-    let events = tagger.tag_fast(unbalanced);
+    let events = tagger.tag(unbalanced);
     assert_eq!(events.len(), 4, "the tagger still tags every token");
 
     let balanced = b"( ( 0 ) )";
     assert!(parser.accepts(balanced));
-    assert_eq!(tagger.tag_fast(balanced).len(), 5);
+    assert_eq!(tagger.tag(balanced).len(), 5);
 }
 
 /// §3.2: duplicated tokens give every occurrence a unique grammatical
@@ -145,7 +145,7 @@ fn context_dependent_tokenization_beats_maximal_munch() {
 <dateTime.iso8601>19980717T14:08:55</dateTime.iso8601></param></params></methodCall>";
 
     // The tagger splits the timestamp into its nine context-tagged parts.
-    let events = tagger.tag_fast(msg);
+    let events = tagger.tag(msg);
     let names: Vec<&str> = events.iter().map(|e| tagger.token_name(e.token)).collect();
     assert!(names.iter().any(|n| n.starts_with("YEAR")));
     assert!(names.iter().any(|n| n.starts_with("SEC")));
@@ -209,7 +209,7 @@ fn public_token_lookups() {
 /// execution paths must agree on it.
 #[test]
 fn json_all_engines_agree() {
-    use cfg_token_tagger::tagger::{PdaParser, TaggerOptions, TokenTagger, WideTagger};
+    use cfg_token_tagger::tagger::{EngineKind, PdaParser, TaggerOptions, TokenTagger, WideTagger};
     let g = builtin::json();
     let tagger = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
     let wide = WideTagger::compile(&g, 4, TaggerOptions::default()).unwrap();
@@ -222,8 +222,10 @@ fn json_all_engines_agree() {
         br#""just a string""#,
     ];
     for doc in docs {
-        let fast = tagger.tag_fast(doc);
-        let gate = tagger.tag_gate(doc).unwrap();
+        let fast = tagger.tag(doc);
+        let mut engine = tagger.engine(EngineKind::Gate).unwrap();
+        let mut gate = engine.feed(doc).unwrap();
+        gate.extend(engine.finish().unwrap());
         let w = wide.tag(doc).unwrap();
         assert_eq!(fast, gate, "{}", String::from_utf8_lossy(doc));
         assert_eq!(fast, w, "{}", String::from_utf8_lossy(doc));

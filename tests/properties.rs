@@ -9,7 +9,7 @@ use proptest::prelude::*;
 
 use cfg_token_tagger::grammar::{builtin, Grammar};
 use cfg_token_tagger::regex::{ByteSet, MatchSemantics, Pattern};
-use cfg_token_tagger::tagger::{StartMode, TaggerOptions, TokenTagger};
+use cfg_token_tagger::tagger::{EngineKind, StartMode, TaggerOptions, TokenTagger};
 
 // ---------------------------------------------------------------- regex
 
@@ -150,8 +150,8 @@ proptest! {
         let Some(tagger) = single_token_tagger(&pat) else {
             return Ok(());
         };
-        let fast = tagger.tag_fast(&input);
-        let gate = tagger.tag_gate(&input).unwrap();
+        let fast = tagger.tag(&input);
+        let gate = engine_run(&tagger, EngineKind::Gate, &input, input.len()).0;
         prop_assert_eq!(fast, gate, "pattern {} input {:?}", pat, input);
     }
 
@@ -175,8 +175,8 @@ proptest! {
             input.push_str(w);
             input.push_str(s);
         }
-        let fast = tagger.tag_fast(input.as_bytes());
-        let gate = tagger.tag_gate(input.as_bytes()).unwrap();
+        let fast = tagger.tag(input.as_bytes());
+        let gate = engine_run(&tagger, EngineKind::Gate, input.as_bytes(), input.len()).0;
         prop_assert_eq!(fast, gate, "input {:?}", input);
     }
 }
@@ -203,8 +203,6 @@ proptest! {
         head in input_strategy(),
         tail in tail_strategy(),
     ) {
-        use cfg_token_tagger::tagger::EngineKind;
-
         let text = format!("TOK {pat}\n%%\ns: TOK;\n%%\n");
         let Ok(g) = Grammar::parse(&text) else { return Ok(()) };
         let input = [head, tail].concat();
@@ -228,7 +226,7 @@ proptest! {
             // Bit kernel: batch, then every chunk split (1/2/3/7) — the
             // lookahead carry across feed() boundaries must be seamless,
             // and a dead tail is skipped from wherever each feed starts.
-            let batch = tagger.tag_fast(&input);
+            let batch = tagger.tag(&input);
             prop_assert_eq!(&batch, &expect, "batch: {}", mode);
             for chunk in [1usize, 2, 3, 7, input.len().max(1)] {
                 let mut e = tagger.engine(EngineKind::Bit).unwrap();
@@ -240,10 +238,10 @@ proptest! {
                 prop_assert_eq!(&got, &expect, "bit chunk {}: {}", chunk, mode);
             }
 
-            let mut gate_engine = tagger.engine(EngineKind::Gate).unwrap();
+            let mut e = tagger.engine(EngineKind::Gate).unwrap();
             let mut gate = Vec::new();
-            gate_engine.feed_slice(&input, &mut gate).unwrap();
-            gate_engine.finish_into(&mut gate).unwrap();
+            e.feed_slice(&input, &mut gate).unwrap();
+            e.finish_into(&mut gate).unwrap();
             prop_assert_eq!(&gate, &expect, "gate: {}", mode);
         }
     }
@@ -296,7 +294,6 @@ proptest! {
     #[test]
     fn random_grammars_agree_across_engines(seed in any::<u64>()) {
         use cfg_token_tagger::grammar::random::{join, mutate, RandomGrammar, Rng};
-        use cfg_token_tagger::tagger::EngineKind;
 
         let rg = RandomGrammar::generate(seed);
         let mut rng = Rng::new(seed);
@@ -397,7 +394,7 @@ proptest! {
         expr(&mut rng, depth, &mut sentence);
 
         let truth = parser.parse(sentence.as_bytes()).expect("conforming by construction");
-        let tagged = tagger.tag_fast(sentence.as_bytes());
+        let tagged = tagger.tag(sentence.as_bytes());
         let truth_spans: Vec<(usize, usize)> = truth.iter().map(|t| (t.start, t.end)).collect();
         let tag_spans: Vec<(usize, usize)> = tagged.iter().map(|e| (e.start, e.end)).collect();
         prop_assert_eq!(tag_spans, truth_spans, "sentence {}", sentence);
@@ -594,7 +591,7 @@ proptest! {
         let tagger = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let wide = WideTagger::compile(&g, lanes, TaggerOptions::default()).unwrap();
         let input = words.join(" ");
-        let fast = tagger.tag_fast(input.as_bytes());
+        let fast = tagger.tag(input.as_bytes());
         let w = wide.tag(input.as_bytes()).unwrap();
         prop_assert_eq!(fast, w, "W={} input {:?}", lanes, input);
     }
@@ -630,9 +627,10 @@ proptest! {
         }
 
         let sink = Arc::new(StatsSink::with_tokens(tagger.grammar().tokens().len()));
-        let mut engine = tagger.fast_engine().with_metrics(Metrics::new(sink.clone()));
-        let mut events = engine.feed(&input);
-        events.extend(engine.finish());
+        let mut engine =
+            tagger.clone().with_metrics(Metrics::new(sink.clone())).engine(EngineKind::Bit).unwrap();
+        let mut events = engine.feed(&input).unwrap();
+        events.extend(engine.finish().unwrap());
 
         prop_assert_eq!(sink.get(Stat::EventsOut), events.len() as u64);
         let per_token: u64 = (0..tagger.grammar().tokens().len())
@@ -659,10 +657,14 @@ fn noop_sink_output_is_byte_identical() {
         )
         .unwrap();
         for input in [&b"if true then go else stop"[..], &b"zzz go ?? stop if"[..], &b""[..]] {
-            let plain = tagger.tag_fast(input);
-            let mut noop = tagger.fast_engine().with_metrics(Metrics::new(Arc::new(NoopSink)));
-            let mut traced = noop.feed(input);
-            traced.extend(noop.finish());
+            let plain = tagger.tag(input);
+            let mut noop = tagger
+                .clone()
+                .with_metrics(Metrics::new(Arc::new(NoopSink)))
+                .engine(EngineKind::Bit)
+                .unwrap();
+            let mut traced = noop.feed(input).unwrap();
+            traced.extend(noop.finish().unwrap());
             assert_eq!(plain, traced, "recover={recover} input={input:?}");
         }
     }
