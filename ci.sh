@@ -28,21 +28,28 @@
 #                                  five-run property on generated
 #                                  multi-token grammars (table, zero and
 #                                  small budgets, scalar, gate)
-#  10. ingest server            -- cfg-server unit + integration tests
+#  10. compile pipeline         -- the tagger's compile (lazily built
+#                                  circuit, reversed NFAs and scalar
+#                                  tables, pinned compile errors, the
+#                                  position bound), the regex crate
+#                                  (parser, counted-repetition bound,
+#                                  NFA, templates), the generator, and
+#                                  context duplication
+#  11. ingest server            -- cfg-server unit + integration tests
 #                                  (thread-per-connection serving, the
 #                                  slow-reader eviction included), the
 #                                  Engine trait suite, and the
 #                                  fault-injection chaos test
-#  11. span tracing & SLO       -- cfg-obs span/SLO suites, the slo view,
+#  12. span tracing & SLO       -- cfg-obs span/SLO suites, the slo view,
 #                                  and the end-to-end span_trace test
-#  12. saturation telemetry     -- utilization time series, shards
+#  13. saturation telemetry     -- utilization time series, shards
 #                                  view, and the end-to-end
 #                                  Little's-law test
-#  13. shadow audit             -- audit bank and evidence-window
+#  14. shadow audit             -- audit bank and evidence-window
 #                                  suites, frame-codec chunking
 #                                  properties, audit view, and the
 #                                  end-to-end seeded-fault test
-#  14. full workspace tests     -- every crate's suites
+#  15. full workspace tests     -- every crate's suites
 #
 # Every step that filters tests by name runs through `filtered`, which
 # fails the step when the filter matched no test: a filter left behind
@@ -121,6 +128,12 @@ filtered -p cfg-tagger shard
 filtered --test properties bitset_equals_scalar_and_gate
 filtered -p cfg-grammar random
 filtered --test properties random_grammars
+
+echo "==> compile pipeline: tagger compile, regex crate, generator, context duplication"
+filtered -p cfg-tagger tagger::
+filtered -p cfg-regex
+filtered -p cfg-hwgen generate
+filtered -p cfg-grammar transform
 
 echo "==> ingest server: cfg-server suites, Engine trait, chaos test"
 cargo test -q -p cfg-server

@@ -357,6 +357,13 @@ pub fn cmd_dot(grammar_text: &str) -> Result<String, CliError> {
 /// human-readable table.
 pub fn cmd_report(grammar_text: &str, scale: usize, json: bool) -> Result<String, CliError> {
     let g = load_grammar(grammar_text)?;
+    // Refuse a scale past the position bound before replicating: compile
+    // would refuse the result only after it was built.
+    let positions = g.pattern_bytes().saturating_mul(scale);
+    if positions > cfg_regex::MAX_POSITIONS {
+        let too_many = cfg_grammar::GrammarError::TooManyPositions { positions };
+        return Err(cfg_tagger::Error::from(too_many).into());
+    }
     let g = if scale > 1 { cfg_grammar::scale::replicate(&g, scale) } else { g };
     let g = cfg_grammar::transform::duplicate_multi_context_tokens(&g);
     let tagger =
@@ -743,6 +750,10 @@ mod tests {
                 .unwrap()
         };
         assert!(luts(&r2) > luts(&r1));
+        // Past the position bound the report errors before replicating.
+        let e = cmd_report(ITE, 1 << 40, false).unwrap_err();
+        assert_eq!(e.code, 1);
+        assert!(e.to_string().ends_with("positions; the limit is 8192"), "{e}");
     }
 
     #[test]

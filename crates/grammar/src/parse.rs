@@ -26,7 +26,7 @@
 //! * `#` and `//` start comments.
 
 use crate::ast::{Grammar, NtId, Production, Symbol, TokenDef, TokenId};
-use cfg_regex::{ByteSet, ParseError, Pattern};
+use cfg_regex::{ByteSet, ParseError, Pattern, MAX_POSITIONS};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -63,6 +63,14 @@ pub enum GrammarError {
     BadSymbolIndex,
     /// Start symbol index out of range (only reachable via `Grammar::new`).
     UnknownStart,
+    /// The tokens need more than [`MAX_POSITIONS`] Glushkov positions
+    /// between them; refused as each token is added, before the next one
+    /// is compiled. `TokenTagger::compile` applies the same bound to the
+    /// grammar after context duplication.
+    TooManyPositions {
+        /// Positions the grammar would hold.
+        positions: usize,
+    },
 }
 
 impl fmt::Display for GrammarError {
@@ -88,6 +96,9 @@ impl fmt::Display for GrammarError {
             }
             GrammarError::BadSymbolIndex => write!(f, "symbol index out of range"),
             GrammarError::UnknownStart => write!(f, "start symbol out of range"),
+            GrammarError::TooManyPositions { positions } => {
+                write!(f, "grammar needs {positions} positions; the limit is {MAX_POSITIONS}")
+            }
         }
     }
 }
@@ -106,6 +117,7 @@ pub fn parse(src: &str) -> Result<Grammar, GrammarError> {
     let mut token_index: HashMap<String, TokenId> = HashMap::new();
     let mut delimiters = ByteSet::whitespace();
     let mut start_name: Option<String> = None;
+    let mut positions = 0usize;
 
     for line in defs_section {
         let line = line.trim();
@@ -132,6 +144,7 @@ pub fn parse(src: &str) -> Result<Grammar, GrammarError> {
         }
         let pattern = Pattern::parse(pattern_src)
             .map_err(|error| GrammarError::BadPattern { token: name.to_owned(), error })?;
+        add_positions(&mut positions, pattern.pattern_bytes())?;
         token_index.insert(name.to_owned(), TokenId(tokens.len() as u32));
         tokens.push(TokenDef {
             name: name.to_owned(),
@@ -176,6 +189,7 @@ pub fn parse(src: &str) -> Result<Grammar, GrammarError> {
             parse_rule(
                 &statement,
                 stmt_line,
+                &mut positions,
                 &mut tokens,
                 &mut token_index,
                 &mut nonterminals,
@@ -203,6 +217,16 @@ pub fn parse(src: &str) -> Result<Grammar, GrammarError> {
         None => productions[0].lhs,
     };
     Grammar::new(tokens, nonterminals, productions, start, delimiters)
+}
+
+/// Add a token's positions to the grammar's running total, refusing a
+/// total past [`MAX_POSITIONS`].
+fn add_positions(total: &mut usize, positions: usize) -> Result<(), GrammarError> {
+    *total += positions;
+    if *total > MAX_POSITIONS {
+        return Err(GrammarError::TooManyPositions { positions: *total });
+    }
+    Ok(())
 }
 
 fn strip_comment(line: &str) -> String {
@@ -267,6 +291,7 @@ fn ends_statement(s: &str) -> bool {
 fn parse_rule(
     stmt: &str,
     line: usize,
+    positions: &mut usize,
     tokens: &mut Vec<TokenDef>,
     token_index: &mut HashMap<String, TokenId>,
     nonterminals: &mut Vec<String>,
@@ -299,17 +324,21 @@ fn parse_rule(
                         });
                     }
                     let name = String::from_utf8_lossy(&bytes).into_owned();
-                    let id = *token_index.entry(name.clone()).or_insert_with(|| {
+                    if let Some(&id) = token_index.get(&name) {
+                        Symbol::T(id)
+                    } else {
+                        // One position per byte: bound it before compiling.
+                        add_positions(positions, bytes.len())?;
                         let id = TokenId(tokens.len() as u32);
+                        token_index.insert(name.clone(), id);
                         tokens.push(TokenDef {
                             name,
                             pattern: Pattern::literal(&bytes),
                             from_literal: true,
                             context: None,
                         });
-                        id
-                    });
-                    Symbol::T(id)
+                        Symbol::T(id)
+                    }
                 }
                 Item::Ident(name) => match token_index.get(&name) {
                     Some(&id) => Symbol::T(id),
@@ -522,6 +551,27 @@ mod tests {
         )
         .unwrap();
         assert_eq!(g.productions().len(), 3);
+    }
+
+    /// A grammar's tokens share one position bound, counted as each is
+    /// added: named patterns, and quoted literals before they compile.
+    #[test]
+    fn positions_are_bounded_across_tokens() {
+        let over = |src: &str| match Grammar::parse(src) {
+            Err(GrammarError::TooManyPositions { positions }) => positions,
+            other => panic!("{other:?}"),
+        };
+        assert_eq!(over("A a{5000}\nB b{5000}\n%%\ns: A B;\n%%\n"), 10_000);
+        let long = "x".repeat(MAX_POSITIONS);
+        assert_eq!(over(&format!("%%\ns: \"{long}\" \"y\";\n%%\n")), MAX_POSITIONS + 1);
+        assert_eq!(over(&format!("A a{{8000}}\n%%\ns: A \"{}\";\n%%\n", &long[..200])), 8200);
+        // A repeated literal is one token, counted once.
+        let g = Grammar::parse(&format!("%%\ns: \"{long}\" \"{long}\";\n%%\n")).unwrap();
+        assert_eq!(g.pattern_bytes(), MAX_POSITIONS);
+        assert_eq!(
+            GrammarError::TooManyPositions { positions: 10_000 }.to_string(),
+            "grammar needs 10000 positions; the limit is 8192"
+        );
     }
 
     #[test]

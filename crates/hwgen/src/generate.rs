@@ -158,11 +158,26 @@ impl GeneratedTagger {
     }
 }
 
-/// Generate the tagger circuit for a grammar.
-pub fn generate(g: &Grammar, opts: &GeneratorOptions) -> Result<GeneratedTagger, GenError> {
+/// The generator's input checks, which build nothing: the grammar uses
+/// a token, and no token can start with a delimiter byte. [`generate`]
+/// and [`crate::generate_wide`] fail exactly when these do.
+pub fn validate(g: &Grammar) -> Result<(), GenError> {
     if g.tokens().is_empty() {
         return Err(GenError::NoTokens);
     }
+    let delim = g.delimiters();
+    for tok in g.tokens() {
+        let t = tok.pattern.template();
+        if t.first.iter().any(|&p| t.positions[p].intersects(delim)) {
+            return Err(GenError::DelimiterOverlap { token: tok.name.clone() });
+        }
+    }
+    Ok(())
+}
+
+/// Generate the tagger circuit for a grammar.
+pub fn generate(g: &Grammar, opts: &GeneratorOptions) -> Result<GeneratedTagger, GenError> {
+    validate(g)?;
     let mut stage_nanos: Vec<(&'static str, u64)> = Vec::new();
     let mut stage_mark = std::time::Instant::now();
     let mut stage_done = |name: &'static str, mark: &mut std::time::Instant| {
@@ -170,14 +185,6 @@ pub fn generate(g: &Grammar, opts: &GeneratorOptions) -> Result<GeneratedTagger,
         *mark = std::time::Instant::now();
     };
     let delim = g.delimiters();
-    for tok in g.tokens() {
-        let t = tok.pattern.template();
-        for &p in &t.first {
-            if t.positions[p].intersects(delim) {
-                return Err(GenError::DelimiterOverlap { token: tok.name.clone() });
-            }
-        }
-    }
 
     let analysis = g.analyze();
     stage_done("analysis", &mut stage_mark);

@@ -46,5 +46,7 @@ pub mod vhdl;
 pub mod wide;
 
 pub use circuit::CircuitTopology;
-pub use generate::{generate, GenError, GeneratedTagger, GeneratorOptions, StartMode, TokenHw};
+pub use generate::{
+    generate, validate, GenError, GeneratedTagger, GeneratorOptions, StartMode, TokenHw,
+};
 pub use wide::{generate_wide, GeneratedWideTagger, WideTokenHw};

@@ -25,7 +25,7 @@
 
 use crate::control::StartMode;
 use crate::decoder::DecoderBank;
-use crate::generate::GenError;
+use crate::generate::{validate, GenError};
 use cfg_grammar::{Grammar, TokenId};
 use cfg_netlist::{NetId, Netlist, NetlistBuilder};
 use cfg_regex::Template;
@@ -79,18 +79,8 @@ pub fn generate_wide(
     start_mode: StartMode,
 ) -> Result<GeneratedWideTagger, GenError> {
     assert!(lanes >= 1, "need at least one lane");
-    if g.tokens().is_empty() {
-        return Err(GenError::NoTokens);
-    }
+    validate(g)?;
     let delim = g.delimiters();
-    for tok in g.tokens() {
-        let t = tok.pattern.template();
-        for &p in &t.first {
-            if t.positions[p].intersects(delim) {
-                return Err(GenError::DelimiterOverlap { token: tok.name.clone() });
-            }
-        }
-    }
 
     let analysis = g.analyze();
     let n_tokens = g.tokens().len();

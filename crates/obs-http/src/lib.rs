@@ -672,10 +672,19 @@ fn status_text(status: u16) -> &'static str {
     }
 }
 
-/// How long one reply may take to write. The exporter has one thread,
-/// so a peer that stops reading a reply larger than the socket buffers
-/// must not hold it longer than this.
-const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
+/// How long one request head may take to read, and one reply to write.
+/// The exporter has one thread, so a peer that trickles its request or
+/// stops reading a reply larger than the socket buffers must not hold it
+/// longer than this.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// The time left before `deadline`, or `TimedOut` once it has passed.
+fn time_left(deadline: Instant) -> io::Result<Duration> {
+    deadline
+        .checked_duration_since(Instant::now())
+        .filter(|left| !left.is_zero())
+        .ok_or_else(|| io::ErrorKind::TimedOut.into())
+}
 
 /// `write_all` against one deadline for the whole buffer. A socket
 /// write timeout bounds each `write` call, and a call that moved some
@@ -685,11 +694,7 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 /// 6 s.
 fn write_before(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
     while !bytes.is_empty() {
-        let left = deadline
-            .checked_duration_since(Instant::now())
-            .filter(|left| !left.is_zero())
-            .ok_or(io::ErrorKind::TimedOut)?;
-        stream.set_write_timeout(Some(left))?;
+        stream.set_write_timeout(Some(time_left(deadline)?))?;
         match stream.write(bytes) {
             Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
             Ok(n) => bytes = &bytes[n..],
@@ -700,17 +705,28 @@ fn write_before(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> 
     Ok(())
 }
 
-fn serve_connection(stream: &mut TcpStream, registry: &SharedRegistry, state: &ServiceState) {
-    let _ = stream.set_read_timeout(Some(Duration::from_secs(2)));
-    // Read until the end of the request head; ignore any body (GETs).
+/// Read the request head (up to its blank line, at most 16 KiB; any
+/// body is ignored, as every route is a GET) against one deadline for
+/// the whole head. A read timeout bounds each `read` call, so a peer
+/// that sends a byte at a time would otherwise restart the clock with
+/// every byte. Whatever arrived by the deadline is the head.
+fn read_head_before(stream: &mut TcpStream, deadline: Instant) -> Vec<u8> {
     let mut buf = Vec::with_capacity(1024);
     let mut chunk = [0u8; 512];
     while !buf.windows(4).any(|w| w == b"\r\n\r\n") && buf.len() < 16 * 1024 {
-        match stream.read(&mut chunk) {
+        let read = time_left(deadline)
+            .and_then(|left| stream.set_read_timeout(Some(left)))
+            .and_then(|()| stream.read(&mut chunk));
+        match read {
             Ok(0) | Err(_) => break,
             Ok(n) => buf.extend_from_slice(&chunk[..n]),
         }
     }
+    buf
+}
+
+fn serve_connection(stream: &mut TcpStream, registry: &SharedRegistry, state: &ServiceState) {
+    let buf = read_head_before(stream, Instant::now() + IO_TIMEOUT);
     let head = String::from_utf8_lossy(&buf);
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or("/"));
@@ -726,7 +742,7 @@ fn serve_connection(stream: &mut TcpStream, registry: &SharedRegistry, state: &S
         response.content_type,
         response.body.len()
     );
-    let deadline = Instant::now() + WRITE_TIMEOUT;
+    let deadline = Instant::now() + IO_TIMEOUT;
     let _ = write_before(stream, head.as_bytes(), deadline)
         .and_then(|()| write_before(stream, response.body.as_bytes(), deadline));
 }

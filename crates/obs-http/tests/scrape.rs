@@ -161,3 +161,52 @@ fn silent_scraper_cannot_wedge_the_exporter() {
     stopper.join().unwrap();
     drop(silent);
 }
+
+#[test]
+fn trickling_scraper_cannot_wedge_the_exporter() {
+    use std::io::Write as _;
+    use std::net::TcpStream;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::time::{Duration, Instant};
+
+    let exporter = Exporter::bind(
+        "127.0.0.1:0",
+        Arc::new(SharedRegistry::new()),
+        Arc::new(ServiceState::new()),
+    )
+    .unwrap();
+    let addr = exporter.local_addr().to_string();
+
+    // One header byte every 250 ms -- each inside any per-read timeout --
+    // and never the blank line that ends the head.
+    let stop = Arc::new(AtomicBool::new(false));
+    let (connected_tx, connected_rx) = std::sync::mpsc::channel();
+    let trickler = {
+        let (addr, stop) = (addr.clone(), Arc::clone(&stop));
+        std::thread::spawn(move || {
+            let mut peer = TcpStream::connect(&addr).unwrap();
+            connected_tx.send(()).unwrap();
+            let head = b"GET /metrics HTTP/1.1\r\nX-Slow: ".iter().chain(std::iter::repeat(&b'x'));
+            for &byte in head {
+                if stop.load(Ordering::Relaxed) || peer.write_all(&[byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(250));
+            }
+        })
+    };
+    // The trickler connected first, so the exporter's one thread takes it
+    // first; the scrape below waits behind it.
+    connected_rx.recv().unwrap();
+
+    let asked = Instant::now();
+    let reply = http_get(&addr, "/healthz");
+    let took = asked.elapsed();
+    // Stop trickling before asserting, so a failure cannot leave the
+    // exporter's thread (and its drop) waiting on the trickler.
+    stop.store(true, Ordering::Relaxed);
+    trickler.join().unwrap();
+    assert_eq!(reply.unwrap(), "ok\n");
+    assert!(took < Duration::from_secs(5), "healthz took {took:?}");
+    exporter.stop();
+}

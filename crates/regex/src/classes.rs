@@ -169,9 +169,19 @@ impl ByteSet {
         self.difference(other).is_empty()
     }
 
-    /// Iterate over member bytes in ascending order.
+    /// Iterate over member bytes in ascending order, visiting only the
+    /// members.
     pub fn iter(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..=255u8).filter(move |&b| self.contains(b))
+        self.bits.iter().zip(0u8..).flat_map(|(&word, k)| {
+            let mut rest = word;
+            std::iter::from_fn(move || {
+                (rest != 0).then(|| {
+                    let bit = rest.trailing_zeros() as u8;
+                    rest &= rest - 1;
+                    k * 64 + bit
+                })
+            })
+        })
     }
 
     /// The raw 256-bit membership bitmap as four `u64` words, word `k`

@@ -48,10 +48,24 @@ pub use nfa::{Match, MatchSemantics, Nfa};
 pub use parse::ParseError;
 pub use template::Template;
 
+use std::sync::Arc;
+
+/// Most Glushkov positions a pattern, or a whole compiled grammar, may
+/// hold. Table 1's largest design has 3,000 pattern bytes. The bound
+/// stops a short pattern such as `a{1000000000}` from expanding without
+/// limit, and caps the position × position masks built over a grammar.
+pub const MAX_POSITIONS: usize = 8192;
+
 /// A compiled token pattern: the parsed AST plus its Glushkov template and
 /// a ready-to-run NFA. This is the unit the grammar layer stores per token.
+///
+/// Clones share one compiled pattern, so the grammar transforms that copy
+/// a token per context (or per replica) allocate nothing for its pattern.
 #[derive(Debug, Clone)]
-pub struct Pattern {
+pub struct Pattern(Arc<Compiled>);
+
+#[derive(Debug)]
+struct Compiled {
     /// The original pattern text, kept for diagnostics and VHDL comments.
     source: String,
     /// Parsed syntax tree.
@@ -93,32 +107,32 @@ impl Pattern {
             return Err(ParseError::NullableToken);
         }
         let nfa = Nfa::from_template(&template);
-        Ok(Self { source, ast, template, nfa })
+        Ok(Self(Arc::new(Compiled { source, ast, template, nfa })))
     }
 
     /// The original pattern text.
     pub fn source(&self) -> &str {
-        &self.source
+        &self.0.source
     }
 
     /// The parsed AST.
     pub fn ast(&self) -> &Ast {
-        &self.ast
+        &self.0.ast
     }
 
     /// The Glushkov template consumed by the hardware generator.
     pub fn template(&self) -> &Template {
-        &self.template
+        &self.0.template
     }
 
     /// The software matcher.
     pub fn nfa(&self) -> &Nfa {
-        &self.nfa
+        &self.0.nfa
     }
 
     /// Does the pattern match the whole input?
     pub fn is_full_match(&self, input: &[u8]) -> bool {
-        self.nfa.is_full_match(input)
+        self.0.nfa.is_full_match(input)
     }
 
     /// Longest match starting at `start`; returns the match length.
@@ -128,7 +142,7 @@ impl Pattern {
         start: usize,
         semantics: MatchSemantics,
     ) -> Option<usize> {
-        self.nfa.find_longest_at(input, start, semantics)
+        self.0.nfa.find_longest_at(input, start, semantics)
     }
 
     /// Number of "pattern bytes" this token contributes, following the
@@ -136,18 +150,18 @@ impl Pattern {
     /// bytes of pattern data"): one byte per character *position* of the
     /// pattern, i.e. per pipeline register in the generated tokenizer.
     pub fn pattern_bytes(&self) -> usize {
-        self.template.positions.len()
+        self.0.template.positions.len()
     }
 
     /// If the pattern is a plain literal, return its bytes.
     pub fn as_literal(&self) -> Option<Vec<u8>> {
-        self.ast.as_literal()
+        self.0.ast.as_literal()
     }
 }
 
 impl PartialEq for Pattern {
     fn eq(&self, other: &Self) -> bool {
-        self.ast == other.ast
+        self.0.ast == other.0.ast
     }
 }
 

@@ -53,14 +53,18 @@ impl Match {
 type Blocks = Vec<u64>;
 
 /// A compiled Glushkov automaton with per-byte transition masks.
+///
+/// The byte and FOLLOW masks are each one flat row-major array of
+/// `blocks`-word rows, so building or cloning an automaton allocates a
+/// handful of vectors whatever its size.
 #[derive(Debug, Clone)]
 pub struct Nfa {
     n: usize,
     blocks: usize,
-    /// `byte_mask[b]` = positions whose class contains byte `b`.
-    byte_mask: Vec<Blocks>,
-    /// `follow_mask[p]` = positions that may fire after `p`.
-    follow_mask: Vec<Blocks>,
+    /// Row `b` (256 rows) = positions whose class contains byte `b`.
+    byte_mask: Vec<u64>,
+    /// Row `p` (`n` rows) = positions that may fire after `p`.
+    follow_mask: Vec<u64>,
     first_mask: Blocks,
     last_mask: Blocks,
     nullable: bool,
@@ -73,16 +77,16 @@ impl Nfa {
     pub fn from_template(t: &Template) -> Nfa {
         let n = t.positions.len();
         let blocks = n.div_ceil(64).max(1);
-        let mut byte_mask = vec![vec![0u64; blocks]; 256];
+        let mut byte_mask = vec![0u64; 256 * blocks];
         for (p, class) in t.positions.iter().enumerate() {
             for b in class.iter() {
-                byte_mask[b as usize][p / 64] |= 1 << (p % 64);
+                byte_mask[b as usize * blocks + p / 64] |= 1 << (p % 64);
             }
         }
-        let mut follow_mask = vec![vec![0u64; blocks]; n];
+        let mut follow_mask = vec![0u64; n * blocks];
         for (p, follows) in t.follow.iter().enumerate() {
             for &q in follows {
-                follow_mask[p][q / 64] |= 1 << (q % 64);
+                follow_mask[p * blocks + q / 64] |= 1 << (q % 64);
             }
         }
         let mut first_mask = vec![0u64; blocks];
@@ -124,7 +128,7 @@ impl Nfa {
         let mut candidates = self.first_mask.clone();
         let mut fired = vec![0u64; self.blocks];
         for (i, &b) in input.iter().enumerate() {
-            let mask = &self.byte_mask[b as usize];
+            let mask = self.byte_row(b);
             let mut any = 0u64;
             for k in 0..self.blocks {
                 fired[k] = candidates[k] & mask[k];
@@ -161,7 +165,7 @@ impl Nfa {
         let mut candidates = self.first_mask.clone();
         let mut fired = vec![0u64; self.blocks];
         for (off, &b) in input[start..].iter().enumerate() {
-            let mask = &self.byte_mask[b as usize];
+            let mask = self.byte_row(b);
             let mut any = 0u64;
             for k in 0..self.blocks {
                 fired[k] = candidates[k] & mask[k];
@@ -188,7 +192,7 @@ impl Nfa {
         let mut candidates = self.first_mask.clone();
         let mut fired = vec![0u64; self.blocks];
         for (off, &b) in input[start..].iter().enumerate() {
-            let mask = &self.byte_mask[b as usize];
+            let mask = self.byte_row(b);
             let mut any = 0u64;
             for ((f, c), m) in fired.iter_mut().zip(&candidates).zip(mask) {
                 *f = c & m;
@@ -232,7 +236,7 @@ impl Nfa {
         let mut candidates = self.first_mask.clone();
         let mut fired = vec![0u64; self.blocks];
         for (off, &b) in input[start..].iter().enumerate() {
-            let mask = &self.byte_mask[b as usize];
+            let mask = self.byte_row(b);
             let mut any = 0u64;
             for ((f, c), m) in fired.iter_mut().zip(&candidates).zip(mask) {
                 *f = c & m;
@@ -272,7 +276,7 @@ impl Nfa {
         let mut candidates = self.first_mask.clone();
         let mut fired = vec![0u64; self.blocks];
         for (off, &b) in input[..end].iter().rev().enumerate() {
-            let mask = &self.byte_mask[b as usize];
+            let mask = self.byte_row(b);
             let mut any = 0u64;
             for k in 0..self.blocks {
                 fired[k] = candidates[k] & mask[k];
@@ -291,6 +295,12 @@ impl Nfa {
         best
     }
 
+    /// The positions whose class contains byte `b`.
+    #[inline]
+    fn byte_row(&self, b: u8) -> &[u64] {
+        &self.byte_mask[b as usize * self.blocks..][..self.blocks]
+    }
+
     #[inline]
     #[allow(clippy::needless_range_loop)] // k also derives bit positions
     fn advance(&self, fired: &Blocks, candidates: &mut Blocks) {
@@ -300,7 +310,8 @@ impl Nfa {
             while word != 0 {
                 let p = k * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                for (c, f) in candidates.iter_mut().zip(&self.follow_mask[p]) {
+                let follows = &self.follow_mask[p * self.blocks..][..self.blocks];
+                for (c, f) in candidates.iter_mut().zip(follows) {
                     *c |= f;
                 }
             }

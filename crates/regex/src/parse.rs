@@ -20,6 +20,7 @@
 
 use crate::ast::Ast;
 use crate::classes::ByteSet;
+use crate::MAX_POSITIONS;
 use std::fmt;
 
 /// Errors produced while parsing a pattern.
@@ -61,6 +62,12 @@ pub enum ParseError {
     /// The pattern can match the empty string; tokens must consume at
     /// least one byte.
     NullableToken,
+    /// The pattern needs more than [`MAX_POSITIONS`] positions. A
+    /// counted repetition is refused from its counts, before it expands.
+    TooManyPositions {
+        /// Positions the pattern would hold.
+        positions: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -87,6 +94,9 @@ impl fmt::Display for ParseError {
             ParseError::NullableToken => {
                 write!(f, "token pattern may match the empty string")
             }
+            ParseError::TooManyPositions { positions } => {
+                write!(f, "pattern needs {positions} positions; the limit is {MAX_POSITIONS}")
+            }
         }
     }
 }
@@ -95,7 +105,7 @@ impl std::error::Error for ParseError {}
 
 /// Parse a pattern string into an [`Ast`].
 pub fn parse(src: &str) -> Result<Ast, ParseError> {
-    let mut p = Parser { src: src.as_bytes(), pos: 0 };
+    let mut p = Parser { src: src.as_bytes(), pos: 0, positions: 0 };
     let ast = p.alt()?;
     if p.pos != p.src.len() {
         return Err(ParseError::Unexpected {
@@ -110,6 +120,9 @@ pub fn parse(src: &str) -> Result<Ast, ParseError> {
 struct Parser<'a> {
     src: &'a [u8],
     pos: usize,
+    /// Positions (class leaves) in everything parsed so far, counted
+    /// repetitions expanded.
+    positions: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -121,6 +134,16 @@ impl<'a> Parser<'a> {
         let b = self.peek().ok_or(ParseError::UnexpectedEnd)?;
         self.pos += 1;
         Ok(b)
+    }
+
+    /// Move the position count to `positions`, unless that passes
+    /// [`MAX_POSITIONS`].
+    fn grow(&mut self, positions: usize) -> Result<(), ParseError> {
+        if positions > MAX_POSITIONS {
+            return Err(ParseError::TooManyPositions { positions });
+        }
+        self.positions = positions;
+        Ok(())
     }
 
     fn alt(&mut self) -> Result<Ast, ParseError> {
@@ -182,7 +205,8 @@ impl<'a> Parser<'a> {
 
     /// Lex-style counted repetition `{n}`, `{n,}`, `{n,m}` — expanded
     /// structurally (each copy becomes its own pipeline positions, which
-    /// is exactly what the hardware needs).
+    /// is exactly what the hardware needs), once the expansion is known
+    /// to keep the pattern within [`MAX_POSITIONS`].
     fn counted(&mut self, base: Ast) -> Result<Ast, ParseError> {
         let n = self.number()?;
         let m = match self.bump()? {
@@ -219,6 +243,14 @@ impl<'a> Parser<'a> {
                 return Err(ParseError::BadCount { min: n, max: m });
             }
         }
+        let each = base.position_count();
+        if each == 0 {
+            // Only the empty string: every repetition of it is itself.
+            return Ok(base);
+        }
+        // m copies, or n and a starred one for {n,}; `base` is counted once.
+        let copies = m.unwrap_or(n.saturating_add(1));
+        self.grow((self.positions - each).saturating_add(each.saturating_mul(copies)))?;
         // n mandatory copies…
         let mut parts: Vec<Ast> = std::iter::repeat_n(base.clone(), n).collect();
         match m {
@@ -255,34 +287,41 @@ impl<'a> Parser<'a> {
     }
 
     fn base(&mut self) -> Result<Ast, ParseError> {
-        match self.bump()? {
+        let class = match self.bump()? {
             b'!' => {
-                // Figure 6b: the complement of a single-byte element.
+                // Figure 6b: the complement of a single-byte element,
+                // which takes the place of (and the count of) its operand.
                 let inner = self.base()?;
-                match inner {
+                return match inner {
                     Ast::Class(s) => Ok(Ast::Class(s.complement())),
                     _ => Err(ParseError::BadComplement),
-                }
+                };
             }
             b'(' => {
                 let inner = self.alt()?;
-                match self.bump()? {
+                return match self.bump()? {
                     b')' => Ok(inner),
                     byte => Err(ParseError::Unexpected {
                         offset: self.pos - 1,
                         byte,
                         context: "group close",
                     }),
-                }
+                };
             }
-            b'[' => self.class(),
-            b'.' => Ok(Ast::Class(ByteSet::dot())),
-            b'\\' => Ok(Ast::Class(self.escape()?)),
+            b'[' => self.class()?,
+            b'.' => ByteSet::dot(),
+            b'\\' => self.escape()?,
             b')' => {
-                Err(ParseError::Unexpected { offset: self.pos - 1, byte: b')', context: "element" })
+                return Err(ParseError::Unexpected {
+                    offset: self.pos - 1,
+                    byte: b')',
+                    context: "element",
+                })
             }
-            b => Ok(Ast::Class(ByteSet::singleton(b))),
-        }
+            b => ByteSet::singleton(b),
+        };
+        self.grow(self.positions + 1)?;
+        Ok(Ast::Class(class))
     }
 
     fn escape(&mut self) -> Result<ByteSet, ParseError> {
@@ -307,7 +346,7 @@ impl<'a> Parser<'a> {
         })
     }
 
-    fn class(&mut self) -> Result<Ast, ParseError> {
+    fn class(&mut self) -> Result<ByteSet, ParseError> {
         let negated = if self.peek() == Some(b'^') {
             self.pos += 1;
             true
@@ -347,7 +386,7 @@ impl<'a> Parser<'a> {
         if set.is_empty() {
             return Err(ParseError::EmptyLanguage);
         }
-        Ok(Ast::Class(set))
+        Ok(set)
     }
 }
 
@@ -457,6 +496,37 @@ mod tests {
         assert!(matches!(parse("a{3,2}"), Err(ParseError::BadCount { min: 3, max: 2 })));
         assert!(matches!(parse("a{x}"), Err(ParseError::Unexpected { .. })));
         assert!(matches!(parse("a{2"), Err(ParseError::UnexpectedEnd)));
+    }
+
+    #[test]
+    fn counted_repetition_is_bounded_before_expansion() {
+        let limit = MAX_POSITIONS;
+        assert_eq!(parse(&format!("a{{{limit}}}")).unwrap().position_count(), limit);
+        let over = |src: &str| match parse(src) {
+            Err(ParseError::TooManyPositions { positions }) => positions,
+            other => panic!("{src}: {:?}", other.map(|ast| ast.position_count())),
+        };
+        assert_eq!(over(&format!("a{{{}}}", limit + 1)), limit + 1);
+        // Refused from the counts alone: nothing of 10^9 copies is built.
+        assert_eq!(over("a{1000000000}"), 1_000_000_000);
+        assert_eq!(over("[0-9]{20000}"), 20_000);
+        // Nested and sequenced repetitions count against one pattern.
+        assert_eq!(over("(ab{100}){90}"), 9090);
+        assert_eq!(over("(a{100}){100}"), 10_000);
+        assert_eq!(over(&format!("xa{{{}}}b{{{}}}", limit / 2, limit / 2)), limit + 1);
+        assert_eq!(over("a{2,}{8192}"), 3 * 8192);
+        assert_eq!(
+            parse("a{20000}").unwrap_err().to_string(),
+            "pattern needs 20000 positions; the limit is 8192"
+        );
+        // A group with no positions repeats to itself, however often.
+        assert_eq!(parse("(){1000000000}").unwrap(), Ast::Empty);
+        assert_eq!(parse("x(){1000000000,}").unwrap().position_count(), 1);
+        // Complements and ranges count one position each.
+        assert_eq!(parse("!a[b-z]{8190}").unwrap().position_count(), 8191);
+        // Plain pattern text is held to the same bound.
+        assert_eq!(parse(&"a".repeat(limit)).unwrap().position_count(), limit);
+        assert_eq!(over(&"ab".repeat(limit)), limit + 1);
     }
 
     #[test]

@@ -43,11 +43,8 @@ fn rom_of(classes: &[ByteSet]) -> Vec<u64> {
     let words = classes.len().div_ceil(64);
     let mut rom = vec![0u64; 256 * words];
     for (p, class) in classes.iter().enumerate() {
-        let bits = class.as_words();
-        for b in 0..256usize {
-            if bits[b >> 6] & (1u64 << (b & 63)) != 0 {
-                rom[b * words + (p >> 6)] |= 1u64 << (p & 63);
-            }
+        for b in class.iter() {
+            rom[b as usize * words + (p >> 6)] |= 1u64 << (p & 63);
         }
     }
     rom

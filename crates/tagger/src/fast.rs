@@ -14,9 +14,8 @@ use crate::engine::Engine;
 use crate::error::Error;
 use crate::event::TagEvent;
 use crate::probes::TaggerProbes;
-use crate::tagger::TaggerOptions;
 use cfg_grammar::{Grammar, TokenId};
-use cfg_hwgen::StartMode;
+use cfg_hwgen::{GeneratorOptions, StartMode};
 use cfg_obs::{Metrics, Stat, TraceEvent};
 use cfg_regex::ByteSet;
 use std::sync::Arc;
@@ -51,8 +50,9 @@ pub struct FastTables {
 }
 
 impl FastTables {
-    /// Build tables from a compiled grammar.
-    pub fn build(g: &Grammar, opts: &TaggerOptions) -> FastTables {
+    /// Build tables from a compiled grammar, mirroring the circuit
+    /// generated from it with `opts`.
+    pub fn build(g: &Grammar, opts: &GeneratorOptions) -> FastTables {
         let analysis = g.analyze();
         let tokens = g
             .tokens()

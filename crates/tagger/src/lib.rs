@@ -4,8 +4,9 @@
 //! grammar into a streaming engine that tags each token occurrence with
 //! its **grammatical context** at wire speed.
 //!
-//! [`TokenTagger::compile`] builds one compiled core — grammar, circuit
-//! and tables — that every clone of the tagger shares.
+//! [`TokenTagger::compile`] builds one compiled core that every clone of
+//! the tagger shares: the grammar and the production engine's tables,
+//! with the circuit and the other engines' tables built on first use.
 //! [`TokenTagger::engine`] is the one way to build an engine over it,
 //! driven through the [`Engine`] trait, and [`TokenTagger::tag`] tags a
 //! whole input with the production engine. Three engines execute the

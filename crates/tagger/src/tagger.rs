@@ -7,11 +7,11 @@ use crate::event::TagEvent;
 use crate::fast::{FastTables, ScalarEngine};
 use crate::gate::GateEngine;
 use crate::probes::TaggerProbes;
-use cfg_grammar::{transform, Context, Grammar, TokenId};
-use cfg_hwgen::{generate, GeneratedTagger, GeneratorOptions};
+use cfg_grammar::{transform, Context, Grammar, GrammarError, TokenId};
+use cfg_hwgen::{generate, validate, GeneratedTagger, GeneratorOptions};
 use cfg_obs::{CompileReport, Metrics};
-use cfg_regex::Nfa;
-use std::sync::Arc;
+use cfg_regex::{Nfa, MAX_POSITIONS};
+use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
 pub use cfg_hwgen::generate::EncoderKind;
@@ -131,27 +131,92 @@ impl TaggerOptionsBuilder {
     }
 }
 
-/// The compiled state every handle of one tagger shares: built once by
-/// [`TokenTagger::compile`] and never changed, so a clone of the tagger
-/// only bumps a reference count.
+/// The compiled state every handle of one tagger shares, never changed
+/// once built, so a clone of the tagger only bumps a reference count.
+///
+/// [`TokenTagger::compile`] builds what the production engine reads:
+/// the grammar and the bit tables. The circuit, the reversed NFAs and
+/// the scalar tables are built the first time a handle asks for them,
+/// once for every handle.
 #[derive(Debug, Clone)]
 struct Core {
     /// The compiled grammar (post-duplication).
     grammar: Grammar,
-    hw: GeneratedTagger,
-    report: CompileReport,
-    tables: Arc<FastTables>,
+    /// What the circuit and the scalar tables are built with.
+    gen_opts: GeneratorOptions,
     bit_tables: Arc<BitTables>,
+    /// The stages `compile` ran.
+    compiled: CompileReport,
+    hw: OnceLock<GeneratedTagger>,
     /// Reversed-automaton NFAs per token, for span recovery from gate
     /// match ends.
-    reverse_nfas: Arc<Vec<Nfa>>,
+    reverse_nfas: OnceLock<Timed<Arc<Vec<Nfa>>>>,
+    tables: OnceLock<Timed<Arc<FastTables>>>,
+    /// Every stage, the ones built on first use included.
+    report: OnceLock<CompileReport>,
+}
+
+/// A part of the core built on first use, with its build time in
+/// nanoseconds.
+type Timed<T> = (T, u64);
+
+/// The part in `cell`, built and timed on first use.
+fn timed<T>(cell: &OnceLock<Timed<T>>, build: impl FnOnce() -> T) -> &T {
+    &cell
+        .get_or_init(|| {
+            let start = Instant::now();
+            let part = build();
+            (part, start.elapsed().as_nanos() as u64)
+        })
+        .0
+}
+
+/// How long the part in `cell` took to build (0 while unbuilt).
+fn build_nanos<T>(cell: &OnceLock<Timed<T>>) -> u64 {
+    cell.get().map_or(0, |(_, nanos)| *nanos)
+}
+
+impl Core {
+    fn hw(&self) -> &GeneratedTagger {
+        self.hw.get_or_init(|| {
+            generate(&self.grammar, &self.gen_opts).expect("compile validated the grammar")
+        })
+    }
+
+    fn reverse_nfas(&self) -> &Arc<Vec<Nfa>> {
+        timed(&self.reverse_nfas, || {
+            let tokens = self.grammar.tokens().iter();
+            Arc::new(tokens.map(|t| Nfa::from_template(&t.pattern.template().reversed())).collect())
+        })
+    }
+
+    fn tables(&self) -> &Arc<FastTables> {
+        timed(&self.tables, || Arc::new(FastTables::build(&self.grammar, &self.gen_opts)))
+    }
+
+    fn report(&self) -> &CompileReport {
+        self.report.get_or_init(|| {
+            let (hw, _, _) = (self.hw(), self.tables(), self.reverse_nfas());
+            let mut report = self.compiled.clone();
+            for (name, nanos) in &hw.stage_nanos {
+                report.stage(format!("hwgen_{name}"), *nanos);
+            }
+            report.stage("fast_tables", build_nanos(&self.tables));
+            report.stage("reverse_nfas", build_nanos(&self.reverse_nfas));
+            report.count("pattern_bytes", hw.pattern_bytes as u64);
+            report.count("decoder_classes", hw.decoder_classes as u64);
+            report.count("match_latency", hw.match_latency);
+            report.count("encoder_latency", hw.encoder_latency);
+            report
+        })
+    }
 }
 
 /// A compiled streaming token tagger.
 ///
 /// A handle on one shared compiled core — the grammar (with
-/// context-duplicated tokens), the generated gate-level circuit and the
-/// tables every engine walks — plus per-handle options and probes.
+/// context-duplicated tokens), the tables every engine walks and the
+/// generated gate-level circuit — plus per-handle options and probes.
 /// [`TokenTagger::engine`] builds an engine of any kind over the core;
 /// [`TokenTagger::tag`] tags a whole input with the production engine.
 #[derive(Debug, Clone)]
@@ -164,12 +229,22 @@ pub struct TokenTagger {
 impl TokenTagger {
     /// Compile a grammar into a tagger.
     ///
-    /// Every pipeline stage is wall-clock timed into the
+    /// Builds what [`TokenTagger::tag`] and the [`EngineKind::Bit`]
+    /// engine read: the context-duplicated grammar and the bit tables.
+    /// The generated circuit, the reversed NFAs and the scalar tables are
+    /// built on first use by [`TokenTagger::hardware`],
+    /// [`TokenTagger::probes`], [`TokenTagger::engine`] with the gate or
+    /// scalar kind, or [`TokenTagger::report`]. Every compile error still
+    /// surfaces here: the generator's input checks run eagerly, and a
+    /// grammar past [`MAX_POSITIONS`] once duplicated is refused before
+    /// any table is built.
+    ///
+    /// Each stage `compile` runs is wall-clock timed into the
     /// [`CompileReport`] available via [`TokenTagger::report`]; when the
     /// options carry live metrics, the same timings are forwarded to the
     /// sink as `compile/<stage>` spans.
     pub fn compile(g: &Grammar, opts: TaggerOptions) -> Result<TokenTagger, Error> {
-        let mut report = CompileReport::default();
+        let mut compiled = CompileReport::default();
         let mut mark = Instant::now();
         let stage = |report: &mut CompileReport, mark: &mut Instant, name: &str| {
             report.stage(name, mark.elapsed().as_nanos() as u64);
@@ -181,8 +256,13 @@ impl TokenTagger {
         } else {
             g.clone()
         };
-        stage(&mut report, &mut mark, "token_duplication");
+        stage(&mut compiled, &mut mark, "token_duplication");
 
+        validate(&grammar)?;
+        let positions = grammar.pattern_bytes();
+        if positions > MAX_POSITIONS {
+            return Err(GrammarError::TooManyPositions { positions }.into());
+        }
         let gen_opts = GeneratorOptions {
             start_mode: opts.start_mode,
             disable_longest_match: opts.disable_longest_match,
@@ -191,36 +271,15 @@ impl TokenTagger {
             register_inputs: opts.register_inputs,
             error_recovery: opts.error_recovery,
         };
-        let hw = generate(&grammar, &gen_opts)?;
-        for (name, nanos) in &hw.stage_nanos {
-            report.stage(format!("hwgen_{name}"), *nanos);
-        }
-        mark = Instant::now();
-
-        let tables = Arc::new(FastTables::build(&grammar, &opts));
-        stage(&mut report, &mut mark, "fast_tables");
 
         let bit_tables = Arc::new(BitTables::build(&grammar, &opts));
-        stage(&mut report, &mut mark, "bit_tables");
+        stage(&mut compiled, &mut mark, "bit_tables");
 
-        let reverse_nfas: Arc<Vec<Nfa>> = Arc::new(
-            grammar
-                .tokens()
-                .iter()
-                .map(|t| Nfa::from_template(&t.pattern.template().reversed()))
-                .collect(),
-        );
-        stage(&mut report, &mut mark, "reverse_nfas");
-
-        report.count("tokens", grammar.tokens().len() as u64);
-        report.count("positions", bit_tables.position_count() as u64);
-        report.count("bitset_words", bit_tables.mask_words() as u64);
-        report.count("pattern_bytes", hw.pattern_bytes as u64);
-        report.count("decoder_classes", hw.decoder_classes as u64);
-        report.count("match_latency", hw.match_latency);
-        report.count("encoder_latency", hw.encoder_latency);
+        compiled.count("tokens", grammar.tokens().len() as u64);
+        compiled.count("positions", bit_tables.position_count() as u64);
+        compiled.count("bitset_words", bit_tables.mask_words() as u64);
         if opts.metrics.is_on() {
-            for s in &report.stages {
+            for s in &compiled.stages {
                 // Leak-free &'static names are not available for the
                 // dynamic stage labels; use the sink's trace channel.
                 opts.metrics.trace(|| {
@@ -229,9 +288,18 @@ impl TokenTagger {
                         .field("nanos", s.nanos)
                 });
             }
-            opts.metrics.time("compile_total", report.total_nanos());
+            opts.metrics.time("compile_total", compiled.total_nanos());
         }
-        let core = Core { grammar, hw, report, tables, bit_tables, reverse_nfas };
+        let core = Core {
+            grammar,
+            gen_opts,
+            bit_tables,
+            compiled,
+            hw: OnceLock::new(),
+            reverse_nfas: OnceLock::new(),
+            tables: OnceLock::new(),
+            report: OnceLock::new(),
+        };
         Ok(TokenTagger { core: Arc::new(core), opts, probes: None })
     }
 
@@ -252,9 +320,11 @@ impl TokenTagger {
         self
     }
 
-    /// The structured compile-pipeline report (stage timings + counts).
+    /// The structured compile-pipeline report (stage timings + counts):
+    /// the stages `compile` ran, then the circuit, scalar-table and
+    /// reversed-NFA builds, which this builds first if no handle has.
     pub fn report(&self) -> &CompileReport {
-        &self.core.report
+        self.core.report()
     }
 
     /// The compiled grammar (post-duplication).
@@ -262,10 +332,10 @@ impl TokenTagger {
         &self.core.grammar
     }
 
-    /// The generated circuit and its metadata. Its raw match lines are
-    /// read through [`GateEngine::new`].
+    /// The generated circuit and its metadata, built on first use. Its
+    /// raw match lines are read through [`GateEngine::new`].
     pub fn hardware(&self) -> &GeneratedTagger {
-        &self.core.hw
+        self.core.hw()
     }
 
     /// Compilation options used.
@@ -290,7 +360,7 @@ impl TokenTagger {
     /// with [`TokenTagger::with_probes`] and share the `Arc` with any
     /// exporter that serves `/probes.json`.
     pub fn probes(&self) -> Arc<TaggerProbes> {
-        Arc::new(TaggerProbes::build(&self.core.grammar, &self.core.hw))
+        Arc::new(TaggerProbes::build(&self.core.grammar, self.core.hw()))
     }
 
     /// The shared bit-parallel tables (decode ROM + packed masks) and
@@ -340,18 +410,18 @@ impl TokenTagger {
         Ok(match kind {
             EngineKind::Bit => Box::new(self.bit_engine()),
             EngineKind::Scalar => Box::new(
-                ScalarEngine::new(Arc::clone(&core.tables))
+                ScalarEngine::new(Arc::clone(core.tables()))
                     .with_metrics(metrics.clone())
                     .with_probes(self.probes.clone()),
             ),
             EngineKind::Gate => {
-                let gate = GateEngine::new(&core.hw)?
+                let gate = GateEngine::new(core.hw())?
                     .with_metrics(metrics.clone())
                     .with_probes(self.probes.clone());
                 Box::new(GateStream::new(
                     gate,
                     Arc::clone(&core.bit_tables),
-                    Arc::clone(&core.reverse_nfas),
+                    Arc::clone(core.reverse_nfas()),
                     metrics.clone(),
                 ))
             }
@@ -436,12 +506,27 @@ mod tests {
     }
 
     /// Every compile error surfaces from `compile` itself, whatever the
-    /// start mode and recovery setting: variant and message both.
+    /// start mode and recovery setting: variant and message both. A
+    /// grammar whose text asks for more positions than the bound is
+    /// refused by the grammar parser, before compile.
     #[test]
     fn compile_errors_are_pinned() {
         use cfg_hwgen::GenError;
+        use cfg_regex::ParseError;
+        let err = Grammar::parse("TOK a{20000}\n%%\ns: TOK;\n%%\n").unwrap_err();
+        assert!(
+            matches!(&err, GrammarError::BadPattern { token, error: ParseError::TooManyPositions { positions: 20000 } } if token == "TOK"),
+            "{err:?}"
+        );
+        assert_eq!(
+            Error::from(err).to_string(),
+            "grammar error: bad pattern for token TOK: pattern needs 20000 positions; \
+             the limit is 8192"
+        );
         let no_tokens = Grammar::parse("%%\ns: ;\n%%\n").unwrap();
         let spacey = Grammar::parse("SPACEY [ a]+\n%%\ns: SPACEY;\n%%\n").unwrap();
+        // 5,000 positions in the text, 10,000 once duplicated per context.
+        let wide = Grammar::parse("TOK a{5000}\n%%\ns: TOK \"-\" TOK;\n%%\n").unwrap();
         for (mode, recover) in [
             (StartMode::AtStart, false),
             (StartMode::Always, false),
@@ -452,7 +537,7 @@ mod tests {
             let err = TokenTagger::compile(&no_tokens, opts.clone()).unwrap_err();
             assert!(matches!(err, Error::Generate(GenError::NoTokens)), "{err:?}");
             assert_eq!(err.to_string(), "hardware generation failed: grammar has no usable tokens");
-            let err = TokenTagger::compile(&spacey, opts).unwrap_err();
+            let err = TokenTagger::compile(&spacey, opts.clone()).unwrap_err();
             assert!(
                 matches!(&err, Error::Generate(GenError::DelimiterOverlap { token }) if token == "SPACEY"),
                 "{err:?}"
@@ -462,7 +547,66 @@ mod tests {
                 "hardware generation failed: token SPACEY can start with a delimiter byte; \
                  adjust %delim or the token pattern"
             );
+            let err = TokenTagger::compile(&wide, opts).unwrap_err();
+            assert!(
+                matches!(err, Error::Grammar(GrammarError::TooManyPositions { positions: 10_001 })),
+                "{err:?}"
+            );
+            assert_eq!(
+                err.to_string(),
+                "grammar error: grammar needs 10001 positions; the limit is 8192"
+            );
         }
+    }
+
+    /// `compile`, `tag` and the bit engine build none of the parts only
+    /// the other engines, the probes and the report read; each of those
+    /// builds just what it reads, once for every handle.
+    #[test]
+    fn compile_builds_only_the_software_path() {
+        let built = |t: &TokenTagger| {
+            let core = &t.core;
+            [
+                core.hw.get().is_some(),
+                core.reverse_nfas.get().is_some(),
+                core.tables.get().is_some(),
+            ]
+        };
+        let compile =
+            || TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
+        let t = compile();
+        assert_eq!(t.tag(b"if true then go else stop").len(), 6);
+        t.engine(EngineKind::Bit).unwrap();
+        assert_eq!(built(&t), [false, false, false], "circuit, reversed NFAs, scalar tables");
+
+        let t = compile();
+        t.engine(EngineKind::Scalar).unwrap();
+        assert_eq!(built(&t), [false, false, true]);
+
+        let t = compile();
+        t.engine(EngineKind::Gate).unwrap();
+        assert_eq!(built(&t), [true, true, false]);
+
+        let t = compile();
+        t.probes();
+        assert_eq!(built(&t), [true, false, false]);
+        let t = compile();
+        t.hardware();
+        assert_eq!(built(&t), [true, false, false]);
+
+        // Built through one clone, the part is the one every handle sees.
+        let t = compile();
+        let clone = t.clone().with_metrics(Metrics::new(Arc::new(cfg_obs::StatsSink::new())));
+        let hw = clone.hardware();
+        let report = clone.report();
+        assert_eq!(built(&t), [true, true, true]);
+        assert!(std::ptr::eq(hw, t.hardware()));
+        assert!(std::ptr::eq(report, t.report()));
+        assert!(std::ptr::eq(t.core.tables.get().unwrap(), clone.core.tables.get().unwrap()));
+        assert!(std::ptr::eq(
+            t.core.reverse_nfas.get().unwrap(),
+            clone.core.reverse_nfas.get().unwrap()
+        ));
     }
 
     #[test]
