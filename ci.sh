@@ -12,10 +12,13 @@
 #   5. tier-1 verify            -- release build + root-package tests
 #   6. exporter integration     -- cfg-obs-http socket-level scrape tests
 #   7. ring & viewer            -- the EventRing under every telemetry
-#                                  ring, the JSON parser every view
-#                                  decodes with (nesting depth capped),
-#                                  and the `cfgtag watch` loop (flags,
-#                                  retries, every view's frame)
+#                                  ring, the JSON parser (nesting depth
+#                                  capped), the snapshot model (one
+#                                  registry, labelled families, the
+#                                  Prometheus and JSON renderings and
+#                                  the strict reader every view decodes
+#                                  with), and the `cfgtag watch` loop
+#                                  (flags, retries, every view's frame)
 #   8. probe layer & scope      -- engine probe counters, trigger hub,
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
@@ -33,14 +36,16 @@
 #                                  tables, pinned compile errors, the
 #                                  position bound), the regex crate
 #                                  (parser, counted-repetition bound,
-#                                  NFA, templates), the generator, and
-#                                  context duplication
+#                                  NFA, templates), the generator,
+#                                  context duplication, and the seeded
+#                                  grammar-text fuzzer's short run
 #  11. ingest server            -- cfg-server unit + integration tests
 #                                  (thread-per-connection serving, the
 #                                  slow-reader eviction included), the
 #                                  Engine trait suite, and the
 #                                  fault-injection chaos test
-#  12. span tracing & SLO       -- cfg-obs span/SLO suites, the slo view,
+#  12. span tracing & SLO       -- cfg-obs span/SLO suites and the
+#                                  log-linear histogram, the slo view,
 #                                  and the end-to-end span_trace test
 #  13. saturation telemetry     -- utilization time series, shards
 #                                  view, and the end-to-end
@@ -55,7 +60,8 @@
 # fails the step when the filter matched no test: a filter left behind
 # by a rename would otherwise pass silently.
 #
-# Then five NON-GATING steps: the observability-overhead bench (engine
+# Then six NON-GATING steps: the grammar-text fuzzer's long run (it
+# prints its slowest case), the observability-overhead bench (engine
 # path + traced/audited-server path), the engine-throughput bench
 # (scalar and bit rows), the ingest-server loop bench (with the
 # stage-attribution table), the false-positive precision experiment,
@@ -107,9 +113,11 @@ cargo test -q
 echo "==> exporter integration: cargo test -q -p cfg-obs-http"
 cargo test -q -p cfg-obs-http
 
-echo "==> ring & viewer: cfg-obs EventRing and JSON parser, cfgtag watch loop and poller"
+echo "==> ring & viewer: EventRing, JSON parser, snapshot model, cfgtag watch loop and poller"
 filtered -p cfg-obs ring
 filtered -p cfg-obs json
+filtered -p cfg-obs snapshot
+filtered -p cfg-obs registry
 filtered -p cfg-cli watch
 filtered -p cfg-cli poll
 
@@ -129,20 +137,22 @@ filtered --test properties bitset_equals_scalar_and_gate
 filtered -p cfg-grammar random
 filtered --test properties random_grammars
 
-echo "==> compile pipeline: tagger compile, regex crate, generator, context duplication"
+echo "==> compile pipeline: tagger compile, regex crate, generator, context duplication, fuzzer"
 filtered -p cfg-tagger tagger::
 filtered -p cfg-regex
 filtered -p cfg-hwgen generate
 filtered -p cfg-grammar transform
+filtered --test properties grammar_text_mutants
 
 echo "==> ingest server: cfg-server suites, Engine trait, chaos test"
 cargo test -q -p cfg-server
 filtered -p cfg-tagger engine
 cargo test -q --test chaos_server
 
-echo "==> span tracing & SLO: cfg-obs span/slo, slo view, end-to-end trace test"
+echo "==> span tracing & SLO: cfg-obs span/slo/histogram, slo view, end-to-end trace test"
 filtered -p cfg-obs span
 filtered -p cfg-obs slo
+filtered -p cfg-obs histogram
 filtered -p cfg-cli slo
 cargo test -q --test span_trace
 
@@ -160,6 +170,9 @@ cargo test -q --test shadow_audit
 
 echo "==> full workspace tests"
 cargo test --workspace -q
+
+echo "==> grammar-text fuzzer, long run (non-gating)"
+cargo test -q --release --test properties grammar_text_mutants -- --ignored --nocapture || true
 
 echo "==> obs overhead bench (non-gating)"
 cargo run -q --release -p cfg-bench --bin obs_overhead || true

@@ -221,7 +221,7 @@ fn main() {
     );
     let on_pct = (sampling_on - server_off) / server_off * 100.0;
     println!("  sampling on  : {sampling_on:>6.2} us/msg  ({on_pct:+.2}% vs off)");
-    let audit_cfg = AuditConfig { sample_every: 1, ..AuditConfig::default() };
+    let audit_cfg = AuditConfig { sample_every: 1 };
     let audit_on = bench_server(&tagger, &server_batch, None, None, Some(audit_cfg), server_reps);
     let audit_on_pct = (audit_on - server_off) / server_off * 100.0;
     println!("  audit on     : {audit_on:>6.2} us/msg  ({audit_on_pct:+.2}% vs off)");

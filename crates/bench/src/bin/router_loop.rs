@@ -1,8 +1,8 @@
 //! The Figure 12 router as a long-running service with live telemetry.
 //!
 //! Compiles the XML-RPC tagger with a [`StatsSink`] installed, registers
-//! it in a [`SharedRegistry`], binds the `cfg-obs-http` exporter, and
-//! then routes a looping workload while `/metrics` and `/report.json`
+//! it in a [`Registry`], binds the `cfg-obs-http` exporter, and
+//! then routes a looping workload while `/metrics` and `/snapshot.json`
 //! stay scrapeable — the software stand-in for the paper's switch
 //! running under observation. Prints msgs/s and MB/s at the end and
 //! appends a JSONL row to `bench_results/router_loop.json` for
@@ -21,8 +21,8 @@
 
 #![forbid(unsafe_code)]
 
-use cfg_obs::{Metrics, SharedRegistry, Stat, StatsSink};
-use cfg_obs_http::{Exporter, ServiceState};
+use cfg_obs::{Metrics, Part, Registry, Stat, StatsSink};
+use cfg_obs_http::Exporter;
 use cfg_tagger::{PoolOptions, ShardPool, TaggerOptions, TokenTagger};
 use cfg_xmlrpc::router::{Router, RouterTables};
 use cfg_xmlrpc::workload::WorkloadGenerator;
@@ -54,13 +54,12 @@ fn main() {
     let tagger = TokenTagger::compile(&grammar, opts).expect("XML-RPC grammar compiles");
     let tables = RouterTables::new(&tagger).expect("methodName STRING token exists");
 
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     registry.register("router", sink.clone());
-    let state = Arc::new(ServiceState::new());
-    state.set_meta_json(format!("{{\"compile\":{}}}", tagger.report().to_json()));
-    state.set_ready(true);
-    let exporter = Exporter::bind(format!("127.0.0.1:{port}"), registry.clone(), state.clone())
-        .expect("bind exporter");
+    registry.attach(Part::Compile(tagger.report().clone()));
+    registry.set_ready(true);
+    let exporter =
+        Exporter::bind(format!("127.0.0.1:{port}"), Arc::clone(&registry)).expect("bind exporter");
     eprintln!("router_loop: serving http://{}/metrics", exporter.local_addr());
 
     let mut gen = WorkloadGenerator::new(7);

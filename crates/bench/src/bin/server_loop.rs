@@ -14,7 +14,7 @@
 //! **attribution table**: per-stage p50/p99/p99.9 plus each stage's
 //! share of the end-to-end p50 — the direct answer to "where do the
 //! TCP-path microseconds go vs. the in-process router". The same
-//! quantiles are scraped live from `/slo.json` mid-run and
+//! numbers are scraped live from `/snapshot.json` mid-run and
 //! cross-checked against the server's own tracker. Appends a JSONL row
 //! to `bench_results/server_loop.json` — non-gating, like every timing
 //! bench here.
@@ -38,9 +38,8 @@
 
 #![forbid(unsafe_code)]
 
-use cfg_obs::json::Json;
-use cfg_obs::{SharedRegistry, SloSnapshot, Stage};
-use cfg_obs_http::{http_get, Exporter, ServiceState};
+use cfg_obs::{Registry, SloSnapshot, Snapshot, Stage};
+use cfg_obs_http::{http_get, Exporter};
 use cfg_server::{Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use cfg_xmlrpc::workload::WorkloadGenerator;
@@ -121,14 +120,12 @@ fn main() {
     let grammar = xmlrpc_grammar();
     let tagger =
         TokenTagger::compile(&grammar, TaggerOptions::default()).expect("XML-RPC grammar compiles");
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         shards,
         queue_depth,
         max_sessions: sessions + clients + 2,
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         trace: (trace_sample > 0).then(|| TraceConfig {
             sample_every: trace_sample,
             slo_ms,
@@ -142,8 +139,7 @@ fn main() {
     };
     let server = IngestServer::start(&tagger, "127.0.0.1:0", config).expect("bind ingest server");
     let addr = server.local_addr();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), state).expect("bind exporter");
+    let exporter = Exporter::bind("127.0.0.1:0", registry).expect("bind exporter");
     let metrics_addr = exporter.local_addr().to_string();
     eprintln!(
         "server_loop: ingest on {addr} ({shards} shards, queue depth {queue_depth}, \
@@ -211,14 +207,14 @@ fn main() {
     // numbers an operator's `cfgtag watch slo` poll would see — and
     // cross-check against the tracker the server holds directly.
     let traced = server.slo_tracker().map(|tracker| {
-        let live = http_get(&metrics_addr, "/slo.json").expect("scrape /slo.json");
-        let live = Json::parse(&live).expect("parse /slo.json");
+        let live = http_get(&metrics_addr, "/snapshot.json").expect("scrape /snapshot.json");
+        let live = Snapshot::parse(&live).expect("parse /snapshot.json");
         let snap = tracker.snapshot();
-        let live_total = live.get("total").and_then(Json::as_u64).unwrap_or(0);
+        let live_total = live.value("cfgtag_slo_frames_total", &[]).unwrap_or(0.0) as u64;
         assert!(
             live_total >= snap.total.saturating_sub(window as u64 * clients as u64)
                 && live_total <= snap.total,
-            "/slo.json diverged from the in-process tracker: {live_total} vs {}",
+            "/snapshot.json diverged from the in-process tracker: {live_total} vs {}",
             snap.total
         );
         snap

@@ -105,8 +105,8 @@ impl Poller {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfg_obs::SharedRegistry;
-    use cfg_obs_http::{Exporter, ServiceState};
+    use cfg_obs::Registry;
+    use cfg_obs_http::Exporter;
     use std::sync::Arc;
 
     #[test]
@@ -120,12 +120,7 @@ mod tests {
 
     #[test]
     fn budget_spends_then_gives_up_and_an_answer_resets_it() {
-        let exporter = Exporter::bind(
-            "127.0.0.1:0",
-            Arc::new(SharedRegistry::new()),
-            Arc::new(ServiceState::new()),
-        )
-        .unwrap();
+        let exporter = Exporter::bind("127.0.0.1:0", Arc::new(Registry::new())).unwrap();
         let mut p = Poller::new(&exporter.local_addr().to_string(), 1);
         assert!(matches!(p.failed("/healthz", "refused"), Miss::Retry { wait_ms: 200, .. }));
         assert_eq!(p.get("/healthz").unwrap(), "ok\n");

@@ -3,8 +3,9 @@
 //!
 //! Where `watch top` shows engine-level counters, `scope` shows the
 //! *circuit*: the named topology fetched once (`/circuit.json`,
-//! [`parse_circuit`]) and live per-element activity (`/probes.json`,
-//! [`parse_probes`]), rendered as the top-K hot elements plus
+//! [`parse_circuit`]) and live per-element activity (the snapshot's
+//! `cfgtag_probe_total` family, [`probes`]), rendered as the top-K hot
+//! elements plus
 //! FOLLOW-edge activity ([`render_scope`]) — a terminal logic analyzer
 //! over the synthesized tagger. `--dot-out` additionally writes a
 //! heat-annotated Graphviz graph of the grammar circuit
@@ -17,6 +18,7 @@ use crate::poll::{Miss, Poller};
 use crate::CliError;
 use cfg_netlist::heat_color;
 use cfg_obs::json::Json;
+use cfg_obs::Snapshot;
 use std::fmt::Write as _;
 
 /// One decoded `/circuit.json` topology, client side.
@@ -31,7 +33,8 @@ pub struct CircuitView {
 }
 
 impl CircuitView {
-    /// Every probe id in topology order — must match `/probes.json` 1:1.
+    /// Every probe id in topology order — must match the
+    /// `cfgtag_probe_total` series 1:1.
     pub fn probe_ids(&self) -> Vec<String> {
         let mut ids: Vec<String> = self.decoders.iter().map(|(p, _)| p.clone()).collect();
         for (_, fire, stages) in &self.tokens {
@@ -75,22 +78,17 @@ pub fn parse_circuit(body: &str) -> Result<CircuitView, CliError> {
     Ok(c)
 }
 
-/// Decode a `/probes.json` body into `(id, count)` rows in bank order.
-pub fn parse_probes(body: &str) -> Result<Vec<(String, u64)>, CliError> {
-    let v = Json::parse(body).map_err(|e| CliError::new(format!("bad probes JSON: {e}"), 1))?;
-    let rows = v
-        .get("probes")
-        .and_then(Json::as_array)
-        .ok_or_else(|| CliError::new("probes JSON has no probes array", 1))?
+/// The `cfgtag_probe_total` series of a registry snapshot as
+/// `(id, count)` rows in bank order.
+pub fn probes(snap: &Snapshot) -> Result<Vec<(String, u64)>, CliError> {
+    let family = snap
+        .get("cfgtag_probe_total")
+        .ok_or_else(|| CliError::new("no probe bank attached (cfgtag serve attaches one)", 1))?;
+    Ok(family
+        .series
         .iter()
-        .filter_map(|p| {
-            Some((
-                p.get("id")?.as_str()?.to_owned(),
-                p.get("count").and_then(Json::as_u64).unwrap_or(0),
-            ))
-        })
-        .collect();
-    Ok(rows)
+        .filter_map(|s| Some((s.label("probe")?.to_owned(), s.number()? as u64)))
+        .collect())
 }
 
 fn count_of(probes: &[(String, u64)], id: &str) -> u64 {
@@ -156,10 +154,7 @@ pub fn render_scope(
         out.push_str(&edge_rows);
     }
     if !probes.iter().map(|(id, _)| id).eq(circuit.probe_ids().iter()) {
-        let _ = writeln!(
-            out,
-            "warning: /probes.json ids diverge from /circuit.json (serve restarted?)"
-        );
+        let _ = writeln!(out, "warning: probe ids diverge from /circuit.json (serve restarted?)");
     }
     out
 }
@@ -296,7 +291,15 @@ mod tests {
         assert_eq!(c.probe_ids(), ids);
         assert!(parse_circuit("{}").is_err());
         assert!(parse_circuit("nope").is_err());
-        assert!(parse_probes("{\"enabled\":true}").is_err());
+        // The bank's own export reads back as the same rows.
+        let bank = cfg_obs::ProbeBank::new(ids.clone());
+        bank.hit(1, 3);
+        let mut snap = Snapshot::default();
+        bank.export(&mut snap);
+        let rows = super::probes(&snap).unwrap();
+        assert_eq!(rows.iter().map(|(id, _)| id.clone()).collect::<Vec<_>>(), ids);
+        assert_eq!(rows[1], ("tok/if/fire".to_owned(), 3));
+        assert!(super::probes(&Snapshot::default()).is_err());
     }
 
     #[test]
@@ -324,7 +327,7 @@ mod tests {
         assert!(!first.contains("warning"), "{first}");
         // Probes from another circuit (serve restarted) are flagged.
         let stale = render_scope(&c, &t0[1..], None, 1.0, 8);
-        assert!(stale.contains("warning: /probes.json ids diverge"), "{stale}");
+        assert!(stale.contains("warning: probe ids diverge"), "{stale}");
     }
 
     #[test]

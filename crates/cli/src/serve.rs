@@ -1,15 +1,15 @@
 //! `cfgtag serve` — long-running tagging with a live telemetry service.
 //!
 //! Compiles a grammar, then feeds an input stream through the fast
-//! engine in chunks while a `cfg-obs-http` [`Exporter`] serves
-//! `/metrics`, `/healthz`, `/readyz` and `/report.json` from a shared
-//! [`SharedRegistry`] snapshot — scrapeable mid-stream, no pauses.
+//! engine in chunks while a `cfg-obs-http` [`Exporter`] serves one
+//! [`Registry`]'s snapshot as `/metrics` and `/snapshot.json` (plus
+//! `/healthz` and `/readyz`) — scrapeable mid-stream, no pauses.
 //!
 //! The probe layer rides along too: the compiled tagger's
-//! [`cfg_tagger::TaggerProbes`] bank backs `/circuit.json` and
-//! `/probes.json`, and a [`TriggerHub`] teed into the engine's metrics
-//! handle backs `/trigger` + `/capture.jsonl` — `cfgtag watch scope` is
-//! the terminal client for all four. The hub records every trace event
+//! [`cfg_tagger::TaggerProbes`] bank backs `/circuit.json` and the
+//! `cfgtag_probe_total` family, and a [`TriggerHub`] teed into the
+//! engine's metrics handle backs `/trigger` + `/capture.jsonl` —
+//! `cfgtag watch scope` is the terminal client for all of them. The hub records every trace event
 //! into one [`FlightRecorder`] ring, the same ring `--flight-out` dumps
 //! when the stream dies or ends.
 //!
@@ -20,9 +20,9 @@
 
 use crate::{load_grammar, CliError};
 use cfg_obs::{
-    FlightRecorder, Metrics, MetricsSink, SharedRegistry, Stat, StatsSink, TeeSink, TriggerHub,
+    FlightRecorder, Metrics, MetricsSink, Part, Registry, Stat, StatsSink, TeeSink, TriggerHub,
 };
-use cfg_obs_http::{Exporter, ServiceState};
+use cfg_obs_http::Exporter;
 use cfg_server::{
     AuditConfig, IngestServer, SaturationConfig, ServerConfig, ServerReport, TraceConfig,
 };
@@ -67,15 +67,16 @@ pub struct ServeFlags {
     /// `--trace-sample N`: trace every frame and retain 1-in-N spans
     /// in `/spans.jsonl` (listen mode; 0 = tracing off).
     pub trace_sample: u64,
-    /// `--slo-ms X`: end-to-end latency objective for `/slo.json`.
+    /// `--slo-ms X`: end-to-end latency objective of the SLO tracker.
     pub slo_ms: u64,
     /// `--sample-hz N`: saturation telemetry — per-shard utilization
     /// snapshots taken N times a second, N clamped to `1..=1000`
     /// (listen mode; 0 = telemetry off).
     pub sample_hz: u32,
     /// `--audit-sample N`: shadow-audit 1-in-N sessions — replay their
-    /// payloads through the reference engine + exact parser behind
-    /// `/audit.json` and `/mismatches.jsonl` (listen mode; 0 = off).
+    /// payloads through the reference engine + exact parser behind the
+    /// `cfgtag_audit_*` families and `/mismatches.jsonl` (listen mode;
+    /// 0 = off).
     pub audit_sample: u64,
 }
 
@@ -233,7 +234,8 @@ impl Read for LoopReader {
 /// The streaming core of `cfgtag serve`.
 ///
 /// Compiles `grammar_text`, registers a [`StatsSink`] as `"engine"` in
-/// a fresh [`SharedRegistry`], binds the exporter on
+/// a fresh [`Registry`] with the tagger's parts attached, binds the
+/// exporter on
 /// `127.0.0.1:{flags.port}`, then pulls `reader` through the fast
 /// engine in `flags.chunk`-byte chunks until EOF, death
 /// (without `--recover`), or `--max-bytes`. Per-chunk feed latency is
@@ -264,39 +266,26 @@ pub fn run_serve(
     ])));
     let probes = tagger.probes();
 
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     registry.register("engine", sink.clone());
-    let state = Arc::new(ServiceState::new());
-    let mut tokens = String::from("[");
-    for (i, name) in token_names.iter().enumerate() {
-        if i > 0 {
-            tokens.push(',');
-        }
-        cfg_obs::json::push_str(&mut tokens, name);
-    }
-    tokens.push(']');
-    state.set_meta_json(format!(
-        "{{\"compile\":{},\"tokens\":{tokens}}}",
-        tagger.report().to_json()
-    ));
-    state.set_circuit_json(probes.circuit_json());
-    state.set_probe_bank(probes.bank_arc());
-    state.set_trigger_hub(hub);
-    state.set_token_names(token_names);
-    state.set_ready(true);
+    registry.attach(Part::Tokens(token_names));
+    registry.attach(Part::Compile(tagger.report().clone()));
+    registry.attach(Part::Circuit(probes.circuit_json()));
+    registry.attach(Part::Probes(probes.bank_arc()));
+    registry.attach(Part::Trigger(hub));
+    registry.set_ready(true);
 
-    let exporter =
-        Exporter::bind(format!("127.0.0.1:{}", flags.port), registry.clone(), state.clone())
-            .map_err(|e| CliError::new(format!("cannot bind exporter: {e}"), 1))?;
+    let exporter = Exporter::bind(format!("127.0.0.1:{}", flags.port), Arc::clone(&registry))
+        .map_err(|e| CliError::new(format!("cannot bind exporter: {e}"), 1))?;
     status(&format!(
-        "serving http://{}/metrics (+ /healthz /readyz /report.json /circuit.json /probes.json /trigger /capture.jsonl)",
+        "serving http://{}/metrics (+ /snapshot.json /healthz /readyz /circuit.json /trigger /capture.jsonl)",
         exporter.local_addr()
     ));
 
     // Sharded mode: treat the stream as line-delimited messages and fan
     // them out over a worker pool, each shard tagging with its own
-    // engine and sink (merged by the registry, so `/metrics` and
-    // `cfgtag watch top` see the fused totals). The flight recorder, probe
+    // engine and sink (each registered, so `/metrics` and
+    // `cfgtag watch top` see every shard). The flight recorder, probe
     // bank and trigger hub stay idle here — they instrument the single
     // shared engine, which sharded mode never runs.
     if flags.shards > 1 {
@@ -341,9 +330,9 @@ pub fn run_serve(
             pool.submit_wait(carry);
         }
         let report = pool.join();
-        let merged = registry.snapshot().merged;
-        let events = merged.counter(Stat::EventsOut);
-        let resyncs = merged.counter(Stat::Resyncs);
+        let snap = registry.snapshot();
+        let events = snap.total("cfgtag_events_out_total") as u64;
+        let resyncs = snap.total("cfgtag_resyncs_total") as u64;
         status(&format!("{} messages over {} shards", report.messages, flags.shards));
         status(&format!("{events} events, {bytes} bytes, {resyncs} resyncs"));
         exporter.stop();
@@ -381,7 +370,7 @@ pub fn run_serve(
         sink.observe("decision_latency_ns", t0.elapsed().as_nanos() as u64);
         bytes += n as u64;
         if engine.is_dead() && !flags.recover {
-            state.set_dead(true);
+            registry.set_dead(true);
             status("stream entered the dead state with recovery off; stopping (exit 3)");
             code = 3;
             break;
@@ -416,8 +405,7 @@ pub fn run_listen(
     let g = load_grammar(grammar_text)?;
     let tagger = TokenTagger::compile(&g, flags.options()).map_err(CliError::from)?;
 
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         shards: flags.shards,
         queue_depth: flags.queue_depth,
@@ -426,7 +414,6 @@ pub fn run_listen(
         engine: flags.engine,
         panic_token: flags.panic_token.as_ref().map(|t| t.as_bytes().to_vec()),
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         trace: (flags.trace_sample > 0).then(|| TraceConfig {
             sample_every: flags.trace_sample,
             slo_ms: flags.slo_ms,
@@ -436,15 +423,13 @@ pub fn run_listen(
             interval_ms: 1000 / u64::from(flags.sample_hz.clamp(1, 1000)),
             ..SaturationConfig::default()
         }),
-        audit: (flags.audit_sample > 0)
-            .then(|| AuditConfig { sample_every: flags.audit_sample, ..AuditConfig::default() }),
+        audit: (flags.audit_sample > 0).then_some(AuditConfig { sample_every: flags.audit_sample }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&tagger, addr, config)
         .map_err(|e| CliError::new(format!("cannot bind {addr}: {e}"), 1))?;
-    let exporter =
-        Exporter::bind(format!("127.0.0.1:{}", flags.port), registry.clone(), state.clone())
-            .map_err(|e| CliError::new(format!("cannot bind exporter: {e}"), 1))?;
+    let exporter = Exporter::bind(format!("127.0.0.1:{}", flags.port), registry)
+        .map_err(|e| CliError::new(format!("cannot bind exporter: {e}"), 1))?;
     status(&format!(
         "ingest on {} ({} shards, {} engine, {} max sessions, {}ms idle timeout)",
         server.local_addr(),
@@ -453,13 +438,11 @@ pub fn run_listen(
         flags.max_sessions,
         flags.idle_timeout_ms
     ));
-    let trace_endpoints = if flags.trace_sample > 0 { " /slo.json /spans.jsonl" } else { "" };
-    let saturation_endpoints =
-        if flags.sample_hz > 0 { " /shards.json /timeseries.json" } else { "" };
-    let audit_endpoints =
-        if flags.audit_sample > 0 { " /audit.json /mismatches.jsonl" } else { "" };
+    let trace_endpoints = if flags.trace_sample > 0 { " /spans.jsonl" } else { "" };
+    let saturation_endpoints = if flags.sample_hz > 0 { " /timeseries.json" } else { "" };
+    let audit_endpoints = if flags.audit_sample > 0 { " /mismatches.jsonl" } else { "" };
     status(&format!(
-        "serving http://{}/metrics (+ /healthz /readyz /report.json{trace_endpoints}{saturation_endpoints}{audit_endpoints})",
+        "serving http://{}/metrics (+ /snapshot.json /healthz /readyz{trace_endpoints}{saturation_endpoints}{audit_endpoints})",
         exporter.local_addr()
     ));
 
@@ -763,7 +746,7 @@ mod tests {
             .unwrap_or_else(|| panic!("unexpected status line: {first}"))
             .to_string();
         let second = rx.recv_timeout(Duration::from_secs(10)).unwrap();
-        assert!(second.contains("/slo.json"), "traced listen must advertise SLO: {second}");
+        assert!(second.contains("/spans.jsonl"), "traced listen must advertise spans: {second}");
         let metrics_addr = second
             .split("http://")
             .nth(1)
@@ -778,20 +761,27 @@ mod tests {
         }
         client.close().unwrap();
 
-        // The SLO pipeline is live mid-run: /slo.json decodes through
-        // the `watch slo` parser and has folded in the acked frame.
-        let mut live = crate::slo::SloSample::default();
+        // The SLO pipeline is live mid-run: the snapshot renders through
+        // the `watch slo` view and has folded in the acked frame.
+        let mut live = cfg_obs::Snapshot::default();
         for _ in 0..200 {
-            let body = cfg_obs_http::http_get(&metrics_addr, "/slo.json").unwrap();
-            live = crate::slo::parse_slo(&body).unwrap();
-            if live.total >= 1 {
+            let body = cfg_obs_http::http_get(&metrics_addr, "/snapshot.json").unwrap();
+            live = cfg_obs::Snapshot::parse(&body).unwrap();
+            if live.value("cfgtag_slo_frames_total", &[]) >= Some(1.0) {
                 break;
             }
             std::thread::sleep(Duration::from_millis(5));
         }
-        assert_eq!(live.total, 1, "SLO tracker never saw the acked frame");
-        assert_eq!(live.objective_ms, 50.0);
-        assert!(live.stages.iter().any(|(n, r)| n == "engine" && r.count == 1));
+        assert_eq!(
+            live.value("cfgtag_slo_frames_total", &[]),
+            Some(1.0),
+            "tracker missed the frame"
+        );
+        assert_eq!(live.value("cfgtag_slo_objective_ns", &[]), Some(50e6));
+        let engine = live.histogram("cfgtag_srv_stage_ns", &[("stage", "engine")]).unwrap();
+        assert_eq!(engine.count, 1);
+        let frame = crate::slo::render(None, &live, 1.0).unwrap();
+        assert!(frame.contains("objective p99 < 50.00ms   frames 1"), "{frame}");
 
         stop.store(true, Ordering::SeqCst);
         let report = handle.join().unwrap().unwrap();

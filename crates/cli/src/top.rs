@@ -1,100 +1,34 @@
 //! `cfgtag watch top` — engine counters over a running exporter.
 //!
-//! Decodes `/report.json` from a `cfgtag serve` (or `router_loop`)
-//! exporter ([`parse_report`]) and renders counters with per-second
-//! rates, histogram quantiles and the hottest tokens ([`render`]).
-//! Rates come from diffing two consecutive samples against the poll
-//! interval; the polling itself is [`crate::watch`]'s.
+//! Renders one registry [`Snapshot`] ([`render`]): every [`Stat`]
+//! counter summed over the registered sinks with per-second rates,
+//! every histogram series' quantiles, and the hottest tokens. Rates come
+//! from diffing two consecutive snapshots against the poll interval; the
+//! polling itself is [`crate::watch`]'s.
 
-use crate::CliError;
-use cfg_obs::json::Json;
-use cfg_obs::HistogramSnapshot;
+use cfg_obs::{Kind, Snapshot, Stat};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// One decoded `/report.json` sample.
-#[derive(Debug, Clone, Default)]
-pub struct Sample {
-    /// Service is compiled and the stream is alive.
-    pub ready: bool,
-    /// The stream has died.
-    pub dead: bool,
-    /// Token names from the serve metadata (may be empty).
-    pub tokens: Vec<String>,
-    /// Merged counters, in exporter order.
-    pub counters: Vec<(String, u64)>,
-    /// Merged per-token fire counts.
-    pub token_fires: Vec<u64>,
-    /// Merged histograms, reconstructed for quantile estimation.
-    pub histograms: Vec<(String, HistogramSnapshot)>,
-}
-
-impl Sample {
-    fn counter(&self, name: &str) -> u64 {
-        self.counters.iter().find(|(n, _)| n == name).map(|(_, v)| *v).unwrap_or(0)
-    }
-}
-
-/// Decode a `/report.json` body into a [`Sample`].
-pub fn parse_report(body: &str) -> Result<Sample, CliError> {
-    let v = Json::parse(body).map_err(|e| CliError::new(format!("bad report JSON: {e}"), 1))?;
-    let merged = v
-        .get("stats")
-        .and_then(|s| s.get("merged"))
-        .ok_or_else(|| CliError::new("report has no stats.merged", 1))?;
-    let mut s = Sample {
-        ready: v.get("ready").and_then(Json::as_bool).unwrap_or(false),
-        dead: v.get("dead").and_then(Json::as_bool).unwrap_or(false),
-        ..Default::default()
-    };
-    if let Some(tokens) = v.get("meta").and_then(|m| m.get("tokens")).and_then(Json::as_array) {
-        s.tokens = tokens.iter().filter_map(|t| t.as_str().map(str::to_owned)).collect();
-    }
-    if let Some(counters) = merged.get("counters").and_then(Json::as_object) {
-        s.counters = counters.iter().map(|(k, v)| (k.clone(), v.as_u64().unwrap_or(0))).collect();
-    }
-    if let Some(fires) = merged.get("token_fires").and_then(Json::as_array) {
-        s.token_fires = fires.iter().map(|v| v.as_u64().unwrap_or(0)).collect();
-    }
-    if let Some(hists) = merged.get("histograms").and_then(Json::as_object) {
-        for (name, h) in hists {
-            s.histograms.push((name.clone(), decode_histogram(h)));
+/// Fires per token index, summed over sinks.
+fn token_fires(snap: &Snapshot) -> BTreeMap<usize, u64> {
+    let mut fires = BTreeMap::new();
+    for s in snap.get("cfgtag_token_fires_total").map_or(&[][..], |f| &f.series) {
+        if let (Some(token), Some(n)) = (s.label("token").and_then(|t| t.parse().ok()), s.number())
+        {
+            *fires.entry(token).or_insert(0) += n as u64;
         }
     }
-    Ok(s)
-}
-
-/// Rebuild a [`HistogramSnapshot`] from its `to_json` encoding
-/// (`"buckets"` maps the upper edge `"<2^(i+1)"` back to bucket `i`).
-fn decode_histogram(h: &Json) -> HistogramSnapshot {
-    let mut snap = HistogramSnapshot {
-        buckets: Vec::new(),
-        count: h.get("count").and_then(Json::as_u64).unwrap_or(0),
-        sum: h.get("sum").and_then(Json::as_u64).unwrap_or(0),
-        max: h.get("max").and_then(Json::as_u64).unwrap_or(0),
-    };
-    if let Some(buckets) = h.get("buckets").and_then(Json::as_object) {
-        for (edge, n) in buckets {
-            let Ok(hi) = edge.trim_start_matches('<').parse::<u128>() else { continue };
-            if !hi.is_power_of_two() {
-                continue;
-            }
-            let i = hi.trailing_zeros() as usize - 1;
-            if snap.buckets.len() <= i {
-                snap.buckets.resize(i + 1, 0);
-            }
-            snap.buckets[i] = n.as_u64().unwrap_or(0);
-        }
-    }
-    snap
+    fires
 }
 
 /// Render one `top` frame: counters + rates (vs `prev` over `dt_secs`),
 /// histogram quantiles, and the `top_k` hottest tokens.
-pub fn render(prev: Option<&Sample>, cur: &Sample, dt_secs: f64, top_k: usize) -> String {
+pub fn render(prev: Option<&Snapshot>, cur: &Snapshot, dt_secs: f64, top_k: usize) -> String {
     let mut out = String::new();
-    let health = if cur.dead {
+    let health = if cur.value("cfgtag_dead", &[]) == Some(1.0) {
         "DEAD"
-    } else if cur.ready {
+    } else if cur.value("cfgtag_ready", &[]) == Some(1.0) {
         "ready"
     } else {
         "not ready"
@@ -108,41 +42,50 @@ pub fn render(prev: Option<&Sample>, cur: &Sample, dt_secs: f64, top_k: usize) -
         }
     };
     let _ = writeln!(out, "{:<24} {:>14} {:>14}", "counter", "total", "rate/s");
-    for (name, total) in &cur.counters {
-        if *total == 0 {
-            continue;
+    for stat in Stat::ALL {
+        let family = format!("cfgtag_{}_total", stat.name());
+        let total = cur.total(&family) as u64;
+        if total > 0 {
+            let r = rate(total, prev.map_or(0, |p| p.total(&family) as u64));
+            let _ = writeln!(out, "{:<24} {total:>14} {r:>14.1}", stat.name());
         }
-        let r = rate(*total, prev.map(|p| p.counter(name)).unwrap_or(0));
-        let _ = writeln!(out, "{name:<24} {total:>14} {r:>14.1}");
     }
-    if !cur.histograms.is_empty() {
+    let mut hists = String::new();
+    for f in cur.families.iter().filter(|f| f.kind == Kind::Histogram) {
+        for s in &f.series {
+            let Some(h) = s.histogram() else { continue };
+            let mut name = f.name.trim_start_matches("cfgtag_").to_owned();
+            if !s.labels.is_empty() {
+                let values: Vec<&str> = s.labels.iter().map(|(_, v)| v.as_str()).collect();
+                let _ = write!(name, "{{{}}}", values.join(","));
+            }
+            let [p50, p90, p99] = [0.50, 0.90, 0.99].map(|q| h.quantile(q));
+            let _ = writeln!(hists, "{name:<24} {p50:>10} {p90:>10} {p99:>10} {:>10}", h.count);
+        }
+    }
+    if !hists.is_empty() {
         let _ = writeln!(
             out,
             "{:<24} {:>10} {:>10} {:>10} {:>10}",
             "histogram", "p50", "p90", "p99", "count"
         );
-        for (name, h) in &cur.histograms {
-            let _ = writeln!(
-                out,
-                "{:<24} {:>10.0} {:>10.0} {:>10.0} {:>10}",
-                name,
-                h.quantile(0.50),
-                h.quantile(0.90),
-                h.quantile(0.99),
-                h.count
-            );
-        }
+        out.push_str(&hists);
     }
+    let before = prev.map(token_fires).unwrap_or_default();
     let mut fires: Vec<(usize, u64)> =
-        cur.token_fires.iter().copied().enumerate().filter(|(_, n)| *n > 0).collect();
+        token_fires(cur).into_iter().filter(|(_, n)| *n > 0).collect();
     if !fires.is_empty() && top_k > 0 {
         fires.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         fires.truncate(top_k);
         let _ = writeln!(out, "{:<24} {:>14} {:>14}", "token", "fires", "rate/s");
         for (i, n) in fires {
-            let name = cur.tokens.get(i).cloned().unwrap_or_else(|| format!("tok{i}"));
-            let before = prev.and_then(|p| p.token_fires.get(i).copied()).unwrap_or(0);
-            let _ = writeln!(out, "{name:<24} {n:>14} {:>14.1}", rate(n, before));
+            let name = cur
+                .get("cfgtag_token_info")
+                .and_then(|f| f.find(&[("token", &i.to_string())]))
+                .and_then(|s| s.label("name"))
+                .map_or_else(|| format!("tok{i}"), str::to_owned);
+            let r = rate(n, before.get(&i).copied().unwrap_or(0));
+            let _ = writeln!(out, "{name:<24} {n:>14} {r:>14.1}");
         }
     }
     out
@@ -151,64 +94,54 @@ pub fn render(prev: Option<&Sample>, cur: &Sample, dt_secs: f64, top_k: usize) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfg_obs::{MetricsSink, Part, Registry, StatsSink};
+    use std::sync::Arc;
 
-    /// A report body in the exact shape the exporter renders.
-    fn report(bytes: u64, fires: [u64; 2], lat_bucket4: u64) -> String {
-        format!(
-            concat!(
-                "{{\"ready\":true,\"dead\":false,",
-                "\"meta\":{{\"tokens\":[\"methodName\",\"INT\"]}},",
-                "\"stats\":{{\"merged\":{{",
-                "\"counters\":{{\"bytes_in\":{},\"events_out\":{}}},",
-                "\"token_fires\":[{},{}],",
-                "\"histograms\":{{\"decision_latency_ns\":{{\"count\":{},\"sum\":100,",
-                "\"max\":30,\"mean\":25.0,\"buckets\":{{\"<32\":{}}}}}}},",
-                "\"timings\":[]}},\"sinks\":{{}}}}}}"
-            ),
-            bytes,
-            fires[0] + fires[1],
-            fires[0],
-            fires[1],
-            lat_bucket4,
-            lat_bucket4,
-        )
+    /// A registry snapshot after `bytes` bytes and `fires` per token.
+    fn snapshot(bytes: u64, fires: [u64; 2], latencies: &[u64]) -> Snapshot {
+        let reg = Registry::new();
+        reg.set_ready(true);
+        reg.attach(Part::Tokens(vec!["methodName".into(), "INT".into()]));
+        let sink = Arc::new(StatsSink::with_tokens(2));
+        sink.add(Stat::BytesIn, bytes);
+        for (token, n) in fires.iter().enumerate() {
+            sink.token_fire(token as u32, *n);
+        }
+        for &v in latencies {
+            sink.observe("decision_latency_ns", v);
+        }
+        reg.register("engine", sink);
+        reg.snapshot()
     }
 
     #[test]
-    fn parse_report_decodes_counters_fires_and_histograms() {
-        let s = parse_report(&report(1000, [30, 12], 8)).unwrap();
-        assert!(s.ready && !s.dead);
-        assert_eq!(s.tokens, vec!["methodName", "INT"]);
-        assert_eq!(s.counter("bytes_in"), 1000);
-        assert_eq!(s.token_fires, vec![30, 12]);
-        let (name, h) = &s.histograms[0];
-        assert_eq!(name, "decision_latency_ns");
-        assert_eq!(h.count, 8);
-        // "<32" is the upper edge of bucket 4 ([16,32)).
-        assert_eq!(h.buckets[4], 8);
-        let p50 = h.quantile(0.5);
-        assert!((16.0..=30.0).contains(&p50), "p50={p50}");
-        assert!(parse_report("{}").is_err());
-        assert!(parse_report("not json").is_err());
-    }
-
-    #[test]
-    fn render_shows_totals_rates_and_top_tokens() {
-        let t0 = parse_report(&report(1000, [30, 12], 8)).unwrap();
-        let t1 = parse_report(&report(3000, [80, 12], 9)).unwrap();
+    fn render_shows_totals_rates_quantiles_and_top_tokens() {
+        let t0 = snapshot(1000, [30, 12], &[20; 8]);
+        let t1 = snapshot(3000, [80, 12], &[20; 9]);
         let frame = render(Some(&t0), &t1, 2.0, 8);
-        assert!(frame.contains("cfgtag top — ready"));
+        assert!(frame.contains("cfgtag top — ready"), "{frame}");
         // bytes_in went 1000 -> 3000 over 2s: 1000.0/s.
-        assert!(frame.contains("bytes_in") && frame.contains("1000.0"), "{frame}");
-        // Hottest token first, with its rate (80-30)/2 = 25.0/s.
-        let method_line = frame.lines().find(|l| l.contains("methodName")).unwrap();
+        let bytes = frame.lines().find(|l| l.starts_with("bytes_in")).unwrap();
+        assert!(bytes.contains("3000") && bytes.contains("1000.0"), "{frame}");
+        // events_out sums the token fires: 92 - 42 over 2s.
+        let events = frame.lines().find(|l| l.starts_with("events_out")).unwrap();
+        assert!(events.contains("92") && events.contains("25.0"), "{frame}");
+        // Hottest token first, named, with its rate (80-30)/2 = 25.0/s.
+        let method_line = frame.lines().find(|l| l.starts_with("methodName")).unwrap();
         assert!(method_line.contains("80") && method_line.contains("25.0"), "{frame}");
-        assert!(frame.contains("decision_latency_ns"));
-        assert!(frame.contains("p99"));
+        let hist = frame.lines().find(|l| l.starts_with("decision_latency_ns")).unwrap();
+        assert_eq!(
+            hist.split_whitespace().collect::<Vec<_>>(),
+            ["decision_latency_ns", "20", "20", "20", "9"]
+        );
         // First frame has no previous sample: rates fall back to totals/dt.
         let first = render(None, &t0, 1.0, 1);
         assert!(first.contains("bytes_in"));
         // top_k=1 keeps only the hottest token row.
         assert!(first.contains("methodName") && !first.contains("INT"), "{first}");
+        // A dead stream says so.
+        let reg = Registry::new();
+        reg.set_dead(true);
+        assert!(render(None, &reg.snapshot(), 1.0, 8).contains("cfgtag top — DEAD"));
     }
 }

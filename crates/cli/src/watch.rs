@@ -1,18 +1,22 @@
 //! `cfgtag watch <view> <host:port>` — every live terminal view over a
 //! running exporter, through one flag parser and one poll loop.
 //!
-//! | view     | polls                                            | shows |
+//! Every view reads the registry snapshot, `/snapshot.json`, decoded
+//! once per frame by [`Snapshot::parse`]; a view given a snapshot
+//! without its families draws its off state.
+//!
+//! | view     | reads                                            | shows |
 //! |----------|--------------------------------------------------|-------|
-//! | `top`    | `/report.json`                                   | counters with rates, histogram quantiles, hottest tokens |
-//! | `slo`    | `/slo.json`                                      | latency objective, error budget, per-stage waterfall |
-//! | `shards` | `/shards.json`, `/timeseries.json`, `/slo.json`  | per-shard utilization, queue depth, Little's-law wait |
-//! | `audit`  | `/audit.json`                                    | live precision, divergences, false positives |
-//! | `scope`  | `/circuit.json` once, then `/probes.json`        | hot circuit elements, FOLLOW-edge pulses |
+//! | `top`    | `cfgtag_*_total`, token fires, histograms         | counters with rates, histogram quantiles, hottest tokens |
+//! | `slo`    | `cfgtag_slo_*`, `cfgtag_srv_*_ns`                 | latency objective, error budget, per-stage waterfall |
+//! | `shards` | `cfgtag_shard_*`, `/timeseries.json` depths       | per-shard utilization, queue depth, Little's-law wait |
+//! | `audit`  | `cfgtag_audit_*`                                  | live precision, divergences, false positives |
+//! | `scope`  | `/circuit.json` once, `cfgtag_probe_total`        | hot circuit elements, FOLLOW-edge pulses |
 //!
 //! The loop owns what the views share: retries (a `--retries` budget
 //! with exponential backoff, see [`Poller`]), non-200 answers (exit 1
 //! with the exporter's explanation) and the redraw (clear screen, frame,
-//! sleep `--interval-ms`). A view only parses and renders; its modules
+//! sleep `--interval-ms`). A view only renders; its modules
 //! ([`crate::top`], [`crate::slo`], [`crate::shards`], [`crate::audit`],
 //! [`crate::scope`]) are pure. `scope --trigger` arms an ILA-style
 //! capture first; stdout then carries only the captured JSON lines and
@@ -21,6 +25,7 @@
 use crate::poll::{Miss, Poller};
 use crate::scope::CircuitView;
 use crate::{audit, scope, shards, slo, top, CliError};
+use cfg_obs::Snapshot;
 use std::io::Write;
 use std::time::Duration;
 
@@ -152,11 +157,10 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> 
     value.parse().map_err(|_| CliError::new(format!("{flag} needs a number, got {value:?}"), 2))
 }
 
-/// What the next frame diffs against; each view keeps its own field.
+/// What the next frame diffs against.
 #[derive(Default)]
 struct Prev {
-    report: Option<top::Sample>,
-    slo: Option<slo::SloSample>,
+    snapshot: Option<Snapshot>,
     circuit: Option<CircuitView>,
     probes: Option<Vec<(String, u64)>>,
 }
@@ -164,35 +168,24 @@ struct Prev {
 /// Fetch what one frame of `flags.view` needs and render it.
 fn poll(flags: &WatchFlags, prev: &mut Prev, poller: &mut Poller) -> Result<String, Miss> {
     let dt_secs = flags.interval_ms as f64 / 1000.0;
-    Ok(match flags.view {
-        ViewKind::Top => {
-            let cur = top::parse_report(&poller.get("/report.json")?)?;
-            let frame = top::render(prev.report.as_ref(), &cur, dt_secs, flags.top_k);
-            prev.report = Some(cur);
-            frame
-        }
-        ViewKind::Slo => {
-            let cur = slo::parse_slo(&poller.get("/slo.json")?)?;
-            let frame = slo::render(prev.slo.as_ref(), &cur, dt_secs);
-            prev.slo = Some(cur);
-            frame
-        }
+    let body = poller.get("/snapshot.json")?;
+    let cur =
+        Snapshot::parse(&body).map_err(|e| CliError::new(format!("bad /snapshot.json: {e}"), 1))?;
+    let frame = match flags.view {
+        ViewKind::Top => top::render(prev.snapshot.as_ref(), &cur, dt_secs, flags.top_k),
+        ViewKind::Slo => slo::render(prev.snapshot.as_ref(), &cur, dt_secs)?,
         ViewKind::Shards => {
-            let cur = shards::parse_shards(&poller.get("/shards.json")?)?;
             let history = shards::parse_depth_history(&poller.get("/timeseries.json")?)?;
-            // An untraced server has no /slo.json: the footer says so.
-            let measured =
-                poller.get_if_ok("/slo.json").and_then(|b| shards::measured_queue_wait(&b));
-            shards::render(&cur, &history, measured)
+            shards::render(&cur, &history)
         }
-        ViewKind::Audit => audit::render(&audit::parse_audit(&poller.get("/audit.json")?)?),
+        ViewKind::Audit => audit::render(&cur),
         ViewKind::Scope => {
             let circuit = match prev.circuit.take() {
                 Some(c) => c,
                 None => scope::parse_circuit(&poller.get("/circuit.json")?)?,
             };
             let circuit = prev.circuit.insert(circuit);
-            let probes = scope::parse_probes(&poller.get("/probes.json")?)?;
+            let probes = scope::probes(&cur)?;
             let frame =
                 scope::render_scope(circuit, &probes, prev.probes.as_deref(), dt_secs, flags.top_k);
             if let Some(path) = &flags.dot_out {
@@ -202,7 +195,9 @@ fn poll(flags: &WatchFlags, prev: &mut Prev, poller: &mut Poller) -> Result<Stri
             prev.probes = Some(probes);
             frame
         }
-    })
+    };
+    prev.snapshot = Some(cur);
+    Ok(frame)
 }
 
 /// Process-level `cfgtag watch`: frames (or, with `--trigger`, the
@@ -296,8 +291,8 @@ fn watch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cfg_obs::{FlightRecorder, MetricsSink, SharedRegistry, TraceEvent, TriggerHub};
-    use cfg_obs_http::{Exporter, ServiceState};
+    use cfg_obs::{FlightRecorder, MetricsSink, Part, Registry, TraceEvent, TriggerHub};
+    use cfg_obs_http::Exporter;
     use cfg_server::{
         AuditConfig, Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig,
     };
@@ -368,36 +363,34 @@ mod tests {
 
     /// A listen-mode server with tracing, saturation and audit on, plus
     /// the circuit endpoints `scope` reads; one frame tagged through it.
-    fn traced_server() -> (IngestServer, Exporter, Arc<ServiceState>) {
+    fn traced_server() -> (IngestServer, Exporter, Arc<Registry>) {
         let grammar = cfg_grammar::Grammar::parse(ITE).unwrap();
         let tagger = TokenTagger::compile(&grammar, TaggerOptions::default()).unwrap();
-        let registry = Arc::new(SharedRegistry::new());
-        let state = Arc::new(ServiceState::new());
+        let registry = Arc::new(Registry::new());
         let probes = tagger.probes();
-        state.set_circuit_json(probes.circuit_json());
-        state.set_probe_bank(probes.bank_arc());
+        registry.attach(Part::Circuit(probes.circuit_json()));
+        registry.attach(Part::Probes(probes.bank_arc()));
         let config = ServerConfig {
             registry: Some(Arc::clone(&registry)),
-            state: Some(Arc::clone(&state)),
             trace: Some(TraceConfig::default()),
             saturation: Some(SaturationConfig { interval_ms: 5, ..SaturationConfig::default() }),
             audit: Some(AuditConfig::default()),
             ..ServerConfig::default()
         };
         let server = IngestServer::start(&tagger, "127.0.0.1:0", config).unwrap();
-        let exporter = Exporter::bind("127.0.0.1:0", registry, Arc::clone(&state)).unwrap();
+        let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
         let mut client = Client::connect(server.local_addr()).unwrap();
         assert!(matches!(
             client.request(b"if true then go else stop").unwrap(),
             Reply::Acked { .. }
         ));
         client.close().unwrap();
-        (server, exporter, state)
+        (server, exporter, registry)
     }
 
     #[test]
     fn every_view_draws_one_frame_against_a_live_server() {
-        let (server, exporter, state) = traced_server();
+        let (server, exporter, registry) = traced_server();
         let addr = exporter.local_addr().to_string();
         for (view, header) in [
             ("top", "cfgtag top — ready"),
@@ -420,7 +413,7 @@ mod tests {
             vec!["if".into(), "go".into()],
             Arc::new(FlightRecorder::default()),
         ));
-        state.set_trigger_hub(Arc::clone(&hub));
+        registry.attach(Part::Trigger(Arc::clone(&hub)));
         let line = format!(
             "scope {addr} --trigger token:go --pre 0 --post 0 --interval-ms 5 --iterations 100000"
         );
@@ -440,19 +433,20 @@ mod tests {
     }
 
     #[test]
-    fn slo_against_an_untraced_server_exits_1_with_the_404_body() {
-        let exporter = Exporter::bind(
-            "127.0.0.1:0",
-            Arc::new(SharedRegistry::new()),
-            Arc::new(ServiceState::new()),
-        )
-        .unwrap();
-        let (code, out, err) = watch_cli(&format!("slo {} --once", exporter.local_addr()));
+    fn views_of_an_untraced_server_draw_their_off_state() {
+        let exporter = Exporter::bind("127.0.0.1:0", Arc::new(Registry::new())).unwrap();
+        let addr = exporter.local_addr();
+        let (code, out, err) = watch_cli(&format!("slo {addr} --once"));
         assert_eq!((code, out.as_str()), (1, ""));
-        assert!(
-            err.contains("cfgtag watch slo: /slo.json answered 404: no SLO tracker attached"),
-            "{err}"
+        assert_eq!(
+            err,
+            "cfgtag watch slo: no SLO tracker attached (serve --listen with --trace-sample N)\n"
         );
+        for (view, off) in [("shards", "--sample-hz N"), ("audit", "auditing is OFF")] {
+            let (code, out, err) = watch_cli(&format!("{view} {addr} --once"));
+            assert_eq!((code, err.as_str()), (0, ""), "watch {view}");
+            assert!(out.contains(off), "watch {view}: {out}");
+        }
         exporter.stop();
     }
 

@@ -9,7 +9,7 @@
 //! [`CircuitTopology::probe_ids`] is the single source of truth shared
 //! by `circuit.json` (served by `cfg-obs-http`) and the runtime
 //! `ProbeBank` (in `cfg-obs`), which is what keeps `/circuit.json` and
-//! `/probes.json` entries 1:1.
+//! `cfgtag_probe_total` series 1:1.
 
 use crate::generate::GeneratedTagger;
 use cfg_grammar::Grammar;

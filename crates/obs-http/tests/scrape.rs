@@ -4,8 +4,8 @@
 //! are monotonic across two scrapes while a writer thread keeps
 //! recording.
 
-use cfg_obs::{MetricsSink, SharedRegistry, Stat, StatsSink};
-use cfg_obs_http::{http_get, Exporter, ServiceState};
+use cfg_obs::{MetricsSink, Registry, Snapshot, Stat, StatsSink};
+use cfg_obs_http::{http_get, Exporter};
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -45,14 +45,12 @@ fn parse_prometheus(body: &str) -> HashMap<String, f64> {
 
 #[test]
 fn exporter_serves_wellformed_monotonic_metrics() {
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     let sink = Arc::new(StatsSink::with_tokens(4));
     registry.register("engine", Arc::clone(&sink));
-    let state = Arc::new(ServiceState::new());
-    state.set_ready(true);
+    registry.set_ready(true);
 
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let addr = exporter.local_addr().to_string();
 
     // A writer hammering the sink while we scrape.
@@ -98,24 +96,12 @@ fn exporter_serves_wellformed_monotonic_metrics() {
     // Health endpoints behave over the wire too.
     assert_eq!(http_get(&addr, "/healthz").unwrap(), "ok\n");
     assert_eq!(http_get(&addr, "/readyz").unwrap(), "ready\n");
-    state.set_dead(true);
+    registry.set_dead(true);
     assert!(http_get(&addr, "/readyz").unwrap().contains("dead"));
 
-    // And /report.json stays valid JSON under load.
-    let report = http_get(&addr, "/report.json").unwrap();
-    let v = cfg_obs::json::Json::parse(&report).unwrap();
-    assert_eq!(
-        v.get("stats")
-            .unwrap()
-            .get("merged")
-            .unwrap()
-            .get("counters")
-            .unwrap()
-            .get("bytes_in")
-            .unwrap()
-            .as_u64(),
-        Some(150_000)
-    );
+    // And /snapshot.json stays readable under load.
+    let snap = Snapshot::parse(&http_get(&addr, "/snapshot.json").unwrap()).unwrap();
+    assert_eq!(snap.value("cfgtag_bytes_in_total", &[("sink", "engine")]), Some(150_000.0));
 
     exporter.stop();
     // A stopped exporter refuses connections (the port is released).
@@ -130,15 +116,13 @@ fn silent_scraper_cannot_wedge_the_exporter() {
 
     // 100 000 live tokens make a /metrics body of about 5.6 MB, larger
     // than loopback's socket buffers hold for a peer that never reads.
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     let sink = Arc::new(StatsSink::with_tokens(100_000));
     for token in 0..100_000 {
         sink.token_fire(token, 1);
     }
     registry.register("engine", sink);
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::new(ServiceState::new()))
-            .unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let addr = exporter.local_addr().to_string();
 
     // Ask for the body and never read it.
@@ -169,12 +153,7 @@ fn trickling_scraper_cannot_wedge_the_exporter() {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::time::{Duration, Instant};
 
-    let exporter = Exporter::bind(
-        "127.0.0.1:0",
-        Arc::new(SharedRegistry::new()),
-        Arc::new(ServiceState::new()),
-    )
-    .unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::new(Registry::new())).unwrap();
     let addr = exporter.local_addr().to_string();
 
     // One header byte every 250 ms -- each inside any per-read timeout --

@@ -16,6 +16,7 @@
 
 use crate::json;
 use crate::ring::{push_seq_open, JsonLine};
+use crate::snapshot::{Kind, Snapshot};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One tag event as the audit lane stores it. `cfg-obs` sits below the
@@ -166,52 +167,36 @@ impl AuditBank {
         (total > 0).then(|| self.fires_confirmed() as f64 / total as f64 * 100.0)
     }
 
-    /// Render the bank as the `/audit.json` object. `names` supplies
-    /// token labels (token index used when a name is missing); only
-    /// tokens with nonzero false positives get a row. An attached bank
-    /// is a live lane, so `enabled` is always `true`.
-    pub fn to_json(&self, names: &[String]) -> String {
-        let mut out = String::from("{\"enabled\":true");
-        for (key, v) in [
-            ("sessions_sampled", self.sessions_sampled()),
-            ("sessions_audited", self.sessions_audited()),
-            ("sessions_shed", self.sessions_shed()),
-            ("frames_audited", self.frames_audited()),
-            ("bytes_audited", self.bytes_audited()),
-            ("fires_total", self.fires_total()),
-            ("fires_confirmed", self.fires_confirmed()),
-            ("divergences", self.divergences()),
-        ] {
-            out.push_str(",\"");
-            out.push_str(key);
-            out.push_str("\":");
-            out.push_str(&v.to_string());
-        }
-        out.push_str(",\"precision_pct\":");
-        // `push_f64` renders the no-data case (NaN) as `null`.
-        json::push_f64(&mut out, self.precision_pct().unwrap_or(f64::NAN));
-        out.push_str(",\"false_positives\":[");
-        let mut first = true;
+    /// Write the `cfgtag_audit_*` families: session outcomes, frames,
+    /// bytes, fires by verdict, per-token false positives (nonzero
+    /// tokens only, labelled `token` and, from `names`, `name`),
+    /// divergences, and the precision gauge once a fire was audited.
+    pub fn export(&self, snap: &mut Snapshot, names: &[String]) {
+        let sessions = snap.push("cfgtag_audit_sessions_total", Kind::Counter);
+        sessions.push(&[("outcome", "sampled")], self.sessions_sampled() as f64);
+        sessions.push(&[("outcome", "audited")], self.sessions_audited() as f64);
+        sessions.push(&[("outcome", "shed")], self.sessions_shed() as f64);
+        snap.push("cfgtag_audit_frames_total", Kind::Counter)
+            .push(&[], self.frames_audited() as f64);
+        snap.push("cfgtag_audit_bytes_total", Kind::Counter).push(&[], self.bytes_audited() as f64);
+        snap.push("cfgtag_audit_fires_total", Kind::Counter)
+            .push(&[("verdict", "all")], self.fires_total() as f64)
+            .push(&[("verdict", "confirmed")], self.fires_confirmed() as f64);
+        let fps = snap.push("cfgtag_audit_false_positives_total", Kind::Counter);
         for (i, c) in self.false_positives.iter().enumerate() {
             let n = c.load(Ordering::Relaxed);
-            if n == 0 {
-                continue;
+            if n > 0 {
+                let token = i.to_string();
+                let mut labels = vec![("token", token.as_str())];
+                labels.extend(names.get(i).map(|name| ("name", name.as_str())));
+                fps.push(&labels, n as f64);
             }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            out.push_str("{\"token\":");
-            match names.get(i) {
-                Some(name) => json::push_str(&mut out, name),
-                None => json::push_str(&mut out, &format!("tok{i}")),
-            }
-            out.push_str(",\"count\":");
-            out.push_str(&n.to_string());
-            out.push('}');
         }
-        out.push_str("]}");
-        out
+        snap.push("cfgtag_audit_divergences_total", Kind::Counter)
+            .push(&[], self.divergences() as f64);
+        if let Some(precision) = self.precision_pct() {
+            snap.push("cfgtag_audit_precision_pct", Kind::Gauge).push(&[], precision);
+        }
     }
 }
 
@@ -272,7 +257,7 @@ mod tests {
     use crate::ring::EventRing;
 
     #[test]
-    fn audit_bank_counts_and_renders_json() {
+    fn audit_bank_counts_and_exports() {
         let bank = AuditBank::new(3);
         assert_eq!(bank.precision_pct(), None);
         bank.session_sampled();
@@ -299,26 +284,27 @@ mod tests {
         assert_eq!(bank.divergences(), 1);
         assert!((bank.precision_pct().unwrap() - 90.0).abs() < 1e-9);
 
-        let names = vec!["A".to_string(), "B".to_string(), "C".to_string()];
-        let body = bank.to_json(&names);
-        let v = Json::parse(&body).unwrap();
-        assert_eq!(v.get("enabled").and_then(Json::as_bool), Some(true));
-        assert_eq!(v.get("sessions_sampled").and_then(Json::as_u64), Some(2));
-        assert_eq!(v.get("divergences").and_then(Json::as_u64), Some(1));
-        assert!((v.get("precision_pct").and_then(Json::as_f64).unwrap() - 90.0).abs() < 1e-9);
-        let fps = v.get("false_positives").and_then(Json::as_array).unwrap();
-        assert_eq!(fps.len(), 1, "zero-count tokens are skipped: {body}");
-        assert_eq!(fps[0].get("token").and_then(Json::as_str), Some("B"));
-        assert_eq!(fps[0].get("count").and_then(Json::as_u64), Some(2));
+        let mut snap = Snapshot::default();
+        bank.export(&mut snap, &["A".to_string(), "B".to_string(), "C".to_string()]);
+        let count = |name: &str, labels: &[(&str, &str)]| snap.value(name, labels).unwrap();
+        assert_eq!(count("cfgtag_audit_sessions_total", &[("outcome", "sampled")]), 2.0);
+        assert_eq!(count("cfgtag_audit_bytes_total", &[]), 128.0);
+        assert_eq!(count("cfgtag_audit_fires_total", &[("verdict", "confirmed")]), 9.0);
+        assert_eq!(count("cfgtag_audit_divergences_total", &[]), 1.0);
+        assert!((count("cfgtag_audit_precision_pct", &[]) - 90.0).abs() < 1e-9);
+        let fps = &snap.get("cfgtag_audit_false_positives_total").unwrap().series;
+        assert_eq!(fps.len(), 1, "zero-count tokens are skipped");
+        assert_eq!((fps[0].label("token"), fps[0].label("name")), (Some("1"), Some("B")));
+        assert_eq!(fps[0].number(), Some(2.0));
     }
 
     #[test]
-    fn empty_bank_precision_is_null_json() {
-        let bank = AuditBank::new(1);
-        let body = bank.to_json(&[]);
-        let v = Json::parse(&body).unwrap();
-        assert!(v.get("precision_pct").unwrap().as_f64().is_none(), "{body}");
-        assert_eq!(v.get("false_positives").and_then(Json::as_array).map(|a| a.len()), Some(0));
+    fn empty_bank_exports_no_precision() {
+        let mut snap = Snapshot::default();
+        AuditBank::new(1).export(&mut snap, &[]);
+        assert!(snap.get("cfgtag_audit_precision_pct").is_none());
+        assert!(snap.get("cfgtag_audit_false_positives_total").unwrap().series.is_empty());
+        assert_eq!(snap.value("cfgtag_audit_frames_total", &[]), Some(0.0));
     }
 
     fn mismatch(session: u64) -> Mismatch {

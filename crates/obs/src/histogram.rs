@@ -1,89 +1,102 @@
-//! Power-of-two-bucket histogram for latency/size distributions.
+//! The one histogram: log-linear buckets with ~6% quantile resolution.
+//!
+//! Each octave is split into 16 linear sub-buckets, so a quantile read
+//! back from the buckets is within ~6% of the true value while the
+//! histogram stays a fixed array of atomics (no allocation on the
+//! record path). Values below 16 get exact buckets. Every latency and
+//! size distribution in the workspace — stats-sink histograms, the SLO
+//! tracker's per-stage series — records into this type, and `/metrics`
+//! renders each bucket under its largest member (`le`, inclusive).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Number of buckets: bucket `i` counts values in `[2^(i-1), 2^i)`,
-/// with bucket 0 counting zeros and ones, and the last bucket open
-/// above. 64 buckets cover the full `u64` range.
-const BUCKETS: usize = 64;
+/// log2 of sub-buckets per octave.
+const SUB_BITS: u32 = 4;
+/// Sub-buckets per octave (16).
+const SUB: usize = 1 << SUB_BITS;
+/// Total buckets: values below 16 get exact buckets, every octave from
+/// 2^4 up to 2^63 gets 16 sub-buckets.
+const BUCKETS: usize = SUB + (64 - SUB_BITS as usize) * SUB;
 
-/// A concurrent histogram with power-of-two buckets.
-///
-/// `record` is an atomic add on one bucket plus two atomic adds for the
-/// running count/sum — cheap enough for per-message (not per-byte) use.
+/// Bucket index for a value (log-linear: octave, then linear within).
+pub(crate) fn bucket_index(v: u64) -> usize {
+    if v < SUB as u64 {
+        return v as usize;
+    }
+    let msb = 63 - v.leading_zeros() as usize;
+    let sub = ((v >> (msb as u32 - SUB_BITS)) as usize) & (SUB - 1);
+    SUB + (msb - SUB_BITS as usize) * SUB + sub
+}
+
+/// The smallest and the largest member of bucket `i`, both inclusive.
+fn bucket_range(i: usize) -> (u64, u64) {
+    if i < SUB {
+        return (i as u64, i as u64);
+    }
+    let octave = (i - SUB) / SUB;
+    let sub = ((i - SUB) % SUB) as u64;
+    let msb = octave as u32 + SUB_BITS;
+    let step = 1u64 << (msb - SUB_BITS);
+    let lo = (1u64 << msb) + sub * step;
+    (lo, lo + (step - 1))
+}
+
+/// A lock-free log-linear histogram.
 #[derive(Debug)]
 pub struct Histogram {
-    buckets: [AtomicU64; BUCKETS],
+    buckets: Vec<AtomicU64>,
     count: AtomicU64,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
 impl Default for Histogram {
-    fn default() -> Self {
+    fn default() -> Histogram {
+        Histogram::new()
+    }
+}
+
+impl Histogram {
+    /// An empty histogram.
+    pub fn new() -> Histogram {
         Histogram {
-            buckets: [(); BUCKETS].map(|_| AtomicU64::new(0)),
+            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
             count: AtomicU64::new(0),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
         }
     }
-}
 
-fn bucket_of(value: u64) -> usize {
-    // 0 and 1 land in bucket 0; otherwise the position of the highest
-    // set bit. `u64::MAX` lands in bucket 63.
-    (64 - value.leading_zeros() as usize).saturating_sub(1).min(BUCKETS - 1)
-}
-
-impl Histogram {
     /// Record one observation.
-    pub fn record(&self, value: u64) {
-        self.buckets[bucket_of(value)].fetch_add(1, Ordering::Relaxed);
+    pub fn record(&self, v: u64) {
+        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
         self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(value, Ordering::Relaxed);
-        self.max.fetch_max(value, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Take a consistent-enough snapshot for reporting.
+    /// A point-in-time copy (relaxed loads: consistent enough to read
+    /// while other threads keep recording).
     pub fn snapshot(&self) -> HistogramSnapshot {
+        let mut buckets: Vec<u64> =
+            self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect();
+        while buckets.last() == Some(&0) {
+            buckets.pop();
+        }
         HistogramSnapshot {
-            buckets: self.buckets.iter().map(|b| b.load(Ordering::Relaxed)).collect(),
+            buckets,
             count: self.count.load(Ordering::Relaxed),
             sum: self.sum.load(Ordering::Relaxed),
             max: self.max.load(Ordering::Relaxed),
         }
     }
-
-    /// Fold another histogram's observations into this one.
-    ///
-    /// Bucket-wise atomic adds; both histograms may keep recording while
-    /// the merge runs (the result is then merely consistent-enough, like
-    /// [`Histogram::snapshot`]).
-    pub fn merge(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let v = theirs.load(Ordering::Relaxed);
-            if v > 0 {
-                mine.fetch_add(v, Ordering::Relaxed);
-            }
-        }
-        self.count.fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.sum.fetch_add(other.sum.load(Ordering::Relaxed), Ordering::Relaxed);
-        self.max.fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
-    /// Estimated value at quantile `q` (`0.0 ..= 1.0`); see
-    /// [`HistogramSnapshot::quantile`].
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.snapshot().quantile(q)
-    }
 }
 
-/// Plain-data view of a [`Histogram`].
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// An immutable copy of a [`Histogram`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {
-    /// Per-bucket counts; bucket `i` covers `[2^(i-1), 2^i)`.
-    pub buckets: Vec<u64>,
+    /// Per-bucket counts by bucket index, up to the last non-empty one.
+    buckets: Vec<u64>,
     /// Total observations.
     pub count: u64,
     /// Sum of all observed values.
@@ -93,7 +106,60 @@ pub struct HistogramSnapshot {
 }
 
 impl HistogramSnapshot {
-    /// Mean of the observations (0 when empty).
+    /// Rebuild a snapshot from `(le, n)` bucket pairs as
+    /// [`HistogramSnapshot::buckets`] yields them.
+    pub fn from_buckets(
+        pairs: impl IntoIterator<Item = (u64, u64)>,
+        count: u64,
+        sum: u64,
+        max: u64,
+    ) -> HistogramSnapshot {
+        let mut snap = HistogramSnapshot { buckets: Vec::new(), count, sum, max };
+        for (le, n) in pairs.into_iter().filter(|(_, n)| *n > 0) {
+            let i = bucket_index(le);
+            if snap.buckets.len() <= i {
+                snap.buckets.resize(i + 1, 0);
+            }
+            snap.buckets[i] = snap.buckets[i].saturating_add(n);
+        }
+        snap
+    }
+
+    /// The non-empty buckets as `(le, n)`: `le` is the bucket's largest
+    /// member, `n` its own (not cumulative) count, in ascending order.
+    pub fn buckets(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        self.buckets
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| **n > 0)
+            .map(|(i, n)| (bucket_range(i).1, *n))
+    }
+
+    /// The `q`-quantile (`0.0..=1.0`), linearly interpolated within the
+    /// winning bucket and clamped to the observed max, so `quantile(1.0)`
+    /// is the max. 0 when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
+        let mut seen = 0u64;
+        for (i, &n) in self.buckets.iter().enumerate() {
+            if n == 0 {
+                continue;
+            }
+            seen = seen.saturating_add(n);
+            if seen >= rank {
+                let (lo, last) = bucket_range(i);
+                let into = (rank - (seen - n)) as f64 / n as f64;
+                let est = lo as f64 + (last - lo + 1) as f64 * into;
+                return (est as u64).min(self.max);
+            }
+        }
+        self.max
+    }
+
+    /// Arithmetic mean (0 when empty).
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
@@ -103,94 +169,16 @@ impl HistogramSnapshot {
     }
 
     /// Fold another snapshot's observations into this one.
-    ///
-    /// Bucket-wise addition; `count`/`sum` accumulate and `max` takes
-    /// the larger. The snapshots may have different bucket vector
-    /// lengths (e.g. one came from an older encoding) — the result is
-    /// sized to the longer of the two.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         if other.buckets.len() > self.buckets.len() {
             self.buckets.resize(other.buckets.len(), 0);
         }
-        for (mine, theirs) in self.buckets.iter_mut().zip(other.buckets.iter()) {
+        for (mine, theirs) in self.buckets.iter_mut().zip(&other.buckets) {
             *mine += *theirs;
         }
         self.count += other.count;
         self.sum += other.sum;
         self.max = self.max.max(other.max);
-    }
-
-    /// Estimated value at quantile `q` (`0.0 ..= 1.0`).
-    ///
-    /// Walks the power-of-two buckets to the one containing the rank
-    /// `q * count`, then interpolates linearly inside it (the bucket's
-    /// upper edge is clamped to the observed `max`, so a single-bucket
-    /// histogram cannot report a value above anything it ever saw).
-    /// Returns `0.0` when empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        if self.count == 0 {
-            return 0.0;
-        }
-        let rank = q.clamp(0.0, 1.0) * self.count as f64;
-        let mut seen = 0.0f64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            if b == 0 {
-                continue;
-            }
-            let width = b as f64;
-            if seen + width >= rank {
-                let lo = if i == 0 { 0.0 } else { (1u128 << i) as f64 };
-                let hi = if i >= 63 { self.max as f64 } else { (1u128 << (i + 1)) as f64 };
-                let hi = hi.min(self.max as f64).max(lo);
-                let frac = ((rank - seen) / width).clamp(0.0, 1.0);
-                return lo + (hi - lo) * frac;
-            }
-            seen += width;
-        }
-        self.max as f64
-    }
-
-    /// Upper bound (exclusive) of the bucket containing quantile `q`
-    /// (`0.0 ..= 1.0`) — a coarse percentile good to a factor of two.
-    pub fn quantile_bound(&self, q: f64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        let rank = (q.clamp(0.0, 1.0) * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0u64;
-        for (i, b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                return if i >= 63 { u64::MAX } else { 1u64 << (i + 1) };
-            }
-        }
-        u64::MAX
-    }
-
-    /// Encode as a compact JSON object (non-empty buckets only).
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!(
-            "\"count\":{},\"sum\":{},\"max\":{},\"mean\":{:.3},\"buckets\":{{",
-            self.count,
-            self.sum,
-            self.max,
-            self.mean()
-        ));
-        let mut first = true;
-        for (i, b) in self.buckets.iter().enumerate() {
-            if *b == 0 {
-                continue;
-            }
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let hi: u128 = 1u128 << (i + 1);
-            out.push_str(&format!("\"<{hi}\":{b}"));
-        }
-        out.push_str("}}");
-        out
     }
 }
 
@@ -199,133 +187,69 @@ mod tests {
     use super::*;
 
     #[test]
-    fn buckets_are_power_of_two() {
-        assert_eq!(bucket_of(0), 0);
-        assert_eq!(bucket_of(1), 0);
-        assert_eq!(bucket_of(2), 1);
-        assert_eq!(bucket_of(3), 1);
-        assert_eq!(bucket_of(4), 2);
-        assert_eq!(bucket_of(1023), 9);
-        assert_eq!(bucket_of(1024), 10);
-        assert_eq!(bucket_of(u64::MAX), 63);
+    fn bucket_index_and_range_agree() {
+        for v in [0u64, 1, 15, 16, 17, 100, 128, 1_000, 65_535, 1 << 30, u64::MAX] {
+            let (lo, last) = bucket_range(bucket_index(v));
+            assert!(lo <= v && v <= last, "v={v} lo={lo} last={last}");
+        }
+        // Ranges tile the axis without gaps, up to u64::MAX.
+        let mut expect_lo = 0u64;
+        for i in 0..BUCKETS {
+            let (lo, last) = bucket_range(i);
+            assert_eq!(lo, expect_lo, "bucket {i}");
+            assert!(last >= lo);
+            if last == u64::MAX {
+                assert_eq!(i, BUCKETS - 1);
+                break;
+            }
+            expect_lo = last + 1;
+        }
     }
 
     #[test]
-    fn record_and_snapshot() {
-        let h = Histogram::default();
-        for v in [1u64, 2, 3, 100, 1000] {
+    fn quantiles_are_tight() {
+        let h = Histogram::new();
+        for v in 1..=10_000u64 {
             h.record(v);
         }
         let s = h.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 1106);
-        assert_eq!(s.max, 1000);
-        assert!((s.mean() - 221.2).abs() < 1e-9);
-        assert_eq!(s.quantile_bound(0.0), 2); // first value is in bucket 0
-        assert!(s.quantile_bound(1.0) >= 1000);
-        let json = s.to_json();
-        assert!(json.contains("\"count\":5"));
-        assert!(json.contains("\"<2\":1"));
+        assert_eq!(s.count, 10_000);
+        for (q, exact) in [(0.50, 5_000.0), (0.90, 9_000.0), (0.99, 9_900.0)] {
+            let got = s.quantile(q) as f64;
+            let err = (got - exact).abs() / exact;
+            assert!(err < 0.07, "q{q}: got {got}, want ~{exact} (err {err:.3})");
+        }
+        assert_eq!(s.quantile(1.0), 10_000);
+        assert!((s.mean() - 5_000.5).abs() < 1.0);
     }
 
     #[test]
-    fn empty_snapshot() {
-        let s = Histogram::default().snapshot();
+    fn empty_snapshot_is_zero() {
+        let s = Histogram::new().snapshot();
+        assert_eq!(s.quantile(0.5), 0);
         assert_eq!(s.mean(), 0.0);
-        assert_eq!(s.quantile_bound(0.5), 0);
-        assert!(s.to_json().contains("\"buckets\":{}"));
+        assert_eq!(s.buckets().count(), 0);
     }
 
     #[test]
-    fn quantile_of_empty_is_zero() {
-        let h = Histogram::default();
-        assert_eq!(h.quantile(0.0), 0.0);
-        assert_eq!(h.quantile(0.5), 0.0);
-        assert_eq!(h.quantile(1.0), 0.0);
-    }
-
-    #[test]
-    fn quantile_single_bucket_interpolates_within_it() {
-        // All observations land in bucket 2 ([4, 8)); the estimate must
-        // stay inside the bucket and never exceed the observed max.
-        let h = Histogram::default();
-        for _ in 0..10 {
-            h.record(5);
-        }
-        let s = h.snapshot();
-        for q in [0.0, 0.25, 0.5, 0.9, 0.99, 1.0] {
-            let v = s.quantile(q);
-            assert!((4.0..=5.0).contains(&v), "q={q} -> {v}");
-        }
-        assert_eq!(s.quantile(1.0), 5.0);
-        assert_eq!(s.quantile(0.0), 4.0);
-    }
-
-    #[test]
-    fn quantile_saturated_top_bucket() {
-        // u64::MAX saturates into bucket 63, whose open upper edge is
-        // clamped to the observed max instead of overflowing 2^64.
-        let h = Histogram::default();
-        for _ in 0..4 {
-            h.record(u64::MAX);
-        }
-        h.record(1);
-        let s = h.snapshot();
-        let p99 = s.quantile(0.99);
-        assert!(p99 >= (1u128 << 63) as f64 && p99 <= u64::MAX as f64, "p99={p99}");
-        assert_eq!(s.quantile(1.0), u64::MAX as f64);
-        assert!(s.quantile(0.05) <= 1.0);
-    }
-
-    #[test]
-    fn quantile_spread_is_monotone() {
-        let h = Histogram::default();
-        for v in [1u64, 2, 4, 8, 100, 1000, 10_000] {
+    fn buckets_round_trip_and_merge() {
+        let h = Histogram::new();
+        for v in [3u64, 128, 700, 700, u64::MAX] {
             h.record(v);
         }
         let s = h.snapshot();
-        let mut prev = -1.0f64;
-        for q in [0.0, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 1.0] {
-            let v = s.quantile(q);
-            assert!(v >= prev, "quantiles must be monotone: q={q} -> {v} < {prev}");
-            prev = v;
-        }
-        assert_eq!(s.quantile(1.0), 10_000.0);
-    }
+        let pairs: Vec<(u64, u64)> = s.buckets().collect();
+        assert_eq!(pairs.first(), Some(&(3, 1)));
+        assert_eq!(pairs.last(), Some(&(u64::MAX, 1)));
+        let back = HistogramSnapshot::from_buckets(pairs, s.count, s.sum, s.max);
+        assert_eq!(back.buckets().collect::<Vec<_>>(), s.buckets().collect::<Vec<_>>());
+        assert_eq!(back.quantile(0.5), s.quantile(0.5));
 
-    #[test]
-    fn merge_accumulates_both_histograms() {
-        let a = Histogram::default();
-        let b = Histogram::default();
-        for v in [1u64, 5, 9] {
-            a.record(v);
-        }
-        for v in [100u64, 200] {
-            b.record(v);
-        }
-        a.merge(&b);
-        let s = a.snapshot();
-        assert_eq!(s.count, 5);
-        assert_eq!(s.sum, 315);
-        assert_eq!(s.max, 200);
-        // Merging an empty histogram changes nothing.
-        a.merge(&Histogram::default());
-        assert_eq!(a.snapshot(), s);
-    }
-
-    #[test]
-    fn snapshot_merge_handles_empty_and_size_mismatch() {
-        let a = Histogram::default();
-        a.record(7);
-        let mut snap = a.snapshot();
-        // Merging an all-zero snapshot with a shorter bucket vector.
-        let empty = HistogramSnapshot { buckets: vec![0; 4], count: 0, sum: 0, max: 0 };
-        snap.merge(&empty);
-        assert_eq!(snap.count, 1);
-        // Merging into an empty snapshot resizes to the longer vector.
-        let mut acc = HistogramSnapshot { buckets: Vec::new(), count: 0, sum: 0, max: 0 };
-        acc.merge(&snap);
-        assert_eq!(acc, snap);
-        assert_eq!(acc.quantile(1.0), 7.0);
+        let mut merged = HistogramSnapshot::default();
+        merged.merge(&s);
+        merged.merge(&HistogramSnapshot::default());
+        assert_eq!(merged, s);
+        merged.merge(&s);
+        assert_eq!((merged.count, merged.max), (10, u64::MAX));
     }
 }

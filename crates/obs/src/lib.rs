@@ -14,7 +14,8 @@
 //!   that the instrumented code path is behaviourally identical to the
 //!   un-instrumented one (see the overhead bench in `cfg-bench`).
 //! * [`StatsSink`] — lock-free counters (atomics), per-token fire
-//!   counters, power-of-two-bucket histograms and stage timings.
+//!   counters, and histograms (a span timing is one more histogram
+//!   observation).
 //! * [`FlightRecorder`] — the one ring of recent trace events and span
 //!   timings, dumped as JSON lines (`--trace-out`, post-mortem when a
 //!   stream dies, and the window a triggered capture cuts out).
@@ -26,11 +27,17 @@
 //! generic [`EventRing`]: fixed capacity, oldest evicted first, a
 //! sequence number per offered entry, and a JSON-lines dump.
 //!
-//! For *live* observability, [`SharedRegistry`] names the process's
-//! [`StatsSink`]s and produces merged point-in-time [`RegistrySnapshot`]s
-//! (with histogram quantiles and snapshot diffing for rate computation)
-//! that the `cfg-obs-http` exporter serves over HTTP while engines keep
-//! streaming.
+//! For *live* observability there is one [`Registry`]: it holds the
+//! named [`StatsSink`]s, the ready/dead/overloaded flags, and every
+//! attached [`Part`] (token names, compile report, circuit topology,
+//! probe bank, trigger hub, SLO tracker, span recorder, saturation time
+//! series, audit bank, mismatch ring). [`Registry::snapshot`] gathers
+//! every bank's numbers into one [`Snapshot`] of labelled counter, gauge
+//! and histogram families. The `cfg-obs-http` exporter serves it as
+//! Prometheus text (`/metrics`) and as JSON (`/snapshot.json`), and
+//! [`Snapshot::parse`] reads the JSON back for every `cfgtag watch`
+//! view. The one [`Histogram`] is log-linear, good to ~6% at any
+//! quantile.
 //!
 //! Below the engine counters sits the *circuit* view: a [`ProbeBank`]
 //! holds one dense atomic counter per synthesized circuit element
@@ -63,6 +70,7 @@ mod report;
 mod ring;
 mod sink;
 mod slo;
+mod snapshot;
 mod span;
 mod stats;
 mod timeseries;
@@ -74,11 +82,12 @@ pub use flight::{FlightRecorder, TeeSink, DEFAULT_FLIGHT_CAPACITY};
 pub use histogram::{Histogram, HistogramSnapshot};
 pub use metrics::{Metrics, SpanGuard};
 pub use probe::ProbeBank;
-pub use registry::{RegistrySnapshot, SharedRegistry};
+pub use registry::{Part, Parts, Registry};
 pub use report::{CompileReport, StageTiming};
 pub use ring::{EventRing, JsonLine};
 pub use sink::{MetricsSink, NoopSink, Stat};
-pub use slo::{FineHistogram, FineSnapshot, QuantileSummary, SloSnapshot, SloTracker};
+pub use slo::{QuantileSummary, SloSnapshot, SloTracker};
+pub use snapshot::{Family, Group, Kind, Reading, Sample, Series, Snapshot, QUANTILES};
 pub use span::{Span, SpanRecorder, Stage};
 pub use stats::{StatsSink, StatsSnapshot};
 pub use timeseries::{

@@ -123,13 +123,6 @@ pub struct SpanGuard {
     started: Option<Instant>,
 }
 
-impl SpanGuard {
-    /// Elapsed nanoseconds so far (0 when metrics are off).
-    pub fn elapsed_nanos(&self) -> u64 {
-        self.started.map(|t| t.elapsed().as_nanos() as u64).unwrap_or(0)
-    }
-}
-
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if let Some(started) = self.started.take() {
@@ -174,9 +167,7 @@ mod tests {
         }
         assert_eq!(sink.get(Stat::BytesIn), 5);
         assert_eq!(sink.token_fires(1), 2);
-        let snap = sink.snapshot();
-        assert_eq!(snap.timings.len(), 1);
-        assert_eq!(snap.timings[0].0, "work");
+        assert_eq!(sink.snapshot().histogram("work").map(|h| h.count), Some(1));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! Like the sink layer, the bank is zero-overhead-when-off: an engine
 //! with no bank attached skips every probe update on its `None` branch.
 
-use crate::json;
+use crate::snapshot::{Kind, Snapshot};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -86,24 +86,14 @@ impl ProbeBank {
         self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
     }
 
-    /// Encode as one JSON object:
-    /// `{"enabled":true,"probes":[{"id":"...","count":N},...]}`. A bank
-    /// is live whenever it is attached, so `enabled` is always `true`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(32 + 32 * self.ids.len());
-        out.push_str("{\"enabled\":true,\"probes\":[");
-        for (i, id) in self.ids.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"id\":");
-            json::push_str(&mut out, id);
-            out.push_str(",\"count\":");
-            out.push_str(&self.counts[i].load(Ordering::Relaxed).to_string());
-            out.push('}');
+    /// Write `cfgtag_probe_total`: one series per probe (`probe`
+    /// label), in topology order with zero counts included, so a reader
+    /// can hold the ids against `/circuit.json` 1:1.
+    pub fn export(&self, snap: &mut Snapshot) {
+        let family = snap.push("cfgtag_probe_total", Kind::Counter);
+        for (id, count) in self.ids.iter().zip(&self.counts) {
+            family.push(&[("probe", id)], count.load(Ordering::Relaxed) as f64);
         }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -129,13 +119,18 @@ mod tests {
     }
 
     #[test]
-    fn json_shape_escapes_ids() {
-        let bank = ProbeBank::new(vec!["dec/\"q".into()]);
+    fn export_lists_every_probe_in_order() {
+        let bank = ProbeBank::new(vec!["dec/\"q".into(), "tok/go/fire".into()]);
         bank.hit(0, 5);
-        assert_eq!(
-            bank.to_json(),
-            "{\"enabled\":true,\"probes\":[{\"id\":\"dec/\\\"q\",\"count\":5}]}"
-        );
+        let mut snap = Snapshot::default();
+        bank.export(&mut snap);
+        let family = snap.get("cfgtag_probe_total").unwrap();
+        let rows: Vec<(&str, f64)> = family
+            .series
+            .iter()
+            .map(|s| (s.label("probe").unwrap(), s.number().unwrap()))
+            .collect();
+        assert_eq!(rows, vec![("dec/\"q", 5.0), ("tok/go/fire", 0.0)]);
     }
 
     #[test]

@@ -2,6 +2,7 @@
 //! counts, renderable as text or JSON.
 
 use crate::json;
+use crate::snapshot::{Kind, Snapshot};
 use std::fmt;
 
 /// One pipeline stage's wall-clock cost.
@@ -63,6 +64,20 @@ impl CompileReport {
         ));
         out.push('}');
         out
+    }
+
+    /// Write the compile families: per-stage wall time
+    /// (`cfgtag_compile_stage_ns`, `stage` label, execution order) and
+    /// the summary counts (`cfgtag_compile_count`, `name` label).
+    pub fn export(&self, snap: &mut Snapshot) {
+        let stages = snap.push("cfgtag_compile_stage_ns", Kind::Gauge);
+        for s in &self.stages {
+            stages.push(&[("stage", &s.stage)], s.nanos as f64);
+        }
+        let counts = snap.push("cfgtag_compile_count", Kind::Gauge);
+        for (name, value) in &self.counts {
+            counts.push(&[("name", name)], *value as f64);
+        }
     }
 }
 

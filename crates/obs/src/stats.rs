@@ -1,9 +1,9 @@
-//! The recording sink: counters, token fires, histograms and timings.
+//! The recording sink: counters, token fires and histograms. A span
+//! timing is one more histogram observation under the span's name.
 //! Trace events belong to the flight ring ([`crate::FlightRecorder`]),
 //! so this sink keeps none.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
-use crate::json;
 use crate::sink::{MetricsSink, Stat};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -11,14 +11,13 @@ use std::sync::Mutex;
 /// A sink that actually records.
 ///
 /// Counters and token fires are plain relaxed atomics (lock-free);
-/// histograms and timings take a `Mutex` but sit on per-message or
-/// per-stage paths, never per-byte ones.
+/// histograms take a `Mutex` but sit on per-message or per-stage
+/// paths, never per-byte ones.
 #[derive(Debug)]
 pub struct StatsSink {
     counters: [AtomicU64; Stat::COUNT],
     token_fires: Vec<AtomicU64>,
     histograms: Mutex<Vec<(&'static str, Histogram)>>,
-    timings: Mutex<Vec<(&'static str, u64)>>,
 }
 
 impl Default for StatsSink {
@@ -41,7 +40,6 @@ impl StatsSink {
             counters: [(); Stat::COUNT].map(|_| AtomicU64::new(0)),
             token_fires: (0..tokens).map(|_| AtomicU64::new(0)).collect(),
             histograms: Mutex::new(Vec::new()),
-            timings: Mutex::new(Vec::new()),
         }
     }
 
@@ -67,7 +65,6 @@ impl StatsSink {
                 .iter()
                 .map(|(name, h)| (*name, h.snapshot()))
                 .collect(),
-            timings: self.timings.lock().unwrap().clone(),
         }
     }
 }
@@ -89,14 +86,14 @@ impl MetricsSink for StatsSink {
         if let Some((_, h)) = hists.iter().find(|(name, _)| *name == hist) {
             h.record(value);
         } else {
-            let h = Histogram::default();
+            let h = Histogram::new();
             h.record(value);
             hists.push((hist, h));
         }
     }
 
     fn time(&self, span: &'static str, nanos: u64) {
-        self.timings.lock().unwrap().push((span, nanos));
+        self.observe(span, nanos);
     }
 
     fn wants_trace(&self) -> bool {
@@ -111,10 +108,8 @@ pub struct StatsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// Fire count per token index.
     pub token_fires: Vec<u64>,
-    /// Named histograms.
+    /// Named histograms (span timings included), in first-use order.
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
-    /// Recorded span timings `(name, nanos)`, in recording order.
-    pub timings: Vec<(&'static str, u64)>,
 }
 
 impl StatsSnapshot {
@@ -125,7 +120,6 @@ impl StatsSnapshot {
             counters: Stat::ALL.iter().map(|s| (s.name(), 0)).collect(),
             token_fires: Vec::new(),
             histograms: Vec::new(),
-            timings: Vec::new(),
         }
     }
 
@@ -141,7 +135,7 @@ impl StatsSnapshot {
 
     /// Fold another snapshot into this one: counters and per-token
     /// fires add element-wise (the fire vector grows to the longer of
-    /// the two), histograms merge by name, and timings concatenate.
+    /// the two) and histograms merge by name.
     /// Point-in-time merged views over many sinks are built by folding
     /// from [`StatsSnapshot::empty`].
     pub fn merge(&mut self, other: &StatsSnapshot) {
@@ -165,91 +159,6 @@ impl StatsSnapshot {
                 self.histograms.push((name, h.clone()));
             }
         }
-        self.timings.extend_from_slice(&other.timings);
-    }
-
-    /// The change since an `earlier` snapshot of the same sink(s):
-    /// counters, fires and histogram buckets subtract (saturating, so a
-    /// sink restart shows as zero rather than wrapping), and only span
-    /// timings recorded after the earlier snapshot are kept. Feeding
-    /// the result's counters and an elapsed wall-clock interval into a
-    /// divide is how `cfgtag watch top` turns two scrapes into live rates.
-    pub fn diff(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        let at = |name: &str, set: &[(&'static str, u64)]| {
-            set.iter().find(|(n, _)| *n == name).map(|(_, v)| *v).unwrap_or(0)
-        };
-        StatsSnapshot {
-            counters: self
-                .counters
-                .iter()
-                .map(|(name, v)| (*name, v.saturating_sub(at(name, &earlier.counters))))
-                .collect(),
-            token_fires: self
-                .token_fires
-                .iter()
-                .enumerate()
-                .map(|(i, v)| v.saturating_sub(earlier.token_fires.get(i).copied().unwrap_or(0)))
-                .collect(),
-            histograms: self
-                .histograms
-                .iter()
-                .map(|(name, h)| {
-                    let d = match earlier.histogram(name) {
-                        Some(e) => HistogramSnapshot {
-                            buckets: h
-                                .buckets
-                                .iter()
-                                .enumerate()
-                                .map(|(i, b)| {
-                                    b.saturating_sub(e.buckets.get(i).copied().unwrap_or(0))
-                                })
-                                .collect(),
-                            count: h.count.saturating_sub(e.count),
-                            sum: h.sum.saturating_sub(e.sum),
-                            max: h.max,
-                        },
-                        None => h.clone(),
-                    };
-                    (*name, d)
-                })
-                .collect(),
-            timings: self.timings.get(earlier.timings.len()..).unwrap_or(&[]).to_vec(),
-        }
-    }
-
-    /// Encode the whole snapshot as one JSON object.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\"counters\":");
-        out.push_str(&json::object_u64(
-            &self.counters.iter().map(|(k, v)| (*k, *v)).collect::<Vec<_>>(),
-        ));
-        out.push_str(",\"token_fires\":[");
-        for (i, v) in self.token_fires.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&v.to_string());
-        }
-        out.push_str("],\"histograms\":{");
-        for (i, (name, h)) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            json::push_str(&mut out, name);
-            out.push(':');
-            out.push_str(&h.to_json());
-        }
-        out.push_str("},\"timings\":[");
-        for (i, (name, nanos)) in self.timings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"span\":");
-            json::push_str(&mut out, name);
-            out.push_str(&format!(",\"nanos\":{nanos}}}"));
-        }
-        out.push_str("]}");
-        out
     }
 }
 
@@ -281,20 +190,19 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_json_is_complete() {
+    fn snapshot_holds_counters_fires_and_timings_as_histograms() {
         let s = StatsSink::with_tokens(2);
         s.add(Stat::BytesIn, 7);
         s.token_fire(1, 3);
         s.observe("latency", 10);
         s.time("compile", 1234);
+        s.time("compile", 766);
         let snap = s.snapshot();
         assert_eq!(snap.counter(Stat::BytesIn), 7);
         assert_eq!(snap.token_fires, vec![0, 3]);
-        let json = snap.to_json();
-        assert!(json.contains("\"bytes_in\":7"));
-        assert!(json.contains("\"token_fires\":[0,3]"));
-        assert!(json.contains("\"latency\""));
-        assert!(json.contains("\"span\":\"compile\",\"nanos\":1234"));
+        assert_eq!(snap.histogram("latency").unwrap().count, 1);
+        let compile = snap.histogram("compile").unwrap();
+        assert_eq!((compile.count, compile.sum, compile.max), (2, 2000, 1234));
     }
 
     #[test]
@@ -319,31 +227,6 @@ mod tests {
         assert_eq!(m.histogram("lat").unwrap().sum, 12);
         assert_eq!(m.histogram("other").unwrap().count, 1);
         assert!(m.histogram("missing").is_none());
-    }
-
-    #[test]
-    fn snapshot_diff_yields_deltas() {
-        let s = StatsSink::with_tokens(1);
-        s.add(Stat::BytesIn, 100);
-        s.token_fire(0, 3);
-        s.observe("lat", 2);
-        s.time("feed", 10);
-        let t0 = s.snapshot();
-        s.add(Stat::BytesIn, 50);
-        s.token_fire(0, 1);
-        s.observe("lat", 4);
-        s.time("feed", 20);
-        let t1 = s.snapshot();
-        let d = t1.diff(&t0);
-        assert_eq!(d.counter(Stat::BytesIn), 50);
-        assert_eq!(d.token_fires, vec![1]);
-        assert_eq!(d.histogram("lat").unwrap().count, 1);
-        assert_eq!(d.histogram("lat").unwrap().sum, 4);
-        assert_eq!(d.timings, vec![("feed", 20)]);
-        // Diffing against a later snapshot saturates to zero.
-        let z = t0.diff(&t1);
-        assert_eq!(z.counter(Stat::BytesIn), 0);
-        assert_eq!(z.token_fires, vec![0]);
     }
 
     #[test]

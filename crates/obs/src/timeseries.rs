@@ -14,14 +14,16 @@
 //! an [`EventRing`] of [`TickSnapshot`]s — the raw dump behind
 //! `/timeseries.json` — and derives per-shard [`ShardGauge`]s over the
 //! ring's window: utilization %, arrival/service rates, and a
-//! Little's-law predicted queue wait (`W_q = L̄_q / λ`) that
-//! `cfgtag watch shards` puts next to the *measured* `queue_wait` p50 from
-//! `/slo.json`. When the two agree, queueing theory explains the
-//! latency; when they diverge, something other than steady-state
-//! saturation (bursts, a stalled worker) is going on.
+//! Little's-law predicted queue wait (`W_q = L̄_q / λ`) — exported as
+//! the `cfgtag_shard_*` gauges — that `cfgtag watch shards` puts next to
+//! the *measured* `queue_wait` p50 of the SLO tracker. When the two
+//! agree, queueing theory explains the latency; when they diverge,
+//! something other than steady-state saturation (bursts, a stalled
+//! worker) is going on.
 
 use crate::json;
 use crate::ring::EventRing;
+use crate::snapshot::{Kind, Snapshot};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -217,7 +219,7 @@ pub fn derive_gauges(window: &[TickSnapshot]) -> Vec<ShardGauge> {
 }
 
 /// A bounded ring of [`TickSnapshot`]s over one [`ShardLoadBank`] —
-/// the store behind `/timeseries.json` and `/shards.json`.
+/// the store behind `/timeseries.json` and the `cfgtag_shard_*` gauges.
 #[derive(Debug)]
 pub struct TimeSeries {
     bank: Arc<ShardLoadBank>,
@@ -274,7 +276,11 @@ impl TimeSeries {
     /// than two snapshots there is no window yet: depths come straight
     /// from the live bank and every rate is zero.
     pub fn gauges(&self) -> Vec<ShardGauge> {
-        let derived = derive_gauges(&self.ticks());
+        self.gauges_over(&self.ticks())
+    }
+
+    fn gauges_over(&self, ticks: &[TickSnapshot]) -> Vec<ShardGauge> {
+        let derived = derive_gauges(ticks);
         if !derived.is_empty() {
             return derived;
         }
@@ -323,37 +329,29 @@ impl TimeSeries {
         out
     }
 
-    /// The `/shards.json` body: current per-shard gauges plus the
-    /// window they were derived over.
-    pub fn shards_json(&self) -> String {
+    /// Write the `cfgtag_shard_*` gauges: the window the rates were
+    /// derived over (`cfgtag_shard_window_ms`), then per shard (`shard`
+    /// label) queue depth, utilization %, arrival and completion rates
+    /// and the Little's-law predicted queue wait.
+    pub fn export(&self, snap: &mut Snapshot) {
         let ticks = self.ticks();
         let window_ms = match (ticks.first(), ticks.last()) {
             (Some(a), Some(b)) => b.t_ns.saturating_sub(a.t_ns) / 1_000_000,
             _ => 0,
         };
-        let mut out = String::from("{\"window_ms\":");
-        out.push_str(&window_ms.to_string());
-        out.push_str(",\"shards\":[");
-        for (i, g) in self.gauges().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+        snap.push("cfgtag_shard_window_ms", Kind::Gauge).push(&[], window_ms as f64);
+        let gauges = self.gauges_over(&ticks);
+        let mut gauge = |name: &str, read: fn(&ShardGauge) -> f64| {
+            let family = snap.push(name, Kind::Gauge);
+            for g in &gauges {
+                family.push(&[("shard", &g.shard.to_string())], read(g));
             }
-            out.push_str("{\"shard\":");
-            out.push_str(&g.shard.to_string());
-            out.push_str(",\"queue_depth\":");
-            out.push_str(&g.queue_depth.to_string());
-            out.push_str(",\"utilization_pct\":");
-            json::push_f64(&mut out, g.utilization_pct);
-            out.push_str(",\"arrivals_per_sec\":");
-            json::push_f64(&mut out, g.arrivals_per_sec);
-            out.push_str(",\"completions_per_sec\":");
-            json::push_f64(&mut out, g.completions_per_sec);
-            out.push_str(",\"predicted_wait_ns\":");
-            json::push_f64(&mut out, g.predicted_wait_ns);
-            out.push('}');
-        }
-        out.push_str("]}\n");
-        out
+        };
+        gauge("cfgtag_shard_queue_depth", |g| g.queue_depth as f64);
+        gauge("cfgtag_shard_utilization_pct", |g| g.utilization_pct);
+        gauge("cfgtag_shard_arrivals_per_sec", |g| g.arrivals_per_sec);
+        gauge("cfgtag_shard_completions_per_sec", |g| g.completions_per_sec);
+        gauge("cfgtag_shard_predicted_wait_ns", |g| g.predicted_wait_ns);
     }
 
     /// Spawn the sampler thread: one [`TimeSeries::sample_now`] per
@@ -528,10 +526,12 @@ mod tests {
         assert_eq!(v.get("samples").unwrap().as_array().unwrap().len(), 0);
         assert_eq!(v.get("interval_ms").unwrap().as_u64(), Some(10));
         // Gauges without a window fall back to live depths + zero rates.
-        let shards = json::Json::parse(&ts.shards_json()).unwrap();
-        let rows = shards.get("shards").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("utilization_pct").unwrap().as_f64(), Some(0.0));
+        let mut snap = Snapshot::default();
+        ts.export(&mut snap);
+        assert_eq!(snap.value("cfgtag_shard_window_ms", &[]), Some(0.0));
+        let util = snap.get("cfgtag_shard_utilization_pct").unwrap();
+        assert_eq!(util.series.len(), 2);
+        assert_eq!(util.series[0].number(), Some(0.0));
     }
 
     #[test]
@@ -545,11 +545,12 @@ mod tests {
         let shard1 = &samples[1].get("shards").unwrap().as_array().unwrap()[0];
         assert_eq!(shard1.get("queue_depth").unwrap().as_u64(), Some(2));
         assert_eq!(shard1.get("busy_ns").unwrap().as_u64(), Some(900));
-        let g = json::Json::parse(&ts.shards_json()).unwrap();
-        assert_eq!(g.get("window_ms").unwrap().as_u64(), Some(10));
-        let rows = g.get("shards").unwrap().as_array().unwrap();
-        assert_eq!(rows.len(), 2);
-        assert!(rows[0].get("predicted_wait_ns").unwrap().as_f64().unwrap() > 0.0);
+        let mut snap = Snapshot::default();
+        ts.export(&mut snap);
+        assert_eq!(snap.value("cfgtag_shard_window_ms", &[]), Some(10.0));
+        let wait = snap.get("cfgtag_shard_predicted_wait_ns").unwrap();
+        assert_eq!(wait.series.len(), 2);
+        assert!(snap.value("cfgtag_shard_predicted_wait_ns", &[("shard", "0")]).unwrap() > 0.0);
     }
 
     #[test]

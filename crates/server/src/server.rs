@@ -8,12 +8,12 @@
 //! * **Backpressure**: shard queues are bounded; a full queue answers
 //!   `Busy` with the shed frame's sequence number instead of blocking
 //!   the reader ([`SubmitOutcome::Shed`] → [`Stat::LoadShed`], and the
-//!   attached [`ServiceState`] flips `overloaded` so `/readyz` tells
-//!   load balancers to back off).
+//!   attached [`Registry`] flips `overloaded` so `/readyz` tells load
+//!   balancers to back off).
 //! * **Supervision**: worker panics are caught by the pool, counted
-//!   under [`Stat::WorkerRestarts`], dumped via the attached
-//!   [`FlightRecorder`], answered with an `Err` frame naming the poison
-//!   frame's sequence, and the worker resumes after exponential backoff.
+//!   under [`Stat::WorkerRestarts`], answered with an `Err` frame naming
+//!   the poison frame's sequence, and the worker resumes after
+//!   exponential backoff.
 //! * **Sessions**: an idle-timeout janitor sweeps connections that are
 //!   silent with no frame in flight, in least-recently-active order
 //!   ([`Stat::SessionsEvicted`]); a `max_sessions` cap refuses new
@@ -29,7 +29,7 @@
 //!   every accepted frame before `Bye`.
 //! * **Shadow audit**: with [`ServerConfig::audit`] set, 1-in-N
 //!   sessions have their accepted payloads mirrored into a bounded
-//!   audit queue; workers behind the shard pool replay each frame
+//!   audit queue; a worker behind the shard pool replays each frame
 //!   through the production engine, the scalar reference engine
 //!   (divergence ⇒ correctness bug, a [`Mismatch`] kept as evidence in
 //!   an [`EventRing`]) and the exact [`PdaParser`] (unconfirmed fires ⇒
@@ -40,11 +40,9 @@
 use crate::frame::{self, Frame, FrameKind};
 use crate::session::SessionTable;
 use cfg_obs::{
-    AuditBank, AuditEvent, EventRing, FlightRecorder, MetricsSink, Mismatch, SamplerHandle,
-    ShardLoadBank, SharedRegistry, SloTracker, Span, SpanRecorder, Stage, Stat, StatsSink,
-    TimeSeries, TraceEvent,
+    AuditBank, AuditEvent, EventRing, MetricsSink, Mismatch, Part, Registry, SamplerHandle,
+    ShardLoadBank, SloTracker, Span, SpanRecorder, Stage, Stat, StatsSink, TimeSeries,
 };
-use cfg_obs_http::ServiceState;
 use cfg_tagger::{
     EngineKind, Error, PdaParser, PoolOptions, ShardMsg, ShardPool, ShardReport, SubmitOutcome,
     TagEvent, TokenTagger,
@@ -61,11 +59,12 @@ use std::time::{Duration, Instant};
 /// Frame tracing + SLO configuration for [`ServerConfig::trace`].
 ///
 /// When set, every data frame gets a [`Span`] stamped at each serving
-/// stage, every finished span feeds the [`SloTracker`] (so `/slo.json`
-/// quantiles are full-fidelity, not sampled), and one span in
-/// `sample_every` — plus every span slower than the objective — is
-/// retained in the recorder's ring for `/spans.jsonl`. When `None`
-/// (the default) no span exists and the serving path pays nothing.
+/// stage, every finished span feeds the [`SloTracker`] (so the
+/// `cfgtag_srv_*` latency quantiles are full-fidelity, not sampled),
+/// and one span in `sample_every` — plus every span slower than the
+/// objective — is retained in the recorder's ring for `/spans.jsonl`.
+/// When `None` (the default) no span exists and the serving path pays
+/// nothing. The objective's target is [`SLO_TARGET`].
 #[derive(Debug, Clone)]
 pub struct TraceConfig {
     /// Retain every Nth span in the ring (1 = all). The SLO histograms
@@ -74,17 +73,18 @@ pub struct TraceConfig {
     /// Latency objective in milliseconds; frames over it count as SLO
     /// breaches and are always retained in the ring.
     pub slo_ms: u64,
-    /// Fraction of frames that must meet the objective (e.g. `0.99`).
-    pub target: f64,
     /// Ring capacity, in spans, behind `/spans.jsonl`.
     pub ring: usize,
 }
 
 impl Default for TraceConfig {
     fn default() -> TraceConfig {
-        TraceConfig { sample_every: 1, slo_ms: 50, target: 0.99, ring: 512 }
+        TraceConfig { sample_every: 1, slo_ms: 50, ring: 512 }
     }
 }
+
+/// The fraction of frames that must meet the latency objective.
+pub const SLO_TARGET: f64 = 0.99;
 
 /// The tracing side-car the server threads through its stages.
 #[derive(Clone)]
@@ -97,9 +97,9 @@ struct Tracing {
 ///
 /// When set, the shard pool counts arrivals/dequeues/busy-time into a
 /// [`ShardLoadBank`] and a sampler thread snapshots it into a
-/// [`TimeSeries`] ring every `interval_ms` (behind `/shards.json` and
-/// `/timeseries.json`). When `None` (the default) neither exists and
-/// the serving path takes one `None` branch per frame.
+/// [`TimeSeries`] ring every `interval_ms` (behind the `cfgtag_shard_*`
+/// gauges and `/timeseries.json`). When `None` (the default) neither
+/// exists and the serving path takes one `None` branch per frame.
 #[derive(Debug, Clone)]
 pub struct SaturationConfig {
     /// Utilization snapshot period in milliseconds.
@@ -125,32 +125,32 @@ struct Saturation {
 /// Shadow-audit configuration for [`ServerConfig::audit`].
 ///
 /// When set, 1-in-`sample_every` sessions have their accepted `Data`
-/// payloads mirrored into a bounded queue; `workers` threads behind the
-/// shard pool replay each frame through the production engine, the
-/// scalar reference engine and the exact PDA parser, filling an
-/// [`AuditBank`] (behind `/audit.json` and `cfgtag_audit_*` metrics)
-/// and a small ring of recent divergences (behind `/mismatches.jsonl`).
-/// When `None` (the default) none of this exists and a session takes
-/// one `None` branch at open.
+/// payloads (up to [`AUDIT_MAX_BYTES`] a session) mirrored into a queue
+/// of [`AUDIT_QUEUE_DEPTH`] sessions; one replay worker behind the shard
+/// pool runs each frame through the production engine, the scalar
+/// reference engine and the exact PDA parser, filling an [`AuditBank`]
+/// (the `cfgtag_audit_*` families) and a small ring of recent
+/// divergences (behind `/mismatches.jsonl`). When `None` (the default)
+/// none of this exists and a session takes one `None` branch at open.
 #[derive(Debug, Clone)]
 pub struct AuditConfig {
     /// Audit 1 in N sessions (1 = every session). Clamped to `>= 1`.
     pub sample_every: u64,
-    /// Bounded audit queue depth, in sessions. A full queue sheds the
-    /// session's audit (never the session itself) and counts it.
-    pub queue_depth: usize,
-    /// Replay worker threads.
-    pub workers: usize,
-    /// Per-session mirrored-byte cap; frames beyond it are not
-    /// mirrored (the prefix is still audited).
-    pub max_bytes: usize,
 }
 
 impl Default for AuditConfig {
     fn default() -> AuditConfig {
-        AuditConfig { sample_every: 1, queue_depth: 64, workers: 1, max_bytes: 4 << 20 }
+        AuditConfig { sample_every: 1 }
     }
 }
+
+/// The audit queue's depth, in sessions. A full queue sheds the
+/// session's audit (never the session itself) and counts it.
+pub const AUDIT_QUEUE_DEPTH: usize = 64;
+
+/// Per-session mirrored-byte cap; frames beyond it are not mirrored
+/// (the prefix is still audited).
+pub const AUDIT_MAX_BYTES: usize = 4 << 20;
 
 /// Divergences kept as evidence behind `/mismatches.jsonl`. A
 /// divergence is a correctness bug, so they should be rare: a small
@@ -164,12 +164,11 @@ struct AuditJob {
 }
 
 /// The audit side-car: counters, divergence evidence, and the bounded
-/// queue feeding the replay workers.
+/// queue feeding the replay worker.
 struct Auditor {
     bank: Arc<AuditBank>,
     ring: Arc<EventRing<Mismatch>>,
     sample_every: u64,
-    max_bytes: usize,
     /// `SyncSender` is `Send` but not `Sync`; the mutex makes the lane
     /// shareable across session readers. `try_send` under the lock is
     /// two atomic ops — never a block.
@@ -218,14 +217,10 @@ pub struct ServerConfig {
     /// Panic injection for the chaos harness: a worker panics when a
     /// payload contains this byte string. `None` in production.
     pub panic_token: Option<Vec<u8>>,
-    /// Register shard + server sinks here (as `shard0…`, `server`).
-    pub registry: Option<Arc<SharedRegistry>>,
-    /// Service state to keep in sync (`ready` on start, `overloaded`
-    /// while shedding).
-    pub state: Option<Arc<ServiceState>>,
-    /// Flight recorder: frames are traced into it and its ring is
-    /// dumped when a worker panics.
-    pub flight: Option<Arc<FlightRecorder>>,
+    /// The registry to report into: the shard and server sinks (as
+    /// `shard0…`, `server`), the `ready` flag on start and `overloaded`
+    /// while shedding, and the trace, saturation and audit parts.
+    pub registry: Option<Arc<Registry>>,
     /// How long `Close` waits for accepted frames to drain before
     /// `Bye`. If it fires with frames still pending, the server bumps
     /// [`Stat::DrainTimeouts`] (`cfgtag_drain_timeouts_total`).
@@ -252,8 +247,6 @@ impl Default for ServerConfig {
             backoff_max_ms: 500,
             panic_token: None,
             registry: None,
-            state: None,
-            flight: None,
             drain_deadline: Duration::from_secs(10),
             trace: None,
             saturation: None,
@@ -300,8 +293,7 @@ struct Shared {
     table: Arc<SessionTable<TcpStream>>,
     stop: AtomicBool,
     server_sink: Arc<StatsSink>,
-    state: Option<Arc<ServiceState>>,
-    flight: Option<Arc<FlightRecorder>>,
+    registry: Option<Arc<Registry>>,
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
     sessions_served: AtomicU64,
     idle_timeout: Duration,
@@ -319,7 +311,7 @@ pub struct IngestServer {
     janitor_handle: Option<JoinHandle<()>>,
     saturation: Option<Saturation>,
     sampler_handle: Option<SamplerHandle>,
-    audit_handles: Vec<JoinHandle<()>>,
+    audit_handle: Option<JoinHandle<()>>,
 }
 
 /// Pool-message layout: `[session u64 LE][seq u32 LE][payload…]`.
@@ -394,25 +386,18 @@ impl IngestServer {
         let table: Arc<SessionTable<TcpStream>> = Arc::new(SessionTable::new(config.max_sessions));
         let server_sink = Arc::new(StatsSink::new());
 
-        // The tracing side-car: a span recorder + SLO tracker pair,
-        // also attached to the service state so the HTTP exporter can
-        // serve /slo.json and /spans.jsonl live.
+        // The tracing side-car: a span recorder + SLO tracker pair.
         let tracing = config.trace.as_ref().map(|t| Tracing {
             recorder: Arc::new(SpanRecorder::new(
                 t.ring,
                 t.sample_every,
                 t.slo_ms.saturating_mul(1_000_000),
             )),
-            slo: Arc::new(SloTracker::new(t.slo_ms.saturating_mul(1_000_000), t.target)),
+            slo: Arc::new(SloTracker::new(t.slo_ms.saturating_mul(1_000_000), SLO_TARGET)),
         });
-        if let (Some(tracing), Some(state)) = (&tracing, &config.state) {
-            state.set_span_recorder(Arc::clone(&tracing.recorder));
-            state.set_slo_tracker(Arc::clone(&tracing.slo));
-        }
 
         // The saturation side-car: per-shard load counters and their
-        // snapshot ring, attached to the service state so /shards.json
-        // and /timeseries.json serve live data.
+        // snapshot ring.
         let saturation = config.saturation.as_ref().map(|s| {
             let bank = Arc::new(ShardLoadBank::new(config.shards));
             let series = Arc::new(TimeSeries::new(
@@ -422,45 +407,26 @@ impl IngestServer {
             ));
             Saturation { bank, series }
         });
-        if let (Some(sat), Some(state)) = (&saturation, &config.state) {
-            state.set_timeseries(Arc::clone(&sat.series));
-        }
 
         // The shadow-audit side-car: correctness counters, divergence
         // evidence ring, and the bounded queue feeding the replay
-        // workers. Workers exit when the sender side disconnects at
+        // worker, which exits when the sender side disconnects at
         // shutdown.
-        let mut audit_handles = Vec::new();
+        let mut audit_handle = None;
         let audit = config.audit.as_ref().map(|a| {
             let bank = Arc::new(AuditBank::new(tagger.grammar().tokens().len()));
             let ring = Arc::new(EventRing::new(MISMATCH_CAPACITY));
-            let (tx, rx) = mpsc::sync_channel::<AuditJob>(a.queue_depth.max(1));
-            let rx = Arc::new(Mutex::new(rx));
-            let kind = config.engine;
-            for w in 0..a.workers.max(1) {
-                let tagger = tagger.clone();
-                let rx = Arc::clone(&rx);
-                let bank = Arc::clone(&bank);
-                let ring = Arc::clone(&ring);
-                audit_handles.push(
-                    std::thread::Builder::new()
-                        .name(format!("cfgserve-audit{w}"))
-                        .spawn(move || audit_loop(tagger, kind, rx, bank, ring))
-                        .expect("spawn audit worker"),
-                );
-            }
-            Auditor {
-                bank,
-                ring,
-                sample_every: a.sample_every.max(1),
-                max_bytes: a.max_bytes,
-                tx: Mutex::new(tx),
-            }
+            let (tx, rx) = mpsc::sync_channel::<AuditJob>(AUDIT_QUEUE_DEPTH);
+            let (tagger, kind) = (tagger.clone(), config.engine);
+            let (worker_bank, worker_ring) = (Arc::clone(&bank), Arc::clone(&ring));
+            audit_handle = Some(
+                std::thread::Builder::new()
+                    .name("cfgserve-audit".into())
+                    .spawn(move || audit_loop(tagger, kind, rx, worker_bank, worker_ring))
+                    .expect("spawn audit worker"),
+            );
+            Auditor { bank, ring, sample_every: a.sample_every.max(1), tx: Mutex::new(tx) }
         });
-        if let (Some(audit), Some(state)) = (&audit, &config.state) {
-            state.set_audit_bank(Arc::clone(&audit.bank));
-            state.set_mismatch_ring(Arc::clone(&audit.ring));
-        }
 
         // The worker handler: tag the payload with a fresh engine, then
         // ack with the events, written straight to the session's
@@ -523,7 +489,6 @@ impl IngestServer {
             queue_depth: config.queue_depth,
             backoff_base_ms: config.backoff_base_ms,
             backoff_max_ms: config.backoff_max_ms,
-            flight: config.flight.clone(),
             on_panic: Some(Arc::new(on_panic)),
             load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
         };
@@ -531,10 +496,19 @@ impl IngestServer {
 
         if let Some(registry) = &config.registry {
             pool.register(registry, "shard");
-            registry.register("server".to_owned(), Arc::clone(&server_sink));
-        }
-        if let Some(state) = &config.state {
-            state.set_ready(true);
+            registry.register("server", Arc::clone(&server_sink));
+            if let Some(t) = &tracing {
+                registry.attach(Part::Spans(Arc::clone(&t.recorder)));
+                registry.attach(Part::Slo(Arc::clone(&t.slo)));
+            }
+            if let Some(s) = &saturation {
+                registry.attach(Part::TimeSeries(Arc::clone(&s.series)));
+            }
+            if let Some(a) = &audit {
+                registry.attach(Part::Audit(Arc::clone(&a.bank)));
+                registry.attach(Part::Mismatches(Arc::clone(&a.ring)));
+            }
+            registry.set_ready(true);
         }
 
         let shared = Arc::new(Shared {
@@ -542,8 +516,7 @@ impl IngestServer {
             table,
             stop: AtomicBool::new(false),
             server_sink,
-            state: config.state.clone(),
-            flight: config.flight.clone(),
+            registry: config.registry.clone(),
             conn_handles: Mutex::new(Vec::new()),
             sessions_served: AtomicU64::new(0),
             idle_timeout: config.idle_timeout,
@@ -572,7 +545,7 @@ impl IngestServer {
             janitor_handle: Some(janitor_handle),
             saturation,
             sampler_handle,
-            audit_handles,
+            audit_handle,
         })
     }
 
@@ -592,14 +565,14 @@ impl IngestServer {
         self.shared.tracing.as_ref().map(|t| Arc::clone(&t.recorder))
     }
 
-    /// The SLO tracker, when tracing is configured — the source behind
-    /// `/slo.json`.
+    /// The SLO tracker, when tracing is configured — the source of the
+    /// `cfgtag_slo_*` and `cfgtag_srv_*` families.
     pub fn slo_tracker(&self) -> Option<Arc<SloTracker>> {
         self.shared.tracing.as_ref().map(|t| Arc::clone(&t.slo))
     }
 
     /// The saturation snapshot ring, when saturation telemetry is
-    /// configured — the source behind `/shards.json` and
+    /// configured — the source of the `cfgtag_shard_*` gauges and
     /// `/timeseries.json`.
     pub fn timeseries(&self) -> Option<Arc<TimeSeries>> {
         self.saturation.as_ref().map(|s| Arc::clone(&s.series))
@@ -612,7 +585,7 @@ impl IngestServer {
     }
 
     /// The shadow-audit counters, when auditing is configured — the
-    /// source behind `/audit.json` and the `cfgtag_audit_*` metrics.
+    /// source of the `cfgtag_audit_*` families.
     pub fn audit_bank(&self) -> Option<Arc<AuditBank>> {
         self.shared.audit.as_ref().map(|a| Arc::clone(&a.bank))
     }
@@ -644,7 +617,7 @@ impl IngestServer {
         for h in handles {
             let _ = h.join();
         }
-        let audit_handles = std::mem::take(&mut self.audit_handles);
+        let audit_handle = self.audit_handle.take();
         let mut shared = Arc::into_inner(self.shared)
             .expect("all server threads joined, shared state uniquely owned");
         let evicted = shared.server_sink.get(Stat::SessionsEvicted);
@@ -652,9 +625,9 @@ impl IngestServer {
         let shed: u64 = shared.pool.sinks().iter().map(|s| s.get(Stat::LoadShed)).sum();
         let shard = shared.pool.join();
         // Dropping the auditor drops the queue's sender; the replay
-        // workers drain what was enqueued, see the disconnect, and exit.
+        // worker drains what was enqueued, sees the disconnect, and exits.
         drop(shared.audit.take());
-        for h in audit_handles {
+        if let Some(h) = audit_handle {
             let _ = h.join();
         }
         ServerReport { sessions_served, evicted, shed, shard }
@@ -833,14 +806,6 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
                         span.stamp(Stage::FrameRead);
                         span
                     });
-                    if let Some(flight) = &shared.flight {
-                        flight.push(
-                            TraceEvent::new("ingest_frame")
-                                .field("session", id)
-                                .field("seq", seq)
-                                .field("bytes", frame.payload.len() as u64),
-                        );
-                    }
                     let msg = build_msg(id, seq, &frame.payload);
                     if let Some(span) = span.as_mut() {
                         span.stamp(Stage::Parse);
@@ -858,14 +823,14 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
                     }
                     match shared.pool.submit_to(id, ShardMsg::new(msg).with_span(span)) {
                         SubmitOutcome::Accepted => {
-                            if let Some(state) = &shared.state {
-                                state.set_overloaded(false);
+                            if let Some(registry) = &shared.registry {
+                                registry.set_overloaded(false);
                             }
                             // Mirror only *accepted* frames: the audit
                             // lane must replay what the fast path
                             // actually tagged, not what it shed.
-                            if let (Some(a), Some((frames, bytes))) = (audit, mirrored.as_mut()) {
-                                if *bytes + frame.payload.len() <= a.max_bytes {
+                            if let Some((frames, bytes)) = mirrored.as_mut() {
+                                if *bytes + frame.payload.len() <= AUDIT_MAX_BYTES {
                                     *bytes += frame.payload.len();
                                     frames.push(frame.payload.clone());
                                 }
@@ -875,8 +840,8 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
                             if let Some(pending) = &pending {
                                 pending.fetch_sub(1, Ordering::AcqRel);
                             }
-                            if let Some(state) = &shared.state {
-                                state.set_overloaded(true);
+                            if let Some(registry) = &shared.registry {
+                                registry.set_overloaded(true);
                             }
                             send(FrameKind::Busy, &seq.to_le_bytes());
                         }
@@ -936,27 +901,20 @@ fn drain_session(shared: &Shared, id: u64) {
     }
 }
 
-/// One audit worker: pull mirrored sessions off the bounded queue and
+/// The audit worker: pull mirrored sessions off the bounded queue and
 /// replay them until the sender side (the [`Auditor`]) is dropped at
 /// shutdown.
 fn audit_loop(
     tagger: TokenTagger,
     kind: EngineKind,
-    rx: Arc<Mutex<Receiver<AuditJob>>>,
+    rx: Receiver<AuditJob>,
     bank: Arc<AuditBank>,
     ring: Arc<EventRing<Mismatch>>,
 ) {
     // The exact parser is the ground truth for §3.5 false positives:
-    // build it once per worker, reuse across every frame.
+    // build it once, reuse across every frame.
     let pda = PdaParser::new(tagger.grammar());
-    loop {
-        let job = {
-            let rx = rx.lock().expect("audit queue lock");
-            match rx.recv() {
-                Ok(job) => job,
-                Err(_) => break,
-            }
-        };
+    while let Ok(job) = rx.recv() {
         for (frame, payload) in job.frames.iter().enumerate() {
             audit_frame(&tagger, kind, &pda, &bank, &ring, job.session, frame as u64, payload);
         }
@@ -1033,7 +991,7 @@ fn to_audit_events(events: &[TagEvent]) -> Vec<AuditEvent> {
         .collect()
 }
 
-/// Build the flight-recorder evidence for one divergence: the byte
+/// Build the evidence for one divergence: the byte
 /// window around the first differing event plus both full event
 /// streams.
 fn build_mismatch(

@@ -2,8 +2,7 @@
 //! workers, deterministic fault triggers.
 
 use cfg_grammar::builtin;
-use cfg_obs::{SharedRegistry, Stat};
-use cfg_obs_http::ServiceState;
+use cfg_obs::Registry;
 use cfg_server::{Client, FrameKind, IngestServer, Reply, SaturationConfig, ServerConfig};
 use cfg_tagger::{StartMode, TaggerOptions, TokenTagger};
 use std::sync::{mpsc, Arc};
@@ -71,7 +70,7 @@ fn session_cap_refuses_with_busy() {
 #[test]
 fn idle_sessions_are_evicted_and_counted() {
     let t = tagger();
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         idle_timeout: Duration::from_millis(80),
         registry: Some(Arc::clone(&registry)),
@@ -89,8 +88,7 @@ fn idle_sessions_are_evicted_and_counted() {
         Err(_) => true,
     };
     assert!(evicted);
-    let snap = registry.snapshot();
-    assert_eq!(snap.merged.counter(Stat::SessionsEvicted), 1);
+    assert_eq!(registry.snapshot().total("cfgtag_sessions_evicted_total"), 1.0);
 
     let report = server.shutdown();
     assert_eq!(report.evicted, 1);
@@ -99,7 +97,7 @@ fn idle_sessions_are_evicted_and_counted() {
 #[test]
 fn drain_deadline_timeout_is_counted() {
     let t = tagger();
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     // One shard with a long post-panic backoff: a poison frame parks
     // the worker, so frames queued behind it cannot drain within the
     // (deliberately tiny) close deadline.
@@ -126,7 +124,7 @@ fn drain_deadline_timeout_is_counted() {
     // does so long before the worker's backoff ends.
     client.close().unwrap();
     assert!(
-        registry.snapshot().merged.counter(Stat::DrainTimeouts) >= 1,
+        registry.snapshot().total("cfgtag_drain_timeouts_total") >= 1.0,
         "drain deadline fired with pending frames but was not counted"
     );
     server.shutdown();
@@ -135,7 +133,7 @@ fn drain_deadline_timeout_is_counted() {
 #[test]
 fn worker_panics_answer_err_and_bump_restart_counter() {
     let t = tagger();
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         shards: 1,
         panic_token: Some(b"POISON".to_vec()),
@@ -165,13 +163,13 @@ fn worker_panics_answer_err_and_bump_restart_counter() {
     client.close().unwrap();
     let report = server.shutdown();
     assert_eq!(report.shard.restarts, 1);
-    assert_eq!(registry.snapshot().merged.counter(Stat::WorkerRestarts), 1);
+    assert_eq!(registry.snapshot().total("cfgtag_worker_restarts_total"), 1.0);
 }
 
 #[test]
 fn overload_sheds_with_busy_and_flips_readiness() {
     let t = tagger();
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         shards: 1,
         queue_depth: 1,
@@ -180,11 +178,11 @@ fn overload_sheds_with_busy_and_flips_readiness() {
         // worker asleep while we flood the depth-1 queue.
         backoff_base_ms: 300,
         backoff_max_ms: 300,
-        state: Some(Arc::clone(&state)),
+        registry: Some(Arc::clone(&registry)),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    assert!(state.ready());
+    assert!(registry.ready());
 
     let mut client = Client::connect(server.local_addr()).unwrap();
     client.send(b"POISON").unwrap();
@@ -197,7 +195,7 @@ fn overload_sheds_with_busy_and_flips_readiness() {
     assert!(!busys.is_empty(), "flood against a sleeping worker must shed: {replies:?}");
     let report = server.shutdown();
     assert!(report.shed >= busys.len() as u64);
-    assert!(state.overloaded() || report.shed > 0);
+    assert!(registry.overloaded() || report.shed > 0);
 }
 
 #[test]
@@ -273,7 +271,7 @@ fn slow_reader_cannot_wedge_its_shard() {
     // the shard worker's next ack write blocks.
     let options = TaggerOptions { start_mode: StartMode::Always, ..TaggerOptions::default() };
     let t = TokenTagger::compile(&builtin::if_then_else(), options).unwrap();
-    let registry = Arc::new(SharedRegistry::new());
+    let registry = Arc::new(Registry::new());
     let idle_timeout = Duration::from_millis(300);
     let config = ServerConfig {
         shards: 1,
@@ -312,7 +310,7 @@ fn slow_reader_cannot_wedge_its_shard() {
         other => panic!("co-sharded client got {other:?}"),
     }
     other.close().unwrap();
-    assert_eq!(registry.snapshot().merged.counter(Stat::SessionsEvicted), 1);
+    assert_eq!(registry.snapshot().total("cfgtag_sessions_evicted_total"), 1.0);
 
     // Shutdown returns within a few idle timeouts, not never.
     let (tx, rx) = mpsc::channel();

@@ -7,9 +7,9 @@
 //! (grammar, netlist, [`crate::BitTables`], …), so a shard costs only
 //! an engine's worth of mutable state. Messages are dispatched
 //! round-robin (or by session affinity via [`ShardPool::submit_to`]),
-//! and per-shard statistics merge through [`SharedRegistry`] exactly
-//! like any other sink — `cfgtag watch top` and the `/metrics` exporter
-//! see one fused view.
+//! and per-shard statistics register in the [`Registry`] like any other
+//! sink — `cfgtag watch top` and the `/metrics` exporter see every
+//! shard's counters.
 //!
 //! Two production behaviours distinguish this pool from a plain channel
 //! fan-out:
@@ -21,10 +21,10 @@
 //!   pool is closed. Callers that *want* blocking semantics (offline
 //!   fan-out from a file) use [`ShardPool::submit_wait`].
 //! * **Workers are supervised.** A panicking per-message handler is
-//!   caught with [`std::panic::catch_unwind`]; the worker dumps the
-//!   attached [`FlightRecorder`] (if any), notifies the pool's panic
-//!   hook, bumps [`Stat::WorkerRestarts`], sleeps an exponential backoff
-//!   and resumes — one poison message cannot take a shard down.
+//!   caught with [`std::panic::catch_unwind`]; the worker notifies the
+//!   pool's panic hook, bumps [`Stat::WorkerRestarts`], sleeps an
+//!   exponential backoff and resumes — one poison message cannot take a
+//!   shard down.
 //!
 //! ```
 //! use cfg_grammar::builtin;
@@ -42,10 +42,7 @@
 //! ```
 
 use crate::tagger::TokenTagger;
-use cfg_obs::{
-    FlightRecorder, Metrics, MetricsSink, ShardLoadBank, SharedRegistry, Span, Stage, Stat,
-    StatsSink,
-};
+use cfg_obs::{Metrics, MetricsSink, Registry, ShardLoadBank, Span, Stage, Stat, StatsSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
@@ -117,17 +114,14 @@ pub struct PoolOptions {
     pub backoff_base_ms: u64,
     /// Backoff ceiling, in milliseconds (doubles per consecutive panic).
     pub backoff_max_ms: u64,
-    /// Flight recorder whose ring is dumped (JSONL to stderr) when a
-    /// worker catches a panic — the post-mortem for the poison message.
-    pub flight: Option<Arc<FlightRecorder>>,
     /// Called on the worker thread after each caught panic, before the
     /// backoff sleep. The ingest server uses this to NAK the client that
     /// sent the poison frame.
     pub on_panic: Option<PanicHook>,
     /// Saturation accounting: when attached, submit paths count
     /// arrivals and workers count dequeues, completions and busy
-    /// nanoseconds — the raw data behind `/shards.json` and
-    /// `/timeseries.json`. `None` (the default) records nothing and
+    /// nanoseconds — the raw data behind the `cfgtag_shard_*` gauges
+    /// and `/timeseries.json`. `None` (the default) records nothing and
     /// times nothing.
     pub load: Option<Arc<ShardLoadBank>>,
 }
@@ -138,7 +132,6 @@ impl Default for PoolOptions {
             queue_depth: 256,
             backoff_base_ms: 10,
             backoff_max_ms: 500,
-            flight: None,
             on_panic: None,
             load: None,
         }
@@ -151,7 +144,6 @@ impl std::fmt::Debug for PoolOptions {
             .field("queue_depth", &self.queue_depth)
             .field("backoff_base_ms", &self.backoff_base_ms)
             .field("backoff_max_ms", &self.backoff_max_ms)
-            .field("flight", &self.flight.is_some())
             .field("on_panic", &self.on_panic.is_some())
             .field("load", &self.load.is_some())
             .finish()
@@ -208,7 +200,6 @@ impl ShardPool {
             let (tx, rx) = sync_channel::<ShardMsg>(opts.queue_depth.max(1));
             let run = Arc::clone(&handler);
             let worker_sink = Arc::clone(&sink);
-            let flight = opts.flight.clone();
             let on_panic = opts.on_panic.clone();
             let load = opts.load.clone();
             let (base_ms, max_ms) = (opts.backoff_base_ms.max(1), opts.backoff_max_ms.max(1));
@@ -255,13 +246,6 @@ impl ShardPool {
                                 restarts += 1;
                                 worker_sink.add(Stat::WorkerRestarts, 1);
                                 let text = panic_text(payload.as_ref());
-                                if let Some(flight) = &flight {
-                                    eprintln!(
-                                        "cfgtag-shard{i}: handler panicked ({text}); \
-                                         flight recorder dump follows\n{}",
-                                        flight.dump_jsonl()
-                                    );
-                                }
                                 if let Some(hook) = &on_panic {
                                     hook(i, &text, &msg.payload);
                                 }
@@ -379,8 +363,8 @@ impl ShardPool {
     }
 
     /// Register every shard sink as `<prefix>0`, `<prefix>1`, … so the
-    /// registry's merged snapshot fuses all shards.
-    pub fn register(&self, registry: &SharedRegistry, prefix: &str) {
+    /// registry's snapshot carries every shard's series.
+    pub fn register(&self, registry: &Registry, prefix: &str) {
         for (i, sink) in self.sinks.iter().enumerate() {
             registry.register(format!("{prefix}{i}"), Arc::clone(sink));
         }
@@ -463,11 +447,11 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_sinks_merge_through_registry() {
+    fn per_shard_sinks_register_in_the_registry() {
         let t = tagger();
         let msg = b"if true then go else stop";
         let pool = tagging_pool(&t, 2);
-        let registry = SharedRegistry::new();
+        let registry = Registry::new();
         pool.register(&registry, "shard");
         assert_eq!(registry.names(), vec!["shard0".to_owned(), "shard1".to_owned()]);
         for _ in 0..4 {
@@ -475,8 +459,8 @@ mod tests {
         }
         let sinks: Vec<_> = pool.sinks().to_vec();
         pool.join();
-        let merged = registry.snapshot();
-        assert_eq!(merged.merged.counter(Stat::BytesIn), 4 * msg.len() as u64);
+        let snap = registry.snapshot();
+        assert_eq!(snap.total("cfgtag_bytes_in_total"), (4 * msg.len()) as f64);
         for sink in &sinks {
             assert_eq!(sink.get(Stat::BytesIn), 2 * msg.len() as u64);
         }

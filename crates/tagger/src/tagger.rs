@@ -358,7 +358,7 @@ impl TokenTagger {
     /// topology (its `/circuit.json`) plus a live [`TaggerProbes`] bank
     /// whose dense indices mirror the topology's probe ids. Attach it
     /// with [`TokenTagger::with_probes`] and share the `Arc` with any
-    /// exporter that serves `/probes.json`.
+    /// registry that exports `cfgtag_probe_total`.
     pub fn probes(&self) -> Arc<TaggerProbes> {
         Arc::new(TaggerProbes::build(&self.core.grammar, self.core.hw()))
     }
@@ -709,8 +709,7 @@ mod tests {
         let total: u64 = (0..16).map(|i| sink.token_fires(i)).sum();
         assert_eq!(total, 6);
         // The compile pipeline reported its total via the sink too.
-        let snap = sink.snapshot();
-        assert!(snap.timings.iter().any(|(name, _)| *name == "compile_total"));
+        assert_eq!(sink.snapshot().histogram("compile_total").map(|h| h.count), Some(1));
     }
 
     #[test]

@@ -19,10 +19,10 @@
 //! * [`fpga`] — VirtexE/Virtex-4 device models and static timing.
 //! * [`baseline`] — naive DPI matcher, Aho–Corasick, software lexer, LL(1).
 //! * [`xmlrpc`] — the XML-RPC grammar, workload generator and router.
-//! * [`obs`] — zero-overhead-when-off metrics, traces, and the shared
-//!   snapshot registry / flight recorder behind live telemetry.
-//! * [`obs_http`] — dependency-free `/metrics` (Prometheus), health
-//!   probe, and `/report.json` exporter over the registry.
+//! * [`obs`] — zero-overhead-when-off metrics, traces, the flight
+//!   recorder, and the one registry and snapshot behind live telemetry.
+//! * [`obs_http`] — dependency-free exporter over the registry:
+//!   `/metrics` (Prometheus), `/snapshot.json`, health probes.
 //! * [`server`] — the supervised multi-session TCP ingest server and
 //!   its deterministic fault-injection harness.
 //!

@@ -16,8 +16,8 @@
 
 use cfg_grammar::builtin;
 use cfg_obs::json::Json;
-use cfg_obs::SharedRegistry;
-use cfg_obs_http::{http_get, Exporter, ServiceState};
+use cfg_obs::{Registry, Snapshot};
+use cfg_obs_http::{http_get, Exporter};
 use cfg_server::frame::encode_events;
 use cfg_server::{Client, FaultPlan, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
@@ -46,8 +46,7 @@ fn corpus() -> Vec<Vec<u8>> {
 #[test]
 fn server_survives_chaos_without_losing_acked_events() {
     let tagger = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         shards: 2,
         queue_depth: 2,
@@ -59,7 +58,6 @@ fn server_survives_chaos_without_losing_acked_events() {
         backoff_base_ms: 50,
         backoff_max_ms: 200,
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         // Trace every frame: chaos must not be able to produce a
         // malformed span, however the fault dice land.
         trace: Some(TraceConfig { sample_every: 1, ring: 4096, ..TraceConfig::default() }),
@@ -67,8 +65,7 @@ fn server_survives_chaos_without_losing_acked_events() {
     };
     let server = IngestServer::start(&tagger, "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     // The unfaulted ground truth: what each payload must tag to,
@@ -220,8 +217,8 @@ fn server_survives_chaos_without_losing_acked_events() {
         traced += 1;
     }
     assert!(traced > 0, "a traced chaos run retained no spans");
-    let slo = Json::parse(&http_get(&metrics_addr, "/slo.json").unwrap()).unwrap();
-    let slo_total = slo.get("total").unwrap().as_u64().unwrap();
+    let slo = Snapshot::parse(&http_get(&metrics_addr, "/snapshot.json").unwrap()).unwrap();
+    let slo_total = slo.value("cfgtag_slo_frames_total", &[]).unwrap() as u64;
     assert!(slo_total > 0, "SLO tracker observed nothing under chaos");
     assert!(slo_total >= traced as u64, "tracker saw fewer frames than the ring retained");
 

@@ -2,16 +2,17 @@
 //! with the probe layer attached, scraped over real sockets by the
 //! same client pieces `cfgtag scope` uses.
 //!
-//! Covers the PR's acceptance scenario: `/circuit.json` and
-//! `/probes.json` agree probe-for-probe, per-tokenizer fire counts and
+//! Covers the acceptance scenario: `/circuit.json` and the snapshot's
+//! `cfgtag_probe_total` series agree probe-for-probe, per-tokenizer fire counts and
 //! FOLLOW-edge activations are nonzero under honest traffic, the
 //! heat-annotated DOT export colors hot elements, and an armed
 //! `--trigger token:<name>` capture dumps a JSONL window containing
 //! the triggering event.
 
-use cfg_cli::scope::{parse_circuit, parse_probes, render_heat_dot, render_scope};
+use cfg_cli::scope::{parse_circuit, probes, render_heat_dot, render_scope};
 use cfg_cli::serve::{run_serve, ServeFlags};
 use cfg_obs::json::Json;
+use cfg_obs::Snapshot;
 use cfg_obs_http::{http_get, http_get_status};
 use std::io::Read;
 use std::sync::mpsc;
@@ -57,11 +58,11 @@ impl Read for GatedReader {
     }
 }
 
-fn poll_until(addr: &str, what: &str, pred: impl Fn(&str) -> bool) -> String {
+fn poll_until(addr: &str, what: &str, pred: impl Fn(&Snapshot) -> bool) -> Snapshot {
     for _ in 0..400 {
-        if let Ok(body) = http_get(addr, "/probes.json") {
-            if pred(&body) {
-                return body;
+        if let Ok(snap) = http_get(addr, "/snapshot.json").map(|b| Snapshot::parse(&b).unwrap()) {
+            if pred(&snap) {
+                return snap;
             }
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -109,16 +110,16 @@ fn scope_sees_fires_edges_and_a_triggered_capture() {
     // can land between arming the trigger below and checking that the
     // capture is still pending.
     parked_rx.recv_timeout(Duration::from_secs(30)).expect("stream parks at gate 1");
-    let probes_body = poll_until(&addr, "token fires", |body| {
-        parse_probes(body).is_ok_and(|p| {
+    let snapshot = poll_until(&addr, "token fires", |snap| {
+        probes(snap).is_ok_and(|p| {
             p.iter().any(|(id, c)| id.starts_with("tok/") && id.ends_with("/fire") && *c > 0)
         })
     });
-    let probes = parse_probes(&probes_body).unwrap();
+    let probes = probes(&snapshot).unwrap();
     let circuit = parse_circuit(&http_get(&addr, "/circuit.json").unwrap()).unwrap();
 
-    // Acceptance: /circuit.json probe ids match /probes.json 1:1, in
-    // order.
+    // Acceptance: /circuit.json probe ids match the probe series 1:1,
+    // in order.
     let served_ids: Vec<String> = probes.iter().map(|(id, _)| id.clone()).collect();
     assert_eq!(circuit.probe_ids(), served_ids, "circuit/probes id mismatch");
 

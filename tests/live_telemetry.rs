@@ -3,12 +3,13 @@
 //! sockets — the PR's acceptance scenario, minus process spawning.
 //!
 //! Covers: monotonic counters across mid-stream scrapes, decision-
-//! latency quantiles in `/metrics`, a well-formed `/report.json`, and
+//! latency quantiles in `/metrics`, a well-formed `/snapshot.json`, and
 //! the post-mortem flight dump (with `dead_entry` trace events) when
 //! the stream goes dead without recovery.
 
 use cfg_cli::serve::{run_serve, ServeFlags};
 use cfg_obs::json::Json;
+use cfg_obs::Snapshot;
 use cfg_obs_http::http_get;
 use cfg_xmlrpc::grammar::XMLRPC_GRAMMAR_TEXT;
 use cfg_xmlrpc::workload::{MessageKind, WorkloadGenerator};
@@ -50,11 +51,11 @@ impl Read for GatedReader {
     }
 }
 
-/// Scrape `/report.json` until `pred` holds on the body (or panic).
-fn poll_report(addr: &str, what: &str, pred: impl Fn(&Json) -> bool) -> Json {
+/// Scrape `/snapshot.json` until `pred` holds on it (or panic).
+fn poll_report(addr: &str, what: &str, pred: impl Fn(&Snapshot) -> bool) -> Snapshot {
     for _ in 0..400 {
-        if let Ok(body) = http_get(addr, "/report.json") {
-            if let Ok(v) = Json::parse(&body) {
+        if let Ok(body) = http_get(addr, "/snapshot.json") {
+            if let Ok(v) = Snapshot::parse(&body) {
                 if pred(&v) {
                     return v;
                 }
@@ -65,13 +66,8 @@ fn poll_report(addr: &str, what: &str, pred: impl Fn(&Json) -> bool) -> Json {
     panic!("timed out waiting for {what} at {addr}");
 }
 
-fn merged_counter(v: &Json, name: &str) -> u64 {
-    v.get("stats")
-        .and_then(|s| s.get("merged"))
-        .and_then(|m| m.get("counters"))
-        .and_then(|c| c.get(name))
-        .and_then(Json::as_u64)
-        .unwrap_or(0)
+fn merged_counter(v: &Snapshot, name: &str) -> u64 {
+    v.total(&format!("cfgtag_{name}_total")) as u64
 }
 
 /// The value of one Prometheus series in a scrape body.
@@ -148,9 +144,9 @@ fn serve_exports_monotonic_counters_and_latency_quantiles_mid_stream() {
     assert!(p99 > 0.0, "p99 = {p99}");
     assert!(m2.contains("# TYPE cfgtag_decision_latency_ns histogram"));
 
-    // Serve metadata rides along in the report.
-    let tokens = r2.get("meta").and_then(|m| m.get("tokens")).and_then(Json::as_array);
-    assert!(tokens.is_some_and(|t| !t.is_empty()), "meta.tokens missing");
+    // Serve metadata rides along in the snapshot.
+    let tokens = r2.get("cfgtag_token_info").map(|f| &f.series);
+    assert!(tokens.is_some_and(|t| !t.is_empty()), "token names missing");
 
     let outcome = worker.join().expect("serve thread");
     assert_eq!(outcome.code, 0);

@@ -475,6 +475,106 @@ proptest! {
     }
 }
 
+/// Grammar metacharacters and digits: what an insertion edit draws from.
+const GRAMMAR_META: &[u8] = b"%:|;\"'[]()*+?{},\\-^.$/=0123456789 \n";
+
+/// One to four seeded byte edits of `text`: delete, duplicate, swap
+/// with the next byte, or insert a grammar metacharacter or digit.
+fn grammar_mutant(text: &str, rng: &mut cfg_token_tagger::grammar::random::Rng) -> String {
+    let mut bytes = text.as_bytes().to_vec();
+    for _ in 0..1 + rng.below(4) {
+        let at = rng.below(bytes.len() + 1);
+        match rng.below(4) {
+            0 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            1 if at < bytes.len() => bytes.insert(at, bytes[at]),
+            2 if at + 1 < bytes.len() => bytes.swap(at, at + 1),
+            _ => bytes.insert(at, GRAMMAR_META[rng.below(GRAMMAR_META.len())]),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Fuzz `cases` grammar-text mutants from `first_seed` on: every one
+/// goes through `Grammar::parse`, and every one that parses through
+/// `TokenTagger::compile` in all four start-mode × recovery modes and
+/// `tag()` of one generated sentence. Panics name the mutant; every
+/// compiled grammar must stay within `MAX_POSITIONS`. Returns how many
+/// parsed, and the slowest case with its time.
+fn fuzz_grammar_texts(first_seed: u64, cases: u64) -> (u64, std::time::Duration, String) {
+    use cfg_token_tagger::grammar::random::{join, RandomGrammar, Rng};
+    use cfg_token_tagger::regex::MAX_POSITIONS;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let mut builtins: Vec<String> = [
+        builtin::balanced_parens(),
+        builtin::if_then_else(),
+        builtin::arithmetic(),
+        builtin::key_value(),
+        builtin::http_request_line(),
+        builtin::json(),
+    ]
+    .iter()
+    .map(Grammar::render)
+    .collect();
+    builtins.push(cfg_token_tagger::xmlrpc::grammar::XMLRPC_GRAMMAR_TEXT.to_owned());
+    let (mut parsed, mut slowest) = (0u64, (std::time::Duration::ZERO, String::new()));
+    for seed in first_seed..first_seed + cases {
+        let mut rng = Rng::new(seed);
+        let generated = RandomGrammar::generate(seed);
+        let base = if seed % 4 == 0 {
+            &builtins[(seed / 4) as usize % builtins.len()]
+        } else {
+            &generated.text
+        };
+        let text = grammar_mutant(base, &mut rng);
+        let input = join(&generated.sentence(&mut rng), &mut rng);
+        let started = std::time::Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let Ok(g) = Grammar::parse(&text) else { return false };
+            for (always, recover) in [(false, false), (true, false), (false, true), (true, true)] {
+                let opts = TaggerOptions {
+                    start_mode: if always { StartMode::Always } else { StartMode::AtStart },
+                    error_recovery: recover,
+                    ..Default::default()
+                };
+                if let Ok(tagger) = TokenTagger::compile(&g, opts) {
+                    let positions = tagger.grammar().pattern_bytes();
+                    assert!(positions <= MAX_POSITIONS, "{positions} positions compiled");
+                    tagger.tag(&input);
+                }
+            }
+            true
+        }));
+        match outcome {
+            Ok(ok) => parsed += u64::from(ok),
+            Err(_) => panic!("seed {seed}: grammar text mutant panicked:\n{text}"),
+        }
+        if started.elapsed() > slowest.0 {
+            slowest = (started.elapsed(), format!("seed {seed}:\n{text}"));
+        }
+    }
+    (parsed, slowest.0, slowest.1)
+}
+
+/// Grammar text never panics the parser, the compile pipeline or the
+/// tagger, and no compiled grammar exceeds the position bound: seeded
+/// byte edits of generated and built-in grammar texts.
+#[test]
+fn grammar_text_mutants_never_panic() {
+    let (parsed, _, _) = fuzz_grammar_texts(0, 2_000);
+    assert!(parsed >= 200, "only {parsed} of 2000 mutants parsed: the fuzzer reaches too little");
+}
+
+/// The long run: `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore]
+fn grammar_text_mutants_never_panic_long() {
+    let (parsed, slowest, case) = fuzz_grammar_texts(1 << 32, 200_000);
+    println!("{parsed} of 200000 mutants parsed; slowest {slowest:?}, {case}");
+}
+
 // ------------------------------------------- netlist sim cross-check
 
 /// A tiny reference evaluator for random combinational DAGs, checked

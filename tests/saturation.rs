@@ -1,17 +1,17 @@
 //! End-to-end saturation-telemetry invariants on a live ingest server.
 //!
 //! With `--sample-hz`-style telemetry on, a pipelined load against a
-//! 2-shard server must surface as: non-trivial utilization in
-//! `/shards.json`, and a Little's-law predicted queue wait that agrees
-//! (within 2×) with the *measured* `queue_wait` p50 the tracing
-//! pipeline reports in `/slo.json`. With telemetry off, the saturation
-//! endpoints must still answer 200 — sampling-off is a configuration,
-//! not an error.
+//! 2-shard server must surface as: non-trivial utilization in the
+//! `cfgtag_shard_*` gauges of `/snapshot.json`, and a Little's-law
+//! predicted queue wait that agrees (within 2×) with the *measured*
+//! `queue_wait` p50 the tracing pipeline reports in the same snapshot.
+//! With telemetry off, the endpoints must still answer 200 —
+//! sampling-off is a configuration, not an error.
 
 use cfg_grammar::builtin;
 use cfg_obs::json::Json;
-use cfg_obs::SharedRegistry;
-use cfg_obs_http::{http_get, http_get_status, Exporter, ServiceState};
+use cfg_obs::{Registry, Snapshot};
+use cfg_obs_http::{http_get, http_get_status, Exporter};
 use cfg_server::{Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use std::sync::Arc;
@@ -39,25 +39,17 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
         TaggerOptions::builder().error_recovery(true).build(),
     )
     .unwrap();
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         shards: 2,
         queue_depth: 2 * WINDOW as usize,
-        trace: Some(TraceConfig {
-            sample_every: u64::from(MESSAGES),
-            slo_ms: 60_000,
-            ring: 16,
-            ..TraceConfig::default()
-        }),
+        trace: Some(TraceConfig { sample_every: u64::from(MESSAGES), slo_ms: 60_000, ring: 16 }),
         saturation: Some(SaturationConfig { interval_ms: 1, history: 8192 }),
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     // Pipelined load: keep WINDOW frames in flight so the shard queue
@@ -79,40 +71,42 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
 
     // Read the gauges immediately, while the snapshot window is still
     // dominated by the loaded period.
-    let shards_body = http_get(&metrics_addr, "/shards.json").unwrap();
-    let v = Json::parse(&shards_body).unwrap();
-    let rows = v.get("shards").unwrap().as_array().unwrap();
+    let shards_body = http_get(&metrics_addr, "/snapshot.json").unwrap();
+    let snap = Snapshot::parse(&shards_body).unwrap();
+    let rows: Vec<&str> = snap
+        .get("cfgtag_shard_utilization_pct")
+        .expect("shard gauges exported")
+        .series
+        .iter()
+        .filter_map(|s| s.label("shard"))
+        .collect();
     assert_eq!(rows.len(), 2, "{shards_body}");
-    let util = |row: &Json| row.get("utilization_pct").unwrap().as_f64().unwrap();
+    let gauge = |name: &str, shard: &str| snap.value(name, &[("shard", shard)]).unwrap();
+    let util = |shard: &str| gauge("cfgtag_shard_utilization_pct", shard);
     let busy =
-        rows.iter().max_by(|a, b| util(a).partial_cmp(&util(b)).unwrap()).expect("two shard rows");
+        *rows.iter().max_by(|a, b| util(a).partial_cmp(&util(b)).unwrap()).expect("two shard rows");
     assert!(
         util(busy) > 0.0 && util(busy) <= 100.0,
         "busy shard utilization must land in (0,100]: {shards_body}"
     );
-    let arrivals: f64 =
-        rows.iter().map(|r| r.get("arrivals_per_sec").unwrap().as_f64().unwrap()).sum();
+    let arrivals: f64 = rows.iter().map(|r| gauge("cfgtag_shard_arrivals_per_sec", r)).sum();
     assert!(arrivals > 0.0, "{shards_body}");
 
     // Little's law: the busy shard's predicted queue wait must agree
     // with the measured queue_wait p50 within 2×. Both describe the
     // same sustained, saturated window, so W_q = L̄_q / λ holds.
-    let predicted = busy.get("predicted_wait_ns").unwrap().as_f64().unwrap();
+    let predicted = gauge("cfgtag_shard_predicted_wait_ns", busy);
     assert!(predicted > 0.0, "{shards_body}");
-    let slo_body = http_get(&metrics_addr, "/slo.json").unwrap();
-    let slo = Json::parse(&slo_body).unwrap();
-    let measured = slo
-        .get("stages")
-        .and_then(|s| s.get("queue_wait"))
-        .and_then(|q| q.get("p50_ns"))
-        .and_then(Json::as_u64)
-        .expect("traced server reports queue_wait p50") as f64;
-    assert!(measured > 0.0, "{slo_body}");
+    let measured = snap
+        .histogram("cfgtag_srv_stage_ns", &[("stage", "queue_wait")])
+        .expect("traced server reports queue_wait p50")
+        .quantile(0.5) as f64;
+    assert!(measured > 0.0, "{shards_body}");
     let ratio = predicted / measured;
     assert!(
         (0.5..=2.0).contains(&ratio),
         "Little's-law prediction off by more than 2x: predicted {predicted}ns, \
-         measured p50 {measured}ns (ratio {ratio:.3})\nshards: {shards_body}\nslo: {slo_body}"
+         measured p50 {measured}ns (ratio {ratio:.3})\nsnapshot: {shards_body}"
     );
 
     // The ring dump holds ordered snapshots with a deep queue visible
@@ -151,25 +145,19 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
 #[test]
 fn sampling_off_keeps_all_three_endpoints_answering() {
     let t = tagger();
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
-    let config = ServerConfig {
-        registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
-        ..ServerConfig::default()
-    };
+    let registry = Arc::new(Registry::new());
+    let config = ServerConfig { registry: Some(Arc::clone(&registry)), ..ServerConfig::default() };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     let mut client = Client::connect(server.local_addr()).unwrap();
     assert!(matches!(client.request(b"go").unwrap(), Reply::Acked { .. }));
 
-    let (status, body) = http_get_status(&metrics_addr, "/shards.json").unwrap();
+    let (status, body) = http_get_status(&metrics_addr, "/snapshot.json").unwrap();
     assert_eq!(status, 200, "{body}");
-    let v = Json::parse(&body).unwrap();
-    assert_eq!(v.get("shards").unwrap().as_array().unwrap().len(), 0, "{body}");
+    let snap = Snapshot::parse(&body).unwrap();
+    assert!(snap.get("cfgtag_shard_queue_depth").is_none(), "{body}");
 
     let (status, body) = http_get_status(&metrics_addr, "/timeseries.json").unwrap();
     assert_eq!(status, 200, "{body}");
@@ -189,17 +177,14 @@ fn sampling_off_keeps_all_three_endpoints_answering() {
 #[test]
 fn idle_server_reports_zero_rates_not_errors() {
     let t = tagger();
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         saturation: Some(SaturationConfig { interval_ms: 1, history: 64 }),
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     // Wait for the sampler to build a window.
@@ -212,12 +197,15 @@ fn idle_server_reports_zero_rates_not_errors() {
     }
     assert!(series.len() >= 2, "sampler never ticked");
 
-    let body = http_get(&metrics_addr, "/shards.json").unwrap();
-    let v = Json::parse(&body).unwrap();
-    for row in v.get("shards").unwrap().as_array().unwrap() {
-        assert_eq!(row.get("queue_depth").unwrap().as_u64(), Some(0), "{body}");
-        assert_eq!(row.get("arrivals_per_sec").unwrap().as_f64(), Some(0.0), "{body}");
-        assert_eq!(row.get("predicted_wait_ns").unwrap().as_f64(), Some(0.0), "{body}");
+    let body = http_get(&metrics_addr, "/snapshot.json").unwrap();
+    let snap = Snapshot::parse(&body).unwrap();
+    let shards = &snap.get("cfgtag_shard_queue_depth").expect("shard gauges exported").series;
+    assert_eq!(shards.len(), 2, "{body}");
+    for row in shards {
+        let shard = [("shard", row.label("shard").unwrap())];
+        assert_eq!(row.number(), Some(0.0), "{body}");
+        assert_eq!(snap.value("cfgtag_shard_arrivals_per_sec", &shard), Some(0.0), "{body}");
+        assert_eq!(snap.value("cfgtag_shard_predicted_wait_ns", &shard), Some(0.0), "{body}");
     }
 
     server.shutdown();

@@ -15,13 +15,13 @@
 //!    offline replay of the same frames (same engines, same parser)
 //!    within one percentage point;
 //! 3. with auditing unconfigured the server stays metrics-dark: no
-//!    `cfgtag_audit_*` rows, dark `/audit.json`, empty
+//!    `cfgtag_audit_*` rows in `/metrics` or `/snapshot.json`, empty
 //!    `/mismatches.jsonl` — all still HTTP 200.
 
 use cfg_grammar::builtin;
 use cfg_obs::json::Json;
-use cfg_obs::{AuditBank, SharedRegistry};
-use cfg_obs_http::{http_get, http_get_status, Exporter, ServiceState};
+use cfg_obs::{AuditBank, Registry, Snapshot};
+use cfg_obs_http::{http_get, http_get_status, Exporter};
 use cfg_server::{AuditConfig, Client, IngestServer, Reply, ServerConfig};
 use cfg_tagger::{EngineKind, PdaParser, TaggerOptions, TokenTagger};
 use cfg_xmlrpc::workload::{MessageKind, WorkloadGenerator};
@@ -57,18 +57,15 @@ fn corrupted_decode_rom_is_caught_as_divergence_with_evidence() {
     let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default())
         .unwrap()
         .with_corrupted_rom_row(b'i');
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         engine: EngineKind::Bit,
-        audit: Some(AuditConfig { sample_every: 1, ..AuditConfig::default() }),
+        audit: Some(AuditConfig { sample_every: 1 }),
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     let payload = b"if true then go else stop";
@@ -154,18 +151,15 @@ fn live_precision_matches_offline_replay_within_one_point() {
     assert!(fires_confirmed < fires_total, "truncation must produce false positives");
     let offline_pct = fires_confirmed as f64 / fires_total as f64 * 100.0;
 
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         engine: EngineKind::Bit,
-        audit: Some(AuditConfig { sample_every: 1, ..AuditConfig::default() }),
+        audit: Some(AuditConfig { sample_every: 1 }),
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -180,16 +174,16 @@ fn live_precision_matches_offline_replay_within_one_point() {
     assert_eq!(bank.frames_audited(), payloads.len() as u64);
     assert_eq!(bank.divergences(), 0, "a healthy tagger must not diverge");
 
-    let body = http_get(&metrics_addr, "/audit.json").unwrap();
-    let v = Json::parse(&body).unwrap();
-    assert_eq!(v.get("enabled").and_then(Json::as_bool), Some(true), "{body}");
-    let live_pct = v.get("precision_pct").and_then(Json::as_f64).expect("fires were audited");
+    let body = http_get(&metrics_addr, "/snapshot.json").unwrap();
+    let v = Snapshot::parse(&body).unwrap();
+    assert!(v.get("cfgtag_audit_frames_total").is_some(), "{body}");
+    let live_pct = v.value("cfgtag_audit_precision_pct", &[]).expect("fires were audited");
     assert!(
         (live_pct - offline_pct).abs() < 1.0,
         "live precision {live_pct:.3}% vs offline replay {offline_pct:.3}%: \
          must agree within one percentage point\n{body}"
     );
-    let fp_rows = v.get("false_positives").unwrap().as_array().unwrap();
+    let fp_rows = &v.get("cfgtag_audit_false_positives_total").unwrap().series;
     assert!(!fp_rows.is_empty(), "truncated documents must surface per-token FP rows: {body}");
 
     server.shutdown();
@@ -199,16 +193,10 @@ fn live_precision_matches_offline_replay_within_one_point() {
 #[test]
 fn audit_off_keeps_the_serving_path_metrics_dark() {
     let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
-    let config = ServerConfig {
-        registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
-        ..ServerConfig::default()
-    };
+    let registry = Arc::new(Registry::new());
+    let config = ServerConfig { registry: Some(Arc::clone(&registry)), ..ServerConfig::default() };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -219,10 +207,10 @@ fn audit_off_keeps_the_serving_path_metrics_dark() {
     assert!(server.mismatch_ring().is_none());
 
     // Unconfigured is a state, not an error: both endpoints answer 200.
-    let (status, body) = http_get_status(&metrics_addr, "/audit.json").unwrap();
+    let (status, body) = http_get_status(&metrics_addr, "/snapshot.json").unwrap();
     assert_eq!(status, 200, "{body}");
-    let v = Json::parse(&body).unwrap();
-    assert_eq!(v.get("enabled").and_then(Json::as_bool), Some(false), "{body}");
+    let v = Snapshot::parse(&body).unwrap();
+    assert!(v.families.iter().all(|f| !f.name.starts_with("cfgtag_audit_")), "{body}");
 
     let (status, body) = http_get_status(&metrics_addr, "/mismatches.jsonl").unwrap();
     assert_eq!(status, 200);

@@ -2,13 +2,13 @@
 //!
 //! With tracing enabled, every acked frame must decompose into
 //! monotonic, non-negative stage durations that sum *exactly* to its
-//! end-to-end latency, and the live `/slo.json` and `/spans.jsonl`
-//! endpoints must agree with the server's own tracker.
+//! end-to-end latency, and the live `/snapshot.json` SLO families and
+//! `/spans.jsonl` must agree with the server's own tracker.
 
 use cfg_grammar::builtin;
 use cfg_obs::json::Json;
-use cfg_obs::{SharedRegistry, Stage};
-use cfg_obs_http::{http_get, Exporter, ServiceState};
+use cfg_obs::{Registry, Snapshot, Stage};
+use cfg_obs_http::{http_get, Exporter};
 use cfg_server::{Client, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use std::sync::Arc;
@@ -21,11 +21,11 @@ fn tagger() -> TokenTagger {
 /// Wait until the tracker has folded in `want` spans — the ack is
 /// written a moment before the span is recorded, so the last frame's
 /// span can trail its ack.
-fn await_total(metrics_addr: &str, want: u64) -> Json {
+fn await_total(metrics_addr: &str, want: u64) -> Snapshot {
     for _ in 0..200 {
-        let body = http_get(metrics_addr, "/slo.json").unwrap();
-        let v = Json::parse(&body).unwrap();
-        if v.get("total").and_then(Json::as_u64) >= Some(want) {
+        let body = http_get(metrics_addr, "/snapshot.json").unwrap();
+        let v = Snapshot::parse(&body).unwrap();
+        if v.value("cfgtag_slo_frames_total", &[]) >= Some(want as f64) {
             return v;
         }
         std::thread::sleep(Duration::from_millis(5));
@@ -37,22 +37,14 @@ fn await_total(metrics_addr: &str, want: u64) -> Json {
 fn every_acked_frame_decomposes_into_stage_durations() {
     const MESSAGES: u64 = 40;
     let t = tagger();
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
-        trace: Some(TraceConfig {
-            sample_every: 1,
-            slo_ms: 250,
-            ring: 1024,
-            ..TraceConfig::default()
-        }),
+        trace: Some(TraceConfig { sample_every: 1, slo_ms: 250, ring: 1024 }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     let corpus: [&[u8]; 4] =
@@ -86,20 +78,13 @@ fn every_acked_frame_decomposes_into_stage_durations() {
         assert_eq!(sum, total, "stage durations must sum to end-to-end in {line}");
     }
 
-    // /slo.json agrees with the server's own tracker, full-fidelity.
-    assert_eq!(slo.get("total").unwrap().as_u64(), Some(MESSAGES));
-    assert_eq!(slo.get("e2e").unwrap().get("count").unwrap().as_u64(), Some(MESSAGES));
-    let stage_obj = slo.get("stages").unwrap();
+    // The SLO families agree with the server's own tracker, full-fidelity.
+    assert_eq!(slo.value("cfgtag_slo_frames_total", &[]), Some(MESSAGES as f64));
+    assert_eq!(slo.histogram("cfgtag_srv_span_ns", &[]).unwrap().count, MESSAGES);
     for stage in Stage::ALL {
-        let s = stage_obj.get(stage.name()).unwrap();
-        assert_eq!(
-            s.get("count").unwrap().as_u64(),
-            Some(MESSAGES),
-            "stage {} not observed for every frame",
-            stage.name()
-        );
-        let p50 = s.get("p50_ns").unwrap().as_u64().unwrap();
-        let p999 = s.get("p999_ns").unwrap().as_u64().unwrap();
+        let s = slo.histogram("cfgtag_srv_stage_ns", &[("stage", stage.name())]).unwrap();
+        assert_eq!(s.count, MESSAGES, "stage {} not observed for every frame", stage.name());
+        let (p50, p999) = (s.quantile(0.5), s.quantile(0.999));
         assert!(p50 <= p999, "quantiles out of order for {}", stage.name());
     }
     let tracker = server.slo_tracker().expect("tracing configured");
@@ -114,24 +99,16 @@ fn every_acked_frame_decomposes_into_stage_durations() {
 fn head_sampling_throttles_the_ring_but_not_the_slo() {
     const MESSAGES: u64 = 20;
     let t = tagger();
-    let registry = Arc::new(SharedRegistry::new());
-    let state = Arc::new(ServiceState::new());
+    let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         registry: Some(Arc::clone(&registry)),
-        state: Some(Arc::clone(&state)),
         // Huge objective: nothing is "slow", so retention is purely
         // the deterministic 1-in-8 head sample (span ids 0, 8, 16).
-        trace: Some(TraceConfig {
-            sample_every: 8,
-            slo_ms: 60_000,
-            ring: 64,
-            ..TraceConfig::default()
-        }),
+        trace: Some(TraceConfig { sample_every: 8, slo_ms: 60_000, ring: 64 }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-    let exporter =
-        Exporter::bind("127.0.0.1:0", Arc::clone(&registry), Arc::clone(&state)).unwrap();
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -139,7 +116,11 @@ fn head_sampling_throttles_the_ring_but_not_the_slo() {
         assert!(matches!(client.request(b"go").unwrap(), Reply::Acked { .. }));
     }
     let slo = await_total(&metrics_addr, MESSAGES);
-    assert_eq!(slo.get("total").unwrap().as_u64(), Some(MESSAGES), "SLO sees every frame");
+    assert_eq!(
+        slo.value("cfgtag_slo_frames_total", &[]),
+        Some(MESSAGES as f64),
+        "SLO sees every frame"
+    );
 
     let spans_body = http_get(&metrics_addr, "/spans.jsonl").unwrap();
     let ids: Vec<u64> = spans_body
