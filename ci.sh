@@ -22,15 +22,19 @@
 #   8. probe layer & scope      -- engine probe counters, trigger hub,
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
-#   9. production engine        -- the DFA table walk and its bit-step
-#                                  cold path (dead-run skip, table
-#                                  budget and register caps, probe and
-#                                  trace detail), shard pool, the
+#   9. production engine        -- the DFA table walk (action digests,
+#                                  every kind of action sent to the
+#                                  exact path, staging past its
+#                                  capacity) and its bit-step cold path
+#                                  (dead-run skip, table budget and
+#                                  register caps, probe and trace
+#                                  detail), shard pool, the
 #                                  three-engine agreement property, the
 #                                  random-grammar generator, and the
 #                                  five-run property on generated
 #                                  multi-token grammars (table, zero and
-#                                  small budgets, scalar, gate)
+#                                  small budgets, scalar, gate; events,
+#                                  counters and per-token fires)
 #  10. compile pipeline         -- the tagger's compile (lazily built
 #                                  circuit, reversed NFAs and scalar
 #                                  tables, pinned compile errors, the
@@ -41,9 +45,10 @@
 #                                  grammar-text fuzzer's short run
 #  11. ingest server            -- cfg-server unit + integration tests
 #                                  (thread-per-connection serving, the
-#                                  slow-reader eviction included), the
-#                                  Engine trait suite, and the
-#                                  fault-injection chaos test
+#                                  slow- and trickling-reader evictions
+#                                  and listen-mode token names
+#                                  included), the Engine trait suite,
+#                                  and the fault-injection chaos test
 #  12. span tracing & SLO       -- cfg-obs span/SLO suites and the
 #                                  log-linear histogram, the slo view,
 #                                  and the end-to-end span_trace test

@@ -260,12 +260,35 @@ fn time_left(deadline: Instant) -> io::Result<Duration> {
         .ok_or_else(|| io::ErrorKind::TimedOut.into())
 }
 
-/// `write_all` against one deadline for the whole buffer. A socket
-/// write timeout bounds each `write` call, and a call that moved some
-/// bytes before it blocked returns them, so `write_all` restarts the
-/// clock: a silent peer on Linux loopback took 3.9 MB in a first 2 s
-/// call and 0.3 MB in a second, holding a 2 s-timeout `write_all` for
-/// 6 s.
+/// `write_all` against one deadline for the whole buffer, `timeout`
+/// from the first `write`: the exporter's HTTP replies and the ingest
+/// server's acks both write through it. A socket write timeout bounds
+/// each `write` call, and a call that moved some bytes before it blocked
+/// returns them, so `write_all` restarts the clock: a silent peer on
+/// Linux loopback took 3.9 MB in a first 2 s call and 0.3 MB in a
+/// second, holding a 2 s-timeout `write_all` for 6 s.
+///
+/// The first call runs under the socket's standing write timeout, which
+/// the caller has set to `timeout`, so a reply that fits the socket
+/// buffers costs one `write` and no other syscall. Only after a partial
+/// write does each further call get the time left, and the standing
+/// timeout is restored afterwards.
+pub fn write_within(stream: &mut TcpStream, bytes: &[u8], timeout: Duration) -> io::Result<()> {
+    let deadline = Instant::now() + timeout;
+    let written = loop {
+        match stream.write(bytes) {
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            other => break other?,
+        }
+    };
+    if written == bytes.len() {
+        return Ok(());
+    }
+    let rest = write_before(stream, &bytes[written..], deadline);
+    rest.and(stream.set_write_timeout(Some(timeout)))
+}
+
+/// The rest of [`write_within`]'s buffer, each call under the time left.
 fn write_before(stream: &mut TcpStream, mut bytes: &[u8], deadline: Instant) -> io::Result<()> {
     while !bytes.is_empty() {
         stream.set_write_timeout(Some(time_left(deadline)?))?;
@@ -305,16 +328,18 @@ fn serve_connection(stream: &mut TcpStream, registry: &Registry) {
     let mut parts = head.lines().next().unwrap_or("").split_whitespace();
     let (method, path) = (parts.next().unwrap_or(""), parts.next().unwrap_or("/"));
     let response = if method == "GET" { respond(path, registry) } else { text(404, "GET only\n") };
-    let head = format!(
+    let mut reply = format!(
         "HTTP/1.1 {} {}\r\nContent-Type: {}\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         response.status,
         status_text(response.status),
         response.content_type,
         response.body.len()
-    );
-    let deadline = Instant::now() + IO_TIMEOUT;
-    let _ = write_before(stream, head.as_bytes(), deadline)
-        .and_then(|()| write_before(stream, response.body.as_bytes(), deadline));
+    )
+    .into_bytes();
+    reply.extend_from_slice(response.body.as_bytes());
+    let _ = stream
+        .set_write_timeout(Some(IO_TIMEOUT))
+        .and_then(|()| write_within(stream, &reply, IO_TIMEOUT));
 }
 
 /// A running exporter: one background thread accepting connections
@@ -477,7 +502,7 @@ mod tests {
         let reg = registry_with_traffic();
         let router = Arc::new(StatsSink::new());
         router.add(Stat::RouteBank, 3);
-        router.time("compile_total", 12_345);
+        router.time("compile_ns", 12_345);
         reg.register("router", router);
         reg.set_ready(true);
         let names: Vec<String> = vec!["num".into(), "str".into(), "a\"b\\c\nd".into()];
@@ -554,7 +579,7 @@ mod tests {
             "cfgtag_shard_utilization_pct",
             "cfgtag_shard_predicted_wait_ns",
             "cfgtag_decision_latency_ns",
-            "cfgtag_compile_total",
+            "cfgtag_compile_ns",
         ] {
             assert!(snap.get(family).is_some_and(|f| !f.series.is_empty()), "{family} missing");
         }

@@ -186,7 +186,7 @@ impl FrameReader {
 
 /// Serialize one frame to its wire bytes, header and payload together.
 /// A payload over [`MAX_FRAME`] is refused (`Error::Protocol`).
-fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, Error> {
+pub(crate) fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, Error> {
     if payload.len() > MAX_FRAME {
         return Err(Error::Protocol(format!(
             "refusing to send {}-byte frame (max {MAX_FRAME})",

@@ -336,11 +336,14 @@ fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
 }
 
-/// Write one reply frame to session `id`. A write that fails — the
-/// peer is gone, or it left the socket full for the write timeout —
-/// shuts the socket down, so the session's reader sees EOF and every
-/// later write fails at once. Whichever eviction takes `id` out of the
-/// table counts it under [`Stat::SessionsEvicted`].
+/// Write one reply frame to session `id` within `timeout` (the idle
+/// timeout, which is also the socket's write timeout): one deadline for
+/// the whole frame, so a peer that reads a few bytes at a time cannot
+/// hold the shard worker past it. A write that fails — the peer is
+/// gone, or it did not take the frame in time — shuts the socket down,
+/// so the session's reader sees EOF and every later write fails at
+/// once. Whichever eviction takes `id` out of the table counts it under
+/// [`Stat::SessionsEvicted`].
 fn reply(
     table: &SessionTable<TcpStream>,
     sink: &StatsSink,
@@ -348,9 +351,11 @@ fn reply(
     writer: &Mutex<TcpStream>,
     kind: FrameKind,
     payload: &[u8],
+    timeout: Duration,
 ) {
     let mut w = writer.lock().expect("session writer lock");
-    if frame::write_frame(&mut *w, kind, payload).is_err() {
+    let wire = frame::encode_frame(kind, payload);
+    if !wire.is_ok_and(|wire| cfg_obs_http::write_within(&mut w, &wire, timeout).is_ok()) {
         // Leave the table before the shutdown wakes the reader, whose
         // own close would otherwise win and skip the count.
         if table.close(id) {
@@ -367,9 +372,10 @@ fn reply_to(
     id: u64,
     kind: FrameKind,
     payload: &[u8],
+    timeout: Duration,
 ) {
     if let Some(writer) = table.writer(id) {
-        reply(table, sink, id, &writer, kind, payload);
+        reply(table, sink, id, &writer, kind, payload, timeout);
     }
 }
 
@@ -433,6 +439,7 @@ impl IngestServer {
         // socket. The ack is produced *by the worker*, after
         // processing — that ordering is the no-lost-acks guarantee.
         let panic_token = config.panic_token.clone();
+        let idle_timeout = config.idle_timeout;
         let engine_kind = config.engine;
         let handler_table = Arc::clone(&table);
         let handler_sink = Arc::clone(&server_sink);
@@ -463,7 +470,7 @@ impl IngestServer {
             } else {
                 (kind, body)
             };
-            reply_to(&handler_table, &handler_sink, session, kind, &body);
+            reply_to(&handler_table, &handler_sink, session, kind, &body, idle_timeout);
             // The span ends when the reply hit the socket: fold it into
             // the SLO histograms and (maybe) the /spans.jsonl ring.
             if let (Some(tracing), Some(span)) = (&handler_tracing, span.as_deref_mut()) {
@@ -481,7 +488,8 @@ impl IngestServer {
         let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
             let Some((session, seq, _)) = split_msg(msg) else { return };
             let reason = format!("seq {seq}: worker panic: {text}");
-            reply_to(&hook_table, &hook_sink, session, FrameKind::Err, reason.as_bytes());
+            let reason = reason.as_bytes();
+            reply_to(&hook_table, &hook_sink, session, FrameKind::Err, reason, idle_timeout);
             hook_table.answered(session);
         };
 
@@ -497,6 +505,10 @@ impl IngestServer {
         if let Some(registry) = &config.registry {
             pool.register(registry, "shard");
             registry.register("server", Arc::clone(&server_sink));
+            // Names for the per-token series. Not the compile report: it
+            // would build the lazily built circuit at start.
+            let names = tagger.grammar().tokens().iter().map(|t| t.name.clone()).collect();
+            registry.attach(Part::Tokens(names));
             if let Some(t) = &tracing {
                 registry.attach(Part::Spans(Arc::clone(&t.recorder)));
                 registry.attach(Part::Slo(Arc::clone(&t.slo)));
@@ -763,8 +775,7 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
     // Short read timeout: the reader doubles as the stop-flag poller.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
     // The write timeout (shared with the writer clone: it is one
-    // socket) bounds how long a peer that stops reading can block the
-    // shard worker writing its ack; see `reply`.
+    // socket) is the first write of each reply's deadline; see `reply`.
     let _ = stream.set_write_timeout(Some(shared.idle_timeout));
     // Each reply leaves in one write, but Nagle holds a small write
     // while an earlier one is unacknowledged, and the client's delayed
@@ -773,7 +784,8 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
     // while the client-observed round-trip sat at ~40 ms.
     let _ = stream.set_nodelay(true);
     let send = |kind: FrameKind, payload: &[u8]| {
-        reply(&shared.table, &shared.server_sink, id, &writer, kind, payload);
+        let timeout = shared.idle_timeout;
+        reply(&shared.table, &shared.server_sink, id, &writer, kind, payload, timeout);
     };
     let mut reader = FrameReader::default();
     let mut seq: u32 = 0;

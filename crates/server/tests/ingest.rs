@@ -3,8 +3,11 @@
 
 use cfg_grammar::builtin;
 use cfg_obs::Registry;
-use cfg_server::{Client, FrameKind, IngestServer, Reply, SaturationConfig, ServerConfig};
+use cfg_server::{frame, Client, FrameKind, IngestServer, Reply, SaturationConfig, ServerConfig};
 use cfg_tagger::{StartMode, TaggerOptions, TokenTagger};
+use std::io::Read;
+use std::net::TcpStream;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
@@ -43,6 +46,43 @@ fn acks_carry_the_events_and_close_drains() {
     let report = server.shutdown();
     assert_eq!(report.sessions_served, 2);
     assert!(report.shard.messages > acks as u64);
+}
+
+/// Listen mode names its tokens: a scrape after a few frames carries
+/// `cfgtag_token_info` with every token's name, and every fire series a
+/// `name` label beside its index.
+#[test]
+fn listen_mode_scrape_names_its_tokens() {
+    let t = tagger();
+    let registry = Arc::new(Registry::new());
+    let config = ServerConfig { registry: Some(Arc::clone(&registry)), ..ServerConfig::default() };
+    let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
+    let exporter = cfg_obs_http::Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    for _ in 0..3 {
+        let reply = client.request(b"if true then go else stop").unwrap();
+        assert!(matches!(reply, Reply::Acked { .. }), "{reply:?}");
+    }
+    client.close().unwrap();
+
+    let body =
+        cfg_obs_http::http_get(&exporter.local_addr().to_string(), "/snapshot.json").unwrap();
+    let snap = cfg_obs::Snapshot::parse(&body).unwrap();
+    let info = snap.get("cfgtag_token_info").expect("token names attached");
+    let names: Vec<&str> = t.grammar().tokens().iter().map(|tok| tok.name.as_str()).collect();
+    assert_eq!(info.series.len(), names.len());
+    for (index, name) in names.iter().enumerate() {
+        assert_eq!(info.find(&[("token", &index.to_string())]).unwrap().label("name"), Some(*name));
+    }
+    let fires = snap.get("cfgtag_token_fires_total").expect("fires counted");
+    assert!(!fires.series.is_empty());
+    for s in &fires.series {
+        let index: usize = s.label("token").unwrap().parse().unwrap();
+        assert_eq!(s.label("name"), Some(names[index]), "{s:?}");
+    }
+    assert_eq!(snap.total("cfgtag_token_fires_total"), 3.0 * 6.0);
+    exporter.stop();
+    server.shutdown();
 }
 
 #[test]
@@ -318,4 +358,71 @@ fn slow_reader_cannot_wedge_its_shard() {
     let report = rx.recv_timeout(10 * idle_timeout).expect("shutdown hung behind a slow reader");
     assert_eq!(report.evicted, 1);
     drop(slow);
+}
+
+#[test]
+fn trickling_reader_cannot_hold_its_shard() {
+    // As above, each 60 KB frame earns a ~240 KB ack, but this peer
+    // reads, 16 KB every 50 ms: too slowly to take an ack within the
+    // idle timeout, fast enough that every `write` call moves some bytes
+    // before the socket's per-call write timeout. (A 1 KB trickle does
+    // not keep a call moving: the receive window reopens only after tens
+    // of KB are read.) Only a deadline per ack cuts the worker loose.
+    let options = TaggerOptions { start_mode: StartMode::Always, ..TaggerOptions::default() };
+    let t = TokenTagger::compile(&builtin::if_then_else(), options).unwrap();
+    let registry = Arc::new(Registry::new());
+    let idle_timeout = Duration::from_millis(300);
+    let config = ServerConfig {
+        shards: 1,
+        idle_timeout,
+        registry: Some(Arc::clone(&registry)),
+        // Only for the arrival counter below.
+        saturation: Some(SaturationConfig { interval_ms: 1_000, history: 2 }),
+        ..ServerConfig::default()
+    };
+    let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+
+    let mut trickler = TcpStream::connect(addr).unwrap();
+    for _ in 0..64 {
+        frame::write_frame(&mut trickler, FrameKind::Data, &b"go ".repeat(20_000)).unwrap();
+    }
+    let stop = Arc::new(AtomicBool::new(false));
+    let reader = std::thread::spawn({
+        let stop = Arc::clone(&stop);
+        move || {
+            let mut chunk = [0u8; 16 << 10];
+            while !stop.load(Ordering::SeqCst) && matches!(trickler.read(&mut chunk), Ok(1..)) {
+                std::thread::sleep(Duration::from_millis(50));
+            }
+        }
+    });
+    let loads = server.shard_loads().expect("saturation configured");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while loads.sample()[0].arrivals < 64 {
+        assert!(Instant::now() < deadline, "server never took the trickler's frames");
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let started = Instant::now();
+    let mut other = Client::connect(addr).unwrap();
+    let reply = loop {
+        match other.request(b"go").unwrap() {
+            Reply::Busy { .. } => std::thread::sleep(Duration::from_millis(20)),
+            reply => break reply,
+        }
+    };
+    let waited = started.elapsed();
+    stop.store(true, Ordering::SeqCst);
+    match reply {
+        Reply::Acked { events, .. } => assert_eq!(events, t.tag(b"go")),
+        other => panic!("co-sharded client got {other:?}"),
+    }
+    // One idle timeout plus the queued frames' tagging: ~0.35 s in a
+    // release build, ~0.7 s in a debug one. Per-call timeouts held it
+    // for 2.8 s or more.
+    assert!(waited < Duration::from_millis(1_500), "co-sharded ack took {waited:?}");
+    other.close().unwrap();
+    assert_eq!(registry.snapshot().total("cfgtag_sessions_evicted_total"), 1.0);
+    reader.join().unwrap();
+    server.shutdown();
 }

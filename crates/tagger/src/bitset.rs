@@ -33,6 +33,21 @@
 //! lazily, a transition at a time on a miss under a lock, so neither
 //! compile nor engine construction pays for it.
 //!
+//! Beside every action the table keeps a fixed-size, pointer-free
+//! **digest** (4 bytes, counted against the budget): the one fire's
+//! token and start register, the register a push gives this byte's
+//! index, and a slow bit. The hot loop reads a cell and its digest on
+//! every byte and applies the digest with no data-dependent branch, so
+//! an event costs about what a byte costs, as in the paper's pipelined
+//! encoder: the event is written to a staging slot and committed by
+//! adding the fire bit, and register 0 (the only one an at-start table
+//! uses) lives in a local set by a select. The **slow path** is the
+//! exact action, for what a digest cannot carry: several fires, a
+//! register compaction, §5.2 liveness flags while a live sink counts
+//! them, an absorbing target, and a cell not built yet. A live sink
+//! gets the walk's fires once per slice, one `token_fire` per distinct
+//! token.
+//!
 //! The **cold path** is the bit-parallel step: one function, split into
 //! a fire half and a gate half over one concrete state, both builds the
 //! table's transitions (register ranks stand in for starts) and runs the
@@ -74,8 +89,12 @@ pub const MAX_REGS: usize = 8;
 /// offset into the cells, and the action id (0: none).
 const ROW_BITS: u32 = 20;
 const ROW_MASK: u32 = (1 << ROW_BITS) - 1;
-/// The action id of a cell not built yet.
-const MISS: u32 = u32::MAX >> ROW_BITS;
+/// The action id of a cell not built yet: a placeholder action whose
+/// digest is slow, so the hot loop finds it where it finds every other.
+const MISS: u32 = 1;
+
+/// Events the hot loop stages before it appends them to the caller's.
+const STAGE: usize = 16;
 
 /// The start a new lexeme gets while a transition is built: above every
 /// register rank, below "no start" (`usize::MAX`).
@@ -358,8 +377,11 @@ struct Dfa {
     dead: Vec<bool>,
     /// Per state: it absorbs every byte (see [`Machine::absorbing`]).
     absorbing: Vec<bool>,
-    /// Actions by id; id 0 is the empty action.
+    /// Actions by id; id 0 is the empty action, id 1 the [`MISS`]
+    /// placeholder.
     actions: Vec<Action>,
+    /// Per action: its digest, what the hot loop reads in its place.
+    digests: Vec<Digest>,
     action_ids: HashMap<Action, u32>,
     transitions: usize,
     bytes: usize,
@@ -381,6 +403,86 @@ struct Action {
     absorb: bool,
 }
 
+/// A built action's fixed-size, pointer-free digest: what the hot loop
+/// applies without reading the [`Action`]. Bits 0..16 hold the fire's
+/// token and 16..19 its start register, and [`Digest::FIRE`] says there
+/// is exactly one fire; 20..23 hold the register that takes this byte's
+/// index when [`Digest::PUSH`] says the moves are that push (registers
+/// below it stay).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Digest(u32);
+
+impl Digest {
+    const FIRE: u32 = 1 << 19;
+    const PUSH: u32 = 1 << 23;
+    /// A resync or dead-entry flag: slow for an engine whose sink
+    /// counts them, nothing for one without.
+    const FLAGS: u32 = 1 << 24;
+    /// Several fires, a register compaction, an absorbing target, or
+    /// the [`MISS`] placeholder: applied by the exact path.
+    const SLOW: u32 = 1 << 25;
+    /// The fire or the push uses a register above 0, which the hot loop
+    /// keeps in memory rather than in a local.
+    const HIGH: u32 = 1 << 26;
+
+    fn of(action: &Action) -> Digest {
+        let mut d = 0;
+        match *action.fires {
+            [] => {}
+            [(tok, r)] if tok < 1 << 16 => d |= tok | (r as u32) << 16 | Digest::FIRE,
+            _ => return Digest(Digest::SLOW),
+        }
+        if let Some(moves) = &action.moves {
+            match push_of(moves) {
+                Some(j) => d |= (j as u32) << 20 | Digest::PUSH,
+                None => return Digest(Digest::SLOW),
+            }
+        }
+        if action.absorb {
+            return Digest(Digest::SLOW);
+        }
+        if action.flags.resync || action.flags.dead_entry {
+            d |= Digest::FLAGS;
+        }
+        if d & (7 << 16 | 7 << 20) != 0 {
+            d |= Digest::HIGH;
+        }
+        Digest(d)
+    }
+
+    fn token(self) -> u32 {
+        self.0 & 0xFFFF
+    }
+
+    fn fire_reg(self) -> usize {
+        (self.0 >> 16 & 7) as usize
+    }
+
+    /// 1 with a fire, else 0.
+    fn fires(self) -> usize {
+        (self.0 >> 19 & 1) as usize
+    }
+
+    fn push_reg(self) -> usize {
+        (self.0 >> 20 & 7) as usize
+    }
+
+    /// All ones with a push, else 0.
+    fn push_mask(self) -> usize {
+        ((self.0 >> 23 & 1) as usize).wrapping_neg()
+    }
+}
+
+// Three bits name a register.
+const _: () = assert!(MAX_REGS == 8);
+
+/// The register a move map pushes this byte's index into, keeping every
+/// register below it; `None` for a compaction.
+fn push_of(moves: &[u8; MAX_REGS]) -> Option<usize> {
+    let j = moves.iter().position(|&m| m as usize == MAX_REGS)?;
+    moves[..j].iter().enumerate().all(|(i, &m)| m as usize == i).then_some(j)
+}
+
 /// One step's §5.2 liveness outcome.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Hash)]
 struct Flags {
@@ -398,7 +500,8 @@ impl Dfa {
             ids: HashMap::new(),
             dead: Vec::new(),
             absorbing: Vec::new(),
-            actions: vec![Action::default()],
+            actions: vec![Action::default(), Action::default()],
+            digests: vec![Digest(0), Digest(Digest::SLOW)],
             action_ids: HashMap::new(),
             transitions: 0,
             bytes: 0,
@@ -487,14 +590,16 @@ impl Dfa {
         let id = match self.action_ids.get(&action) {
             Some(&id) => id,
             None => {
-                // Held twice too (list and dedup map).
-                let cost = 2 * (std::mem::size_of::<Action>() + 8 * action.fires.len());
+                // Held twice too (list and dedup map), plus its digest.
+                let cost = 2 * (std::mem::size_of::<Action>() + 8 * action.fires.len())
+                    + std::mem::size_of::<Digest>();
                 let id = self.actions.len() as u32;
-                if id == MISS || self.bytes + cost > self.budget {
+                if id > u32::MAX >> ROW_BITS || self.bytes + cost > self.budget {
                     return false;
                 }
                 self.bytes += cost;
                 self.action_ids.insert(action.clone(), id);
+                self.digests.push(Digest::of(&action));
                 self.actions.push(action);
                 id
             }
@@ -924,6 +1029,9 @@ pub struct BitEngine {
     fed: usize,
     finished: bool,
     taps: Taps,
+    /// Fires per token of the table walk's last run, recorded as one
+    /// `token_fire` per distinct token; empty until a live sink needs it.
+    tally: Vec<u64>,
 }
 
 impl BitEngine {
@@ -939,6 +1047,7 @@ impl BitEngine {
             fed: 0,
             finished: false,
             taps: Taps::default(),
+            tally: Vec::new(),
             tables,
         }
     }
@@ -979,9 +1088,11 @@ impl BitEngine {
         }
     }
 
-    /// The hot loop: one cell per byte, an action only where one is
-    /// attached. Stops at the first missing cell; `base` is the stream
-    /// index of `bytes[0]`.
+    /// The table walk over `bytes`: one cell per byte. Stops at the
+    /// first missing cell; `base` is the stream index of `bytes[0]`.
+    /// [`fast_walk`] applies every digest it can; this loop appends its
+    /// staged events and applies each slow action with the exact
+    /// [`BitEngine::apply`].
     fn run(&mut self, dfa: &Dfa, bytes: &[u8], base: usize, events: &mut Vec<TagEvent>) -> usize {
         if dfa.keys.is_empty() {
             return 0;
@@ -991,37 +1102,39 @@ impl BitEngine {
             self.src_dead |= !bytes.is_empty();
             return bytes.len();
         }
-        // Rows, not state ids: the next cell is one add away.
-        let (mut row, mut prev) = (self.state * classes, usize::MAX);
-        let mut done = bytes.len();
-        for (k, &b) in bytes.iter().enumerate() {
-            let cell = dfa.cells[row + dfa.class_of[b as usize] as usize];
-            let a = cell >> ROW_BITS;
-            if a != 0 {
-                if a == MISS {
-                    done = k;
-                    break;
-                }
-                let act = &dfa.actions[a as usize];
-                self.apply(act, base + k, events);
-                if act.absorb {
-                    // Dead-run skip: the target loops on every byte.
-                    prev = row;
-                    row = (cell & ROW_MASK) as usize;
-                    if k + 1 < bytes.len() {
-                        prev = row;
-                    }
-                    break;
-                }
+        // Liveness flags are work only for a sink that counts them.
+        let exact = Digest::SLOW | if self.taps.live_stats { Digest::FLAGS } else { 0 };
+        let mut c = Cursor { k: 0, row: self.state * classes, prev: usize::MAX, r0: self.regs[0] };
+        let mut stage = [TagEvent { token: TokenId(0), start: 0, end: 0 }; STAGE];
+        while c.k < bytes.len() {
+            let (n, stop) = fast_walk(dfa, bytes, base, exact, &mut c, &mut self.regs, &mut stage);
+            events.extend_from_slice(&stage[..n]);
+            let Some(cell) = stop else { continue };
+            let a = (cell >> ROW_BITS) as usize;
+            if a == MISS as usize {
+                break;
             }
-            prev = row;
-            row = (cell & ROW_MASK) as usize;
+            let act = &dfa.actions[a];
+            self.regs[0] = c.r0;
+            self.apply(act, base + c.k, events);
+            c.r0 = self.regs[0];
+            c.prev = c.row;
+            c.row = (cell & ROW_MASK) as usize;
+            c.k += 1;
+            if act.absorb {
+                // Dead-run skip: the target loops on every byte.
+                if c.k < bytes.len() {
+                    c.prev = c.row;
+                }
+                c.k = bytes.len();
+            }
         }
-        self.state = row / classes;
-        if prev != usize::MAX {
-            self.src_dead = dfa.dead[prev / classes];
+        self.regs[0] = c.r0;
+        self.state = c.row / classes;
+        if c.prev != usize::MAX {
+            self.src_dead = dfa.dead[c.prev / classes];
         }
-        done
+        c.k
     }
 
     /// Push a transition's fires as events ending at `end`.
@@ -1029,14 +1142,11 @@ impl BitEngine {
     fn emit(&self, fires: &[(u32, u8)], end: usize, events: &mut Vec<TagEvent>) {
         for &(tok, r) in fires {
             events.push(TagEvent { token: TokenId(tok), start: self.regs[r as usize], end });
-            if self.taps.live_stats {
-                self.taps.metrics.token_fire(tok, 1);
-            }
         }
     }
 
-    /// Apply a transition's action for the byte at stream index `at`.
-    #[inline]
+    /// Apply a transition's action for the byte at stream index `at`:
+    /// the exact path for what a digest cannot carry.
     fn apply(&mut self, act: &Action, at: usize, events: &mut Vec<TagEvent>) {
         self.emit(&act.fires, at, events);
         if let Some(moves) = &act.moves {
@@ -1047,6 +1157,27 @@ impl BitEngine {
             }
         }
         self.taps.liveness(act.flags, at);
+    }
+
+    /// Record the table walk's `events` with a live sink: one
+    /// `token_fire` per distinct token rather than one per event. (The
+    /// bit step records each fire as it happens, in trace order.)
+    fn record_fires(&mut self, events: &[TagEvent]) {
+        if !self.taps.live_stats || events.is_empty() {
+            return;
+        }
+        if self.tally.is_empty() {
+            self.tally = vec![0; self.tables.token_count()];
+        }
+        for e in events {
+            self.tally[e.token.index()] += 1;
+        }
+        for e in events {
+            let n = std::mem::take(&mut self.tally[e.token.index()]);
+            if n != 0 {
+                self.taps.metrics.token_fire(e.token.0, n);
+            }
+        }
     }
 
     /// `finish` on the table: the flush byte's transition, events only —
@@ -1121,7 +1252,9 @@ impl Engine for BitEngine {
         }
         let mut done = 0;
         if self.cold.is_none() {
+            let from = events.len();
             done = self.walk(&tables, bytes, events);
+            self.record_fires(&events[from..]);
         }
         if done < bytes.len() {
             self.step_cold(&tables, &bytes[done..], self.fed + done, events);
@@ -1138,7 +1271,9 @@ impl Engine for BitEngine {
         if self.fed > 0 && !self.finished {
             let flush = tables.delim.iter().next().unwrap_or(b' ');
             if self.cold.is_none() {
+                let from = events.len();
                 self.flush_table(&tables, flush, events);
+                self.record_fires(&events[from..]);
             }
             if let Some(m) = self.cold.as_deref_mut() {
                 m.fire(&tables, flush, self.fed, Some(&self.taps), events);
@@ -1155,6 +1290,69 @@ impl Engine for BitEngine {
     fn is_dead(&self) -> bool {
         self.src_dead
     }
+}
+
+/// Where the table walk is: the next byte's index, the current and the
+/// previous row, and register 0.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    k: usize,
+    row: usize,
+    prev: usize,
+    r0: usize,
+}
+
+/// The hot loop: from `c.k`, one cell per byte, each action applied
+/// from its digest with no data-dependent branch. The event is written
+/// to a staging slot and committed by adding the fire bit to the slot
+/// count; a push sets register 0, a local, by a select. A digest on a
+/// register above 0 (Always mode) goes through `regs` in memory. Returns
+/// the events staged, and the cell it stopped at when its digest has a
+/// bit of `exact` (`None` at the end of `bytes` or a full stage). Kept
+/// out of line so its loop state stays in registers.
+#[inline(never)]
+fn fast_walk(
+    dfa: &Dfa,
+    bytes: &[u8],
+    base: usize,
+    exact: u32,
+    c: &mut Cursor,
+    regs: &mut [usize; MAX_REGS],
+    stage: &mut [TagEvent; STAGE],
+) -> (usize, Option<u32>) {
+    let Cursor { mut k, mut row, mut prev, mut r0 } = *c;
+    let mut n = 0;
+    let mut stop = None;
+    while k < bytes.len() {
+        let cell = dfa.cells[row + dfa.class_of[bytes[k] as usize] as usize];
+        let d = dfa.digests[(cell >> ROW_BITS) as usize];
+        let at = base + k;
+        if d.0 & (exact | Digest::HIGH) == 0 {
+            stage[n % STAGE] = TagEvent { token: TokenId(d.token()), start: r0, end: at };
+            if d.0 & Digest::PUSH != 0 {
+                r0 = at;
+            }
+        } else if d.0 & exact == 0 {
+            regs[0] = r0;
+            let start = regs[d.fire_reg()];
+            stage[n % STAGE] = TagEvent { token: TokenId(d.token()), start, end: at };
+            let (j, push) = (d.push_reg(), d.push_mask());
+            regs[j] = at & push | regs[j] & !push;
+            r0 = regs[0];
+        } else {
+            stop = Some(cell);
+            break;
+        }
+        n += d.fires();
+        prev = row;
+        row = (cell & ROW_MASK) as usize;
+        k += 1;
+        if n == STAGE {
+            break;
+        }
+    }
+    *c = Cursor { k, row, prev, r0 };
+    (n, stop)
 }
 
 /// Decoder-hit probes: the registered decoder for every class holding
@@ -1179,7 +1377,7 @@ fn stage_probes(pr: &TaggerProbes, t: &BitTables, next: &[u64]) {
 
 #[cfg(test)]
 mod tests {
-    use super::{MAX_REGS, TABLE_BUDGET};
+    use super::{push_of, Digest, MAX_REGS, STAGE, TABLE_BUDGET};
     use crate::engine::EngineKind;
     use crate::event::TagEvent;
     use crate::tagger::{StartMode, TaggerOptions, TokenTagger};
@@ -1198,13 +1396,14 @@ mod tests {
         TokenTagger::compile(g, opts).unwrap()
     }
 
-    /// What one engine run shows: events, `is_dead()` after finish, and
-    /// the stats sink's four engine counters.
+    /// What one engine run shows: events, `is_dead()` after finish, the
+    /// stats sink's four engine counters and its fire count per token.
     #[derive(Debug, PartialEq)]
     struct Run {
         events: Vec<TagEvent>,
         dead: bool,
         counters: [u64; 4],
+        fires: Vec<u64>,
     }
 
     const COUNTERS: [Stat; 4] = [Stat::BytesIn, Stat::EventsOut, Stat::Resyncs, Stat::DeadEntries];
@@ -1216,14 +1415,16 @@ mod tests {
     /// A fresh engine of `kind` over `t` under a fresh stats sink, fed
     /// in `chunk`-byte slices.
     fn run(t: &TokenTagger, kind: EngineKind, input: &[u8], chunk: usize) -> Run {
-        let sink = Arc::new(StatsSink::new());
+        let tokens = t.grammar().tokens().len();
+        let sink = Arc::new(StatsSink::with_tokens(tokens));
         let mut e = t.clone().with_metrics(Metrics::new(sink.clone())).engine(kind).unwrap();
         let mut events = Vec::new();
         for c in input.chunks(chunk.max(1)) {
             e.feed_slice(c, &mut events).unwrap();
         }
         e.finish_into(&mut events).unwrap();
-        Run { events, dead: e.is_dead(), counters: counters(&sink) }
+        let fires = (0..tokens as u32).map(|tok| sink.token_fires(tok)).collect();
+        Run { events, dead: e.is_dead(), counters: counters(&sink), fires }
     }
 
     fn bit_run(t: &TokenTagger, input: &[u8], chunk: usize) -> Run {
@@ -1347,6 +1548,83 @@ mod tests {
                     );
                 }
                 assert!(t.bit_tables().table_stats().states > 0, "a stats sink walks the table");
+            }
+        }
+    }
+
+    /// The built actions of `t`'s table the hot loop does not apply on
+    /// its register-0 path, by kind: several fires, a compaction, a
+    /// register above 0, liveness flags, an absorbing target.
+    fn slow_kinds(t: &TokenTagger) -> [usize; 5] {
+        let dfa = t.bit_tables().table.read();
+        let mut kinds = [0; 5];
+        // Ids 0 and 1 are the empty action and the MISS placeholder.
+        for (a, d) in dfa.actions.iter().zip(&dfa.digests).skip(2) {
+            let compaction = a.moves.as_ref().is_some_and(|m| push_of(m).is_none());
+            for (n, hit) in [
+                a.fires.len() > 1,
+                compaction,
+                d.0 & Digest::HIGH != 0,
+                a.flags.resync || a.flags.dead_entry,
+                a.absorb,
+            ]
+            .into_iter()
+            .enumerate()
+            {
+                kinds[n] += usize::from(hit);
+            }
+        }
+        kinds
+    }
+
+    /// Every kind of action a digest leaves to the memory registers or
+    /// the exact path, and a slice with more events than the stage
+    /// holds: events, `is_dead()`, counters and per-token fires equal
+    /// the scalar engine's at every chunk split around the stage's
+    /// capacity, and the table built the kind the case is for.
+    #[test]
+    fn digests_hand_every_other_action_to_the_exact_path() {
+        const TWO_FIRES: usize = 0;
+        const COMPACTION: usize = 1;
+        const HIGH: usize = 2;
+        const FLAGS: usize = 3;
+        const ABSORB: usize = 4;
+        let json = br#"{"a": [1, 2.5, true], "b": {"c": null, "d": "e f"}} [false, -3]"#.to_vec();
+        let kv = b"host=example.org; port=8080; path=/a/b.c; k2=v2;".to_vec();
+        let mut junk = b"if true then go else stop zz then ".to_vec();
+        junk.extend_from_slice(b"if false then stop else go qq go");
+        let absorb = b"if true then go else stop zz go if false then stop else go".to_vec();
+        // One sentence, so no resync flag leaves the fast loop early.
+        let terms: Vec<String> = (0..24).map(|i| format!("a{i} * (b - {i})")).collect();
+        let many = terms.join(" + ").into_bytes();
+        // (what, grammar, always, recover, input, the kind it builds;
+        // none for the staging case, which runs on the fast path).
+        let cases = [
+            ("two-token fires", builtin::json(), false, false, json.clone(), Some(TWO_FIRES)),
+            (
+                "Always-mode compactions",
+                builtin::json(),
+                true,
+                false,
+                json.clone(),
+                Some(COMPACTION),
+            ),
+            ("Always-mode registers above 0", builtin::json(), true, true, json, Some(HIGH)),
+            ("Always-mode registers above 0", builtin::key_value(), true, false, kv, Some(HIGH)),
+            ("liveness flags", builtin::if_then_else(), false, true, junk, Some(FLAGS)),
+            ("an absorb mid-slice", builtin::if_then_else(), false, false, absorb, Some(ABSORB)),
+            ("more events than the stage", builtin::arithmetic(), false, true, many, None),
+        ];
+        for (what, g, always, recover, input, kind) in cases {
+            let t = compile(&g, always, recover);
+            let expect = scalar_run(&t, &input);
+            let chunks = (STAGE - 2..=STAGE + 2).chain([1, 2 * STAGE + 1, input.len()]);
+            for chunk in chunks {
+                assert_eq!(bit_run(&t, &input, chunk), expect, "{what}, chunk {chunk}");
+            }
+            match kind {
+                Some(kind) => assert!(slow_kinds(&t)[kind] > 0, "{what}: {:?}", slow_kinds(&t)),
+                None => assert!(expect.events.len() > 4 * STAGE, "{what}: {}", expect.events.len()),
             }
         }
     }

@@ -288,7 +288,7 @@ impl TokenTagger {
                         .field("nanos", s.nanos)
                 });
             }
-            opts.metrics.time("compile_total", compiled.total_nanos());
+            opts.metrics.time("compile_ns", compiled.total_nanos());
         }
         let core = Core {
             grammar,
@@ -709,7 +709,7 @@ mod tests {
         let total: u64 = (0..16).map(|i| sink.token_fires(i)).sum();
         assert_eq!(total, 6);
         // The compile pipeline reported its total via the sink too.
-        assert_eq!(sink.snapshot().histogram("compile_total").map(|h| h.count), Some(1));
+        assert_eq!(sink.snapshot().histogram("compile_ns").map(|h| h.count), Some(1));
     }
 
     #[test]

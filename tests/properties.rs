@@ -250,9 +250,9 @@ proptest! {
 // ------------------------------------- random multi-token grammars
 
 /// One engine run over a generated grammar: events, `is_dead()` after
-/// finish, and the stats sink's byte, event, resync and dead-entry
-/// counters.
-type Run = (Vec<cfg_token_tagger::tagger::TagEvent>, bool, [u64; 4]);
+/// finish, the stats sink's byte, event, resync and dead-entry
+/// counters, and its fire count per token.
+type Run = (Vec<cfg_token_tagger::tagger::TagEvent>, bool, [u64; 4], Vec<u64>);
 
 fn engine_run(
     tagger: &TokenTagger,
@@ -263,7 +263,8 @@ fn engine_run(
     use cfg_token_tagger::obs::{Metrics, Stat, StatsSink};
     use std::sync::Arc;
 
-    let sink = Arc::new(StatsSink::new());
+    let tokens = tagger.grammar().tokens().len();
+    let sink = Arc::new(StatsSink::with_tokens(tokens));
     let mut e = tagger.clone().with_metrics(Metrics::new(sink.clone())).engine(kind).unwrap();
     let mut events = Vec::new();
     for c in input.chunks(chunk.max(1)) {
@@ -272,7 +273,8 @@ fn engine_run(
     e.finish_into(&mut events).unwrap();
     let counters =
         [Stat::BytesIn, Stat::EventsOut, Stat::Resyncs, Stat::DeadEntries].map(|s| sink.get(s));
-    (events, e.is_dead(), counters)
+    let fires = (0..tokens as u32).map(|t| sink.token_fires(t)).collect();
+    (events, e.is_dead(), counters, fires)
 }
 
 /// Table budget of a few states: engines leave the table mid-stream.
@@ -287,10 +289,10 @@ proptest! {
     /// table, on a zero-budget table (the bit step throughout) and on a
     /// table of a few states (leaving it mid-stream), the scalar
     /// reference, and the simulated circuit. They agree on events, on
-    /// `is_dead()` after finish, and on the four engine counters, for
-    /// every start mode × recovery and every chunk split. The input is
-    /// three rounds of a conforming sentence, a one-word mutant of it,
-    /// and junk.
+    /// `is_dead()` after finish, on the four engine counters and on the
+    /// fire count per token, for every start mode × recovery and every
+    /// chunk split. The input is three rounds of a conforming sentence,
+    /// a one-word mutant of it, and junk.
     #[test]
     fn random_grammars_agree_across_engines(seed in any::<u64>()) {
         use cfg_token_tagger::grammar::random::{join, mutate, RandomGrammar, Rng};
