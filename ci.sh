@@ -44,29 +44,46 @@
 #                                  context duplication, and the seeded
 #                                  grammar-text fuzzer's short run
 #  11. ingest server            -- cfg-server unit + integration tests
-#                                  (thread-per-connection serving, the
-#                                  slow- and trickling-reader evictions
-#                                  and listen-mode token names
-#                                  included), the Engine trait suite,
-#                                  and the fault-injection chaos test
+#                                  (each connection's thread tags its
+#                                  own frames under a per-shard
+#                                  admission gate; the gate, Busy past
+#                                  its wait, reaped reader threads,
+#                                  buffers given back after a huge
+#                                  ack, the slow- and trickling-reader
+#                                  evictions and listen-mode token
+#                                  names included), the seeded
+#                                  wire-frame fuzzer's short run, the
+#                                  Engine trait suite, and the
+#                                  fault-injection chaos test
 #  12. span tracing & SLO       -- cfg-obs span/SLO suites and the
 #                                  log-linear histogram, the slo view,
 #                                  and the end-to-end span_trace test
 #  13. saturation telemetry     -- utilization time series, shards
 #                                  view, and the end-to-end
-#                                  Little's-law test
+#                                  Little's-law test (closed-loop
+#                                  sessions contending for each gate)
 #  14. shadow audit             -- audit bank and evidence-window
 #                                  suites, frame-codec chunking
 #                                  properties, audit view, and the
 #                                  end-to-end seeded-fault test
 #  15. full workspace tests     -- every crate's suites
+#  16. perfbench result lines   -- perfbench for one second on live,
+#                                  dead and served at --trace 0 and on
+#                                  served at --trace 1; each run's last
+#                                  stdout line must be a correct result
+#                                  with 0 failed frames that carries
+#                                  every metric BENCHMARK.json names
+#                                  for it (end_to_end at trace 0,
+#                                  per_layer at trace 1). perfbench and
+#                                  BENCHMARK.json are read, not edited.
 #
 # Every step that filters tests by name runs through `filtered`, which
 # fails the step when the filter matched no test: a filter left behind
 # by a rename would otherwise pass silently.
 #
-# Then six NON-GATING steps: the grammar-text fuzzer's long run (it
-# prints its slowest case), the observability-overhead bench (engine
+# Then seven NON-GATING steps: the grammar-text and wire-frame
+# fuzzers' long runs (each prints its slowest case), the
+# observability-overhead bench (engine
 # path + traced/audited-server path), the engine-throughput bench
 # (scalar and bit rows), the ingest-server loop bench (with the
 # stage-attribution table), the false-positive precision experiment,
@@ -93,6 +110,43 @@ filtered() {
         echo "ci.sh: 'cargo test -q $*' ran no tests -- its filter matches nothing" >&2
         return 1
     fi
+}
+
+# `bench_names SECTION`: the metric names BENCHMARK.json lists in its
+# SECTION array, one per line.
+bench_names() {
+    sed -n "/\"$1\": \[/,/\]/p" BENCHMARK.json | sed -n 's/.*"name": "\([^"]*\)".*/\1/p'
+}
+
+# `perfbench_line WORKLOAD TRACE SECTION`: run perfbench for one second
+# and check its last stdout line: a correct result with 0 failed frames
+# that carries every metric BENCHMARK.json lists in SECTION.
+perfbench_line() {
+    local line names name
+    line=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+        --workload "$1" --seed 11 --seconds 1 --trace "$2" | tail -n 1)
+    echo "$line"
+    names=$(bench_names "$3")
+    if [ -z "$names" ]; then
+        echo "ci.sh: BENCHMARK.json lists no $3 metrics" >&2
+        return 1
+    fi
+    case "$line" in
+        '{"correct": true'*'"failed": 0'*) ;;
+        *)
+            echo "ci.sh: perfbench $1 --trace $2: last line is not a correct run with 0 failed" >&2
+            return 1
+            ;;
+    esac
+    for name in $names; do
+        case "$line" in
+            *"\"$name\": {\"value\""*) ;;
+            *)
+                echo "ci.sh: perfbench $1 --trace $2: no \"$name\" in its last line" >&2
+                return 1
+                ;;
+        esac
+    done
 }
 
 echo "==> cargo fmt --check"
@@ -149,8 +203,9 @@ filtered -p cfg-hwgen generate
 filtered -p cfg-grammar transform
 filtered --test properties grammar_text_mutants
 
-echo "==> ingest server: cfg-server suites, Engine trait, chaos test"
+echo "==> ingest server: cfg-server suites, wire-frame fuzzer, Engine trait, chaos test"
 cargo test -q -p cfg-server
+filtered -p cfg-server --test wire_fuzz wire_mutants
 filtered -p cfg-tagger engine
 cargo test -q --test chaos_server
 
@@ -176,8 +231,17 @@ cargo test -q --test shadow_audit
 echo "==> full workspace tests"
 cargo test --workspace -q
 
+echo "==> perfbench result lines: live, dead, served (trace 0) and served (trace 1)"
+for workload in live dead served; do
+    perfbench_line "$workload" 0 end_to_end
+done
+perfbench_line served 1 per_layer
+
 echo "==> grammar-text fuzzer, long run (non-gating)"
 cargo test -q --release --test properties grammar_text_mutants -- --ignored --nocapture || true
+
+echo "==> wire-frame fuzzer, long run (non-gating)"
+cargo test -q --release -p cfg-server --test wire_fuzz -- --ignored --nocapture || true
 
 echo "==> obs overhead bench (non-gating)"
 cargo run -q --release -p cfg-bench --bin obs_overhead || true

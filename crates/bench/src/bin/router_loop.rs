@@ -97,7 +97,7 @@ fn main() {
     // Second pass: the same batch through a shard pool, per-shard sinks
     // alongside the single-stream sink in the same registry.
     let pool_tables = tables.clone();
-    let pool = ShardPool::new(&tagger, shards, PoolOptions::default(), move |t, msg, _| {
+    let pool = ShardPool::new(&tagger, shards, PoolOptions::default(), move |t, msg| {
         Router::route(t, &pool_tables, msg);
     });
     pool.register(&registry, "shard");

@@ -57,12 +57,14 @@ pub struct ServeFlags {
     pub engine: EngineKind,
     /// `--max-sessions`: concurrent-session cap in listen mode.
     pub max_sessions: usize,
-    /// `--idle-timeout-ms`: janitor eviction threshold in listen mode.
+    /// `--idle-timeout-ms`: idle-eviction threshold and reply write
+    /// deadline in listen mode.
     pub idle_timeout_ms: u64,
-    /// `--queue-depth`: bounded shard-queue depth in listen mode.
+    /// `--queue-depth`: frames that may wait for a taken shard gate in
+    /// listen mode; one more is shed with `Busy`.
     pub queue_depth: usize,
-    /// `--panic-token`: chaos-harness worker-panic trigger (listen
-    /// mode; never set in production).
+    /// `--panic-token`: chaos-harness panic-while-tagging trigger
+    /// (listen mode; never set in production).
     pub panic_token: Option<String>,
     /// `--trace-sample N`: trace every frame and retain 1-in-N spans
     /// in `/spans.jsonl` (listen mode; 0 = tracing off).
@@ -293,7 +295,7 @@ pub fn run_serve(
             "sharded: {} workers, line-delimited fan-out (flight/probes/trigger idle)",
             flags.shards
         ));
-        let pool = ShardPool::new(&tagger, flags.shards, PoolOptions::default(), |t, msg, _| {
+        let pool = ShardPool::new(&tagger, flags.shards, PoolOptions::default(), |t, msg| {
             t.tag(msg);
         });
         pool.register(&registry, "shard");
@@ -389,11 +391,12 @@ pub fn run_serve(
 /// The listen-mode core of `cfgtag serve --listen`.
 ///
 /// Compiles `grammar_text`, starts an [`IngestServer`] on the
-/// `--listen` address (sharded workers, bounded queues, session cap,
-/// idle janitor — see `cfg-server`), binds the `/metrics` exporter on
+/// `--listen` address (a reader thread per session tagging under its
+/// shard's admission gate, session cap, idle eviction — see
+/// `cfg-server`), binds the `/metrics` exporter on
 /// `127.0.0.1:{flags.port}` over the same registry, then idles until
-/// `should_stop` returns true. Shutdown drains every session before the
-/// report is returned. `status` receives the two bound addresses first,
+/// `should_stop` returns true. Shutdown says `Bye` to every session
+/// before the report is returned. `status` receives the two bound addresses first,
 /// so tests (and humans) can find them.
 pub fn run_listen(
     grammar_text: &str,
@@ -424,7 +427,6 @@ pub fn run_listen(
             ..SaturationConfig::default()
         }),
         audit: (flags.audit_sample > 0).then_some(AuditConfig { sample_every: flags.audit_sample }),
-        ..ServerConfig::default()
     };
     let server = IngestServer::start(&tagger, addr, config)
         .map_err(|e| CliError::new(format!("cannot bind {addr}: {e}"), 1))?;

@@ -7,7 +7,7 @@
 //! sparklines from `/timeseries.json` ([`parse_depth_history`]), as
 //! served by `cfgtag serve --listen --sample-hz N` ([`render`]). When
 //! the server also traces (`--trace-sample`), the footer compares the
-//! prediction to the *measured* `queue_wait` p50 of the same snapshot —
+//! prediction to the *measured* mean `queue_wait` of the same snapshot —
 //! agreement means the queue model holds; divergence means burstiness
 //! or a stall.
 
@@ -104,9 +104,9 @@ pub fn render(snap: &Snapshot, history: &[Vec<u64>]) -> String {
         (true, Some(h)) => {
             let _ = writeln!(
                 out,
-                "queue wait: predicted {} (Little's law) vs measured p50 {}",
+                "queue wait: predicted {} (Little's law) vs measured mean {}",
                 fmt_ns((weighted / total_rate) as u64),
-                fmt_ns(h.quantile(0.5)),
+                fmt_ns(h.mean() as u64),
             );
         }
         (true, None) => {
@@ -198,7 +198,7 @@ mod tests {
         let frame = render(&traced, &history);
         let footer = frame.lines().last().unwrap();
         assert!(
-            footer.starts_with("queue wait: predicted 4.20ms (Little's law) vs measured p50 3."),
+            footer.starts_with("queue wait: predicted 4.20ms (Little's law) vs measured mean 3."),
             "{frame}"
         );
 

@@ -36,21 +36,20 @@ pub enum Stat {
     RouteUnknown,
     /// Streams rejected as malformed by the router front-end.
     MalformedRejected,
-    /// Supervised shard workers restarted after catching a panic.
+    /// Panics caught while tagging a frame (on a shard-pool worker or
+    /// an ingest connection's thread), each answered and survived.
     WorkerRestarts,
     /// Messages (or connections) shed with an explicit BUSY instead of
     /// blocking — the ingest server's overload valve.
     LoadShed,
-    /// Sessions evicted by the ingest server's idle-timeout janitor.
+    /// Sessions evicted by the ingest server: silent past the idle
+    /// timeout, or a reply not taken within it.
     SessionsEvicted,
-    /// Close-drain deadlines that fired with frames still pending —
-    /// the client got its `Bye` before every ack was written.
-    DrainTimeouts,
 }
 
 impl Stat {
     /// Number of variants (sizes the counter array in `StatsSink`).
-    pub const COUNT: usize = 15;
+    pub const COUNT: usize = 14;
 
     /// All variants, in index order.
     pub const ALL: [Stat; Stat::COUNT] = [
@@ -68,7 +67,6 @@ impl Stat {
         Stat::WorkerRestarts,
         Stat::LoadShed,
         Stat::SessionsEvicted,
-        Stat::DrainTimeouts,
     ];
 
     /// Stable snake_case name used in JSON output.
@@ -88,7 +86,6 @@ impl Stat {
             Stat::WorkerRestarts => "worker_restarts",
             Stat::LoadShed => "load_shed",
             Stat::SessionsEvicted => "sessions_evicted",
-            Stat::DrainTimeouts => "drain_timeouts",
         }
     }
 }

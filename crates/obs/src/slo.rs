@@ -49,7 +49,7 @@ impl QuantileSummary {
 
 /// Aggregates traced frames against a latency objective.
 ///
-/// `observe` is called once per finished span (by the shard worker,
+/// `observe` is called once per finished span (by the connection thread,
 /// after the ack is written): every stamped stage's duration lands in
 /// that stage's histogram, the end-to-end latency in the `e2e`
 /// histogram, and the objective comparison bumps the breach counter.

@@ -37,17 +37,18 @@ use std::time::Instant;
 pub enum Stage {
     /// Socket bytes buffered until the frame was complete.
     FrameRead,
-    /// Frame decoded and the pool message built.
+    /// Frame decoded in place.
     Parse,
-    /// Session touched and its in-flight counter bumped.
+    /// The session's shard gate found.
     SessionLookup,
-    /// Message offered to (and accepted by) a shard queue.
+    /// Admission asked at the shard gate.
     Enqueue,
-    /// Time spent queued before a worker picked the message up.
+    /// Time spent waiting for the shard gate (the cost of taking it
+    /// when it is free).
     QueueWait,
-    /// Engine feed + finish on the worker.
+    /// Engine feed + finish, on the connection's thread.
     Engine,
-    /// Ack (or error) frame written back to the client.
+    /// Ack (or error) frame encoded and written back to the client.
     AckWrite,
 }
 

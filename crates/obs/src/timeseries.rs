@@ -16,7 +16,7 @@
 //! ring's window: utilization %, arrival/service rates, and a
 //! Little's-law predicted queue wait (`W_q = L̄_q / λ`) — exported as
 //! the `cfgtag_shard_*` gauges — that `cfgtag watch shards` puts next to
-//! the *measured* `queue_wait` p50 of the SLO tracker. When the two
+//! the *measured* mean `queue_wait` of the SLO tracker. When the two
 //! agree, queueing theory explains the latency; when they diverge,
 //! something other than steady-state saturation (bursts, a stalled
 //! worker) is going on.

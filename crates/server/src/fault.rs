@@ -13,13 +13,16 @@
 //! the data the chaos test needs to check the core invariant: **an
 //! acked frame's events are always byte-identical to an unfaulted
 //! run's**, no matter what the client did around it.
+//! [`flood_until_busy`] overloads a server on purpose, until a shard
+//! gate sheds.
 
-use crate::client::{decode_reply, Reply};
+use crate::client::{decode_reply, Client, Reply};
 use crate::frame::{self, FrameKind};
 use cfg_tagger::{Error, TagEvent};
 use rand::prelude::*;
 use std::io::Write;
 use std::net::{Shutdown, TcpStream, ToSocketAddrs};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// A seeded recipe of client misbehaviour. Probabilities are rolled
@@ -186,6 +189,56 @@ fn collect_replies(stream: &mut TcpStream, out: &mut ClientOutcome) {
             Err(_) => return,
         }
     }
+}
+
+/// A frame that takes milliseconds to tag yet earns a small ack, for the
+/// `if_then_else` grammar: one sentence with a 512 KiB run of spaces
+/// inside it. The engine stays live across the run, stepping every
+/// byte, and fires six tokens.
+pub fn slow_frame() -> Vec<u8> {
+    let mut payload = b"if true then go else".to_vec();
+    payload.resize(payload.len() + (512 << 10), b' ');
+    payload.extend_from_slice(b"stop");
+    payload
+}
+
+/// Open `sessions` sessions, then drive each as a closed loop sending
+/// `payload` until any of them is answered `Busy` or each has sent
+/// `attempts` frames; returns the `Busy` replies seen. Opened together,
+/// the sessions take consecutive ids, so `shards * k` of them put `k`
+/// on every shard gate: `queue_depth + 2` on a gate (one holding it,
+/// `queue_depth` waiting, one more) can shed.
+pub fn flood_until_busy<A: ToSocketAddrs>(
+    addr: A,
+    sessions: usize,
+    payload: &[u8],
+    attempts: usize,
+) -> Result<usize, Error> {
+    let clients = (0..sessions).map(|_| Client::connect(&addr)).collect::<Result<Vec<_>, _>>()?;
+    let shed = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        let floods: Vec<_> = clients
+            .into_iter()
+            .map(|mut client| {
+                let shed = &shed;
+                s.spawn(move || {
+                    let mut busys = 0;
+                    for _ in 0..attempts {
+                        if shed.load(Ordering::SeqCst) {
+                            break;
+                        }
+                        if let Reply::Busy { .. } = client.request(payload)? {
+                            busys += 1;
+                            shed.store(true, Ordering::SeqCst);
+                        }
+                    }
+                    client.close()?;
+                    Ok(busys)
+                })
+            })
+            .collect();
+        floods.into_iter().map(|f| f.join().expect("flood session panicked")).sum()
+    })
 }
 
 #[cfg(test)]

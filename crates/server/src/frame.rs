@@ -13,7 +13,7 @@
 //! | 0x83 | `Err` | server → client | UTF-8 reason |
 //! | 0x84 | `Bye` | server → client | empty — connection is done |
 //!
-//! An `Ack` is sent only **after** the shard worker has fully tagged the
+//! An `Ack` is sent only **after** the server has fully tagged the
 //! message; its payload carries the resulting events (12 bytes each:
 //! token, start, end as `u32` LE), so a client can verify acknowledged
 //! work byte-for-byte. A frame longer than [`MAX_FRAME`] is a protocol
@@ -32,6 +32,12 @@ pub const HEADER_LEN: usize = 5;
 
 /// Bytes one serialized [`TagEvent`] occupies in an `Ack` payload.
 pub const EVENT_LEN: usize = 12;
+
+/// Bytes the server reads from a socket per call. A [`FrameReader`] fed
+/// chunks of at most this size, and drained of complete frames after
+/// each, buffers at most one maximum frame (header and payload) plus
+/// one chunk.
+pub const READ_CHUNK: usize = 4096;
 
 /// The frame kinds of the ingest protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -143,6 +149,13 @@ impl FrameReader {
     /// here, so the buffer never grows past one maximum frame plus one
     /// read chunk.
     pub fn push(&mut self, bytes: &[u8]) {
+        self.compact();
+        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Reclaim the previously yielded frame and move the unconsumed
+    /// bytes to the front of the buffer.
+    fn compact(&mut self) {
         self.advance();
         if self.start > 0 {
             let len = self.buf.len();
@@ -150,7 +163,23 @@ impl FrameReader {
             self.buf.truncate(len - self.start);
             self.start = 0;
         }
-        self.buf.extend_from_slice(bytes);
+    }
+
+    /// Give back buffer capacity past `keep` bytes once no more than
+    /// `keep` bytes are buffered, so one large frame does not pin its
+    /// size for the reader's lifetime. Reclaims the previously yielded
+    /// frame. While more is buffered (a large frame still arriving) it
+    /// does nothing: the next push would only grow the buffer again.
+    pub fn shrink_to(&mut self, keep: usize) {
+        if self.buf.capacity() > keep && self.buffered() <= keep {
+            self.compact();
+            self.buf.shrink_to(keep);
+        }
+    }
+
+    /// Bytes the buffer holds room for.
+    pub fn capacity(&self) -> usize {
+        self.buf.capacity()
     }
 
     /// Bytes buffered but not yet consumed by a yielded frame. Nonzero
@@ -159,52 +188,90 @@ impl FrameReader {
         self.buf.len() - self.start - self.yielded
     }
 
-    /// Decode the next complete frame as a borrowed view, `Ok(None)`
-    /// if the buffer holds only a partial frame. An unknown kind byte
-    /// or an oversized length prefix is a protocol error.
-    pub fn next_frame(&mut self) -> Result<Option<FrameRef<'_>>, Error> {
+    /// Wire length (header and payload) of the next frame if it is
+    /// completely buffered, `Ok(None)` if only part of it is. An
+    /// unknown kind byte or an oversized length prefix is a protocol
+    /// error, found as soon as the header is buffered.
+    pub(crate) fn complete(&mut self) -> Result<Option<usize>, Error> {
         self.advance();
         let avail = &self.buf[self.start..];
         if avail.len() < HEADER_LEN {
             return Ok(None);
         }
-        let kind = FrameKind::from_byte(avail[0])
-            .ok_or_else(|| Error::Protocol(format!("unknown frame kind 0x{:02x}", avail[0])))?;
+        if FrameKind::from_byte(avail[0]).is_none() {
+            return Err(Error::Protocol(format!("unknown frame kind 0x{:02x}", avail[0])));
+        }
         let len =
             u32::from_le_bytes(avail[1..HEADER_LEN].try_into().expect("4 header bytes")) as usize;
         if len > MAX_FRAME {
             return Err(Error::Protocol(format!("{len}-byte frame exceeds max {MAX_FRAME}")));
         }
-        if avail.len() < HEADER_LEN + len {
-            return Ok(None);
-        }
-        self.yielded = HEADER_LEN + len;
+        Ok((avail.len() >= HEADER_LEN + len).then_some(HEADER_LEN + len))
+    }
+
+    /// Decode the next complete frame as a borrowed view, `Ok(None)`
+    /// if the buffer holds only a partial frame. An unknown kind byte
+    /// or an oversized length prefix is a protocol error.
+    pub fn next_frame(&mut self) -> Result<Option<FrameRef<'_>>, Error> {
+        let Some(wire_len) = self.complete()? else { return Ok(None) };
+        let kind = FrameKind::from_byte(self.buf[self.start]).expect("kind checked");
+        self.yielded = wire_len;
         let payload_at = self.start + HEADER_LEN;
-        Ok(Some(FrameRef { kind, payload: &self.buf[payload_at..payload_at + len] }))
+        Ok(Some(FrameRef { kind, payload: &self.buf[payload_at..self.start + wire_len] }))
     }
 }
 
-/// Serialize one frame to its wire bytes, header and payload together.
-/// A payload over [`MAX_FRAME`] is refused (`Error::Protocol`).
-pub(crate) fn encode_frame(kind: FrameKind, payload: &[u8]) -> Result<Vec<u8>, Error> {
+/// Serialize one frame into `wire` (cleared first), header and
+/// payload together. A payload over [`MAX_FRAME`] is refused
+/// (`Error::Protocol`) and leaves `wire` empty.
+pub(crate) fn encode_frame_into(
+    kind: FrameKind,
+    payload: &[u8],
+    wire: &mut Vec<u8>,
+) -> Result<(), Error> {
+    wire.clear();
     if payload.len() > MAX_FRAME {
         return Err(Error::Protocol(format!(
             "refusing to send {}-byte frame (max {MAX_FRAME})",
             payload.len()
         )));
     }
-    let mut wire = Vec::with_capacity(HEADER_LEN + payload.len());
+    wire.reserve(HEADER_LEN + payload.len());
     wire.push(kind.byte());
     wire.extend_from_slice(&(payload.len() as u32).to_le_bytes());
     wire.extend_from_slice(payload);
-    Ok(wire)
+    Ok(())
+}
+
+/// Serialize the `Ack` of frame `seq` straight into `wire` (cleared
+/// first): header, seq, then each event. An ack whose payload would
+/// exceed [`MAX_FRAME`] is refused (`Error::Protocol`) before anything
+/// is encoded, leaving `wire` empty.
+pub(crate) fn encode_ack_into(
+    seq: u32,
+    events: &[TagEvent],
+    wire: &mut Vec<u8>,
+) -> Result<(), Error> {
+    wire.clear();
+    let len = 4 + events.len() * EVENT_LEN;
+    if len > MAX_FRAME {
+        return Err(Error::Protocol(format!("{len}-byte ack exceeds max {MAX_FRAME}")));
+    }
+    wire.reserve(HEADER_LEN + len);
+    wire.push(FrameKind::Ack.byte());
+    wire.extend_from_slice(&(len as u32).to_le_bytes());
+    wire.extend_from_slice(&seq.to_le_bytes());
+    push_events(events, wire);
+    Ok(())
 }
 
 /// Write one frame as a single `write_all`. A payload over
 /// [`MAX_FRAME`] is refused locally (`Error::Protocol`) — we never put
 /// a frame on the wire the peer must reject.
 pub fn write_frame<W: Write>(w: &mut W, kind: FrameKind, payload: &[u8]) -> Result<(), Error> {
-    w.write_all(&encode_frame(kind, payload)?)?;
+    let mut wire = Vec::new();
+    encode_frame_into(kind, payload, &mut wire)?;
+    w.write_all(&wire)?;
     w.flush()?;
     Ok(())
 }
@@ -248,12 +315,19 @@ pub fn read_frame<R: Read>(r: &mut R) -> Result<Option<Frame>, Error> {
 /// prefix): `[token u32 LE][start u32 LE][end u32 LE]` per event.
 pub fn encode_events(events: &[TagEvent]) -> Vec<u8> {
     let mut out = Vec::with_capacity(events.len() * EVENT_LEN);
-    for e in events {
-        out.extend_from_slice(&e.token.0.to_le_bytes());
-        out.extend_from_slice(&(e.start as u32).to_le_bytes());
-        out.extend_from_slice(&(e.end as u32).to_le_bytes());
-    }
+    push_events(events, &mut out);
     out
+}
+
+/// Append each event's 12 wire bytes to `out`.
+fn push_events(events: &[TagEvent], out: &mut Vec<u8>) {
+    for e in events {
+        let mut record = [0u8; EVENT_LEN];
+        record[..4].copy_from_slice(&e.token.0.to_le_bytes());
+        record[4..8].copy_from_slice(&(e.start as u32).to_le_bytes());
+        record[8..].copy_from_slice(&(e.end as u32).to_le_bytes());
+        out.extend_from_slice(&record);
+    }
 }
 
 /// Decode an `Ack` payload body back into events.
@@ -379,6 +453,30 @@ mod tests {
         assert!(frame.payload.is_empty());
         assert!(reader.next_frame().unwrap().is_none());
         assert_eq!(reader.buffered(), 0, "everything consumed");
+    }
+
+    #[test]
+    fn shrinking_keeps_what_is_buffered() {
+        let mut wire = Vec::new();
+        write_frame(&mut wire, FrameKind::Data, &vec![b'x'; 100_000]).unwrap();
+        write_frame(&mut wire, FrameKind::Data, b"next").unwrap();
+        let mut reader = FrameReader::new();
+        reader.push(&wire[..wire.len() - 2]);
+        assert_eq!(reader.next_frame().unwrap().unwrap().payload.len(), 100_000);
+        reader.shrink_to(64);
+        assert!(reader.capacity() <= 64, "{} bytes kept", reader.capacity());
+        assert_eq!(reader.buffered(), HEADER_LEN + 2, "the partial next frame stays");
+        reader.push(&wire[wire.len() - 2..]);
+        assert_eq!(reader.next_frame().unwrap().unwrap().payload, b"next");
+
+        // A frame larger than `keep` still arriving keeps its room,
+        // spare capacity included.
+        reader.push(&wire[..600]);
+        reader.push(&wire[600..1000]);
+        let held = reader.capacity();
+        assert!(held > reader.buffered(), "{held} bytes held for {}", reader.buffered());
+        reader.shrink_to(64);
+        assert_eq!(reader.capacity(), held, "shrunk while a large frame arrives");
     }
 
     #[test]

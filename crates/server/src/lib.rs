@@ -3,18 +3,17 @@
 //! The paper's tagger is a streaming circuit meant to sit on a live
 //! network link (§1: gigabit streams tagged at wire speed). This crate
 //! is that serving layer for the software reproduction: a concurrent
-//! TCP ingest server that feeds the [`cfg_tagger::ShardPool`] and
-//! survives the things real links do — overload, silent clients,
+//! TCP ingest server that tags each frame on the thread that read it
+//! and survives the things real links do — overload, silent clients,
 //! half-written frames, and the occasional poison message.
 //!
 //! * [`frame`] — the length-prefixed wire protocol (`Data`/`Close` in,
 //!   `Ack`/`Busy`/`Err`/`Bye` out; acks carry the tag events), with an
 //!   incremental zero-copy decoder ([`frame::FrameReader`]).
-//! * [`session`] — the session table: ids, affinity, idle eviction,
-//!   max-sessions cap.
-//! * [`server`] — the acceptor, one reader thread per session,
-//!   supervised workers that write each ack straight to its session's
-//!   socket, the idle janitor, and drain-style shutdown.
+//! * [`session`] — the session table: ids and the max-sessions cap.
+//! * [`server`] — the acceptor, one reader thread per session that
+//!   tags its frames under a per-shard admission gate and writes each
+//!   ack itself, idle eviction, and graceful shutdown.
 //! * [`client`] — the reference client.
 //! * [`fault`] — the seeded fault-injection harness driving the chaos
 //!   integration test.

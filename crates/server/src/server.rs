@@ -1,35 +1,38 @@
 //! The supervised multi-session ingest server.
 //!
 //! One acceptor thread takes TCP connections; each connection becomes
-//! a session (with affinity to one shard of a [`ShardPool`]) served by
-//! its own reader thread speaking the [`crate::frame`] protocol. The
-//! moving parts:
+//! a session served by its own reader thread speaking the
+//! [`crate::frame`] protocol. The reader tags its own frames and writes
+//! their acks, so a frame makes one hop: socket, engine, socket, all on
+//! one thread. The moving parts:
 //!
-//! * **Backpressure**: shard queues are bounded; a full queue answers
-//!   `Busy` with the shed frame's sequence number instead of blocking
-//!   the reader ([`SubmitOutcome::Shed`] → [`Stat::LoadShed`], and the
-//!   attached [`Registry`] flips `overloaded` so `/readyz` tells load
-//!   balancers to back off).
-//! * **Supervision**: worker panics are caught by the pool, counted
-//!   under [`Stat::WorkerRestarts`], answered with an `Err` frame naming
-//!   the poison frame's sequence, and the worker resumes after
-//!   exponential backoff.
-//! * **Sessions**: an idle-timeout janitor sweeps connections that are
-//!   silent with no frame in flight, in least-recently-active order
+//! * **Shard gates**: a session's frames are tagged under its shard's
+//!   gate (shard `id % shards`), which one frame holds at a time. A
+//!   frame that finds the gate taken waits for it, unless `queue_depth`
+//!   frames wait already: then it is answered `Busy` with its sequence
+//!   number ([`Stat::LoadShed`] on the shard's sink, and the attached
+//!   [`Registry`] flips `overloaded` so `/readyz` tells load balancers
+//!   to back off). The gate is released before the ack is written, so
+//!   a slow reader never holds a shard.
+//! * **Supervision**: a panic while tagging is caught in place, counted
+//!   under [`Stat::WorkerRestarts`] on the shard's sink, and answered
+//!   with an `Err` frame naming the poison frame's sequence; the session
+//!   goes on.
+//! * **Sessions**: a session silent for longer than the idle timeout is
+//!   told why and hung up on by its own reader
 //!   ([`Stat::SessionsEvicted`]); a `max_sessions` cap refuses new
 //!   connections with `Busy`.
-//! * **Slow readers**: the idle timeout is also every session socket's
-//!   write timeout. A peer that stops reading its acks fails the write
-//!   that fills its socket; the session is then shut down and counted
-//!   as evicted, so it cannot hold its shard worker, or any other
-//!   session on that shard, hostage.
-//! * **Acks are completions**: `Ack` is written only after the shard
-//!   worker fully tagged the message, and carries the events — a client
-//!   that received an `Ack` can never lose that work, and `Close` drains
-//!   every accepted frame before `Bye`.
+//! * **Slow readers**: the idle timeout is also every reply's write
+//!   deadline. A peer that does not take a reply within it is shut down
+//!   and counted as evicted; it held no gate while it stalled.
+//! * **Acks are completions**: `Ack` is written only after the frame
+//!   was fully tagged, and carries the events — a client that received
+//!   an `Ack` can never lose that work. A reader answers each frame
+//!   before it reads the next, so on `Close` every ack is already sent
+//!   when `Bye` goes out.
 //! * **Shadow audit**: with [`ServerConfig::audit`] set, 1-in-N
-//!   sessions have their accepted payloads mirrored into a bounded
-//!   audit queue; a worker behind the shard pool replays each frame
+//!   sessions have their admitted payloads mirrored into a bounded
+//!   audit queue; a worker beside the serving path replays each frame
 //!   through the production engine, the scalar reference engine
 //!   (divergence ⇒ correctness bug, a [`Mismatch`] kept as evidence in
 //!   an [`EventRing`]) and the exact [`PdaParser`] (unconfirmed fires ⇒
@@ -37,22 +40,21 @@
 //!   [`AuditBank`]). A full audit queue sheds the session and counts
 //!   it — the fast path never blocks on the audit lane.
 
-use crate::frame::{self, Frame, FrameKind};
+use crate::frame::{self, FrameKind, FrameRef};
 use crate::session::SessionTable;
 use cfg_obs::{
-    AuditBank, AuditEvent, EventRing, MetricsSink, Mismatch, Part, Registry, SamplerHandle,
-    ShardLoadBank, SloTracker, Span, SpanRecorder, Stage, Stat, StatsSink, TimeSeries,
+    AuditBank, AuditEvent, EventRing, Metrics, MetricsSink, Mismatch, Part, Registry,
+    SamplerHandle, ShardLoadBank, SloTracker, Span, SpanRecorder, Stage, Stat, StatsSink,
+    TimeSeries,
 };
-use cfg_tagger::{
-    EngineKind, Error, PdaParser, PoolOptions, ShardMsg, ShardPool, ShardReport, SubmitOutcome,
-    TagEvent, TokenTagger,
-};
+use cfg_tagger::{EngineKind, Error, PdaParser, ShardReport, TagEvent, TokenTagger};
 use std::collections::HashSet;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -95,11 +97,13 @@ struct Tracing {
 
 /// Saturation telemetry configuration for [`ServerConfig::saturation`].
 ///
-/// When set, the shard pool counts arrivals/dequeues/busy-time into a
-/// [`ShardLoadBank`] and a sampler thread snapshots it into a
-/// [`TimeSeries`] ring every `interval_ms` (behind the `cfgtag_shard_*`
-/// gauges and `/timeseries.json`). When `None` (the default) neither
-/// exists and the serving path takes one `None` branch per frame.
+/// When set, every shard gate counts into a [`ShardLoadBank`]: frames
+/// admitted (arrivals), gates taken (dequeues, so the shard's "queue" is
+/// the frames waiting for its gate) and the time the gate was held
+/// (busy ns). A sampler thread snapshots the bank into a [`TimeSeries`]
+/// ring every `interval_ms` (behind the `cfgtag_shard_*` gauges and
+/// `/timeseries.json`). When `None` (the default) neither exists and
+/// the serving path takes one `None` branch per frame.
 #[derive(Debug, Clone)]
 pub struct SaturationConfig {
     /// Utilization snapshot period in milliseconds.
@@ -126,8 +130,8 @@ struct Saturation {
 ///
 /// When set, 1-in-`sample_every` sessions have their accepted `Data`
 /// payloads (up to [`AUDIT_MAX_BYTES`] a session) mirrored into a queue
-/// of [`AUDIT_QUEUE_DEPTH`] sessions; one replay worker behind the shard
-/// pool runs each frame through the production engine, the scalar
+/// of [`AUDIT_QUEUE_DEPTH`] sessions; one replay worker beside the
+/// serving path runs each frame through the production engine, the scalar
 /// reference engine and the exact PDA parser, filling an [`AuditBank`]
 /// (the `cfgtag_audit_*` families) and a small ring of recent
 /// divergences (behind `/mismatches.jsonl`). When `None` (the default)
@@ -197,34 +201,26 @@ impl Auditor {
 /// override fields.
 #[derive(Clone)]
 pub struct ServerConfig {
-    /// Worker shards in the pool.
+    /// Shard gates; a session tags under gate `id % shards`.
     pub shards: usize,
-    /// Bounded queue depth per shard; a full queue sheds with `Busy`.
+    /// Frames that may wait for a taken shard gate; one more is shed
+    /// with `Busy`.
     pub queue_depth: usize,
     /// Hard cap on concurrent sessions; beyond it, connects get `Busy`.
     pub max_sessions: usize,
-    /// A session silent for longer than this, with no frame in flight,
-    /// is evicted by the janitor. It is also each session socket's
-    /// write timeout: a reply the peer leaves unread this long evicts
-    /// the session.
+    /// A session silent for longer than this is evicted by its reader.
+    /// It is also each reply's write deadline: a reply the peer leaves
+    /// unread this long evicts the session.
     pub idle_timeout: Duration,
-    /// Which engine the workers tag with.
+    /// Which engine the sessions tag with.
     pub engine: EngineKind,
-    /// First post-panic worker backoff (milliseconds).
-    pub backoff_base_ms: u64,
-    /// Worker backoff ceiling (milliseconds).
-    pub backoff_max_ms: u64,
-    /// Panic injection for the chaos harness: a worker panics when a
+    /// Panic injection for the chaos harness: tagging panics when a
     /// payload contains this byte string. `None` in production.
     pub panic_token: Option<Vec<u8>>,
     /// The registry to report into: the shard and server sinks (as
     /// `shard0…`, `server`), the `ready` flag on start and `overloaded`
     /// while shedding, and the trace, saturation and audit parts.
     pub registry: Option<Arc<Registry>>,
-    /// How long `Close` waits for accepted frames to drain before
-    /// `Bye`. If it fires with frames still pending, the server bumps
-    /// [`Stat::DrainTimeouts`] (`cfgtag_drain_timeouts_total`).
-    pub drain_deadline: Duration,
     /// Frame tracing + SLO pipeline; `None` (default) serves untraced.
     pub trace: Option<TraceConfig>,
     /// Saturation telemetry (per-shard utilization time series);
@@ -243,11 +239,8 @@ impl Default for ServerConfig {
             max_sessions: 64,
             idle_timeout: Duration::from_secs(30),
             engine: EngineKind::Bit,
-            backoff_base_ms: 10,
-            backoff_max_ms: 500,
             panic_token: None,
             registry: None,
-            drain_deadline: Duration::from_secs(10),
             trace: None,
             saturation: None,
             audit: None,
@@ -264,7 +257,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("idle_timeout", &self.idle_timeout)
             .field("engine", &self.engine)
             .field("panic_token", &self.panic_token.is_some())
-            .field("drain_deadline", &self.drain_deadline)
             .field("trace", &self.trace)
             .field("saturation", &self.saturation)
             .field("audit", &self.audit)
@@ -281,101 +273,106 @@ pub struct ServerReport {
     /// Sessions evicted: idle past the timeout, or a reply write
     /// failed.
     pub evicted: u64,
-    /// Data frames shed with `Busy` because a shard queue was full.
+    /// Data frames shed with `Busy` because a shard gate's wait was
+    /// full.
     pub shed: u64,
-    /// The drained pool's report (messages per shard, worker restarts).
+    /// Per shard: frames tagged to completion, and panics caught.
     pub shard: ShardReport,
 }
 
-/// Everything the acceptor, janitor, reader and worker threads share.
+/// A shard's admission gate: one frame is tagged under `lock` at a
+/// time, and `at_gate` counts the frames holding or waiting for it.
+#[derive(Default)]
+struct Gate {
+    lock: Mutex<()>,
+    at_gate: AtomicUsize,
+    /// Frames tagged to completion under the gate.
+    served: AtomicU64,
+}
+
+impl Gate {
+    /// Take the gate, waiting for it when it is held, unless `depth`
+    /// frames wait already: `None` sheds the frame. `admitted` runs once
+    /// the frame is admitted, before it waits.
+    fn enter(&self, depth: usize, admitted: impl FnOnce()) -> Option<MutexGuard<'_, ()>> {
+        if self.at_gate.fetch_add(1, Ordering::SeqCst) > depth {
+            self.at_gate.fetch_sub(1, Ordering::SeqCst);
+            return None;
+        }
+        admitted();
+        // Panics are caught inside the gate, and it guards no data, so
+        // a poisoned lock would be as good as a clean one.
+        Some(self.lock.lock().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Release the gate; `served` counts a frame tagged to completion.
+    fn leave(&self, held: MutexGuard<'_, ()>, served: bool) {
+        drop(held);
+        self.at_gate.fetch_sub(1, Ordering::SeqCst);
+        self.served.fetch_add(u64::from(served), Ordering::Relaxed);
+    }
+}
+
+/// One shard: a tagger clone whose metrics land in the shard's sink,
+/// and the gate its sessions' frames are tagged under.
+struct Shard {
+    tagger: TokenTagger,
+    sink: Arc<StatsSink>,
+    gate: Gate,
+}
+
+/// Everything the acceptor and the session threads share.
 struct Shared {
-    pool: ShardPool,
-    table: Arc<SessionTable<TcpStream>>,
+    shards: Vec<Shard>,
+    queue_depth: usize,
+    engine: EngineKind,
+    panic_token: Option<Vec<u8>>,
+    load: Option<Arc<ShardLoadBank>>,
+    table: SessionTable,
     stop: AtomicBool,
     server_sink: Arc<StatsSink>,
     registry: Option<Arc<Registry>>,
     conn_handles: Mutex<Vec<JoinHandle<()>>>,
     sessions_served: AtomicU64,
     idle_timeout: Duration,
-    drain_deadline: Duration,
     tracing: Option<Tracing>,
     audit: Option<Auditor>,
 }
 
 /// A running ingest server; shut it down with
-/// [`IngestServer::shutdown`] to drain and collect the report.
+/// [`IngestServer::shutdown`] to say `Bye` to every session and collect
+/// the report.
 pub struct IngestServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_handle: Option<JoinHandle<()>>,
-    janitor_handle: Option<JoinHandle<()>>,
     saturation: Option<Saturation>,
     sampler_handle: Option<SamplerHandle>,
     audit_handle: Option<JoinHandle<()>>,
-}
-
-/// Pool-message layout: `[session u64 LE][seq u32 LE][payload…]`.
-fn build_msg(session: u64, seq: u32, payload: &[u8]) -> Vec<u8> {
-    let mut msg = Vec::with_capacity(12 + payload.len());
-    msg.extend_from_slice(&session.to_le_bytes());
-    msg.extend_from_slice(&seq.to_le_bytes());
-    msg.extend_from_slice(payload);
-    msg
-}
-
-fn split_msg(msg: &[u8]) -> Option<(u64, u32, &[u8])> {
-    if msg.len() < 12 {
-        return None;
-    }
-    let session = u64::from_le_bytes(msg[..8].try_into().expect("8 bytes"));
-    let seq = u32::from_le_bytes(msg[8..12].try_into().expect("4 bytes"));
-    Some((session, seq, &msg[12..]))
 }
 
 fn contains(haystack: &[u8], needle: &[u8]) -> bool {
     !needle.is_empty() && haystack.windows(needle.len()).any(|w| w == needle)
 }
 
-/// Write one reply frame to session `id` within `timeout` (the idle
-/// timeout, which is also the socket's write timeout): one deadline for
-/// the whole frame, so a peer that reads a few bytes at a time cannot
-/// hold the shard worker past it. A write that fails — the peer is
-/// gone, or it did not take the frame in time — shuts the socket down,
-/// so the session's reader sees EOF and every later write fails at
-/// once. Whichever eviction takes `id` out of the table counts it under
-/// [`Stat::SessionsEvicted`].
-fn reply(
-    table: &SessionTable<TcpStream>,
-    sink: &StatsSink,
-    id: u64,
-    writer: &Mutex<TcpStream>,
-    kind: FrameKind,
-    payload: &[u8],
-    timeout: Duration,
-) {
-    let mut w = writer.lock().expect("session writer lock");
-    let wire = frame::encode_frame(kind, payload);
-    if !wire.is_ok_and(|wire| cfg_obs_http::write_within(&mut w, &wire, timeout).is_ok()) {
-        // Leave the table before the shutdown wakes the reader, whose
-        // own close would otherwise win and skip the count.
-        if table.close(id) {
-            sink.add(Stat::SessionsEvicted, 1);
-        }
-        let _ = w.shutdown(Shutdown::Both);
+/// Stringify a caught panic payload (the two shapes `panic!` produces).
+fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
 
-/// [`reply`] to a session by id; a no-op once it has left the table.
-fn reply_to(
-    table: &SessionTable<TcpStream>,
-    sink: &StatsSink,
-    id: u64,
-    kind: FrameKind,
-    payload: &[u8],
-    timeout: Duration,
-) {
-    if let Some(writer) = table.writer(id) {
-        reply(table, sink, id, &writer, kind, payload, timeout);
+fn nanos(d: Duration) -> u64 {
+    u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
+}
+
+fn stamp(span: &mut Option<Span>, stage: Stage) {
+    if let Some(span) = span.as_mut() {
+        span.stamp(stage);
     }
 }
 
@@ -389,172 +386,20 @@ impl IngestServer {
     ) -> std::io::Result<IngestServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let table: Arc<SessionTable<TcpStream>> = Arc::new(SessionTable::new(config.max_sessions));
-        let server_sink = Arc::new(StatsSink::new());
-
-        // The tracing side-car: a span recorder + SLO tracker pair.
-        let tracing = config.trace.as_ref().map(|t| Tracing {
-            recorder: Arc::new(SpanRecorder::new(
-                t.ring,
-                t.sample_every,
-                t.slo_ms.saturating_mul(1_000_000),
-            )),
-            slo: Arc::new(SloTracker::new(t.slo_ms.saturating_mul(1_000_000), SLO_TARGET)),
-        });
-
-        // The saturation side-car: per-shard load counters and their
-        // snapshot ring.
-        let saturation = config.saturation.as_ref().map(|s| {
-            let bank = Arc::new(ShardLoadBank::new(config.shards));
-            let series = Arc::new(TimeSeries::new(
-                Arc::clone(&bank),
-                s.history,
-                Duration::from_millis(s.interval_ms.max(1)),
-            ));
-            Saturation { bank, series }
-        });
-
-        // The shadow-audit side-car: correctness counters, divergence
-        // evidence ring, and the bounded queue feeding the replay
-        // worker, which exits when the sender side disconnects at
-        // shutdown.
-        let mut audit_handle = None;
-        let audit = config.audit.as_ref().map(|a| {
-            let bank = Arc::new(AuditBank::new(tagger.grammar().tokens().len()));
-            let ring = Arc::new(EventRing::new(MISMATCH_CAPACITY));
-            let (tx, rx) = mpsc::sync_channel::<AuditJob>(AUDIT_QUEUE_DEPTH);
-            let (tagger, kind) = (tagger.clone(), config.engine);
-            let (worker_bank, worker_ring) = (Arc::clone(&bank), Arc::clone(&ring));
-            audit_handle = Some(
-                std::thread::Builder::new()
-                    .name("cfgserve-audit".into())
-                    .spawn(move || audit_loop(tagger, kind, rx, worker_bank, worker_ring))
-                    .expect("spawn audit worker"),
-            );
-            Auditor { bank, ring, sample_every: a.sample_every.max(1), tx: Mutex::new(tx) }
-        });
-
-        // The worker handler: tag the payload with a fresh engine, then
-        // ack with the events, written straight to the session's
-        // socket. The ack is produced *by the worker*, after
-        // processing — that ordering is the no-lost-acks guarantee.
-        let panic_token = config.panic_token.clone();
-        let idle_timeout = config.idle_timeout;
-        let engine_kind = config.engine;
-        let handler_table = Arc::clone(&table);
-        let handler_sink = Arc::clone(&server_sink);
-        let handler_tracing = tracing.clone();
-        let handler = move |t: &TokenTagger, msg: &[u8], mut span: Option<&mut Span>| {
-            let Some((session, seq, payload)) = split_msg(msg) else { return };
-            if let Some(token) = &panic_token {
-                if contains(payload, token) {
-                    panic!("injected poison frame (session {session} seq {seq})");
-                }
-            }
-            let tagged = tag_payload(t, engine_kind, payload);
-            if let Some(span) = span.as_deref_mut() {
-                span.stamp(Stage::Engine);
-            }
-            let (kind, body) = match tagged {
-                Ok(events) => {
-                    let mut ack = seq.to_le_bytes().to_vec();
-                    ack.extend_from_slice(&frame::encode_events(&events));
-                    (FrameKind::Ack, ack)
-                }
-                Err(e) => (FrameKind::Err, format!("seq {seq}: {e}").into_bytes()),
-            };
-            // An ack too large for one frame still owes the client a
-            // reply.
-            let (kind, body) = if body.len() > frame::MAX_FRAME {
-                (FrameKind::Err, format!("seq {seq}: reply too large").into_bytes())
-            } else {
-                (kind, body)
-            };
-            reply_to(&handler_table, &handler_sink, session, kind, &body, idle_timeout);
-            // The span ends when the reply hit the socket: fold it into
-            // the SLO histograms and (maybe) the /spans.jsonl ring.
-            if let (Some(tracing), Some(span)) = (&handler_tracing, span.as_deref_mut()) {
-                span.stamp(Stage::AckWrite);
-                tracing.slo.observe(span);
-                tracing.recorder.record(span);
-            }
-            handler_table.answered(session);
-        };
-        // After a caught panic the poison frame was *not* processed:
-        // tell the client with an `Err` frame and release its drain
-        // counter so `Close` does not wait on it forever.
-        let hook_table = Arc::clone(&table);
-        let hook_sink = Arc::clone(&server_sink);
-        let on_panic = move |_shard: usize, text: &str, msg: &[u8]| {
-            let Some((session, seq, _)) = split_msg(msg) else { return };
-            let reason = format!("seq {seq}: worker panic: {text}");
-            let reason = reason.as_bytes();
-            reply_to(&hook_table, &hook_sink, session, FrameKind::Err, reason, idle_timeout);
-            hook_table.answered(session);
-        };
-
-        let pool_opts = PoolOptions {
-            queue_depth: config.queue_depth,
-            backoff_base_ms: config.backoff_base_ms,
-            backoff_max_ms: config.backoff_max_ms,
-            on_panic: Some(Arc::new(on_panic)),
-            load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
-        };
-        let pool = ShardPool::new(tagger, config.shards, pool_opts, handler);
-
-        if let Some(registry) = &config.registry {
-            pool.register(registry, "shard");
-            registry.register("server", Arc::clone(&server_sink));
-            // Names for the per-token series. Not the compile report: it
-            // would build the lazily built circuit at start.
-            let names = tagger.grammar().tokens().iter().map(|t| t.name.clone()).collect();
-            registry.attach(Part::Tokens(names));
-            if let Some(t) = &tracing {
-                registry.attach(Part::Spans(Arc::clone(&t.recorder)));
-                registry.attach(Part::Slo(Arc::clone(&t.slo)));
-            }
-            if let Some(s) = &saturation {
-                registry.attach(Part::TimeSeries(Arc::clone(&s.series)));
-            }
-            if let Some(a) = &audit {
-                registry.attach(Part::Audit(Arc::clone(&a.bank)));
-                registry.attach(Part::Mismatches(Arc::clone(&a.ring)));
-            }
-            registry.set_ready(true);
-        }
-
-        let shared = Arc::new(Shared {
-            pool,
-            table,
-            stop: AtomicBool::new(false),
-            server_sink,
-            registry: config.registry.clone(),
-            conn_handles: Mutex::new(Vec::new()),
-            sessions_served: AtomicU64::new(0),
-            idle_timeout: config.idle_timeout,
-            drain_deadline: config.drain_deadline,
-            tracing,
-            audit,
-        });
+        let (shared, saturation, audit_handle) = Shared::new(tagger, &config);
+        let shared = Arc::new(shared);
 
         let accept_shared = Arc::clone(&shared);
         let accept_handle = std::thread::Builder::new()
             .name("cfgserve-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .expect("spawn acceptor");
-        let janitor_shared = Arc::clone(&shared);
-        let janitor_handle = std::thread::Builder::new()
-            .name("cfgserve-janitor".into())
-            .spawn(move || janitor_loop(janitor_shared))
-            .expect("spawn janitor");
-
         let sampler_handle = saturation.as_ref().map(|s| s.series.start_sampler());
 
         Ok(IngestServer {
             addr,
             shared,
             accept_handle: Some(accept_handle),
-            janitor_handle: Some(janitor_handle),
             saturation,
             sampler_handle,
             audit_handle,
@@ -608,8 +453,8 @@ impl IngestServer {
         self.shared.audit.as_ref().map(|a| Arc::clone(&a.ring))
     }
 
-    /// Drain-style graceful shutdown: stop accepting, tell every
-    /// session goodbye, drain the shard queues, and report.
+    /// Graceful shutdown: stop accepting, let every session finish the
+    /// frame in hand and say `Bye`, and report.
     pub fn shutdown(mut self) -> ServerReport {
         // Stop the telemetry sampler first; it only reads atomics, but
         // a deterministic stop keeps the final snapshots stable.
@@ -622,9 +467,6 @@ impl IngestServer {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        if let Some(h) = self.janitor_handle.take() {
-            let _ = h.join();
-        }
         let handles = std::mem::take(&mut *self.shared.conn_handles.lock().expect("handles lock"));
         for h in handles {
             let _ = h.join();
@@ -634,8 +476,11 @@ impl IngestServer {
             .expect("all server threads joined, shared state uniquely owned");
         let evicted = shared.server_sink.get(Stat::SessionsEvicted);
         let sessions_served = shared.sessions_served.load(Ordering::SeqCst);
-        let shed: u64 = shared.pool.sinks().iter().map(|s| s.get(Stat::LoadShed)).sum();
-        let shard = shared.pool.join();
+        let sum = |stat| shared.shards.iter().map(|s| s.sink.get(stat)).sum::<u64>();
+        let (shed, restarts) = (sum(Stat::LoadShed), sum(Stat::WorkerRestarts));
+        let per_shard: Vec<u64> =
+            shared.shards.iter().map(|s| s.gate.served.load(Ordering::SeqCst)).collect();
+        let shard = ShardReport { messages: per_shard.iter().sum(), per_shard, restarts };
         // Dropping the auditor drops the queue's sender; the replay
         // worker drains what was enqueued, sees the disconnect, and exits.
         drop(shared.audit.take());
@@ -655,54 +500,175 @@ impl std::fmt::Debug for IngestServer {
     }
 }
 
+impl Shared {
+    /// The shared state for `config`, with its telemetry side-cars and
+    /// registry wiring, plus the saturation parts and the audit worker
+    /// the server owns.
+    fn new(
+        tagger: &TokenTagger,
+        config: &ServerConfig,
+    ) -> (Shared, Option<Saturation>, Option<JoinHandle<()>>) {
+        // The tracing side-car: a span recorder + SLO tracker pair.
+        let tracing = config.trace.as_ref().map(|t| Tracing {
+            recorder: Arc::new(SpanRecorder::new(
+                t.ring,
+                t.sample_every,
+                t.slo_ms.saturating_mul(1_000_000),
+            )),
+            slo: Arc::new(SloTracker::new(t.slo_ms.saturating_mul(1_000_000), SLO_TARGET)),
+        });
+
+        // One tagger clone per shard, whose engines count into the
+        // shard's sink. Like every stats sink it keeps no trace events,
+        // so engines skip building them.
+        let tokens = tagger.grammar().tokens().len();
+        let shards: Vec<Shard> = (0..config.shards.max(1))
+            .map(|_| {
+                let sink = Arc::new(StatsSink::with_tokens(tokens));
+                let tagger = tagger.clone().with_metrics(Metrics::new(sink.clone()));
+                Shard { tagger, sink, gate: Gate::default() }
+            })
+            .collect();
+
+        // The saturation side-car: per-shard load counters and their
+        // snapshot ring.
+        let saturation = config.saturation.as_ref().map(|s| {
+            let bank = Arc::new(ShardLoadBank::new(shards.len()));
+            let series = Arc::new(TimeSeries::new(
+                Arc::clone(&bank),
+                s.history,
+                Duration::from_millis(s.interval_ms.max(1)),
+            ));
+            Saturation { bank, series }
+        });
+
+        // The shadow-audit side-car: correctness counters, divergence
+        // evidence ring, and the bounded queue feeding the replay
+        // worker, which exits when the sender side disconnects at
+        // shutdown.
+        let mut audit_handle = None;
+        let audit = config.audit.as_ref().map(|a| {
+            let bank = Arc::new(AuditBank::new(tokens));
+            let ring = Arc::new(EventRing::new(MISMATCH_CAPACITY));
+            let (tx, rx) = mpsc::sync_channel::<AuditJob>(AUDIT_QUEUE_DEPTH);
+            let (tagger, kind) = (tagger.clone(), config.engine);
+            let (worker_bank, worker_ring) = (Arc::clone(&bank), Arc::clone(&ring));
+            audit_handle = Some(
+                std::thread::Builder::new()
+                    .name("cfgserve-audit".into())
+                    .spawn(move || audit_loop(tagger, kind, rx, worker_bank, worker_ring))
+                    .expect("spawn audit worker"),
+            );
+            Auditor { bank, ring, sample_every: a.sample_every.max(1), tx: Mutex::new(tx) }
+        });
+
+        let server_sink = Arc::new(StatsSink::new());
+        if let Some(registry) = &config.registry {
+            for (i, shard) in shards.iter().enumerate() {
+                registry.register(format!("shard{i}"), Arc::clone(&shard.sink));
+            }
+            registry.register("server", Arc::clone(&server_sink));
+            // Names for the per-token series. Not the compile report: it
+            // would build the lazily built circuit at start.
+            let names = tagger.grammar().tokens().iter().map(|t| t.name.clone()).collect();
+            registry.attach(Part::Tokens(names));
+            if let Some(t) = &tracing {
+                registry.attach(Part::Spans(Arc::clone(&t.recorder)));
+                registry.attach(Part::Slo(Arc::clone(&t.slo)));
+            }
+            if let Some(s) = &saturation {
+                registry.attach(Part::TimeSeries(Arc::clone(&s.series)));
+            }
+            if let Some(a) = &audit {
+                registry.attach(Part::Audit(Arc::clone(&a.bank)));
+                registry.attach(Part::Mismatches(Arc::clone(&a.ring)));
+            }
+            registry.set_ready(true);
+        }
+
+        let shared = Shared {
+            shards,
+            queue_depth: config.queue_depth,
+            engine: config.engine,
+            panic_token: config.panic_token.clone(),
+            load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
+            table: SessionTable::new(config.max_sessions),
+            stop: AtomicBool::new(false),
+            server_sink,
+            registry: config.registry.clone(),
+            conn_handles: Mutex::new(Vec::new()),
+            sessions_served: AtomicU64::new(0),
+            idle_timeout: config.idle_timeout,
+            tracing,
+            audit,
+        };
+        (shared, saturation, audit_handle)
+    }
+}
+
 fn accept_loop(listener: TcpListener, shared: Arc<Shared>) {
     for conn in listener.incoming() {
         if shared.stop.load(Ordering::SeqCst) {
             break;
         }
-        let Ok(mut stream) = conn else { continue };
-        let Ok(writer_stream) = stream.try_clone() else { continue };
-        match shared.table.open(writer_stream) {
-            Some((id, writer)) => {
+        let Ok(stream) = conn else { continue };
+        let mut handles = shared.conn_handles.lock().expect("handles lock");
+        reap(&mut handles);
+        let Some(id) = shared.table.open() else {
+            refuse(stream, b"max sessions");
+            continue;
+        };
+        // A spare handle on the socket answers the peer if its reader
+        // thread cannot be spawned.
+        let Ok(spare) = stream.try_clone() else {
+            shared.table.close();
+            continue;
+        };
+        let conn_shared = Arc::clone(&shared);
+        let spawned = std::thread::Builder::new()
+            .name(format!("cfgserve-conn{id}"))
+            .spawn(move || serve_conn(conn_shared, stream, id));
+        match spawned {
+            Ok(handle) => {
                 shared.sessions_served.fetch_add(1, Ordering::SeqCst);
-                let conn_shared = Arc::clone(&shared);
-                let handle = std::thread::Builder::new()
-                    .name(format!("cfgserve-conn{id}"))
-                    .spawn(move || serve_conn(conn_shared, stream, id, writer))
-                    .expect("spawn session reader");
-                shared.conn_handles.lock().expect("handles lock").push(handle);
+                handles.push(handle);
             }
-            None => {
-                // At the cap: answer Busy and hang up. No session state
-                // is created, so nothing to clean.
-                let _ = frame::write_frame(&mut stream, FrameKind::Busy, b"max sessions");
-                let _ = stream.shutdown(Shutdown::Both);
+            Err(_) => {
+                shared.table.close();
+                refuse(spare, b"no reader thread");
             }
         }
     }
 }
 
-fn janitor_loop(shared: Arc<Shared>) {
-    let tick =
-        (shared.idle_timeout / 4).min(Duration::from_millis(25)).max(Duration::from_millis(1));
-    while !shared.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(tick);
-        for (id, writer) in shared.table.evict_idle(shared.idle_timeout) {
-            shared.server_sink.add(Stat::SessionsEvicted, 1);
-            // Say why, then shut the transport down; the session's
-            // reader thread sees EOF and exits.
-            let mut w = writer.lock().expect("session writer lock");
-            let reason = format!("session {id} idle timeout");
-            let _ = frame::write_frame(&mut *w, FrameKind::Err, reason.as_bytes());
-            let _ = w.shutdown(Shutdown::Both);
+/// Answer a connection the server will not serve with `Busy`, and hang
+/// up. No session state exists for it, so nothing is cleaned.
+fn refuse(mut stream: TcpStream, reason: &[u8]) {
+    let _ = frame::write_frame(&mut stream, FrameKind::Busy, reason);
+    let _ = stream.shutdown(Shutdown::Both);
+}
+
+/// Join the reader threads that have finished, so each frees its stack
+/// now rather than at shutdown.
+fn reap(handles: &mut Vec<JoinHandle<()>>) {
+    let mut i = 0;
+    while i < handles.len() {
+        if handles[i].is_finished() {
+            let _ = handles.swap_remove(i).join();
+        } else {
+            i += 1;
         }
     }
 }
 
 /// What one poll of the incremental frame reader produced.
-enum Poll {
-    Frame(Frame),
+enum Poll<'a> {
+    /// A complete frame, borrowed from the reader's buffer, and the
+    /// nanoseconds spent buffering it.
+    Frame(FrameRef<'a>, u64),
+    /// No complete frame yet: the read timed out or brought part of one.
     Pending,
+    /// The peer hung up between frames.
     Eof,
 }
 
@@ -719,27 +685,18 @@ struct FrameReader {
     /// `frame_read` stage covers the socket reads that happened before
     /// the span object existed.
     frame_started: Option<Instant>,
-    last_lead_ns: u64,
 }
 
 impl FrameReader {
-    fn poll<R: Read>(&mut self, r: &mut R) -> Result<Poll, Error> {
-        let mut chunk = [0u8; 4096];
-        loop {
-            let decoded = self.inner.next_frame()?.map(|f| f.to_frame());
-            if let Some(frame) = decoded {
-                // Close this frame's read window; leftover buffered
-                // bytes already belong to the next frame, so its clock
-                // starts now.
-                let started = self.frame_started.take();
-                self.last_lead_ns = started
-                    .map(|t| u64::try_from(t.elapsed().as_nanos()).unwrap_or(u64::MAX))
-                    .unwrap_or(0);
-                if self.inner.buffered() > 0 {
-                    self.frame_started = Some(Instant::now());
-                }
-                return Ok(Poll::Frame(frame));
-            }
+    /// At most one `read`, then the next complete frame if there is
+    /// one: a peer sending bytes never keeps the caller from its
+    /// stop-flag and idle checks.
+    fn poll<R: Read>(&mut self, r: &mut R) -> Result<Poll<'_>, Error> {
+        // Between frames, a large one gives its room back before the
+        // reader waits for the next.
+        self.inner.shrink_to(RETAIN_BYTES);
+        if self.inner.complete()?.is_none() {
+            let mut chunk = [0u8; frame::READ_CHUNK];
             match r.read(&mut chunk) {
                 Ok(0) if self.inner.buffered() == 0 => return Ok(Poll::Eof),
                 Ok(0) => {
@@ -763,19 +720,186 @@ impl FrameReader {
                 Err(e) => return Err(Error::Io(e)),
             }
         }
-    }
-
-    /// Nanoseconds spent buffering the most recently parsed frame.
-    fn last_lead_ns(&self) -> u64 {
-        self.last_lead_ns
+        let Some(wire_len) = self.inner.complete()? else { return Ok(Poll::Pending) };
+        // Close this frame's read window; leftover buffered bytes
+        // already belong to the next frame, so its clock starts now.
+        let lead_ns = self.frame_started.take().map_or(0, |t| nanos(t.elapsed()));
+        if self.inner.buffered() > wire_len {
+            self.frame_started = Some(Instant::now());
+        }
+        let frame = self.inner.next_frame()?.expect("a complete frame is buffered");
+        Ok(Poll::Frame(frame, lead_ns))
     }
 }
 
-fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<Mutex<TcpStream>>) {
-    // Short read timeout: the reader doubles as the stop-flag poller.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
-    // The write timeout (shared with the writer clone: it is one
-    // socket) is the first write of each reply's deadline; see `reply`.
+/// Bytes the frame reader's buffer, the events buffer and the wire
+/// buffer each keep between frames. A frame that grew one past it hands
+/// the rest back, so a connection holds about three times this between
+/// frames, whatever its largest frame and ack were.
+const RETAIN_BYTES: usize = 64 << 10;
+
+/// One session's serving state, owned by its reader thread.
+struct Conn {
+    id: u64,
+    stream: TcpStream,
+    /// The events of the frame in hand.
+    events: Vec<TagEvent>,
+    /// The reply in hand, encoded as one wire frame.
+    wire: Vec<u8>,
+    /// The next `Data` frame's sequence number.
+    seq: u32,
+    /// When the session last had a frame answered (or opened).
+    last_active: Instant,
+    /// Admitted payloads mirrored for the audit lane, with their byte
+    /// total (for the cap); `None` when the session is not audited.
+    mirrored: Option<(Vec<Vec<u8>>, usize)>,
+}
+
+impl Conn {
+    fn new(id: u64, stream: TcpStream, audited: bool) -> Conn {
+        Conn {
+            id,
+            stream,
+            events: Vec::new(),
+            wire: Vec::new(),
+            seq: 0,
+            last_active: Instant::now(),
+            mirrored: audited.then(|| (Vec::new(), 0)),
+        }
+    }
+
+    /// Write `self.wire` within the idle timeout: one deadline for the
+    /// whole frame, so a peer that reads a few bytes at a time cannot
+    /// hold the thread past it. A failed write — the peer is gone, or it
+    /// did not take the frame in time — evicts the session: `false`.
+    fn send(&mut self, shared: &Shared) -> bool {
+        let sent = cfg_obs_http::write_within(&mut self.stream, &self.wire, shared.idle_timeout);
+        if sent.is_err() {
+            shared.server_sink.add(Stat::SessionsEvicted, 1);
+        }
+        sent.is_ok()
+    }
+
+    /// Encode and [`Conn::send`] one reply frame.
+    fn reply(&mut self, shared: &Shared, kind: FrameKind, payload: &[u8]) -> bool {
+        frame::encode_frame_into(kind, payload, &mut self.wire).is_ok() && self.send(shared)
+    }
+
+    /// Tag one `Data` frame under its shard's gate and answer it:
+    /// `Ack` with the events, `Err` when tagging failed or panicked, or
+    /// `Busy` when the gate's wait is full. `false` when the answer
+    /// could not be written, which ends the session.
+    fn data(&mut self, shared: &Shared, payload: &[u8], lead_ns: u64) -> bool {
+        let seq = self.seq;
+        self.seq = seq.wrapping_add(1);
+        // Begin the frame's span (when tracing is on), back-dated by the
+        // socket-read lead so frame_read covers time spent buffering it.
+        let mut span = shared.tracing.as_ref().map(|t| {
+            let mut span = t.recorder.begin_with_lead(lead_ns);
+            span.set_ids(self.id, u64::from(seq));
+            span.stamp(Stage::FrameRead);
+            span
+        });
+        stamp(&mut span, Stage::Parse);
+        let i = (self.id % shared.shards.len() as u64) as usize;
+        let shard = &shared.shards[i];
+        stamp(&mut span, Stage::SessionLookup);
+        stamp(&mut span, Stage::Enqueue);
+        let load = shared.load.as_deref();
+        let admitted = shard.gate.enter(shared.queue_depth, || {
+            if let Some(bank) = load {
+                bank.arrive(i);
+            }
+        });
+        let Some(held) = admitted else {
+            shard.sink.add(Stat::LoadShed, 1);
+            if let Some(registry) = &shared.registry {
+                registry.set_overloaded(true);
+            }
+            return self.reply(shared, FrameKind::Busy, &seq.to_le_bytes());
+        };
+        stamp(&mut span, Stage::QueueWait);
+        // Saturation accounting: the gate's busy clock runs only when a
+        // bank is attached (metrics-dark otherwise: no clock reads).
+        let busy_from = load.map(|b| {
+            b.dequeue(i);
+            Instant::now()
+        });
+        let (id, events) = (self.id, &mut self.events);
+        let tagged = catch_unwind(AssertUnwindSafe(|| {
+            if let Some(token) = &shared.panic_token {
+                if contains(payload, token) {
+                    panic!("injected poison frame (session {id} seq {seq})");
+                }
+            }
+            tag_into(&shard.tagger, shared.engine, payload, events)
+        }));
+        if let (Some(bank), Some(t0)) = (load, busy_from) {
+            bank.record_work(i, nanos(t0.elapsed()), tagged.is_ok());
+        }
+        shard.gate.leave(held, tagged.is_ok());
+        stamp(&mut span, Stage::Engine);
+        if let Some(registry) = &shared.registry {
+            registry.set_overloaded(false);
+        }
+        // Mirror every admitted frame: the audit lane replays what the
+        // fast path tagged, not what it shed.
+        if let Some((frames, bytes)) = self.mirrored.as_mut() {
+            if *bytes + payload.len() <= AUDIT_MAX_BYTES {
+                *bytes += payload.len();
+                frames.push(payload.to_vec());
+            }
+        }
+        let encoded = match tagged {
+            Ok(Ok(())) => frame::encode_ack_into(seq, &self.events, &mut self.wire)
+                .map_err(|_| "reply too large".to_owned()),
+            Ok(Err(e)) => Err(e.to_string()),
+            Err(panic) => {
+                // The poison frame was not tagged: no span to record.
+                shard.sink.add(Stat::WorkerRestarts, 1);
+                span = None;
+                Err(format!("worker panic: {}", panic_text(panic.as_ref())))
+            }
+        };
+        let sent = match encoded {
+            Ok(()) => self.send(shared),
+            Err(reason) => {
+                self.reply(shared, FrameKind::Err, format!("seq {seq}: {reason}").as_bytes())
+            }
+        };
+        self.trim();
+        // The span ends when the reply hit the socket: fold it into the
+        // SLO histograms and (maybe) the /spans.jsonl ring.
+        if let (Some(tracing), Some(span)) = (&shared.tracing, span.as_mut()) {
+            span.stamp(Stage::AckWrite);
+            tracing.slo.observe(span);
+            tracing.recorder.record(span);
+        }
+        sent
+    }
+
+    /// Give back what a large frame grew the buffers to, past
+    /// [`RETAIN_BYTES`] each.
+    fn trim(&mut self) {
+        let keep = RETAIN_BYTES / std::mem::size_of::<TagEvent>();
+        if self.events.capacity() > keep {
+            self.events.clear();
+            self.events.shrink_to(keep);
+        }
+        if self.wire.capacity() > RETAIN_BYTES {
+            self.wire.clear();
+            self.wire.shrink_to(RETAIN_BYTES);
+        }
+    }
+}
+
+fn serve_conn(shared: Arc<Shared>, stream: TcpStream, id: u64) {
+    // The read timeout is the tick the reader checks the stop flag and
+    // its idle clock on.
+    let tick = (shared.idle_timeout / 4).clamp(Duration::from_millis(1), Duration::from_millis(50));
+    let _ = stream.set_read_timeout(Some(tick));
+    // The write timeout is the first write of each reply's deadline;
+    // see `Conn::send`.
     let _ = stream.set_write_timeout(Some(shared.idle_timeout));
     // Each reply leaves in one write, but Nagle holds a small write
     // while an earlier one is unacknowledged, and the client's delayed
@@ -783,134 +907,76 @@ fn serve_conn(shared: Arc<Shared>, mut stream: TcpStream, id: u64, writer: Arc<M
     // waterfall is what exposed it: `ack_write` measured microseconds
     // while the client-observed round-trip sat at ~40 ms.
     let _ = stream.set_nodelay(true);
-    let send = |kind: FrameKind, payload: &[u8]| {
-        let timeout = shared.idle_timeout;
-        reply(&shared.table, &shared.server_sink, id, &writer, kind, payload, timeout);
-    };
-    let mut reader = FrameReader::default();
-    let mut seq: u32 = 0;
     // Shadow-audit sampling, decided once per session: with auditing
-    // configured, 1-in-N sessions mirror their accepted payloads for
+    // configured, 1-in-N sessions mirror their admitted payloads for
     // replay. Unsampled sessions pay exactly this check.
     let audit = shared
         .audit
         .as_ref()
         .filter(|a| id.is_multiple_of(a.sample_every))
         .inspect(|a| a.bank.session_sampled());
-    // Mirrored frames plus their running byte total (for the cap).
-    let mut mirrored: Option<(Vec<Vec<u8>>, usize)> = audit.map(|_| (Vec::new(), 0));
+    let mut conn = Conn::new(id, stream, audit.is_some());
+    let mut reader = FrameReader::default();
     loop {
         if shared.stop.load(Ordering::SeqCst) {
-            send(FrameKind::Bye, b"");
+            conn.reply(&shared, FrameKind::Bye, b"");
             break;
         }
-        match reader.poll(&mut stream) {
-            Ok(Poll::Pending) => continue,
+        match reader.poll(&mut conn.stream) {
+            Ok(Poll::Pending) => {
+                if conn.last_active.elapsed() > shared.idle_timeout {
+                    // Count, then say why: the peer may read the notice
+                    // and look at the counter at once.
+                    shared.server_sink.add(Stat::SessionsEvicted, 1);
+                    let reason = format!("session {id} idle timeout");
+                    if frame::encode_frame_into(FrameKind::Err, reason.as_bytes(), &mut conn.wire)
+                        .is_ok()
+                    {
+                        let _ = cfg_obs_http::write_within(
+                            &mut conn.stream,
+                            &conn.wire,
+                            shared.idle_timeout,
+                        );
+                    }
+                    break;
+                }
+            }
             Ok(Poll::Eof) => break,
-            Ok(Poll::Frame(frame)) => match frame.kind {
+            Ok(Poll::Frame(frame, lead_ns)) => match frame.kind {
                 FrameKind::Data => {
-                    // Begin the frame's span (when tracing is on),
-                    // back-dated by the socket-read lead so frame_read
-                    // covers time spent buffering the frame.
-                    let mut span = shared.tracing.as_ref().map(|t| {
-                        let mut span = t.recorder.begin_with_lead(reader.last_lead_ns());
-                        span.set_ids(id, u64::from(seq));
-                        span.stamp(Stage::FrameRead);
-                        span
-                    });
-                    let msg = build_msg(id, seq, &frame.payload);
-                    if let Some(span) = span.as_mut() {
-                        span.stamp(Stage::Parse);
+                    if !conn.data(&shared, frame.payload, lead_ns) {
+                        break;
                     }
-                    shared.table.touch(id);
-                    // Count the frame in-flight *before* submitting:
-                    // the worker's post-ack decrement must never land
-                    // on a counter we have not bumped yet.
-                    let pending = shared.table.pending(id);
-                    if let Some(pending) = &pending {
-                        pending.fetch_add(1, Ordering::AcqRel);
-                    }
-                    if let Some(span) = span.as_mut() {
-                        span.stamp(Stage::SessionLookup);
-                    }
-                    match shared.pool.submit_to(id, ShardMsg::new(msg).with_span(span)) {
-                        SubmitOutcome::Accepted => {
-                            if let Some(registry) = &shared.registry {
-                                registry.set_overloaded(false);
-                            }
-                            // Mirror only *accepted* frames: the audit
-                            // lane must replay what the fast path
-                            // actually tagged, not what it shed.
-                            if let Some((frames, bytes)) = mirrored.as_mut() {
-                                if *bytes + frame.payload.len() <= AUDIT_MAX_BYTES {
-                                    *bytes += frame.payload.len();
-                                    frames.push(frame.payload.clone());
-                                }
-                            }
-                        }
-                        SubmitOutcome::Shed => {
-                            if let Some(pending) = &pending {
-                                pending.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            if let Some(registry) = &shared.registry {
-                                registry.set_overloaded(true);
-                            }
-                            send(FrameKind::Busy, &seq.to_le_bytes());
-                        }
-                        SubmitOutcome::Closed => {
-                            if let Some(pending) = &pending {
-                                pending.fetch_sub(1, Ordering::AcqRel);
-                            }
-                            send(FrameKind::Err, b"server shutting down");
-                            break;
-                        }
-                    }
-                    seq = seq.wrapping_add(1);
+                    conn.last_active = Instant::now();
                 }
                 FrameKind::Close => {
-                    drain_session(&shared, id);
-                    send(FrameKind::Bye, b"");
+                    // Every earlier frame was answered before this one
+                    // was read.
+                    conn.reply(&shared, FrameKind::Bye, b"");
                     break;
                 }
                 other => {
                     shared.server_sink.add(Stat::MalformedRejected, 1);
-                    send(FrameKind::Err, format!("unexpected client frame {other:?}").as_bytes());
+                    let reason = format!("unexpected client frame {other:?}");
+                    conn.reply(&shared, FrameKind::Err, reason.as_bytes());
                     break;
                 }
             },
             Err(e) => {
                 if matches!(e, Error::Protocol(_)) {
                     shared.server_sink.add(Stat::MalformedRejected, 1);
-                    send(FrameKind::Err, e.to_string().as_bytes());
+                    conn.reply(&shared, FrameKind::Err, e.to_string().as_bytes());
                 }
                 break;
             }
         }
     }
     // Hand the mirrored session to the audit lane.
-    if let (Some(a), Some((frames, _))) = (audit, mirrored.take()) {
+    if let (Some(a), Some((frames, _))) = (audit, conn.mirrored.take()) {
         a.finish_session(id, frames);
     }
-    shared.table.close(id);
-    let _ = stream.shutdown(Shutdown::Both);
-}
-
-/// Wait (bounded by [`ServerConfig::drain_deadline`]) until every
-/// accepted frame of `id` has been acked — the Close-before-Bye drain.
-/// A deadline that fires with frames still pending is counted under
-/// [`Stat::DrainTimeouts`].
-fn drain_session(shared: &Shared, id: u64) {
-    let deadline = Instant::now() + shared.drain_deadline;
-    while let Some(pending) = shared.table.pending(id) {
-        if pending.load(Ordering::Acquire) == 0 {
-            break;
-        }
-        if Instant::now() > deadline {
-            shared.server_sink.add(Stat::DrainTimeouts, 1);
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
+    let _ = conn.stream.shutdown(Shutdown::Both);
+    shared.table.close();
 }
 
 /// The audit worker: pull mirrored sessions off the bounded queue and
@@ -934,7 +1000,7 @@ fn audit_loop(
     }
 }
 
-/// Replay one frame exactly as the shard handler ran it (a fresh
+/// Replay one frame exactly as the serving path tagged it (a fresh
 /// engine per frame), cross-check against the scalar reference engine,
 /// and confirm every fire against the exact parser.
 #[allow(clippy::too_many_arguments)]
@@ -982,17 +1048,29 @@ fn audit_frame(
     bank.fires(fast.len() as u64, confirmed_fires);
 }
 
-/// Tag `payload` with a fresh engine of `kind`: what the shard handler
-/// runs on every frame, and so what the audit replays.
+/// Tag `payload` with a fresh engine of `kind` into `events` (cleared
+/// first): what the serving path runs on every frame, and so what the
+/// audit replays.
+fn tag_into(
+    tagger: &TokenTagger,
+    kind: EngineKind,
+    payload: &[u8],
+    events: &mut Vec<TagEvent>,
+) -> Result<(), Error> {
+    events.clear();
+    let mut engine = tagger.engine(kind)?;
+    engine.feed_slice(payload, events)?;
+    engine.finish_into(events)
+}
+
+/// [`tag_into`] a fresh vector.
 fn tag_payload(
     tagger: &TokenTagger,
     kind: EngineKind,
     payload: &[u8],
 ) -> Result<Vec<TagEvent>, Error> {
-    let mut engine = tagger.engine(kind)?;
     let mut events = Vec::new();
-    engine.feed_slice(payload, &mut events)?;
-    engine.finish_into(&mut events)?;
+    tag_into(tagger, kind, payload, &mut events)?;
     Ok(events)
 }
 
@@ -1039,15 +1117,150 @@ fn build_mismatch(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::client::{decode_reply, Client, Reply};
+    use crate::frame::Frame;
+    use cfg_grammar::builtin;
+    use cfg_tagger::{StartMode, TaggerOptions};
+
+    fn tagger() -> TokenTagger {
+        TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap()
+    }
 
     #[test]
-    fn msg_layout_round_trips() {
-        let msg = build_msg(0xDEAD_BEEF_u64, 7, b"payload");
-        let (session, seq, payload) = split_msg(&msg).unwrap();
-        assert_eq!(session, 0xDEAD_BEEF_u64);
-        assert_eq!(seq, 7);
-        assert_eq!(payload, b"payload");
-        assert!(split_msg(&msg[..11]).is_none());
+    fn a_gate_holds_one_frame_queues_depth_and_sheds_the_rest() {
+        let gate = Arc::new(Gate::default());
+        let held = gate.enter(1, || {}).expect("a free gate is taken at once");
+        let (admitted_tx, admitted) = mpsc::channel();
+        let waiter = std::thread::spawn({
+            let gate = Arc::clone(&gate);
+            move || {
+                let held = gate.enter(1, || admitted_tx.send(()).unwrap());
+                let taken = held.is_some();
+                if let Some(held) = held {
+                    gate.leave(held, true);
+                }
+                taken
+            }
+        });
+        // Admitted, and so waiting behind the holder.
+        admitted.recv().unwrap();
+        let shed = gate.enter(1, || panic!("a shed frame is not admitted"));
+        assert!(shed.is_none(), "the wait is full");
+        gate.leave(held, true);
+        assert!(waiter.join().unwrap(), "the waiter took the gate once it was left");
+        let held = gate.enter(0, || {}).expect("free again: taken at once, with no room to wait");
+        gate.leave(held, false);
+        assert_eq!(gate.served.load(Ordering::SeqCst), 2, "a panicked frame is not served");
+        assert_eq!(gate.at_gate.load(Ordering::SeqCst), 0, "every frame left the gate");
+    }
+
+    /// A reader thread's stack stays mapped until it is joined: after
+    /// sequential sessions the server must hold no more handles than it
+    /// has live sessions, plus the last one's.
+    #[test]
+    fn finished_session_threads_are_joined() {
+        let server =
+            IngestServer::start(&tagger(), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        for _ in 0..300 {
+            let mut client = Client::connect(server.local_addr()).unwrap();
+            assert!(matches!(client.request(b"go").unwrap(), Reply::Acked { .. }));
+            client.close().unwrap();
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while server.sessions() > 0 {
+                assert!(Instant::now() < deadline, "a closed session never left the table");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        let held = server.shared.conn_handles.lock().unwrap().len();
+        let live = server.sessions();
+        assert!(held <= live + 1, "{held} reader handles held for {live} live sessions");
+        server.shutdown();
+    }
+
+    /// A frame whose size, events and ack dwarf the served mix leaves
+    /// none of the connection's three buffers at that size, and the
+    /// session goes on.
+    #[test]
+    fn a_huge_ack_gives_its_buffers_back() {
+        // Under `Always` each "go" fires: a 1 MiB frame of them makes
+        // ~350k events (~8 MB of them in memory) and a ~4 MB ack, over
+        // MAX_FRAME.
+        let options = TaggerOptions { start_mode: StartMode::Always, ..TaggerOptions::default() };
+        let t = TokenTagger::compile(&builtin::if_then_else(), options).unwrap();
+        let (shared, _, _) = Shared::new(&t, &ServerConfig::default());
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let mut conn = Conn::new(0, listener.accept().unwrap().0, false);
+        let mut reply = || decode_reply(&frame::read_frame(&mut peer).unwrap().unwrap()).unwrap();
+        // Both frames come in through a frame reader, as `serve_conn`
+        // reads them.
+        let mut reader = FrameReader::default();
+        let mut serve = |conn: &mut Conn, payload: &[u8]| {
+            let mut wire = Vec::new();
+            frame::write_frame(&mut wire, FrameKind::Data, payload).unwrap();
+            let mut src = &wire[..];
+            loop {
+                match reader.poll(&mut src).unwrap() {
+                    Poll::Frame(f, lead_ns) => {
+                        assert!(conn.data(&shared, f.payload, lead_ns));
+                        break;
+                    }
+                    Poll::Pending => {}
+                    Poll::Eof => panic!("the frame ran out"),
+                }
+            }
+            // Then wait for the next frame, as the reader does.
+            assert!(matches!(reader.poll(&mut Idle).unwrap(), Poll::Pending));
+            reader.inner.capacity()
+        };
+
+        let read_buffer = serve(&mut conn, &b"go ".repeat(frame::MAX_FRAME / 3));
+        match reply() {
+            Reply::Rejected { reason } => assert_eq!(reason, "seq 0: reply too large"),
+            other => panic!("expected a too-large rejection, got {other:?}"),
+        }
+        let events = conn.events.capacity() * std::mem::size_of::<TagEvent>();
+        assert!(events <= RETAIN_BYTES, "events buffer kept {events} bytes");
+        assert!(conn.wire.capacity() <= RETAIN_BYTES, "wire buffer kept {}", conn.wire.capacity());
+        assert!(read_buffer <= RETAIN_BYTES, "frame reader kept {read_buffer} bytes");
+
+        serve(&mut conn, b"go");
+        assert_eq!(reply(), Reply::Acked { seq: 1, events: t.tag(b"go") });
+    }
+
+    /// A frame larger than the retained size grows the reader's buffer
+    /// by doubling while it arrives, and keeps it until it is answered:
+    /// O(log n) reallocations, not two per read.
+    #[test]
+    fn a_large_frame_is_not_shrunk_while_it_arrives() {
+        let mut wire = Vec::new();
+        frame::write_frame(&mut wire, FrameKind::Data, &vec![b'x'; 1 << 20]).unwrap();
+        let mut src = Chunked { data: &wire, pos: 0, splits: &[frame::READ_CHUNK], turn: 0 };
+        let mut reader = FrameReader::default();
+        let (mut reads, mut reallocs, mut capacity) = (0, 0, 0);
+        let len = loop {
+            reads += 1;
+            if let Poll::Frame(f, _) = reader.poll(&mut src).unwrap() {
+                break f.payload.len();
+            }
+            if reader.inner.capacity() != capacity {
+                capacity = reader.inner.capacity();
+                reallocs += 1;
+            }
+        };
+        assert_eq!(len, 1 << 20);
+        assert!(reads >= (1 << 20) / frame::READ_CHUNK, "{reads} reads");
+        // log2(1 MiB / READ_CHUNK) doublings, and one past MAX_FRAME.
+        assert!(reallocs <= 12, "{reallocs} reallocations over {reads} reads");
+    }
+
+    /// A socket with nothing to read yet.
+    struct Idle;
+
+    impl Read for Idle {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Err(std::io::ErrorKind::WouldBlock.into())
+        }
     }
 
     #[test]
@@ -1105,7 +1318,7 @@ mod tests {
         let frame = loop {
             polls += 1;
             match reader.poll(&mut src).unwrap() {
-                Poll::Frame(f) => break f,
+                Poll::Frame(f, _) => break f.to_frame(),
                 Poll::Pending => continue,
                 Poll::Eof => panic!("hit EOF before the frame completed"),
             }
@@ -1143,9 +1356,10 @@ mod tests {
         let mut reader = FrameReader::default();
         let mut frames = Vec::new();
         loop {
+            // A read that brings part of a frame polls `Pending`.
             match reader.poll(&mut src)? {
-                Poll::Frame(f) => frames.push(f),
-                Poll::Pending => unreachable!("Chunked never yields WouldBlock"),
+                Poll::Frame(f, _) => frames.push(f.to_frame()),
+                Poll::Pending => {}
                 Poll::Eof => return Ok(frames),
             }
         }

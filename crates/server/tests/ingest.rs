@@ -1,8 +1,9 @@
 //! Integration tests for the ingest server: live sockets, real shard
-//! workers, deterministic fault triggers.
+//! gates, deterministic fault triggers.
 
 use cfg_grammar::builtin;
-use cfg_obs::Registry;
+use cfg_obs::{Registry, ShardLoadBank};
+use cfg_server::fault::{flood_until_busy, slow_frame};
 use cfg_server::{frame, Client, FrameKind, IngestServer, Reply, SaturationConfig, ServerConfig};
 use cfg_tagger::{StartMode, TaggerOptions, TokenTagger};
 use std::io::Read;
@@ -120,11 +121,11 @@ fn idle_sessions_are_evicted_and_counted() {
 
     let mut idler = Client::connect(server.local_addr()).unwrap();
     assert!(matches!(idler.request(b"go").unwrap(), Reply::Acked { .. }));
-    // Stay silent past the timeout; the janitor must hang up on us.
+    // Stay silent past the timeout; our reader must hang up on us.
     let evicted = match idler.recv() {
         Ok(Reply::Rejected { reason }) => reason.contains("idle timeout"),
         Ok(other) => panic!("expected eviction notice, got {other:?}"),
-        // The janitor may shut the socket before our read starts.
+        // The server may shut the socket before our read starts.
         Err(_) => true,
     };
     assert!(evicted);
@@ -135,50 +136,12 @@ fn idle_sessions_are_evicted_and_counted() {
 }
 
 #[test]
-fn drain_deadline_timeout_is_counted() {
-    let t = tagger();
-    let registry = Arc::new(Registry::new());
-    // One shard with a long post-panic backoff: a poison frame parks
-    // the worker, so frames queued behind it cannot drain within the
-    // (deliberately tiny) close deadline.
-    let config = ServerConfig {
-        shards: 1,
-        panic_token: Some(b"POISON".to_vec()),
-        backoff_base_ms: 500,
-        backoff_max_ms: 500,
-        drain_deadline: Duration::from_millis(20),
-        registry: Some(Arc::clone(&registry)),
-        ..ServerConfig::default()
-    };
-    let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
-
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client.send(b"go POISON go").unwrap();
-    // Give the worker time to pick up the poison and enter backoff,
-    // then queue frames it cannot touch until the backoff ends.
-    std::thread::sleep(Duration::from_millis(100));
-    for _ in 0..4 {
-        client.send(b"go").unwrap();
-    }
-    // close() returns once Bye arrives — the deadline guarantees it
-    // does so long before the worker's backoff ends.
-    client.close().unwrap();
-    assert!(
-        registry.snapshot().total("cfgtag_drain_timeouts_total") >= 1.0,
-        "drain deadline fired with pending frames but was not counted"
-    );
-    server.shutdown();
-}
-
-#[test]
 fn worker_panics_answer_err_and_bump_restart_counter() {
     let t = tagger();
     let registry = Arc::new(Registry::new());
     let config = ServerConfig {
         shards: 1,
         panic_token: Some(b"POISON".to_vec()),
-        backoff_base_ms: 1,
-        backoff_max_ms: 2,
         registry: Some(Arc::clone(&registry)),
         ..ServerConfig::default()
     };
@@ -192,7 +155,7 @@ fn worker_panics_answer_err_and_bump_restart_counter() {
         }
         other => panic!("expected rejection, got {other:?}"),
     }
-    // The worker survived: the next message is served normally.
+    // The session survived: the next message is served normally.
     match client.request(b"stop").unwrap() {
         Reply::Acked { seq, events } => {
             assert_eq!(seq, 1);
@@ -213,28 +176,18 @@ fn overload_sheds_with_busy_and_flips_readiness() {
     let config = ServerConfig {
         shards: 1,
         queue_depth: 1,
-        panic_token: Some(b"POISON".to_vec()),
-        // A long backoff after the injected panic keeps the single
-        // worker asleep while we flood the depth-1 queue.
-        backoff_base_ms: 300,
-        backoff_max_ms: 300,
         registry: Some(Arc::clone(&registry)),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
     assert!(registry.ready());
 
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client.send(b"POISON").unwrap();
-    // While the worker is in its post-panic backoff, flood the queue.
-    for _ in 0..8 {
-        client.send(b"go").unwrap();
-    }
-    let replies = client.close().unwrap();
-    let busys: Vec<_> = replies.iter().filter(|r| matches!(r, Reply::Busy { .. })).collect();
-    assert!(!busys.is_empty(), "flood against a sleeping worker must shed: {replies:?}");
+    // One frame tags under the gate and one waits for it: a third
+    // session's frame, arriving while both are there, is shed.
+    let busys = flood_until_busy(server.local_addr(), 3, &slow_frame(), 200).unwrap();
+    assert!(busys > 0, "a flood past the gate's wait must shed");
     let report = server.shutdown();
-    assert!(report.shed >= busys.len() as u64);
+    assert!(report.shed >= busys as u64);
     assert!(registry.overloaded() || report.shed > 0);
 }
 
@@ -282,7 +235,7 @@ fn interleaves_many_sessions() {
     let addr = server.local_addr().to_string();
 
     // 32 clients live at once, each doing its own request/ack round
-    // trips, interleaved over two shard workers.
+    // trips, interleaved over two shard gates.
     let mut clients: Vec<Client> = (0..32).map(|_| Client::connect(&addr).unwrap()).collect();
     let expected = t.tag(b"if true then go else stop");
     for round in 0u32..3 {
@@ -304,11 +257,39 @@ fn interleaves_many_sessions() {
     assert_eq!(report.shard.messages, 32 * 3);
 }
 
+/// Wait until the server stops admitting frames on shard 0: a session's
+/// reader stops reading while its ack write blocks. Returns how many
+/// frames the shard admitted.
+fn await_stalled_reader(loads: &ShardLoadBank) -> u64 {
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut seen = 0;
+    loop {
+        std::thread::sleep(Duration::from_millis(100));
+        let now = loads.sample()[0].arrivals;
+        if now > 0 && now == seen {
+            return now;
+        }
+        assert!(Instant::now() < deadline, "the reader never stalled ({now} frames taken)");
+        seen = now;
+    }
+}
+
+/// Wait until `want` sessions were evicted, then insist on exactly that.
+fn await_evicted(registry: &Registry, want: f64) {
+    let evicted = || registry.snapshot().total("cfgtag_sessions_evicted_total");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while evicted() < want {
+        assert!(Instant::now() < deadline, "{} of {want} evictions", evicted());
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert_eq!(evicted(), want);
+}
+
 #[test]
 fn slow_reader_cannot_wedge_its_shard() {
     // Every "go" fires under `Always`, so each 60 KB frame earns a
     // ~240 KB ack: unread, a few of them fill the socket buffers and
-    // the shard worker's next ack write blocks.
+    // the reader's next ack write blocks.
     let options = TaggerOptions { start_mode: StartMode::Always, ..TaggerOptions::default() };
     let t = TokenTagger::compile(&builtin::if_then_else(), options).unwrap();
     let registry = Arc::new(Registry::new());
@@ -324,20 +305,22 @@ fn slow_reader_cannot_wedge_its_shard() {
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
 
+    // While its ack write blocks, the reader reads no more frames, so
+    // the sender blocks too, until the eviction breaks the connection.
     let mut slow = Client::connect(addr).unwrap();
-    for _ in 0..64 {
-        slow.send(&b"go ".repeat(20_000)).unwrap();
-    }
-    // Once the server holds all 64, a second session's frame queues
-    // behind them on the same (only) shard.
+    let sender = std::thread::spawn(move || {
+        for _ in 0..64 {
+            if slow.send(&b"go ".repeat(20_000)).is_err() {
+                break;
+            }
+        }
+        slow
+    });
     let loads = server.shard_loads().expect("saturation configured");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while loads.sample()[0].arrivals < 64 {
-        assert!(Instant::now() < deadline, "server never took the slow reader's frames");
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    // The write timeout evicts the slow reader, so this is acked
-    // rather than stuck behind its unread acks.
+    let taken = await_stalled_reader(&loads);
+    assert!(taken < 64, "the reader took every frame: no ack write ever blocked");
+    // The blocked writer holds no gate, so a second session on the same
+    // (only) shard is acked rather than stuck behind its unread acks.
     let mut other = Client::connect(addr).unwrap();
     let reply = loop {
         match other.request(b"go").unwrap() {
@@ -350,14 +333,15 @@ fn slow_reader_cannot_wedge_its_shard() {
         other => panic!("co-sharded client got {other:?}"),
     }
     other.close().unwrap();
-    assert_eq!(registry.snapshot().total("cfgtag_sessions_evicted_total"), 1.0);
+    // The write deadline evicts the slow reader.
+    await_evicted(&registry, 1.0);
 
     // Shutdown returns within a few idle timeouts, not never.
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || tx.send(server.shutdown()));
     let report = rx.recv_timeout(10 * idle_timeout).expect("shutdown hung behind a slow reader");
     assert_eq!(report.evicted, 1);
-    drop(slow);
+    drop(sender.join().unwrap());
 }
 
 #[test]
@@ -367,7 +351,7 @@ fn trickling_reader_cannot_hold_its_shard() {
     // idle timeout, fast enough that every `write` call moves some bytes
     // before the socket's per-call write timeout. (A 1 KB trickle does
     // not keep a call moving: the receive window reopens only after tens
-    // of KB are read.) Only a deadline per ack cuts the worker loose.
+    // of KB are read.) Only a deadline per ack cuts the reader loose.
     let options = TaggerOptions { start_mode: StartMode::Always, ..TaggerOptions::default() };
     let t = TokenTagger::compile(&builtin::if_then_else(), options).unwrap();
     let registry = Arc::new(Registry::new());
@@ -384,9 +368,15 @@ fn trickling_reader_cannot_hold_its_shard() {
     let addr = server.local_addr();
 
     let mut trickler = TcpStream::connect(addr).unwrap();
-    for _ in 0..64 {
-        frame::write_frame(&mut trickler, FrameKind::Data, &b"go ".repeat(20_000)).unwrap();
-    }
+    let mut writer = trickler.try_clone().unwrap();
+    let sender = std::thread::spawn(move || {
+        for _ in 0..64 {
+            let data = b"go ".repeat(20_000);
+            if frame::write_frame(&mut writer, FrameKind::Data, &data).is_err() {
+                break;
+            }
+        }
+    });
     let stop = Arc::new(AtomicBool::new(false));
     let reader = std::thread::spawn({
         let stop = Arc::clone(&stop);
@@ -398,11 +388,8 @@ fn trickling_reader_cannot_hold_its_shard() {
         }
     });
     let loads = server.shard_loads().expect("saturation configured");
-    let deadline = Instant::now() + Duration::from_secs(10);
-    while loads.sample()[0].arrivals < 64 {
-        assert!(Instant::now() < deadline, "server never took the trickler's frames");
-        std::thread::sleep(Duration::from_millis(5));
-    }
+    let taken = await_stalled_reader(&loads);
+    assert!(taken < 64, "the reader took every frame: no ack write ever blocked");
     let started = Instant::now();
     let mut other = Client::connect(addr).unwrap();
     let reply = loop {
@@ -417,12 +404,13 @@ fn trickling_reader_cannot_hold_its_shard() {
         Reply::Acked { events, .. } => assert_eq!(events, t.tag(b"go")),
         other => panic!("co-sharded client got {other:?}"),
     }
-    // One idle timeout plus the queued frames' tagging: ~0.35 s in a
-    // release build, ~0.7 s in a debug one. Per-call timeouts held it
-    // for 2.8 s or more.
+    // Per-call timeouts held a co-sharded ack for 2.8 s or more; one
+    // deadline per ack, with the gate released before the write, holds
+    // it for at most one frame's tagging.
     assert!(waited < Duration::from_millis(1_500), "co-sharded ack took {waited:?}");
     other.close().unwrap();
-    assert_eq!(registry.snapshot().total("cfgtag_sessions_evicted_total"), 1.0);
+    await_evicted(&registry, 1.0);
     reader.join().unwrap();
+    sender.join().unwrap();
     server.shutdown();
 }

@@ -79,6 +79,6 @@ pub use fast::ScalarEngine;
 pub use gate::GateEngine;
 pub use pda::{PdaParser, PdaResult};
 pub use probes::TaggerProbes;
-pub use shard::{PoolOptions, ShardMsg, ShardPool, ShardReport, SubmitOutcome};
+pub use shard::{PoolOptions, ShardPool, ShardReport, SubmitOutcome};
 pub use tagger::{EncoderKind, StartMode, TaggerOptions, TaggerOptionsBuilder, TokenTagger};
 pub use wide::WideTagger;

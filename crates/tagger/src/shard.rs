@@ -6,25 +6,22 @@
 //! circuit: every shard's tagger clone shares one compiled core
 //! (grammar, netlist, [`crate::BitTables`], …), so a shard costs only
 //! an engine's worth of mutable state. Messages are dispatched
-//! round-robin (or by session affinity via [`ShardPool::submit_to`]),
-//! and per-shard statistics register in the [`Registry`] like any other
-//! sink — `cfgtag watch top` and the `/metrics` exporter see every
-//! shard's counters.
+//! round-robin, and per-shard statistics register in the [`Registry`]
+//! like any other sink — `cfgtag watch top` and the `/metrics` exporter
+//! see every shard's counters.
 //!
 //! Two production behaviours distinguish this pool from a plain channel
 //! fan-out:
 //!
-//! * **Bounded backpressure is explicit.** [`ShardPool::submit`] and
-//!   [`ShardPool::submit_to`] never block and never silently drop: they
-//!   return a [`SubmitOutcome`] saying whether the message was accepted,
-//!   shed because every eligible queue was full, or refused because the
-//!   pool is closed. Callers that *want* blocking semantics (offline
-//!   fan-out from a file) use [`ShardPool::submit_wait`].
+//! * **Backpressure slows the producer.** [`ShardPool::submit_wait`]
+//!   blocks while the chosen shard's queue is full and never drops; it
+//!   returns [`SubmitOutcome::Closed`] once the pool is closed. This is
+//!   the offline fan-out path (files, benches); the ingest server tags
+//!   on its connection threads and does not use the pool.
 //! * **Workers are supervised.** A panicking per-message handler is
-//!   caught with [`std::panic::catch_unwind`]; the worker notifies the
-//!   pool's panic hook, bumps [`Stat::WorkerRestarts`], sleeps an
-//!   exponential backoff and resumes — one poison message cannot take a
-//!   shard down.
+//!   caught with [`std::panic::catch_unwind`]; the worker bumps
+//!   [`Stat::WorkerRestarts`], sleeps an exponential backoff and
+//!   resumes — one poison message cannot take a shard down.
 //!
 //! ```
 //! use cfg_grammar::builtin;
@@ -32,121 +29,52 @@
 //!
 //! let t = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
 //! // Each worker tags with its shard's clone, so its sink counts the events.
-//! let pool = ShardPool::new(&t, 2, PoolOptions::default(), |t, msg, _span| {
+//! let pool = ShardPool::new(&t, 2, PoolOptions::default(), |t, msg| {
 //!     t.tag(msg);
 //! });
 //! for _ in 0..10 {
-//!     assert_eq!(pool.submit(b"if true then go else stop".to_vec()), SubmitOutcome::Accepted);
+//!     let msg = b"if true then go else stop".to_vec();
+//!     assert_eq!(pool.submit_wait(msg), SubmitOutcome::Accepted);
 //! }
 //! assert_eq!(pool.join().messages, 10);
 //! ```
 
 use crate::tagger::TokenTagger;
-use cfg_obs::{Metrics, MetricsSink, Registry, ShardLoadBank, Span, Stage, Stat, StatsSink};
+use cfg_obs::{Metrics, MetricsSink, Registry, Stat, StatsSink};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{sync_channel, SyncSender, TrySendError};
+use std::sync::mpsc::{sync_channel, SyncSender};
 use std::sync::{Arc, RwLock};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// The per-message handler shared by every worker in a pool. The third
-/// argument is the message's tracing span, if the submitter attached
-/// one.
-type ShardHandler = Arc<dyn Fn(&TokenTagger, &[u8], Option<&mut Span>) + Send + Sync>;
-
-/// A unit of work offered to the pool: the payload bytes plus an
-/// optional tracing [`Span`] that rides along to the worker, collecting
-/// enqueue / queue-wait / processing stamps on the way.
-///
-/// `Vec<u8>` converts into an untraced `ShardMsg`, so every plain
-/// call site (`pool.submit(bytes)`) keeps working unchanged.
-#[derive(Debug)]
-pub struct ShardMsg {
-    /// The message bytes handed to the worker's handler.
-    pub payload: Vec<u8>,
-    /// Tracing span carried across the queue, stamped by the pool.
-    pub span: Option<Span>,
-}
-
-impl ShardMsg {
-    /// An untraced message.
-    pub fn new(payload: Vec<u8>) -> ShardMsg {
-        ShardMsg { payload, span: None }
-    }
-
-    /// Attach a tracing span.
-    pub fn with_span(mut self, span: Option<Span>) -> ShardMsg {
-        self.span = span;
-        self
-    }
-}
-
-impl From<Vec<u8>> for ShardMsg {
-    fn from(payload: Vec<u8>) -> ShardMsg {
-        ShardMsg::new(payload)
-    }
-}
-
-/// Callback invoked (on the worker thread) after a handler panic is
-/// caught: `(shard index, panic message, offending message bytes)`.
-pub type PanicHook = Arc<dyn Fn(usize, &str, &[u8]) + Send + Sync>;
+/// The per-message handler shared by every worker in a pool.
+type ShardHandler = Arc<dyn Fn(&TokenTagger, &[u8]) + Send + Sync>;
 
 /// What happened to a message offered to the pool.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SubmitOutcome {
     /// Queued on a shard; it will be processed (or drained at join).
     Accepted,
-    /// Every eligible queue was full — the message was load-shed.
-    /// Counted under [`Stat::LoadShed`] on the primary shard's sink.
-    Shed,
     /// The pool has been closed; no further work is accepted.
     Closed,
 }
 
 /// Tuning knobs for [`ShardPool::new`].
-#[derive(Clone)]
+#[derive(Debug, Clone)]
 pub struct PoolOptions {
-    /// In-flight messages a shard's channel buffers before submissions
-    /// shed ([`ShardPool::submit`]) or block ([`ShardPool::submit_wait`]).
+    /// In-flight messages a shard's channel buffers before
+    /// [`ShardPool::submit_wait`] blocks.
     pub queue_depth: usize,
     /// First post-panic backoff sleep, in milliseconds.
     pub backoff_base_ms: u64,
     /// Backoff ceiling, in milliseconds (doubles per consecutive panic).
     pub backoff_max_ms: u64,
-    /// Called on the worker thread after each caught panic, before the
-    /// backoff sleep. The ingest server uses this to NAK the client that
-    /// sent the poison frame.
-    pub on_panic: Option<PanicHook>,
-    /// Saturation accounting: when attached, submit paths count
-    /// arrivals and workers count dequeues, completions and busy
-    /// nanoseconds — the raw data behind the `cfgtag_shard_*` gauges
-    /// and `/timeseries.json`. `None` (the default) records nothing and
-    /// times nothing.
-    pub load: Option<Arc<ShardLoadBank>>,
 }
 
 impl Default for PoolOptions {
     fn default() -> PoolOptions {
-        PoolOptions {
-            queue_depth: 256,
-            backoff_base_ms: 10,
-            backoff_max_ms: 500,
-            on_panic: None,
-            load: None,
-        }
-    }
-}
-
-impl std::fmt::Debug for PoolOptions {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PoolOptions")
-            .field("queue_depth", &self.queue_depth)
-            .field("backoff_base_ms", &self.backoff_base_ms)
-            .field("backoff_max_ms", &self.backoff_max_ms)
-            .field("on_panic", &self.on_panic.is_some())
-            .field("load", &self.load.is_some())
-            .finish()
+        PoolOptions { queue_depth: 256, backoff_base_ms: 10, backoff_max_ms: 500 }
     }
 }
 
@@ -163,25 +91,21 @@ pub struct ShardReport {
 
 /// A fixed pool of supervised tagging workers over one compiled grammar.
 pub struct ShardPool {
-    txs: RwLock<Vec<SyncSender<ShardMsg>>>,
+    txs: RwLock<Vec<SyncSender<Vec<u8>>>>,
     handles: Vec<JoinHandle<(u64, u64)>>,
     sinks: Vec<Arc<StatsSink>>,
     shards: usize,
     next: AtomicUsize,
-    load: Option<Arc<ShardLoadBank>>,
 }
 
 impl ShardPool {
     /// Spawn `shards` workers (clamped to at least one), each running
     /// `handler` on its messages. The handler's tagger clone carries a
     /// shard-private [`StatsSink`], so anything it records (including
-    /// via engines created from it) lands in that shard's statistics;
-    /// its third argument is the message's tracing span, if one was
-    /// attached at submit time — the ingest server uses it to stamp
-    /// engine and ack-write stages.
+    /// via engines created from it) lands in that shard's statistics.
     pub fn new<F>(tagger: &TokenTagger, shards: usize, opts: PoolOptions, handler: F) -> ShardPool
     where
-        F: Fn(&TokenTagger, &[u8], Option<&mut Span>) + Send + Sync + 'static,
+        F: Fn(&TokenTagger, &[u8]) + Send + Sync + 'static,
     {
         let shards = shards.max(1);
         let handler: ShardHandler = Arc::new(handler);
@@ -197,11 +121,9 @@ impl ShardPool {
             // in shard mode.
             let sink = Arc::new(StatsSink::with_tokens(tokens));
             let shard_tagger = tagger.clone().with_metrics(Metrics::new(sink.clone()));
-            let (tx, rx) = sync_channel::<ShardMsg>(opts.queue_depth.max(1));
+            let (tx, rx) = sync_channel::<Vec<u8>>(opts.queue_depth.max(1));
             let run = Arc::clone(&handler);
             let worker_sink = Arc::clone(&sink);
-            let on_panic = opts.on_panic.clone();
-            let load = opts.load.clone();
             let (base_ms, max_ms) = (opts.backoff_base_ms.max(1), opts.backoff_max_ms.max(1));
             let handle = std::thread::Builder::new()
                 .name(format!("cfgtag-shard{i}"))
@@ -209,49 +131,15 @@ impl ShardPool {
                     let mut count = 0u64;
                     let mut restarts = 0u64;
                     let mut backoff_ms = base_ms;
-                    while let Ok(mut msg) = rx.recv() {
-                        // Dequeue stamp: everything between the submit
-                        // path's Enqueue stamp and here was queue wait.
-                        if let Some(span) = msg.span.as_mut() {
-                            span.stamp(Stage::QueueWait);
-                        }
-                        // Saturation accounting: close the queue-depth
-                        // window and start the busy clock — only when a
-                        // bank is attached (metrics-dark otherwise: no
-                        // counters, no clock reads).
-                        let busy_from = load.as_ref().map(|b| {
-                            b.dequeue(i);
-                            Instant::now()
-                        });
-                        let outcome = catch_unwind(AssertUnwindSafe(|| {
-                            run(&shard_tagger, &msg.payload, msg.span.as_mut())
-                        }));
-                        if let (Some(bank), Some(t0)) = (&load, busy_from) {
-                            let busy = u64::try_from(t0.elapsed().as_nanos()).unwrap_or(u64::MAX);
-                            bank.record_work(i, busy, outcome.is_ok());
-                        }
-                        match outcome {
-                            Ok(()) => {
-                                // Processing stamp for handlers that do
-                                // not stamp finer stages themselves
-                                // (first write wins, so the server's
-                                // own Engine stamp is never clobbered).
-                                if let Some(span) = msg.span.as_mut() {
-                                    span.stamp(Stage::Engine);
-                                }
-                                count += 1;
-                                backoff_ms = base_ms;
-                            }
-                            Err(payload) => {
-                                restarts += 1;
-                                worker_sink.add(Stat::WorkerRestarts, 1);
-                                let text = panic_text(payload.as_ref());
-                                if let Some(hook) = &on_panic {
-                                    hook(i, &text, &msg.payload);
-                                }
-                                std::thread::sleep(Duration::from_millis(backoff_ms));
-                                backoff_ms = (backoff_ms * 2).min(max_ms);
-                            }
+                    while let Ok(msg) = rx.recv() {
+                        if catch_unwind(AssertUnwindSafe(|| run(&shard_tagger, &msg))).is_ok() {
+                            count += 1;
+                            backoff_ms = base_ms;
+                        } else {
+                            restarts += 1;
+                            worker_sink.add(Stat::WorkerRestarts, 1);
+                            std::thread::sleep(Duration::from_millis(backoff_ms));
+                            backoff_ms = (backoff_ms * 2).min(max_ms);
                         }
                     }
                     (count, restarts)
@@ -261,14 +149,7 @@ impl ShardPool {
             handles.push(handle);
             sinks.push(sink);
         }
-        ShardPool {
-            txs: RwLock::new(txs),
-            handles,
-            sinks,
-            shards,
-            next: AtomicUsize::new(0),
-            load: opts.load,
-        }
+        ShardPool { txs: RwLock::new(txs), handles, sinks, shards, next: AtomicUsize::new(0) }
     }
 
     /// Number of shards in the pool.
@@ -276,84 +157,25 @@ impl ShardPool {
         self.shards
     }
 
-    /// Offer a message round-robin without blocking. If the first-choice
-    /// queue is full every other shard is tried before giving up with
-    /// [`SubmitOutcome::Shed`] (counted under [`Stat::LoadShed`]).
-    pub fn submit(&self, msg: impl Into<ShardMsg>) -> SubmitOutcome {
-        let txs = self.txs.read().expect("shard pool lock");
-        if txs.is_empty() {
-            return SubmitOutcome::Closed;
-        }
-        let first = self.next.fetch_add(1, Ordering::Relaxed) % txs.len();
-        let mut msg = stamp_enqueue(msg.into());
-        for k in 0..txs.len() {
-            let i = (first + k) % txs.len();
-            match txs[i].try_send(msg) {
-                Ok(()) => {
-                    self.count_arrival(i);
-                    return SubmitOutcome::Accepted;
-                }
-                Err(TrySendError::Full(m)) | Err(TrySendError::Disconnected(m)) => msg = m,
-            }
-        }
-        self.sinks[first].add(Stat::LoadShed, 1);
-        SubmitOutcome::Shed
-    }
-
-    /// Offer with session affinity: the same `session` key always lands
-    /// on the same shard, preserving per-stream message order — which is
-    /// exactly why a full pinned queue must shed rather than spill to a
-    /// sibling shard.
-    pub fn submit_to(&self, session: u64, msg: impl Into<ShardMsg>) -> SubmitOutcome {
-        let txs = self.txs.read().expect("shard pool lock");
-        if txs.is_empty() {
-            return SubmitOutcome::Closed;
-        }
-        let i = (session % txs.len() as u64) as usize;
-        match txs[i].try_send(stamp_enqueue(msg.into())) {
-            Ok(()) => {
-                self.count_arrival(i);
-                SubmitOutcome::Accepted
-            }
-            Err(TrySendError::Full(_)) => {
-                self.sinks[i].add(Stat::LoadShed, 1);
-                SubmitOutcome::Shed
-            }
-            Err(TrySendError::Disconnected(_)) => SubmitOutcome::Closed,
-        }
-    }
-
     /// Dispatch a message round-robin, blocking while the chosen shard's
     /// queue is full — the offline fan-out path (files, benches), where
     /// backpressure should slow the producer rather than shed.
-    pub fn submit_wait(&self, msg: impl Into<ShardMsg>) -> SubmitOutcome {
+    pub fn submit_wait(&self, msg: Vec<u8>) -> SubmitOutcome {
         let txs = self.txs.read().expect("shard pool lock");
         if txs.is_empty() {
             return SubmitOutcome::Closed;
         }
         let i = self.next.fetch_add(1, Ordering::Relaxed) % txs.len();
-        match txs[i].send(stamp_enqueue(msg.into())) {
-            Ok(()) => {
-                self.count_arrival(i);
-                SubmitOutcome::Accepted
-            }
+        match txs[i].send(msg) {
+            Ok(()) => SubmitOutcome::Accepted,
             Err(_) => SubmitOutcome::Closed,
-        }
-    }
-
-    /// Count an accepted message on shard `i`'s load counters, when a
-    /// bank is attached.
-    fn count_arrival(&self, i: usize) {
-        if let Some(bank) = &self.load {
-            bank.arrive(i);
         }
     }
 
     /// Close the intake: every subsequent submit returns
     /// [`SubmitOutcome::Closed`]; workers finish what is already queued
-    /// and exit. Part of drain-style shutdown — callers that also need
-    /// the drain to complete follow up with [`ShardPool::join`].
-    pub fn close(&self) {
+    /// and exit.
+    fn close(&self) {
         self.txs.write().expect("shard pool lock").clear();
     }
 
@@ -386,27 +208,6 @@ impl ShardPool {
     }
 }
 
-/// Enqueue stamp on a traced message, taken just before it is offered
-/// to a shard queue — the worker's dequeue stamp closes the queue-wait
-/// window this one opens.
-fn stamp_enqueue(mut msg: ShardMsg) -> ShardMsg {
-    if let Some(span) = msg.span.as_mut() {
-        span.stamp(Stage::Enqueue);
-    }
-    msg
-}
-
-/// Stringify a caught panic payload (the two shapes `panic!` produces).
-fn panic_text(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_owned()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_owned()
-    }
-}
-
 impl std::fmt::Debug for ShardPool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("ShardPool").field("shards", &self.shards).finish_non_exhaustive()
@@ -428,7 +229,7 @@ mod tests {
 
     /// A pool whose workers tag each message and discard the events.
     fn tagging_pool(t: &TokenTagger, shards: usize) -> ShardPool {
-        ShardPool::new(t, shards, PoolOptions::default(), |t, msg, _| {
+        ShardPool::new(t, shards, PoolOptions::default(), |t, msg| {
             t.tag(msg);
         })
     }
@@ -438,7 +239,8 @@ mod tests {
         let pool = tagging_pool(&tagger(), 3);
         assert_eq!(pool.shards(), 3);
         for _ in 0..9 {
-            assert_eq!(pool.submit(b"if true then go else stop".to_vec()), SubmitOutcome::Accepted);
+            let msg = b"if true then go else stop".to_vec();
+            assert_eq!(pool.submit_wait(msg), SubmitOutcome::Accepted);
         }
         let report = pool.join();
         assert_eq!(report.messages, 9);
@@ -455,7 +257,7 @@ mod tests {
         pool.register(&registry, "shard");
         assert_eq!(registry.names(), vec!["shard0".to_owned(), "shard1".to_owned()]);
         for _ in 0..4 {
-            pool.submit(msg.to_vec());
+            pool.submit_wait(msg.to_vec());
         }
         let sinks: Vec<_> = pool.sinks().to_vec();
         pool.join();
@@ -467,25 +269,14 @@ mod tests {
     }
 
     #[test]
-    fn session_affinity_pins_a_stream() {
-        let pool = tagging_pool(&tagger(), 4);
-        for _ in 0..8 {
-            assert_eq!(pool.submit_to(7, b"go".to_vec()), SubmitOutcome::Accepted);
-        }
-        let report = pool.join();
-        assert_eq!(report.per_shard.iter().filter(|&&n| n > 0).count(), 1);
-        assert_eq!(report.messages, 8);
-    }
-
-    #[test]
     fn custom_handler_sees_shard_local_tagger() {
         let t = tagger();
-        let pool = ShardPool::new(&t, 2, PoolOptions::default(), |t, msg, _| {
+        let pool = ShardPool::new(&t, 2, PoolOptions::default(), |t, msg| {
             // Tag through the shard tagger so its sink records fires.
             t.tag(msg);
         });
-        pool.submit(b"if true then go else stop".to_vec());
-        pool.submit(b"stop".to_vec());
+        pool.submit_wait(b"if true then go else stop".to_vec());
+        pool.submit_wait(b"stop".to_vec());
         let total_fires: u64 = {
             let sinks: Vec<_> = pool.sinks().to_vec();
             pool.join();
@@ -500,38 +291,16 @@ mod tests {
         let (gate_tx, gate_rx) = channel::<()>();
         let gate: Mutex<Receiver<()>> = Mutex::new(gate_rx);
         let opts = PoolOptions { queue_depth: depth, ..PoolOptions::default() };
-        let pool = ShardPool::new(t, 1, opts, move |_, _, _| {
+        let pool = ShardPool::new(t, 1, opts, move |_, _| {
             let _ = gate.lock().unwrap().recv();
         });
         (pool, gate_tx)
     }
 
     #[test]
-    fn full_pinned_queue_sheds_and_counts() {
-        let t = tagger();
-        let (pool, gate) = gated_pool(&t, 1);
-        // First message occupies the worker (it parks in the handler);
-        // give it a moment so the queue slot is genuinely free.
-        assert_eq!(pool.submit_to(0, b"a".to_vec()), SubmitOutcome::Accepted);
-        std::thread::sleep(Duration::from_millis(50));
-        // Second fills the depth-1 queue, third must shed.
-        assert_eq!(pool.submit_to(0, b"b".to_vec()), SubmitOutcome::Accepted);
-        assert_eq!(pool.submit_to(0, b"c".to_vec()), SubmitOutcome::Shed);
-        assert_eq!(pool.sinks()[0].get(Stat::LoadShed), 1);
-        for _ in 0..2 {
-            gate.send(()).unwrap();
-        }
-        drop(gate);
-        let report = pool.join();
-        assert_eq!(report.messages, 2);
-    }
-
-    #[test]
     fn closed_pool_refuses_without_panicking() {
         let pool = tagging_pool(&tagger(), 2);
         pool.close();
-        assert_eq!(pool.submit(b"go".to_vec()), SubmitOutcome::Closed);
-        assert_eq!(pool.submit_to(1, b"go".to_vec()), SubmitOutcome::Closed);
         assert_eq!(pool.submit_wait(b"go".to_vec()), SubmitOutcome::Closed);
         let report = pool.join();
         assert_eq!(report.messages, 0);
@@ -540,84 +309,19 @@ mod tests {
     #[test]
     fn worker_survives_handler_panics_and_reports_restarts() {
         let t = tagger();
-        let hook_hits = Arc::new(AtomicUsize::new(0));
-        let hits = Arc::clone(&hook_hits);
-        let opts = PoolOptions {
-            backoff_base_ms: 1,
-            backoff_max_ms: 2,
-            on_panic: Some(Arc::new(move |shard, text, msg| {
-                assert_eq!(shard, 0);
-                assert!(text.contains("poison"), "panic text: {text}");
-                assert_eq!(msg, b"boom");
-                hits.fetch_add(1, Ordering::SeqCst);
-            })),
-            ..PoolOptions::default()
-        };
-        let pool = ShardPool::new(&t, 1, opts, |_, msg, _| {
+        let opts = PoolOptions { backoff_base_ms: 1, backoff_max_ms: 2, ..PoolOptions::default() };
+        let pool = ShardPool::new(&t, 1, opts, |_, msg| {
             if msg == b"boom" {
                 panic!("poison message");
             }
         });
-        assert_eq!(pool.submit(b"boom".to_vec()), SubmitOutcome::Accepted);
-        assert_eq!(pool.submit(b"fine".to_vec()), SubmitOutcome::Accepted);
+        assert_eq!(pool.submit_wait(b"boom".to_vec()), SubmitOutcome::Accepted);
+        assert_eq!(pool.submit_wait(b"fine".to_vec()), SubmitOutcome::Accepted);
         let sink = Arc::clone(&pool.sinks()[0]);
         let report = pool.join();
         assert_eq!(report.messages, 1, "poison message is not counted as processed");
         assert_eq!(report.restarts, 1);
         assert_eq!(sink.get(Stat::WorkerRestarts), 1);
-        assert_eq!(hook_hits.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
-    fn traced_message_collects_pool_stamps() {
-        use cfg_obs::{SpanRecorder, Stage};
-        let t = tagger();
-        let recorder = Arc::new(SpanRecorder::new(8, 1, 0));
-        let worker_recorder = Arc::clone(&recorder);
-        let pool = ShardPool::new(&t, 1, PoolOptions::default(), move |t, msg, span| {
-            t.tag(msg);
-            if let Some(span) = span {
-                span.stamp(Stage::Engine);
-                worker_recorder.record(span);
-            }
-        });
-        let span = recorder.begin();
-        let msg = ShardMsg::new(b"if true then go".to_vec()).with_span(Some(span));
-        assert_eq!(pool.submit_wait(msg), SubmitOutcome::Accepted);
-        // Untraced submits ride along untouched.
-        assert_eq!(pool.submit(b"go".to_vec()), SubmitOutcome::Accepted);
-        pool.join();
-        assert_eq!(recorder.recorded(), 1);
-        let line = recorder.spans_jsonl();
-        let v = cfg_obs::json::Json::parse(line.lines().next().unwrap()).unwrap();
-        let stages = v.get("stages").unwrap();
-        for stage in ["enqueue", "queue_wait", "engine"] {
-            assert!(stages.get(stage).is_some(), "missing {stage} stamp in {line}");
-        }
-        let sum: u64 = stages.as_object().unwrap().iter().map(|(_, v)| v.as_u64().unwrap()).sum();
-        assert_eq!(sum, v.get("total_ns").unwrap().as_u64().unwrap());
-    }
-
-    #[test]
-    fn load_bank_accounts_worker_time() {
-        use cfg_obs::ShardLoadBank;
-        let t = tagger();
-        let bank = Arc::new(ShardLoadBank::new(2));
-        let opts = PoolOptions { load: Some(Arc::clone(&bank)), ..PoolOptions::default() };
-        let pool = ShardPool::new(&t, 2, opts, |t, msg, _| {
-            t.tag(msg);
-            std::thread::sleep(Duration::from_millis(1));
-        });
-        for _ in 0..6 {
-            assert_eq!(pool.submit(b"if true then go else stop".to_vec()), SubmitOutcome::Accepted);
-        }
-        pool.join();
-        let merged =
-            bank.sample().iter().fold(cfg_obs::ShardSample::default(), |acc, s| acc.merge(s));
-        assert_eq!(merged.arrivals, 6);
-        assert_eq!(merged.completions, 6);
-        assert_eq!(merged.queue_depth, 0, "drained pool leaves no depth");
-        assert!(merged.busy_ns >= 6 * 1_000_000, "slept ≥1ms per message: {merged:?}");
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //!    gets correct answers;
 //! 2. worker panics are supervised — the restart counter is visible in
 //!    `/metrics` and nonzero;
-//! 3. overload sheds with `Busy` frames instead of blocking;
+//! 3. overload sheds with `Busy` frames instead of blocking, once more
+//!    sessions press on a shard gate than it holds and queues;
 //! 4. **no acked event is ever lost or wrong** — every acknowledged
 //!    frame's events are byte-identical to an unfaulted local run.
 
@@ -18,6 +19,7 @@ use cfg_grammar::builtin;
 use cfg_obs::json::Json;
 use cfg_obs::{Registry, Snapshot};
 use cfg_obs_http::{http_get, Exporter};
+use cfg_server::fault::{flood_until_busy, slow_frame};
 use cfg_server::frame::encode_events;
 use cfg_server::{Client, FaultPlan, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
@@ -26,6 +28,8 @@ use std::time::Duration;
 
 const SEED: u64 = 0xC0FFEE;
 const PANIC_TOKEN: &[u8] = b"POISON";
+const SHARDS: usize = 2;
+const QUEUE_DEPTH: usize = 2;
 
 fn corpus() -> Vec<Vec<u8>> {
     [
@@ -48,15 +52,11 @@ fn server_survives_chaos_without_losing_acked_events() {
     let tagger = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
     let registry = Arc::new(Registry::new());
     let config = ServerConfig {
-        shards: 2,
-        queue_depth: 2,
+        shards: SHARDS,
+        queue_depth: QUEUE_DEPTH,
         max_sessions: 32,
         idle_timeout: Duration::from_secs(5),
         panic_token: Some(PANIC_TOKEN.to_vec()),
-        // Long post-panic backoff: poison frames reliably push the
-        // small queues into Busy territory.
-        backoff_base_ms: 50,
-        backoff_max_ms: 200,
         registry: Some(Arc::clone(&registry)),
         // Trace every frame: chaos must not be able to produce a
         // malformed span, however the fault dice land.
@@ -155,7 +155,9 @@ fn server_survives_chaos_without_losing_acked_events() {
 
     // Deterministic supervision + overload probe, independent of the
     // chaos dice: land a poison frame (retrying through any leftover
-    // backpressure), then flood the worker's post-panic backoff window.
+    // backpressure), then press more sessions on every shard gate than
+    // it holds and queues, each sending frames that take milliseconds
+    // to tag, until one is shed.
     let mut probe = Client::connect(addr).unwrap();
     loop {
         match probe.request(b"go POISON go").unwrap() {
@@ -168,16 +170,14 @@ fn server_survives_chaos_without_losing_acked_events() {
             other => panic!("poison probe got {other:?}"),
         }
     }
-    for _ in 0..8 {
-        probe.send(b"go").unwrap();
-    }
-    let probe_replies = probe.close().unwrap();
-    let probe_busys = probe_replies.iter().filter(|r| matches!(r, Reply::Busy { .. })).count();
-    assert!(probe_busys > 0, "flood against a backoff worker must shed: {probe_replies:?}");
+    probe.close().unwrap();
+    let sessions = SHARDS * (QUEUE_DEPTH + 2);
+    let probe_busys = flood_until_busy(addr, sessions, &slow_frame(), 200).unwrap();
+    assert!(probe_busys > 0, "a flood past every shard gate's wait must shed");
     busy_frames += probe_busys;
 
-    // Poison frames tripped supervised restarts, and the floods against
-    // depth-2 queues shed with Busy.
+    // Poison frames tripped supervised restarts, and the flood against
+    // depth-2 gates shed with Busy.
     assert!(err_frames > 0, "no worker-panic Err frames came back");
     assert!(busy_frames > 0, "overload never shed with Busy");
 
@@ -238,8 +238,7 @@ fn server_survives_chaos_without_losing_acked_events() {
     assert!(report.shard.restarts > 0);
     assert!(report.shed > 0);
     assert!(report.sessions_served >= 10);
-    // Queued poison frames may still panic between the scrape and the
-    // shutdown, so the final report can only be >= the scraped value.
+    // The report counts every restart the scrape saw.
     assert!(report.shard.restarts >= restarts, "report lost restarts vs /metrics");
 }
 
@@ -249,12 +248,8 @@ fn chaos_replays_identically_for_the_same_seed() {
     // client index must produce the same fault decisions (observed via
     // which payloads made it to the wire against a quiet server).
     let tagger = TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap();
-    let config = ServerConfig {
-        panic_token: Some(PANIC_TOKEN.to_vec()),
-        backoff_base_ms: 1,
-        backoff_max_ms: 2,
-        ..ServerConfig::default()
-    };
+    let config =
+        ServerConfig { panic_token: Some(PANIC_TOKEN.to_vec()), ..ServerConfig::default() };
     let server = IngestServer::start(&tagger, "127.0.0.1:0", config).unwrap();
     let addr = server.local_addr();
     let messages = corpus();

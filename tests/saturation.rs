@@ -1,10 +1,11 @@
 //! End-to-end saturation-telemetry invariants on a live ingest server.
 //!
-//! With `--sample-hz`-style telemetry on, a pipelined load against a
-//! 2-shard server must surface as: non-trivial utilization in the
-//! `cfgtag_shard_*` gauges of `/snapshot.json`, and a Little's-law
-//! predicted queue wait that agrees (within 2×) with the *measured*
-//! `queue_wait` p50 the tracing pipeline reports in the same snapshot.
+//! With `--sample-hz`-style telemetry on, several closed-loop sessions
+//! contending for each shard gate of a 2-shard server must surface as:
+//! non-trivial utilization in the `cfgtag_shard_*` gauges of
+//! `/snapshot.json`, and a Little's-law predicted wait for the shard
+//! gates that agrees (within 2×) with the *measured* mean `queue_wait`
+//! the tracing pipeline reports in the same snapshot.
 //! With telemetry off, the endpoints must still answer 200 —
 //! sampling-off is a configuration, not an error.
 
@@ -23,26 +24,22 @@ fn tagger() -> TokenTagger {
 
 #[test]
 fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
-    // Enough frames and payload to hold a deep queue for many sampler
-    // ticks: the telemetry derives rates from the snapshot window, so
-    // the load must outlive a few intervals.
-    const MESSAGES: u32 = 400;
-    const WINDOW: u32 = 64;
-    let payload = b"if true then go else stop ".repeat(512); // ~13 KB
-
-    // §5.2 error recovery keeps every sentence of the payload live.
-    // Without it the stream dies after the first sentence, the
-    // dead-run skip tags each frame in microseconds, and the shards
-    // have no engine time to account.
-    let t = TokenTagger::compile(
-        &builtin::if_then_else(),
-        TaggerOptions::builder().error_recovery(true).build(),
-    )
-    .unwrap();
+    // Enough frames and payload to keep the gates contended for many
+    // sampler ticks: the telemetry derives rates from the snapshot
+    // window, so the load must outlive a few intervals.
+    const SHARDS: usize = 2;
+    const SESSIONS: usize = 4;
+    const MESSAGES: u32 = 100;
+    // One sentence with a 64 KiB run of spaces inside it: the engine
+    // steps every byte but fires six tokens, so tagging dominates each
+    // session's loop and the ack costs next to nothing.
+    let mut payload = b"if true then go else".to_vec();
+    payload.resize(payload.len() + (64 << 10), b' ');
+    payload.extend_from_slice(b"stop");
+    let t = tagger();
     let registry = Arc::new(Registry::new());
     let config = ServerConfig {
-        shards: 2,
-        queue_depth: 2 * WINDOW as usize,
+        shards: SHARDS,
         trace: Some(TraceConfig { sample_every: u64::from(MESSAGES), slo_ms: 60_000, ring: 16 }),
         saturation: Some(SaturationConfig { interval_ms: 1, history: 8192 }),
         registry: Some(Arc::clone(&registry)),
@@ -52,22 +49,24 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
     let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
-    // Pipelined load: keep WINDOW frames in flight so the shard queue
-    // stays deep. One session has affinity to one shard — the other
-    // shard stays idle.
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let mut sent = 0u32;
-    let mut acked = 0u32;
-    while acked < MESSAGES {
-        while sent < MESSAGES && sent - acked < WINDOW {
-            client.send(&payload).unwrap();
-            sent += 1;
+    // Closed-loop load: SESSIONS sessions on each shard (consecutive ids
+    // alternate shards), each sending its next frame once the last was
+    // acked.
+    let mut clients: Vec<Client> =
+        (0..SHARDS * SESSIONS).map(|_| Client::connect(server.local_addr()).unwrap()).collect();
+    std::thread::scope(|s| {
+        for client in &mut clients {
+            let payload = &payload;
+            s.spawn(move || {
+                for acked in 0..MESSAGES {
+                    match client.request(payload).unwrap() {
+                        Reply::Acked { .. } => {}
+                        other => panic!("frame {acked} not acked: {other:?}"),
+                    }
+                }
+            });
         }
-        match client.recv().unwrap() {
-            Reply::Acked { .. } => acked += 1,
-            other => panic!("frame {acked} not acked: {other:?}"),
-        }
-    }
+    });
 
     // Read the gauges immediately, while the snapshot window is still
     // dominated by the loaded period.
@@ -92,25 +91,32 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
     let arrivals: f64 = rows.iter().map(|r| gauge("cfgtag_shard_arrivals_per_sec", r)).sum();
     assert!(arrivals > 0.0, "{shards_body}");
 
-    // Little's law: the busy shard's predicted queue wait must agree
-    // with the measured queue_wait p50 within 2×. Both describe the
-    // same sustained, saturated window, so W_q = L̄_q / λ holds.
-    let predicted = gauge("cfgtag_shard_predicted_wait_ns", busy);
+    // Little's law: the predicted wait for a gate, weighted by each
+    // shard's arrivals, must agree with the measured mean queue_wait
+    // within 2×. Both are means over the same sustained, saturated
+    // window, so W_q = L̄_q / λ holds.
+    let weighted: f64 = rows
+        .iter()
+        .map(|r| {
+            gauge("cfgtag_shard_predicted_wait_ns", r) * gauge("cfgtag_shard_arrivals_per_sec", r)
+        })
+        .sum();
+    let predicted = weighted / arrivals;
     assert!(predicted > 0.0, "{shards_body}");
     let measured = snap
         .histogram("cfgtag_srv_stage_ns", &[("stage", "queue_wait")])
-        .expect("traced server reports queue_wait p50")
-        .quantile(0.5) as f64;
+        .expect("traced server reports queue_wait")
+        .mean();
     assert!(measured > 0.0, "{shards_body}");
     let ratio = predicted / measured;
     assert!(
         (0.5..=2.0).contains(&ratio),
         "Little's-law prediction off by more than 2x: predicted {predicted}ns, \
-         measured p50 {measured}ns (ratio {ratio:.3})\nsnapshot: {shards_body}"
+         measured mean {measured}ns (ratio {ratio:.3})\nsnapshot: {shards_body}"
     );
 
-    // The ring dump holds ordered snapshots with a deep queue visible
-    // somewhere in the history.
+    // The ring dump holds ordered snapshots with frames waiting for a
+    // gate somewhere in the history.
     let series_body = http_get(&metrics_addr, "/timeseries.json").unwrap();
     let series = Json::parse(&series_body).unwrap();
     let samples = series.get("samples").unwrap().as_array().unwrap();
@@ -129,7 +135,7 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
         .collect();
     assert!(
         depths.iter().any(|&d| d > 1),
-        "pipelined load never showed a queue in the ring: {depths:?}"
+        "contended gates never showed a queue in the ring: {depths:?}"
     );
 
     // The server-side accessors expose the same sources the endpoints
@@ -137,7 +143,9 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
     assert_eq!(server.shard_loads().expect("saturation configured").shards(), 2);
     assert!(!server.timeseries().expect("saturation configured").is_empty());
 
-    client.close().unwrap();
+    for client in clients {
+        client.close().unwrap();
+    }
     server.shutdown();
     exporter.stop();
 }
@@ -172,7 +180,7 @@ fn sampling_off_keeps_all_three_endpoints_answering() {
     exporter.stop();
 }
 
-/// The sampler keeps ticking while the pool is quiet — the window just
+/// The sampler keeps ticking while the gates are quiet — the window just
 /// shows zero rates, not an error or a stale ring.
 #[test]
 fn idle_server_reports_zero_rates_not_errors() {
