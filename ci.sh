@@ -58,8 +58,11 @@
 #  12. span tracing & SLO       -- cfg-obs span/SLO suites and the
 #                                  log-linear histogram, the slo view,
 #                                  and the end-to-end span_trace test
-#  13. saturation telemetry     -- utilization time series, shards
-#                                  view, and the end-to-end
+#  13. saturation telemetry     -- the shard gates' five load
+#                                  counters as per-sink families, the
+#                                  shards view (rates, mean depth and
+#                                  Little's-law wait from two
+#                                  snapshots), and the end-to-end
 #                                  Little's-law test (closed-loop
 #                                  sessions contending for each gate)
 #  14. shadow audit             -- audit bank and evidence-window
@@ -216,8 +219,8 @@ filtered -p cfg-obs histogram
 filtered -p cfg-cli slo
 cargo test -q --test span_trace
 
-echo "==> saturation telemetry: time series, shards view, end-to-end test"
-filtered -p cfg-obs timeseries
+echo "==> saturation telemetry: shard-gate counters, shards view, end-to-end test"
+filtered -p cfg-obs shard_gate
 filtered -p cfg-cli shards
 cargo test -q --test saturation
 

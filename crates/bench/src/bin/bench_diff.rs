@@ -217,11 +217,12 @@ mod tests {
         assert_eq!(direction("bit_gb_per_s"), Direction::HigherIsBetter);
         assert_eq!(direction("e2e_p50_us"), Direction::LowerIsBetter);
         assert_eq!(direction("queue_wait_p50_us"), Direction::LowerIsBetter);
+        assert_eq!(direction("client_rtt_p99_us"), Direction::LowerIsBetter);
         assert_eq!(direction("bytes"), Direction::Informational);
-        // Saturation gauges describe how hard the bench pushed, not
-        // how well the server did: reported without a verdict.
+        // Gate load describes how hard the bench pushed, not how well
+        // the server did: reported without a verdict.
         assert_eq!(direction("shard_utilization_pct"), Direction::Informational);
-        assert_eq!(direction("peak_queue_depth"), Direction::Informational);
+        assert_eq!(direction("mean_queue_depth"), Direction::Informational);
         // Correctness metrics from the false-positive experiment:
         // precision up is good, FP density down is good.
         assert_eq!(direction("tagger_precision_pct"), Direction::HigherIsBetter);

@@ -2,9 +2,10 @@
 //!
 //! The cfg-obs design promise is *zero overhead when off*, and off
 //! means not attached: a `Metrics` handle, a circuit `ProbeBank`, and a
-//! server's tracing, saturation and audit side-cars are each an
-//! `Option` that stays `None` until a caller attaches one, so the
-//! un-instrumented path pays one never-taken branch. This bin times
+//! server's tracing and audit side-cars are each an `Option` that stays
+//! `None` until a caller attaches one, so the un-instrumented path pays
+//! one never-taken branch. (The shard gates' five load counters are
+//! always on, so both server rows below pay them.) This bin times
 //! the production engine's `feed_slice` over a multi-megabyte XML-RPC
 //! stream, compiled with §5.2 error recovery so the machine stays live
 //! on ~99.5% of its bytes (without recovery it dies inside the first
@@ -29,20 +30,17 @@
 //! branch per frame) and once with full tracing (`sample_every: 1` —
 //! every frame stamped through all seven stages and folded into the
 //! SLO histograms). The measured tracing overhead per round-trip must
-//! stay **< 2%** — also printed, also non-gating. Saturation sampling
-//! ([`SaturationConfig`]) and every-session auditing ([`AuditConfig`])
-//! are printed as context, like probes-on; the audit run's payload
-//! copies ride the serving thread, so it is the one lane *expected* to
-//! cost.
+//! stay **< 2%** — also printed, also non-gating. Every-session
+//! auditing ([`AuditConfig`]) is printed as context, like probes-on;
+//! the audit run's payload copies ride the serving thread, so it is the
+//! one lane *expected* to cost.
 //!
 //! Run: `cargo run -p cfg-bench --bin obs_overhead --release`
 
 #![forbid(unsafe_code)]
 
 use cfg_obs::{Metrics, NoopSink, StatsSink};
-use cfg_server::{
-    AuditConfig, Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig,
-};
+use cfg_server::{AuditConfig, Client, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{EngineKind, TaggerOptions, TaggerProbes, TokenTagger};
 use cfg_xmlrpc::workload::{MessageKind, WorkloadGenerator};
 use cfg_xmlrpc::xmlrpc_grammar;
@@ -92,7 +90,6 @@ fn bench_server(
     tagger: &TokenTagger,
     batch: &[Vec<u8>],
     trace: Option<TraceConfig>,
-    saturation: Option<SaturationConfig>,
     audit: Option<AuditConfig>,
     reps: usize,
 ) -> f64 {
@@ -101,7 +98,6 @@ fn bench_server(
         let config = ServerConfig {
             shards: 2,
             trace: trace.clone(),
-            saturation: saturation.clone(),
             audit: audit.clone(),
             ..ServerConfig::default()
         };
@@ -189,12 +185,11 @@ fn main() {
     // monotonic-clock reads tracing adds must disappear into it.
     let server_reps = 9;
     let server_batch: Vec<Vec<u8>> = gen.batch(1500, 0.0).into_iter().map(|m| m.bytes).collect();
-    let server_off = bench_server(&tagger, &server_batch, None, None, None, server_reps);
+    let server_off = bench_server(&tagger, &server_batch, None, None, server_reps);
     let server_traced = bench_server(
         &tagger,
         &server_batch,
         Some(TraceConfig { sample_every: 1, ..TraceConfig::default() }),
-        None,
         None,
         server_reps,
     );
@@ -208,21 +203,10 @@ fn main() {
         if trace_ok { "OK" } else { "FAIL (non-gating)" }
     );
 
-    // Context on the same round-trips: the price of live saturation
-    // gauges, and of mirroring every accepted payload into the audit
-    // replay queue.
-    let sampling_on = bench_server(
-        &tagger,
-        &server_batch,
-        None,
-        Some(SaturationConfig::default()),
-        None,
-        server_reps,
-    );
-    let on_pct = (sampling_on - server_off) / server_off * 100.0;
-    println!("  sampling on  : {sampling_on:>6.2} us/msg  ({on_pct:+.2}% vs off)");
+    // Context on the same round-trips: the price of mirroring every
+    // accepted payload into the audit replay queue.
     let audit_cfg = AuditConfig { sample_every: 1 };
-    let audit_on = bench_server(&tagger, &server_batch, None, None, Some(audit_cfg), server_reps);
+    let audit_on = bench_server(&tagger, &server_batch, None, Some(audit_cfg), server_reps);
     let audit_on_pct = (audit_on - server_off) / server_off * 100.0;
     println!("  audit on     : {audit_on:>6.2} us/msg  ({audit_on_pct:+.2}% vs off)");
 
@@ -237,8 +221,6 @@ fn main() {
              \"server_traced_msg_us\": {server_traced:.2}, \
              \"server_trace_overhead_pct\": {trace_pct:.3}, \
              \"server_trace_under_2pct\": {trace_ok}, \
-             \"server_sampling_on_msg_us\": {sampling_on:.2}, \
-             \"server_sampling_on_overhead_pct\": {on_pct:.3}, \
              \"server_audit_on_msg_us\": {audit_on:.2}, \
              \"server_audit_on_overhead_pct\": {audit_on_pct:.3}}}\n",
             input.len(),

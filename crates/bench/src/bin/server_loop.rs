@@ -3,11 +3,21 @@
 //! Starts a [`cfg_server::IngestServer`] over the XML-RPC grammar and
 //! drives a fixed batch of workload messages through several
 //! concurrent client sessions, each keeping up to `--window` frames in
-//! flight (remaining replies drained at `Close`). Reports the
-//! serving-layer numbers the chaos test asserts qualitatively:
-//! accepted msgs/s and the shed ratio of the bounded queues — raise
-//! `--window` (or shrink `--queue-depth`) to push the pool into
-//! overload and watch the ratio climb.
+//! flight. Each session's reader thread tags its frames under its
+//! shard's admission gate (session `id % --shards`): one frame holds
+//! the gate, at most `--queue-depth` wait for it, and one more is shed
+//! with `Busy`. Each client is one session, so only more clients than
+//! shards contend for a gate; `--window` alone never sheds. Reports
+//! accepted msgs/s and the shed ratio — raise `--clients` per shard (or
+//! shrink `--queue-depth`) to push the gates into overload and watch
+//! the ratio climb.
+//!
+//! Every client times each frame from its send to its reply (a
+//! session's replies come back in send order) and the run reports the
+//! round trip's p50 and p99 (`client_rtt_p50_us`, `client_rtt_p99_us`).
+//! That is what a client waits: a pipelined window waits in the socket
+//! until its reader has answered the frame before, outside the server's
+//! span.
 //!
 //! With tracing on (`--trace-sample`, default 1) every acked frame is
 //! decomposed into stage latencies and the run ends with the
@@ -19,12 +29,11 @@
 //! to `bench_results/server_loop.json` — non-gating, like every timing
 //! bench here.
 //!
-//! Saturation telemetry rides along (`--sample-hz N`, snapshots every
-//! `1000 / N` ms, default 200; 0 = off): the run records the pool's
-//! peak sampled queue depth and the busiest shard's utilization into
-//! the JSONL row (`shard_utilization_pct`, `peak_queue_depth`) — the
-//! quantitative view of how close `--window` pushed the pool to
-//! overload.
+//! The gates' load counters, read from two registry snapshots taken
+//! around the timed run, give the busiest shard's utilization and the
+//! frames waiting for a gate on average over the run, summed over the
+//! gates (`shard_utilization_pct`, `mean_queue_depth`: L̄_q =
+//! Δwait_ns / Δt) — how close the fleet pushed the gates to overload.
 //!
 //! `--sessions N` parks an idle fleet of N extra connections for the
 //! whole run, each holding a parked reader thread — the concurrency
@@ -33,17 +42,18 @@
 //!
 //! Run: `cargo run -p cfg-bench --bin server_loop --release -- \
 //!        [--messages N] [--clients N] [--sessions N] [--shards N] \
-//!        [--queue-depth N] [--window N] [--trace-sample N] [--slo-ms X] \
-//!        [--sample-hz N]`
+//!        [--queue-depth N] [--window N] [--trace-sample N] [--slo-ms X]`
 
 #![forbid(unsafe_code)]
 
-use cfg_obs::{Registry, SloSnapshot, Snapshot, Stage};
+use cfg_cli::shards;
+use cfg_obs::{Histogram, Registry, SloSnapshot, Snapshot, Stage};
 use cfg_obs_http::{http_get, Exporter};
-use cfg_server::{Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig};
+use cfg_server::{Client, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use cfg_xmlrpc::workload::WorkloadGenerator;
 use cfg_xmlrpc::xmlrpc_grammar;
+use std::collections::VecDeque;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -104,7 +114,6 @@ fn main() {
     let window = (arg("--window", 8) as usize).max(1);
     let trace_sample = arg("--trace-sample", 1);
     let slo_ms = arg("--slo-ms", 50).max(1);
-    let sample_hz = arg("--sample-hz", 200).min(1000);
     // The idle fleet burns one fd per side of each connection; keep a
     // comfortable margin under the typical nofile soft limit and say
     // so when the request had to shrink — never clamp silently.
@@ -131,15 +140,11 @@ fn main() {
             slo_ms,
             ..TraceConfig::default()
         }),
-        // The default 5 ms interval is tight so even short benches see
-        // a real window.
-        saturation: (sample_hz > 0)
-            .then(|| SaturationConfig { interval_ms: 1000 / sample_hz, history: 4096 }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&tagger, "127.0.0.1:0", config).expect("bind ingest server");
     let addr = server.local_addr();
-    let exporter = Exporter::bind("127.0.0.1:0", registry).expect("bind exporter");
+    let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).expect("bind exporter");
     let metrics_addr = exporter.local_addr().to_string();
     eprintln!(
         "server_loop: ingest on {addr} ({shards} shards, queue depth {queue_depth}, \
@@ -167,30 +172,40 @@ fn main() {
         batch.chunks(per_client).map(|c| c.iter().map(|m| m.bytes.clone()).collect()).collect();
     let bytes: u64 = batch.iter().map(|m| m.bytes.len() as u64).sum();
 
+    let rtt = Arc::new(Histogram::new());
+    let gates_before = registry.snapshot();
     let t0 = Instant::now();
     let handles: Vec<_> = chunks
         .into_iter()
         .map(|msgs| {
+            let rtt = Arc::clone(&rtt);
             std::thread::spawn(move || {
                 let mut client = Client::connect(addr).expect("connect");
                 let (mut acks, mut busys) = (0usize, 0usize);
-                let mut count = |reply: &Reply| match reply {
-                    Reply::Acked { .. } => acks += 1,
-                    Reply::Busy { .. } => busys += 1,
-                    other => panic!("server_loop client got {other:?}"),
+                // Send times of the frames in flight: a session's
+                // replies come back in send order.
+                let mut sent_at = VecDeque::with_capacity(window);
+                let mut recv = |client: &mut Client, sent_at: &mut VecDeque<Instant>| {
+                    let reply = client.recv().expect("recv");
+                    let sent = sent_at.pop_front().expect("a reply to a frame in flight");
+                    rtt.record(u64::try_from(sent.elapsed().as_nanos()).unwrap_or(u64::MAX));
+                    match reply {
+                        Reply::Acked { .. } => acks += 1,
+                        Reply::Busy { .. } => busys += 1,
+                        other => panic!("server_loop client got {other:?}"),
+                    }
                 };
-                let mut in_flight = 0usize;
                 for m in &msgs {
+                    sent_at.push_back(Instant::now());
                     client.send(m).expect("send");
-                    in_flight += 1;
-                    if in_flight >= window {
-                        count(&client.recv().expect("recv"));
-                        in_flight -= 1;
+                    if sent_at.len() >= window {
+                        recv(&mut client, &mut sent_at);
                     }
                 }
-                for reply in client.close().expect("close") {
-                    count(&reply);
+                while !sent_at.is_empty() {
+                    recv(&mut client, &mut sent_at);
                 }
+                client.close().expect("close");
                 (acks, busys)
             })
         })
@@ -202,6 +217,8 @@ fn main() {
         busys += b;
     }
     let secs = t0.elapsed().as_secs_f64().max(1e-9);
+    let gates = shards::loads(Some(&gates_before), &registry.snapshot(), secs);
+    let rtt = rtt.snapshot();
 
     // Scrape the SLO view while the server is still up — the same
     // numbers an operator's `cfgtag watch slo` poll would see — and
@@ -219,19 +236,6 @@ fn main() {
         );
         snap
     });
-    // Saturation gauges, read before shutdown tears the sampler down:
-    // the busiest shard's utilization over the sampled window and the
-    // deepest queue any snapshot caught.
-    let saturation = server.timeseries().map(|series| {
-        let utilization = series.gauges().iter().map(|g| g.utilization_pct).fold(0.0f64, f64::max);
-        let peak_depth = series
-            .ticks()
-            .iter()
-            .flat_map(|t| t.shards.iter().map(|s| s.queue_depth))
-            .max()
-            .unwrap_or(0);
-        (utilization, peak_depth)
-    });
     drop(idle_fleet);
     let report = server.shutdown();
     exporter.stop();
@@ -246,6 +250,20 @@ fn main() {
     println!(
         "  acked={acks} shed={busys} sessions={} pool messages={} restarts={}",
         report.sessions_served, report.shard.messages, report.shard.restarts
+    );
+    let (rtt_p50, rtt_p99) = (us(rtt.quantile(0.5)), us(rtt.quantile(0.99)));
+    println!(
+        "  client round trip over {} frames: p50 {rtt_p50:.1}us, p99 {rtt_p99:.1}us",
+        rtt.count
+    );
+    // The gates' load over the timed run: the busiest gate's share of
+    // it spent tagging, and the frames waiting for any gate on average.
+    let rates = || gates.iter().filter_map(|g| g.rates);
+    let utilization = rates().map(|r| r.utilization_pct).fold(0.0f64, f64::max);
+    let mean_depth: f64 = rates().map(|r| r.mean_depth).sum();
+    println!(
+        "  gates: busiest shard {utilization:.1}% utilized, mean queue depth {mean_depth:.2} \
+         frames over all gates"
     );
 
     // The per-stage latency fields appended to the JSONL row (empty
@@ -290,17 +308,6 @@ fn main() {
         );
     }
 
-    let mut saturation_fields = String::new();
-    if let Some((utilization, peak_depth)) = saturation {
-        println!(
-            "  saturation: busiest shard {utilization:.1}% utilized, peak sampled queue depth {peak_depth}"
-        );
-        saturation_fields = format!(
-            ", \"sample_hz\": {sample_hz}, \"shard_utilization_pct\": {utilization:.1}, \
-             \"peak_queue_depth\": {peak_depth}"
-        );
-    }
-
     if std::fs::create_dir_all("bench_results").is_ok() {
         use std::io::Write as _;
         let row = format!(
@@ -309,7 +316,10 @@ fn main() {
              \"shards\": {shards}, \"queue_depth\": {queue_depth}, \"window\": {window}, \
              \"secs\": {secs:.4}, \
              \"accepted_msgs_per_sec\": {accepted_per_sec:.1}, \"shed_ratio\": {shed_ratio:.4}, \
-             \"acked\": {acks}, \"shed\": {busys}{trace_fields}{saturation_fields}}}\n",
+             \"acked\": {acks}, \"shed\": {busys}, \
+             \"client_rtt_p50_us\": {rtt_p50:.2}, \"client_rtt_p99_us\": {rtt_p99:.2}, \
+             \"shard_utilization_pct\": {utilization:.1}, \
+             \"mean_queue_depth\": {mean_depth:.3}{trace_fields}}}\n",
             sessions + clients,
         );
         let appended = std::fs::OpenOptions::new()

@@ -15,7 +15,7 @@
 //!
 //! `watch` draws one of five views ([`watch`]): `top` (engine counters
 //! and hot tokens), `slo` (latency objective + stage waterfall),
-//! `shards` (pool saturation), `audit` (live precision + divergences)
+//! `shards` (shard-gate load), `audit` (live precision + divergences)
 //! and `scope` (circuit probes, heat map, triggered capture).
 //!
 //! Options for `tag`: `--engine {bit,scalar,gate}` (which engine

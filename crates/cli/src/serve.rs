@@ -23,9 +23,7 @@ use cfg_obs::{
     FlightRecorder, Metrics, MetricsSink, Part, Registry, Stat, StatsSink, TeeSink, TriggerHub,
 };
 use cfg_obs_http::Exporter;
-use cfg_server::{
-    AuditConfig, IngestServer, SaturationConfig, ServerConfig, ServerReport, TraceConfig,
-};
+use cfg_server::{AuditConfig, IngestServer, ServerConfig, ServerReport, TraceConfig};
 use cfg_tagger::{EngineKind, PoolOptions, ShardPool, StartMode, TaggerOptions, TokenTagger};
 use std::io::Read;
 use std::sync::Arc;
@@ -71,10 +69,6 @@ pub struct ServeFlags {
     pub trace_sample: u64,
     /// `--slo-ms X`: end-to-end latency objective of the SLO tracker.
     pub slo_ms: u64,
-    /// `--sample-hz N`: saturation telemetry — per-shard utilization
-    /// snapshots taken N times a second, N clamped to `1..=1000`
-    /// (listen mode; 0 = telemetry off).
-    pub sample_hz: u32,
     /// `--audit-sample N`: shadow-audit 1-in-N sessions — replay their
     /// payloads through the reference engine + exact parser behind the
     /// `cfgtag_audit_*` families and `/mismatches.jsonl` (listen mode;
@@ -101,7 +95,6 @@ impl Default for ServeFlags {
             panic_token: None,
             trace_sample: 0,
             slo_ms: 50,
-            sample_hz: 0,
             audit_sample: 0,
         }
     }
@@ -157,7 +150,6 @@ impl ServeFlags {
                 }
                 "--trace-sample" => f.trace_sample = num(&mut it, "--trace-sample")?,
                 "--slo-ms" => f.slo_ms = num(&mut it, "--slo-ms")?.max(1),
-                "--sample-hz" => f.sample_hz = num(&mut it, "--sample-hz")? as u32,
                 "--audit-sample" => f.audit_sample = num(&mut it, "--audit-sample")?,
                 other if other.starts_with("--") => {
                     return Err(CliError::new(format!("unknown serve flag {other}"), 2));
@@ -422,10 +414,6 @@ pub fn run_listen(
             slo_ms: flags.slo_ms,
             ..TraceConfig::default()
         }),
-        saturation: (flags.sample_hz > 0).then(|| SaturationConfig {
-            interval_ms: 1000 / u64::from(flags.sample_hz.clamp(1, 1000)),
-            ..SaturationConfig::default()
-        }),
         audit: (flags.audit_sample > 0).then_some(AuditConfig { sample_every: flags.audit_sample }),
     };
     let server = IngestServer::start(&tagger, addr, config)
@@ -441,10 +429,9 @@ pub fn run_listen(
         flags.idle_timeout_ms
     ));
     let trace_endpoints = if flags.trace_sample > 0 { " /spans.jsonl" } else { "" };
-    let saturation_endpoints = if flags.sample_hz > 0 { " /timeseries.json" } else { "" };
     let audit_endpoints = if flags.audit_sample > 0 { " /mismatches.jsonl" } else { "" };
     status(&format!(
-        "serving http://{}/metrics (+ /snapshot.json /healthz /readyz{trace_endpoints}{saturation_endpoints}{audit_endpoints})",
+        "serving http://{}/metrics (+ /snapshot.json /healthz /readyz{trace_endpoints}{audit_endpoints})",
         exporter.local_addr()
     ));
 
@@ -480,7 +467,7 @@ pub fn main_io(args: &[String]) -> i32 {
              \x20      cfgtag serve <grammar.y> --listen ADDR [--engine bit|scalar|gate] \
              [--max-sessions N] [--idle-timeout-ms N] \
              [--queue-depth N] [--panic-token S] [--trace-sample N] [--slo-ms X] \
-             [--sample-hz N] [--audit-sample N]"
+             [--audit-sample N]"
         );
         return 2;
     };
@@ -683,8 +670,6 @@ mod tests {
             "4",
             "--slo-ms",
             "25",
-            "--sample-hz",
-            "199",
             "--audit-sample",
             "8",
         ]))
@@ -697,13 +682,11 @@ mod tests {
         assert_eq!(f.panic_token.as_deref(), Some("POISON"));
         assert_eq!(f.trace_sample, 4);
         assert_eq!(f.slo_ms, 25);
-        assert_eq!(f.sample_hz, 199);
         assert_eq!(f.audit_sample, 8);
-        // Tracing, saturation, and audit telemetry default to off.
+        // Tracing and audit telemetry default to off.
         let (defaults, _) = ServeFlags::parse(&argv(&["g.y"])).unwrap();
         assert_eq!(defaults.trace_sample, 0);
         assert_eq!(defaults.slo_ms, 50);
-        assert_eq!(defaults.sample_hz, 0);
         assert_eq!(defaults.audit_sample, 0);
         assert_eq!(ServeFlags::parse(&argv(&["--listen"])).unwrap_err().code, 2);
         let bad = ServeFlags::parse(&argv(&["--engine", "quantum"])).unwrap_err();
@@ -714,8 +697,11 @@ mod tests {
         let gone = ServeFlags::parse(&argv(&["--io-model", "reactor"])).unwrap_err();
         assert_eq!(gone.code, 2);
         assert!(gone.to_string().contains("unknown serve flag --io-model"), "{gone}");
+        // Nor is there a sampler to set: shard-gate load is counted.
+        let gone = ServeFlags::parse(&argv(&["--sample-hz", "5"])).unwrap_err();
+        assert_eq!(gone.code, 2);
+        assert!(gone.to_string().contains("unknown serve flag --sample-hz"), "{gone}");
         assert_eq!(ServeFlags::parse(&argv(&["--trace-sample"])).unwrap_err().code, 2);
-        assert_eq!(ServeFlags::parse(&argv(&["--sample-hz"])).unwrap_err().code, 2);
     }
 
     #[test]

@@ -9,14 +9,16 @@
 //! |----------|--------------------------------------------------|-------|
 //! | `top`    | `cfgtag_*_total`, token fires, histograms         | counters with rates, histogram quantiles, hottest tokens |
 //! | `slo`    | `cfgtag_slo_*`, `cfgtag_srv_*_ns`                 | latency objective, error budget, per-stage waterfall |
-//! | `shards` | `cfgtag_shard_*`, `/timeseries.json` depths       | per-shard utilization, queue depth, Little's-law wait |
+//! | `shards` | `cfgtag_shard_*_total{sink="shard<i>"}`          | per-gate utilization, queue depth, rates, Little's-law wait |
 //! | `audit`  | `cfgtag_audit_*`                                  | live precision, divergences, false positives |
 //! | `scope`  | `/circuit.json` once, `cfgtag_probe_total`        | hot circuit elements, FOLLOW-edge pulses |
 //!
 //! The loop owns what the views share: retries (a `--retries` budget
 //! with exponential backoff, see [`Poller`]), non-200 answers (exit 1
-//! with the exporter's explanation) and the redraw (clear screen, frame,
-//! sleep `--interval-ms`). A view only renders; its modules
+//! with the exporter's explanation), the previous snapshot and when it
+//! was fetched (rates divide by the time between two fetches), and the
+//! redraw (clear screen, frame, sleep `--interval-ms`). A view only
+//! renders; its modules
 //! ([`crate::top`], [`crate::slo`], [`crate::shards`], [`crate::audit`],
 //! [`crate::scope`]) are pure. `scope --trigger` arms an ILA-style
 //! capture first; stdout then carries only the captured JSON lines and
@@ -27,7 +29,7 @@ use crate::scope::CircuitView;
 use crate::{audit, scope, shards, slo, top, CliError};
 use cfg_obs::Snapshot;
 use std::io::Write;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 const USAGE: &str = "usage: cfgtag watch <top|slo|shards|audit|scope> <host:port> \
                      [--interval-ms N] [--iterations N] [--once] [--retries N] [--top K] \
@@ -40,7 +42,7 @@ pub enum ViewKind {
     Top,
     /// Latency objective and per-stage waterfall.
     Slo,
-    /// Pool saturation per shard.
+    /// Shard-gate load per shard.
     Shards,
     /// Shadow-audit verdicts.
     Audit,
@@ -161,22 +163,31 @@ fn number<T: std::str::FromStr>(flag: &str, value: &str) -> Result<T, CliError> 
 #[derive(Default)]
 struct Prev {
     snapshot: Option<Snapshot>,
+    /// When `snapshot` was fetched.
+    fetched: Option<Instant>,
     circuit: Option<CircuitView>,
     probes: Option<Vec<(String, u64)>>,
+    /// `shards`: each gate's mean queue depth per poll interval.
+    depths: shards::DepthHistory,
 }
 
 /// Fetch what one frame of `flags.view` needs and render it.
 fn poll(flags: &WatchFlags, prev: &mut Prev, poller: &mut Poller) -> Result<String, Miss> {
-    let dt_secs = flags.interval_ms as f64 / 1000.0;
     let body = poller.get("/snapshot.json")?;
+    let fetched = Instant::now();
+    // A slow fetch or a retry's backoff stretches the time between two
+    // snapshots past the poll interval; rates divide by the real one.
+    let dt_secs =
+        prev.fetched.map_or(flags.interval_ms as f64 / 1000.0, |t| (fetched - t).as_secs_f64());
     let cur =
         Snapshot::parse(&body).map_err(|e| CliError::new(format!("bad /snapshot.json: {e}"), 1))?;
     let frame = match flags.view {
         ViewKind::Top => top::render(prev.snapshot.as_ref(), &cur, dt_secs, flags.top_k),
         ViewKind::Slo => slo::render(prev.snapshot.as_ref(), &cur, dt_secs)?,
         ViewKind::Shards => {
-            let history = shards::parse_depth_history(&poller.get("/timeseries.json")?)?;
-            shards::render(&cur, &history)
+            let loads = shards::loads(prev.snapshot.as_ref(), &cur, dt_secs);
+            shards::record(&mut prev.depths, &loads);
+            shards::render(&cur, &loads, &prev.depths, dt_secs)
         }
         ViewKind::Audit => audit::render(&cur),
         ViewKind::Scope => {
@@ -197,6 +208,7 @@ fn poll(flags: &WatchFlags, prev: &mut Prev, poller: &mut Poller) -> Result<Stri
         }
     };
     prev.snapshot = Some(cur);
+    prev.fetched = Some(fetched);
     Ok(frame)
 }
 
@@ -293,9 +305,7 @@ mod tests {
     use super::*;
     use cfg_obs::{FlightRecorder, MetricsSink, Part, Registry, TraceEvent, TriggerHub};
     use cfg_obs_http::Exporter;
-    use cfg_server::{
-        AuditConfig, Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig,
-    };
+    use cfg_server::{AuditConfig, Client, IngestServer, Reply, ServerConfig, TraceConfig};
     use cfg_tagger::{TaggerOptions, TokenTagger};
     use std::sync::Arc;
 
@@ -361,8 +371,8 @@ mod tests {
         );
     }
 
-    /// A listen-mode server with tracing, saturation and audit on, plus
-    /// the circuit endpoints `scope` reads; one frame tagged through it.
+    /// A listen-mode server with tracing and audit on, plus the circuit
+    /// endpoints `scope` reads; one frame tagged through it.
     fn traced_server() -> (IngestServer, Exporter, Arc<Registry>) {
         let grammar = cfg_grammar::Grammar::parse(ITE).unwrap();
         let tagger = TokenTagger::compile(&grammar, TaggerOptions::default()).unwrap();
@@ -373,7 +383,6 @@ mod tests {
         let config = ServerConfig {
             registry: Some(Arc::clone(&registry)),
             trace: Some(TraceConfig::default()),
-            saturation: Some(SaturationConfig { interval_ms: 5, ..SaturationConfig::default() }),
             audit: Some(AuditConfig::default()),
             ..ServerConfig::default()
         };
@@ -395,7 +404,7 @@ mod tests {
         for (view, header) in [
             ("top", "cfgtag top — ready"),
             ("slo", "cfgtag slo — objective p99 < 50.00ms"),
-            ("shards", "cfgtag shards — pool saturation"),
+            ("shards", "cfgtag shards — 2 shard gates, rates from the next poll"),
             ("audit", "cfgtag audit —"),
             ("scope", "cfgtag scope — "),
         ] {
@@ -405,6 +414,13 @@ mod tests {
             assert!(out.contains(header), "watch {view}: {out}");
             assert_eq!(err, "", "watch {view}");
         }
+        // The second frame diffs against the first: the shard gates get
+        // rates and a mean-depth sparkline.
+        let (code, out, err) = watch_cli(&format!("shards {addr} --iterations 2 --interval-ms 20"));
+        assert_eq!((code, err.as_str()), (0, ""));
+        let second = out.split("\x1b[2J\x1b[H").nth(2).expect("two frames");
+        assert!(second.contains("2 shard gates, rates over the last 0."), "{second}");
+        assert!(second.contains("queue wait: no arrivals in the last"), "{second}");
 
         // Scope with a trigger: frames go to stderr, and the capture —
         // here fired by hand once the watch has armed it — is all that
@@ -442,7 +458,7 @@ mod tests {
             err,
             "cfgtag watch slo: no SLO tracker attached (serve --listen with --trace-sample N)\n"
         );
-        for (view, off) in [("shards", "--sample-hz N"), ("audit", "auditing is OFF")] {
+        for (view, off) in [("shards", "cfgtag serve --listen"), ("audit", "auditing is OFF")] {
             let (code, out, err) = watch_cli(&format!("{view} {addr} --once"));
             assert_eq!((code, err.as_str()), (0, ""), "watch {view}");
             assert!(out.contains(off), "watch {view}: {out}");

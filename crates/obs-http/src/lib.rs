@@ -4,12 +4,13 @@
 //! [`Registry`]: point a Prometheus scraper (or `curl`, or `cfgtag
 //! watch`) at a long-running tagger and watch it work. The numbers all
 //! come from one [`Registry::snapshot`]; this crate is HTTP plumbing.
-//! Ten routes ([`ROUTES`]):
+//! Nine routes ([`ROUTES`]):
 //!
 //! * `GET /metrics` — the snapshot as Prometheus text: the service
-//!   gauges, every counter per sink, per-token fires, probes, audit
-//!   verdicts, SLO latencies by stage, shard gauges, and histograms with
-//!   inclusive `le` buckets plus `_quantile` gauges.
+//!   gauges, every counter per sink (the shard gates' load counters
+//!   among them), per-token fires, probes, audit verdicts, SLO
+//!   latencies by stage, and histograms with inclusive `le` buckets
+//!   plus `_quantile` gauges.
 //! * `GET /snapshot.json` — the same series as JSON, read back by
 //!   [`cfg_obs::Snapshot::parse`] in every `cfgtag watch` view.
 //! * `GET /healthz` — liveness: `200 ok` whenever the exporter thread
@@ -32,9 +33,6 @@
 //! * `GET /spans.jsonl` — recent retained frame spans (head-sampled
 //!   plus always-on-slow) from the attached [`cfg_obs::SpanRecorder`],
 //!   one JSON object per line with per-stage durations.
-//! * `GET /timeseries.json` — the saturation snapshot ring dump
-//!   (oldest first); an empty ring, or none attached, is `200` with an
-//!   empty `samples` array, never an error.
 //! * `GET /mismatches.jsonl` — the attached ring of divergence
 //!   evidence ([`cfg_obs::Mismatch`]), one JSON object per divergence
 //!   (byte window, offsets, both engines' event streams); empty body
@@ -56,7 +54,7 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Every route the exporter serves; `/` lists exactly these.
-pub const ROUTES: [&str; 10] = [
+pub const ROUTES: [&str; 9] = [
     "/metrics",
     "/snapshot.json",
     "/healthz",
@@ -65,7 +63,6 @@ pub const ROUTES: [&str; 10] = [
     "/trigger",
     "/capture.jsonl",
     "/spans.jsonl",
-    "/timeseries.json",
     "/mismatches.jsonl",
 ];
 
@@ -199,16 +196,6 @@ pub fn respond(path: &str, registry: &Registry) -> Response {
                 body: recorder.spans_jsonl(),
             },
             None => text(404, "no span recorder attached (serve --listen with --trace-sample N)\n"),
-        },
-        // Saturation sampling being off is a normal serving
-        // configuration, not an error a poller should retry.
-        "/timeseries.json" => Response {
-            status: 200,
-            content_type: "application/json",
-            body: match parts.timeseries {
-                Some(series) => series.to_json(),
-                None => "{\"interval_ms\":0,\"samples\":[]}\n".into(),
-            },
         },
         "/mismatches.jsonl" => Response {
             status: 200,
@@ -437,8 +424,7 @@ mod tests {
     use super::*;
     use cfg_obs::{
         AuditBank, CompileReport, EventRing, Family, FlightRecorder, Kind, MetricsSink, Mismatch,
-        Part, ProbeBank, ShardLoadBank, SloTracker, Snapshot, SpanRecorder, Stage, Stat, StatsSink,
-        TickSnapshot, TimeSeries, TraceEvent,
+        Part, ProbeBank, SloTracker, Snapshot, SpanRecorder, Stage, Stat, StatsSink, TraceEvent,
     };
     use std::collections::BTreeMap;
 
@@ -528,13 +514,10 @@ mod tests {
         }
         reg.attach(Part::Slo(slo));
         reg.attach(Part::Spans(spans));
-        let bank = Arc::new(ShardLoadBank::new(2));
-        let series = Arc::new(TimeSeries::new(Arc::clone(&bank), 8, Duration::from_millis(50)));
-        bank.arrive(0);
-        series.push(TickSnapshot { t_ns: 0, shards: bank.sample() });
-        bank.record_work(0, 25_000_000, true);
-        series.push(TickSnapshot { t_ns: 100_000_000, shards: bank.sample() });
-        reg.attach(Part::TimeSeries(series));
+        let shard = Arc::new(StatsSink::new());
+        shard.add(Stat::ShardArrivals, 1);
+        shard.add(Stat::ShardBusyNs, 25_000_000);
+        reg.register("shard0", shard);
         let audit = Arc::new(AuditBank::new(3));
         audit.fires(4, 3);
         audit.false_positive(2);
@@ -576,8 +559,8 @@ mod tests {
             "cfgtag_slo_frames_total",
             "cfgtag_srv_span_ns",
             "cfgtag_srv_stage_ns",
-            "cfgtag_shard_utilization_pct",
-            "cfgtag_shard_predicted_wait_ns",
+            "cfgtag_shard_arrivals_total",
+            "cfgtag_shard_busy_ns_total",
             "cfgtag_decision_latency_ns",
             "cfgtag_compile_ns",
         ] {
@@ -678,7 +661,14 @@ mod tests {
         for path in ROUTES {
             assert_ne!(respond(path, &reg).body, unknown.body, "the index lists {path}, unrouted");
         }
-        for gone in ["/report.json", "/slo.json", "/shards.json", "/audit.json", "/probes.json"] {
+        for gone in [
+            "/report.json",
+            "/slo.json",
+            "/shards.json",
+            "/audit.json",
+            "/probes.json",
+            "/timeseries.json",
+        ] {
             assert_eq!(respond(gone, &reg), unknown, "{gone} is still routed");
         }
     }
@@ -709,18 +699,13 @@ mod tests {
     #[test]
     fn off_parts_answer_200_with_empty_bodies_and_stay_dark() {
         let reg = Registry::new();
-        let series = respond("/timeseries.json", &reg);
-        assert_eq!(
-            (series.status, series.body.as_str()),
-            (200, "{\"interval_ms\":0,\"samples\":[]}\n")
-        );
         let dump = respond("/mismatches.jsonl", &reg);
         assert_eq!(
             (dump.status, dump.content_type, dump.body.as_str()),
             (200, "application/jsonl", "")
         );
         let metrics = respond("/metrics", &reg).body;
-        for dark in ["cfgtag_audit_", "cfgtag_shard_", "cfgtag_slo_", "cfgtag_probe_"] {
+        for dark in ["cfgtag_audit_", "cfgtag_slo_", "cfgtag_probe_"] {
             assert!(!metrics.contains(dark), "{dark} rendered while off:\n{metrics}");
         }
 
@@ -734,12 +719,6 @@ mod tests {
             reference: vec![],
         });
         reg.attach(Part::Mismatches(ring));
-        let bank = Arc::new(ShardLoadBank::new(2));
-        let ts = Arc::new(TimeSeries::new(Arc::clone(&bank), 8, Duration::from_millis(50)));
-        reg.attach(Part::TimeSeries(Arc::clone(&ts)));
-        let empty = json::Json::parse(&respond("/timeseries.json", &reg).body).unwrap();
-        assert_eq!(empty.get("samples").unwrap().as_array().unwrap().len(), 0);
-        assert_eq!(empty.get("interval_ms").unwrap().as_u64(), Some(50));
         let line = respond("/mismatches.jsonl", &reg).body;
         assert_eq!(
             json::Json::parse(line.trim_end()).unwrap().get("session").unwrap().as_u64(),

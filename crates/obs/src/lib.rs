@@ -22,22 +22,27 @@
 //! * [`TeeSink`] — fans one [`Metrics`] handle out to several sinks
 //!   (typically a [`StatsSink`] plus a [`FlightRecorder`]).
 //!
-//! Every bounded buffer — the flight recorder, the span ring, the
-//! saturation time series and the audit mismatch evidence — is one
-//! generic [`EventRing`]: fixed capacity, oldest evicted first, a
-//! sequence number per offered entry, and a JSON-lines dump.
+//! Every bounded buffer — the flight recorder, the span ring and the
+//! audit mismatch evidence — is one generic [`EventRing`]: fixed
+//! capacity, oldest evicted first, a sequence number per offered entry,
+//! and a JSON-lines dump.
 //!
 //! For *live* observability there is one [`Registry`]: it holds the
 //! named [`StatsSink`]s, the ready/dead/overloaded flags, and every
 //! attached [`Part`] (token names, compile report, circuit topology,
-//! probe bank, trigger hub, SLO tracker, span recorder, saturation time
-//! series, audit bank, mismatch ring). [`Registry::snapshot`] gathers
-//! every bank's numbers into one [`Snapshot`] of labelled counter, gauge
-//! and histogram families. The `cfg-obs-http` exporter serves it as
-//! Prometheus text (`/metrics`) and as JSON (`/snapshot.json`), and
-//! [`Snapshot::parse`] reads the JSON back for every `cfgtag watch`
-//! view. The one [`Histogram`] is log-linear, good to ~6% at any
-//! quantile.
+//! probe bank, trigger hub, SLO tracker, span recorder, audit bank,
+//! mismatch ring). [`Registry::snapshot`] gathers every bank's numbers
+//! into one [`Snapshot`] of labelled counter, gauge and histogram
+//! families. The `cfg-obs-http` exporter serves it as Prometheus text
+//! (`/metrics`) and as JSON (`/snapshot.json`), and [`Snapshot::parse`]
+//! reads the JSON back for every `cfgtag watch` view. The one
+//! [`Histogram`] is log-linear, good to ~6% at any quantile.
+//!
+//! Nothing samples on a timer. Load is counted, not sampled: an ingest
+//! shard gate's arrivals, dequeues, completions, busy and wait
+//! nanoseconds are five [`Stat`] counters on the shard's sink, and a
+//! reader derives utilization, rates and the mean queue depth from two
+//! snapshots, as Prometheus `rate()` does.
 //!
 //! Below the engine counters sits the *circuit* view: a [`ProbeBank`]
 //! holds one dense atomic counter per synthesized circuit element
@@ -73,7 +78,6 @@ mod slo;
 mod snapshot;
 mod span;
 mod stats;
-mod timeseries;
 mod trace;
 mod trigger;
 
@@ -90,8 +94,5 @@ pub use slo::{QuantileSummary, SloSnapshot, SloTracker};
 pub use snapshot::{Family, Group, Kind, Reading, Sample, Series, Snapshot, QUANTILES};
 pub use span::{Span, SpanRecorder, Stage};
 pub use stats::{StatsSink, StatsSnapshot};
-pub use timeseries::{
-    derive_gauges, SamplerHandle, ShardGauge, ShardLoadBank, ShardSample, TickSnapshot, TimeSeries,
-};
 pub use trace::{TraceEvent, Value};
 pub use trigger::{Trigger, TriggerCondition, TriggerHub};

@@ -4,11 +4,13 @@
 //! A [`Registry`] holds the named [`StatsSink`]s, the service flags
 //! (ready, dead, overloaded), and every attached [`Part`]: the token
 //! names, the compile report, the circuit topology, the probe bank, the
-//! trigger hub, the SLO tracker, the span recorder, the saturation time
-//! series, the audit bank and the mismatch ring. Registration and
-//! attachment happen once per component; [`Registry::snapshot`] walks
-//! lock-free counters, so an exporter thread can take one at any moment
-//! without pausing an engine mid-stream.
+//! trigger hub, the SLO tracker, the span recorder, the audit bank and
+//! the mismatch ring. Registration and attachment happen once per
+//! component; [`Registry::snapshot`] walks lock-free counters, so an
+//! exporter thread can take one at any moment without pausing an
+//! engine mid-stream. Load that a reader wants as a rate (an ingest
+//! shard gate's arrivals, busy and wait time) is a monotonic [`Stat`]
+//! counter on a sink; the reader diffs two snapshots.
 
 use crate::audit::{AuditBank, Mismatch};
 use crate::probe::ProbeBank;
@@ -19,7 +21,6 @@ use crate::slo::SloTracker;
 use crate::snapshot::{metric_chunk, Kind, Snapshot};
 use crate::span::SpanRecorder;
 use crate::stats::{StatsSink, StatsSnapshot};
-use crate::timeseries::TimeSeries;
 use crate::trigger::TriggerHub;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -43,8 +44,6 @@ pub enum Part {
     Slo(Arc<SloTracker>),
     /// Retained frame spans behind `/spans.jsonl`.
     Spans(Arc<SpanRecorder>),
-    /// Per-shard saturation snapshots behind `/timeseries.json`.
-    TimeSeries(Arc<TimeSeries>),
     /// Shadow-audit verdicts.
     Audit(Arc<AuditBank>),
     /// Divergence evidence behind `/mismatches.jsonl`.
@@ -69,8 +68,6 @@ pub struct Parts {
     pub slo: Option<Arc<SloTracker>>,
     /// See [`Part::Spans`].
     pub spans: Option<Arc<SpanRecorder>>,
-    /// See [`Part::TimeSeries`].
-    pub timeseries: Option<Arc<TimeSeries>>,
     /// See [`Part::Audit`].
     pub audit: Option<Arc<AuditBank>>,
     /// See [`Part::Mismatches`].
@@ -121,7 +118,6 @@ impl Registry {
             Part::Trigger(hub) => p.trigger = Some(hub),
             Part::Slo(tracker) => p.slo = Some(tracker),
             Part::Spans(recorder) => p.spans = Some(recorder),
-            Part::TimeSeries(series) => p.timeseries = Some(series),
             Part::Audit(bank) => p.audit = Some(bank),
             Part::Mismatches(ring) => p.mismatches = Some(ring),
         }
@@ -214,9 +210,6 @@ impl Registry {
         if let Some(tracker) = &parts.slo {
             tracker.export(&mut snap);
         }
-        if let Some(series) = &parts.timeseries {
-            series.export(&mut snap);
-        }
         let mut merged = StatsSnapshot::empty();
         for (_, s) in &sinks {
             merged.merge(s);
@@ -265,6 +258,33 @@ mod tests {
         // Nothing attached, nothing exported.
         assert!(snap.get("cfgtag_probe_total").is_none());
         assert!(snap.get("cfgtag_slo_frames_total").is_none());
+    }
+
+    #[test]
+    fn shard_gate_counters_export_as_per_sink_families() {
+        let reg = Registry::new();
+        let shard = Arc::new(StatsSink::new());
+        reg.register("shard0", Arc::clone(&shard));
+        reg.register("server", Arc::new(StatsSink::new()));
+        for (stat, n) in [
+            (Stat::ShardArrivals, 3),
+            (Stat::ShardDequeues, 2),
+            (Stat::ShardCompletions, 1),
+            (Stat::ShardBusyNs, 40_000),
+            (Stat::ShardWaitNs, 25_000),
+        ] {
+            shard.add(stat, n);
+        }
+        let snap = reg.snapshot();
+        let value = |family: &str, sink: &str| snap.value(family, &[("sink", sink)]);
+        assert_eq!(value("cfgtag_shard_arrivals_total", "shard0"), Some(3.0));
+        assert_eq!(value("cfgtag_shard_dequeues_total", "shard0"), Some(2.0));
+        assert_eq!(value("cfgtag_shard_completions_total", "shard0"), Some(1.0));
+        assert_eq!(value("cfgtag_shard_busy_ns_total", "shard0"), Some(40_000.0));
+        assert_eq!(value("cfgtag_shard_wait_ns_total", "shard0"), Some(25_000.0));
+        // Every sink carries every family; a sink that is no gate reads 0.
+        assert_eq!(value("cfgtag_shard_arrivals_total", "server"), Some(0.0));
+        assert_eq!(snap.get("cfgtag_shard_wait_ns_total").unwrap().kind, Kind::Counter);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! [`EventRing`]: the one bounded buffer under every telemetry ring —
-//! the flight recorder, the span recorder, the saturation time series
-//! and the audit lane's mismatch evidence.
+//! the flight recorder, the span recorder and the audit lane's mismatch
+//! evidence.
 //!
 //! A ring holds at most `capacity` entries and evicts the oldest first.
 //! Every offered entry is stamped with the next sequence number, also at

@@ -45,11 +45,27 @@ pub enum Stat {
     /// Sessions evicted by the ingest server: silent past the idle
     /// timeout, or a reply not taken within it.
     SessionsEvicted,
+    /// Frames admitted to an ingest shard's gate, whether they took it
+    /// at once or waited; a shed frame counts under
+    /// [`Stat::LoadShed`] instead.
+    ShardArrivals,
+    /// Frames that took an ingest shard's gate. The frames waiting for
+    /// it are `shard_arrivals - shard_dequeues`.
+    ShardDequeues,
+    /// Frames tagged to completion under an ingest shard's gate. A
+    /// caught panic dequeues but does not complete.
+    ShardCompletions,
+    /// Nanoseconds an ingest shard's gate was held while tagging.
+    ShardBusyNs,
+    /// Nanoseconds frames spent between admission and taking an ingest
+    /// shard's gate. The sum of waits is the integral of the queue
+    /// depth over time, so its rate is the mean depth.
+    ShardWaitNs,
 }
 
 impl Stat {
     /// Number of variants (sizes the counter array in `StatsSink`).
-    pub const COUNT: usize = 14;
+    pub const COUNT: usize = 19;
 
     /// All variants, in index order.
     pub const ALL: [Stat; Stat::COUNT] = [
@@ -67,6 +83,11 @@ impl Stat {
         Stat::WorkerRestarts,
         Stat::LoadShed,
         Stat::SessionsEvicted,
+        Stat::ShardArrivals,
+        Stat::ShardDequeues,
+        Stat::ShardCompletions,
+        Stat::ShardBusyNs,
+        Stat::ShardWaitNs,
     ];
 
     /// Stable snake_case name used in JSON output.
@@ -86,6 +107,11 @@ impl Stat {
             Stat::WorkerRestarts => "worker_restarts",
             Stat::LoadShed => "load_shed",
             Stat::SessionsEvicted => "sessions_evicted",
+            Stat::ShardArrivals => "shard_arrivals",
+            Stat::ShardDequeues => "shard_dequeues",
+            Stat::ShardCompletions => "shard_completions",
+            Stat::ShardBusyNs => "shard_busy_ns",
+            Stat::ShardWaitNs => "shard_wait_ns",
         }
     }
 }

@@ -13,7 +13,12 @@
 //!   number ([`Stat::LoadShed`] on the shard's sink, and the attached
 //!   [`Registry`] flips `overloaded` so `/readyz` tells load balancers
 //!   to back off). The gate is released before the ack is written, so
-//!   a slow reader never holds a shard.
+//!   a slow reader never holds a shard. Each gate counts its load on
+//!   the shard's sink, always: frames admitted, frames that took the
+//!   gate, frames tagged to completion, and the nanoseconds frames
+//!   held it and waited for it ([`Stat::ShardArrivals`] through
+//!   [`Stat::ShardWaitNs`]). A reader derives utilization, rates and
+//!   the mean queue depth from two snapshots; nothing samples.
 //! * **Supervision**: a panic while tagging is caught in place, counted
 //!   under [`Stat::WorkerRestarts`] on the shard's sink, and answered
 //!   with an `Err` frame naming the poison frame's sequence; the session
@@ -43,9 +48,8 @@
 use crate::frame::{self, FrameKind, FrameRef};
 use crate::session::SessionTable;
 use cfg_obs::{
-    AuditBank, AuditEvent, EventRing, Metrics, MetricsSink, Mismatch, Part, Registry,
-    SamplerHandle, ShardLoadBank, SloTracker, Span, SpanRecorder, Stage, Stat, StatsSink,
-    TimeSeries,
+    AuditBank, AuditEvent, EventRing, Metrics, MetricsSink, Mismatch, Part, Registry, SloTracker,
+    Span, SpanRecorder, Stage, Stat, StatsSink,
 };
 use cfg_tagger::{EngineKind, Error, PdaParser, ShardReport, TagEvent, TokenTagger};
 use std::collections::HashSet;
@@ -93,37 +97,6 @@ pub const SLO_TARGET: f64 = 0.99;
 struct Tracing {
     recorder: Arc<SpanRecorder>,
     slo: Arc<SloTracker>,
-}
-
-/// Saturation telemetry configuration for [`ServerConfig::saturation`].
-///
-/// When set, every shard gate counts into a [`ShardLoadBank`]: frames
-/// admitted (arrivals), gates taken (dequeues, so the shard's "queue" is
-/// the frames waiting for its gate) and the time the gate was held
-/// (busy ns). A sampler thread snapshots the bank into a [`TimeSeries`]
-/// ring every `interval_ms` (behind the `cfgtag_shard_*` gauges and
-/// `/timeseries.json`). When `None` (the default) neither exists and
-/// the serving path takes one `None` branch per frame.
-#[derive(Debug, Clone)]
-pub struct SaturationConfig {
-    /// Utilization snapshot period in milliseconds.
-    pub interval_ms: u64,
-    /// Snapshot ring capacity — `history * interval_ms` is the window
-    /// the derived gauges average over.
-    pub history: usize,
-}
-
-impl Default for SaturationConfig {
-    fn default() -> SaturationConfig {
-        SaturationConfig { interval_ms: 50, history: 256 }
-    }
-}
-
-/// The saturation side-car: load counters and their snapshot ring.
-#[derive(Clone)]
-struct Saturation {
-    bank: Arc<ShardLoadBank>,
-    series: Arc<TimeSeries>,
 }
 
 /// Shadow-audit configuration for [`ServerConfig::audit`].
@@ -219,13 +192,10 @@ pub struct ServerConfig {
     pub panic_token: Option<Vec<u8>>,
     /// The registry to report into: the shard and server sinks (as
     /// `shard0…`, `server`), the `ready` flag on start and `overloaded`
-    /// while shedding, and the trace, saturation and audit parts.
+    /// while shedding, and the trace and audit parts.
     pub registry: Option<Arc<Registry>>,
     /// Frame tracing + SLO pipeline; `None` (default) serves untraced.
     pub trace: Option<TraceConfig>,
-    /// Saturation telemetry (per-shard utilization time series);
-    /// `None` (default) serves metrics-dark.
-    pub saturation: Option<SaturationConfig>,
     /// Shadow-audit lane (sampled-session replay through the reference
     /// engine + exact parser); `None` (default) serves unaudited.
     pub audit: Option<AuditConfig>,
@@ -242,7 +212,6 @@ impl Default for ServerConfig {
             panic_token: None,
             registry: None,
             trace: None,
-            saturation: None,
             audit: None,
         }
     }
@@ -258,7 +227,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("engine", &self.engine)
             .field("panic_token", &self.panic_token.is_some())
             .field("trace", &self.trace)
-            .field("saturation", &self.saturation)
             .field("audit", &self.audit)
             .finish_non_exhaustive()
     }
@@ -276,7 +244,8 @@ pub struct ServerReport {
     /// Data frames shed with `Busy` because a shard gate's wait was
     /// full.
     pub shed: u64,
-    /// Per shard: frames tagged to completion, and panics caught.
+    /// Per shard: frames tagged to completion (the shard sink's
+    /// [`Stat::ShardCompletions`]), and panics caught.
     pub shard: ShardReport,
 }
 
@@ -286,35 +255,38 @@ pub struct ServerReport {
 struct Gate {
     lock: Mutex<()>,
     at_gate: AtomicUsize,
-    /// Frames tagged to completion under the gate.
-    served: AtomicU64,
 }
 
 impl Gate {
     /// Take the gate, waiting for it when it is held, unless `depth`
     /// frames wait already: `None` sheds the frame. `admitted` runs once
-    /// the frame is admitted, before it waits.
-    fn enter(&self, depth: usize, admitted: impl FnOnce()) -> Option<MutexGuard<'_, ()>> {
+    /// the frame is admitted, before it waits, and what it returns comes
+    /// back with the held gate.
+    fn enter<T>(
+        &self,
+        depth: usize,
+        admitted: impl FnOnce() -> T,
+    ) -> Option<(MutexGuard<'_, ()>, T)> {
         if self.at_gate.fetch_add(1, Ordering::SeqCst) > depth {
             self.at_gate.fetch_sub(1, Ordering::SeqCst);
             return None;
         }
-        admitted();
+        let value = admitted();
         // Panics are caught inside the gate, and it guards no data, so
         // a poisoned lock would be as good as a clean one.
-        Some(self.lock.lock().unwrap_or_else(PoisonError::into_inner))
+        Some((self.lock.lock().unwrap_or_else(PoisonError::into_inner), value))
     }
 
-    /// Release the gate; `served` counts a frame tagged to completion.
-    fn leave(&self, held: MutexGuard<'_, ()>, served: bool) {
+    /// Release the gate.
+    fn leave(&self, held: MutexGuard<'_, ()>) {
         drop(held);
         self.at_gate.fetch_sub(1, Ordering::SeqCst);
-        self.served.fetch_add(u64::from(served), Ordering::Relaxed);
     }
 }
 
 /// One shard: a tagger clone whose metrics land in the shard's sink,
-/// and the gate its sessions' frames are tagged under.
+/// and the gate its sessions' frames are tagged under, whose load the
+/// same sink counts.
 struct Shard {
     tagger: TokenTagger,
     sink: Arc<StatsSink>,
@@ -327,7 +299,6 @@ struct Shared {
     queue_depth: usize,
     engine: EngineKind,
     panic_token: Option<Vec<u8>>,
-    load: Option<Arc<ShardLoadBank>>,
     table: SessionTable,
     stop: AtomicBool,
     server_sink: Arc<StatsSink>,
@@ -346,8 +317,6 @@ pub struct IngestServer {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_handle: Option<JoinHandle<()>>,
-    saturation: Option<Saturation>,
-    sampler_handle: Option<SamplerHandle>,
     audit_handle: Option<JoinHandle<()>>,
 }
 
@@ -386,7 +355,7 @@ impl IngestServer {
     ) -> std::io::Result<IngestServer> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let (shared, saturation, audit_handle) = Shared::new(tagger, &config);
+        let (shared, audit_handle) = Shared::new(tagger, &config);
         let shared = Arc::new(shared);
 
         let accept_shared = Arc::clone(&shared);
@@ -394,16 +363,8 @@ impl IngestServer {
             .name("cfgserve-accept".into())
             .spawn(move || accept_loop(listener, accept_shared))
             .expect("spawn acceptor");
-        let sampler_handle = saturation.as_ref().map(|s| s.series.start_sampler());
 
-        Ok(IngestServer {
-            addr,
-            shared,
-            accept_handle: Some(accept_handle),
-            saturation,
-            sampler_handle,
-            audit_handle,
-        })
+        Ok(IngestServer { addr, shared, accept_handle: Some(accept_handle), audit_handle })
     }
 
     /// The bound address (with the real port for `:0` binds).
@@ -428,19 +389,6 @@ impl IngestServer {
         self.shared.tracing.as_ref().map(|t| Arc::clone(&t.slo))
     }
 
-    /// The saturation snapshot ring, when saturation telemetry is
-    /// configured — the source of the `cfgtag_shard_*` gauges and
-    /// `/timeseries.json`.
-    pub fn timeseries(&self) -> Option<Arc<TimeSeries>> {
-        self.saturation.as_ref().map(|s| Arc::clone(&s.series))
-    }
-
-    /// The per-shard load counters, when saturation telemetry is
-    /// configured.
-    pub fn shard_loads(&self) -> Option<Arc<ShardLoadBank>> {
-        self.saturation.as_ref().map(|s| Arc::clone(&s.bank))
-    }
-
     /// The shadow-audit counters, when auditing is configured — the
     /// source of the `cfgtag_audit_*` families.
     pub fn audit_bank(&self) -> Option<Arc<AuditBank>> {
@@ -456,11 +404,6 @@ impl IngestServer {
     /// Graceful shutdown: stop accepting, let every session finish the
     /// frame in hand and say `Bye`, and report.
     pub fn shutdown(mut self) -> ServerReport {
-        // Stop the telemetry sampler first; it only reads atomics, but
-        // a deterministic stop keeps the final snapshots stable.
-        if let Some(h) = self.sampler_handle.take() {
-            h.stop();
-        }
         self.shared.stop.store(true, Ordering::SeqCst);
         // Unblock the acceptor with one throwaway connection.
         let _ = TcpStream::connect_timeout(&self.addr, Duration::from_secs(1));
@@ -479,7 +422,7 @@ impl IngestServer {
         let sum = |stat| shared.shards.iter().map(|s| s.sink.get(stat)).sum::<u64>();
         let (shed, restarts) = (sum(Stat::LoadShed), sum(Stat::WorkerRestarts));
         let per_shard: Vec<u64> =
-            shared.shards.iter().map(|s| s.gate.served.load(Ordering::SeqCst)).collect();
+            shared.shards.iter().map(|s| s.sink.get(Stat::ShardCompletions)).collect();
         let shard = ShardReport { messages: per_shard.iter().sum(), per_shard, restarts };
         // Dropping the auditor drops the queue's sender; the replay
         // worker drains what was enqueued, sees the disconnect, and exits.
@@ -502,12 +445,8 @@ impl std::fmt::Debug for IngestServer {
 
 impl Shared {
     /// The shared state for `config`, with its telemetry side-cars and
-    /// registry wiring, plus the saturation parts and the audit worker
-    /// the server owns.
-    fn new(
-        tagger: &TokenTagger,
-        config: &ServerConfig,
-    ) -> (Shared, Option<Saturation>, Option<JoinHandle<()>>) {
+    /// registry wiring, plus the audit worker the server owns.
+    fn new(tagger: &TokenTagger, config: &ServerConfig) -> (Shared, Option<JoinHandle<()>>) {
         // The tracing side-car: a span recorder + SLO tracker pair.
         let tracing = config.trace.as_ref().map(|t| Tracing {
             recorder: Arc::new(SpanRecorder::new(
@@ -519,8 +458,8 @@ impl Shared {
         });
 
         // One tagger clone per shard, whose engines count into the
-        // shard's sink. Like every stats sink it keeps no trace events,
-        // so engines skip building them.
+        // shard's sink, as its gate does. Like every stats sink it keeps
+        // no trace events, so engines skip building them.
         let tokens = tagger.grammar().tokens().len();
         let shards: Vec<Shard> = (0..config.shards.max(1))
             .map(|_| {
@@ -529,18 +468,6 @@ impl Shared {
                 Shard { tagger, sink, gate: Gate::default() }
             })
             .collect();
-
-        // The saturation side-car: per-shard load counters and their
-        // snapshot ring.
-        let saturation = config.saturation.as_ref().map(|s| {
-            let bank = Arc::new(ShardLoadBank::new(shards.len()));
-            let series = Arc::new(TimeSeries::new(
-                Arc::clone(&bank),
-                s.history,
-                Duration::from_millis(s.interval_ms.max(1)),
-            ));
-            Saturation { bank, series }
-        });
 
         // The shadow-audit side-car: correctness counters, divergence
         // evidence ring, and the bounded queue feeding the replay
@@ -576,9 +503,6 @@ impl Shared {
                 registry.attach(Part::Spans(Arc::clone(&t.recorder)));
                 registry.attach(Part::Slo(Arc::clone(&t.slo)));
             }
-            if let Some(s) = &saturation {
-                registry.attach(Part::TimeSeries(Arc::clone(&s.series)));
-            }
             if let Some(a) = &audit {
                 registry.attach(Part::Audit(Arc::clone(&a.bank)));
                 registry.attach(Part::Mismatches(Arc::clone(&a.ring)));
@@ -591,7 +515,6 @@ impl Shared {
             queue_depth: config.queue_depth,
             engine: config.engine,
             panic_token: config.panic_token.clone(),
-            load: saturation.as_ref().map(|s| Arc::clone(&s.bank)),
             table: SessionTable::new(config.max_sessions),
             stop: AtomicBool::new(false),
             server_sink,
@@ -602,7 +525,7 @@ impl Shared {
             tracing,
             audit,
         };
-        (shared, saturation, audit_handle)
+        (shared, audit_handle)
     }
 }
 
@@ -805,26 +728,24 @@ impl Conn {
         let shard = &shared.shards[i];
         stamp(&mut span, Stage::SessionLookup);
         stamp(&mut span, Stage::Enqueue);
-        let load = shared.load.as_deref();
-        let admitted = shard.gate.enter(shared.queue_depth, || {
-            if let Some(bank) = load {
-                bank.arrive(i);
-            }
+        let sink = &shard.sink;
+        let entered = shard.gate.enter(shared.queue_depth, || {
+            sink.add(Stat::ShardArrivals, 1);
+            Instant::now()
         });
-        let Some(held) = admitted else {
+        let Some((held, admitted_at)) = entered else {
             shard.sink.add(Stat::LoadShed, 1);
             if let Some(registry) = &shared.registry {
                 registry.set_overloaded(true);
             }
             return self.reply(shared, FrameKind::Busy, &seq.to_le_bytes());
         };
+        // The gate's load: three clock reads a frame (admitted, gate
+        // taken, tagging done) and five counter adds.
+        let taken_at = Instant::now();
+        sink.add(Stat::ShardDequeues, 1);
+        sink.add(Stat::ShardWaitNs, nanos(taken_at - admitted_at));
         stamp(&mut span, Stage::QueueWait);
-        // Saturation accounting: the gate's busy clock runs only when a
-        // bank is attached (metrics-dark otherwise: no clock reads).
-        let busy_from = load.map(|b| {
-            b.dequeue(i);
-            Instant::now()
-        });
         let (id, events) = (self.id, &mut self.events);
         let tagged = catch_unwind(AssertUnwindSafe(|| {
             if let Some(token) = &shared.panic_token {
@@ -834,10 +755,11 @@ impl Conn {
             }
             tag_into(&shard.tagger, shared.engine, payload, events)
         }));
-        if let (Some(bank), Some(t0)) = (load, busy_from) {
-            bank.record_work(i, nanos(t0.elapsed()), tagged.is_ok());
-        }
-        shard.gate.leave(held, tagged.is_ok());
+        let busy_ns = nanos(taken_at.elapsed());
+        shard.gate.leave(held);
+        // A caught panic held the gate but completed nothing.
+        sink.add(Stat::ShardBusyNs, busy_ns);
+        sink.add(Stat::ShardCompletions, u64::from(tagged.is_ok()));
         stamp(&mut span, Stage::Engine);
         if let Some(registry) = &shared.registry {
             registry.set_overloaded(false);
@@ -1129,15 +1051,15 @@ mod tests {
     #[test]
     fn a_gate_holds_one_frame_queues_depth_and_sheds_the_rest() {
         let gate = Arc::new(Gate::default());
-        let held = gate.enter(1, || {}).expect("a free gate is taken at once");
+        let (held, ()) = gate.enter(1, || {}).expect("a free gate is taken at once");
         let (admitted_tx, admitted) = mpsc::channel();
         let waiter = std::thread::spawn({
             let gate = Arc::clone(&gate);
             move || {
-                let held = gate.enter(1, || admitted_tx.send(()).unwrap());
-                let taken = held.is_some();
-                if let Some(held) = held {
-                    gate.leave(held, true);
+                let entered = gate.enter(1, || admitted_tx.send(()).unwrap());
+                let taken = entered.is_some();
+                if let Some((held, ())) = entered {
+                    gate.leave(held);
                 }
                 taken
             }
@@ -1146,11 +1068,12 @@ mod tests {
         admitted.recv().unwrap();
         let shed = gate.enter(1, || panic!("a shed frame is not admitted"));
         assert!(shed.is_none(), "the wait is full");
-        gate.leave(held, true);
+        gate.leave(held);
         assert!(waiter.join().unwrap(), "the waiter took the gate once it was left");
-        let held = gate.enter(0, || {}).expect("free again: taken at once, with no room to wait");
-        gate.leave(held, false);
-        assert_eq!(gate.served.load(Ordering::SeqCst), 2, "a panicked frame is not served");
+        let (held, value) =
+            gate.enter(0, || 7).expect("free again: taken at once, with no room to wait");
+        assert_eq!(value, 7, "what `admitted` returns comes back with the gate");
+        gate.leave(held);
         assert_eq!(gate.at_gate.load(Ordering::SeqCst), 0, "every frame left the gate");
     }
 
@@ -1187,7 +1110,7 @@ mod tests {
         // MAX_FRAME.
         let options = TaggerOptions { start_mode: StartMode::Always, ..TaggerOptions::default() };
         let t = TokenTagger::compile(&builtin::if_then_else(), options).unwrap();
-        let (shared, _, _) = Shared::new(&t, &ServerConfig::default());
+        let (shared, _) = Shared::new(&t, &ServerConfig::default());
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
         let mut conn = Conn::new(0, listener.accept().unwrap().0, false);

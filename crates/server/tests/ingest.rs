@@ -2,9 +2,9 @@
 //! gates, deterministic fault triggers.
 
 use cfg_grammar::builtin;
-use cfg_obs::{Registry, ShardLoadBank};
+use cfg_obs::Registry;
 use cfg_server::fault::{flood_until_busy, slow_frame};
-use cfg_server::{frame, Client, FrameKind, IngestServer, Reply, SaturationConfig, ServerConfig};
+use cfg_server::{frame, Client, FrameKind, IngestServer, Reply, ServerConfig};
 use cfg_tagger::{StartMode, TaggerOptions, TokenTagger};
 use std::io::Read;
 use std::net::TcpStream;
@@ -166,7 +166,22 @@ fn worker_panics_answer_err_and_bump_restart_counter() {
     client.close().unwrap();
     let report = server.shutdown();
     assert_eq!(report.shard.restarts, 1);
-    assert_eq!(registry.snapshot().total("cfgtag_worker_restarts_total"), 1.0);
+    let snap = registry.snapshot();
+    assert_eq!(snap.total("cfgtag_worker_restarts_total"), 1.0);
+    // Both frames took the gate; the poison frame held it but did not
+    // complete.
+    let gate = |stat: &str| shard_counter(&snap, stat, "shard0");
+    assert_eq!(gate("arrivals"), 2.0);
+    assert_eq!(gate("dequeues"), 2.0);
+    assert_eq!(gate("completions"), 1.0);
+    assert!(gate("busy_ns") > 0.0);
+    assert_eq!(report.shard.per_shard, [1]);
+}
+
+/// One shard gate's load counter, `cfgtag_shard_<stat>_total` on `sink`.
+fn shard_counter(snap: &cfg_obs::Snapshot, stat: &str, sink: &str) -> f64 {
+    let family = format!("cfgtag_shard_{stat}_total");
+    snap.value(&family, &[("sink", sink)]).unwrap_or_else(|| panic!("no {family}{{sink={sink}}}"))
 }
 
 #[test]
@@ -189,6 +204,14 @@ fn overload_sheds_with_busy_and_flips_readiness() {
     let report = server.shutdown();
     assert!(report.shed >= busys as u64);
     assert!(registry.overloaded() || report.shed > 0);
+    // Every admitted frame took the gate and was tagged; a shed frame
+    // was never admitted.
+    let snap = registry.snapshot();
+    assert_eq!(snap.total("cfgtag_load_shed_total"), report.shed as f64);
+    let gate = |stat: &str| shard_counter(&snap, stat, "shard0");
+    assert_eq!(gate("arrivals"), gate("dequeues"));
+    assert_eq!(gate("dequeues"), gate("completions"));
+    assert_eq!(gate("completions"), report.shard.messages as f64);
 }
 
 #[test]
@@ -260,12 +283,12 @@ fn interleaves_many_sessions() {
 /// Wait until the server stops admitting frames on shard 0: a session's
 /// reader stops reading while its ack write blocks. Returns how many
 /// frames the shard admitted.
-fn await_stalled_reader(loads: &ShardLoadBank) -> u64 {
+fn await_stalled_reader(registry: &Registry) -> u64 {
     let deadline = Instant::now() + Duration::from_secs(10);
     let mut seen = 0;
     loop {
         std::thread::sleep(Duration::from_millis(100));
-        let now = loads.sample()[0].arrivals;
+        let now = shard_counter(&registry.snapshot(), "arrivals", "shard0") as u64;
         if now > 0 && now == seen {
             return now;
         }
@@ -298,8 +321,6 @@ fn slow_reader_cannot_wedge_its_shard() {
         shards: 1,
         idle_timeout,
         registry: Some(Arc::clone(&registry)),
-        // Only for the arrival counter below.
-        saturation: Some(SaturationConfig { interval_ms: 1_000, history: 2 }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
@@ -316,8 +337,7 @@ fn slow_reader_cannot_wedge_its_shard() {
         }
         slow
     });
-    let loads = server.shard_loads().expect("saturation configured");
-    let taken = await_stalled_reader(&loads);
+    let taken = await_stalled_reader(&registry);
     assert!(taken < 64, "the reader took every frame: no ack write ever blocked");
     // The blocked writer holds no gate, so a second session on the same
     // (only) shard is acked rather than stuck behind its unread acks.
@@ -360,8 +380,6 @@ fn trickling_reader_cannot_hold_its_shard() {
         shards: 1,
         idle_timeout,
         registry: Some(Arc::clone(&registry)),
-        // Only for the arrival counter below.
-        saturation: Some(SaturationConfig { interval_ms: 1_000, history: 2 }),
         ..ServerConfig::default()
     };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
@@ -387,8 +405,7 @@ fn trickling_reader_cannot_hold_its_shard() {
             }
         }
     });
-    let loads = server.shard_loads().expect("saturation configured");
-    let taken = await_stalled_reader(&loads);
+    let taken = await_stalled_reader(&registry);
     assert!(taken < 64, "the reader took every frame: no ack write ever blocked");
     let started = Instant::now();
     let mut other = Client::connect(addr).unwrap();

@@ -34,19 +34,6 @@ pub enum Error {
     /// The stream ended (or a frame arrived) with the machine dead and
     /// §5.2 error recovery off.
     DeadStream,
-    /// A supervised shard worker panicked while processing a message.
-    /// The worker was restarted; the message was **not** processed.
-    WorkerPanic {
-        /// Which shard's worker panicked.
-        shard: usize,
-        /// The panic payload, stringified.
-        message: String,
-    },
-    /// A submission was shed because every eligible queue was full —
-    /// the bounded-backpressure outcome, not a failure of the pool.
-    Busy,
-    /// The target pool / server has shut down and accepts no more work.
-    Closed,
     /// The peer violated the wire protocol (bad frame kind, oversized
     /// length, truncated payload, …).
     Protocol(String),
@@ -60,11 +47,6 @@ impl fmt::Display for Error {
             Error::Sim(e) => write!(f, "simulation failed: {e}"),
             Error::Io(e) => write!(f, "i/o error: {e}"),
             Error::DeadStream => write!(f, "stream ended in a dead state (no error recovery)"),
-            Error::WorkerPanic { shard, message } => {
-                write!(f, "shard {shard} worker panicked: {message}")
-            }
-            Error::Busy => write!(f, "busy: queue full, message shed"),
-            Error::Closed => write!(f, "closed: pool accepts no more work"),
             Error::Protocol(detail) => write!(f, "protocol violation: {detail}"),
         }
     }
@@ -117,12 +99,7 @@ mod tests {
             Error::DeadStream.to_string(),
             "stream ended in a dead state (no error recovery)"
         );
-        assert_eq!(Error::Busy.to_string(), "busy: queue full, message shed");
-        assert_eq!(Error::Closed.to_string(), "closed: pool accepts no more work");
         assert!(Error::Protocol("frame too large".into()).to_string().contains("frame too large"));
-        let wp = Error::WorkerPanic { shard: 3, message: "boom".into() };
-        assert!(wp.to_string().contains("shard 3"));
-        assert!(wp.to_string().contains("boom"));
     }
 
     #[test]

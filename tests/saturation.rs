@@ -1,32 +1,37 @@
-//! End-to-end saturation-telemetry invariants on a live ingest server.
+//! End-to-end shard-gate load invariants on a live ingest server.
 //!
-//! With `--sample-hz`-style telemetry on, several closed-loop sessions
-//! contending for each shard gate of a 2-shard server must surface as:
-//! non-trivial utilization in the `cfgtag_shard_*` gauges of
-//! `/snapshot.json`, and a Little's-law predicted wait for the shard
-//! gates that agrees (within 2×) with the *measured* mean `queue_wait`
-//! the tracing pipeline reports in the same snapshot.
-//! With telemetry off, the endpoints must still answer 200 —
-//! sampling-off is a configuration, not an error.
+//! Every shard gate counts its load on its shard's sink, always:
+//! `cfgtag_shard_{arrivals,dequeues,completions,busy_ns,wait_ns}_total`
+//! with a `sink="shard<i>"` label. Two `/snapshot.json` scrapes give
+//! rates through `cfg_cli::shards::loads`, the function `cfgtag watch
+//! shards` draws with. Several closed-loop sessions contending for each
+//! gate of a 2-shard server must show non-trivial utilization, frames
+//! that waited for their gate, and a Little's-law wait
+//! (W_q = Δwait_ns / Δarrivals) that agrees within 2× with the
+//! *measured* mean `queue_wait` of the span pipeline. An idle server
+//! derives zero rates from two scrapes, with nothing to wait for.
 
+use cfg_cli::shards;
 use cfg_grammar::builtin;
-use cfg_obs::json::Json;
 use cfg_obs::{Registry, Snapshot};
 use cfg_obs_http::{http_get, http_get_status, Exporter};
-use cfg_server::{Client, IngestServer, Reply, SaturationConfig, ServerConfig, TraceConfig};
+use cfg_server::{Client, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::Instant;
 
 fn tagger() -> TokenTagger {
     TokenTagger::compile(&builtin::if_then_else(), TaggerOptions::default()).unwrap()
 }
 
+/// One `/snapshot.json` scrape, parsed, and when it was taken.
+fn scrape(metrics_addr: &str) -> (Snapshot, Instant) {
+    let body = http_get(metrics_addr, "/snapshot.json").unwrap();
+    (Snapshot::parse(&body).unwrap(), Instant::now())
+}
+
 #[test]
 fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
-    // Enough frames and payload to keep the gates contended for many
-    // sampler ticks: the telemetry derives rates from the snapshot
-    // window, so the load must outlive a few intervals.
     const SHARDS: usize = 2;
     const SESSIONS: usize = 4;
     const MESSAGES: u32 = 100;
@@ -41,7 +46,6 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
     let config = ServerConfig {
         shards: SHARDS,
         trace: Some(TraceConfig { sample_every: u64::from(MESSAGES), slo_ms: 60_000, ring: 16 }),
-        saturation: Some(SaturationConfig { interval_ms: 1, history: 8192 }),
         registry: Some(Arc::clone(&registry)),
         ..ServerConfig::default()
     };
@@ -51,9 +55,10 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
 
     // Closed-loop load: SESSIONS sessions on each shard (consecutive ids
     // alternate shards), each sending its next frame once the last was
-    // acked.
+    // acked. The two scrapes bracket it.
     let mut clients: Vec<Client> =
         (0..SHARDS * SESSIONS).map(|_| Client::connect(server.local_addr()).unwrap()).collect();
+    let (before, t0) = scrape(&metrics_addr);
     std::thread::scope(|s| {
         for client in &mut clients {
             let payload = &payload;
@@ -67,91 +72,52 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
             });
         }
     });
+    let (after, t1) = scrape(&metrics_addr);
+    let body = after.to_json();
 
-    // Read the gauges immediately, while the snapshot window is still
-    // dominated by the loaded period.
-    let shards_body = http_get(&metrics_addr, "/snapshot.json").unwrap();
-    let snap = Snapshot::parse(&shards_body).unwrap();
-    let rows: Vec<&str> = snap
-        .get("cfgtag_shard_utilization_pct")
-        .expect("shard gauges exported")
-        .series
-        .iter()
-        .filter_map(|s| s.label("shard"))
-        .collect();
-    assert_eq!(rows.len(), 2, "{shards_body}");
-    let gauge = |name: &str, shard: &str| snap.value(name, &[("shard", shard)]).unwrap();
-    let util = |shard: &str| gauge("cfgtag_shard_utilization_pct", shard);
-    let busy =
-        *rows.iter().max_by(|a, b| util(a).partial_cmp(&util(b)).unwrap()).expect("two shard rows");
-    assert!(
-        util(busy) > 0.0 && util(busy) <= 100.0,
-        "busy shard utilization must land in (0,100]: {shards_body}"
-    );
-    let arrivals: f64 = rows.iter().map(|r| gauge("cfgtag_shard_arrivals_per_sec", r)).sum();
-    assert!(arrivals > 0.0, "{shards_body}");
+    let loads = shards::loads(Some(&before), &after, (t1 - t0).as_secs_f64());
+    let sinks: Vec<&str> = loads.iter().map(|l| l.sink.as_str()).collect();
+    assert_eq!(sinks, ["shard0", "shard1"], "{body}");
+    for load in &loads {
+        let rates = load.rates.expect("two snapshots give rates");
+        assert!(
+            rates.utilization_pct > 0.0 && rates.utilization_pct <= 100.0,
+            "{} utilization must land in (0,100]: {rates:?}",
+            load.sink
+        );
+        assert!(rates.arrivals_per_sec > 0.0, "{}: {rates:?}", load.sink);
+        // The gates queued: four sessions press on each.
+        assert!(rates.mean_wait_ns > 10_000.0, "{} frames never waited: {rates:?}", load.sink);
+        assert_eq!(load.depth, 0, "every frame was answered: {body}");
+    }
 
-    // Little's law: the predicted wait for a gate, weighted by each
-    // shard's arrivals, must agree with the measured mean queue_wait
-    // within 2×. Both are means over the same sustained, saturated
-    // window, so W_q = L̄_q / λ holds.
-    let weighted: f64 = rows
-        .iter()
-        .map(|r| {
-            gauge("cfgtag_shard_predicted_wait_ns", r) * gauge("cfgtag_shard_arrivals_per_sec", r)
-        })
-        .sum();
-    let predicted = weighted / arrivals;
-    assert!(predicted > 0.0, "{shards_body}");
-    let measured = snap
+    // Little's law: W_q = Δwait_ns / Δarrivals over both gates must
+    // agree with the measured mean queue_wait within 2×. Both are means
+    // over the same frames, one from the gates' counters and one from
+    // the spans' stamps.
+    let predicted = shards::littles_wait_ns(&loads).expect("frames arrived");
+    let measured = after
         .histogram("cfgtag_srv_stage_ns", &[("stage", "queue_wait")])
         .expect("traced server reports queue_wait")
         .mean();
-    assert!(measured > 0.0, "{shards_body}");
+    assert!(measured > 0.0, "{body}");
     let ratio = predicted / measured;
     assert!(
         (0.5..=2.0).contains(&ratio),
-        "Little's-law prediction off by more than 2x: predicted {predicted}ns, \
-         measured mean {measured}ns (ratio {ratio:.3})\nsnapshot: {shards_body}"
+        "Little's-law wait off by more than 2x: predicted {predicted}ns, \
+         measured mean {measured}ns (ratio {ratio:.3})\nsnapshot: {body}"
     );
-
-    // The ring dump holds ordered snapshots with frames waiting for a
-    // gate somewhere in the history.
-    let series_body = http_get(&metrics_addr, "/timeseries.json").unwrap();
-    let series = Json::parse(&series_body).unwrap();
-    let samples = series.get("samples").unwrap().as_array().unwrap();
-    assert!(samples.len() >= 2, "{series_body}");
-    let depths: Vec<u64> = samples
-        .iter()
-        .map(|s| {
-            s.get("shards")
-                .unwrap()
-                .as_array()
-                .unwrap()
-                .iter()
-                .map(|sh| sh.get("queue_depth").unwrap().as_u64().unwrap())
-                .sum()
-        })
-        .collect();
-    assert!(
-        depths.iter().any(|&d| d > 1),
-        "contended gates never showed a queue in the ring: {depths:?}"
-    );
-
-    // The server-side accessors expose the same sources the endpoints
-    // serve.
-    assert_eq!(server.shard_loads().expect("saturation configured").shards(), 2);
-    assert!(!server.timeseries().expect("saturation configured").is_empty());
 
     for client in clients {
         client.close().unwrap();
     }
-    server.shutdown();
+    let report = server.shutdown();
+    assert_eq!(report.shard.messages, (SHARDS * SESSIONS) as u64 * u64::from(MESSAGES));
     exporter.stop();
 }
 
 #[test]
-fn sampling_off_keeps_all_three_endpoints_answering() {
+fn a_default_server_exports_gate_counters_per_shard_sink() {
     let t = tagger();
     let registry = Arc::new(Registry::new());
     let config = ServerConfig { registry: Some(Arc::clone(&registry)), ..ServerConfig::default() };
@@ -162,59 +128,55 @@ fn sampling_off_keeps_all_three_endpoints_answering() {
     let mut client = Client::connect(server.local_addr()).unwrap();
     assert!(matches!(client.request(b"go").unwrap(), Reply::Acked { .. }));
 
-    let (status, body) = http_get_status(&metrics_addr, "/snapshot.json").unwrap();
-    assert_eq!(status, 200, "{body}");
-    let snap = Snapshot::parse(&body).unwrap();
-    assert!(snap.get("cfgtag_shard_queue_depth").is_none(), "{body}");
+    // Untraced and with nothing switched on, every shard sink carries
+    // the five families, and the one frame counts on one gate.
+    let (snap, _) = scrape(&metrics_addr);
+    let body = snap.to_json();
+    for stat in ["arrivals", "dequeues", "completions", "busy_ns", "wait_ns"] {
+        let family = format!("cfgtag_shard_{stat}_total");
+        for sink in ["shard0", "shard1"] {
+            assert!(snap.value(&family, &[("sink", sink)]).is_some(), "{family}: {body}");
+        }
+    }
+    for stat in ["arrivals", "dequeues", "completions"] {
+        assert_eq!(snap.total(&format!("cfgtag_shard_{stat}_total")), 1.0, "{stat}: {body}");
+    }
+    assert!(snap.total("cfgtag_shard_busy_ns_total") > 0.0, "{body}");
+    assert!(snap.get("cfgtag_srv_stage_ns").is_none(), "untraced: {body}");
 
+    // No sampler, no ring to dump.
     let (status, body) = http_get_status(&metrics_addr, "/timeseries.json").unwrap();
-    assert_eq!(status, 200, "{body}");
-    let v = Json::parse(&body).unwrap();
-    assert_eq!(v.get("samples").unwrap().as_array().unwrap().len(), 0, "{body}");
-
-    assert!(server.shard_loads().is_none());
-    assert!(server.timeseries().is_none());
+    assert_eq!((status, body.as_str()), (404, "not found\n"));
 
     client.close().unwrap();
     server.shutdown();
     exporter.stop();
 }
 
-/// The sampler keeps ticking while the gates are quiet — the window just
-/// shows zero rates, not an error or a stale ring.
+/// Two scrapes of a quiet server derive zero rates at once: there is no
+/// sampler to wait for and no window to fill.
 #[test]
 fn idle_server_reports_zero_rates_not_errors() {
     let t = tagger();
     let registry = Arc::new(Registry::new());
-    let config = ServerConfig {
-        saturation: Some(SaturationConfig { interval_ms: 1, history: 64 }),
-        registry: Some(Arc::clone(&registry)),
-        ..ServerConfig::default()
-    };
+    let config = ServerConfig { registry: Some(Arc::clone(&registry)), ..ServerConfig::default() };
     let server = IngestServer::start(&t, "127.0.0.1:0", config).unwrap();
     let exporter = Exporter::bind("127.0.0.1:0", Arc::clone(&registry)).unwrap();
     let metrics_addr = exporter.local_addr().to_string();
 
-    // Wait for the sampler to build a window.
-    let series = server.timeseries().expect("saturation configured");
-    for _ in 0..500 {
-        if series.len() >= 2 {
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(2));
+    let (before, t0) = scrape(&metrics_addr);
+    let (after, t1) = scrape(&metrics_addr);
+    let loads = shards::loads(Some(&before), &after, (t1 - t0).as_secs_f64());
+    assert_eq!(loads.len(), 2, "{}", after.to_json());
+    for load in &loads {
+        assert_eq!((load.arrivals, load.depth), (0, 0), "{load:?}");
+        let rates = load.rates.expect("two snapshots give rates");
+        assert_eq!(rates.utilization_pct, 0.0, "{load:?}");
+        assert_eq!(rates.arrivals_per_sec, 0.0, "{load:?}");
+        assert_eq!(rates.mean_wait_ns, 0.0, "{load:?}");
+        assert_eq!(rates.mean_depth, 0.0, "{load:?}");
     }
-    assert!(series.len() >= 2, "sampler never ticked");
-
-    let body = http_get(&metrics_addr, "/snapshot.json").unwrap();
-    let snap = Snapshot::parse(&body).unwrap();
-    let shards = &snap.get("cfgtag_shard_queue_depth").expect("shard gauges exported").series;
-    assert_eq!(shards.len(), 2, "{body}");
-    for row in shards {
-        let shard = [("shard", row.label("shard").unwrap())];
-        assert_eq!(row.number(), Some(0.0), "{body}");
-        assert_eq!(snap.value("cfgtag_shard_arrivals_per_sec", &shard), Some(0.0), "{body}");
-        assert_eq!(snap.value("cfgtag_shard_predicted_wait_ns", &shard), Some(0.0), "{body}");
-    }
+    assert_eq!(shards::littles_wait_ns(&loads), None);
 
     server.shutdown();
     exporter.stop();
