@@ -28,7 +28,7 @@
 #                                  capacity) and its bit-step cold path
 #                                  (dead-run skip, table budget and
 #                                  register caps, probe and trace
-#                                  detail), shard pool, the
+#                                  detail), stream-mode fan-out, the
 #                                  three-engine agreement property, the
 #                                  random-grammar generator, and the
 #                                  five-run property on generated
@@ -192,9 +192,9 @@ filtered -p cfg-cli scope
 echo "==> circuit scope round trip: cargo test -q --test circuit_scope"
 cargo test -q --test circuit_scope
 
-echo "==> production engine: DFA table and bit step, shard pool, engine agreement, random grammars"
+echo "==> production engine: DFA table and bit step, stream-mode fan-out, engine agreement, random grammars"
 filtered -p cfg-tagger bitset
-filtered -p cfg-tagger shard
+filtered -p cfg-cli serve_sharded
 filtered --test properties bitset_equals_scalar_and_gate
 filtered -p cfg-grammar random
 filtered --test properties random_grammars

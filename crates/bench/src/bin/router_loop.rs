@@ -9,12 +9,13 @@
 //! `bench_diff`.
 //!
 //! With `--shards N` (default 4) the same batch is routed a second time
-//! through a [`ShardPool`] — per-shard sinks registered as `shard0…`
-//! next to the single-stream `router` sink — and the JSONL row gains
-//! `shards`, `single_msgs_per_sec` and `shard_speedup` fields. On a
-//! single hardware core the pool cannot beat the inline loop (the
-//! workers time-slice one CPU), so `shard_speedup` measures dispatch
-//! overhead there and parallel scaling on real multi-core hosts.
+//! on N scoped worker threads, worker `i` taking every Nth message from
+//! the `i`th, each with a tagger clone whose sink is registered as
+//! `shard<i>` next to the single-stream `router` sink — and the JSONL
+//! row gains `shards`, `shard_msgs_per_sec` and `shard_speedup` fields.
+//! On a single hardware core the workers time-slice one CPU, so
+//! `shard_speedup` measures thread overhead there and parallel scaling
+//! on real multi-core hosts.
 //!
 //! Run: `cargo run -p cfg-bench --bin router_loop --release -- \
 //!        [--messages N] [--port N] [--adversarial-pct N] [--linger-ms N] [--shards N]`
@@ -23,7 +24,7 @@
 
 use cfg_obs::{Metrics, Part, Registry, Stat, StatsSink};
 use cfg_obs_http::Exporter;
-use cfg_tagger::{PoolOptions, ShardPool, TaggerOptions, TokenTagger};
+use cfg_tagger::{TaggerOptions, TokenTagger};
 use cfg_xmlrpc::router::{Router, RouterTables};
 use cfg_xmlrpc::workload::WorkloadGenerator;
 use cfg_xmlrpc::xmlrpc_grammar;
@@ -94,29 +95,37 @@ fn main() {
         );
     }
 
-    // Second pass: the same batch through a shard pool, per-shard sinks
-    // alongside the single-stream sink in the same registry.
-    let pool_tables = tables.clone();
-    let pool = ShardPool::new(&tagger, shards, PoolOptions::default(), move |t, msg| {
-        Router::route(t, &pool_tables, msg);
-    });
-    pool.register(&registry, "shard");
+    // Second pass: the same batch striped over scoped workers, per-shard
+    // sinks alongside the single-stream sink in the same registry.
     let t1 = Instant::now();
-    for msg in &batch {
-        pool.submit_wait(msg.bytes.clone());
-    }
-    let report = pool.join();
+    let per_shard: Vec<u64> = std::thread::scope(|s| {
+        let workers: Vec<_> = (0..shards)
+            .map(|i| {
+                let sink = Arc::new(StatsSink::with_tokens(tagger.grammar().tokens().len()));
+                registry.register(format!("shard{i}"), sink.clone());
+                let t = tagger.clone().with_metrics(Metrics::new(sink));
+                let (mine, tables) = (batch.iter().skip(i).step_by(shards), &tables);
+                s.spawn(move || {
+                    mine.fold(0u64, |routed, msg| {
+                        Router::route(&t, tables, &msg.bytes);
+                        routed + 1
+                    })
+                })
+            })
+            .collect();
+        workers.into_iter().map(|w| w.join().expect("a shard worker panicked")).collect()
+    });
     let shard_secs = t1.elapsed().as_secs_f64().max(1e-9);
-    let shard_msgs_per_sec = report.messages as f64 / shard_secs;
+    let shard_messages: u64 = per_shard.iter().sum();
+    let shard_msgs_per_sec = shard_messages as f64 / shard_secs;
     let shard_mbytes_per_sec = bytes as f64 / shard_secs / 1e6;
     let shard_speedup = shard_msgs_per_sec / msgs_per_sec;
     println!(
-        "  sharded:  {} msgs in {shard_secs:.3}s over {shards} shards — \
+        "  sharded:  {shard_messages} msgs in {shard_secs:.3}s over {shards} shards — \
          {shard_msgs_per_sec:.0} msgs/s, {shard_mbytes_per_sec:.1} MB/s \
-         ({shard_speedup:.2}x vs single stream)",
-        report.messages
+         ({shard_speedup:.2}x vs single stream)"
     );
-    println!("  per-shard messages: {:?}", report.per_shard);
+    println!("  per-shard messages: {per_shard:?}");
 
     if std::fs::create_dir_all("bench_results").is_ok() {
         use std::io::Write as _;

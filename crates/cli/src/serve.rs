@@ -23,9 +23,10 @@ use cfg_obs::{
     FlightRecorder, Metrics, MetricsSink, Part, Registry, Stat, StatsSink, TeeSink, TriggerHub,
 };
 use cfg_obs_http::Exporter;
-use cfg_server::{AuditConfig, IngestServer, ServerConfig, ServerReport, TraceConfig};
-use cfg_tagger::{EngineKind, PoolOptions, ShardPool, StartMode, TaggerOptions, TokenTagger};
+use cfg_server::{AuditConfig, IngestServer, ServerConfig, ServerReport, TraceConfig, MAX_FRAME};
+use cfg_tagger::{EngineKind, StartMode, TaggerOptions, TokenTagger};
 use std::io::Read;
+use std::sync::mpsc::sync_channel;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -238,7 +239,7 @@ impl Read for LoopReader {
 /// (the bound address first — tests parse it from there).
 pub fn run_serve(
     grammar_text: &str,
-    mut reader: impl Read,
+    reader: impl Read,
     flags: &ServeFlags,
     status: &mut dyn FnMut(&str),
 ) -> Result<ServeOutcome, CliError> {
@@ -277,8 +278,8 @@ pub fn run_serve(
     ));
 
     // Sharded mode: treat the stream as line-delimited messages and fan
-    // them out over a worker pool, each shard tagging with its own
-    // engine and sink (each registered, so `/metrics` and
+    // them out over scoped workers, each shard tagging with its own
+    // tagger clone and sink (each registered, so `/metrics` and
     // `cfgtag watch top` see every shard). The flight recorder, probe
     // bank and trigger hub stay idle here — they instrument the single
     // shared engine, which sharded mode never runs.
@@ -287,47 +288,20 @@ pub fn run_serve(
             "sharded: {} workers, line-delimited fan-out (flight/probes/trigger idle)",
             flags.shards
         ));
-        let pool = ShardPool::new(&tagger, flags.shards, PoolOptions::default(), |t, msg| {
-            t.tag(msg);
-        });
-        pool.register(&registry, "shard");
-        let mut buf = vec![0u8; flags.chunk];
-        let mut carry: Vec<u8> = Vec::new();
-        let mut bytes = 0u64;
-        loop {
-            let want = match flags.max_bytes {
-                Some(max) if bytes >= max => 0,
-                Some(max) => buf.len().min((max - bytes) as usize),
-                None => buf.len(),
-            };
-            if want == 0 {
-                break;
-            }
-            let n = reader
-                .read(&mut buf[..want])
-                .map_err(|e| CliError::new(format!("read error: {e}"), 1))?;
-            if n == 0 {
-                break;
-            }
-            bytes += n as u64;
-            let mut rest = &buf[..n];
-            while let Some(p) = rest.iter().position(|&b| b == b'\n') {
-                carry.extend_from_slice(&rest[..p]);
-                rest = &rest[p + 1..];
-                if !carry.is_empty() {
-                    pool.submit_wait(std::mem::take(&mut carry));
-                }
-            }
-            carry.extend_from_slice(rest);
-        }
-        if !carry.is_empty() {
-            pool.submit_wait(carry);
-        }
-        let report = pool.join();
+        let shards: Vec<TokenTagger> = (0..flags.shards)
+            .map(|i| {
+                let sink = Arc::new(StatsSink::with_tokens(tagger.grammar().tokens().len()));
+                registry.register(format!("shard{i}"), sink.clone());
+                tagger.clone().with_metrics(Metrics::new(sink))
+            })
+            .collect();
+        let (bytes, messages) = fan_out(reader, flags, &shards, |t, line| {
+            t.tag(line);
+        })?;
         let snap = registry.snapshot();
         let events = snap.total("cfgtag_events_out_total") as u64;
         let resyncs = snap.total("cfgtag_resyncs_total") as u64;
-        status(&format!("{} messages over {} shards", report.messages, flags.shards));
+        status(&format!("{messages} messages over {} shards", flags.shards));
         status(&format!("{events} events, {bytes} bytes, {resyncs} resyncs"));
         exporter.stop();
         return Ok(ServeOutcome { code: 0, bytes, events, resyncs, flight_dump: None });
@@ -338,38 +312,23 @@ pub fn run_serve(
         .with_probes(probes)
         .engine(EngineKind::Bit)
         .map_err(CliError::from)?;
-    let mut buf = vec![0u8; flags.chunk];
-    let mut bytes = 0u64;
     let mut events = 0u64;
-    let mut code = 0;
-    loop {
-        let want = match flags.max_bytes {
-            Some(max) if bytes >= max => 0,
-            Some(max) => buf.len().min((max - bytes) as usize),
-            None => buf.len(),
-        };
-        if want == 0 {
-            events += engine.finish().map_err(CliError::from)?.len() as u64;
-            break;
-        }
-        let n = reader
-            .read(&mut buf[..want])
-            .map_err(|e| CliError::new(format!("read error: {e}"), 1))?;
-        if n == 0 {
-            events += engine.finish().map_err(CliError::from)?.len() as u64;
-            break;
-        }
+    let mut dead = false;
+    let bytes = read_chunks(reader, flags, |chunk| {
         let t0 = Instant::now();
-        events += engine.feed(&buf[..n]).map_err(CliError::from)?.len() as u64;
+        events += engine.feed(chunk).map_err(CliError::from)?.len() as u64;
         sink.observe("decision_latency_ns", t0.elapsed().as_nanos() as u64);
-        bytes += n as u64;
-        if engine.is_dead() && !flags.recover {
-            registry.set_dead(true);
-            status("stream entered the dead state with recovery off; stopping (exit 3)");
-            code = 3;
-            break;
-        }
-    }
+        dead = engine.is_dead() && !flags.recover;
+        Ok(!dead)
+    })?;
+    let code = if dead {
+        registry.set_dead(true);
+        status("stream entered the dead state with recovery off; stopping (exit 3)");
+        3
+    } else {
+        events += engine.finish().map_err(CliError::from)?.len() as u64;
+        0
+    };
     let resyncs = sink.get(Stat::Resyncs);
     status(&format!("{events} events, {bytes} bytes, {resyncs} resyncs"));
     let flight_dump = flags.flight_out.as_ref().map(|path| {
@@ -378,6 +337,95 @@ pub fn run_serve(
     });
     exporter.stop();
     Ok(ServeOutcome { code, bytes, events, resyncs, flight_dump })
+}
+
+/// Pull `reader` in `flags.chunk`-byte reads until EOF or `--max-bytes`,
+/// handing each read to `feed`, which returns `false` to stop early.
+/// Returns the bytes read.
+fn read_chunks(
+    mut reader: impl Read,
+    flags: &ServeFlags,
+    mut feed: impl FnMut(&[u8]) -> Result<bool, CliError>,
+) -> Result<u64, CliError> {
+    let mut buf = vec![0u8; flags.chunk];
+    let mut bytes = 0u64;
+    loop {
+        let want = match flags.max_bytes {
+            Some(max) => max.saturating_sub(bytes).min(buf.len() as u64) as usize,
+            None => buf.len(),
+        };
+        if want == 0 {
+            return Ok(bytes);
+        }
+        let n = reader
+            .read(&mut buf[..want])
+            .map_err(|e| CliError::new(format!("read error: {e}"), 1))?;
+        if n == 0 {
+            return Ok(bytes);
+        }
+        bytes += n as u64;
+        if !feed(&buf[..n])? {
+            return Ok(bytes);
+        }
+    }
+}
+
+/// Lines a sharded worker's channel holds before the reader waits.
+const LINES_IN_FLIGHT: usize = 16;
+
+/// Tag the newline-delimited lines of `reader` (blank ones skipped) on
+/// one scoped worker per tagger in `shards`, each running `work` with
+/// its own tagger. Lines go round-robin over per-worker bounded
+/// channels, so the reader waits for a busy worker and drops nothing.
+/// Returns the bytes read and the lines tagged. A line past
+/// [`MAX_FRAME`] is exit 1. A panic in `work` drops its worker's
+/// channel, which stops the reader, and is re-raised once all are joined.
+fn fan_out(
+    reader: impl Read,
+    flags: &ServeFlags,
+    shards: &[TokenTagger],
+    work: impl Fn(&TokenTagger, &[u8]) + Sync,
+) -> Result<(u64, u64), CliError> {
+    std::thread::scope(|s| {
+        let (txs, workers): (Vec<_>, Vec<_>) = shards
+            .iter()
+            .map(|t| {
+                let (tx, rx) = sync_channel::<Vec<u8>>(LINES_IN_FLIGHT);
+                let work = &work;
+                (tx, s.spawn(move || rx.iter().for_each(|line| work(t, &line))))
+            })
+            .collect();
+        let mut round_robin = txs.iter().cycle();
+        let mut lines = 0u64;
+        let mut send = |line: Vec<u8>| {
+            lines += 1;
+            round_robin.next().is_some_and(|tx| tx.send(line).is_ok())
+        };
+        let mut carry = Vec::new();
+        let read = read_chunks(reader, flags, |chunk| {
+            let mut pieces = chunk.split(|&b| b == b'\n').peekable();
+            while let Some(piece) = pieces.next() {
+                carry.extend_from_slice(piece);
+                if carry.len() > MAX_FRAME {
+                    let msg = format!("a line runs past the {MAX_FRAME}-byte frame bound");
+                    return Err(CliError::new(msg, 1));
+                }
+                let ended = pieces.peek().is_some() && !carry.is_empty();
+                if ended && !send(std::mem::take(&mut carry)) {
+                    return Ok(false);
+                }
+            }
+            Ok(true)
+        });
+        if read.is_ok() && !carry.is_empty() {
+            send(carry);
+        }
+        drop(txs);
+        for worker in workers {
+            worker.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+        }
+        read.map(|bytes| (bytes, lines))
+    })
 }
 
 /// The listen-mode core of `cfgtag serve --listen`.
@@ -648,6 +696,99 @@ mod tests {
         // dead state between messages (so no --recover needed).
         assert_eq!(out.events, 6 * 20);
         assert!(lines.iter().any(|l| l.contains("20 messages over 2 shards")), "{lines:?}");
+    }
+
+    fn ite_tagger() -> TokenTagger {
+        TokenTagger::compile(&load_grammar(ITE).unwrap(), TaggerOptions::default()).unwrap()
+    }
+
+    /// Run `f` on its own thread and give it ten seconds: what it
+    /// returned, or what it panicked with.
+    fn within_10s<T: Send + 'static>(
+        f: impl FnOnce() -> T + Send + 'static,
+    ) -> std::thread::Result<T> {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let run = std::thread::spawn(move || {
+            let _ = tx.send(std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)));
+        });
+        let result = rx.recv_timeout(Duration::from_secs(10)).expect("the run hung");
+        run.join().expect("the run's thread catches its panic");
+        result
+    }
+
+    #[test]
+    fn serve_sharded_tags_every_line_exactly_once() {
+        // Lines of different event counts, blank lines between some,
+        // and a last line with no newline; 7-byte reads split lines.
+        let sentences: [&[u8]; 5] =
+            [b"if true then go else stop", b"go", b"stop", b"if false then stop else go", b"zzz"];
+        let mut input = Vec::new();
+        for i in 0..60 {
+            input.extend_from_slice(sentences[i % sentences.len()]);
+            input.extend_from_slice(if i % 7 == 0 { b"\n\n\n" } else { b"\n" });
+        }
+        input.extend_from_slice(b"if true then stop else go");
+        let t = ite_tagger();
+        let lines: Vec<&[u8]> = input.split(|&b| b == b'\n').filter(|l| !l.is_empty()).collect();
+        let events: usize = lines.iter().map(|line| t.tag(line).len()).sum();
+        assert_eq!(lines.len(), 61);
+        for shards in [2, 3] {
+            let flags = ServeFlags { shards, chunk: 7, ..Default::default() };
+            let mut status = Vec::new();
+            let out =
+                run_serve(ITE, &input[..], &flags, &mut |l| status.push(l.to_string())).unwrap();
+            assert_eq!((out.code, out.bytes), (0, input.len() as u64));
+            assert_eq!(out.events, events as u64, "{shards} shards");
+            let told = format!("61 messages over {shards} shards");
+            assert!(status.contains(&told), "{status:?}");
+        }
+    }
+
+    #[test]
+    fn serve_sharded_max_bytes_tags_the_partial_line() {
+        let line = b"if true then go else stop\n";
+        let cut = 3 * line.len() + 15; // mid-line, after "if true then go"
+        let flags =
+            ServeFlags { shards: 2, chunk: 8, max_bytes: Some(cut as u64), ..Default::default() };
+        let mut status = Vec::new();
+        let input = LoopReader::new(line.to_vec(), 0);
+        let out = run_serve(ITE, input, &flags, &mut |l| status.push(l.to_string())).unwrap();
+        let t = ite_tagger();
+        let events = 3 * t.tag(&line[..line.len() - 1]).len() + t.tag(&line[..15]).len();
+        assert_eq!((out.code, out.bytes, out.events), (0, cut as u64, events as u64));
+        assert!(status.contains(&"4 messages over 2 shards".to_string()), "{status:?}");
+    }
+
+    #[test]
+    fn serve_sharded_refuses_a_line_past_the_frame_bound() {
+        // An endless input with no newline: the line must be refused at
+        // the frame bound, not buffered until memory runs out. The run
+        // returns only once its scope has joined every worker.
+        let flags = ServeFlags { shards: 2, ..Default::default() };
+        let run = within_10s(move || {
+            run_serve(ITE, LoopReader::new(b"go ".to_vec(), 0), &flags, &mut |_| {})
+        });
+        let err = run.expect("no panic").expect_err("a line past the bound");
+        assert_eq!(err.code, 1);
+        assert!(err.to_string().contains(&MAX_FRAME.to_string()), "{err}");
+    }
+
+    #[test]
+    fn serve_sharded_reraises_a_worker_panic_without_hanging() {
+        // The input never ends: only the dead worker's refused channel
+        // can stop the reader.
+        let run = within_10s(|| {
+            let shards = [ite_tagger(), ite_tagger()];
+            let flags = ServeFlags { shards: 2, chunk: 4, ..Default::default() };
+            let input = LoopReader::new(b"go\nstop\nboom\ngo\n".to_vec(), 0);
+            fan_out(input, &flags, &shards, |t, line| {
+                assert_ne!(line, b"boom", "poison line");
+                t.tag(line);
+            })
+        });
+        let panic = run.expect_err("the worker's panic is re-raised");
+        let msg = panic.downcast_ref::<String>().map(String::as_str).unwrap_or_default();
+        assert!(msg.contains("poison line"), "{msg:?}");
     }
 
     #[test]

@@ -36,8 +36,8 @@ pub enum Stat {
     RouteUnknown,
     /// Streams rejected as malformed by the router front-end.
     MalformedRejected,
-    /// Panics caught while tagging a frame (on a shard-pool worker or
-    /// an ingest connection's thread), each answered and survived.
+    /// Panics caught while tagging a frame on an ingest connection's
+    /// thread, each answered and survived.
     WorkerRestarts,
     /// Messages (or connections) shed with an explicit BUSY instead of
     /// blocking — the ingest server's overload valve.

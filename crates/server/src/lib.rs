@@ -46,5 +46,5 @@ pub mod session;
 pub use client::{Client, Reply};
 pub use fault::{ClientOutcome, FaultPlan};
 pub use frame::{Frame, FrameKind, MAX_FRAME};
-pub use server::{AuditConfig, IngestServer, ServerConfig, ServerReport, TraceConfig};
+pub use server::{AuditConfig, IngestServer, ServerConfig, ServerReport, ShardReport, TraceConfig};
 pub use session::SessionTable;

@@ -51,7 +51,7 @@ use cfg_obs::{
     AuditBank, AuditEvent, EventRing, Metrics, MetricsSink, Mismatch, Part, Registry, SloTracker,
     Span, SpanRecorder, Stage, Stat, StatsSink,
 };
-use cfg_tagger::{EngineKind, Error, PdaParser, ShardReport, TagEvent, TokenTagger};
+use cfg_tagger::{EngineKind, Error, PdaParser, TagEvent, TokenTagger};
 use std::collections::HashSet;
 use std::io::Read;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -249,6 +249,17 @@ pub struct ServerReport {
     pub shard: ShardReport,
 }
 
+/// What the shards did, in [`ServerReport::shard`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ShardReport {
+    /// Frames tagged to completion across all shards.
+    pub messages: u64,
+    /// Frames tagged to completion on each shard, in shard order.
+    pub per_shard: Vec<u64>,
+    /// Panics caught while tagging, across all shards.
+    pub restarts: u64,
+}
+
 /// A shard's admission gate: one frame is tagged under `lock` at a
 /// time, and `at_gate` counts the frames holding or waiting for it.
 #[derive(Default)]
@@ -375,12 +386,6 @@ impl IngestServer {
     /// Live session count right now.
     pub fn sessions(&self) -> usize {
         self.shared.table.len()
-    }
-
-    /// The span recorder, when tracing is configured — the source
-    /// behind `/spans.jsonl`.
-    pub fn span_recorder(&self) -> Option<Arc<SpanRecorder>> {
-        self.shared.tracing.as_ref().map(|t| Arc::clone(&t.recorder))
     }
 
     /// The SLO tracker, when tracing is configured — the source of the

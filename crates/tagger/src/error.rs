@@ -1,7 +1,7 @@
 //! The one error surface of the tagger workspace.
 //!
 //! Every fallible operation in `cfg-tagger` (and the layers built on
-//! top of it: the shard pool, the ingest server, the CLI) reports
+//! top of it: the ingest server, the CLI) reports
 //! through this single [`Error`] enum. Variant names are stable API;
 //! callers map them to exit codes / wire responses in exactly one
 //! place instead of re-matching ad-hoc `io::Error` passthroughs.

@@ -66,7 +66,6 @@ pub mod fast;
 pub mod gate;
 pub mod pda;
 pub mod probes;
-pub mod shard;
 pub mod tagger;
 pub mod wide;
 
@@ -79,6 +78,5 @@ pub use fast::ScalarEngine;
 pub use gate::GateEngine;
 pub use pda::{PdaParser, PdaResult};
 pub use probes::TaggerProbes;
-pub use shard::{PoolOptions, ShardPool, ShardReport, SubmitOutcome};
 pub use tagger::{EncoderKind, StartMode, TaggerOptions, TaggerOptionsBuilder, TokenTagger};
 pub use wide::WideTagger;

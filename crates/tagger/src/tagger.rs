@@ -306,7 +306,7 @@ impl TokenTagger {
     /// Swap the observability handle (builder style): every engine
     /// subsequently created from this tagger records into `metrics`.
     /// Cheap — the compiled core stays shared — so per-shard clones of
-    /// one tagger each carry their own sink (see [`crate::ShardPool`]).
+    /// one tagger each carry their own sink (`cfgtag serve --shards`).
     pub fn with_metrics(mut self, metrics: Metrics) -> TokenTagger {
         self.opts.metrics = metrics;
         self

@@ -17,7 +17,7 @@ use cfg_obs::{Registry, Snapshot};
 use cfg_obs_http::{http_get, http_get_status, Exporter};
 use cfg_server::{Client, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 use std::time::Instant;
 
 fn tagger() -> TokenTagger {
@@ -55,18 +55,29 @@ fn pipelined_load_surfaces_utilization_profile_and_littles_law() {
 
     // Closed-loop load: SESSIONS sessions on each shard (consecutive ids
     // alternate shards), each sending its next frame once the last was
-    // acked. The two scrapes bracket it.
+    // acked. A barrier starts every round's sends together, so each
+    // gate's SESSIONS frames arrive at once and all but one wait. The
+    // two scrapes bracket it.
     let mut clients: Vec<Client> =
         (0..SHARDS * SESSIONS).map(|_| Client::connect(server.local_addr()).unwrap()).collect();
+    let round = Barrier::new(clients.len());
     let (before, t0) = scrape(&metrics_addr);
     std::thread::scope(|s| {
         for client in &mut clients {
-            let payload = &payload;
+            let (payload, round) = (&payload, &round);
             s.spawn(move || {
-                for acked in 0..MESSAGES {
-                    match client.request(payload).unwrap() {
+                // Every round runs before any reply is judged, so one
+                // failed frame cannot strand the others at the barrier.
+                let replies: Vec<_> = (0..MESSAGES)
+                    .map(|_| {
+                        round.wait();
+                        client.request(payload)
+                    })
+                    .collect();
+                for (seq, reply) in replies.into_iter().enumerate() {
+                    match reply.unwrap() {
                         Reply::Acked { .. } => {}
-                        other => panic!("frame {acked} not acked: {other:?}"),
+                        other => panic!("frame {seq} not acked: {other:?}"),
                     }
                 }
             });
