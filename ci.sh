@@ -22,15 +22,17 @@
 #   8. probe layer & scope      -- engine probe counters, trigger hub,
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
-#   9. production engine        -- the DFA table walk (action digests,
-#                                  every kind of action sent to the
-#                                  exact path, staging past its
-#                                  capacity) and its bit-step cold path
-#                                  (dead-run skip, table budget and
-#                                  register caps, probe and trace
-#                                  detail), stream-mode fan-out, the
-#                                  three-engine agreement property, the
-#                                  random-grammar generator, and the
+#   9. production engine        -- the DFA table walk (action digests
+#                                  in 8-byte cells, the second fire
+#                                  slot, every kind of action sent to
+#                                  the exact path, a two-fire byte at a
+#                                  stage with one slot free, staging
+#                                  past its capacity) and its bit-step
+#                                  cold path (dead-run skip, table
+#                                  budget and register caps, probe and
+#                                  trace detail), stream-mode fan-out,
+#                                  the three-engine agreement property,
+#                                  the random-grammar generator, and the
 #                                  five-run property on generated
 #                                  multi-token grammars (table, zero and
 #                                  small budgets, scalar, gate; events,
@@ -42,7 +44,8 @@
 #                                  (parser, counted-repetition bound,
 #                                  NFA, templates), the generator,
 #                                  context duplication, and the seeded
-#                                  grammar-text fuzzer's short run
+#                                  grammar-text and regex-pattern
+#                                  fuzzers' short runs
 #  11. ingest server            -- cfg-server unit + integration tests
 #                                  (each connection's thread tags its
 #                                  own frames under a per-shard
@@ -84,8 +87,8 @@
 # fails the step when the filter matched no test: a filter left behind
 # by a rename would otherwise pass silently.
 #
-# Then seven NON-GATING steps: the grammar-text and wire-frame
-# fuzzers' long runs (each prints its slowest case), the
+# Then eight NON-GATING steps: the grammar-text, regex-pattern and
+# wire-frame fuzzers' long runs (each prints its slowest case), the
 # observability-overhead bench (engine
 # path + traced/audited-server path), the engine-throughput bench
 # (scalar and bit rows), the ingest-server loop bench (with the
@@ -199,12 +202,13 @@ filtered --test properties bitset_equals_scalar_and_gate
 filtered -p cfg-grammar random
 filtered --test properties random_grammars
 
-echo "==> compile pipeline: tagger compile, regex crate, generator, context duplication, fuzzer"
+echo "==> compile pipeline: tagger compile, regex crate, generator, context duplication, fuzzers"
 filtered -p cfg-tagger tagger::
 filtered -p cfg-regex
 filtered -p cfg-hwgen generate
 filtered -p cfg-grammar transform
 filtered --test properties grammar_text_mutants
+filtered --test properties regex_pattern_mutants
 
 echo "==> ingest server: cfg-server suites, wire-frame fuzzer, Engine trait, chaos test"
 cargo test -q -p cfg-server
@@ -242,6 +246,9 @@ perfbench_line served 1 per_layer
 
 echo "==> grammar-text fuzzer, long run (non-gating)"
 cargo test -q --release --test properties grammar_text_mutants -- --ignored --nocapture || true
+
+echo "==> regex-pattern fuzzer, long run (non-gating)"
+cargo test -q --release --test properties regex_pattern_mutants -- --ignored --nocapture || true
 
 echo "==> wire-frame fuzzer, long run (non-gating)"
 cargo test -q --release -p cfg-server --test wire_fuzz -- --ignored --nocapture || true

@@ -248,7 +248,7 @@ fn main() {
          {accepted_per_sec:.0} accepted msgs/s, shed ratio {shed_ratio:.3}"
     );
     println!(
-        "  acked={acks} shed={busys} sessions={} pool messages={} restarts={}",
+        "  acked={acks} shed={busys} sessions={} shard messages={} restarts={}",
         report.sessions_served, report.shard.messages, report.shard.restarts
     );
     let (rtt_p50, rtt_p99) = (us(rtt.quantile(0.5)), us(rtt.quantile(0.99)));

@@ -326,10 +326,10 @@ mod tests {
 
     #[test]
     fn render_without_an_admitted_frame_draws_the_off_frame() {
-        // A stream-mode pool's `shard<i>` sinks are no gates: they never
-        // count an arrival.
-        let pool = snapshot(&[("shard0", [0.0; 5]), ("shard1", [0.0; 5])]);
-        for snap in [Snapshot::default(), pool] {
+        // Stream mode's `shard<i>` sinks belong to its line workers, not
+        // to gates: they never count an arrival.
+        let workers = snapshot(&[("shard0", [0.0; 5]), ("shard1", [0.0; 5])]);
+        for snap in [Snapshot::default(), workers] {
             let off = render(&snap, &loads(None, &snap, 1.0), &DepthHistory::new(), 1.0);
             assert!(off.contains("no shard gate has admitted a frame"), "{off}");
             assert!(off.contains("cfgtag serve --listen"), "{off}");

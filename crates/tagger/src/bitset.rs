@@ -33,20 +33,25 @@
 //! lazily, a transition at a time on a miss under a lock, so neither
 //! compile nor engine construction pays for it.
 //!
-//! Beside every action the table keeps a fixed-size, pointer-free
-//! **digest** (4 bytes, counted against the budget): the one fire's
-//! token and start register, the register a push gives this byte's
-//! index, and a slow bit. The hot loop reads a cell and its digest on
-//! every byte and applies the digest with no data-dependent branch, so
-//! an event costs about what a byte costs, as in the paper's pipelined
-//! encoder: the event is written to a staging slot and committed by
-//! adding the fire bit, and register 0 (the only one an at-start table
-//! uses) lives in a local set by a select. The **slow path** is the
-//! exact action, for what a digest cannot carry: several fires, a
-//! register compaction, §5.2 liveness flags while a live sink counts
-//! them, an absorbing target, and a cell not built yet. A live sink
-//! gets the walk's fires once per slice, one `token_fire` per distinct
-//! token.
+//! A cell is 8 bytes: the next row and the action id in its low half,
+//! and that action's fixed-size, pointer-free **digest** in its high
+//! half — the first fire's token and start register, the register a
+//! push gives this byte's index, and a slow bit. An action with a
+//! second fire keeps it (token and register) in a 4-byte slot of a
+//! per-action side array, and its digest says so. Cells and slots count
+//! against the budget. The hot loop loads one cell per byte and applies
+//! its digest with no data-dependent branch, so an event costs about
+//! what a byte costs, as in the paper's pipelined encoder (§3.4), which
+//! emits the tokens that fire on one byte in one clock: the first fire
+//! is written to a staging slot and committed by adding the fire bit; a
+//! second fire, read from its side slot under a branch only those bytes
+//! take, goes to the slot after it; and register 0 (the only one an
+//! at-start table uses) lives in a local set by a select. The **slow
+//! path** is the exact action, for what a digest cannot carry: three or
+//! more fires, a token past 16 bits, a register compaction, §5.2
+//! liveness flags while a live sink counts them, an absorbing target,
+//! and a cell not built yet. A live sink gets the walk's fires once per
+//! slice, one `token_fire` per distinct token.
 //!
 //! The **cold path** is the bit-parallel step: one function, split into
 //! a fire half and a gate half over one concrete state, both builds the
@@ -85,16 +90,29 @@ pub const TABLE_BUDGET: usize = 1 << 20;
 /// would keep more lexemes alive at distinct starts leaves the table.
 pub const MAX_REGS: usize = 8;
 
-/// A cell is `next row | action << ROW_BITS`: the next state's row
-/// offset into the cells, and the action id (0: none).
+/// A cell is `next row | action << ROW_BITS | digest << 32`: the next
+/// state's row offset into the cells, the action id (0: none) and that
+/// action's [`Digest`].
 const ROW_BITS: u32 = 20;
 const ROW_MASK: u32 = (1 << ROW_BITS) - 1;
 /// The action id of a cell not built yet: a placeholder action whose
 /// digest is slow, so the hot loop finds it where it finds every other.
 const MISS: u32 = 1;
+/// A cell not built yet.
+const MISS_CELL: u64 = (MISS << ROW_BITS) as u64 | (Digest::SLOW as u64) << 32;
+
+/// A cell's next row.
+fn row_of(cell: u64) -> usize {
+    (cell as u32 & ROW_MASK) as usize
+}
+
+/// A cell's action id.
+fn action_of(cell: u64) -> usize {
+    (cell as u32 >> ROW_BITS) as usize
+}
 
 /// Events the hot loop stages before it appends them to the caller's.
-const STAGE: usize = 16;
+const STAGE: usize = 64;
 
 /// The start a new lexeme gets while a transition is built: above every
 /// register rank, below "no start" (`usize::MAX`).
@@ -367,9 +385,9 @@ struct Dfa {
     /// One byte per class, in class order (its length is the class count).
     reps: Vec<u8>,
     /// `cells[state * classes + class]`: `next state * classes | action
-    /// << ROW_BITS`, with action [`MISS`] until built. The hot loop
-    /// then adds a class to a cell's low bits to find the next cell.
-    cells: Vec<u32>,
+    /// << ROW_BITS | digest << 32`, [`MISS_CELL`] until built. The hot
+    /// loop then adds a class to a cell's low bits to find the next cell.
+    cells: Vec<u64>,
     /// Per state: its key (see [`Machine::key`]), to rebuild it on a miss.
     keys: Vec<Box<[u64]>>,
     ids: HashMap<Box<[u64]>, usize>,
@@ -380,8 +398,9 @@ struct Dfa {
     /// Actions by id; id 0 is the empty action, id 1 the [`MISS`]
     /// placeholder.
     actions: Vec<Action>,
-    /// Per action: its digest, what the hot loop reads in its place.
-    digests: Vec<Digest>,
+    /// Per action: its second fire's slot (see [`Digest::TWO`]), read
+    /// by the hot loop only under that bit.
+    seconds: Vec<u32>,
     action_ids: HashMap<Action, u32>,
     transitions: usize,
     bytes: usize,
@@ -404,11 +423,12 @@ struct Action {
 }
 
 /// A built action's fixed-size, pointer-free digest: what the hot loop
-/// applies without reading the [`Action`]. Bits 0..16 hold the fire's
-/// token and 16..19 its start register, and [`Digest::FIRE`] says there
-/// is exactly one fire; 20..23 hold the register that takes this byte's
-/// index when [`Digest::PUSH`] says the moves are that push (registers
-/// below it stay).
+/// applies without reading the [`Action`]. Bits 0..16 hold the first
+/// fire's token and 16..19 its start register, and [`Digest::FIRE`] says
+/// there is one; [`Digest::TWO`] says a second fire waits in the
+/// action's side slot, in the same layout. Bits 20..23 hold the register
+/// that takes this byte's index when [`Digest::PUSH`] says the moves are
+/// that push (registers below it stay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Digest(u32);
 
@@ -418,36 +438,52 @@ impl Digest {
     /// A resync or dead-entry flag: slow for an engine whose sink
     /// counts them, nothing for one without.
     const FLAGS: u32 = 1 << 24;
-    /// Several fires, a register compaction, an absorbing target, or
-    /// the [`MISS`] placeholder: applied by the exact path.
+    /// Three or more fires, a token past 16 bits, a register compaction,
+    /// an absorbing target, or the [`MISS`] placeholder: applied by the
+    /// exact path.
     const SLOW: u32 = 1 << 25;
-    /// The fire or the push uses a register above 0, which the hot loop
+    /// A fire or the push uses a register above 0, which the hot loop
     /// keeps in memory rather than in a local.
     const HIGH: u32 = 1 << 26;
+    /// Exactly two fires: the second is in the action's side slot.
+    const TWO: u32 = 1 << 27;
 
-    fn of(action: &Action) -> Digest {
-        let mut d = 0;
-        match *action.fires {
-            [] => {}
-            [(tok, r)] if tok < 1 << 16 => d |= tok | (r as u32) << 16 | Digest::FIRE,
-            _ => return Digest(Digest::SLOW),
-        }
+    /// The digest of `action`, and its side slot (0 without a second
+    /// fire).
+    fn of(action: &Action) -> (Digest, u32) {
+        const SLOW: (Digest, u32) = (Digest(Digest::SLOW), 0);
+        let fire = |tok: u32, r: u8| tok | (r as u32) << 16;
+        let (mut d, second) = match *action.fires {
+            [] => (0, 0),
+            [(tok, r)] if tok < 1 << 16 => (fire(tok, r) | Digest::FIRE, 0),
+            // Fires are in ascending token order, so the second's bound
+            // covers both.
+            [(t0, r0), (t1, r1)] if t1 < 1 << 16 => {
+                (fire(t0, r0) | Digest::FIRE | Digest::TWO, fire(t1, r1))
+            }
+            _ => return SLOW,
+        };
         if let Some(moves) = &action.moves {
             match push_of(moves) {
                 Some(j) => d |= (j as u32) << 20 | Digest::PUSH,
-                None => return Digest(Digest::SLOW),
+                None => return SLOW,
             }
         }
         if action.absorb {
-            return Digest(Digest::SLOW);
+            return SLOW;
         }
         if action.flags.resync || action.flags.dead_entry {
             d |= Digest::FLAGS;
         }
-        if d & (7 << 16 | 7 << 20) != 0 {
+        if d & (7 << 16 | 7 << 20) != 0 || second & 7 << 16 != 0 {
             d |= Digest::HIGH;
         }
-        Digest(d)
+        (Digest(d), second)
+    }
+
+    /// The digest a cell carries in its high half.
+    fn in_cell(cell: u64) -> Digest {
+        Digest((cell >> 32) as u32)
     }
 
     fn token(self) -> u32 {
@@ -458,9 +494,9 @@ impl Digest {
         (self.0 >> 16 & 7) as usize
     }
 
-    /// 1 with a fire, else 0.
+    /// The fires it stages: 0, 1 or 2.
     fn fires(self) -> usize {
-        (self.0 >> 19 & 1) as usize
+        (self.0 >> 19 & 1) as usize + (self.0 >> 27 & 1) as usize
     }
 
     fn push_reg(self) -> usize {
@@ -501,7 +537,7 @@ impl Dfa {
             dead: Vec::new(),
             absorbing: Vec::new(),
             actions: vec![Action::default(), Action::default()],
-            digests: vec![Digest(0), Digest(Digest::SLOW)],
+            seconds: vec![0, 0],
             action_ids: HashMap::new(),
             transitions: 0,
             bytes: 0,
@@ -549,13 +585,13 @@ impl Dfa {
         }
         // The key is held twice (list and map), plus the row and flags.
         let classes = self.reps.len();
-        let cost = classes * 4 + 2 * key.len() * 8 + 2;
+        let cost = classes * 8 + 2 * key.len() * 8 + 2;
         if self.cells.len() + classes > ROW_MASK as usize || self.bytes + cost > self.budget {
             return None;
         }
         self.bytes += cost;
         let id = self.keys.len();
-        self.cells.resize(self.cells.len() + classes, MISS << ROW_BITS);
+        self.cells.resize(self.cells.len() + classes, MISS_CELL);
         self.dead.push(m.is_dead(t));
         self.absorbing.push(m.absorbing(t));
         self.ids.insert(key.clone(), id);
@@ -572,7 +608,7 @@ impl Dfa {
         }
         let classes = self.reps.len();
         let cell = state * classes + self.class_of[byte as usize] as usize;
-        if self.cells[cell] >> ROW_BITS != MISS {
+        if action_of(self.cells[cell]) != MISS as usize {
             return true;
         }
         let mut m = Machine::from_key(t, &self.keys[state]);
@@ -587,24 +623,25 @@ impl Dfa {
             flags,
             absorb: self.absorbing[next],
         };
+        let (digest, second) = Digest::of(&action);
         let id = match self.action_ids.get(&action) {
             Some(&id) => id,
             None => {
-                // Held twice too (list and dedup map), plus its digest.
-                let cost = 2 * (std::mem::size_of::<Action>() + 8 * action.fires.len())
-                    + std::mem::size_of::<Digest>();
+                // Held twice too (list and dedup map), plus its side slot.
+                let cost = 2 * (std::mem::size_of::<Action>() + 8 * action.fires.len()) + 4;
                 let id = self.actions.len() as u32;
                 if id > u32::MAX >> ROW_BITS || self.bytes + cost > self.budget {
                     return false;
                 }
                 self.bytes += cost;
                 self.action_ids.insert(action.clone(), id);
-                self.digests.push(Digest::of(&action));
+                self.seconds.push(second);
                 self.actions.push(action);
                 id
             }
         };
-        self.cells[cell] = (next * classes) as u32 | id << ROW_BITS;
+        self.cells[cell] =
+            (next * classes) as u64 | (id << ROW_BITS) as u64 | (digest.0 as u64) << 32;
         self.transitions += 1;
         true
     }
@@ -1110,7 +1147,7 @@ impl BitEngine {
             let (n, stop) = fast_walk(dfa, bytes, base, exact, &mut c, &mut self.regs, &mut stage);
             events.extend_from_slice(&stage[..n]);
             let Some(cell) = stop else { continue };
-            let a = (cell >> ROW_BITS) as usize;
+            let a = action_of(cell);
             if a == MISS as usize {
                 break;
             }
@@ -1119,7 +1156,7 @@ impl BitEngine {
             self.apply(act, base + c.k, events);
             c.r0 = self.regs[0];
             c.prev = c.row;
-            c.row = (cell & ROW_MASK) as usize;
+            c.row = row_of(cell);
             c.k += 1;
             if act.absorb {
                 // Dead-run skip: the target loops on every byte.
@@ -1191,9 +1228,9 @@ impl BitEngine {
                     return;
                 }
                 let cell = dfa.class_of[flush as usize] as usize + self.state * dfa.reps.len();
-                let action = dfa.cells.get(cell).map_or(MISS, |c| c >> ROW_BITS);
-                if action != MISS {
-                    self.emit(&dfa.actions[action as usize].fires, self.fed, events);
+                let action = dfa.cells.get(cell).map_or(MISS as usize, |&c| action_of(c));
+                if action != MISS as usize {
+                    self.emit(&dfa.actions[action].fires, self.fed, events);
                     self.src_dead = dfa.dead[self.state];
                     return;
                 }
@@ -1302,14 +1339,18 @@ struct Cursor {
     r0: usize,
 }
 
-/// The hot loop: from `c.k`, one cell per byte, each action applied
-/// from its digest with no data-dependent branch. The event is written
-/// to a staging slot and committed by adding the fire bit to the slot
-/// count; a push sets register 0, a local, by a select. A digest on a
-/// register above 0 (Always mode) goes through `regs` in memory. Returns
-/// the events staged, and the cell it stopped at when its digest has a
-/// bit of `exact` (`None` at the end of `bytes` or a full stage). Kept
-/// out of line so its loop state stays in registers.
+/// The hot loop: from `c.k`, one 8-byte cell per byte, each action
+/// applied from the digest in the cell with no data-dependent branch.
+/// The first fire is written to a staging slot and committed by adding
+/// the fire bits to the slot count; a second fire ([`Digest::TWO`]) is
+/// read from its side slot and written to the slot after, under a
+/// branch only those bytes take, so fires keep ascending token order. A
+/// push sets register 0, a local, by a select. A digest on a register
+/// above 0 (Always mode) goes through `regs` in memory. Returns the
+/// events staged, and the cell it stopped at when its digest has a bit
+/// of `exact` (`None` at the end of `bytes`, or with fewer than two
+/// stage slots free). Kept out of line so its loop state stays in
+/// registers.
 #[inline(never)]
 fn fast_walk(
     dfa: &Dfa,
@@ -1319,16 +1360,21 @@ fn fast_walk(
     c: &mut Cursor,
     regs: &mut [usize; MAX_REGS],
     stage: &mut [TagEvent; STAGE],
-) -> (usize, Option<u32>) {
+) -> (usize, Option<u64>) {
     let Cursor { mut k, mut row, mut prev, mut r0 } = *c;
     let mut n = 0;
     let mut stop = None;
     while k < bytes.len() {
         let cell = dfa.cells[row + dfa.class_of[bytes[k] as usize] as usize];
-        let d = dfa.digests[(cell >> ROW_BITS) as usize];
+        let d = Digest::in_cell(cell);
         let at = base + k;
         if d.0 & (exact | Digest::HIGH) == 0 {
             stage[n % STAGE] = TagEvent { token: TokenId(d.token()), start: r0, end: at };
+            if d.0 & Digest::TWO != 0 {
+                let second = Digest(dfa.seconds[action_of(cell)]);
+                stage[(n + 1) % STAGE] =
+                    TagEvent { token: TokenId(second.token()), start: r0, end: at };
+            }
             if d.0 & Digest::PUSH != 0 {
                 r0 = at;
             }
@@ -1336,6 +1382,12 @@ fn fast_walk(
             regs[0] = r0;
             let start = regs[d.fire_reg()];
             stage[n % STAGE] = TagEvent { token: TokenId(d.token()), start, end: at };
+            if d.0 & Digest::TWO != 0 {
+                let second = Digest(dfa.seconds[action_of(cell)]);
+                let start = regs[second.fire_reg()];
+                stage[(n + 1) % STAGE] =
+                    TagEvent { token: TokenId(second.token()), start, end: at };
+            }
             let (j, push) = (d.push_reg(), d.push_mask());
             regs[j] = at & push | regs[j] & !push;
             r0 = regs[0];
@@ -1345,9 +1397,9 @@ fn fast_walk(
         }
         n += d.fires();
         prev = row;
-        row = (cell & ROW_MASK) as usize;
+        row = row_of(cell);
         k += 1;
-        if n == STAGE {
+        if n > STAGE - 2 {
             break;
         }
     }
@@ -1377,7 +1429,7 @@ fn stage_probes(pr: &TaggerProbes, t: &BitTables, next: &[u64]) {
 
 #[cfg(test)]
 mod tests {
-    use super::{push_of, Digest, MAX_REGS, STAGE, TABLE_BUDGET};
+    use super::{action_of, push_of, Digest, MAX_REGS, STAGE, TABLE_BUDGET};
     use crate::engine::EngineKind;
     use crate::event::TagEvent;
     use crate::tagger::{StartMode, TaggerOptions, TokenTagger};
@@ -1552,19 +1604,24 @@ mod tests {
         }
     }
 
-    /// The built actions of `t`'s table the hot loop does not apply on
-    /// its register-0 path, by kind: several fires, a compaction, a
-    /// register above 0, liveness flags, an absorbing target.
-    fn slow_kinds(t: &TokenTagger) -> [usize; 5] {
+    /// The built transitions of `t`'s table by the kind of their action,
+    /// read from the digest each cell carries: two fires the hot loop
+    /// stages on its register-0 path, then what that path leaves to the
+    /// memory registers or the exact path: three or more fires, a
+    /// compaction, a register above 0, liveness flags, an absorbing
+    /// target.
+    fn action_kinds(t: &TokenTagger) -> [usize; 6] {
         let dfa = t.bit_tables().table.read();
-        let mut kinds = [0; 5];
+        let mut kinds = [0; 6];
         // Ids 0 and 1 are the empty action and the MISS placeholder.
-        for (a, d) in dfa.actions.iter().zip(&dfa.digests).skip(2) {
+        for &cell in dfa.cells.iter().filter(|&&c| action_of(c) > 1) {
+            let (a, d) = (&dfa.actions[action_of(cell)], Digest::in_cell(cell).0);
             let compaction = a.moves.as_ref().is_some_and(|m| push_of(m).is_none());
             for (n, hit) in [
-                a.fires.len() > 1,
+                d & Digest::TWO != 0 && d & (Digest::SLOW | Digest::HIGH) == 0,
+                a.fires.len() > 2 && d & Digest::SLOW != 0,
                 compaction,
-                d.0 & Digest::HIGH != 0,
+                d & Digest::HIGH != 0,
                 a.flags.resync || a.flags.dead_entry,
                 a.absorb,
             ]
@@ -1577,55 +1634,87 @@ mod tests {
         kinds
     }
 
-    /// Every kind of action a digest leaves to the memory registers or
-    /// the exact path, and a slice with more events than the stage
-    /// holds: events, `is_dead()`, counters and per-token fires equal
-    /// the scalar engine's at every chunk split around the stage's
-    /// capacity, and the table built the kind the case is for.
+    /// Two fires on one byte stay in the hot loop, every other kind of
+    /// action a digest leaves to the memory registers or the exact path,
+    /// a two-fire byte that meets a stage with one slot free, and a
+    /// slice with more events than the stage holds: events, `is_dead()`,
+    /// counters and per-token fires equal the scalar engine's at every
+    /// chunk split around the stage's capacity, and the table built the
+    /// kind the case is for.
     #[test]
     fn digests_hand_every_other_action_to_the_exact_path() {
         const TWO_FIRES: usize = 0;
-        const COMPACTION: usize = 1;
-        const HIGH: usize = 2;
-        const FLAGS: usize = 3;
-        const ABSORB: usize = 4;
+        const THREE_FIRES: usize = 1;
+        const COMPACTION: usize = 2;
+        const HIGH: usize = 3;
+        const FLAGS: usize = 4;
+        const ABSORB: usize = 5;
+        /// What a case must show besides agreeing with scalar.
+        enum Shows {
+            /// The table built transitions of this kind.
+            Kind(usize),
+            /// The first `STAGE - 1` events end on distinct bytes and
+            /// the next two on one, so a whole-slice walk on a warm table
+            /// meets a two-fire byte with one stage slot free.
+            OneSlotFree,
+            /// More than four stages' worth of events.
+            ManyEvents,
+        }
         let json = br#"{"a": [1, 2.5, true], "b": {"c": null, "d": "e f"}} [false, -3]"#.to_vec();
+        // Its three context copies of `go` fire together.
+        let three =
+            Grammar::parse("%%\ns: \"go\" \"left\" | \"go\" \"right\" | \"go\" \"on\";\n%%\n")
+                .unwrap();
         let kv = b"host=example.org; port=8080; path=/a/b.c; k2=v2;".to_vec();
         let mut junk = b"if true then go else stop zz then ".to_vec();
         junk.extend_from_slice(b"if false then stop else go qq go");
         let absorb = b"if true then go else stop zz go if false then stop else go".to_vec();
+        // One fire per `[` and for `1`, then `,` fires as both a member
+        // and a value separator.
+        let mut edge = vec![b'['; STAGE - 2];
+        edge.extend_from_slice(b"1,2]");
         // One sentence, so no resync flag leaves the fast loop early.
-        let terms: Vec<String> = (0..24).map(|i| format!("a{i} * (b - {i})")).collect();
+        let terms: Vec<String> = (0..48).map(|i| format!("a{i} * (b - {i})")).collect();
         let many = terms.join(" + ").into_bytes();
-        // (what, grammar, always, recover, input, the kind it builds;
-        // none for the staging case, which runs on the fast path).
+        use Shows::{Kind, ManyEvents, OneSlotFree};
+        let (ite, json_g) = (builtin::if_then_else(), builtin::json());
         let cases = [
-            ("two-token fires", builtin::json(), false, false, json.clone(), Some(TWO_FIRES)),
+            ("two-token fires", json_g.clone(), false, false, json.clone(), Kind(TWO_FIRES)),
+            ("three-token fires", three, false, false, b"go on".to_vec(), Kind(THREE_FIRES)),
             (
                 "Always-mode compactions",
-                builtin::json(),
+                json_g.clone(),
                 true,
                 false,
                 json.clone(),
-                Some(COMPACTION),
+                Kind(COMPACTION),
             ),
-            ("Always-mode registers above 0", builtin::json(), true, true, json, Some(HIGH)),
-            ("Always-mode registers above 0", builtin::key_value(), true, false, kv, Some(HIGH)),
-            ("liveness flags", builtin::if_then_else(), false, true, junk, Some(FLAGS)),
-            ("an absorb mid-slice", builtin::if_then_else(), false, false, absorb, Some(ABSORB)),
-            ("more events than the stage", builtin::arithmetic(), false, true, many, None),
+            ("Always-mode registers above 0", json_g.clone(), true, true, json, Kind(HIGH)),
+            ("Always-mode registers above 0", builtin::key_value(), true, false, kv, Kind(HIGH)),
+            ("liveness flags", ite.clone(), false, true, junk, Kind(FLAGS)),
+            ("an absorb mid-slice", ite, false, false, absorb, Kind(ABSORB)),
+            ("two fires, one slot free", json_g, false, false, edge, OneSlotFree),
+            ("more events than the stage", builtin::arithmetic(), false, true, many, ManyEvents),
         ];
-        for (what, g, always, recover, input, kind) in cases {
+        for (what, g, always, recover, input, shows) in cases {
             let t = compile(&g, always, recover);
             let expect = scalar_run(&t, &input);
+            // The whole slice comes last, on a warm table.
             let chunks = (STAGE - 2..=STAGE + 2).chain([1, 2 * STAGE + 1, input.len()]);
             for chunk in chunks {
                 assert_eq!(bit_run(&t, &input, chunk), expect, "{what}, chunk {chunk}");
             }
-            match kind {
-                Some(kind) => assert!(slow_kinds(&t)[kind] > 0, "{what}: {:?}", slow_kinds(&t)),
-                None => assert!(expect.events.len() > 4 * STAGE, "{what}: {}", expect.events.len()),
-            }
+            let ends: Vec<usize> = expect.events.iter().map(|e| e.end).collect();
+            let shown = match shows {
+                Kind(kind) => action_kinds(&t)[kind] > 0,
+                OneSlotFree => {
+                    ends.len() > STAGE
+                        && ends[..STAGE].windows(2).all(|w| w[0] < w[1])
+                        && ends[STAGE - 1] == ends[STAGE]
+                }
+                ManyEvents => ends.len() > 4 * STAGE,
+            };
+            assert!(shown, "{what}: {:?}, {} events", action_kinds(&t), ends.len());
         }
     }
 

@@ -577,6 +577,156 @@ fn grammar_text_mutants_never_panic_long() {
     println!("{parsed} of 200000 mutants parsed; slowest {slowest:?}, {case}");
 }
 
+/// Pattern metacharacters and digits: what a pattern insertion draws from.
+const PATTERN_META: &[u8] = b"[]()*+?{},|\\-^.!0123456789";
+
+/// One to four seeded edits of a token pattern: delete, duplicate, swap
+/// with the next byte, insert a metacharacter or digit, or repeat. A
+/// repeat raises the first counted repetition's count, or wraps the
+/// whole pattern in a group under a count; counts are drawn across
+/// thirteen octaves, so some mutants land near the position bound.
+fn pattern_mutant(src: &str, rng: &mut cfg_token_tagger::grammar::random::Rng) -> String {
+    let mut bytes = src.as_bytes().to_vec();
+    for _ in 0..1 + rng.below(4) {
+        let at = rng.below(bytes.len() + 1);
+        match rng.below(5) {
+            0 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            1 if at < bytes.len() => bytes.insert(at, bytes[at]),
+            2 if at + 1 < bytes.len() => bytes.swap(at, at + 1),
+            3 => {
+                let octaves = 1 + rng.below(13);
+                let count = 1 + rng.below(1 << octaves);
+                let open = bytes.windows(2).position(|w| w[0] == b'{' && w[1].is_ascii_digit());
+                bytes = match open {
+                    // `{k` becomes `{k·count`.
+                    Some(i) if rng.chance(50) => {
+                        let k = bytes[i + 1..].iter().take_while(|b| b.is_ascii_digit()).count();
+                        let raised = String::from_utf8_lossy(&bytes[i + 1..i + 1 + k])
+                            .parse::<usize>()
+                            .map_or(usize::MAX, |k| k.saturating_mul(count));
+                        [&bytes[..=i], raised.to_string().as_bytes(), &bytes[i + 1 + k..]].concat()
+                    }
+                    _ => [b"(", &bytes[..], format!("){{{count}}}").as_bytes()].concat(),
+                };
+            }
+            _ => bytes.insert(at, PATTERN_META[rng.below(PATTERN_META.len())]),
+        }
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// What a run of the pattern fuzzer saw.
+#[derive(Debug, Default)]
+struct PatternFuzz {
+    parsed: u64,
+    /// Parsed with more than half the position bound.
+    large: u64,
+    /// Refused with `ParseError::TooManyPositions`.
+    too_many: u64,
+    slowest_parse: (std::time::Duration, String),
+    slowest_refusal: (std::time::Duration, String),
+}
+
+/// Fuzz `cases` token-pattern mutants from `first_seed` on: seeded edits
+/// of the token patterns of the built-in grammars, XML-RPC and generated
+/// grammars. Every mutant goes through `Pattern::parse`; one that parses
+/// has its template and NFA read and is matched from offset 0 of a short
+/// input, under both match semantics, and must stay within
+/// `MAX_POSITIONS`. Panics name the mutant.
+fn fuzz_patterns(first_seed: u64, cases: u64) -> PatternFuzz {
+    use cfg_token_tagger::grammar::random::{RandomGrammar, Rng};
+    use cfg_token_tagger::regex::{ParseError, MAX_POSITIONS};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    let sources = |g: &Grammar| -> Vec<String> {
+        g.tokens().iter().map(|t| t.pattern.source().to_owned()).collect()
+    };
+    let builtins: Vec<String> = [
+        builtin::balanced_parens(),
+        builtin::if_then_else(),
+        builtin::arithmetic(),
+        builtin::key_value(),
+        builtin::http_request_line(),
+        builtin::json(),
+        cfg_token_tagger::xmlrpc::xmlrpc_grammar(),
+    ]
+    .iter()
+    .flat_map(sources)
+    .collect();
+    let mut fuzz = PatternFuzz::default();
+    for seed in first_seed..first_seed + cases {
+        let mut rng = Rng::new(seed);
+        let src = if seed % 4 == 0 {
+            builtins[(seed / 4) as usize % builtins.len()].clone()
+        } else {
+            let generated = sources(&RandomGrammar::generate(seed).grammar);
+            generated[rng.below(generated.len())].clone()
+        };
+        let text = pattern_mutant(&src, &mut rng);
+        // The unedited pattern's own text: a literal matches it.
+        let input = &src.as_bytes()[..src.len().min(32)];
+        let started = std::time::Instant::now();
+        let outcome = catch_unwind(AssertUnwindSafe(|| {
+            let parsed = Pattern::parse(&text);
+            if let Ok(p) = &parsed {
+                let positions = p.template().positions.len();
+                assert!(positions <= MAX_POSITIONS, "{positions} positions parsed");
+                assert_eq!(p.nfa().len(), positions);
+                for semantics in [MatchSemantics::GlobalLongest, MatchSemantics::HardwareLookahead]
+                {
+                    p.find_longest_at(input, 0, semantics);
+                }
+            }
+            parsed.map(|p| p.pattern_bytes())
+        }));
+        let elapsed = started.elapsed();
+        let case = || format!("seed {seed}: {text:.80} ({} bytes)", text.len());
+        match outcome {
+            Ok(Ok(positions)) => {
+                fuzz.parsed += 1;
+                fuzz.large += u64::from(positions > MAX_POSITIONS / 2);
+                if elapsed > fuzz.slowest_parse.0 {
+                    fuzz.slowest_parse = (elapsed, format!("{}, {positions} positions", case()));
+                }
+            }
+            Ok(Err(e)) => {
+                fuzz.too_many += u64::from(matches!(e, ParseError::TooManyPositions { .. }));
+                if elapsed > fuzz.slowest_refusal.0 {
+                    fuzz.slowest_refusal = (elapsed, format!("{}: {e}", case()));
+                }
+            }
+            Err(_) => panic!("seed {seed}: pattern mutant panicked: {text:?}"),
+        }
+    }
+    fuzz
+}
+
+/// Token patterns never panic the pattern parser, the template or the
+/// NFA, and none that parses exceeds the position bound: seeded byte
+/// edits of real patterns, some repeated up to and past the bound.
+#[test]
+fn regex_pattern_mutants_never_panic() {
+    let fuzz = fuzz_patterns(0, 2_000);
+    assert!(fuzz.parsed >= 500, "only {} of 2000 mutants parsed: {fuzz:?}", fuzz.parsed);
+    assert!(fuzz.large >= 1, "no mutant parsed past half the position bound: {fuzz:?}");
+    assert!(fuzz.too_many >= 1, "no mutant reached the position bound: {fuzz:?}");
+}
+
+/// The long run: `cargo test --release --test properties -- --ignored`.
+#[test]
+#[ignore]
+fn regex_pattern_mutants_never_panic_long() {
+    let fuzz = fuzz_patterns(1 << 32, 200_000);
+    println!(
+        "{} of 200000 mutants parsed, {} past half the position bound, {} refused at it",
+        fuzz.parsed, fuzz.large, fuzz.too_many
+    );
+    println!("slowest parse {:?}, {}", fuzz.slowest_parse.0, fuzz.slowest_parse.1);
+    println!("slowest refusal {:?}, {}", fuzz.slowest_refusal.0, fuzz.slowest_refusal.1);
+}
+
 // ------------------------------------------- netlist sim cross-check
 
 /// A tiny reference evaluator for random combinational DAGs, checked
