@@ -18,11 +18,9 @@
 //! * **misroutes** — wrong switch decisions under a bank-priority
 //!   policy (route to the bank port if any bank signal asserted).
 //!
-//! Each run appends one JSONL row (precision, FPs per MB, misroute
-//! rates) to `bench_results/false_positives.json`, so `bench_diff`
-//! can flag a precision regression against the previous run — the
-//! offline twin of the live `/audit.json` precision the shadow-audit
-//! lane reports.
+//! The tagger's half of the check (one decision per adversarial
+//! message, for its own method) also gates in the cfg-xmlrpc suite
+//! (`adversarial_messages_route_by_method_not_decoy`).
 //!
 //! Run: `cargo run -p cfg-bench --bin false_positives --release`
 
@@ -49,12 +47,9 @@ fn main() {
 
     let mut naive_fp = 0usize;
     let mut tagger_fp = 0usize;
-    let mut naive_asserted = 0usize;
-    let mut tagger_asserted = 0usize;
     let mut naive_misroutes = 0usize;
     let mut tagger_misroutes = 0usize;
     let mut adversarial = 0usize;
-    let bytes: usize = messages.iter().map(|m| m.bytes.len()).sum();
 
     for m in &messages {
         let truth = Router::port_for(&m.method);
@@ -66,7 +61,6 @@ fn main() {
         // message.
         let detected: HashSet<&str> =
             ac.find_all(&m.bytes).iter().map(|hit| services[hit.pattern]).collect();
-        naive_asserted += detected.len();
         naive_fp += detected.iter().filter(|s| **s != m.method).count();
         let naive_port = if detected.iter().any(|s| BANK_SERVICES.contains(s)) {
             Port::Bank
@@ -82,7 +76,6 @@ fn main() {
         // The tagger: one decision per message, from methodName context.
         let mut r = Router::new(tables.clone());
         tagger.process(&m.bytes, &mut r);
-        tagger_asserted += r.decisions.len();
         tagger_fp += r.decisions.iter().filter(|(svc, _)| *svc != m.method).count();
         let tagger_port = r.decisions.first().map(|(_, p)| *p).unwrap_or(Port::Unknown);
         if tagger_port != truth {
@@ -111,42 +104,4 @@ fn main() {
         "shape check: tagger false positives (={tagger_fp}) == 0, naive false positives (={naive_fp}) ≈ adversarial count (={adversarial}): {}",
         if tagger_fp == 0 && naive_fp >= adversarial * 9 / 10 { "OK" } else { "FAIL" }
     );
-
-    // Precision = correct assertions / all assertions; FP density is
-    // per audited megabyte so rows stay comparable if the workload
-    // size changes. Both engines asserted something for every message
-    // here, but guard the ratios anyway — a zero denominator is a
-    // workload bug, not a division to crash on.
-    let precision = |asserted: usize, fp: usize| {
-        if asserted > 0 {
-            (asserted - fp) as f64 / asserted as f64 * 100.0
-        } else {
-            100.0
-        }
-    };
-    let mb = (bytes as f64 / (1024.0 * 1024.0)).max(f64::MIN_POSITIVE);
-    if std::fs::create_dir_all("bench_results").is_ok() {
-        let json = format!(
-            "{{\"messages\": {n}, \"adversarial\": {adversarial}, \"bytes\": {bytes}, \
-             \"naive_fp\": {naive_fp}, \"tagger_fp\": {tagger_fp}, \
-             \"naive_misroutes\": {naive_misroutes}, \"tagger_misroutes\": {tagger_misroutes}, \
-             \"naive_precision_pct\": {:.3}, \"tagger_precision_pct\": {:.3}, \
-             \"naive_fp_per_mb\": {:.3}, \"tagger_fp_per_mb\": {:.3}}}\n",
-            precision(naive_asserted, naive_fp),
-            precision(tagger_asserted, tagger_fp),
-            naive_fp as f64 / mb,
-            tagger_fp as f64 / mb,
-        );
-        // Append, don't overwrite: the file is a JSONL history so
-        // `bench_diff` can compare the latest run against the previous.
-        use std::io::Write as _;
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open("bench_results/false_positives.json")
-            .and_then(|mut f| f.write_all(json.as_bytes()));
-        if appended.is_ok() {
-            eprintln!("appended to bench_results/false_positives.json");
-        }
-    }
 }

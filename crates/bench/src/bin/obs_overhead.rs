@@ -159,8 +159,8 @@ fn main() {
         bench_feed(et, &input, &noop_metrics, Some(&et.probes()), reps);
 
     // A noisy box produces noisy overhead numbers no matter how the
-    // arithmetic is done; publish the worst rep-to-rep spread so a
-    // reader (and bench_diff) can judge how much to trust this row.
+    // arithmetic is done; print the worst rep-to-rep spread so a
+    // reader can judge how much to trust the figures.
     let spread_pct = [off_spread, noop_spread, stats_spread, probes_on_spread]
         .into_iter()
         .fold(0.0f64, f64::max);
@@ -209,36 +209,4 @@ fn main() {
     let audit_on = bench_server(&tagger, &server_batch, None, Some(audit_cfg), server_reps);
     let audit_on_pct = (audit_on - server_off) / server_off * 100.0;
     println!("  audit on     : {audit_on:>6.2} us/msg  ({audit_on_pct:+.2}% vs off)");
-
-    if std::fs::create_dir_all("bench_results").is_ok() {
-        let json = format!(
-            "{{\"bytes\": {}, \"reps\": {reps}, \"off_ns_per_byte\": {off:.4}, \
-             \"noop_ns_per_byte\": {noop:.4}, \"stats_ns_per_byte\": {stats:.4}, \
-             \"probes_on_ns_per_byte\": {probes_on:.4}, \
-             \"noop_overhead_pct\": {:.3}, \"stats_overhead_pct\": {:.3}, \
-             \"spread_pct\": {spread_pct:.2}, \"noop_under_2pct\": {ok}, \
-             \"server_off_msg_us\": {server_off:.2}, \
-             \"server_traced_msg_us\": {server_traced:.2}, \
-             \"server_trace_overhead_pct\": {trace_pct:.3}, \
-             \"server_trace_under_2pct\": {trace_ok}, \
-             \"server_audit_on_msg_us\": {audit_on:.2}, \
-             \"server_audit_on_overhead_pct\": {audit_on_pct:.3}}}\n",
-            input.len(),
-            pct(noop),
-            pct(stats),
-        );
-        // Append, don't overwrite: the file is a JSONL history so
-        // `bench_diff` can compare the latest run against the previous.
-        use std::io::Write as _;
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open("bench_results/obs_overhead.json")
-            .and_then(|mut f| f.write_all(json.as_bytes()));
-        if appended.is_ok() {
-            eprintln!("appended to bench_results/obs_overhead.json");
-        }
-    }
-    // Non-gating by design: timing noise on shared machines must not
-    // break CI. The JSON carries the verdict for anyone who cares.
 }

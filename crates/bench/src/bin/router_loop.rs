@@ -4,18 +4,16 @@
 //! it in a [`Registry`], binds the `cfg-obs-http` exporter, and
 //! then routes a looping workload while `/metrics` and `/snapshot.json`
 //! stay scrapeable — the software stand-in for the paper's switch
-//! running under observation. Prints msgs/s and MB/s at the end and
-//! appends a JSONL row to `bench_results/router_loop.json` for
-//! `bench_diff`.
+//! running under observation. Prints msgs/s and MB/s at the end.
 //!
 //! With `--shards N` (default 4) the same batch is routed a second time
 //! on N scoped worker threads, worker `i` taking every Nth message from
 //! the `i`th, each with a tagger clone whose sink is registered as
-//! `shard<i>` next to the single-stream `router` sink — and the JSONL
-//! row gains `shards`, `shard_msgs_per_sec` and `shard_speedup` fields.
-//! On a single hardware core the workers time-slice one CPU, so
-//! `shard_speedup` measures thread overhead there and parallel scaling
-//! on real multi-core hosts.
+//! `shard<i>` next to the single-stream `router` sink, and the run
+//! prints the sharded msgs/s and its speedup over the single stream.
+//! On a single hardware core the workers time-slice one CPU, so the
+//! speedup measures thread overhead there and parallel scaling on real
+//! multi-core hosts.
 //!
 //! Run: `cargo run -p cfg-bench --bin router_loop --release -- \
 //!        [--messages N] [--port N] [--adversarial-pct N] [--linger-ms N] [--shards N]`
@@ -126,26 +124,6 @@ fn main() {
          ({shard_speedup:.2}x vs single stream)"
     );
     println!("  per-shard messages: {per_shard:?}");
-
-    if std::fs::create_dir_all("bench_results").is_ok() {
-        use std::io::Write as _;
-        let row = format!(
-            "{{\"messages\": {messages}, \"bytes\": {bytes}, \"secs\": {secs:.4}, \
-             \"msgs_per_sec\": {msgs_per_sec:.1}, \"mbytes_per_sec\": {mbytes_per_sec:.3}, \
-             \"shards\": {shards}, \"shard_msgs_per_sec\": {shard_msgs_per_sec:.1}, \
-             \"shard_speedup\": {shard_speedup:.3}, \
-             \"bank\": {bank}, \"shop\": {shop}, \"unknown\": {unknown}, \
-             \"malformed\": {malformed}}}\n"
-        );
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open("bench_results/router_loop.json")
-            .and_then(|mut f| f.write_all(row.as_bytes()));
-        if appended.is_ok() {
-            eprintln!("appended to bench_results/router_loop.json");
-        }
-    }
 
     if linger_ms > 0 {
         eprintln!("router_loop: lingering {linger_ms} ms for scrapes");

@@ -14,8 +14,7 @@
 //!
 //! Every client times each frame from its send to its reply (a
 //! session's replies come back in send order) and the run reports the
-//! round trip's p50 and p99 (`client_rtt_p50_us`, `client_rtt_p99_us`).
-//! That is what a client waits: a pipelined window waits in the socket
+//! round trip's p50 and p99. That is what a client waits: a pipelined window waits in the socket
 //! until its reader has answered the frame before, outside the server's
 //! span.
 //!
@@ -25,20 +24,18 @@
 //! share of the end-to-end p50 — the direct answer to "where do the
 //! TCP-path microseconds go vs. the in-process router". The same
 //! numbers are scraped live from `/snapshot.json` mid-run and
-//! cross-checked against the server's own tracker. Appends a JSONL row
-//! to `bench_results/server_loop.json` — non-gating, like every timing
-//! bench here.
+//! cross-checked against the server's own tracker.
 //!
 //! The gates' load counters, read from two registry snapshots taken
 //! around the timed run, give the busiest shard's utilization and the
 //! frames waiting for a gate on average over the run, summed over the
-//! gates (`shard_utilization_pct`, `mean_queue_depth`: L̄_q =
-//! Δwait_ns / Δt) — how close the fleet pushed the gates to overload.
+//! gates (the mean queue depth L̄_q = Δwait_ns / Δt) — how close the
+//! fleet pushed the gates to overload.
 //!
 //! `--sessions N` parks an idle fleet of N extra connections for the
 //! whole run, each holding a parked reader thread — the concurrency
 //! sweep that shows what thread-per-connection costs at thousands of
-//! idle sessions. The row records it as `concurrent_sessions`.
+//! idle sessions.
 //!
 //! Run: `cargo run -p cfg-bench --bin server_loop --release -- \
 //!        [--messages N] [--clients N] [--sessions N] [--shards N] \
@@ -47,7 +44,7 @@
 #![forbid(unsafe_code)]
 
 use cfg_cli::shards;
-use cfg_obs::{Histogram, Registry, SloSnapshot, Snapshot, Stage};
+use cfg_obs::{Histogram, Registry, SloSnapshot, Snapshot};
 use cfg_obs_http::{http_get, Exporter};
 use cfg_server::{Client, IngestServer, Reply, ServerConfig, TraceConfig};
 use cfg_tagger::{TaggerOptions, TokenTagger};
@@ -266,69 +263,19 @@ fn main() {
          frames over all gates"
     );
 
-    // The per-stage latency fields appended to the JSONL row (empty
-    // when tracing is off — bench_diff skips keys a row lacks).
-    let mut trace_fields = String::new();
     if let Some(snap) = &traced {
         println!("  stage attribution over {} acked frames:", snap.e2e.count);
         print!("{}", attribution_table(snap));
-        let stage_p50 = |stage: Stage| {
-            snap.stages
-                .iter()
-                .find(|(n, _)| *n == stage.name())
-                .map(|(_, row)| row.p50)
-                .unwrap_or(0)
-        };
         // Telescoping stamps make stage durations sum exactly to the
         // end-to-end per span; the p50s are each computed over the
         // whole run, so their sum tracking the e2e p50 (within ~10%)
         // is the sanity check that attribution is not dropping time.
-        let stage_sum_p50: u64 = Stage::ALL.iter().map(|s| stage_p50(*s)).sum();
+        let stage_sum_p50: u64 = snap.stages.iter().map(|(_, row)| row.p50).sum();
         let sum_vs_e2e = stage_sum_p50 as f64 / snap.e2e.p50.max(1) as f64 * 100.0;
         println!(
             "  stage p50 sum {:.1}us vs e2e p50 {:.1}us ({sum_vs_e2e:.1}%)",
             us(stage_sum_p50),
             us(snap.e2e.p50)
         );
-        trace_fields = format!(
-            ", \"trace_sample\": {trace_sample}, \"slo_ms\": {slo_ms}, \
-             \"breaches\": {}, \
-             \"e2e_p50_us\": {:.2}, \"e2e_p99_us\": {:.2}, \"e2e_p999_us\": {:.2}, \
-             \"queue_wait_p50_us\": {:.2}, \"engine_p50_us\": {:.2}, \
-             \"ack_write_p50_us\": {:.2}, \
-             \"stage_sum_p50_us\": {:.2}, \"stage_sum_vs_e2e_pct\": {sum_vs_e2e:.1}",
-            snap.breaches,
-            us(snap.e2e.p50),
-            us(snap.e2e.p99),
-            us(snap.e2e.p999),
-            us(stage_p50(Stage::QueueWait)),
-            us(stage_p50(Stage::Engine)),
-            us(stage_p50(Stage::AckWrite)),
-            us(stage_sum_p50),
-        );
-    }
-
-    if std::fs::create_dir_all("bench_results").is_ok() {
-        use std::io::Write as _;
-        let row = format!(
-            "{{\"messages\": {messages}, \"bytes\": {bytes}, \
-             \"clients\": {clients}, \"concurrent_sessions\": {}, \
-             \"shards\": {shards}, \"queue_depth\": {queue_depth}, \"window\": {window}, \
-             \"secs\": {secs:.4}, \
-             \"accepted_msgs_per_sec\": {accepted_per_sec:.1}, \"shed_ratio\": {shed_ratio:.4}, \
-             \"acked\": {acks}, \"shed\": {busys}, \
-             \"client_rtt_p50_us\": {rtt_p50:.2}, \"client_rtt_p99_us\": {rtt_p99:.2}, \
-             \"shard_utilization_pct\": {utilization:.1}, \
-             \"mean_queue_depth\": {mean_depth:.3}{trace_fields}}}\n",
-            sessions + clients,
-        );
-        let appended = std::fs::OpenOptions::new()
-            .create(true)
-            .append(true)
-            .open("bench_results/server_loop.json")
-            .and_then(|mut f| f.write_all(row.as_bytes()));
-        if appended.is_ok() {
-            eprintln!("appended to bench_results/server_loop.json");
-        }
     }
 }

@@ -52,8 +52,6 @@ pub struct ServeFlags {
     /// `--listen ADDR`: run the multi-session TCP ingest server on this
     /// address instead of streaming a local input.
     pub listen: Option<String>,
-    /// `--engine`: which engine tags frames in listen mode.
-    pub engine: EngineKind,
     /// `--max-sessions`: concurrent-session cap in listen mode.
     pub max_sessions: usize,
     /// `--idle-timeout-ms`: idle-eviction threshold and reply write
@@ -89,7 +87,6 @@ impl Default for ServeFlags {
             max_bytes: None,
             shards: 1,
             listen: None,
-            engine: EngineKind::Bit,
             max_sessions: 64,
             idle_timeout_ms: 30_000,
             queue_depth: 64,
@@ -131,11 +128,6 @@ impl ServeFlags {
                     let addr =
                         it.next().ok_or_else(|| CliError::new("--listen needs an address", 2))?;
                     f.listen = Some(addr.clone());
-                }
-                "--engine" => {
-                    let name =
-                        it.next().ok_or_else(|| CliError::new("--engine needs a name", 2))?;
-                    f.engine = name.parse().map_err(|e: String| CliError::new(e, 2))?;
                 }
                 "--max-sessions" => {
                     f.max_sessions = (num(&mut it, "--max-sessions")? as usize).max(1);
@@ -454,7 +446,6 @@ pub fn run_listen(
         queue_depth: flags.queue_depth,
         max_sessions: flags.max_sessions,
         idle_timeout: Duration::from_millis(flags.idle_timeout_ms.max(1)),
-        engine: flags.engine,
         panic_token: flags.panic_token.as_ref().map(|t| t.as_bytes().to_vec()),
         registry: Some(Arc::clone(&registry)),
         trace: (flags.trace_sample > 0).then(|| TraceConfig {
@@ -469,10 +460,9 @@ pub fn run_listen(
     let exporter = Exporter::bind(format!("127.0.0.1:{}", flags.port), registry)
         .map_err(|e| CliError::new(format!("cannot bind exporter: {e}"), 1))?;
     status(&format!(
-        "ingest on {} ({} shards, {} engine, {} max sessions, {}ms idle timeout)",
+        "ingest on {} ({} shards, {} max sessions, {}ms idle timeout)",
         server.local_addr(),
         flags.shards,
-        flags.engine,
         flags.max_sessions,
         flags.idle_timeout_ms
     ));
@@ -512,10 +502,9 @@ pub fn main_io(args: &[String]) -> i32 {
         eprintln!(
             "usage: cfgtag serve <grammar.y> [input] [--port N] [--loop N] [--recover] [--always] \
              [--chunk N] [--max-bytes N] [--shards N] [--flight-out PATH]\n\
-             \x20      cfgtag serve <grammar.y> --listen ADDR [--engine bit|scalar|gate] \
-             [--max-sessions N] [--idle-timeout-ms N] \
-             [--queue-depth N] [--panic-token S] [--trace-sample N] [--slo-ms X] \
-             [--audit-sample N]"
+             \x20      cfgtag serve <grammar.y> --listen ADDR [--max-sessions N] \
+             [--idle-timeout-ms N] [--queue-depth N] [--panic-token S] [--trace-sample N] \
+             [--slo-ms X] [--audit-sample N]"
         );
         return 2;
     };
@@ -797,8 +786,6 @@ mod tests {
             "g.y",
             "--listen",
             "127.0.0.1:0",
-            "--engine",
-            "scalar",
             "--max-sessions",
             "8",
             "--idle-timeout-ms",
@@ -816,7 +803,6 @@ mod tests {
         ]))
         .unwrap();
         assert_eq!(f.listen.as_deref(), Some("127.0.0.1:0"));
-        assert_eq!(f.engine, EngineKind::Scalar);
         assert_eq!(f.max_sessions, 8);
         assert_eq!(f.idle_timeout_ms, 250);
         assert_eq!(f.queue_depth, 16);
@@ -830,11 +816,12 @@ mod tests {
         assert_eq!(defaults.slo_ms, 50);
         assert_eq!(defaults.audit_sample, 0);
         assert_eq!(ServeFlags::parse(&argv(&["--listen"])).unwrap_err().code, 2);
-        let bad = ServeFlags::parse(&argv(&["--engine", "quantum"])).unwrap_err();
-        assert_eq!(bad.code, 2);
-        assert!(bad.to_string().contains("bit, scalar, gate"), "{bad}");
-        // There is no serving-model choice to make: the flag is
-        // rejected like any unknown one.
+        // Every frame is tagged by the production engine: there is no
+        // engine to choose, and the flag is rejected like any unknown one.
+        let gone = ServeFlags::parse(&argv(&["--engine", "scalar"])).unwrap_err();
+        assert_eq!(gone.code, 2);
+        assert!(gone.to_string().contains("unknown serve flag --engine"), "{gone}");
+        // There is no serving-model choice to make either.
         let gone = ServeFlags::parse(&argv(&["--io-model", "reactor"])).unwrap_err();
         assert_eq!(gone.code, 2);
         assert!(gone.to_string().contains("unknown serve flag --io-model"), "{gone}");

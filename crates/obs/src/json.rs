@@ -54,10 +54,10 @@ pub fn object_u64(pairs: &[(&str, u64)]) -> String {
 /// A parsed JSON value.
 ///
 /// The decoding half of the crate's zero-dependency JSON story: the
-/// live-telemetry clients (`cfgtag watch`, the bench regression differ)
-/// consume `/snapshot.json` and `bench_results/*.json` rows through this
-/// instead of a JSON crate. Numbers are held as `f64` — integral
-/// counters survive exactly up to 2^53, far beyond any rate window.
+/// telemetry clients (`cfgtag watch`) consume `/snapshot.json` and
+/// `/circuit.json` through this instead of a JSON crate. Numbers are
+/// held as `f64` — integral counters survive exactly up to 2^53, far
+/// beyond any rate window.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Json {
     /// `null`.

@@ -84,7 +84,7 @@ mod trigger;
 pub use audit::{AuditBank, AuditEvent, Mismatch};
 pub use flight::{FlightRecorder, TeeSink, DEFAULT_FLIGHT_CAPACITY};
 pub use histogram::{Histogram, HistogramSnapshot};
-pub use metrics::{Metrics, SpanGuard};
+pub use metrics::Metrics;
 pub use probe::ProbeBank;
 pub use registry::{Part, Parts, Registry};
 pub use report::{CompileReport, StageTiming};

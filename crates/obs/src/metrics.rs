@@ -1,10 +1,8 @@
-//! The `Metrics` handle held by instrumented components, and the
-//! drop-guard span timer.
+//! The `Metrics` handle held by instrumented components.
 
 use crate::sink::{MetricsSink, Stat};
 use crate::trace::TraceEvent;
 use std::sync::Arc;
-use std::time::Instant;
 
 /// A cloneable handle to an optional metrics sink.
 ///
@@ -103,32 +101,6 @@ impl Metrics {
             }
         }
     }
-
-    /// Start a wall-clock span; the duration is recorded on drop.
-    pub fn span(&self, name: &'static str) -> SpanGuard {
-        SpanGuard {
-            metrics: self.clone(),
-            name,
-            started: if self.sink.is_some() { Some(Instant::now()) } else { None },
-        }
-    }
-}
-
-/// Times a region from creation to drop and reports it via
-/// [`Metrics::time`]. Created by [`Metrics::span`].
-#[derive(Debug)]
-pub struct SpanGuard {
-    metrics: Metrics,
-    name: &'static str,
-    started: Option<Instant>,
-}
-
-impl Drop for SpanGuard {
-    fn drop(&mut self) {
-        if let Some(started) = self.started.take() {
-            self.metrics.time(self.name, started.elapsed().as_nanos() as u64);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -151,7 +123,6 @@ mod tests {
             TraceEvent::new("never")
         });
         assert!(!built, "trace closure must not run when metrics are off");
-        drop(m.span("span"));
     }
 
     #[test]
@@ -162,9 +133,7 @@ mod tests {
         assert!(m.is_enabled());
         m.add(Stat::BytesIn, 5);
         m.token_fire(1, 2);
-        {
-            let _g = m.span("work");
-        }
+        m.time("work", 7);
         assert_eq!(sink.get(Stat::BytesIn), 5);
         assert_eq!(sink.token_fires(1), 2);
         assert_eq!(sink.snapshot().histogram("work").map(|h| h.count), Some(1));

@@ -24,10 +24,6 @@ pub enum Stat {
     DeadEntries,
     /// Clock cycles simulated by the gate-level engine.
     GateCycles,
-    /// Parser runs that accepted their input.
-    ParseAccepts,
-    /// Parser runs that rejected their input.
-    ParseRejects,
     /// XML-RPC messages routed to the bank service.
     RouteBank,
     /// XML-RPC messages routed to the shop service.
@@ -65,7 +61,7 @@ pub enum Stat {
 
 impl Stat {
     /// Number of variants (sizes the counter array in `StatsSink`).
-    pub const COUNT: usize = 19;
+    pub const COUNT: usize = 17;
 
     /// All variants, in index order.
     pub const ALL: [Stat; Stat::COUNT] = [
@@ -74,8 +70,6 @@ impl Stat {
         Stat::Resyncs,
         Stat::DeadEntries,
         Stat::GateCycles,
-        Stat::ParseAccepts,
-        Stat::ParseRejects,
         Stat::RouteBank,
         Stat::RouteShop,
         Stat::RouteUnknown,
@@ -98,8 +92,6 @@ impl Stat {
             Stat::Resyncs => "resyncs",
             Stat::DeadEntries => "dead_entries",
             Stat::GateCycles => "gate_cycles",
-            Stat::ParseAccepts => "parse_accepts",
-            Stat::ParseRejects => "parse_rejects",
             Stat::RouteBank => "route_bank",
             Stat::RouteShop => "route_shop",
             Stat::RouteUnknown => "route_unknown",

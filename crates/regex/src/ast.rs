@@ -83,6 +83,57 @@ impl Ast {
         }
     }
 
+    /// FOLLOW edges the Glushkov construction ([`crate::Template`]) adds
+    /// for this AST, counted from the tree without building it. An edge
+    /// counts each time it is added (a repeat nested in a repeat adds
+    /// its loop twice), so this bounds the template's edges from above.
+    /// The count saturates at `usize::MAX`.
+    pub fn follow_edges(&self) -> usize {
+        self.shape().edges
+    }
+
+    /// What [`crate::Template::build`] derives for this AST, as sizes.
+    fn shape(&self) -> Shape {
+        match self {
+            Ast::Empty => Shape::EMPTY,
+            Ast::Class(_) => Shape { nullable: false, first: 1, last: 1, edges: 0 },
+            // last(acc) × first(part) edges at each junction.
+            Ast::Concat(parts) => parts.iter().fold(Shape::EMPTY, |acc, part| {
+                let f = part.shape();
+                Shape {
+                    nullable: acc.nullable && f.nullable,
+                    first: if acc.nullable { acc.first + f.first } else { acc.first },
+                    last: if f.nullable { acc.last + f.last } else { f.last },
+                    edges: acc
+                        .edges
+                        .saturating_add(f.edges)
+                        .saturating_add(acc.last.saturating_mul(f.first)),
+                }
+            }),
+            Ast::Alt(branches) => {
+                branches.iter().fold(Shape { nullable: false, ..Shape::EMPTY }, |acc, br| {
+                    let f = br.shape();
+                    Shape {
+                        nullable: acc.nullable || f.nullable,
+                        first: acc.first + f.first,
+                        last: acc.last + f.last,
+                        edges: acc.edges.saturating_add(f.edges),
+                    }
+                })
+            }
+            Ast::Optional(inner) => Shape { nullable: true, ..inner.shape() },
+            // last × first loop edges.
+            Ast::Repeat { inner, min_zero } => {
+                let f = inner.shape();
+                Shape {
+                    nullable: f.nullable || *min_zero,
+                    edges: f.edges.saturating_add(f.last.saturating_mul(f.first)),
+                    ..f
+                }
+            }
+        }
+    }
+
     /// Union of all byte classes appearing in the pattern. The hardware
     /// generator uses this to decide which character decoders to emit.
     pub fn alphabet(&self) -> ByteSet {
@@ -95,6 +146,21 @@ impl Ast {
             Ast::Optional(inner) | Ast::Repeat { inner, .. } => inner.alphabet(),
         }
     }
+}
+
+/// Nullability, `first` and `last` set sizes and FOLLOW edges of a
+/// subexpression (see [`Ast::follow_edges`]).
+#[derive(Clone, Copy)]
+struct Shape {
+    nullable: bool,
+    first: usize,
+    last: usize,
+    edges: usize,
+}
+
+impl Shape {
+    /// The empty sequence: nullable, with no positions.
+    const EMPTY: Shape = Shape { nullable: true, first: 0, last: 0, edges: 0 };
 }
 
 #[cfg(test)]

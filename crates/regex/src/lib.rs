@@ -56,6 +56,14 @@ use std::sync::Arc;
 /// limit, and caps the position × position masks built over a grammar.
 pub const MAX_POSITIONS: usize = 8192;
 
+/// Most FOLLOW edges a pattern's template may hold: eight per position
+/// at [`MAX_POSITIONS`]. Positions alone do not bound the edges: each
+/// copy of a nullable group in `([a-c]+*){6316}2` can be followed by
+/// every later copy, so its edges grow with the square of its copies.
+/// The count is taken from the AST ([`Ast::follow_edges`]), before the
+/// template is built.
+pub const MAX_FOLLOW_EDGES: usize = 8 * MAX_POSITIONS;
+
 /// A compiled token pattern: the parsed AST plus its Glushkov template and
 /// a ready-to-run NFA. This is the unit the grammar layer stores per token.
 ///
@@ -89,23 +97,30 @@ impl Pattern {
     /// metacharacter interpretation is performed.
     pub fn literal(bytes: &[u8]) -> Self {
         let ast = Ast::literal(bytes);
-        // A literal can always be compiled; the only failure mode of
-        // `from_ast` is an empty-language pattern, which a literal is not.
+        // A non-empty literal is neither nullable nor empty, and its n
+        // bytes have n - 1 FOLLOW edges: any literal a grammar may hold
+        // (at most `MAX_POSITIONS` bytes) compiles.
         Self::from_ast(String::from_utf8_lossy(bytes).into_owned(), ast)
             .expect("literal patterns always compile")
     }
 
+    /// Compile a parsed pattern. Every refusal is decided from the AST,
+    /// so a refused pattern never builds its template.
     fn from_ast(source: String, ast: Ast) -> Result<Self, ParseError> {
-        let template = Template::build(&ast);
-        if template.positions.is_empty() && !template.nullable {
-            return Err(ParseError::EmptyLanguage);
-        }
-        if template.nullable {
+        if ast.nullable() {
             // A token that can match the empty string would never consume a
             // byte and cannot be detected by a pipeline stage; Lex rejects
             // such token definitions too.
             return Err(ParseError::NullableToken);
         }
+        if ast.position_count() == 0 {
+            return Err(ParseError::EmptyLanguage);
+        }
+        let edges = ast.follow_edges();
+        if edges > MAX_FOLLOW_EDGES {
+            return Err(ParseError::TooManyFollowEdges { edges });
+        }
+        let template = Template::build(&ast);
         let nfa = Nfa::from_template(&template);
         Ok(Self(Arc::new(Compiled { source, ast, template, nfa })))
     }
@@ -195,6 +210,23 @@ mod tests {
         assert!(matches!(Pattern::parse("a*"), Err(ParseError::NullableToken)));
         assert!(matches!(Pattern::parse("a?"), Err(ParseError::NullableToken)));
         assert!(matches!(Pattern::parse(""), Err(ParseError::NullableToken)));
+        // Decided from the AST, before the quadratic template is built.
+        assert!(matches!(Pattern::parse("(a*){8192}"), Err(ParseError::NullableToken)));
+    }
+
+    #[test]
+    fn follow_edges_are_bounded_before_the_template_is_built() {
+        // Each nullable copy is followed by every later one: ~2·10^7
+        // edges over 6,317 positions, refused from the AST.
+        let err = Pattern::parse("([a-c]+*){6316}2").unwrap_err();
+        assert_eq!(err, ParseError::TooManyFollowEdges { edges: 19_961_718 });
+        assert_eq!(err.to_string(), "pattern needs 19961718 FOLLOW edges; the limit is 65536");
+        // A linear pattern at the position bound stays well under it.
+        let p = Pattern::parse("(a?b){4096}").unwrap();
+        assert_eq!(p.pattern_bytes(), MAX_POSITIONS);
+        let edges: usize = p.template().follow.iter().map(Vec::len).sum();
+        assert_eq!(edges, p.ast().follow_edges());
+        assert!(edges <= MAX_FOLLOW_EDGES / 4, "{edges}");
     }
 
     #[test]

@@ -20,7 +20,7 @@
 
 use crate::ast::Ast;
 use crate::classes::ByteSet;
-use crate::MAX_POSITIONS;
+use crate::{MAX_FOLLOW_EDGES, MAX_POSITIONS};
 use std::fmt;
 
 /// Errors produced while parsing a pattern.
@@ -68,6 +68,12 @@ pub enum ParseError {
         /// Positions the pattern would hold.
         positions: usize,
     },
+    /// The pattern's template needs more than [`MAX_FOLLOW_EDGES`]
+    /// FOLLOW edges, counted from the AST before the template is built.
+    TooManyFollowEdges {
+        /// FOLLOW edges the template would hold.
+        edges: usize,
+    },
 }
 
 impl fmt::Display for ParseError {
@@ -96,6 +102,9 @@ impl fmt::Display for ParseError {
             }
             ParseError::TooManyPositions { positions } => {
                 write!(f, "pattern needs {positions} positions; the limit is {MAX_POSITIONS}")
+            }
+            ParseError::TooManyFollowEdges { edges } => {
+                write!(f, "pattern needs {edges} FOLLOW edges; the limit is {MAX_FOLLOW_EDGES}")
             }
         }
     }

@@ -215,6 +215,18 @@ mod tests {
     }
 
     #[test]
+    fn ast_counts_the_edges_the_template_adds() {
+        let edges = |t: &Template| t.follow.iter().map(Vec::len).sum::<usize>();
+        for src in ["abc", "a+", "[+-]?[0-9]+", "go|stop", "(ab|c)*d", "(a?b){5}", "x(y|z)+w?"] {
+            let ast = parse(src).unwrap();
+            assert_eq!(ast.follow_edges(), edges(&Template::build(&ast)), "{src}");
+        }
+        // A nested repeat re-adds its loop, which the template dedups.
+        let ast = parse("(a+)+").unwrap();
+        assert_eq!((ast.follow_edges(), edges(&Template::build(&ast))), (2, 1));
+    }
+
+    #[test]
     fn literal_chain() {
         let t = template("abc");
         assert_eq!(t.positions.len(), 3);

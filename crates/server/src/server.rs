@@ -185,8 +185,6 @@ pub struct ServerConfig {
     /// It is also each reply's write deadline: a reply the peer leaves
     /// unread this long evicts the session.
     pub idle_timeout: Duration,
-    /// Which engine the sessions tag with.
-    pub engine: EngineKind,
     /// Panic injection for the chaos harness: tagging panics when a
     /// payload contains this byte string. `None` in production.
     pub panic_token: Option<Vec<u8>>,
@@ -208,7 +206,6 @@ impl Default for ServerConfig {
             queue_depth: 64,
             max_sessions: 64,
             idle_timeout: Duration::from_secs(30),
-            engine: EngineKind::Bit,
             panic_token: None,
             registry: None,
             trace: None,
@@ -224,7 +221,6 @@ impl std::fmt::Debug for ServerConfig {
             .field("queue_depth", &self.queue_depth)
             .field("max_sessions", &self.max_sessions)
             .field("idle_timeout", &self.idle_timeout)
-            .field("engine", &self.engine)
             .field("panic_token", &self.panic_token.is_some())
             .field("trace", &self.trace)
             .field("audit", &self.audit)
@@ -308,7 +304,6 @@ struct Shard {
 struct Shared {
     shards: Vec<Shard>,
     queue_depth: usize,
-    engine: EngineKind,
     panic_token: Option<Vec<u8>>,
     table: SessionTable,
     stop: AtomicBool,
@@ -483,12 +478,12 @@ impl Shared {
             let bank = Arc::new(AuditBank::new(tokens));
             let ring = Arc::new(EventRing::new(MISMATCH_CAPACITY));
             let (tx, rx) = mpsc::sync_channel::<AuditJob>(AUDIT_QUEUE_DEPTH);
-            let (tagger, kind) = (tagger.clone(), config.engine);
+            let tagger = tagger.clone();
             let (worker_bank, worker_ring) = (Arc::clone(&bank), Arc::clone(&ring));
             audit_handle = Some(
                 std::thread::Builder::new()
                     .name("cfgserve-audit".into())
-                    .spawn(move || audit_loop(tagger, kind, rx, worker_bank, worker_ring))
+                    .spawn(move || audit_loop(tagger, rx, worker_bank, worker_ring))
                     .expect("spawn audit worker"),
             );
             Auditor { bank, ring, sample_every: a.sample_every.max(1), tx: Mutex::new(tx) }
@@ -518,7 +513,6 @@ impl Shared {
         let shared = Shared {
             shards,
             queue_depth: config.queue_depth,
-            engine: config.engine,
             panic_token: config.panic_token.clone(),
             table: SessionTable::new(config.max_sessions),
             stop: AtomicBool::new(false),
@@ -758,7 +752,7 @@ impl Conn {
                     panic!("injected poison frame (session {id} seq {seq})");
                 }
             }
-            tag_into(&shard.tagger, shared.engine, payload, events)
+            tag_into(&shard.tagger, EngineKind::default(), payload, events)
         }));
         let busy_ns = nanos(taken_at.elapsed());
         shard.gate.leave(held);
@@ -911,7 +905,6 @@ fn serve_conn(shared: Arc<Shared>, stream: TcpStream, id: u64) {
 /// shutdown.
 fn audit_loop(
     tagger: TokenTagger,
-    kind: EngineKind,
     rx: Receiver<AuditJob>,
     bank: Arc<AuditBank>,
     ring: Arc<EventRing<Mismatch>>,
@@ -921,19 +914,17 @@ fn audit_loop(
     let pda = PdaParser::new(tagger.grammar());
     while let Ok(job) = rx.recv() {
         for (frame, payload) in job.frames.iter().enumerate() {
-            audit_frame(&tagger, kind, &pda, &bank, &ring, job.session, frame as u64, payload);
+            audit_frame(&tagger, &pda, &bank, &ring, job.session, frame as u64, payload);
         }
         bank.session_audited();
     }
 }
 
 /// Replay one frame exactly as the serving path tagged it (a fresh
-/// engine per frame), cross-check against the scalar reference engine,
-/// and confirm every fire against the exact parser.
-#[allow(clippy::too_many_arguments)]
+/// production engine per frame), cross-check against the scalar
+/// reference engine, and confirm every fire against the exact parser.
 fn audit_frame(
     tagger: &TokenTagger,
-    kind: EngineKind,
     pda: &PdaParser,
     bank: &AuditBank,
     ring: &EventRing<Mismatch>,
@@ -942,9 +933,9 @@ fn audit_frame(
     payload: &[u8],
 ) {
     bank.frame_audited(payload.len() as u64);
-    let Ok(fast) = tag_payload(tagger, kind, payload) else {
-        // The production engine kind failed where the fast path (by
-        // construction, same kind, same payload) also failed — the
+    let Ok(fast) = tag_payload(tagger, EngineKind::default(), payload) else {
+        // The production engine failed where the fast path (by
+        // construction, same engine, same payload) also failed — the
         // client already saw the Err frame; nothing to cross-check.
         return;
     };

@@ -16,12 +16,9 @@
 //! cross-checked on conforming inputs.
 
 use crate::event::TagEvent;
-use crate::probes::TaggerProbes;
 use cfg_grammar::{Grammar, Symbol, TokenId};
-use cfg_obs::{Metrics, Stat};
 use cfg_regex::Nfa;
 use std::collections::HashMap;
-use std::sync::Arc;
 
 /// An Earley item: production, dot position, origin chart index.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -61,8 +58,6 @@ pub struct PdaParser {
     grammar: Grammar,
     nfas: Vec<Nfa>,
     nullable: Vec<bool>,
-    metrics: Metrics,
-    probes: Option<Arc<TaggerProbes>>,
 }
 
 impl PdaParser {
@@ -72,23 +67,7 @@ impl PdaParser {
             nullable: g.analyze().nullable,
             grammar: g.clone(),
             nfas: g.tokens().iter().map(|t| t.pattern.nfa().clone()).collect(),
-            metrics: Metrics::off(),
-            probes: None,
         }
-    }
-
-    /// Attach an observability handle (builder style).
-    pub fn with_metrics(mut self, metrics: Metrics) -> PdaParser {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Attach a probe layer (builder style). The Earley parser records
-    /// token fires for the accepted derivation — a software reference
-    /// trace to hold against the circuit's own fire counts.
-    pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> PdaParser {
-        self.probes = Some(probes);
-        self
     }
 
     /// The grammar.
@@ -99,7 +78,6 @@ impl PdaParser {
     /// Exact-parse a byte input. Delimiters may surround and separate
     /// tokens freely, as in the hardware's lexical scanner.
     pub fn parse(&self, input: &[u8]) -> PdaResult {
-        let _span = self.metrics.span("pda_parse");
         let g = &self.grammar;
         let n = input.len();
         let delim = g.delimiters();
@@ -240,22 +218,13 @@ impl PdaParser {
         }
 
         let Some((item, pos)) = accept_at else {
-            self.metrics.add(Stat::BytesIn, n as u64);
-            self.metrics.add(Stat::ParseRejects, 1);
             return PdaResult { accepted: false, events: Vec::new() };
         };
-        self.metrics.add(Stat::BytesIn, n as u64);
-        self.metrics.add(Stat::ParseAccepts, 1);
 
         // Reconstruct one derivation's terminal events.
         let mut events = Vec::new();
         self.collect_events(&chart, item, pos as u32, &mut events);
         events.sort_by_key(|e| (e.start, e.end));
-        if let Some(pr) = &self.probes {
-            for e in &events {
-                pr.bank().hit(pr.fire[e.token.index()], 1);
-            }
-        }
         PdaResult { accepted: true, events }
     }
 

@@ -8,14 +8,12 @@
 
 use crate::error::Error;
 use crate::event::{RawMatch, TagEvent};
-use crate::probes::TaggerProbes;
 use crate::tagger::TaggerOptions;
 use cfg_grammar::{transform, Grammar, TokenId};
 use cfg_hwgen::{generate_wide, GeneratedWideTagger};
 use cfg_netlist::{NetId, Simulator};
 use cfg_obs::{Metrics, Stat};
 use cfg_regex::Nfa;
-use std::sync::Arc;
 
 /// A compiled W-bytes-per-cycle tagger.
 #[derive(Debug)]
@@ -24,7 +22,6 @@ pub struct WideTagger {
     hw: GeneratedWideTagger,
     reverse_nfas: Vec<Nfa>,
     metrics: Metrics,
-    probes: Option<Arc<TaggerProbes>>,
 }
 
 impl WideTagger {
@@ -43,18 +40,7 @@ impl WideTagger {
             .iter()
             .map(|t| Nfa::from_template(&t.pattern.template().reversed()))
             .collect();
-        Ok(WideTagger { grammar, hw, reverse_nfas, metrics: opts.metrics, probes: None })
-    }
-
-    /// Attach a probe layer (builder style). Token ids line up as long
-    /// as the probes come from a byte-serial [`crate::TokenTagger`]
-    /// compiled with the same grammar and context options — the wide
-    /// circuit is a retiming of the same token set, so fire and
-    /// FOLLOW-edge probes apply unchanged (the per-stage probes stay
-    /// idle; the wide pipeline has no per-lane position taps).
-    pub fn with_probes(mut self, probes: Arc<TaggerProbes>) -> WideTagger {
-        self.probes = Some(probes);
-        self
+        Ok(WideTagger { grammar, hw, reverse_nfas, metrics: opts.metrics })
     }
 
     /// The compiled grammar.
@@ -119,15 +105,6 @@ impl WideTagger {
         self.metrics.add(Stat::GateCycles, cycles as u64);
         for m in &raw {
             self.metrics.token_fire(m.token.0, 1);
-        }
-        if let Some(pr) = &self.probes {
-            for m in &raw {
-                let t = m.token.index();
-                pr.bank().hit(pr.fire[t], 1);
-                for &e in &pr.edges[t] {
-                    pr.bank().hit(e, 1);
-                }
-            }
         }
         Ok(raw)
     }

@@ -178,13 +178,16 @@ mod tests {
         let mut gen = WorkloadGenerator::new(11);
         for _ in 0..25 {
             let m = gen.message(MessageKind::Adversarial);
+            let text = String::from_utf8_lossy(&m.bytes);
+            let decoy = m.decoy.as_deref().expect("an adversarial message carries a decoy");
+            assert!(text.contains(decoy), "{text:?}");
             let port = Router::route(&t, &tables, &m.bytes);
-            assert_eq!(
-                port,
-                Router::port_for(&m.method),
-                "message {:?} routed to decoy!",
-                String::from_utf8_lossy(&m.bytes)
-            );
+            assert_eq!(port, Router::port_for(&m.method), "message {text:?} routed to decoy!");
+            // The tagger asserts one service, the requested one: the
+            // decoy in a parameter value is no false positive.
+            let mut r = Router::new(tables.clone());
+            t.process(&m.bytes, &mut r);
+            assert_eq!(r.decisions, [(m.method.clone(), port)], "message {text:?}");
         }
     }
 

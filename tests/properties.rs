@@ -625,6 +625,8 @@ struct PatternFuzz {
     large: u64,
     /// Refused with `ParseError::TooManyPositions`.
     too_many: u64,
+    /// Refused with `ParseError::TooManyFollowEdges`.
+    too_many_edges: u64,
     slowest_parse: (std::time::Duration, String),
     slowest_refusal: (std::time::Duration, String),
 }
@@ -693,6 +695,8 @@ fn fuzz_patterns(first_seed: u64, cases: u64) -> PatternFuzz {
             }
             Ok(Err(e)) => {
                 fuzz.too_many += u64::from(matches!(e, ParseError::TooManyPositions { .. }));
+                fuzz.too_many_edges +=
+                    u64::from(matches!(e, ParseError::TooManyFollowEdges { .. }));
                 if elapsed > fuzz.slowest_refusal.0 {
                     fuzz.slowest_refusal = (elapsed, format!("{}: {e}", case()));
                 }
@@ -720,8 +724,9 @@ fn regex_pattern_mutants_never_panic() {
 fn regex_pattern_mutants_never_panic_long() {
     let fuzz = fuzz_patterns(1 << 32, 200_000);
     println!(
-        "{} of 200000 mutants parsed, {} past half the position bound, {} refused at it",
-        fuzz.parsed, fuzz.large, fuzz.too_many
+        "{} of 200000 mutants parsed, {} past half the position bound, {} refused at it, \
+         {} refused at the FOLLOW-edge bound",
+        fuzz.parsed, fuzz.large, fuzz.too_many, fuzz.too_many_edges
     );
     println!("slowest parse {:?}, {}", fuzz.slowest_parse.0, fuzz.slowest_parse.1);
     println!("slowest refusal {:?}, {}", fuzz.slowest_refusal.0, fuzz.slowest_refusal.1);

@@ -59,7 +59,6 @@ fn corrupted_decode_rom_is_caught_as_divergence_with_evidence() {
         .with_corrupted_rom_row(b'i');
     let registry = Arc::new(Registry::new());
     let config = ServerConfig {
-        engine: EngineKind::Bit,
         audit: Some(AuditConfig { sample_every: 1 }),
         registry: Some(Arc::clone(&registry)),
         ..ServerConfig::default()
@@ -153,7 +152,6 @@ fn live_precision_matches_offline_replay_within_one_point() {
 
     let registry = Arc::new(Registry::new());
     let config = ServerConfig {
-        engine: EngineKind::Bit,
         audit: Some(AuditConfig { sample_every: 1 }),
         registry: Some(Arc::clone(&registry)),
         ..ServerConfig::default()
