@@ -22,12 +22,17 @@
 #   8. probe layer & scope      -- engine probe counters, trigger hub,
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
-#   9. production engine        -- the DFA table walk (action digests
-#                                  in 8-byte cells, the second fire
-#                                  slot, every kind of action sent to
-#                                  the exact path, a two-fire byte at a
-#                                  stage with one slot free, staging
-#                                  past its capacity) and its bit-step
+#   9. production engine        -- the DFA table walk (8-byte cells:
+#                                  the next row in the low word, the
+#                                  action digest in the high word, the
+#                                  action id beside it in a side array,
+#                                  checked cell by cell in every mode
+#                                  by `cell_layout_invariants_hold`;
+#                                  the second fire slot, every kind of
+#                                  action sent to the exact path, a
+#                                  two-fire byte at a stage with one
+#                                  slot free, staging past its
+#                                  capacity) and its bit-step
 #                                  cold path (dead-run skip, table
 #                                  budget and register caps, probe and
 #                                  trace detail), stream-mode fan-out,

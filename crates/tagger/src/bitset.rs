@@ -33,20 +33,24 @@
 //! lazily, a transition at a time on a miss under a lock, so neither
 //! compile nor engine construction pays for it.
 //!
-//! A cell is 8 bytes: the next row and the action id in its low half,
-//! and that action's fixed-size, pointer-free **digest** in its high
-//! half — the first fire's token and start register, the register a
-//! push gives this byte's index, and a slow bit. An action with a
-//! second fire keeps it (token and register) in a 4-byte slot of a
-//! per-action side array, and its digest says so. Cells and slots count
-//! against the budget. The hot loop loads one cell per byte and applies
-//! its digest with no data-dependent branch, so an event costs about
-//! what a byte costs, as in the paper's pipelined encoder (§3.4), which
-//! emits the tokens that fire on one byte in one clock: the first fire
-//! is written to a staging slot and committed by adding the fire bit; a
-//! second fire, read from its side slot under a branch only those bytes
-//! take, goes to the slot after it; and register 0 (the only one an
-//! at-start table uses) lives in a local set by a select. The **slow
+//! A cell is 8 bytes: the next row in its low word and its action's
+//! fixed-size, pointer-free **digest** in its high word — the first
+//! fire's token and start register, the fire count in the top two bits,
+//! the register a push gives this byte's index, what `is_dead()` reads
+//! after the transition, and a slow bit. The action id sits beside the
+//! cell in a 2-byte side array. An action with a second fire keeps it
+//! (token and register) in a 4-byte slot of a per-action side array.
+//! Cells, ids and slots count against the budget. The hot loop's chain
+//! from one byte to the next is one load: the byte's class picks the
+//! column off the chain, and the cell's low word, zero-extended, is the
+//! next row. It applies the digest with no data-dependent branch, so an
+//! event costs about what a byte costs, as in the paper's pipelined
+//! encoder (§3.4), which emits the tokens that fire on one byte in one
+//! clock: the first fire is written to a staging slot and committed by
+//! adding the fire count; a second fire, read from its side slot under
+//! a branch only those bytes take, goes to the slot after it; and
+//! register 0 (the only one an at-start table uses) lives in a local
+//! set by a select. The **slow
 //! path** is the exact action, for what a digest cannot carry: three or
 //! more fires, a token past 16 bits, a register compaction, §5.2
 //! liveness flags while a live sink counts them, an absorbing target,
@@ -81,34 +85,29 @@ use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-/// Bytes one compiled tagger's table may hold — transition cells, state
-/// keys and actions. A grammar whose machine outgrows it keeps the
-/// cells it has and tags the rest on the bit step.
+/// Bytes one compiled tagger's table may hold — transition cells and
+/// their action ids, state keys and actions. A grammar whose machine
+/// outgrows it keeps the cells it has and tags the rest on the bit step.
 pub const TABLE_BUDGET: usize = 1 << 20;
 
 /// Most lexeme-start registers a table state may hold; a byte that
 /// would keep more lexemes alive at distinct starts leaves the table.
 pub const MAX_REGS: usize = 8;
 
-/// A cell is `next row | action << ROW_BITS | digest << 32`: the next
-/// state's row offset into the cells, the action id (0: none) and that
-/// action's [`Digest`].
-const ROW_BITS: u32 = 20;
-const ROW_MASK: u32 = (1 << ROW_BITS) - 1;
 /// The action id of a cell not built yet: a placeholder action whose
 /// digest is slow, so the hot loop finds it where it finds every other.
-const MISS: u32 = 1;
+const MISS: u16 = 1;
 /// A cell not built yet.
-const MISS_CELL: u64 = (MISS << ROW_BITS) as u64 | (Digest::SLOW as u64) << 32;
+const MISS_CELL: u64 = (Digest::SLOW as u64) << 32;
+/// What a cell counts against the budget: itself and its action id.
+const CELL_BYTES: usize = 8 + std::mem::size_of::<u16>();
 
-/// A cell's next row.
+/// A cell's next row. A cell is `next row | digest << 32`: the next
+/// state's row offset into the cells in its low word, so reading it is a
+/// zero-extending move, and its action's [`Digest`] in its high word.
+/// Its action id (0: none) sits beside it in [`Dfa::acts`].
 fn row_of(cell: u64) -> usize {
-    (cell as u32 & ROW_MASK) as usize
-}
-
-/// A cell's action id.
-fn action_of(cell: u64) -> usize {
-    (cell as u32 >> ROW_BITS) as usize
+    cell as u32 as usize
 }
 
 /// Events the hot loop stages before it appends them to the caller's.
@@ -330,7 +329,7 @@ pub struct TableStats {
     pub transitions: usize,
     /// Byte classes (columns per state); 0 before the first build.
     pub classes: usize,
-    /// Bytes held: cells, state keys and actions.
+    /// Bytes held: cells and their action ids, state keys and actions.
     pub bytes: usize,
     /// The byte cap the table fills up to.
     pub budget: usize,
@@ -350,7 +349,8 @@ impl Table {
     }
 
     // A panic under the lock cannot leave a half-built transition: a
-    // cell is written last, after its state and action are in place.
+    // cell and its action id are written last, after its state and
+    // action are in place.
     fn read(&self) -> RwLockReadGuard<'_, Dfa> {
         self.dfa.read().unwrap_or_else(PoisonError::into_inner)
     }
@@ -384,15 +384,18 @@ struct Dfa {
     class_of: [u8; 256],
     /// One byte per class, in class order (its length is the class count).
     reps: Vec<u8>,
-    /// `cells[state * classes + class]`: `next state * classes | action
-    /// << ROW_BITS | digest << 32`, [`MISS_CELL`] until built. The hot
-    /// loop then adds a class to a cell's low bits to find the next cell.
+    /// `cells[state * classes + class]`: `next state * classes | digest
+    /// << 32`, [`MISS_CELL`] until built. The hot loop indexes
+    /// `cells[class..]` with a cell's low word, so the class is added to
+    /// the base beside the chain of loads, not on it.
     cells: Vec<u64>,
+    /// Per cell: its action id, [`MISS`] until built. The hot loop reads
+    /// it only for a second fire; the exact path, the build and the flush
+    /// read it for the [`Action`].
+    acts: Vec<u16>,
     /// Per state: its key (see [`Machine::key`]), to rebuild it on a miss.
     keys: Vec<Box<[u64]>>,
     ids: HashMap<Box<[u64]>, usize>,
-    /// Per state: what `is_dead()` reads after a transition leaving it.
-    dead: Vec<bool>,
     /// Per state: it absorbs every byte (see [`Machine::absorbing`]).
     absorbing: Vec<bool>,
     /// Actions by id; id 0 is the empty action, id 1 the [`MISS`]
@@ -401,7 +404,7 @@ struct Dfa {
     /// Per action: its second fire's slot (see [`Digest::TWO`]), read
     /// by the hot loop only under that bit.
     seconds: Vec<u32>,
-    action_ids: HashMap<Action, u32>,
+    action_ids: HashMap<Action, u16>,
     transitions: usize,
     bytes: usize,
     budget: usize,
@@ -424,16 +427,21 @@ struct Action {
 
 /// A built action's fixed-size, pointer-free digest: what the hot loop
 /// applies without reading the [`Action`]. Bits 0..16 hold the first
-/// fire's token and 16..19 its start register, and [`Digest::FIRE`] says
-/// there is one; [`Digest::TWO`] says a second fire waits in the
-/// action's side slot, in the same layout. Bits 20..23 hold the register
-/// that takes this byte's index when [`Digest::PUSH`] says the moves are
-/// that push (registers below it stay).
+/// fire's token and 16..19 its start register. The top two bits count
+/// the fires it stages, 0, 1 ([`Digest::ONE`]) or 2 ([`Digest::TWO`]),
+/// so the hot loop adds them to its stage count with one shift; with two
+/// the second waits in the action's side slot, in the same layout. Bits
+/// 20..23 hold the register that takes this byte's index when
+/// [`Digest::PUSH`] says the moves are that push (registers below it
+/// stay).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Digest(u32);
 
 impl Digest {
-    const FIRE: u32 = 1 << 19;
+    /// What `is_dead()` reads after this transition: its source state
+    /// reads dead (see [`Machine::is_dead`]). Set per cell, not per
+    /// action.
+    const DEAD: u32 = 1 << 19;
     const PUSH: u32 = 1 << 23;
     /// A resync or dead-entry flag: slow for an engine whose sink
     /// counts them, nothing for one without.
@@ -445,8 +453,10 @@ impl Digest {
     /// A fire or the push uses a register above 0, which the hot loop
     /// keeps in memory rather than in a local.
     const HIGH: u32 = 1 << 26;
+    /// Exactly one fire.
+    const ONE: u32 = 1 << 30;
     /// Exactly two fires: the second is in the action's side slot.
-    const TWO: u32 = 1 << 27;
+    const TWO: u32 = 1 << 31;
 
     /// The digest of `action`, and its side slot (0 without a second
     /// fire).
@@ -455,12 +465,10 @@ impl Digest {
         let fire = |tok: u32, r: u8| tok | (r as u32) << 16;
         let (mut d, second) = match *action.fires {
             [] => (0, 0),
-            [(tok, r)] if tok < 1 << 16 => (fire(tok, r) | Digest::FIRE, 0),
+            [(tok, r)] if tok < 1 << 16 => (fire(tok, r) | Digest::ONE, 0),
             // Fires are in ascending token order, so the second's bound
             // covers both.
-            [(t0, r0), (t1, r1)] if t1 < 1 << 16 => {
-                (fire(t0, r0) | Digest::FIRE | Digest::TWO, fire(t1, r1))
-            }
+            [(t0, r0), (t1, r1)] if t1 < 1 << 16 => (fire(t0, r0) | Digest::TWO, fire(t1, r1)),
             _ => return SLOW,
         };
         if let Some(moves) = &action.moves {
@@ -481,7 +489,7 @@ impl Digest {
         (Digest(d), second)
     }
 
-    /// The digest a cell carries in its high half.
+    /// The digest a cell carries in its high word.
     fn in_cell(cell: u64) -> Digest {
         Digest((cell >> 32) as u32)
     }
@@ -490,13 +498,17 @@ impl Digest {
         self.0 & 0xFFFF
     }
 
+    fn dead(self) -> bool {
+        self.0 & Digest::DEAD != 0
+    }
+
     fn fire_reg(self) -> usize {
         (self.0 >> 16 & 7) as usize
     }
 
     /// The fires it stages: 0, 1 or 2.
     fn fires(self) -> usize {
-        (self.0 >> 19 & 1) as usize + (self.0 >> 27 & 1) as usize
+        (self.0 >> 30) as usize
     }
 
     fn push_reg(self) -> usize {
@@ -532,9 +544,9 @@ impl Dfa {
             class_of: [0; 256],
             reps: Vec::new(),
             cells: Vec::new(),
+            acts: Vec::new(),
             keys: Vec::new(),
             ids: HashMap::new(),
-            dead: Vec::new(),
             absorbing: Vec::new(),
             actions: vec![Action::default(), Action::default()],
             seconds: vec![0, 0],
@@ -583,16 +595,17 @@ impl Dfa {
         if let Some(&id) = self.ids.get(&key) {
             return Some(id);
         }
-        // The key is held twice (list and map), plus the row and flags.
+        // The key is held twice (list and map), plus the row and the
+        // absorbing flag.
         let classes = self.reps.len();
-        let cost = classes * 8 + 2 * key.len() * 8 + 2;
-        if self.cells.len() + classes > ROW_MASK as usize || self.bytes + cost > self.budget {
+        let cost = classes * CELL_BYTES + 2 * key.len() * 8 + 1;
+        if u32::try_from(self.cells.len() + classes).is_err() || self.bytes + cost > self.budget {
             return None;
         }
         self.bytes += cost;
         let id = self.keys.len();
         self.cells.resize(self.cells.len() + classes, MISS_CELL);
-        self.dead.push(m.is_dead(t));
+        self.acts.resize(self.cells.len(), MISS);
         self.absorbing.push(m.absorbing(t));
         self.ids.insert(key.clone(), id);
         self.keys.push(key);
@@ -608,10 +621,11 @@ impl Dfa {
         }
         let classes = self.reps.len();
         let cell = state * classes + self.class_of[byte as usize] as usize;
-        if action_of(self.cells[cell]) != MISS as usize {
+        if self.acts[cell] != MISS {
             return true;
         }
         let mut m = Machine::from_key(t, &self.keys[state]);
+        let dead = if m.is_dead(t) { Digest::DEAD } else { 0 };
         let mut fired = Vec::new();
         m.fire(t, byte, 0, None, &mut fired);
         let flags = m.gate(t, byte, NEW, None);
@@ -629,8 +643,8 @@ impl Dfa {
             None => {
                 // Held twice too (list and dedup map), plus its side slot.
                 let cost = 2 * (std::mem::size_of::<Action>() + 8 * action.fires.len()) + 4;
-                let id = self.actions.len() as u32;
-                if id > u32::MAX >> ROW_BITS || self.bytes + cost > self.budget {
+                let Ok(id) = u16::try_from(self.actions.len()) else { return false };
+                if self.bytes + cost > self.budget {
                     return false;
                 }
                 self.bytes += cost;
@@ -640,8 +654,8 @@ impl Dfa {
                 id
             }
         };
-        self.cells[cell] =
-            (next * classes) as u64 | (id << ROW_BITS) as u64 | (digest.0 as u64) << 32;
+        self.acts[cell] = id;
+        self.cells[cell] = (next * classes) as u64 | ((digest.0 | dead) as u64) << 32;
         self.transitions += 1;
         true
     }
@@ -1053,6 +1067,14 @@ impl Taps {
 #[derive(Debug)]
 pub struct BitEngine {
     tables: Arc<BitTables>,
+    /// Everything a feed changes, beside `tables` so that a call borrows
+    /// both without a refcount bump.
+    stream: Stream,
+}
+
+/// One stream's state over the shared tables.
+#[derive(Debug)]
+struct Stream {
     /// Table state after the last byte's gate (0: the start state).
     state: usize,
     /// The table state's lexeme-start registers, by rank.
@@ -1076,7 +1098,7 @@ impl BitEngine {
     /// needs only the registers, and the bit step's scratch is made on
     /// fallback.
     pub(crate) fn new(tables: Arc<BitTables>) -> BitEngine {
-        BitEngine {
+        let stream = Stream {
             state: 0,
             regs: [0; MAX_REGS],
             cold: None,
@@ -1085,17 +1107,18 @@ impl BitEngine {
             finished: false,
             taps: Taps::default(),
             tally: Vec::new(),
-            tables,
-        }
+        };
+        BitEngine { tables, stream }
     }
 
     /// Attach an observability handle (builder style). A sink that keeps
     /// trace events moves the engine onto the bit step, which writes
     /// them.
     pub(crate) fn with_metrics(mut self, metrics: Metrics) -> BitEngine {
-        self.taps.live_stats = metrics.is_enabled();
-        self.taps.traced = metrics.wants_trace();
-        self.taps.metrics = metrics;
+        let taps = &mut self.stream.taps;
+        taps.live_stats = metrics.is_enabled();
+        taps.traced = metrics.wants_trace();
+        taps.metrics = metrics;
         self
     }
 
@@ -1103,10 +1126,12 @@ impl BitEngine {
     /// runs the bit step, which samples them every byte. Without probes
     /// every per-byte probe scan is skipped.
     pub(crate) fn with_probes(mut self, probes: Option<Arc<TaggerProbes>>) -> BitEngine {
-        self.taps.probes = probes;
+        self.stream.taps.probes = probes;
         self
     }
+}
 
+impl Stream {
     /// Walk the table over `bytes`, building missing transitions. Returns
     /// the bytes consumed: all of them, unless the table could not hold
     /// a transition and the engine left it for the bit step.
@@ -1129,7 +1154,7 @@ impl BitEngine {
     /// first missing cell; `base` is the stream index of `bytes[0]`.
     /// [`fast_walk`] applies every digest it can; this loop appends its
     /// staged events and applies each slow action with the exact
-    /// [`BitEngine::apply`].
+    /// [`Stream::apply`].
     fn run(&mut self, dfa: &Dfa, bytes: &[u8], base: usize, events: &mut Vec<TagEvent>) -> usize {
         if dfa.keys.is_empty() {
             return 0;
@@ -1141,36 +1166,35 @@ impl BitEngine {
         }
         // Liveness flags are work only for a sink that counts them.
         let exact = Digest::SLOW | if self.taps.live_stats { Digest::FLAGS } else { 0 };
-        let mut c = Cursor { k: 0, row: self.state * classes, prev: usize::MAX, r0: self.regs[0] };
+        let last = Digest(if self.src_dead { Digest::DEAD } else { 0 });
+        let mut c = Cursor { k: 0, row: self.state * classes, last, r0: self.regs[0] };
         let mut stage = [TagEvent { token: TokenId(0), start: 0, end: 0 }; STAGE];
         while c.k < bytes.len() {
             let (n, stop) = fast_walk(dfa, bytes, base, exact, &mut c, &mut self.regs, &mut stage);
             events.extend_from_slice(&stage[..n]);
             let Some(cell) = stop else { continue };
-            let a = action_of(cell);
-            if a == MISS as usize {
+            let a = dfa.acts[cell];
+            if a == MISS {
                 break;
             }
-            let act = &dfa.actions[a];
+            let act = &dfa.actions[a as usize];
             self.regs[0] = c.r0;
             self.apply(act, base + c.k, events);
             c.r0 = self.regs[0];
-            c.prev = c.row;
-            c.row = row_of(cell);
+            c.row = row_of(dfa.cells[cell]);
             c.k += 1;
             if act.absorb {
-                // Dead-run skip: the target loops on every byte.
+                // Dead-run skip: the target loops on every byte, and an
+                // absorbing state reads dead.
                 if c.k < bytes.len() {
-                    c.prev = c.row;
+                    c.last = Digest(Digest::DEAD);
                 }
                 c.k = bytes.len();
             }
         }
         self.regs[0] = c.r0;
         self.state = c.row / classes;
-        if c.prev != usize::MAX {
-            self.src_dead = dfa.dead[c.prev / classes];
-        }
+        self.src_dead = c.last.dead();
         c.k
     }
 
@@ -1199,12 +1223,12 @@ impl BitEngine {
     /// Record the table walk's `events` with a live sink: one
     /// `token_fire` per distinct token rather than one per event. (The
     /// bit step records each fire as it happens, in trace order.)
-    fn record_fires(&mut self, events: &[TagEvent]) {
+    fn record_fires(&mut self, t: &BitTables, events: &[TagEvent]) {
         if !self.taps.live_stats || events.is_empty() {
             return;
         }
         if self.tally.is_empty() {
-            self.tally = vec![0; self.tables.token_count()];
+            self.tally = vec![0; t.token_count()];
         }
         for e in events {
             self.tally[e.token.index()] += 1;
@@ -1228,10 +1252,10 @@ impl BitEngine {
                     return;
                 }
                 let cell = dfa.class_of[flush as usize] as usize + self.state * dfa.reps.len();
-                let action = dfa.cells.get(cell).map_or(MISS as usize, |&c| action_of(c));
-                if action != MISS as usize {
-                    self.emit(&dfa.actions[action].fires, self.fed, events);
-                    self.src_dead = dfa.dead[self.state];
+                let action = dfa.acts.get(cell).copied().unwrap_or(MISS);
+                if action != MISS {
+                    self.emit(&dfa.actions[action as usize].fires, self.fed, events);
+                    self.src_dead = Digest::in_cell(dfa.cells[cell]).dead();
                     return;
                 }
             }
@@ -1277,80 +1301,90 @@ impl BitEngine {
             m.owed_at = at;
         }
     }
-}
 
-impl Engine for BitEngine {
-    fn feed_slice(&mut self, bytes: &[u8], events: &mut Vec<TagEvent>) -> Result<(), Error> {
+    /// [`Engine::feed_slice`]: the table walk while it holds, then the
+    /// bit step.
+    fn feed(&mut self, t: &BitTables, bytes: &[u8], events: &mut Vec<TagEvent>) {
         assert!(!self.finished, "feed after finish");
-        // One refcount bump per feed, not per byte.
-        let tables = Arc::clone(&self.tables);
         if self.cold.is_none() && self.taps.detailed() {
-            self.leave_table(&tables);
+            self.leave_table(t);
         }
         let mut done = 0;
         if self.cold.is_none() {
             let from = events.len();
-            done = self.walk(&tables, bytes, events);
-            self.record_fires(&events[from..]);
+            done = self.walk(t, bytes, events);
+            self.record_fires(t, &events[from..]);
         }
         if done < bytes.len() {
-            self.step_cold(&tables, &bytes[done..], self.fed + done, events);
+            self.step_cold(t, &bytes[done..], self.fed + done, events);
         }
         self.fed += bytes.len();
         self.taps.metrics.add(Stat::BytesIn, bytes.len() as u64);
-        Ok(())
     }
 
     /// Drain the final byte against a delimiter flush, exactly like the
     /// scalar engine.
-    fn finish_into(&mut self, events: &mut Vec<TagEvent>) -> Result<(), Error> {
-        let tables = Arc::clone(&self.tables);
+    fn finish(&mut self, t: &BitTables, events: &mut Vec<TagEvent>) {
         if self.fed > 0 && !self.finished {
-            let flush = tables.delim.iter().next().unwrap_or(b' ');
+            let flush = t.delim.iter().next().unwrap_or(b' ');
             if self.cold.is_none() {
                 let from = events.len();
-                self.flush_table(&tables, flush, events);
-                self.record_fires(&events[from..]);
+                self.flush_table(t, flush, events);
+                self.record_fires(t, &events[from..]);
             }
             if let Some(m) = self.cold.as_deref_mut() {
-                m.fire(&tables, flush, self.fed, Some(&self.taps), events);
+                m.fire(t, flush, self.fed, Some(&self.taps), events);
                 self.taps.liveness(std::mem::take(&mut m.owed), m.owed_at);
-                self.src_dead = m.is_dead(&tables);
+                self.src_dead = m.is_dead(t);
             }
         }
         self.finished = true;
+    }
+}
+
+impl Engine for BitEngine {
+    fn feed_slice(&mut self, bytes: &[u8], events: &mut Vec<TagEvent>) -> Result<(), Error> {
+        self.stream.feed(&self.tables, bytes, events);
+        Ok(())
+    }
+
+    fn finish_into(&mut self, events: &mut Vec<TagEvent>) -> Result<(), Error> {
+        self.stream.finish(&self.tables, events);
         Ok(())
     }
 
     /// No live positions, no armed enables, and no enables set for the
     /// next byte.
     fn is_dead(&self) -> bool {
-        self.src_dead
+        self.stream.src_dead
     }
 }
 
-/// Where the table walk is: the next byte's index, the current and the
-/// previous row, and register 0.
+/// Where the table walk is: the next byte's index, the current row, the
+/// digest of the last transition (its [`Digest::DEAD`] bit is what
+/// `is_dead()` reads), and register 0.
 #[derive(Debug, Clone, Copy)]
 struct Cursor {
     k: usize,
     row: usize,
-    prev: usize,
+    last: Digest,
     r0: usize,
 }
 
 /// The hot loop: from `c.k`, one 8-byte cell per byte, each action
 /// applied from the digest in the cell with no data-dependent branch.
-/// The first fire is written to a staging slot and committed by adding
-/// the fire bits to the slot count; a second fire ([`Digest::TWO`]) is
-/// read from its side slot and written to the slot after, under a
-/// branch only those bytes take, so fires keep ascending token order. A
-/// push sets register 0, a local, by a select. A digest on a register
-/// above 0 (Always mode) goes through `regs` in memory. Returns the
-/// events staged, and the cell it stopped at when its digest has a bit
-/// of `exact` (`None` at the end of `bytes`, or with fewer than two
-/// stage slots free). Kept out of line so its loop state stays in
-/// registers.
+/// The byte's class picks the column `cells[class..]` and the last
+/// cell's low word indexes it, so the chain from one load to the next is
+/// the load and a zero-extending move. The first fire is written to a
+/// staging slot and committed by adding the digest's fire count to the
+/// slot count; a second fire ([`Digest::TWO`]) is read from its side
+/// slot and written to the slot after, under a branch only those bytes
+/// take, so fires keep ascending token order. A push sets register 0, a
+/// local, by a select. A digest on a register above 0 (Always mode) goes
+/// through `regs` in memory. Returns the events staged, and the index of
+/// the cell it stopped at when its digest has a bit of `exact` (`None`
+/// at the end of `bytes`, or with fewer than two stage slots free). Kept
+/// out of line so its loop state stays in registers.
 #[inline(never)]
 fn fast_walk(
     dfa: &Dfa,
@@ -1360,18 +1394,19 @@ fn fast_walk(
     c: &mut Cursor,
     regs: &mut [usize; MAX_REGS],
     stage: &mut [TagEvent; STAGE],
-) -> (usize, Option<u64>) {
-    let Cursor { mut k, mut row, mut prev, mut r0 } = *c;
+) -> (usize, Option<usize>) {
+    let Cursor { mut k, mut row, mut last, mut r0 } = *c;
     let mut n = 0;
     let mut stop = None;
     while k < bytes.len() {
-        let cell = dfa.cells[row + dfa.class_of[bytes[k] as usize] as usize];
+        let class = dfa.class_of[bytes[k] as usize] as usize;
+        let cell = dfa.cells[class..][row];
         let d = Digest::in_cell(cell);
         let at = base + k;
         if d.0 & (exact | Digest::HIGH) == 0 {
             stage[n % STAGE] = TagEvent { token: TokenId(d.token()), start: r0, end: at };
             if d.0 & Digest::TWO != 0 {
-                let second = Digest(dfa.seconds[action_of(cell)]);
+                let second = Digest(dfa.seconds[dfa.acts[class..][row] as usize]);
                 stage[(n + 1) % STAGE] =
                     TagEvent { token: TokenId(second.token()), start: r0, end: at };
             }
@@ -1383,7 +1418,7 @@ fn fast_walk(
             let start = regs[d.fire_reg()];
             stage[n % STAGE] = TagEvent { token: TokenId(d.token()), start, end: at };
             if d.0 & Digest::TWO != 0 {
-                let second = Digest(dfa.seconds[action_of(cell)]);
+                let second = Digest(dfa.seconds[dfa.acts[class..][row] as usize]);
                 let start = regs[second.fire_reg()];
                 stage[(n + 1) % STAGE] =
                     TagEvent { token: TokenId(second.token()), start, end: at };
@@ -1392,18 +1427,21 @@ fn fast_walk(
             regs[j] = at & push | regs[j] & !push;
             r0 = regs[0];
         } else {
-            stop = Some(cell);
+            // The caller takes this transition next: it applies the
+            // action, or builds the cell and walks on.
+            stop = Some(class + row);
+            last = d;
             break;
         }
         n += d.fires();
-        prev = row;
+        last = d;
         row = row_of(cell);
         k += 1;
         if n > STAGE - 2 {
             break;
         }
     }
-    *c = Cursor { k, row, prev, r0 };
+    *c = Cursor { k, row, last, r0 };
     (n, stop)
 }
 
@@ -1429,7 +1467,7 @@ fn stage_probes(pr: &TaggerProbes, t: &BitTables, next: &[u64]) {
 
 #[cfg(test)]
 mod tests {
-    use super::{action_of, push_of, Digest, MAX_REGS, STAGE, TABLE_BUDGET};
+    use super::{push_of, row_of, Digest, Machine, MAX_REGS, MISS, MISS_CELL, STAGE, TABLE_BUDGET};
     use crate::engine::EngineKind;
     use crate::event::TagEvent;
     use crate::tagger::{StartMode, TaggerOptions, TokenTagger};
@@ -1604,6 +1642,87 @@ mod tests {
         }
     }
 
+    /// Every built-in grammar and XML-RPC, each with a sample sentence.
+    fn samples() -> Vec<(Grammar, &'static str)> {
+        // The XML-RPC grammar lives in `cfg-xmlrpc`, which depends on
+        // this crate: take its text from the source.
+        let src = include_str!("../../xmlrpc/src/grammar.rs");
+        let xmlrpc = src.split("r#\"").nth(1).and_then(|s| s.split("\"#;").next()).unwrap();
+        vec![
+            (builtin::balanced_parens(), "((0))"),
+            (builtin::if_then_else(), "if true then go else stop"),
+            (builtin::arithmetic(), "a1 * (b - 2) + 3 / x"),
+            (builtin::key_value(), "host=example.org; port=8080; path=/a/b.c;"),
+            (builtin::http_request_line(), "GET /index.html HTTP/1.1"),
+            (builtin::json(), r#"{"a": [1, 2.5, true], "b": {"c": null, "d": "e f"}}"#),
+            (
+                Grammar::parse(xmlrpc).unwrap(),
+                "<methodCall><methodName>sum</methodName><params><param><i4>41</i4></param>\
+                 <param><struct><member><name>k</name><string>v1</string></member></struct>\
+                 </param><param><dateTime.iso8601>20240102T03:04:05</dateTime.iso8601>\
+                 </param><param><array><data><double>-1.5</double><base64>aGk</base64>\
+                 <int>7</int></data></array></param></params></methodCall>",
+            ),
+        ]
+    }
+
+    /// The cell layout, cell by cell under the table lock: a built cell's
+    /// low word is a row (a multiple of the class count, below the cell
+    /// count), the id beside it a real action's, and its dead bit its
+    /// source state's reading; a digest the hot loop applies counts that
+    /// action's fires in its top bits; an unbuilt cell is the slow
+    /// placeholder with [`MISS`] beside it.
+    fn check_cells(t: &TokenTagger, what: &str) {
+        let bt = t.bit_tables();
+        let dfa = bt.table.read();
+        let (classes, cells) = (dfa.reps.len(), dfa.cells.len());
+        assert_eq!(dfa.acts.len(), cells, "{what}");
+        let mut built = 0;
+        for (i, (&cell, &id)) in dfa.cells.iter().zip(&dfa.acts).enumerate() {
+            if id == MISS {
+                assert_eq!(cell, MISS_CELL, "{what}: unbuilt cell {i}");
+                continue;
+            }
+            built += 1;
+            let row = row_of(cell);
+            assert!(row.is_multiple_of(classes) && row < cells, "{what}: cell {i} row {row}");
+            let act = dfa.actions.get(id as usize);
+            let act = act.unwrap_or_else(|| panic!("{what}: cell {i} action {id}"));
+            let d = Digest::in_cell(cell);
+            let src = Machine::from_key(bt, &dfa.keys[i / classes]);
+            assert_eq!(d.dead(), src.is_dead(bt), "{what}: cell {i} {d:?}");
+            if d.0 & Digest::SLOW == 0 {
+                assert_eq!(d.fires(), act.fires.len(), "{what}: cell {i} {d:?}");
+            }
+        }
+        assert!(built > 0, "{what}");
+        assert_eq!(built, dfa.transitions, "{what}");
+    }
+
+    /// [`check_cells`] for every grammar's sample in every mode: mid-
+    /// stream after the sample, then after a junk run, the sample again
+    /// and the flush, with the events equal to the scalar engine's.
+    #[test]
+    fn cell_layout_invariants_hold() {
+        for (g, sample) in samples() {
+            for (always, recover) in MODES {
+                let t = compile(&g, always, recover);
+                let what = format!("{sample:.12}: always={always} recover={recover}");
+                let mut e = t.engine(EngineKind::Bit).unwrap();
+                let mut events = Vec::new();
+                e.feed_slice(sample.as_bytes(), &mut events).unwrap();
+                check_cells(&t, &what);
+                for part in [" #~ ", sample] {
+                    e.feed_slice(part.as_bytes(), &mut events).unwrap();
+                }
+                e.finish_into(&mut events).unwrap();
+                check_cells(&t, &what);
+                let input = format!("{sample} #~ {sample}");
+                assert_eq!(events, scalar_run(&t, input.as_bytes()).events, "{what}");
+            }
+        }
+    }
+
     /// The built transitions of `t`'s table by the kind of their action,
     /// read from the digest each cell carries: two fires the hot loop
     /// stages on its register-0 path, then what that path leaves to the
@@ -1614,8 +1733,8 @@ mod tests {
         let dfa = t.bit_tables().table.read();
         let mut kinds = [0; 6];
         // Ids 0 and 1 are the empty action and the MISS placeholder.
-        for &cell in dfa.cells.iter().filter(|&&c| action_of(c) > 1) {
-            let (a, d) = (&dfa.actions[action_of(cell)], Digest::in_cell(cell).0);
+        for (&cell, &id) in dfa.cells.iter().zip(&dfa.acts).filter(|&(_, &id)| id > 1) {
+            let (a, d) = (&dfa.actions[id as usize], Digest::in_cell(cell).0);
             let compaction = a.moves.as_ref().is_some_and(|m| push_of(m).is_none());
             for (n, hit) in [
                 d & Digest::TWO != 0 && d & (Digest::SLOW | Digest::HIGH) == 0,
