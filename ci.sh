@@ -19,7 +19,14 @@
 #                                  the strict reader every view decodes
 #                                  with), and the `cfgtag watch` loop
 #                                  (flags, retries, every view's frame)
-#   8. probe layer & scope      -- engine probe counters, trigger hub,
+#   8. probe layer & scope      -- engine probe counters (each
+#                                  FOLLOW-edge probe reads its source
+#                                  token's fire counter;
+#                                  `every_kind_agrees_on_fire_and_edge_counts`
+#                                  holds every fire and edge probe to
+#                                  its token's events on every engine
+#                                  kind), the trigger hub (`edge:`
+#                                  arms on its source's token_fire),
 #                                  the scope view, and the
 #                                  serve->scope->trigger round trip
 #   9. production engine        -- the DFA table walk (8-byte cells:

@@ -241,17 +241,19 @@ pub fn run_serve(
     let token_names: Vec<String> =
         tagger.grammar().tokens().iter().map(|t| t.name.clone()).collect();
     let sink = Arc::new(StatsSink::with_tokens(tagger.grammar().tokens().len()));
+    let probes = tagger.probes();
     // Each trace event is kept once: the trigger hub records it into the
     // flight ring, so an armed `/trigger` sees every token_fire /
-    // follow_edge / dead_entry event the engine emits and `--flight-out`
-    // dumps the same ring.
+    // resync / dead_entry event the engine emits and `--flight-out`
+    // dumps the same ring. An `edge:` trigger arms on its source's
+    // token_fire, resolved against the circuit's FOLLOW edges.
     let flight = Arc::new(FlightRecorder::default());
-    let hub = Arc::new(TriggerHub::new(token_names.clone(), Arc::clone(&flight)));
+    let edges = probes.topology().edges.iter().map(|e| (e.from, e.to)).collect();
+    let hub = Arc::new(TriggerHub::new(token_names.clone(), edges, Arc::clone(&flight)));
     let metrics = Metrics::new(Arc::new(TeeSink::new(vec![
         sink.clone() as Arc<dyn MetricsSink>,
         hub.clone() as Arc<dyn MetricsSink>,
     ])));
-    let probes = tagger.probes();
 
     let registry = Arc::new(Registry::new());
     registry.register("engine", sink.clone());

@@ -427,6 +427,7 @@ mod tests {
         // reaches stdout.
         let hub = Arc::new(TriggerHub::new(
             vec!["if".into(), "go".into()],
+            Vec::new(),
             Arc::new(FlightRecorder::default()),
         ));
         registry.attach(Part::Trigger(Arc::clone(&hub)));

@@ -2,15 +2,8 @@
 //! generated circuits (the Figure 11 wiring diagrams of small grammars
 //! render nicely through `dot -Tsvg`).
 
-use crate::ir::{NetId, Netlist, Op};
+use crate::ir::{Netlist, Op};
 use std::fmt::Write as _;
-
-/// Render a netlist as a Graphviz digraph. Registers are boxes, gates
-/// are ellipses, inputs/outputs are diamonds; named nets carry their
-/// names as labels.
-pub fn to_dot(nl: &Netlist, graph_name: &str) -> String {
-    to_dot_with_heat(nl, graph_name, &[])
-}
 
 /// Map an activity count onto a white→red fill color, log-scaled so a
 /// 10× hotter element reads clearly hotter rather than saturating.
@@ -23,18 +16,10 @@ pub fn heat_color(count: u64, max: u64) -> String {
     format!("#ff{cool:02x}{cool:02x}")
 }
 
-/// [`to_dot`] with per-net activity counts rendered as fill heat: each
-/// `(net, count)` pair colors its node on a white→red log ramp (hot
-/// elements glow; untouched logic stays white). Counts typically come
-/// from simulator watches or a probe bank mapped back to nets.
-pub fn to_dot_with_heat(nl: &Netlist, graph_name: &str, heat: &[(NetId, u64)]) -> String {
-    let max = heat.iter().map(|(_, c)| *c).max().unwrap_or(0);
-    let mut fills: Vec<Option<String>> = vec![None; nl.len()];
-    for (id, count) in heat {
-        if let Some(slot) = fills.get_mut(id.index()) {
-            *slot = Some(heat_color(*count, max));
-        }
-    }
+/// Render a netlist as a Graphviz digraph. Registers are boxes, gates
+/// are ellipses, inputs/outputs are diamonds; named nets carry their
+/// names as labels.
+pub fn to_dot(nl: &Netlist, graph_name: &str) -> String {
     let mut s = String::new();
     let _ = writeln!(s, "digraph {graph_name} {{");
     s.push_str("  rankdir=LR;\n");
@@ -55,11 +40,7 @@ pub fn to_dot_with_heat(nl: &Netlist, graph_name: &str, heat: &[(NetId, u64)]) -
             _ => "ellipse",
         };
         let name = net.name.as_deref().map(|n| format!("\\n{n}")).unwrap_or_default();
-        let fill = match &fills[i] {
-            Some(color) => format!(", style=filled, fillcolor=\"{color}\""),
-            None => String::new(),
-        };
-        let _ = writeln!(s, "  n{i} [label=\"{label}{name}\", shape={shape}{fill}];");
+        let _ = writeln!(s, "  n{i} [label=\"{label}{name}\", shape={shape}];");
     }
     for (i, net) in nl.nets().iter().enumerate() {
         for (k, o) in net.op.operands().iter().enumerate() {
@@ -104,26 +85,7 @@ mod tests {
         // One edge per operand: AND has two, REG has two (d + en), output one.
         let edges = dot.matches(" -> ").count();
         assert_eq!(edges, 5);
-        // The heat-free path adds no fill styling.
         assert!(!dot.contains("fillcolor"));
-    }
-
-    #[test]
-    fn heat_annotates_hot_nets_only() {
-        let mut b = NetlistBuilder::new();
-        let a = b.input("a");
-        let c = b.input("b");
-        let x = b.and2(a, c);
-        b.output("x", x);
-        let nl = b.finish();
-        let dot = to_dot_with_heat(&nl, "hot", &[(x, 100), (a, 1)]);
-        // The hottest net saturates red; cold-but-active is light; an
-        // unlisted net has no fill at all.
-        assert!(
-            dot.contains("n2 [label=\"AND\", shape=ellipse, style=filled, fillcolor=\"#ff0000\"]")
-        );
-        assert!(dot.contains("n0 [label=\"IN\\na\", shape=diamond, style=filled, fillcolor=\""));
-        assert!(dot.contains("n1 [label=\"IN\\nb\", shape=diamond];"));
     }
 
     #[test]

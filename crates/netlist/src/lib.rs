@@ -31,14 +31,12 @@ pub mod stats;
 pub mod techmap;
 pub mod timing;
 pub mod transform;
-pub mod vcd;
 
 pub use builder::NetlistBuilder;
-pub use dot::{heat_color, to_dot, to_dot_with_heat};
+pub use dot::{heat_color, to_dot};
 pub use ir::{Net, NetId, Netlist, Op};
 pub use sim::{SimError, Simulator};
 pub use stats::NetlistStats;
 pub use techmap::{MappedNetlist, MappedStats};
 pub use timing::{DelayModel, TimingReport};
 pub use transform::replicate_high_fanout_regs;
-pub use vcd::VcdRecorder;

@@ -488,7 +488,7 @@ mod tests {
         let reg = registry_with_traffic();
         let router = Arc::new(StatsSink::new());
         router.add(Stat::RouteBank, 3);
-        router.time("compile_ns", 12_345);
+        router.observe("route_latency_bytes", 12_345);
         reg.register("router", router);
         reg.set_ready(true);
         let names: Vec<String> = vec!["num".into(), "str".into(), "a\"b\\c\nd".into()];
@@ -502,7 +502,7 @@ mod tests {
         probes.hit(0, 7);
         reg.attach(Part::Probes(probes));
         let flight = Arc::new(FlightRecorder::new(8));
-        reg.attach(Part::Trigger(Arc::new(TriggerHub::new(names.clone(), flight))));
+        reg.attach(Part::Trigger(Arc::new(TriggerHub::new(names.clone(), Vec::new(), flight))));
         let slo = Arc::new(SloTracker::new(1_000, 0.99));
         let spans = Arc::new(SpanRecorder::new(4, 1, 0));
         for total in [128u64, 900, 4_096] {
@@ -562,7 +562,7 @@ mod tests {
             "cfgtag_shard_arrivals_total",
             "cfgtag_shard_busy_ns_total",
             "cfgtag_decision_latency_ns",
-            "cfgtag_compile_ns",
+            "cfgtag_route_latency_bytes",
         ] {
             assert!(snap.get(family).is_some_and(|f| !f.series.is_empty()), "{family} missing");
         }
@@ -733,7 +733,7 @@ mod tests {
         assert_eq!(respond("/capture.jsonl", &reg).status, 404);
 
         let flight = Arc::new(FlightRecorder::new(64));
-        let hub = Arc::new(TriggerHub::new(vec!["if".into(), "go".into()], flight));
+        let hub = Arc::new(TriggerHub::new(vec!["if".into(), "go".into()], Vec::new(), flight));
         reg.attach(Part::Trigger(Arc::clone(&hub)));
         assert_eq!(respond("/capture.jsonl", &reg).status, 404);
         assert_eq!(respond("/trigger", &reg).status, 400);

@@ -1,5 +1,5 @@
 //! The flight recorder: a fixed-size ring of the most recent trace
-//! events and span timings, kept cheaply at all times and dumped only
+//! events, kept cheaply at all times and dumped only
 //! when something goes wrong (a stream entering the dead state, an
 //! exit-code-3 run). This captures the events *leading up to* a failure
 //! without paying for always-on trace persistence.
@@ -13,14 +13,14 @@ use crate::trace::TraceEvent;
 /// reconstruct the approach to a dead state.
 pub const DEFAULT_FLIGHT_CAPACITY: usize = 4096;
 
-/// A bounded in-memory recorder of recent trace events and span
-/// timings: an [`EventRing`] of [`TraceEvent`]s, dumped as
-/// `{"seq":N,"kind":...}` JSON lines.
+/// A bounded in-memory recorder of recent trace events: an
+/// [`EventRing`] of [`TraceEvent`]s, dumped as `{"seq":N,"kind":...}`
+/// JSON lines.
 ///
 /// Implements [`MetricsSink`], so it can be attached directly or fanned
 /// into alongside a [`crate::StatsSink`] via [`TeeSink`]. Counter and
 /// histogram updates are ignored (those live in the stats sink); trace
-/// events and span timings go into the ring.
+/// events go into the ring.
 pub type FlightRecorder = EventRing<TraceEvent>;
 
 impl Default for FlightRecorder {
@@ -30,10 +30,6 @@ impl Default for FlightRecorder {
 }
 
 impl MetricsSink for FlightRecorder {
-    fn time(&self, span: &'static str, nanos: u64) {
-        self.push(TraceEvent::new("span").field("name", span).field("nanos", nanos));
-    }
-
     fn trace(&self, event: TraceEvent) {
         self.push(event);
     }
@@ -78,12 +74,6 @@ impl MetricsSink for TeeSink {
         }
     }
 
-    fn time(&self, span: &'static str, nanos: u64) {
-        for s in &self.sinks {
-            s.time(span, nanos);
-        }
-    }
-
     fn trace(&self, event: TraceEvent) {
         for s in self.sinks.iter().filter(|s| s.wants_trace()) {
             s.trace(event.clone());
@@ -110,7 +100,7 @@ mod tests {
     fn dump_is_jsonl_with_sequence_numbers() {
         let fr = FlightRecorder::new(8);
         fr.trace(TraceEvent::new("token_fire").field("token", 3u32));
-        fr.time("feed", 1234);
+        fr.trace(TraceEvent::new("span").field("name", "feed").field("nanos", 1234u64));
         let dump = fr.dump_jsonl();
         assert_eq!(dump.lines().count(), 2);
         assert!(dump.starts_with("{\"seq\":0,\"kind\":\"token_fire\",\"token\":3}"));
@@ -137,12 +127,11 @@ mod tests {
         tee.add(Stat::BytesIn, 9);
         tee.token_fire(1, 2);
         tee.observe("h", 5);
-        tee.time("span", 7);
         tee.trace(TraceEvent::new("e"));
         assert_eq!(stats.get(Stat::BytesIn), 9);
         assert_eq!(stats.token_fires(1), 2);
-        // The flight recorder keeps the span and the trace event only.
-        assert_eq!(flight.len(), 2);
+        // The flight recorder keeps the trace event only.
+        assert_eq!(flight.len(), 1);
         assert!(tee.is_enabled());
         assert!(!TeeSink::new(vec![Arc::new(NoopSink) as _]).is_enabled());
         assert!(!TeeSink::new(Vec::new()).is_enabled());

@@ -14,10 +14,9 @@
 //!   that the instrumented code path is behaviourally identical to the
 //!   un-instrumented one (see the overhead bench in `cfg-bench`).
 //! * [`StatsSink`] — lock-free counters (atomics), per-token fire
-//!   counters, and histograms (a span timing is one more histogram
-//!   observation).
-//! * [`FlightRecorder`] — the one ring of recent trace events and span
-//!   timings, dumped as JSON lines (`--trace-out`, post-mortem when a
+//!   counters, and histograms.
+//! * [`FlightRecorder`] — the one ring of recent trace events, dumped
+//!   as JSON lines (`--trace-out`, post-mortem when a
 //!   stream dies, and the window a triggered capture cuts out).
 //! * [`TeeSink`] — fans one [`Metrics`] handle out to several sinks
 //!   (typically a [`StatsSink`] plus a [`FlightRecorder`]).
@@ -46,11 +45,12 @@
 //!
 //! Below the engine counters sits the *circuit* view: a [`ProbeBank`]
 //! holds one dense atomic counter per synthesized circuit element
-//! (decoder, tokenizer stage, FOLLOW edge), addressed by the stable
-//! probe ids minted in `circuit.json`, and a [`TriggerHub`] arms
-//! ILA-style captures ([`TriggerCondition`]) that freeze a pre/post
-//! window of the flight ring around a token fire, a FOLLOW-edge
-//! traversal, or a dead stream.
+//! (decoder, tokenizer stage, fire line), addressed by the stable probe
+//! ids minted in `circuit.json`; a FOLLOW edge's probe reads its source
+//! token's fire counter, as the edge is a wire from that match line. A
+//! [`TriggerHub`] arms ILA-style captures ([`TriggerCondition`]) that
+//! freeze a pre/post window of the flight ring around a token fire, a
+//! FOLLOW-edge pulse (its source's fire), or a dead stream.
 //!
 //! The *correctness* view rides the same rails: an [`AuditBank`] holds
 //! the shadow-audit lane's counters (sessions sampled, fires confirmed

@@ -82,14 +82,6 @@ impl Metrics {
         }
     }
 
-    /// Record a span duration directly.
-    #[inline]
-    pub fn time(&self, span: &'static str, nanos: u64) {
-        if let Some(s) = &self.sink {
-            s.time(span, nanos);
-        }
-    }
-
     /// Append a trace event. The closure only runs when a sink is
     /// installed *and* it keeps traces ([`MetricsSink::wants_trace`]),
     /// so callers never build events that would be dropped.
@@ -116,7 +108,6 @@ mod tests {
         m.add(Stat::BytesIn, 10);
         m.token_fire(0, 1);
         m.observe("h", 1);
-        m.time("s", 1);
         let mut built = false;
         m.trace(|| {
             built = true;
@@ -133,7 +124,7 @@ mod tests {
         assert!(m.is_enabled());
         m.add(Stat::BytesIn, 5);
         m.token_fire(1, 2);
-        m.time("work", 7);
+        m.observe("work", 7);
         assert_eq!(sink.get(Stat::BytesIn), 5);
         assert_eq!(sink.token_fires(1), 2);
         assert_eq!(sink.snapshot().histogram("work").map(|h| h.count), Some(1));

@@ -1,12 +1,13 @@
 //! The probe bank: dense atomic counters addressed by stable probe ids.
 //!
 //! Where [`crate::StatsSink`] aggregates *engine*-level activity, a
-//! [`ProbeBank`] watches individual *circuit elements* — one counter per
-//! character decoder, tokenizer pipeline stage, and FOLLOW enable edge
-//! of the synthesized tagger. Probe ids are strings minted by the
-//! topology builder (`circuit.json`); indices into the bank are dense
-//! `u32`s so the hot path is a bounds check plus one relaxed
-//! `fetch_add`.
+//! [`ProbeBank`] watches individual *circuit elements* — one probe per
+//! character decoder, tokenizer pipeline stage, fire line and FOLLOW
+//! enable edge of the synthesized tagger. Probe ids are strings minted
+//! by the topology builder (`circuit.json`); indices into the bank are
+//! dense `u32`s so the hot path is a bounds check plus one relaxed
+//! `fetch_add`. A probe that is a wire from another element reads that
+//! element's counter through an alias ([`ProbeBank::alias`]).
 //!
 //! Like the sink layer, the bank is zero-overhead-when-off: an engine
 //! with no bank attached skips every probe update on its `None` branch.
@@ -24,6 +25,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub struct ProbeBank {
     ids: Vec<String>,
     index: HashMap<String, u32>,
+    /// The counter each probe reads and hits: its own, or the one it
+    /// aliases.
+    counter: Vec<u32>,
     counts: Vec<AtomicU64>,
 }
 
@@ -36,8 +40,25 @@ impl ProbeBank {
         for (i, id) in ids.iter().enumerate() {
             index.entry(id.clone()).or_insert(i as u32);
         }
+        let counter = (0..ids.len() as u32).collect();
         let counts = ids.iter().map(|_| AtomicU64::new(0)).collect();
-        ProbeBank { ids, index, counts }
+        ProbeBank { ids, index, counter, counts }
+    }
+
+    /// Make probe `idx` read probe `source`'s counter: a wire that
+    /// pulses exactly when its source does counts nothing of its own.
+    /// Out-of-range indices are ignored.
+    pub fn alias(&mut self, idx: u32, source: u32) {
+        if let Some(&c) = self.counter.get(source as usize) {
+            if let Some(slot) = self.counter.get_mut(idx as usize) {
+                *slot = c;
+            }
+        }
+    }
+
+    /// The counter probe `idx` reads, if it is in range.
+    fn counter(&self, idx: u32) -> Option<&AtomicU64> {
+        self.counter.get(idx as usize).map(|&c| &self.counts[c as usize])
     }
 
     /// Resolve a probe id to its dense index (build-time lookup only —
@@ -51,7 +72,7 @@ impl ProbeBank {
     /// engine mid-stream).
     #[inline]
     pub fn hit(&self, idx: u32, n: u64) {
-        if let Some(c) = self.counts.get(idx as usize) {
+        if let Some(c) = self.counter(idx) {
             c.fetch_add(n, Ordering::Relaxed);
         }
     }
@@ -78,12 +99,12 @@ impl ProbeBank {
 
     /// Current count of probe `idx` (0 if out of range).
     pub fn count(&self, idx: u32) -> u64 {
-        self.counts.get(idx as usize).map_or(0, |c| c.load(Ordering::Relaxed))
+        self.counter(idx).map_or(0, |c| c.load(Ordering::Relaxed))
     }
 
-    /// A point-in-time copy of every counter, in topology order.
+    /// A point-in-time copy of every probe's count, in topology order.
     pub fn counts(&self) -> Vec<u64> {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).collect()
+        self.counter.iter().map(|&c| self.counts[c as usize].load(Ordering::Relaxed)).collect()
     }
 
     /// Write `cfgtag_probe_total`: one series per probe (`probe`
@@ -91,8 +112,8 @@ impl ProbeBank {
     /// can hold the ids against `/circuit.json` 1:1.
     pub fn export(&self, snap: &mut Snapshot) {
         let family = snap.push("cfgtag_probe_total", Kind::Counter);
-        for (id, count) in self.ids.iter().zip(&self.counts) {
-            family.push(&[("probe", id)], count.load(Ordering::Relaxed) as f64);
+        for (id, count) in self.ids.iter().zip(self.counts()) {
+            family.push(&[("probe", id)], count as f64);
         }
     }
 }
@@ -131,6 +152,25 @@ mod tests {
             .map(|s| (s.label("probe").unwrap(), s.number().unwrap()))
             .collect();
         assert_eq!(rows, vec![("dec/\"q", 5.0), ("tok/go/fire", 0.0)]);
+    }
+
+    #[test]
+    fn an_alias_reads_and_hits_its_source_counter() {
+        let mut bank = ProbeBank::new(vec![
+            "tok/if/fire".into(),
+            "tok/go/fire".into(),
+            "follow/if->go".into(),
+        ]);
+        bank.alias(2, 0);
+        bank.alias(7, 0); // out of range: ignored
+        bank.alias(1, 9);
+        bank.hit(0, 3);
+        bank.hit(1, 1);
+        assert_eq!(bank.counts(), vec![3, 1, 3]);
+        assert_eq!(bank.count(2), 3);
+        let mut snap = Snapshot::default();
+        bank.export(&mut snap);
+        assert_eq!(snap.value("cfgtag_probe_total", &[("probe", "follow/if->go")]), Some(3.0));
     }
 
     #[test]

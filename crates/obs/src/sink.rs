@@ -121,9 +121,6 @@ pub trait MetricsSink: Send + Sync {
     /// Record one observation of `value` into the named histogram.
     fn observe(&self, _hist: &'static str, _value: u64) {}
 
-    /// Record that the named span took `nanos` wall-clock nanoseconds.
-    fn time(&self, _span: &'static str, _nanos: u64) {}
-
     /// Append a structured event to the trace buffer.
     fn trace(&self, _event: TraceEvent) {}
 
@@ -184,7 +181,6 @@ mod tests {
         s.add(Stat::BytesIn, 10);
         s.token_fire(3, 1);
         s.observe("h", 42);
-        s.time("span", 1000);
         s.trace(TraceEvent::new("kind"));
         assert!(!s.is_enabled());
     }

@@ -1,6 +1,5 @@
-//! The recording sink: counters, token fires and histograms. A span
-//! timing is one more histogram observation under the span's name.
-//! Trace events belong to the flight ring ([`crate::FlightRecorder`]),
+//! The recording sink: counters, token fires and histograms. Trace
+//! events belong to the flight ring ([`crate::FlightRecorder`]),
 //! so this sink keeps none.
 
 use crate::histogram::{Histogram, HistogramSnapshot};
@@ -92,10 +91,6 @@ impl MetricsSink for StatsSink {
         }
     }
 
-    fn time(&self, span: &'static str, nanos: u64) {
-        self.observe(span, nanos);
-    }
-
     fn wants_trace(&self) -> bool {
         false
     }
@@ -108,7 +103,7 @@ pub struct StatsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// Fire count per token index.
     pub token_fires: Vec<u64>,
-    /// Named histograms (span timings included), in first-use order.
+    /// Named histograms, in first-use order.
     pub histograms: Vec<(&'static str, HistogramSnapshot)>,
 }
 
@@ -195,8 +190,8 @@ mod tests {
         s.add(Stat::BytesIn, 7);
         s.token_fire(1, 3);
         s.observe("latency", 10);
-        s.time("compile", 1234);
-        s.time("compile", 766);
+        s.observe("compile", 1234);
+        s.observe("compile", 766);
         let snap = s.snapshot();
         assert_eq!(snap.counter(Stat::BytesIn), 7);
         assert_eq!(snap.token_fires, vec![0, 3]);

@@ -20,22 +20,28 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug, Clone, PartialEq)]
 pub enum TriggerCondition {
     /// A `token_fire` event for any of these token indices
-    /// (`token:<name>`).
+    /// (`token:<name>`, or `edge:<from>-><to>`: a FOLLOW edge pulses
+    /// exactly when its source fires, so it arms on the copies of
+    /// `<from>` that have an edge to a copy of `<to>`).
     TokenFire(Vec<u32>),
-    /// A `follow_edge` traversal matching any of these `(from, to)`
-    /// token-index pairs (`edge:<from>-><to>`).
-    Edge(Vec<(u32, u32)>),
     /// The stream entering the dead state (`dead`).
     Dead,
 }
 
 impl TriggerCondition {
-    /// Parse a condition string against the tagger's token names.
+    /// Parse a condition string against the tagger's token names and
+    /// its FOLLOW edges, as `(from, to)` token-index pairs.
     ///
     /// Accepted forms: `token:<name>`, `edge:<from>-><to>`, `dead`.
     /// Names match a token exactly, or its base name when the grammar
-    /// mints context-qualified variants (`name@2` matches `name`).
-    pub fn parse(spec: &str, token_names: &[String]) -> Result<TriggerCondition, String> {
+    /// mints context-qualified variants (`name@2` matches `name`). An
+    /// edge condition on two tokens with no edge between them parses,
+    /// and never fires.
+    pub fn parse(
+        spec: &str,
+        token_names: &[String],
+        edges: &[(u32, u32)],
+    ) -> Result<TriggerCondition, String> {
         let indices_of = |pat: &str| -> Vec<u32> {
             token_names
                 .iter()
@@ -67,13 +73,11 @@ impl TriggerCondition {
                 let bad = if froms.is_empty() { from } else { to };
                 return Err(format!("trigger: unknown token {bad:?} in edge condition"));
             }
-            let mut pairs = Vec::new();
-            for &f in &froms {
-                for &t in &tos {
-                    pairs.push((f, t));
-                }
-            }
-            return Ok(TriggerCondition::Edge(pairs));
+            let sources = froms
+                .into_iter()
+                .filter(|f| edges.iter().any(|(u, v)| u == f && tos.contains(v)))
+                .collect();
+            return Ok(TriggerCondition::TokenFire(sources));
         }
         Err(format!(
             "trigger: unknown condition {spec:?} (want token:<name>, edge:<from>-><to>, or dead)"
@@ -92,13 +96,6 @@ impl TriggerCondition {
         match self {
             TriggerCondition::TokenFire(set) => {
                 event.kind == "token_fire" && get("token").is_some_and(|t| set.contains(&t))
-            }
-            TriggerCondition::Edge(pairs) => {
-                event.kind == "follow_edge"
-                    && match (get("from"), get("to")) {
-                        (Some(f), Some(t)) => pairs.contains(&(f, t)),
-                        _ => false,
-                    }
             }
             TriggerCondition::Dead => event.kind == "dead_entry",
         }
@@ -216,16 +213,22 @@ impl Trigger {
 #[derive(Debug)]
 pub struct TriggerHub {
     token_names: Vec<String>,
+    edges: Vec<(u32, u32)>,
     flight: Arc<FlightRecorder>,
     active: Mutex<Option<Arc<Trigger>>>,
 }
 
 impl TriggerHub {
     /// A hub resolving condition strings against these token names and
-    /// recording every trace event into `flight`, the ring its captures
-    /// are cut from.
-    pub fn new(token_names: Vec<String>, flight: Arc<FlightRecorder>) -> TriggerHub {
-        TriggerHub { token_names, flight, active: Mutex::new(None) }
+    /// FOLLOW edges (`(from, to)` token indices, the circuit's edge
+    /// list), and recording every trace event into `flight`, the ring
+    /// its captures are cut from.
+    pub fn new(
+        token_names: Vec<String>,
+        edges: Vec<(u32, u32)>,
+        flight: Arc<FlightRecorder>,
+    ) -> TriggerHub {
+        TriggerHub { token_names, edges, flight, active: Mutex::new(None) }
     }
 
     /// The token names conditions are resolved against.
@@ -239,7 +242,7 @@ impl TriggerHub {
     /// is clamped to the flight ring's capacity; [`Trigger::window`]
     /// reports what was armed.
     pub fn arm(&self, spec: &str, pre: usize, post: usize) -> Result<Arc<Trigger>, String> {
-        let cond = TriggerCondition::parse(spec, &self.token_names)?;
+        let cond = TriggerCondition::parse(spec, &self.token_names, &self.edges)?;
         let cap = self.flight.capacity();
         let trigger = Arc::new(Trigger::new(cond, pre.min(cap), post.min(cap)));
         *self.active.lock().unwrap() = Some(Arc::clone(&trigger));
@@ -266,10 +269,6 @@ impl TriggerHub {
 }
 
 impl MetricsSink for TriggerHub {
-    fn time(&self, span: &'static str, nanos: u64) {
-        self.trace(TraceEvent::new("span").field("name", span).field("nanos", nanos));
-    }
-
     fn trace(&self, event: TraceEvent) {
         match self.active() {
             Some(trigger) => {
@@ -291,33 +290,38 @@ mod tests {
         ["if", "true", "then", "go"].iter().map(|s| s.to_string()).collect()
     }
 
+    /// if -> true -> then -> go.
+    const EDGES: [(u32, u32); 3] = [(0, 1), (1, 2), (2, 3)];
+
     fn hub() -> TriggerHub {
-        TriggerHub::new(names(), Arc::new(FlightRecorder::default()))
+        TriggerHub::new(names(), EDGES.to_vec(), Arc::new(FlightRecorder::default()))
+    }
+
+    fn fire(token: u32) -> TraceEvent {
+        TraceEvent::new("token_fire").field("token", token)
     }
 
     #[test]
     fn parse_conditions() {
         let n = names();
-        assert_eq!(
-            TriggerCondition::parse("token:go", &n),
-            Ok(TriggerCondition::TokenFire(vec![3]))
-        );
-        assert_eq!(
-            TriggerCondition::parse("edge:if->true", &n),
-            Ok(TriggerCondition::Edge(vec![(0, 1)]))
-        );
-        assert_eq!(TriggerCondition::parse("dead", &n), Ok(TriggerCondition::Dead));
-        assert!(TriggerCondition::parse("token:nope", &n).is_err());
-        assert!(TriggerCondition::parse("edge:if>true", &n).is_err());
-        assert!(TriggerCondition::parse("edge:if->nope", &n).is_err());
-        assert!(TriggerCondition::parse("bogus", &n).is_err());
+        let parse = |spec: &str| TriggerCondition::parse(spec, &n, &EDGES);
+        assert_eq!(parse("token:go"), Ok(TriggerCondition::TokenFire(vec![3])));
+        assert_eq!(parse("edge:if->true"), Ok(TriggerCondition::TokenFire(vec![0])));
+        assert_eq!(parse("edge:then->go"), Ok(TriggerCondition::TokenFire(vec![2])));
+        assert_eq!(parse("edge:if->go"), Ok(TriggerCondition::TokenFire(Vec::new())));
+        assert_eq!(parse("dead"), Ok(TriggerCondition::Dead));
+        assert!(parse("token:nope").is_err());
+        assert!(parse("edge:if>true").is_err());
+        assert!(parse("edge:if->nope").is_err());
+        assert!(parse("edge:nope->if").is_err());
+        assert!(parse("bogus").is_err());
     }
 
     #[test]
     fn context_qualified_names_match_base() {
         let n = vec!["if".to_string(), "go@1".to_string(), "go@2".to_string()];
         assert_eq!(
-            TriggerCondition::parse("token:go", &n),
+            TriggerCondition::parse("token:go", &n, &[]),
             Ok(TriggerCondition::TokenFire(vec![1, 2]))
         );
     }
@@ -362,13 +366,37 @@ mod tests {
         assert!(dump.contains("\"kind\":\"dead_entry\""));
     }
 
+    /// A FOLLOW edge pulses exactly when its source fires, so an edge
+    /// condition fires on its source's `token_fire`.
     #[test]
-    fn edge_condition_fires_on_follow_edge_events() {
+    fn edge_condition_fires_on_its_sources_token_fire() {
         let hub = hub();
         let trigger = hub.arm("edge:if->true", 0, 0).unwrap();
-        hub.trace(TraceEvent::new("follow_edge").field("from", 0u32).field("to", 2u32));
+        hub.trace(fire(1));
+        hub.trace(TraceEvent::new("dead_entry").field("token", 0u32));
         assert!(!trigger.fired());
-        hub.trace(TraceEvent::new("follow_edge").field("from", 0u32).field("to", 1u32));
+        hub.trace(fire(0));
+        assert!(trigger.complete());
+        assert!(hub.capture_jsonl().unwrap().contains("\"kind\":\"token_fire\",\"token\":0"));
+
+        // No edge from `if` to `go`: armed, it never fires.
+        let never = hub.arm("edge:if->go", 0, 0).unwrap();
+        for token in 0..4 {
+            hub.trace(fire(token));
+        }
+        assert!(!never.fired());
+    }
+
+    /// Only the context copies of the source that have the edge arm it.
+    #[test]
+    fn edge_condition_fires_only_for_copies_with_the_edge() {
+        let n: Vec<String> = ["if", "go@1", "go@2", "else"].iter().map(|s| s.to_string()).collect();
+        let hub = TriggerHub::new(n, vec![(0, 1), (1, 3)], Arc::new(FlightRecorder::default()));
+        let trigger = hub.arm("edge:go->else", 0, 0).unwrap();
+        assert_eq!(trigger.condition(), &TriggerCondition::TokenFire(vec![1]));
+        hub.trace(fire(2));
+        assert!(!trigger.fired());
+        hub.trace(fire(1));
         assert!(trigger.complete());
     }
 
@@ -388,7 +416,7 @@ mod tests {
     #[test]
     fn hostile_windows_clamp_to_the_ring_capacity() {
         let flight = Arc::new(FlightRecorder::new(8));
-        let hub = TriggerHub::new(names(), Arc::clone(&flight));
+        let hub = TriggerHub::new(names(), EDGES.to_vec(), Arc::clone(&flight));
         // A huge post window still completes once the ring's worth of
         // events has followed the trigger.
         let trigger = hub.arm("token:go", usize::MAX, usize::MAX).unwrap();

@@ -148,9 +148,6 @@ pub struct BitTables {
     start_tokens: Vec<u64>,
     /// FOLLOW(token) as token bitsets (`tokens` rows × `twords`).
     follower_words: Vec<u64>,
-    /// FOLLOW(token) as ascending index lists — the probe/trace path
-    /// iterates these so edge attribution matches the scalar engine.
-    follower_lists: Vec<Vec<usize>>,
     delim: ByteSet,
     always: bool,
     longest: bool,
@@ -227,7 +224,6 @@ impl BitTables {
         let mut start_tokens = vec![0u64; twords];
         let mut start_first_mask = vec![0u64; words];
         let mut follower_words = vec![0u64; token_count * twords];
-        let mut follower_lists = Vec::with_capacity(token_count);
         for t in 0..token_count {
             if analysis.start_set.contains(TokenId(t as u32)) {
                 set(&mut start_tokens, t);
@@ -235,12 +231,9 @@ impl BitTables {
                     *m |= f;
                 }
             }
-            let list: Vec<usize> =
-                analysis.follow_of(TokenId(t as u32)).iter().map(|f| f.index()).collect();
-            for &f in &list {
-                set(&mut follower_words[t * twords..][..twords], f);
+            for f in analysis.follow_of(TokenId(t as u32)).iter() {
+                set(&mut follower_words[t * twords..][..twords], f.index());
             }
-            follower_lists.push(list);
         }
 
         BitTables {
@@ -258,7 +251,6 @@ impl BitTables {
             last_mask,
             start_tokens,
             follower_words,
-            follower_lists,
             delim: g.delimiters(),
             always: opts.start_mode == StartMode::Always,
             longest: !opts.disable_longest_match,
@@ -789,7 +781,8 @@ impl Machine {
     /// The fire half: the last gated byte's matches against the
     /// lookahead `byte` (Figure 7), pushed as events ending at `end` in
     /// ascending token order, then the enables they pulse for the next
-    /// byte.
+    /// byte. A pulse down a FOLLOW edge is its source's fire, so only
+    /// the fire is recorded.
     fn fire(
         &mut self,
         t: &BitTables,
@@ -843,20 +836,10 @@ impl Machine {
         for (s, &st) in self.set_now.iter_mut().zip(&t.start_tokens) {
             *s = st & pulse;
         }
-        let detailed = taps.filter(|x| x.detailed());
         for e in &out[from..] {
             let u = e.token.index();
-            if let Some(taps) = detailed {
-                // List path: the scalar engine's iteration order, so
-                // probe and trace attribution match it edge for edge.
-                for (k, &f) in t.follower_lists[u].iter().enumerate() {
-                    self.set_now[f >> 6] |= 1u64 << (f & 63);
-                    taps.edge(u, k, f);
-                }
-            } else {
-                for (s, &r) in self.set_now.iter_mut().zip(&t.follower_words[u * tw..][..tw]) {
-                    *s |= r;
-                }
+            for (s, &r) in self.set_now.iter_mut().zip(&t.follower_words[u * tw..][..tw]) {
+                *s |= r;
             }
         }
     }
@@ -1030,18 +1013,6 @@ impl Taps {
         }
         if let Some(pr) = &self.probes {
             pr.bank().hit(pr.fire[tok], 1);
-        }
-    }
-
-    /// The `k`-th FOLLOW edge of token `u` (to `f`) carried a pulse.
-    fn edge(&self, u: usize, k: usize, f: usize) {
-        if let Some(pr) = &self.probes {
-            if let Some(&idx) = pr.edges[u].get(k) {
-                pr.bank().hit(idx, 1);
-            }
-        }
-        if self.live_stats {
-            self.metrics.trace(|| TraceEvent::new("follow_edge").field("from", u).field("to", f));
         }
     }
 
@@ -1878,7 +1849,9 @@ mod tests {
                 (events, flight.dump_jsonl())
             };
             let (expect, lines) = trace(EngineKind::Scalar, input.len());
-            assert!(lines.contains("token_fire") && lines.contains("follow_edge"));
+            // A FOLLOW-edge pulse is its source's fire: only the fire is
+            // traced.
+            assert!(lines.contains("token_fire") && !lines.contains("follow_edge"));
             for chunk in [1usize, 5, input.len()] {
                 let got = trace(EngineKind::Bit, chunk);
                 assert_eq!(got, (expect.clone(), lines.clone()), "always={always} chunk={chunk}");

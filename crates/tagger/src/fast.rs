@@ -140,7 +140,7 @@ pub struct ScalarEngine {
     /// only while an enabled sink is attached (used to count dead-state
     /// *entries*).
     was_dead: bool,
-    /// Circuit probes (decoder/stage/fire/edge counters), if attached.
+    /// Circuit probes (decoder/stage/fire counters), if attached.
     probes: Option<Arc<TaggerProbes>>,
 }
 
@@ -312,22 +312,13 @@ impl ScalarEngine {
         std::mem::swap(&mut self.starts, &mut self.next_starts);
         std::mem::swap(&mut self.active_any, &mut self.next_any);
 
-        // Enables for the next byte come from this byte's matches.
+        // Enables for the next byte come from this byte's matches. A
+        // FOLLOW wire pulses exactly when its source fires, so the fire
+        // recorded above is the edge's record too.
         self.set_now.iter_mut().for_each(|s| *s = false);
         for &u in &matched {
-            for (k, &f) in tables.followers[u].iter().enumerate() {
+            for &f in &tables.followers[u] {
                 self.set_now[f] = true;
-                // A fire propagating an enable pulse down a FOLLOW wire
-                // is the edge activation the probes and triggers watch.
-                if let Some(pr) = &self.probes {
-                    if let Some(&idx) = pr.edges[u].get(k) {
-                        pr.bank().hit(idx, 1);
-                    }
-                }
-                if self.live_stats {
-                    self.metrics
-                        .trace(|| TraceEvent::new("follow_edge").field("from", u).field("to", f));
-                }
             }
         }
         self.prev_was_delim = is_delim;

@@ -78,5 +78,5 @@ pub use fast::ScalarEngine;
 pub use gate::GateEngine;
 pub use pda::{PdaParser, PdaResult};
 pub use probes::TaggerProbes;
-pub use tagger::{EncoderKind, StartMode, TaggerOptions, TaggerOptionsBuilder, TokenTagger};
+pub use tagger::{StartMode, TaggerOptions, TaggerOptionsBuilder, TokenTagger};
 pub use wide::WideTagger;

@@ -6,8 +6,13 @@
 //! order exactly (`CircuitTopology::probe_ids` is the single source of
 //! truth), plus the per-element index tables the engines consult on
 //! their hot paths: which probe to hit when a byte lands in a decoder
-//! class, when a tokenizer stage goes active, when a token fires, and
-//! when a fire propagates an enable pulse down a FOLLOW edge.
+//! class, when a tokenizer stage goes active, and when a token fires.
+//!
+//! A FOLLOW edge is a wire: its source tokenizer's match line ORed into
+//! its followers' enables (§3.3, Figs. 8 and 11), so it pulses exactly
+//! when its source fires. No engine records an edge: each
+//! `follow/<u>-><f>` probe is an alias of `tok/<u>/fire` in the bank,
+//! and reads that counter.
 //!
 //! [`crate::TokenTagger::with_probes`] attaches one `Arc<TaggerProbes>`
 //! to a tagger handle, and every engine built from that handle counts
@@ -32,16 +37,13 @@ pub struct TaggerProbes {
     pub(crate) fire: Vec<u32>,
     /// Stage probes per token, in position order.
     pub(crate) stages: Vec<Vec<u32>>,
-    /// FOLLOW-edge probes per source token, parallel to the fast
-    /// engine's follower lists (both iterate the FOLLOW set ascending).
-    pub(crate) edges: Vec<Vec<u32>>,
 }
 
 impl TaggerProbes {
     /// Build the topology and its probe bank for a generated tagger.
     pub fn build(g: &Grammar, hw: &GeneratedTagger) -> TaggerProbes {
         let topology = CircuitTopology::build(g, hw);
-        let bank = Arc::new(ProbeBank::new(topology.probe_ids()));
+        let mut bank = ProbeBank::new(topology.probe_ids());
         let probe = |id: &str| bank.probe(id).expect("topology probe id is in the bank");
         let decoders = hw
             .decoders
@@ -49,17 +51,17 @@ impl TaggerProbes {
             .zip(&topology.decoders)
             .map(|((set, _), d)| (*set, probe(&d.probe)))
             .collect();
-        let fire = topology.tokens.iter().map(|t| probe(&t.fire_probe)).collect();
+        let fire: Vec<u32> = topology.tokens.iter().map(|t| probe(&t.fire_probe)).collect();
         let stages = topology
             .tokens
             .iter()
             .map(|t| t.stage_probes.iter().map(|s| probe(s)).collect())
             .collect();
-        let mut edges = vec![Vec::new(); topology.tokens.len()];
         for e in &topology.edges {
-            edges[e.from as usize].push(probe(&e.probe));
+            let edge = bank.probe(&e.probe).expect("topology probe id is in the bank");
+            bank.alias(edge, fire[e.from as usize]);
         }
-        TaggerProbes { topology, bank, decoders, fire, stages, edges }
+        TaggerProbes { topology, bank: Arc::new(bank), decoders, fire, stages }
     }
 
     /// The live counter bank.
@@ -97,24 +99,14 @@ impl TaggerProbes {
         }
         nets
     }
-
-    /// Per-net activity for heat-annotated DOT export
-    /// ([`cfg_netlist::to_dot_with_heat`]): decoder outputs, position
-    /// registers, and match lines, each carrying its probe's count.
-    pub fn net_heat(&self) -> Vec<(NetId, u64)> {
-        let mut heat: Vec<(NetId, u64)> =
-            self.watch_nets().into_iter().map(|(net, p)| (net, self.bank.count(p))).collect();
-        for (t, &fire) in self.topology.tokens.iter().zip(&self.fire) {
-            heat.push((t.match_net, self.bank.count(fire)));
-        }
-        heat
-    }
 }
 
 #[cfg(test)]
 mod tests {
+    use crate::engine::EngineKind;
     use crate::tagger::{TaggerOptions, TokenTagger};
-    use cfg_grammar::builtin;
+    use cfg_grammar::{builtin, TokenId};
+    use std::sync::Arc;
 
     #[test]
     fn probe_indices_mirror_topology_order() {
@@ -126,72 +118,72 @@ mod tests {
         for (i, id) in ids.iter().enumerate() {
             assert_eq!(pr.bank().id(i as u32), Some(id.as_str()));
         }
-        // Edge tables are parallel to FOLLOW iteration: every entry
-        // resolves back to a follow/ probe of the right source token.
-        for (u, edges) in pr.edges.iter().enumerate() {
-            let from = t.grammar().token_name(cfg_grammar::TokenId(u as u32));
-            for &e in edges {
-                let id = pr.bank().id(e).unwrap();
-                assert!(id.starts_with(&format!("follow/{from}->")), "{id} vs from={from}");
-            }
+        // Every FOLLOW edge names its source and target tokens, and reads
+        // its source's fire counter.
+        for e in &pr.topology().edges {
+            let name = |i: u32| t.grammar().token_name(TokenId(i));
+            assert_eq!(e.probe, format!("follow/{}->{}", name(e.from), name(e.to)));
+            let edge = pr.bank().probe(&e.probe).unwrap();
+            pr.bank().hit(pr.fire[e.from as usize], 1);
+            assert_eq!(pr.bank().count(edge), pr.bank().count(pr.fire[e.from as usize]));
         }
     }
 
     #[test]
-    fn watch_and_heat_cover_decoders_stages_matches() {
+    fn watch_nets_cover_decoders_and_stages() {
         let g = builtin::if_then_else();
         let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
         let pr = t.probes();
         let stage_count: usize = pr.stages.iter().map(Vec::len).sum();
         assert_eq!(pr.watch_nets().len(), pr.decoders.len() + stage_count);
-        assert_eq!(pr.net_heat().len(), pr.watch_nets().len() + pr.fire.len());
     }
 
     /// Probes attached through the tagger count identically on every
     /// kind: fires and FOLLOW edges everywhere, and the software
-    /// engines' decoder and stage counts too.
+    /// engines' decoder and stage counts too. Each fire probe counts its
+    /// token's events, and each edge probe its source token's, so an
+    /// engine that also hits an edge probe, or an edge that reads the
+    /// wrong token, fails here.
     #[test]
     fn every_kind_agrees_on_fire_and_edge_counts() {
-        use crate::engine::EngineKind;
+        let input = b"if true then go else stop if false then stop else go zz go if true then go";
         let g = builtin::if_then_else();
-        let t = TokenTagger::compile(&g, TaggerOptions::default()).unwrap();
-        let input = b"if true then go else stop if false then stop else go";
+        for recover in [false, true] {
+            let opts = TaggerOptions::builder().error_recovery(recover).build();
+            let t = TokenTagger::compile(&g, opts).unwrap();
+            let runs = EngineKind::ALL.map(|kind| {
+                let pr = t.probes();
+                let mut e = t.clone().with_probes(Arc::clone(&pr)).engine(kind).unwrap();
+                let mut events = e.feed(input).unwrap();
+                events.extend(e.finish().unwrap());
+                let mut fires = vec![0u64; t.grammar().tokens().len()];
+                for ev in &events {
+                    fires[ev.token.index()] += 1;
+                }
+                (pr, fires)
+            });
+            let [(bit_pr, fires), (scalar_pr, _), (gate_pr, _)] = &runs;
+            assert_eq!(bit_pr.bank().counts(), scalar_pr.bank().counts());
 
-        let banks = EngineKind::ALL.map(|kind| {
-            let pr = t.probes();
-            let mut e = t.clone().with_probes(std::sync::Arc::clone(&pr)).engine(kind).unwrap();
-            e.feed(input).unwrap();
-            e.finish().unwrap();
-            pr
-        });
-        let [bit_pr, scalar_pr, gate_pr] = &banks;
-        assert_eq!(bit_pr.bank().counts(), scalar_pr.bank().counts());
-
-        let mut fired = 0u64;
-        let mut edges = 0u64;
-        for (t_idx, &probe) in bit_pr.fire.iter().enumerate() {
-            assert_eq!(
-                bit_pr.bank().count(probe),
-                gate_pr.bank().count(gate_pr.fire[t_idx]),
-                "fire counts diverge for token {t_idx}"
-            );
-            fired += bit_pr.bank().count(probe);
-        }
-        for (t_idx, token_edges) in bit_pr.edges.iter().enumerate() {
-            for (k, &probe) in token_edges.iter().enumerate() {
-                assert_eq!(
-                    bit_pr.bank().count(probe),
-                    gate_pr.bank().count(gate_pr.edges[t_idx][k]),
-                    "edge counts diverge for token {t_idx} edge {k}"
-                );
-                edges += bit_pr.bank().count(probe);
+            for (kind, (pr, kind_fires)) in EngineKind::ALL.iter().zip(&runs) {
+                assert_eq!(kind_fires, fires, "{kind:?} events");
+                for (tok, &probe) in pr.fire.iter().enumerate() {
+                    assert_eq!(pr.bank().count(probe), fires[tok], "{kind:?} fires of token {tok}");
+                }
+                for e in &pr.topology().edges {
+                    let edge = pr.bank().probe(&e.probe).unwrap();
+                    let want = fires[e.from as usize];
+                    assert_eq!(pr.bank().count(edge), want, "{kind:?} {}", e.probe);
+                }
             }
+            assert!(fires.iter().sum::<u64>() > 0, "expected some token fires");
+            let pulses: u64 = bit_pr.topology().edges.iter().map(|e| fires[e.from as usize]).sum();
+            assert!(pulses > 0, "expected some FOLLOW-edge activations");
+            // Gate-level decoder/stage activity flows through simulator
+            // watches; at least the delimiter decoder must have counted.
+            let dec_total: u64 =
+                gate_pr.decoders.iter().map(|(_, p)| gate_pr.bank().count(*p)).sum();
+            assert!(dec_total > 0, "decoder watches never fired");
         }
-        assert!(fired > 0, "expected some token fires");
-        assert!(edges > 0, "expected some FOLLOW-edge activations");
-        // Gate-level decoder/stage activity flows through simulator
-        // watches; at least the delimiter decoder must have counted.
-        let dec_total: u64 = gate_pr.decoders.iter().map(|(_, p)| gate_pr.bank().count(*p)).sum();
-        assert!(dec_total > 0, "decoder watches never fired");
     }
 }

@@ -14,7 +14,6 @@ use cfg_regex::{Nfa, MAX_POSITIONS};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-pub use cfg_hwgen::generate::EncoderKind;
 pub use cfg_hwgen::StartMode;
 
 /// Compilation options.
@@ -30,14 +29,6 @@ pub struct TaggerOptions {
     pub duplicate_contexts: bool,
     /// Disable the Figure 7 longest-match lookahead (ablation).
     pub disable_longest_match: bool,
-    /// Index encoder for the generated circuit.
-    pub encoder: EncoderKind,
-    /// Register-fanout cap for the generated circuit (§4.3 replication
-    /// remedy); `None` leaves the netlist as generated.
-    pub max_reg_fanout: Option<usize>,
-    /// Register the data pads (§4.3 "register tree" remedy; one extra
-    /// cycle of latency).
-    pub register_inputs: bool,
     /// §5.2 error recovery: resync at the next token boundary after
     /// non-conforming input instead of staying dead.
     pub error_recovery: bool,
@@ -53,9 +44,6 @@ impl Default for TaggerOptions {
             start_mode: StartMode::AtStart,
             duplicate_contexts: true,
             disable_longest_match: false,
-            encoder: EncoderKind::Pipelined,
-            max_reg_fanout: None,
-            register_inputs: false,
             error_recovery: false,
             metrics: Metrics::off(),
         }
@@ -95,31 +83,13 @@ impl TaggerOptionsBuilder {
         self
     }
 
-    /// Index encoder for the generated circuit.
-    pub fn encoder(mut self, kind: EncoderKind) -> Self {
-        self.opts.encoder = kind;
-        self
-    }
-
-    /// Register-fanout cap (§4.3 replication remedy).
-    pub fn max_reg_fanout(mut self, cap: Option<usize>) -> Self {
-        self.opts.max_reg_fanout = cap;
-        self
-    }
-
-    /// Register the data pads (§4.3 register-tree remedy).
-    pub fn register_inputs(mut self, on: bool) -> Self {
-        self.opts.register_inputs = on;
-        self
-    }
-
     /// §5.2 error recovery (resync at token boundaries).
     pub fn error_recovery(mut self, on: bool) -> Self {
         self.opts.error_recovery = on;
         self
     }
 
-    /// Observability handle for the compile pipeline and all engines.
+    /// Observability handle for every engine.
     pub fn metrics(mut self, metrics: Metrics) -> Self {
         self.opts.metrics = metrics;
         self
@@ -240,9 +210,7 @@ impl TokenTagger {
     /// any table is built.
     ///
     /// Each stage `compile` runs is wall-clock timed into the
-    /// [`CompileReport`] available via [`TokenTagger::report`]; when the
-    /// options carry live metrics, the same timings are forwarded to the
-    /// sink as `compile/<stage>` spans.
+    /// [`CompileReport`] available via [`TokenTagger::report`].
     pub fn compile(g: &Grammar, opts: TaggerOptions) -> Result<TokenTagger, Error> {
         let mut compiled = CompileReport::default();
         let mut mark = Instant::now();
@@ -266,10 +234,8 @@ impl TokenTagger {
         let gen_opts = GeneratorOptions {
             start_mode: opts.start_mode,
             disable_longest_match: opts.disable_longest_match,
-            encoder: opts.encoder,
-            max_reg_fanout: opts.max_reg_fanout,
-            register_inputs: opts.register_inputs,
             error_recovery: opts.error_recovery,
+            ..GeneratorOptions::default()
         };
 
         let bit_tables = Arc::new(BitTables::build(&grammar, &opts));
@@ -278,18 +244,6 @@ impl TokenTagger {
         compiled.count("tokens", grammar.tokens().len() as u64);
         compiled.count("positions", bit_tables.position_count() as u64);
         compiled.count("bitset_words", bit_tables.mask_words() as u64);
-        if opts.metrics.is_on() {
-            for s in &compiled.stages {
-                // Leak-free &'static names are not available for the
-                // dynamic stage labels; use the sink's trace channel.
-                opts.metrics.trace(|| {
-                    cfg_obs::TraceEvent::new("compile_stage")
-                        .field("stage", s.stage.as_str())
-                        .field("nanos", s.nanos)
-                });
-            }
-            opts.metrics.time("compile_ns", compiled.total_nanos());
-        }
         let core = Core {
             grammar,
             gen_opts,
@@ -664,9 +618,7 @@ mod tests {
         assert!(!built.duplicate_contexts);
         assert!(built.error_recovery);
         // Untouched fields keep their defaults.
-        let d = TaggerOptions::default();
-        assert_eq!(built.encoder, d.encoder);
-        assert_eq!(built.max_reg_fanout, d.max_reg_fanout);
+        assert!(!built.disable_longest_match);
         assert!(!built.metrics.is_on());
     }
 
@@ -708,8 +660,11 @@ mod tests {
         // Per-token attribution sums to the total.
         let total: u64 = (0..16).map(|i| sink.token_fires(i)).sum();
         assert_eq!(total, 6);
-        // The compile pipeline reported its total via the sink too.
-        assert_eq!(sink.snapshot().histogram("compile_ns").map(|h| h.count), Some(1));
+        // Compile timings live in the report, not in the sink.
+        assert!(sink.snapshot().histograms.is_empty());
+        let stages: Vec<&str> = t.report().stages.iter().map(|s| s.stage.as_str()).collect();
+        assert_eq!(stages[..2], ["token_duplication", "bit_tables"]);
+        assert!(t.report().total_nanos() > 0);
     }
 
     #[test]
